@@ -136,6 +136,18 @@ class AnalysisReport:
         return {"report": self.entries}
 
 
+def _checked_witness(g: EdgeColouredMultigraph, witness) -> Optional[dict]:
+    """The witness as a dict, after an explicit check that it is valid
+    (one that also runs under python -O)."""
+    if witness is None:
+        return None
+    r = verify_witness(g, witness)
+    if not r:
+        raise GraphError(f"internal error: witness fails verification: "
+                         f"{r.reason}")
+    return witness_to_dict(g, witness)
+
+
 def analyze_graph(g: EdgeColouredMultigraph,
                   max_n: int = 0) -> AnalysisReport:
     """All decision questions on g; fast routes where the class allows,
@@ -146,16 +158,12 @@ def analyze_graph(g: EdgeColouredMultigraph,
         t0 = time.monotonic()
         try:
             answer, witness, ce = fn()
-        except (BudgetExceeded, ValueError) as exc:
+        except BudgetExceeded:
             rep.add(question, "unknown", method=method,
                     elapsed=time.monotonic() - t0)
-            _ = exc
             return
-        if witness is not None:
-            assert verify_witness(g, witness)
-            witness = witness_to_dict(g, witness)
-        rep.add(question, answer, witness, _ce(ce), method,
-                time.monotonic() - t0)
+        rep.add(question, answer, _checked_witness(g, witness), _ce(ce),
+                method, time.monotonic() - t0)
 
     small = len(g.vertices) >= 2
 
@@ -225,11 +233,8 @@ def analyze_graph(g: EdgeColouredMultigraph,
                 rep.add(question, "unknown", method="unknown",
                         elapsed=time.monotonic() - t0)
             else:
-                if witness is not None:
-                    assert verify_witness(g, witness)
-                    witness = witness_to_dict(g, witness)
-                rep.add(question, answer, witness, _ce(ce), method,
-                        time.monotonic() - t0)
+                rep.add(question, answer, _checked_witness(g, witness),
+                        _ce(ce), method, time.monotonic() - t0)
     else:
         for question in ("colour_connected", "trail_colour_connected",
                          "eulerian_factor", "cycle_factor",

@@ -4,9 +4,19 @@ two connectivity notions built on them.
 A graph is colour-connected when every ordered vertex pair (u, v) admits
 an alternating (u, v)-path starting with each colour, and
 trail-colour-connected when the same holds with trails in place of
-paths.  Path queries reduce to perfect matching; trail queries reduce to
-path queries in an auxiliary graph with two copies of every vertex and a
-small gadget per edge.
+paths.  Path queries reduce to perfect matching in the split graph,
+which has a red and a blue copy of every vertex; trail queries reduce
+to path queries in an auxiliary graph with two copies of every vertex
+and a small gadget per edge.
+
+Neither auxiliary graph depends on the queried pair, so a sweep builds
+its split graph once, in integer form (for trails: the auxiliary graph
+once, then its split graph once), and each (x, y, start, end) query
+only masks two vertices: x's non-start copy and y's non-end copy.
+Masking a copy also drops the internal edge joining it to the other
+copy of its vertex, which is exactly the edge the reduction deletes at
+an end vertex; see `alternating_path`.  The one-shot `alternating_path`
+and `alternating_trail` build the same query objects and ask them once.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from .core import (
     GraphError,
     verify_witness,
 )
-from .matching import PlainGraph, maximum_matching
+from .matching import IndexedGraph
 
 # graphs above this size route connectivity sweeps through the
 # similarity quotient, which both notions are invariant under
@@ -36,68 +46,113 @@ class ConnectivityReport:
     witnesses: Optional[dict[tuple[str, str, Colour], AlternatingTrail]] = None
 
 
+class _PathQuery:
+    """Alternating path queries on one graph, against its split graph
+    built once in integer form.
+
+    Vertex i of g has a red copy 2i and a blue copy 2i+1, joined by an
+    internal edge; a colour-c graph edge joins the two c-copies.  A
+    query masks the non-start copy of x and the non-end copy of y, and
+    nothing else changes between queries.
+    """
+
+    def __init__(self, g: EdgeColouredMultigraph):
+        self.g = g
+        self._index = {v: i for i, v in enumerate(g.vertices)}
+        edges: list[tuple[int, int, Optional[str]]] = [
+            (2 * i, 2 * i + 1, None) for i in range(len(g.vertices))]
+        for e in g.edges:
+            c = _copy_bit(e.colour)
+            edges.append((2 * self._index[e.u] + c,
+                          2 * self._index[e.v] + c, e.id))
+        self._split = IndexedGraph(2 * len(g.vertices), edges)
+
+    def __call__(self, x: str, y: str, start: Colour,
+                 end: Optional[Colour] = None) -> Optional[AlternatingTrail]:
+        if x == y:
+            raise ValueError("endpoints must differ")
+        if end is None:
+            return (self(x, y, start, Colour.RED)
+                    or self(x, y, start, Colour.BLUE))
+        first = 2 * self._index[x] + _copy_bit(start)
+        last = 2 * self._index[y] + _copy_bit(end)
+        match = self._split.matching((first ^ 1, last ^ 1))
+        # the two masked copies are the only vertices left unmatched
+        # by a perfect matching of the rest
+        if match.count(-1) > 2:
+            return None
+        # leave each vertex by the graph edge matched to its copy of
+        # the colour not used to enter it, from x's start copy until
+        # y's end copy is reached
+        seq: list[str] = []
+        a = first
+        while True:
+            b = match[a]
+            seq.append(self._split.edge_id(a, b))
+            if b == last:
+                break
+            a = b ^ 1
+        path = AlternatingTrail(x, tuple(seq))
+        _check(self.g, path, y)
+        return path
+
+
+class _TrailQuery:
+    """Alternating trail queries on one graph, as path queries in its
+    auxiliary graph, which is built once with its split graph."""
+
+    def __init__(self, g: EdgeColouredMultigraph):
+        self.g = g
+        self._paths = _PathQuery(_trail_aux_graph(g))
+
+    def __call__(self, x: str, y: str, start: Colour,
+                 end: Optional[Colour] = None) -> Optional[AlternatingTrail]:
+        p = self._paths(f"{x}.1", f"{y}.1", start, end)
+        if p is None:
+            return None
+        t = AlternatingTrail(
+            x, tuple(eid[:-2] for eid in p.edge_ids if eid.endswith(".x")))
+        _check(self.g, t, y)
+        return t
+
+
+def _copy_bit(c: Colour) -> int:
+    return 0 if c is Colour.RED else 1
+
+
+def _check(g: EdgeColouredMultigraph, t: AlternatingTrail, y: str) -> None:
+    """Raise unless t is a valid alternating trail of g ending at y; an
+    explicit check, so it also runs under python -O."""
+    r = verify_witness(g, t)
+    if not r:
+        raise GraphError(f"internal error: {t.start!r}-{y!r} witness "
+                         f"fails verification: {r.reason}")
+    if t.end(g) != y:
+        raise GraphError(f"internal error: {t.start!r}-{y!r} witness "
+                         f"ends at {t.end(g)!r}")
+
+
 def alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
                      start: Colour, end: Optional[Colour] = None
                      ) -> Optional[AlternatingTrail]:
     """Simple alternating (x,y)-path, first edge colour `start`, last
     edge colour `end` (either colour when end is None).
 
-    Reduction to perfect matching: internal vertices split into a red
-    and a blue copy joined by an internal edge; a colour-c graph edge
-    joins the two c-copies; x keeps only its start-colour copy and y
-    only its end-colour copy.  A perfect matching decomposes into the
-    wanted path plus internal edges and alternating cycles.
+    Reduction to perfect matching in the split graph: every vertex has
+    a red and a blue copy joined by an internal edge, and a colour-c
+    graph edge joins the two c-copies.  The query masks x's non-start
+    copy and y's non-end copy.  That also removes the internal edges of
+    x and y, because each has the masked copy as an end, so x's start
+    copy and y's end copy must be matched by graph edges.  Every other
+    vertex is then either matched internally (off the path) or has both
+    copies matched by graph edges of different colours (on it), so a
+    perfect matching decomposes into the wanted path plus internal
+    edges and alternating cycles.
+
+    A one-shot use of the query object that a sweep builds once per
+    graph and asks up to 2·n·(n-1) times.
     """
-    if x == y:
-        raise ValueError("endpoints must differ")
-    if end is None:
-        return (alternating_path(g, x, y, start, Colour.RED)
-                or alternating_path(g, x, y, start, Colour.BLUE))
-
-    def copy(v: str, c: Colour) -> Optional[str]:
-        if v == x:
-            return f"{v}.{c.token}" if c is start else None
-        if v == y:
-            return f"{v}.{c.token}" if c is end else None
-        return f"{v}.{c.token}"
-
-    verts: list[str] = []
-    edges: list[tuple[str, str, str]] = []
-    for v in g.vertices:
-        for c in (Colour.RED, Colour.BLUE):
-            name = copy(v, c)
-            if name is not None:
-                verts.append(name)
-        if v != x and v != y:
-            edges.append((f"int.{v}", f"{v}.red", f"{v}.blue"))
-    for e in g.edges:
-        cu, cv = copy(e.u, e.colour), copy(e.v, e.colour)
-        if cu is not None and cv is not None:
-            edges.append((e.id, cu, cv))
-
-    m = maximum_matching(PlainGraph(verts, edges))
-    if 2 * len(m) != len(verts):
-        return None
-    at: dict[str, str] = {}
-    for eid in m.edge_ids:
-        if eid.startswith("int."):
-            continue
-        e = g.edge(eid)
-        at[f"{e.u}.{e.colour.token}"] = eid
-        at[f"{e.v}.{e.colour.token}"] = eid
-
-    seq: list[str] = []
-    cur, col = x, start
-    while True:
-        eid = at[f"{cur}.{col.token}"]
-        seq.append(eid)
-        cur = g.edge(eid).other_end(cur)
-        if cur == y:
-            break
-        col = col.other()
-    path = AlternatingTrail(x, tuple(seq))
-    assert verify_witness(g, path)
-    return path
+    return _PathQuery(g)(x, y, start, end)
 
 
 def _trail_aux_graph(g: EdgeColouredMultigraph) -> EdgeColouredMultigraph:
@@ -125,17 +180,7 @@ def alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
                       ) -> Optional[AlternatingTrail]:
     """Alternating (x,y)-trail with prescribed first (and optionally
     last) edge colour, via a path query in the auxiliary graph."""
-    if x == y:
-        raise ValueError("endpoints must differ")
-    aux = _trail_aux_graph(g)
-    p = alternating_path(aux, f"{x}.1", f"{y}.1", start, end)
-    if p is None:
-        return None
-    seq = [eid[:-2] for eid in p.edge_ids if eid.endswith(".x")]
-    t = AlternatingTrail(x, tuple(seq))
-    assert verify_witness(g, t)
-    assert t.end(g) == y
-    return t
+    return _TrailQuery(g)(x, y, start, end)
 
 
 def _sweep(g: EdgeColouredMultigraph, query, collect: bool
@@ -183,7 +228,7 @@ def is_colour_connected(g: EdgeColouredMultigraph, collect: bool = False,
         rep = _quotient_route(g, is_colour_connected, collect)
         if rep is not None:
             return rep
-    return _sweep(g, lambda u, v, c: alternating_path(g, u, v, c), collect)
+    return _sweep(g, _PathQuery(g), collect)
 
 
 def is_trail_colour_connected(g: EdgeColouredMultigraph,
@@ -196,7 +241,7 @@ def is_trail_colour_connected(g: EdgeColouredMultigraph,
         rep = _quotient_route(g, is_trail_colour_connected, collect)
         if rep is not None:
             return rep
-    return _sweep(g, lambda u, v, c: alternating_trail(g, u, v, c), collect)
+    return _sweep(g, _TrailQuery(g), collect)
 
 
 def complete_multipartite_classes(g: EdgeColouredMultigraph

@@ -3,8 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from ecgraph.cli import main
-from ecgraph.core import parse_graph, serialize_graph
+import ecgraph.cli
+from ecgraph.cli import analyze_graph, main
+from ecgraph.core import GraphError, VerifyResult, parse_graph, serialize_graph
 from ecgraph.reductions import fixture, generate
 
 
@@ -77,6 +78,13 @@ class TestAnalyze:
         assert res.exit_code == 0
         assert "supereulerian" in res.output
         assert "{" not in res.output
+
+    def test_failed_witness_check_raises(self, monkeypatch):
+        # an internal failure is raised, never reported as "unknown"
+        monkeypatch.setattr(ecgraph.cli, "verify_witness",
+                            lambda g, w: VerifyResult(False, "forced"))
+        with pytest.raises(GraphError):
+            analyze_graph(fixture("efig"))
 
 
 class TestExitCodes:

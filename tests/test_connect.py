@@ -3,10 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ecgraph.connect
 from ecgraph import (
     BLUE,
     RED,
     GraphError,
+    VerifyResult,
     alternating_path,
     alternating_trail,
     build_graph,
@@ -20,6 +22,7 @@ from ecgraph import (
     trail_to_path_complete_multipartite,
     verify_witness,
 )
+from ecgraph.connect import _PathQuery, _TrailQuery
 from ecgraph.structure import blow_up
 from ecgraph.reductions import fixture, generate
 
@@ -96,6 +99,39 @@ class TestConnectivity:
             == is_colour_connected(g, use_quotient=False).connected
         assert is_trail_colour_connected(g).connected \
             == is_trail_colour_connected(g, use_quotient=False).connected
+
+
+class TestQueryObjects:
+    @pytest.mark.parametrize("make", [_PathQuery, _TrailQuery])
+    def test_reused_query_answers_do_not_depend_on_order(self, make):
+        # mask or reset state leaking from one query into the next would
+        # make an answer depend on the queries asked before it
+        found = set()
+        for seed in range(4):
+            g = generate("random_2ec", seed=seed, n=6, m=9)
+            q = make(g)
+            keys = [(u, v, c, e) for u in g.vertices for v in g.vertices
+                    if u != v for c in (RED, BLUE) for e in (None, RED, BLUE)]
+            forward = {k: q(*k) is None for k in keys}
+            shuffled = keys[:]
+            random.Random(seed).shuffle(shuffled)
+            assert {k: q(*k) is None for k in shuffled} == forward
+            found |= set(forward.values())
+        assert found == {True, False}
+
+    def test_failed_witness_check_raises(self, monkeypatch):
+        # an explicit check, not an assert, so it holds under python -O
+        monkeypatch.setattr(ecgraph.connect, "verify_witness",
+                            lambda g, w: VerifyResult(False, "forced"))
+        g = build_graph(["a", "b"], [("a", "b", RED), ("a", "b", BLUE)])
+        with pytest.raises(GraphError):
+            alternating_path(g, "a", "b", RED)
+        with pytest.raises(GraphError):
+            alternating_trail(g, "a", "b", BLUE)
+        with pytest.raises(GraphError):
+            is_colour_connected(g)
+        with pytest.raises(GraphError):
+            is_trail_colour_connected(g)
 
 
 class TestCompleteMultipartite:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecgraph.matching import (
+    IndexedGraph,
     MatchingError,
     PlainGraph,
     has_perfect_matching,
@@ -80,8 +81,9 @@ class TestKnownGraphs:
 def plain_graphs(draw):
     n = draw(st.integers(2, 8))
     verts = [f"v{i}" for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    # pairs may repeat, in either orientation: parallel edges
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=12))
     edges = [(f"e{k}", verts[i], verts[j])
              for k, (i, j) in enumerate(chosen)]
     return PlainGraph(verts, edges)
@@ -99,3 +101,29 @@ def test_matching_matches_brute_force(g):
         assert u not in used and v not in used
         used.update((u, v))
     assert len(m) == brute_force_max_matching(g)
+    # a matched pair maps to the first edge declared between its ends
+    for a, b in m.pairs:
+        first = next(eid for eid, u, v in g.edges if {u, v} == {a, b})
+        assert first in m.edge_ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(plain_graphs(), st.data())
+def test_masked_matching_matches_brute_force(g, data):
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ends = {eid: {u, v} for eid, u, v in g.edges}
+    h = IndexedGraph(len(g.vertices),
+                     ((index[u], index[v], eid) for eid, u, v in g.edges))
+    masked = data.draw(st.sets(st.sampled_from(range(len(g.vertices)))))
+    match = h.matching(masked)
+    for v, m in enumerate(match):
+        if v in masked:
+            assert m == -1
+        elif m != -1:
+            assert match[m] == v and m not in masked
+            assert ends[h.edge_id(v, m)] == {g.vertices[v], g.vertices[m]}
+    rest = [v for v in g.vertices if index[v] not in masked]
+    sub = PlainGraph(rest, [e for e in g.edges
+                            if e[1] in rest and e[2] in rest])
+    assert sum(m > v for v, m in enumerate(match)) \
+        == brute_force_max_matching(sub)
