@@ -11,6 +11,7 @@ from .core import (
     EdgeColouredMultigraph,
     EulerianFactor,
     GraphError,
+    UnsupportedClass,
     VerifyResult,
     Witness,
     build_graph,
@@ -48,6 +49,7 @@ from .structure import (
     similar,
     similarity_partition,
 )
+from .analysis import Analysis
 from .merge import (
     DominationCertificate,
     Dominates,
@@ -65,7 +67,6 @@ from .supereuler import (
     BipartiteDigraph,
     CompleteBipartiteVerdict,
     SupereulerianResult,
-    UnsupportedClass,
     bb_from_digraph,
     bb_to_digraph,
     decide_complete_bipartite,

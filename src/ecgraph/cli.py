@@ -5,11 +5,14 @@ graph JSON that every decision subcommand accepts ("-" reads stdin).
 Exit codes: 0 positive decision, 2 usage or parse error, 3 negative
 decision with a certificate, 4 input outside the supported class,
 5 oracle budget exceeded.
+
+`decide` holds the one route ladder for the two decision questions;
+`analyze` and the `supereulerian` and `hamiltonian` commands all ask
+it.  The commands that only make graphs live in `ecgraph.cli_graphs`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -18,87 +21,44 @@ from typing import Optional
 
 import click
 
-from .connect import (
-    complete_multipartite_classes,
-    is_colour_connected,
-    is_trail_colour_connected,
+from .analysis import Analysis
+from .cli_graphs import (
+    emit, fail, fixture_cmd, random_cmd, read_graph, transform,
 )
+from .connect import is_colour_connected, is_trail_colour_connected
 from .core import (
-    Colour,
-    EdgeColouredMultigraph,
-    GraphError,
-    graph_to_dict,
-    parse_graph,
-    serialize_graph,
-    verify_witness,
-    witness_to_dict,
+    Colour, EdgeColouredMultigraph, GraphError, UnsupportedClass, Witness,
+    verify_witness, witness_to_dict,
 )
 from .factor import alternating_cycle_factor, eulerian_factor
 from .merge import alternating_hamiltonian_cycle
 from .oracle import (
-    BudgetExceeded,
-    OracleBudget,
-    oracle_colour_connected,
-    oracle_cycle_factor,
-    oracle_eulerian_factor,
-    oracle_ham_alternating,
-    oracle_supereulerian,
-    oracle_trail_colour_connected,
+    BudgetExceeded, OracleBudget, oracle_colour_connected,
+    oracle_cycle_factor, oracle_eulerian_factor, oracle_ham_alternating,
+    oracle_supereulerian, oracle_trail_colour_connected,
 )
-from .reductions import fixture, fixture_names, generate, reduce_ham_to_supereulerian
-from .structure import (
-    blow_up,
-    is_extension_of_m_closed,
-    is_m_closed,
-    m_closure,
-    similarity_partition,
-)
-from .supereuler import (
-    UnsupportedClass,
-    bb_from_digraph,
-    bb_to_digraph,
-    decide_complete_bipartite,
-    supereulerian,
-)
+from .structure import is_m_closed
+from .supereuler import supereulerian
 
 EXIT_NEGATIVE = 3
 EXIT_UNSUPPORTED = 4
 EXIT_BUDGET = 5
 
 
-def _budget_secs() -> float:
-    raw = os.environ.get("ECGRAPH_BUDGET_SECS")
-    if raw is None:
-        return 30.0
-    try:
-        return float(raw)
-    except ValueError:
-        _fail(f"invalid ECGRAPH_BUDGET_SECS value {raw!r}")
-
-
 def _budget(max_n: int) -> OracleBudget:
+    raw = os.environ.get("ECGRAPH_BUDGET_SECS", "30")
+    try:
+        seconds = float(raw)
+    except ValueError:
+        fail(f"invalid ECGRAPH_BUDGET_SECS value {raw!r}")
     return OracleBudget(max_vertices=max_n, max_edges=max(22, 10 * max_n),
-                        seconds=_budget_secs())
+                        seconds=seconds)
 
 
-def _fail(msg: str, code: int = 2) -> None:
-    click.echo(f"error: {msg}", err=True)
-    sys.exit(code)
-
-
-def _read_graph(file: str) -> EdgeColouredMultigraph:
-    try:
-        text = sys.stdin.read() if file == "-" else open(file).read()
-    except OSError as exc:
-        _fail(str(exc))
-    try:
-        return parse_graph(text)
-    except GraphError as exc:
-        _fail(str(exc))
-
-
-def _emit(doc: dict) -> None:
-    click.echo(json.dumps(doc, indent=2))
+def _answer(doc: dict, positive: bool) -> None:
+    """Print doc and exit 0 after a positive answer, 3 after a negative."""
+    emit(doc)
+    sys.exit(0 if positive else EXIT_NEGATIVE)
 
 
 def _ce(counterexample) -> Optional[list]:
@@ -108,14 +68,84 @@ def _ce(counterexample) -> Optional[list]:
     return [u, v, c.token]
 
 
+def _checked_witness(g: EdgeColouredMultigraph, witness) -> Optional[dict]:
+    """The witness as a dict, after an explicit check that it is valid
+    (one that also runs under python -O)."""
+    if witness is None:
+        return None
+    r = verify_witness(g, witness)
+    if not r:
+        raise GraphError(f"internal error: witness fails verification: "
+                         f"{r.reason}")
+    return witness_to_dict(g, witness)
+
+
 @click.group()
 def main() -> None:
     """Algorithms and oracles for 2-edge-coloured multigraphs."""
 
 
-# ---------------------------------------------------------------------
-# analyze
-# ---------------------------------------------------------------------
+for _command in (fixture_cmd, random_cmd, transform):
+    main.add_command(_command)
+
+
+@dataclass(frozen=True)
+class Decision:
+    """An answer to "supereulerian" or "hamiltonian" and the route that
+    gave it: "extension" (of an M-closed graph), "complete_bipartite"
+    or "oracle".  A negative answer names its reason, and the failing
+    (u, v, colour) triple when connectivity is what fails."""
+
+    answer: bool
+    route: str
+    witness: Optional[Witness] = None
+    reason: Optional[str] = None
+    counterexample: Optional[tuple[str, str, Colour]] = None
+
+    @property
+    def method(self) -> str:
+        return "oracle" if self.route == "oracle" else "fast"
+
+
+def decide(question: str, g: EdgeColouredMultigraph, *, max_n: int,
+           oracle_witness: bool = False) -> Decision:
+    """Decide `question` by the first route that applies: extension of
+    an M-closed graph, then complete bipartite (whose positive answers
+    carry an oracle witness only when `oracle_witness` is set and max_n
+    allows), then the exhaustive oracle when max_n >= n.
+
+    Raises UnsupportedClass for fewer than two vertices or when no
+    route applies, and BudgetExceeded when an oracle runs out.
+    """
+    if len(g.vertices) < 2:
+        raise UnsupportedClass("input needs at least two vertices")
+    a = Analysis.of(g)
+    ham = question == "hamiltonian"
+    oracle = oracle_ham_alternating if ham else oracle_supereulerian
+    searchable = max_n >= len(g.vertices)
+    if a.ext is not None:
+        res = alternating_hamiltonian_cycle(g) if ham else supereulerian(g)
+        w = res.cycle if ham else res.trail
+        return Decision(w is not None, "extension", w, res.reason,
+                        res.counterexample)
+    if a.complete_bipartite:
+        v = a.cb
+        answer = v.hamiltonian if ham else v.supereulerian
+        if answer:
+            w = oracle(g, _budget(max_n)) \
+                if oracle_witness and searchable else None
+            return Decision(True, "complete_bipartite", w)
+        reason = ("not_colour_connected" if not v.colour_connected
+                  else "no_cycle_factor" if ham else "no_eulerian_factor")
+        return Decision(False, "complete_bipartite", None, reason,
+                        v.counterexample)
+    if searchable:
+        w = oracle(g, _budget(max_n))
+        return Decision(w is not None, "oracle", w,
+                        None if w else f"not_{question}")
+    raise UnsupportedClass("input outside the supported class; rerun "
+                           "with --max-n to allow the oracle")
+
 
 @dataclass
 class AnalysisReport:
@@ -136,110 +166,45 @@ class AnalysisReport:
         return {"report": self.entries}
 
 
-def _checked_witness(g: EdgeColouredMultigraph, witness) -> Optional[dict]:
-    """The witness as a dict, after an explicit check that it is valid
-    (one that also runs under python -O)."""
-    if witness is None:
-        return None
-    r = verify_witness(g, witness)
-    if not r:
-        raise GraphError(f"internal error: witness fails verification: "
-                         f"{r.reason}")
-    return witness_to_dict(g, witness)
-
-
 def analyze_graph(g: EdgeColouredMultigraph,
                   max_n: int = 0) -> AnalysisReport:
-    """All decision questions on g; fast routes where the class allows,
-    oracle routes when max_n permits, "unknown" otherwise."""
+    """Every question on g: the facts from g's `Analysis`, and the two
+    decisions from `decide`, "unknown" where no route applies or the
+    oracle runs out of budget."""
     rep = AnalysisReport()
+    a = Analysis.of(g)
 
-    def timed(question, fn, method="fast"):
+    def timed(question, fn):
         t0 = time.monotonic()
-        try:
-            answer, witness, ce = fn()
-        except BudgetExceeded:
-            rep.add(question, "unknown", method=method,
-                    elapsed=time.monotonic() - t0)
-            return
+        answer, witness, ce = fn()
         rep.add(question, answer, _checked_witness(g, witness), _ce(ce),
-                method, time.monotonic() - t0)
-
-    small = len(g.vertices) >= 2
+                elapsed=time.monotonic() - t0)
 
     timed("m_closed", lambda: (is_m_closed(g)[0], None, None))
-    ext = is_extension_of_m_closed(g)
-    rep.add("extension_of_m_closed", ext is not None)
-    classes = complete_multipartite_classes(g)
-    rep.add("complete_multipartite", classes is not None)
-    rep.add("complete_bipartite",
-            classes is not None and len(classes) == 2)
-
-    if small:
-        def q_cc():
-            r = is_colour_connected(g)
-            return r.connected, None, r.counterexample
-
-        def q_tcc():
-            r = is_trail_colour_connected(g)
-            return r.connected, None, r.counterexample
-
-        def q_ef():
-            w = eulerian_factor(g)
-            return w is not None, w, None
-
-        def q_cf():
-            w = alternating_cycle_factor(g)
-            return w is not None, w, None
-
-        timed("colour_connected", q_cc)
-        timed("trail_colour_connected", q_tcc)
-        timed("eulerian_factor", q_ef)
-        timed("cycle_factor", q_cf)
-
-        def run_super():
-            if ext is not None:
-                res = supereulerian(g)
-                return ("fast", bool(res), res.trail, res.counterexample)
-            if classes is not None and len(classes) == 2:
-                v = decide_complete_bipartite(g)
-                return ("fast", v.supereulerian, None, v.counterexample)
-            if max_n >= len(g.vertices):
-                w = oracle_supereulerian(g, _budget(max_n))
-                return ("oracle", w is not None, w, None)
-            return (None, None, None, None)
-
-        def run_ham():
-            if ext is not None:
-                res = alternating_hamiltonian_cycle(g)
-                return ("fast", bool(res), res.cycle, res.counterexample)
-            if classes is not None and len(classes) == 2:
-                v = decide_complete_bipartite(g)
-                return ("fast", v.hamiltonian, None, v.counterexample)
-            if max_n >= len(g.vertices):
-                w = oracle_ham_alternating(g, _budget(max_n))
-                return ("oracle", w is not None, w, None)
-            return (None, None, None, None)
-
-        for question, run in (("supereulerian", run_super),
-                              ("hamiltonian", run_ham)):
-            t0 = time.monotonic()
-            try:
-                method, answer, witness, ce = run()
-            except BudgetExceeded:
-                method = None
-                answer = witness = ce = None
-            if method is None:
-                rep.add(question, "unknown", method="unknown",
-                        elapsed=time.monotonic() - t0)
-            else:
-                rep.add(question, answer, _checked_witness(g, witness),
-                        _ce(ce), method, time.monotonic() - t0)
-    else:
+    rep.add("extension_of_m_closed", a.ext is not None)
+    rep.add("complete_multipartite", a.classes is not None)
+    rep.add("complete_bipartite", a.complete_bipartite)
+    if len(g.vertices) < 2:
         for question in ("colour_connected", "trail_colour_connected",
-                         "eulerian_factor", "cycle_factor",
-                         "supereulerian", "hamiltonian"):
+                         "eulerian_factor", "cycle_factor"):
             rep.add(question, "unknown", method="unknown")
+    else:
+        timed("colour_connected",
+              lambda: (a.cc.connected, None, a.cc.counterexample))
+        timed("trail_colour_connected",
+              lambda: (a.tcc.connected, None, a.tcc.counterexample))
+        timed("eulerian_factor", lambda: (a.ef is not None, a.ef, None))
+        timed("cycle_factor", lambda: (a.cf is not None, a.cf, None))
+    for question in ("supereulerian", "hamiltonian"):
+        t0 = time.monotonic()
+        try:
+            d = decide(question, g, max_n=max_n)
+        except (UnsupportedClass, BudgetExceeded):
+            rep.add(question, "unknown", method="unknown",
+                    elapsed=time.monotonic() - t0)
+        else:
+            rep.add(question, d.answer, _checked_witness(g, d.witness),
+                    _ce(d.counterexample), d.method, time.monotonic() - t0)
     return rep
 
 
@@ -266,114 +231,46 @@ def _report_table(rep: AnalysisReport) -> str:
 @click.option("--max-n", default=0, help="allow oracle routes up to this size")
 def analyze(file: str, as_json: bool, as_table: bool, max_n: int) -> None:
     """Run every decision question against FILE."""
-    g = _read_graph(file)
+    g = read_graph(file)
     rep = analyze_graph(g, max_n)
     if as_table:
         click.echo(_report_table(rep))
     else:
-        _emit(rep.to_dict())
+        emit(rep.to_dict())
 
 
-# ---------------------------------------------------------------------
-# decisions
-# ---------------------------------------------------------------------
-
-def _decide_supereulerian(g, max_n, witness_mode):
-    try:
-        res = supereulerian(g)
-    except UnsupportedClass:
-        pass
-    else:
-        if res.trail is not None:
-            _emit(witness_to_dict(g, res.trail))
-            sys.exit(0)
-        _emit({"kind": res.reason, "counterexample": _ce(res.counterexample)})
-        sys.exit(EXIT_NEGATIVE)
-    classes = complete_multipartite_classes(g)
-    if classes is not None and len(classes) == 2:
-        v = decide_complete_bipartite(g)
-        if v.supereulerian:
-            witness = None
-            if witness_mode == "oracle" and max_n >= len(g.vertices):
-                witness = oracle_supereulerian(g, _budget(max_n))
-            _emit({"answer": True,
-                   "witness": witness_to_dict(g, witness) if witness else None})
-            sys.exit(0)
-        reason = ("not_colour_connected" if not v.colour_connected
-                  else "no_eulerian_factor")
-        _emit({"kind": reason, "counterexample": _ce(v.counterexample)})
-        sys.exit(EXIT_NEGATIVE)
-    if max_n >= len(g.vertices):
-        w = oracle_supereulerian(g, _budget(max_n))
-        if w is not None:
-            _emit(witness_to_dict(g, w))
-            sys.exit(0)
-        _emit({"kind": "not_supereulerian", "method": "oracle"})
-        sys.exit(EXIT_NEGATIVE)
-    _fail("input outside the supported class; rerun with --max-n to allow "
-          "the oracle", EXIT_UNSUPPORTED)
-
-
-@main.command(name="supereulerian")
-@click.argument("file", default="-")
-@click.option("--max-n", default=0)
-@click.option("--witness", "witness_mode", default=None,
-              type=click.Choice(["oracle"]))
-def supereulerian_cmd(file: str, max_n: int, witness_mode) -> None:
-    """Decide and construct a spanning closed alternating trail."""
-    g = _read_graph(file)
-    try:
-        _decide_supereulerian(g, max_n, witness_mode)
-    except BudgetExceeded as exc:
-        _fail(str(exc), EXIT_BUDGET)
-
-
-@main.command(name="hamiltonian")
-@click.argument("file", default="-")
-@click.option("--max-n", default=0)
-@click.option("--witness", "witness_mode", default=None,
-              type=click.Choice(["oracle"]))
-def hamiltonian_cmd(file: str, max_n: int, witness_mode) -> None:
-    """Decide and construct an alternating hamiltonian cycle."""
-    g = _read_graph(file)
-    try:
+def _decision_command(question: str, summary: str) -> None:
+    """Register the subcommand that decides `question`, prints the
+    decision as a document and exits with its code."""
+    @main.command(name=question, help=summary)
+    @click.argument("file", default="-")
+    @click.option("--max-n", default=0)
+    @click.option("--witness", "witness_mode", default=None,
+                  type=click.Choice(["oracle"]))
+    def command(file: str, max_n: int, witness_mode) -> None:
+        g = read_graph(file)
         try:
-            res = alternating_hamiltonian_cycle(g)
-        except ValueError:
-            res = None
-        if res is not None:
-            if res.cycle is not None:
-                _emit(witness_to_dict(g, res.cycle))
-                sys.exit(0)
-            _emit({"kind": res.reason,
-                   "counterexample": _ce(res.counterexample)})
-            sys.exit(EXIT_NEGATIVE)
-        classes = complete_multipartite_classes(g)
-        if classes is not None and len(classes) == 2:
-            v = decide_complete_bipartite(g)
-            if v.hamiltonian:
-                witness = None
-                if witness_mode == "oracle" and max_n >= len(g.vertices):
-                    witness = oracle_ham_alternating(g, _budget(max_n))
-                _emit({"answer": True,
-                       "witness": witness_to_dict(g, witness)
-                       if witness else None})
-                sys.exit(0)
-            reason = ("not_colour_connected" if not v.colour_connected
-                      else "no_cycle_factor")
-            _emit({"kind": reason, "counterexample": _ce(v.counterexample)})
-            sys.exit(EXIT_NEGATIVE)
-        if max_n >= len(g.vertices):
-            w = oracle_ham_alternating(g, _budget(max_n))
-            if w is not None:
-                _emit(witness_to_dict(g, w))
-                sys.exit(0)
-            _emit({"kind": "not_hamiltonian", "method": "oracle"})
-            sys.exit(EXIT_NEGATIVE)
-        _fail("input outside the supported class; rerun with --max-n to "
-              "allow the oracle", EXIT_UNSUPPORTED)
-    except BudgetExceeded as exc:
-        _fail(str(exc), EXIT_BUDGET)
+            d = decide(question, g, max_n=max_n,
+                       oracle_witness=witness_mode == "oracle")
+        except UnsupportedClass as exc:
+            fail(str(exc), EXIT_UNSUPPORTED)
+        except BudgetExceeded as exc:
+            fail(str(exc), EXIT_BUDGET)
+        if not d.answer and d.route == "oracle":
+            doc = {"kind": d.reason, "method": "oracle"}
+        elif not d.answer:
+            doc = {"kind": d.reason, "counterexample": _ce(d.counterexample)}
+        elif d.route == "complete_bipartite":
+            doc = {"answer": True, "witness": _checked_witness(g, d.witness)}
+        else:
+            doc = _checked_witness(g, d.witness)
+        _answer(doc, d.answer)
+
+
+_decision_command("supereulerian",
+                  "Decide and construct a spanning closed alternating trail.")
+_decision_command("hamiltonian",
+                  "Decide and construct an alternating hamiltonian cycle.")
 
 
 @main.command()
@@ -382,9 +279,9 @@ def hamiltonian_cmd(file: str, max_n: int, witness_mode) -> None:
               type=click.Choice(["path", "trail", "both"]))
 def connectivity(file: str, kind: str) -> None:
     """Report colour-connectivity and trail-colour-connectivity."""
-    g = _read_graph(file)
+    g = read_graph(file)
     if len(g.vertices) < 2:
-        _fail("connectivity needs at least two vertices")
+        fail("connectivity needs at least two vertices")
     doc = {}
     ok = True
     if kind in ("path", "both"):
@@ -397,8 +294,7 @@ def connectivity(file: str, kind: str) -> None:
         doc["trail_colour_connected"] = rep.connected
         doc["trail_counterexample"] = _ce(rep.counterexample)
         ok = ok and rep.connected
-    _emit(doc)
-    sys.exit(0 if ok else EXIT_NEGATIVE)
+    _answer(doc, ok)
 
 
 @main.command()
@@ -409,147 +305,20 @@ def connectivity(file: str, kind: str) -> None:
               help="cycle factors may not use a pair of parallel edges")
 def factor(file: str, kind: str, forbid_digons: bool) -> None:
     """Construct an eulerian factor or an alternating cycle factor."""
-    g = _read_graph(file)
+    g = read_graph(file)
     try:
         if kind == "eulerian":
             if forbid_digons:
-                _fail("--forbid-digons applies to cycle factors only")
+                fail("--forbid-digons applies to cycle factors only")
             w = eulerian_factor(g)
         else:
             w = alternating_cycle_factor(g, forbid_digons=forbid_digons)
     except BudgetExceeded as exc:
-        _fail(str(exc), EXIT_BUDGET)
+        fail(str(exc), EXIT_BUDGET)
     if w is None:
-        _emit({"kind": f"no_{kind}_factor"})
-        sys.exit(EXIT_NEGATIVE)
-    _emit(witness_to_dict(g, w))
+        _answer({"kind": f"no_{kind}_factor"}, False)
+    emit(witness_to_dict(g, w))
 
-
-# ---------------------------------------------------------------------
-# transforms, fixtures, generators
-# ---------------------------------------------------------------------
-
-def _parse_mult(spec: Optional[str], times: int,
-                g: EdgeColouredMultigraph) -> dict[str, int]:
-    mult = {v: times for v in g.vertices}
-    if spec:
-        for part in spec.split(","):
-            if "=" not in part:
-                _fail(f"bad multiplicity {part!r}; expected vertex=k")
-            v, _, k = part.partition("=")
-            if v not in mult:
-                _fail(f"unknown vertex {v!r} in multiplicities")
-            try:
-                mult[v] = int(k)
-            except ValueError:
-                _fail(f"bad multiplicity {part!r}; expected vertex=k")
-    return mult
-
-
-@main.command()
-@click.argument("kind", type=click.Choice(
-    ["np-reduce", "np-reduce-gadget", "bb-to-digraph", "bb-from-digraph",
-     "blowup", "quotient", "mclosure"]))
-@click.argument("file", default="-")
-@click.option("--mult", default=None,
-              help="blowup multiplicities, e.g. v1=2,v2=3")
-@click.option("--times", default=1, help="uniform blowup multiplicity")
-@click.option("--colour-policy", default="always_red",
-              type=click.Choice(["always_red", "always_blue",
-                                 "seeded_random"]))
-@click.option("--seed", default=0)
-def transform(kind: str, file: str, mult, times: int,
-              colour_policy: str, seed: int) -> None:
-    """Apply a graph transform and emit the result as JSON."""
-    if kind == "bb-from-digraph":
-        try:
-            text = sys.stdin.read() if file == "-" else open(file).read()
-            doc = json.loads(text)
-            from .supereuler import BipartiteDigraph
-            d = BipartiteDigraph(
-                tuple(doc["x_part"]), tuple(doc["y_part"]),
-                tuple((a["id"], a["tail"], a["head"]) for a in doc["arcs"]))
-            g = bb_from_digraph(d)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            _fail(f"bad digraph document: {exc}")
-        except GraphError as exc:
-            _fail(str(exc))
-        _emit(graph_to_dict(g))
-        return
-
-    g = _read_graph(file)
-    try:
-        if kind in ("np-reduce", "np-reduce-gadget"):
-            variant = "basic" if kind == "np-reduce" else "gadget"
-            rm = reduce_ham_to_supereulerian(g, variant)
-            doc = graph_to_dict(rm.graph)
-            doc["provenance"] = {v: {"source": s, "role": r}
-                                 for v, (s, r) in rm.provenance.items()}
-            _emit(doc)
-        elif kind == "bb-to-digraph":
-            d = bb_to_digraph(g)
-            _emit({"x_part": list(d.x_part), "y_part": list(d.y_part),
-                   "arcs": [{"id": i, "tail": t, "head": h}
-                            for i, t, h in d.arcs]})
-        elif kind == "blowup":
-            _emit(graph_to_dict(blow_up(g, _parse_mult(mult, times, g))))
-        elif kind == "quotient":
-            part = similarity_partition(g)
-            doc = graph_to_dict(part.quotient)
-            doc["blocks"] = [list(b) for b in part.blocks]
-            _emit(doc)
-        else:
-            _emit(graph_to_dict(m_closure(g, colour_policy, seed)))
-    except GraphError as exc:
-        _fail(str(exc))
-
-
-@main.command(name="fixture")
-@click.argument("name")
-@click.option("--format", "fmt", default="json",
-              type=click.Choice(["json", "dot"]))
-def fixture_cmd(name: str, fmt: str) -> None:
-    """Emit a named fixture graph."""
-    try:
-        g = fixture(name)
-    except GraphError as exc:
-        _fail(str(exc))
-    click.echo(serialize_graph(g, fmt), nl=False)
-
-
-@main.command(name="random")
-@click.option("--model", required=True,
-              type=click.Choice(["random_2ec", "mclosed_blowup",
-                                 "complete_bipartite",
-                                 "complete_multipartite", "cmg_family"]))
-@click.option("--seed", default=0)
-@click.option("--n", default=None, type=int)
-@click.option("--m", default=None, type=int)
-@click.option("--n1", default=None, type=int)
-@click.option("--n2", default=None, type=int)
-@click.option("--sizes", default=None, help="e.g. 2,2,3")
-@click.option("--r", default=None, type=int)
-def random_cmd(model: str, seed: int, n, m, n1, n2, sizes, r) -> None:
-    """Emit a seeded random instance of the chosen model."""
-    params = {}
-    for key, val in (("n", n), ("m", m), ("n1", n1), ("n2", n2), ("r", r)):
-        if val is not None:
-            params[key] = val
-    if sizes is not None:
-        try:
-            params["sizes"] = [int(s) for s in sizes.split(",")]
-        except ValueError:
-            _fail(f"bad sizes {sizes!r}")
-    try:
-        g = generate(model, seed, **params)
-    except ValueError as exc:
-        _fail(str(exc))
-    _emit(graph_to_dict(g))
-
-
-# ---------------------------------------------------------------------
-# oracle
-# ---------------------------------------------------------------------
 
 _ORACLES = {
     "supereulerian": oracle_supereulerian,
@@ -567,19 +336,16 @@ _ORACLES = {
 @click.option("--max-n", default=10)
 def oracle_cmd(question: str, file: str, max_n: int) -> None:
     """Answer a question by exhaustive search (small inputs only)."""
-    g = _read_graph(file)
+    g = read_graph(file)
     try:
         out = _ORACLES[question](g, _budget(max_n))
     except BudgetExceeded as exc:
-        _fail(str(exc), EXIT_BUDGET)
+        fail(str(exc), EXIT_BUDGET)
     if isinstance(out, bool):
-        _emit({"question": question, "answer": out})
-        sys.exit(0 if out else EXIT_NEGATIVE)
+        _answer({"question": question, "answer": out}, out)
     if out is None:
-        _emit({"question": question, "answer": False})
-        sys.exit(EXIT_NEGATIVE)
-    _emit(witness_to_dict(g, out))
-    sys.exit(0)
+        _answer({"question": question, "answer": False}, False)
+    _answer(witness_to_dict(g, out), True)
 
 
 if __name__ == "__main__":

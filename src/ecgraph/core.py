@@ -37,6 +37,10 @@ class GraphError(ValueError):
     """Raised for malformed graphs, witnesses, or serialized documents."""
 
 
+class UnsupportedClass(ValueError):
+    """The input lies outside the graph class this routine decides."""
+
+
 @dataclass(frozen=True)
 class Edge:
     id: str
@@ -59,10 +63,13 @@ class EdgeColouredMultigraph:
     """Immutable 2-edge-coloured multigraph with opaque string ids.
 
     Vertex order is declaration order and is the deterministic tie-break
-    used by every algorithm in this package.
+    used by every algorithm in this package.  `_analysis` holds the memo
+    of facts derived from the graph (see `ecgraph.analysis`), created on
+    first use; it lives and dies with the graph object.
     """
 
-    __slots__ = ("vertices", "edges", "_by_id", "_incident", "_index")
+    __slots__ = ("vertices", "edges", "_by_id", "_incident", "_index",
+                 "_analysis")
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[Edge]):
         seen: set[str] = set()
@@ -89,6 +96,7 @@ class EdgeColouredMultigraph:
         self._by_id = by_id
         self._incident = {v: tuple(es) for v, es in incident.items()}
         self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._analysis = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColouredMultigraph):
@@ -183,9 +191,6 @@ class AlternatingTrail:
             cur = g.edge(eid).other_end(cur)
             seq.append(cur)
         return seq
-
-    def colour_sequence(self, g: EdgeColouredMultigraph) -> list[Colour]:
-        return [g.edge(eid).colour for eid in self.edge_ids]
 
     def end(self, g: EdgeColouredMultigraph) -> str:
         return self.vertex_sequence(g)[-1]

@@ -232,7 +232,7 @@ def alternating_euler_tour(g_sub: EdgeColouredMultigraph
         owner: dict[str, int] = {}
         merged = False
         for ti, t in enumerate(trails):
-            for v in t.vertex_set(g_sub):
+            for v in t.vertex_sequence(g_sub):
                 if v in owner and owner[v] != ti:
                     other = trails[owner[v]]
                     r1, b1 = _pair_at(g_sub, pair, v, t)

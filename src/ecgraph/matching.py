@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 class MatchingError(ValueError):
@@ -61,14 +61,6 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def mate(self, v: str) -> Optional[str]:
-        for a, b in self.pairs:
-            if a == v:
-                return b
-            if b == v:
-                return a
-        return None
 
 
 class IndexedGraph:

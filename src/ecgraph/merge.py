@@ -19,16 +19,18 @@ hard error, never a wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
+from .analysis import Analysis
 from .core import (
     AlternatingCycle,
     AlternatingTrail,
     Colour,
     EdgeColouredMultigraph,
+    UnsupportedClass,
     verify_witness,
 )
-from .structure import is_extension_of_m_closed, similar
+from .structure import similar
 
 
 class MergeInternalError(RuntimeError):
@@ -41,9 +43,6 @@ class DominationCertificate:
     dominated: AlternatingTrail
     colour: Colour                  # label of the dominating start vertex
     labels: dict[str, Colour]       # dominating vertex -> its edge colour
-
-    def start_vertex(self, g: EdgeColouredMultigraph) -> str:
-        return min(self.dominating.vertex_set(g), key=g.vertex_index)
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,10 @@ class NoEdgeBetween:
     pass
 
 
-MergeOutcome = Union[Merged, Dominates, NoEdgeBetween]
+# a union type, not typing.Union: typing caches a Union with strong
+# references, which would keep every re-imported copy of this module
+# (and the modules it imports) alive
+MergeOutcome = Merged | Dominates | NoEdgeBetween
 
 
 class _Cyc:
@@ -292,16 +294,16 @@ def alternating_hamiltonian_cycle(g: EdgeColouredMultigraph
     merges would contradict the characterization, so that state is a
     hard error rather than a negative answer.
     """
-    from .connect import is_colour_connected
-    from .factor import alternating_cycle_factor
-    if is_extension_of_m_closed(g) is None:
-        raise ValueError("input is not an extension of an M-closed graph")
+    a = Analysis.of(g)
+    if a.ext is None:
+        raise UnsupportedClass(
+            "input is not an extension of an M-closed graph")
     if len(g.vertices) < 2:
-        raise ValueError("need at least two vertices")
-    cf = alternating_cycle_factor(g)
+        raise UnsupportedClass("need at least two vertices")
+    cf = a.cf
     if cf is None:
         return HamiltonianResult(reason="no_cycle_factor")
-    rep = is_colour_connected(g)
+    rep = a.cc
     if not rep.connected:
         return HamiltonianResult(reason="not_colour_connected",
                                  counterexample=rep.counterexample)

@@ -19,6 +19,8 @@ from .core import (
     CycleFactor,
     EdgeColouredMultigraph,
     EulerianFactor,
+    GraphError,
+    Witness,
     verify_witness,
 )
 
@@ -65,6 +67,16 @@ class _Indexed:
 
     def full_vertex_mask(self) -> int:
         return (1 << len(self.verts)) - 1
+
+
+def _checked(g: EdgeColouredMultigraph, w: Witness) -> Witness:
+    """w, after an explicit check that it is a valid witness in g (one
+    that also runs under python -O)."""
+    r = verify_witness(g, w)
+    if not r:
+        raise GraphError(f"internal error: oracle witness fails "
+                         f"verification: {r.reason}")
+    return w
 
 
 def _tick(deadline: float, counter: list[int]) -> None:
@@ -120,11 +132,9 @@ def oracle_supereulerian(g: EdgeColouredMultigraph,
     for ei, to, col in ix.adj[root]:
         path.append(ei)
         if dfs(to, 1 << ei, col, col):
-            trail = AlternatingTrail(ix.verts[root],
-                                     tuple(ix.edges[i].id for i in path),
-                                     closed=True)
-            assert verify_witness(g, trail)
-            return trail
+            return _checked(g, AlternatingTrail(
+                ix.verts[root], tuple(ix.edges[i].id for i in path),
+                closed=True))
         path.pop()
     return None
 
@@ -173,10 +183,8 @@ def oracle_ham_alternating(g: EdgeColouredMultigraph,
             continue
         path.append(ei)
         if dfs(to, (1 << root) | (1 << to), col, col):
-            cyc = AlternatingCycle(ix.verts[root],
-                                   tuple(ix.edges[i].id for i in path))
-            assert verify_witness(g, cyc)
-            return cyc
+            return _checked(g, AlternatingCycle(
+                ix.verts[root], tuple(ix.edges[i].id for i in path)))
         path.pop()
     return None
 
@@ -261,9 +269,7 @@ def oracle_eulerian_factor(g: EdgeColouredMultigraph,
     deadline = budget.deadline()
     for mask in _balanced_subsets(ix, deadline):
         ids = [ix.edges[i].id for i in range(len(ix.edges)) if mask >> i & 1]
-        factor = tour_factor_from_balanced_edges(g, ids)
-        assert verify_witness(g, factor)
-        return factor
+        return _checked(g, tour_factor_from_balanced_edges(g, ids))
     return None
 
 
@@ -322,9 +328,7 @@ def oracle_cycle_factor(g: EdgeColouredMultigraph,
 
     acc: list[AlternatingCycle] = []
     if rec(full, acc):
-        factor = CycleFactor(tuple(acc))
-        assert verify_witness(g, factor)
-        return factor
+        return _checked(g, CycleFactor(tuple(acc)))
     return None
 
 
@@ -361,9 +365,8 @@ def oracle_alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
         return False
 
     if dfs(xi, 1 << xi, None):
-        t = AlternatingTrail(x, tuple(ix.edges[i].id for i in path))
-        assert verify_witness(g, t)
-        return t
+        return _checked(g, AlternatingTrail(
+            x, tuple(ix.edges[i].id for i in path)))
     return None
 
 
@@ -405,9 +408,8 @@ def oracle_alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
         return False
 
     if dfs(xi, 0, None):
-        t = AlternatingTrail(x, tuple(ix.edges[i].id for i in path))
-        assert verify_witness(g, t)
-        return t
+        return _checked(g, AlternatingTrail(
+            x, tuple(ix.edges[i].id for i in path)))
     return None
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .analysis import Analysis
 from .core import (
     AlternatingCycle,
     AlternatingTrail,
@@ -25,14 +26,9 @@ from .core import (
     Edge,
     EdgeColouredMultigraph,
     GraphError,
+    UnsupportedClass,
     verify_witness,
 )
-from .connect import (
-    complete_multipartite_classes,
-    is_colour_connected,
-    is_trail_colour_connected,
-)
-from .factor import alternating_cycle_factor, eulerian_factor
 from .merge import (
     DominationCertificate,
     Dominates,
@@ -43,11 +39,7 @@ from .merge import (
     check_domination,
     _structured_merge,
 )
-from .structure import blow_up, is_extension_of_m_closed
-
-
-class UnsupportedClass(ValueError):
-    """The input lies outside the graph class this routine decides."""
+from .structure import blow_up
 
 
 # ---------------------------------------------------------------------
@@ -262,15 +254,16 @@ class SupereulerianResult:
 def supereulerian(g: EdgeColouredMultigraph) -> SupereulerianResult:
     """Spanning closed alternating trail of an extension of an M-closed
     graph, or the reason none exists."""
-    if is_extension_of_m_closed(g) is None:
+    a = Analysis.of(g)
+    if a.ext is None:
         raise UnsupportedClass(
             "input is not an extension of an M-closed graph")
     if len(g.vertices) < 2:
-        raise ValueError("need at least two vertices")
-    ef = eulerian_factor(g)
+        raise UnsupportedClass("need at least two vertices")
+    ef = a.ef
     if ef is None:
         return SupereulerianResult(reason="no_eulerian_factor")
-    rep = is_trail_colour_connected(g)
+    rep = a.tcc
     if not rep.connected:
         return SupereulerianResult(reason="not_trail_colour_connected",
                                    counterexample=rep.counterexample)
@@ -437,8 +430,6 @@ class CompleteBipartiteVerdict:
     supereulerian: bool
     hamiltonian: bool
     colour_connected: bool
-    has_eulerian_factor: bool
-    has_cycle_factor: bool
     counterexample: Optional[tuple[str, str, Colour]] = None
 
 
@@ -447,17 +438,13 @@ def decide_complete_bipartite(g: EdgeColouredMultigraph
     """Characterization-based decision for complete bipartite graphs:
     supereulerian iff colour-connected with an eulerian factor, and
     hamiltonian iff colour-connected with an alternating cycle factor."""
-    classes = complete_multipartite_classes(g)
-    if classes is None or len(classes) != 2:
+    a = Analysis.of(g)
+    if not a.complete_bipartite:
         raise UnsupportedClass("input is not complete bipartite")
-    rep = is_colour_connected(g)
-    ef = eulerian_factor(g)
-    cf = alternating_cycle_factor(g)
+    rep = a.cc
     return CompleteBipartiteVerdict(
-        supereulerian=rep.connected and ef is not None,
-        hamiltonian=rep.connected and cf is not None,
+        supereulerian=rep.connected and a.ef is not None,
+        hamiltonian=rep.connected and a.cf is not None,
         colour_connected=rep.connected,
-        has_eulerian_factor=ef is not None,
-        has_cycle_factor=cf is not None,
         counterexample=rep.counterexample,
     )

@@ -47,7 +47,7 @@ class TestKnownGraphs:
         g = PlainGraph(["a", "b"], [("e", "a", "b")])
         m = maximum_matching(g)
         assert len(m) == 1
-        assert m.mate("a") == "b"
+        assert m.pairs == (("a", "b"),)
 
     def test_triangle(self):
         g = PlainGraph(["a", "b", "c"],

@@ -1,0 +1,345 @@
+"""The route ladder behind `analyze`, `supereulerian` and `hamiltonian`.
+
+One input per route (extension of an M-closed graph, complete
+bipartite, oracle, unsupported, budget exhausted) pins each command's
+exit code and document, and the matching `analyze` entry.  Further
+tests cover inputs with fewer than two vertices, internal errors that
+must surface instead of turning into an answer, the per-graph fact
+memo, and output that does not depend on the interpreter's hash seed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+import ecgraph
+import ecgraph.connect
+import ecgraph.core
+import ecgraph.merge
+from ecgraph.cli import analyze_graph, main
+from ecgraph.core import (
+    AlternatingCycle,
+    AlternatingTrail,
+    Edge,
+    EdgeColouredMultigraph,
+    GraphError,
+    VerifyResult,
+    build_graph,
+    serialize_graph,
+    verify_witness,
+)
+from ecgraph.merge import MergeInternalError, alternating_hamiltonian_cycle
+from ecgraph.reductions import fixture, generate
+from ecgraph.structure import m_closure
+from ecgraph.supereuler import UnsupportedClass, supereulerian
+
+
+def _over_edge_budget():
+    # halfm is in no fast class; 80 parallel copies of one edge put it
+    # over the oracle's edge budget for --max-n 8 (max(22, 10 * 8))
+    g = fixture("halfm")
+    e = g.edges[0]
+    return EdgeColouredMultigraph(
+        g.vertices, list(g.edges) + [Edge(f"p{i}", e.u, e.v, e.colour)
+                                     for i in range(80)])
+
+
+INPUTS = {
+    "ext_pos": lambda: generate("mclosed_blowup", seed=29, n=4),
+    "ext_no_factor": lambda: generate("mclosed_blowup", seed=0, n=4),
+    "ext_not_connected": lambda: m_closure(
+        generate("random_2ec", seed=89, n=4, m=6), "seeded_random", seed=89),
+    "cb_pos": lambda: generate("complete_bipartite", seed=1, n1=3, n2=3),
+    "cb_not_connected": lambda: generate("complete_bipartite", seed=0,
+                                         n1=2, n2=2),
+    "cb_no_factor": lambda: generate("complete_bipartite", seed=50,
+                                     n1=3, n2=4),
+    "cb_ham_no_factor": lambda: generate("complete_bipartite", seed=4,
+                                         n1=3, n2=4),
+    "oracle_pos": lambda: generate("random_2ec", seed=3, n=6, m=12),
+    "oracle_neg": lambda: generate("random_2ec", seed=0, n=6, m=12),
+    "over_budget": _over_edge_budget,
+}
+
+ORACLE_WITNESS = ["--witness", "oracle", "--max-n", "7"]
+NO_CE = {"counterexample": None}
+
+# (question, input, extra args, exit code, expected document); a
+# witness in a document is given by its kind
+ROUTES = [
+    ("supereulerian", "ext_pos", [], 0, {"kind": "trail"}),
+    ("supereulerian", "ext_no_factor", [], 3,
+     {"kind": "no_eulerian_factor", **NO_CE}),
+    ("supereulerian", "ext_not_connected", [], 3,
+     {"kind": "not_trail_colour_connected",
+      "counterexample": ["v0", "v1", "red"]}),
+    ("supereulerian", "cb_pos", [], 0, {"answer": True, "witness": None}),
+    ("supereulerian", "cb_pos", ORACLE_WITNESS, 0,
+     {"answer": True, "witness": "trail"}),
+    ("supereulerian", "cb_not_connected", [], 3,
+     {"kind": "not_colour_connected",
+      "counterexample": ["p0.0", "p0.1", "red"]}),
+    ("supereulerian", "cb_no_factor", [], 3,
+     {"kind": "no_eulerian_factor", **NO_CE}),
+    ("supereulerian", "cb_no_factor", ORACLE_WITNESS, 3,
+     {"kind": "no_eulerian_factor", **NO_CE}),
+    ("supereulerian", "cb_ham_no_factor", [], 0,
+     {"answer": True, "witness": None}),
+    ("supereulerian", "cb_ham_no_factor", ORACLE_WITNESS, 0,
+     {"answer": True, "witness": "trail"}),
+    ("supereulerian", "oracle_pos", ["--max-n", "8"], 0, {"kind": "trail"}),
+    ("supereulerian", "oracle_neg", ["--max-n", "8"], 3,
+     {"kind": "not_supereulerian", "method": "oracle"}),
+    ("supereulerian", "oracle_neg", [], 4, None),
+    ("supereulerian", "over_budget", ["--max-n", "8"], 5, None),
+    ("hamiltonian", "ext_pos", [], 0, {"kind": "cycle"}),
+    ("hamiltonian", "ext_no_factor", [], 3,
+     {"kind": "no_cycle_factor", **NO_CE}),
+    ("hamiltonian", "ext_not_connected", [], 3,
+     {"kind": "not_colour_connected",
+      "counterexample": ["v0", "v1", "red"]}),
+    ("hamiltonian", "cb_pos", [], 0, {"answer": True, "witness": None}),
+    ("hamiltonian", "cb_pos", ORACLE_WITNESS, 0,
+     {"answer": True, "witness": "cycle"}),
+    ("hamiltonian", "cb_not_connected", [], 3,
+     {"kind": "not_colour_connected",
+      "counterexample": ["p0.0", "p0.1", "red"]}),
+    ("hamiltonian", "cb_no_factor", [], 3,
+     {"kind": "no_cycle_factor", **NO_CE}),
+    ("hamiltonian", "cb_no_factor", ORACLE_WITNESS, 3,
+     {"kind": "no_cycle_factor", **NO_CE}),
+    ("hamiltonian", "cb_ham_no_factor", [], 3,
+     {"kind": "no_cycle_factor", **NO_CE}),
+    ("hamiltonian", "cb_ham_no_factor", ORACLE_WITNESS, 3,
+     {"kind": "no_cycle_factor", **NO_CE}),
+    ("hamiltonian", "oracle_pos", ["--max-n", "8"], 0, {"kind": "cycle"}),
+    ("hamiltonian", "oracle_neg", ["--max-n", "8"], 3,
+     {"kind": "not_hamiltonian", "method": "oracle"}),
+    ("hamiltonian", "oracle_neg", [], 4, None),
+    ("hamiltonian", "over_budget", ["--max-n", "8"], 5, None),
+]
+
+# (input, max_n) -> question -> (answer, method, counterexample,
+# witness kind) in the analyze report
+ANALYZED = {
+    ("ext_pos", 0): {"supereulerian": (True, "fast", None, "trail"),
+                     "hamiltonian": (True, "fast", None, "cycle")},
+    ("ext_no_factor", 0): {"supereulerian": (False, "fast", None, None),
+                           "hamiltonian": (False, "fast", None, None)},
+    ("ext_not_connected", 0): {
+        "supereulerian": (False, "fast", ["v0", "v1", "red"], None),
+        "hamiltonian": (False, "fast", ["v0", "v1", "red"], None)},
+    ("cb_pos", 0): {"supereulerian": (True, "fast", None, None),
+                    "hamiltonian": (True, "fast", None, None)},
+    ("cb_not_connected", 0): {
+        "supereulerian": (False, "fast", ["p0.0", "p0.1", "red"], None),
+        "hamiltonian": (False, "fast", ["p0.0", "p0.1", "red"], None)},
+    ("cb_no_factor", 0): {"supereulerian": (False, "fast", None, None),
+                          "hamiltonian": (False, "fast", None, None)},
+    ("cb_ham_no_factor", 0): {"supereulerian": (True, "fast", None, None),
+                              "hamiltonian": (False, "fast", None, None)},
+    ("oracle_pos", 8): {"supereulerian": (True, "oracle", None, "trail"),
+                        "hamiltonian": (True, "oracle", None, "cycle")},
+    ("oracle_neg", 8): {"supereulerian": (False, "oracle", None, None),
+                        "hamiltonian": (False, "oracle", None, None)},
+    ("oracle_neg", 0): {
+        "supereulerian": ("unknown", "unknown", None, None),
+        "hamiltonian": ("unknown", "unknown", None, None)},
+    ("over_budget", 8): {
+        "supereulerian": ("unknown", "unknown", None, None),
+        "hamiltonian": ("unknown", "unknown", None, None)},
+}
+
+
+@pytest.fixture
+def runner():
+    return CliRunner()
+
+
+def _witness(w: dict):
+    if w["kind"] == "cycle":
+        return AlternatingCycle(w["start"], tuple(w["edges"]))
+    return AlternatingTrail(w["start"], tuple(w["edges"]), w["closed"])
+
+
+def _check_spanning(g, question: str, w: dict) -> None:
+    """w verifies, and is the closed spanning trail or the hamiltonian
+    cycle that `question` asks for."""
+    wit = _witness(w)
+    assert verify_witness(g, wit)
+    seq = wit.vertex_sequence(g)
+    if question == "hamiltonian":
+        assert w["kind"] == "cycle"
+        assert sorted(seq[:-1]) == sorted(g.vertices)
+    else:
+        assert w["kind"] == "trail" and wit.closed
+        assert set(seq) == set(g.vertices)
+
+
+@pytest.mark.parametrize("question,name,args,code,expected", ROUTES)
+def test_decision_route(runner, question, name, args, code, expected):
+    g = INPUTS[name]()
+    res = runner.invoke(main, [question, "-"] + args,
+                        input=serialize_graph(g))
+    assert res.exit_code == code, res.output
+    if expected is None:
+        # an error message and no document
+        assert res.output.startswith("error: ")
+        return
+    doc = json.loads(res.output)
+    if "edges" in doc:
+        # the document is the witness itself
+        _check_spanning(g, question, doc)
+        shown = {"kind": doc["kind"]}
+    else:
+        assert set(doc) == set(expected)
+        shown = dict(doc)
+        if doc.get("witness") is not None:
+            _check_spanning(g, question, doc["witness"])
+            shown["witness"] = doc["witness"]["kind"]
+    assert shown == expected
+
+
+@pytest.mark.parametrize("name,max_n", sorted(ANALYZED))
+def test_analyze_route(name, max_n):
+    g = INPUTS[name]()
+    by_q = {e["question"]: e for e in analyze_graph(g, max_n).entries}
+    for question, (answer, method, ce, kind) in ANALYZED[name, max_n].items():
+        e = by_q[question]
+        assert (e["answer"], e["method"], e["counterexample"]) \
+            == (answer, method, ce)
+        assert (e["witness"] and e["witness"]["kind"]) == kind
+        if e["witness"]:
+            _check_spanning(g, question, e["witness"])
+
+
+ONE_VERTEX = build_graph(["a"], [])
+
+
+@pytest.mark.parametrize("question", ["supereulerian", "hamiltonian"])
+@pytest.mark.parametrize("args", [[], ["--max-n", "5"]])
+def test_one_vertex_is_unsupported(runner, question, args):
+    res = runner.invoke(main, [question, "-"] + args,
+                        input=serialize_graph(ONE_VERTEX))
+    assert res.exit_code == 4
+    assert "two vertices" in res.output
+
+
+def test_one_vertex_library_and_analyze():
+    with pytest.raises(UnsupportedClass):
+        supereulerian(ONE_VERTEX)
+    with pytest.raises(UnsupportedClass):
+        alternating_hamiltonian_cycle(ONE_VERTEX)
+    by_q = {e["question"]: e for e in analyze_graph(ONE_VERTEX, 5).entries}
+    assert by_q["supereulerian"]["answer"] == "unknown"
+    assert by_q["hamiltonian"]["answer"] == "unknown"
+
+
+def test_out_of_class_hamiltonian_raises_unsupported():
+    assert UnsupportedClass is ecgraph.core.UnsupportedClass
+    with pytest.raises(UnsupportedClass):
+        alternating_hamiltonian_cycle(fixture("halfm"))
+
+
+def _fail_verification(g, w):
+    return VerifyResult(False, "forced")
+
+
+def test_failed_merge_check_raises_through_hamiltonian(runner, monkeypatch):
+    monkeypatch.setattr(ecgraph.merge, "verify_witness", _fail_verification)
+    res = runner.invoke(main, ["hamiltonian", "-"],
+                        input=serialize_graph(fixture("needall_h")))
+    assert isinstance(res.exception, MergeInternalError)
+    assert res.exit_code not in (0, 3, 4, 5)
+
+
+def test_failed_sweep_check_raises_through_hamiltonian(runner, monkeypatch):
+    # a GraphError is a ValueError; it must not read as "unsupported"
+    monkeypatch.setattr(ecgraph.connect, "verify_witness",
+                        _fail_verification)
+    res = runner.invoke(main, ["hamiltonian", "-"],
+                        input=serialize_graph(fixture("needall_h")))
+    assert isinstance(res.exception, GraphError)
+    assert res.exit_code not in (0, 3, 4, 5)
+
+
+# module -> the functions whose results the analysis memo keeps, and the
+# deciders that read them
+FACTS = {
+    "structure": ("is_extension_of_m_closed",),
+    "connect": ("complete_multipartite_classes", "is_colour_connected",
+                "is_trail_colour_connected"),
+    "factor": ("eulerian_factor", "alternating_cycle_factor"),
+    "supereuler": ("supereulerian", "decide_complete_bipartite"),
+    "merge": ("alternating_hamiltonian_cycle",),
+}
+
+
+def _count_fact_calls(monkeypatch, g) -> Counter:
+    """Calls with g as first argument to each FACTS function, through
+    every binding of it in the ecgraph package, during analyze_graph."""
+    counts: Counter = Counter()
+    originals = {}
+    for mod, names in FACTS.items():
+        for name in names:
+            fn = getattr(sys.modules[f"ecgraph.{mod}"], name)
+            originals[id(fn)] = (name, fn)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if args and args[0] is g:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {k: counting(*v) for k, v in originals.items()}
+    for modname, module in list(sys.modules.items()):
+        if modname != "ecgraph" and not modname.startswith("ecgraph."):
+            continue
+        for attr, val in list(vars(module).items()):
+            if id(val) in originals and originals[id(val)][1] is val:
+                monkeypatch.setattr(module, attr, wrappers[id(val)])
+    analyze_graph(g)
+    return counts
+
+
+def test_each_fact_once_on_m_closed_blow_up(monkeypatch):
+    g = generate("mclosed_blowup", seed=9, n=14)
+    counts = _count_fact_calls(monkeypatch, g)
+    every = {name for names in FACTS.values() for name in names}
+    assert counts == Counter(every - {"decide_complete_bipartite"})
+
+
+def test_each_fact_once_on_complete_bipartite(monkeypatch):
+    g = INPUTS["cb_pos"]()
+    counts = _count_fact_calls(monkeypatch, g)
+    every = {name for names in FACTS.values() for name in names}
+    assert counts == Counter(
+        every - {"supereulerian", "alternating_hamiltonian_cycle"})
+
+
+def test_analyze_output_does_not_depend_on_hash_seed(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(serialize_graph(generate("mclosed_blowup", seed=9, n=30)))
+    src = str(Path(ecgraph.__file__).resolve().parents[1])
+    reports = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + os.environ.get("PYTHONPATH", "").split(
+                           os.pathsep)))
+        out = subprocess.run(
+            [sys.executable, "-m", "ecgraph.cli", "analyze", str(path)],
+            env=env, capture_output=True, text=True, check=True,
+            timeout=120).stdout
+        entries = json.loads(out)["report"]
+        for e in entries:
+            del e["elapsed"]
+        reports.append(entries)
+    assert reports[0] == reports[1]
