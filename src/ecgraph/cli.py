@@ -25,7 +25,6 @@ from .analysis import Analysis
 from .cli_graphs import (
     emit, fail, fixture_cmd, random_cmd, read_graph, transform,
 )
-from .connect import is_colour_connected, is_trail_colour_connected
 from .core import (
     Colour, EdgeColouredMultigraph, GraphError, UnsupportedClass, Witness,
     verify_witness, witness_to_dict,
@@ -224,12 +223,10 @@ def _report_table(rep: AnalysisReport) -> str:
 
 @main.command()
 @click.argument("file", default="-")
-@click.option("--json", "as_json", is_flag=True, default=True,
-              help="emit JSON (default)")
 @click.option("--table", "as_table", is_flag=True,
               help="emit a human-readable table instead of JSON")
 @click.option("--max-n", default=0, help="allow oracle routes up to this size")
-def analyze(file: str, as_json: bool, as_table: bool, max_n: int) -> None:
+def analyze(file: str, as_table: bool, max_n: int) -> None:
     """Run every decision question against FILE."""
     g = read_graph(file)
     rep = analyze_graph(g, max_n)
@@ -282,15 +279,16 @@ def connectivity(file: str, kind: str) -> None:
     g = read_graph(file)
     if len(g.vertices) < 2:
         fail("connectivity needs at least two vertices")
+    a = Analysis.of(g)
     doc = {}
     ok = True
     if kind in ("path", "both"):
-        rep = is_colour_connected(g)
+        rep = a.cc
         doc["colour_connected"] = rep.connected
         doc["path_counterexample"] = _ce(rep.counterexample)
         ok = ok and rep.connected
     if kind in ("trail", "both"):
-        rep = is_trail_colour_connected(g)
+        rep = a.tcc
         doc["trail_colour_connected"] = rep.connected
         doc["trail_counterexample"] = _ce(rep.counterexample)
         ok = ok and rep.connected

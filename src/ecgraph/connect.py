@@ -17,6 +17,11 @@ Masking a copy also drops the internal edge joining it to the other
 copy of its vertex, which is exactly the edge the reduction deletes at
 an end vertex; see `alternating_path`.  The one-shot `alternating_path`
 and `alternating_trail` build the same query objects and ask them once.
+
+Both sweeps always run on the graph they are given.  Sweeping a smaller
+graph in its place (the similarity quotient of an extension of an
+M-closed graph) is a decision about the graph class, so it is made in
+`ecgraph.analysis`, not here.
 """
 
 from __future__ import annotations
@@ -33,10 +38,6 @@ from .core import (
     verify_witness,
 )
 from .matching import IndexedGraph
-
-# graphs above this size route connectivity sweeps through the
-# similarity quotient, which both notions are invariant under
-_QUOTIENT_THRESHOLD = 12
 
 
 @dataclass(frozen=True)
@@ -199,48 +200,17 @@ def _sweep(g: EdgeColouredMultigraph, query, collect: bool
     return ConnectivityReport(True, None, witnesses if collect else None)
 
 
-def _quotient_route(g: EdgeColouredMultigraph, sweep_fn, collect: bool
-                    ) -> Optional[ConnectivityReport]:
-    """Decide connectivity on the similarity quotient instead, mapping a
-    failing pair back to first copies.  Both connectivity notions are
-    invariant under blowing up, so the answers agree; only the
-    counterexample choice differs from the direct sweep."""
-    if collect or len(g.vertices) <= _QUOTIENT_THRESHOLD:
-        return None
-    from .structure import similarity_partition
-    part = similarity_partition(g)
-    if len(part.quotient.vertices) >= len(g.vertices) \
-            or len(part.quotient.vertices) < 2:
-        return None
-    rep = sweep_fn(part.quotient, collect=False, use_quotient=False)
-    if rep.connected:
-        return ConnectivityReport(True)
-    # quotient vertices are named after the first member of their block,
-    # so the failing pair maps straight back to original vertices
-    return ConnectivityReport(False, rep.counterexample)
-
-
-def is_colour_connected(g: EdgeColouredMultigraph, collect: bool = False,
-                        use_quotient: bool = True) -> ConnectivityReport:
+def is_colour_connected(g: EdgeColouredMultigraph, collect: bool = False
+                        ) -> ConnectivityReport:
     if len(g.vertices) < 2:
         raise ValueError("colour-connectivity needs at least two vertices")
-    if use_quotient:
-        rep = _quotient_route(g, is_colour_connected, collect)
-        if rep is not None:
-            return rep
     return _sweep(g, _PathQuery(g), collect)
 
 
 def is_trail_colour_connected(g: EdgeColouredMultigraph,
-                              collect: bool = False,
-                              use_quotient: bool = True
-                              ) -> ConnectivityReport:
+                              collect: bool = False) -> ConnectivityReport:
     if len(g.vertices) < 2:
         raise ValueError("trail-colour-connectivity needs at least two vertices")
-    if use_quotient:
-        rep = _quotient_route(g, is_trail_colour_connected, collect)
-        if rep is not None:
-            return rep
     return _sweep(g, _TrailQuery(g), collect)
 
 

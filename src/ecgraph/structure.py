@@ -3,19 +3,21 @@
 Two vertices are similar when they are non-adjacent and have identical
 coloured edge multisets towards every third vertex; the similar classes
 of a graph are exactly the independent sets one gets by blowing up a
-smaller base graph.  Similarity is transitive: if u ~ v and v ~ w with
-u != w, then u and w are non-adjacent (u ~ v forces the u-w multiset to
-equal the v-w multiset, which is empty since v ~ w) and their joins to
-any fourth vertex agree through v.  Hence the finest base is the
-quotient by similarity, and a graph is an extension of an M-closed graph
-iff that quotient is M-closed: merging non-similar vertices into one
-class is never available, because copies of a blown-up vertex must be
+smaller base graph.  Since there are no loops, u != v are similar iff
+their coloured edge multisets {(other end, colour): count} are equal: an
+edge u-v would put v into u's multiset but never into v's own.  So
+similarity is an equivalence, and the partition is one grouping of the
+vertices by that multiset.  Hence the finest base is the quotient by
+similarity, and a graph is an extension of an M-closed graph iff that
+quotient is M-closed: merging non-similar vertices into one class is
+never available, because copies of a blown-up vertex must be
 non-adjacent with identical joins.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -81,41 +83,26 @@ class SimilarityPartition:
     multiplicities: dict[str, int]     # quotient vertex -> block size
 
 
-def _signature(g: EdgeColouredMultigraph, u: str, w: str) -> tuple[int, int]:
-    return (len(g.edges_between(u, w, Colour.RED)),
-            len(g.edges_between(u, w, Colour.BLUE)))
+def _joins(g: EdgeColouredMultigraph, v: str) -> Counter:
+    """v's coloured edge multiset {(other end, colour): count}."""
+    return Counter((e.other_end(v), e.colour) for e in g.incident(v))
 
 
 def similar(g: EdgeColouredMultigraph, u: str, v: str) -> bool:
     """Non-adjacent with identical coloured joins to every third vertex."""
-    if u == v or g.adjacent(u, v):
-        return False
-    for w in g.vertices:
-        if w == u or w == v:
-            continue
-        if _signature(g, u, w) != _signature(g, v, w):
-            return False
-    return True
+    return u != v and _joins(g, u) == _joins(g, v)
 
 
 def similarity_partition(g: EdgeColouredMultigraph) -> SimilarityPartition:
-    assigned: dict[str, int] = {}
-    blocks: list[list[str]] = []
+    """Blocks of similar vertices, in order of their first member, each
+    in vertex order; the quotient keeps each block's first member."""
+    by_joins: dict[frozenset, list[str]] = {}
     for v in g.vertices:
-        if v in assigned:
-            continue
-        idx = len(blocks)
-        assigned[v] = idx
-        block = [v]
-        for u in g.vertices:
-            if u not in assigned and similar(g, v, u):
-                assigned[u] = idx
-                block.append(u)
-        blocks.append(block)
-    reps = [b[0] for b in blocks]
-    quotient = g.induced(reps)
+        by_joins.setdefault(frozenset(_joins(g, v).items()), []).append(v)
+    blocks = tuple(tuple(b) for b in by_joins.values())
+    quotient = g.induced(b[0] for b in blocks)
     mult = {b[0]: len(b) for b in blocks}
-    return SimilarityPartition(tuple(tuple(b) for b in blocks), quotient, mult)
+    return SimilarityPartition(blocks, quotient, mult)
 
 
 def blow_up(g: EdgeColouredMultigraph,

@@ -173,10 +173,16 @@ def test_connectivity_blow_up_invariance_200():
                      m=rng.randint(1, 8))
         mult = {v: rng.randint(1, 3) for v in g.vertices}
         h = blow_up(g, mult)
-        assert is_colour_connected(g).connected \
-            == is_colour_connected(h).connected, seed
-        assert is_trail_colour_connected(g).connected \
-            == is_trail_colour_connected(h).connected, seed
+        # a path (trail) of g lifts to h copy by copy, so h fails only
+        # between two copies of one vertex or where g fails too; the
+        # converse does not hold (a blow-up can gain connectivity)
+        for sweep, query in ((is_colour_connected, alternating_path),
+                             (is_trail_colour_connected, alternating_trail)):
+            ce = sweep(h).counterexample
+            if ce is not None:
+                x, y, c = ce
+                u, v = x.rsplit(".", 1)[0], y.rsplit(".", 1)[0]
+                assert u == v or query(g, u, v, c) is None, seed
 
 
 def test_complete_multipartite_properties_200():

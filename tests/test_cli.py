@@ -79,6 +79,22 @@ class TestAnalyze:
         assert "supereulerian" in res.output
         assert "{" not in res.output
 
+    def test_table_has_a_row_per_report_entry(self, runner):
+        text = fixture_json("needall_g")
+        res = runner.invoke(main, ["analyze", "-", "--table"], input=text)
+        assert res.exit_code == 0
+        rows = res.output.splitlines()
+        questions = list(entries(runner.invoke(main, ["analyze", "-"],
+                                               input=text)))
+        assert [row.split()[0] for row in rows] == questions
+        trail_row = rows[questions.index("trail_colour_connected")]
+        assert "counterexample=('x1', 'x2', 'red')" in trail_row
+
+    def test_json_is_the_default_not_an_option(self, runner):
+        res = runner.invoke(main, ["analyze", "-", "--json"],
+                            input=fixture_json("efig"))
+        assert res.exit_code == 2
+
     def test_failed_witness_check_raises(self, monkeypatch):
         # an internal failure is raised, never reported as "unknown"
         monkeypatch.setattr(ecgraph.cli, "verify_witness",

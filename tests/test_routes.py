@@ -22,6 +22,7 @@ import ecgraph
 import ecgraph.connect
 import ecgraph.core
 import ecgraph.merge
+from ecgraph.analysis import Analysis
 from ecgraph.cli import analyze_graph, main
 from ecgraph.core import (
     AlternatingCycle,
@@ -272,19 +273,22 @@ def test_failed_sweep_check_raises_through_hamiltonian(runner, monkeypatch):
 # module -> the functions whose results the analysis memo keeps, and the
 # deciders that read them
 FACTS = {
-    "structure": ("is_extension_of_m_closed",),
+    "structure": ("similarity_partition", "is_extension_of_m_closed"),
     "connect": ("complete_multipartite_classes", "is_colour_connected",
                 "is_trail_colour_connected"),
     "factor": ("eulerian_factor", "alternating_cycle_factor"),
     "supereuler": ("supereulerian", "decide_complete_bipartite"),
     "merge": ("alternating_hamiltonian_cycle",),
 }
+EVERY_FACT = {name for names in FACTS.values() for name in names}
+SWEEPS = {"is_colour_connected", "is_trail_colour_connected"}
 
 
-def _count_fact_calls(monkeypatch, g) -> Counter:
-    """Calls with g as first argument to each FACTS function, through
-    every binding of it in the ecgraph package, during analyze_graph."""
-    counts: Counter = Counter()
+def _count_fact_calls(monkeypatch, g) -> tuple[Counter, Counter, Counter]:
+    """Calls to each FACTS function, through every binding of it in the
+    ecgraph package, during analyze_graph: those on g, those on the
+    M-closed base of g's analysis, and all of them."""
+    calls: list = []
     originals = {}
     for mod, names in FACTS.items():
         for name in names:
@@ -293,8 +297,7 @@ def _count_fact_calls(monkeypatch, g) -> Counter:
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
-            if args and args[0] is g:
-                counts[name] += 1
+            calls.append((name, args[0] if args else None))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -306,22 +309,31 @@ def _count_fact_calls(monkeypatch, g) -> Counter:
             if id(val) in originals and originals[id(val)][1] is val:
                 monkeypatch.setattr(module, attr, wrappers[id(val)])
     analyze_graph(g)
-    return counts
+    ext = Analysis.of(g).ext
+    base = ext[0] if ext is not None else None
+    return (Counter(name for name, arg in calls if arg is g),
+            Counter(name for name, arg in calls
+                    if base is not None and arg is base),
+            Counter(name for name, _ in calls))
 
 
 def test_each_fact_once_on_m_closed_blow_up(monkeypatch):
+    # 14 vertices over a smaller M-closed base: both sweeps run on the
+    # base, once each, and never on g
     g = generate("mclosed_blowup", seed=9, n=14)
-    counts = _count_fact_calls(monkeypatch, g)
-    every = {name for names in FACTS.values() for name in names}
-    assert counts == Counter(every - {"decide_complete_bipartite"})
+    on_g, on_base, every = _count_fact_calls(monkeypatch, g)
+    assert len(Analysis.of(g).ext[0].vertices) < len(g.vertices)
+    assert on_g == Counter(EVERY_FACT - SWEEPS - {"decide_complete_bipartite"})
+    assert on_base == Counter(SWEEPS)
+    assert every["similarity_partition"] == 1
 
 
 def test_each_fact_once_on_complete_bipartite(monkeypatch):
     g = INPUTS["cb_pos"]()
-    counts = _count_fact_calls(monkeypatch, g)
-    every = {name for names in FACTS.values() for name in names}
-    assert counts == Counter(
-        every - {"supereulerian", "alternating_hamiltonian_cycle"})
+    on_g, _, every = _count_fact_calls(monkeypatch, g)
+    assert on_g == Counter(
+        EVERY_FACT - {"supereulerian", "alternating_hamiltonian_cycle"})
+    assert every["similarity_partition"] == 1
 
 
 def test_analyze_output_does_not_depend_on_hash_seed(tmp_path):

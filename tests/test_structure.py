@@ -158,3 +158,40 @@ def test_similarity_is_transitive_on_samples(seed):
                 if len({u, v, w}) == 3 and similar(g, u, v) \
                         and similar(g, v, w):
                     assert similar(g, u, w)
+
+
+def pairwise_blocks(g):
+    """Similarity classes by the definition, pair by pair: non-adjacent,
+    with equal red and blue edge counts to every third vertex."""
+    def joins(u, w):
+        return (len(g.edges_between(u, w, RED)),
+                len(g.edges_between(u, w, BLUE)))
+
+    def sim(u, v):
+        return u != v and not g.adjacent(u, v) and all(
+            joins(u, w) == joins(v, w)
+            for w in g.vertices if w not in (u, v))
+
+    blocks, placed = [], set()
+    for v in g.vertices:
+        if v not in placed:
+            block = [v] + [u for u in g.vertices
+                           if u not in placed and sim(v, u)]
+            placed.update(block)
+            blocks.append(tuple(block))
+    return tuple(blocks)
+
+
+def test_partition_matches_pairwise_definition():
+    merged = 0
+    for seed in range(100):
+        n = 6 + seed % 5
+        for g in (generate("mclosed_blowup", seed=seed, n=n),
+                  generate("random_2ec", seed=seed, n=n, m=n),
+                  generate("complete_bipartite", seed=seed, n1=2 + seed % 3,
+                           n2=n - 2 - seed % 3)):
+            part = similarity_partition(g)
+            assert part.blocks == pairwise_blocks(g), seed
+            assert part.quotient.vertices == tuple(b[0] for b in part.blocks)
+            merged += len(part.blocks) < n
+    assert merged > 100
