@@ -11,12 +11,12 @@ and a small gadget per edge.
 
 Neither auxiliary graph depends on the queried pair, so a sweep builds
 its split graph once, in integer form (for trails: the auxiliary graph
-once, then its split graph once), and each (x, y, start, end) query
-only masks two vertices: x's non-start copy and y's non-end copy.
-Masking a copy also drops the internal edge joining it to the other
-copy of its vertex, which is exactly the edge the reduction deletes at
-an end vertex; see `alternating_path`.  The one-shot `alternating_path`
-and `alternating_trail` build the same query objects and ask them once.
+once, then its split graph once).  One blossom search per source and
+start colour then answers every target and end colour, because its
+outer vertices are exactly the copies whose deletion leaves a perfect
+matching (see `alternating_path`); a sweep keeps only the current
+source's two.  `alternating_path` and `alternating_trail` build the
+same query objects and ask them once.
 
 Both sweeps always run on the graph they are given.  Sweeping a smaller
 graph in its place (the similarity quotient of an extension of an
@@ -52,9 +52,9 @@ class _PathQuery:
     built once in integer form.
 
     Vertex i of g has a red copy 2i and a blue copy 2i+1, joined by an
-    internal edge; a colour-c graph edge joins the two c-copies.  A
-    query masks the non-start copy of x and the non-end copy of y, and
-    nothing else changes between queries.
+    internal edge; a colour-c graph edge joins the two c-copies.  The
+    searches from the current source's two copies are kept, so a sweep
+    searches once per (source, start colour).
     """
 
     def __init__(self, g: EdgeColouredMultigraph):
@@ -67,33 +67,32 @@ class _PathQuery:
             edges.append((2 * self._index[e.u] + c,
                           2 * self._index[e.v] + c, e.id))
         self._split = IndexedGraph(2 * len(g.vertices), edges)
+        self._searches: dict[int, tuple] = {}
 
     def __call__(self, x: str, y: str, start: Colour,
                  end: Optional[Colour] = None) -> Optional[AlternatingTrail]:
         if x == y:
             raise ValueError("endpoints must differ")
-        if end is None:
-            return (self(x, y, start, Colour.RED)
-                    or self(x, y, start, Colour.BLUE))
-        first = 2 * self._index[x] + _copy_bit(start)
-        last = 2 * self._index[y] + _copy_bit(end)
-        match = self._split.matching((first ^ 1, last ^ 1))
-        # the two masked copies are the only vertices left unmatched
-        # by a perfect matching of the rest
-        if match.count(-1) > 2:
+        root = 2 * self._index[x] + _copy_bit(start)
+        if root not in self._searches:
+            # a new source drops the searches of the one before
+            if root ^ 1 not in self._searches:
+                self._searches.clear()
+            self._searches[root] = self._split.search(root)
+        outer, p, _ = self._searches[root]
+        # y's non-end copy must be outer; end=None tries red first
+        j = 2 * self._index[y]
+        ends = (j, j + 1) if end is None else (j + _copy_bit(end),)
+        last = next((c for c in ends if outer[c ^ 1]), None)
+        if last is None:
             return None
-        # leave each vertex by the graph edge matched to its copy of
-        # the colour not used to enter it, from x's start copy until
-        # y's end copy is reached
+        # back to root: p crosses a graph edge, ^ 1 an internal one
         seq: list[str] = []
-        a = first
-        while True:
-            b = match[a]
-            seq.append(self._split.edge_id(a, b))
-            if b == last:
-                break
-            a = b ^ 1
-        path = AlternatingTrail(x, tuple(seq))
+        a = last
+        while a != root ^ 1:
+            seq.append(self._split.edge_id(a, p[a]))
+            a = p[a] ^ 1
+        path = AlternatingTrail(x, tuple(reversed(seq)))
         _check(self.g, path, y)
         return path
 
@@ -122,15 +121,15 @@ def _copy_bit(c: Colour) -> int:
 
 
 def _check(g: EdgeColouredMultigraph, t: AlternatingTrail, y: str) -> None:
-    """Raise unless t is a valid alternating trail of g ending at y; an
-    explicit check, so it also runs under python -O."""
+    """Raise unless t is a valid alternating trail of g ending at y, as
+    verification's one walk of t finds; explicit, so python -O keeps it."""
     r = verify_witness(g, t)
     if not r:
         raise GraphError(f"internal error: {t.start!r}-{y!r} witness "
                          f"fails verification: {r.reason}")
-    if t.end(g) != y:
+    if r.end != y:
         raise GraphError(f"internal error: {t.start!r}-{y!r} witness "
-                         f"ends at {t.end(g)!r}")
+                         f"ends at {r.end!r}")
 
 
 def alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
@@ -141,17 +140,21 @@ def alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
 
     Reduction to perfect matching in the split graph: every vertex has
     a red and a blue copy joined by an internal edge, and a colour-c
-    graph edge joins the two c-copies.  The query masks x's non-start
-    copy and y's non-end copy.  That also removes the internal edges of
-    x and y, because each has the masked copy as an end, so x's start
-    copy and y's end copy must be matched by graph edges.  Every other
-    vertex is then either matched internally (off the path) or has both
-    copies matched by graph edges of different colours (on it), so a
-    perfect matching decomposes into the wanted path plus internal
-    edges and alternating cycles.
+    graph edge joins the two c-copies.  Delete x's non-start copy and
+    y's non-end copy.  That also removes the internal edges of x and y,
+    because each has a deleted copy as an end, so x's start copy and
+    y's end copy must be matched by graph edges.  Every other vertex is
+    then either matched internally (off the path) or has both copies
+    matched by graph edges of different colours (on it), so a perfect
+    matching decomposes into the wanted path plus internal edges and
+    alternating cycles.
 
-    A one-shot use of the query object that a sweep builds once per
-    graph and asks up to 2·n·(n-1) times.
+    One blossom search from x's start copy answers this for every y:
+    with x's other copy deleted, it is the only vertex the internal
+    edges leave exposed, so y's non-end copy is outer exactly when
+    deleting it too leaves a perfect matching (`IndexedGraph.search`).
+    The graph edges on its tree path back from that copy are the path.
+    A sweep asks the query object this builds up to 2·n·(n-1) times.
     """
     return _PathQuery(g)(x, y, start, end)
 

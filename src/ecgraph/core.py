@@ -329,6 +329,7 @@ def serialize_witness(g: EdgeColouredMultigraph, w: Witness) -> str:
 class VerifyResult:
     ok: bool
     reason: Optional[str] = None
+    end: Optional[str] = None   # a valid trail's last vertex
 
     def __bool__(self) -> bool:
         return self.ok
@@ -362,7 +363,7 @@ def _check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail) -> VerifyResult
         last = g.edge(t.edge_ids[-1]).colour
         if first is last:
             return VerifyResult(False, "first and last edge colours must differ")
-    return VerifyResult(True)
+    return VerifyResult(True, end=cur)
 
 
 def _check_cycle(g: EdgeColouredMultigraph, c: AlternatingCycle) -> VerifyResult:

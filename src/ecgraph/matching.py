@@ -6,11 +6,11 @@ reductions used elsewhere: eulerian factors, alternating cycle factors
 and alternating path queries all reduce to (perfect) matching in an
 auxiliary plain graph that is not bipartite in general.
 
-There is one engine, `IndexedGraph.matching`, over a fixed integer
-adjacency list and a per-call set of masked vertices; callers that ask
-many matching questions of one auxiliary graph build it once and mask
-per question.  Each root's search resets only the vertices of that
-root's alternating tree, and each blossom contraction touches only the
+There is one engine, a blossom search over the fixed integer adjacency
+list of an `IndexedGraph`: `matching` grows a greedy matching with it,
+and `search` runs it once from a single root, for the connectivity
+sweeps.  Each root's search resets only the vertices of that root's
+alternating tree, and each blossom contraction touches only the
 blossom's vertices.
 `maximum_matching` on a string-named `PlainGraph` is a thin wrapper.
 
@@ -68,8 +68,8 @@ class IndexedGraph:
 
     The adjacency lists are deduplicated once: parallel edges collapse
     to the first one declared, whose id `edge_id` returns for a matched
-    pair.  Each `matching` call may mask a few vertices; the graph
-    itself never changes.
+    pair.  `matching` and `search` share one blossom search routine;
+    the graph itself never changes.
     """
 
     __slots__ = ("adj", "_first")
@@ -89,26 +89,47 @@ class IndexedGraph:
         n = len(self.adj)
         return self._first[u * n + v if u < v else v * n + u]
 
-    def matching(self, masked: Iterable[int] = ()) -> list[int]:
+    def matching(self) -> list[int]:
         """match[] over vertex indices, -1 where unmatched: a maximum
-        matching of the graph without the masked vertices, which stay
-        unmatched."""
+        matching, grown from a greedy one."""
         adj = self.adj
         n = len(adj)
         match = [-1] * n
-        p = [-1] * n
-        # a masked vertex is its own parent: the search below never
-        # labels it, and it is neither a root nor a greedy partner
-        for v in masked:
-            p[v] = v
         for v in range(n):
-            if match[v] == -1 and p[v] == -1:
+            if match[v] == -1:
                 for u in adj[v]:
-                    if match[u] == -1 and p[u] == -1:
+                    if match[u] == -1:
                         match[v] = u
                         match[u] = v
                         break
+        self._search(match, [-1] * n, range(n))
+        return match
 
+    def search(self, root: int
+               ) -> tuple[list[bool], list[int], list[int]]:
+        """(outer, p, match) of one completed search from `root`, in a
+        graph that joins every i to i ^ 1, with root ^ 1 masked.
+
+        It starts from the perfect matching i <-> i ^ 1 less root's
+        pair, so no augmenting path exists, and by the Gallai-Edmonds
+        structure theorem outer[b] holds exactly when the graph without
+        root ^ 1 and b has a perfect matching.  For an outer b the chain
+        b, match[b], p[match[b]], ... is an even alternating path to root.
+        """
+        n = len(self.adj)
+        match = [i ^ 1 for i in range(n)]
+        match[root] = match[root ^ 1] = -1
+        p = [-1] * n
+        p[root ^ 1] = root ^ 1
+        return self._search(match, p, (root,)), p, match
+
+    def _search(self, match: list[int], p: list[int],
+                roots: Iterable[int]) -> list[bool]:
+        """Augment match in place from each root still exposed in turn;
+        return the last search's outer labels.  No search labels a
+        vertex v with p[v] == v on entry."""
+        adj = self.adj
+        n = len(adj)
         base = list(range(n))
         used = [False] * n
         # vertices labelled by the current root's search; only these
@@ -195,8 +216,8 @@ class IndexedGraph:
                         q.append(match[to])
             return -1
 
-        for v in range(n):
-            if match[v] == -1 and p[v] != v:
+        for v in roots:
+            if match[v] == -1:
                 leaf = find_augmenting(v)
                 if leaf == -1:
                     continue
@@ -207,7 +228,7 @@ class IndexedGraph:
                     match[leaf] = pv
                     match[pv] = leaf
                     leaf = ppv
-        return match
+        return used
 
 
 def maximum_matching(g: PlainGraph) -> Matching:

@@ -164,6 +164,16 @@ class TestQueryObjects:
         with pytest.raises(GraphError):
             is_trail_colour_connected(g)
 
+    def test_witness_ending_elsewhere_raises(self, monkeypatch):
+        # the end test reads verification's walk, and is explicit too
+        monkeypatch.setattr(ecgraph.connect, "verify_witness",
+                            lambda g, w: VerifyResult(True, end="elsewhere"))
+        g = build_graph(["a", "b"], [("a", "b", RED), ("a", "b", BLUE)])
+        with pytest.raises(GraphError):
+            alternating_path(g, "a", "b", RED)
+        with pytest.raises(GraphError):
+            alternating_trail(g, "a", "b", BLUE)
+
 
 class TestCompleteMultipartite:
     def test_classes_of_fixture(self):
@@ -222,13 +232,62 @@ def test_path_and_trail_queries_match_oracles(seed):
             assert verify_witness(g, t)
 
 
+def first_failing_triple(g, oracle):
+    """The first (u, v, c) in declaration order the oracle finds no
+    alternating (u, v)-path (trail) for, or None."""
+    for u in g.vertices:
+        for v in g.vertices:
+            if u == v:
+                continue
+            for c in (RED, BLUE):
+                if oracle(g, u, v, c) is None:
+                    return (u, v, c)
+    return None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 100_000))
 def test_connectivity_sweeps_match_oracles(seed):
     g = rand_graph(seed, n_max=5, m_max=10)
-    assert is_colour_connected(g).connected == oracle_colour_connected(g)
-    assert is_trail_colour_connected(g).connected \
-        == oracle_trail_colour_connected(g)
+    cc, tcc = is_colour_connected(g), is_trail_colour_connected(g)
+    assert cc.connected == oracle_colour_connected(g)
+    assert tcc.connected == oracle_trail_colour_connected(g)
+    # the sweep reports the first failing triple, not just a verdict
+    assert cc.counterexample \
+        == first_failing_triple(g, oracle_alternating_path)
+    assert tcc.counterexample \
+        == first_failing_triple(g, oracle_alternating_trail)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_every_query_matches_oracles(seed):
+    # every (x, y, start, end) on one reused query object, so each
+    # source's searches answer every target and both end colours
+    g = rand_graph(seed, n_max=5, m_max=10)
+    for make, oracle in ((_PathQuery, oracle_alternating_path),
+                         (_TrailQuery, oracle_alternating_trail)):
+        q = make(g)
+        for x in g.vertices:
+            for y in g.vertices:
+                if x == y:
+                    continue
+                for start in (RED, BLUE):
+                    for end in (None, RED, BLUE):
+                        w = q(x, y, start, end)
+                        assert (w is None) == (
+                            oracle(g, x, y, start, end) is None), \
+                            (make.__name__, x, y, start, end)
+                        if w is None:
+                            continue
+                        assert verify_witness(g, w).end == y
+                        seq = w.vertex_sequence(g)
+                        assert seq[0] == x and seq[-1] == y
+                        assert g.edge(w.edge_ids[0]).colour is start
+                        if end is not None:
+                            assert g.edge(w.edge_ids[-1]).colour is end
+                        if make is _PathQuery:
+                            assert len(seq) == len(set(seq))
 
 
 def blow_up_failure_explained(g, h, sweep, query) -> bool:

@@ -107,23 +107,53 @@ def test_matching_matches_brute_force(g):
         assert first in m.edge_ids
 
 
+@st.composite
+def paired_graphs(draw):
+    """An IndexedGraph on 2..8 vertices that joins every i to i ^ 1 (the
+    perfect matching `IndexedGraph.search` starts from), plus drawn
+    extra edges, parallel ones included, as a PlainGraph."""
+    n = 2 * draw(st.integers(1, 4))
+    verts = [f"v{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = [(i, i + 1) for i in range(0, n, 2)]
+    chosen += draw(st.lists(st.sampled_from(pairs), max_size=12))
+    edges = [(f"e{k}", verts[i], verts[j])
+             for k, (i, j) in enumerate(chosen)]
+    return PlainGraph(verts, edges)
+
+
 @settings(max_examples=200, deadline=None)
-@given(plain_graphs(), st.data())
-def test_masked_matching_matches_brute_force(g, data):
+@given(paired_graphs(), st.data())
+def test_search_outer_set_matches_brute_force(g, data):
+    n = len(g.vertices)
     index = {v: i for i, v in enumerate(g.vertices)}
-    ends = {eid: {u, v} for eid, u, v in g.edges}
-    h = IndexedGraph(len(g.vertices),
-                     ((index[u], index[v], eid) for eid, u, v in g.edges))
-    masked = data.draw(st.sets(st.sampled_from(range(len(g.vertices)))))
-    match = h.matching(masked)
-    for v, m in enumerate(match):
-        if v in masked:
-            assert m == -1
-        elif m != -1:
-            assert match[m] == v and m not in masked
-            assert ends[h.edge_id(v, m)] == {g.vertices[v], g.vertices[m]}
-    rest = [v for v in g.vertices if index[v] not in masked]
-    sub = PlainGraph(rest, [e for e in g.edges
-                            if e[1] in rest and e[2] in rest])
-    assert sum(m > v for v, m in enumerate(match)) \
-        == brute_force_max_matching(sub)
+    h = IndexedGraph(n, ((index[u], index[v], eid) for eid, u, v in g.edges))
+    root = data.draw(st.integers(0, n - 1))
+    masked = root ^ 1
+    outer, p, match = h.search(root)
+    # the search starts from, and keeps, the pairs i <-> i ^ 1 but root's
+    assert match == [-1 if i in (root, masked) else i ^ 1 for i in range(n)]
+    assert not outer[masked]
+    for b in range(n):
+        if b == masked:
+            continue
+        rest = [v for i, v in enumerate(g.vertices) if i not in (masked, b)]
+        sub = PlainGraph(rest, [e for e in g.edges
+                                if e[1] in rest and e[2] in rest])
+        perfect = 2 * brute_force_max_matching(sub) == len(rest)
+        assert outer[b] == perfect, b
+        if not outer[b]:
+            continue
+        # the chain b, match[b], p[match[b]], ... is an even alternating
+        # path from b to root: matched, then unmatched graph edge, ...
+        chain = [b]
+        while chain[-1] != root:
+            assert len(chain) < n
+            m = match[chain[-1]]
+            assert m != -1 and p[m] != -1
+            chain += [m, p[m]]
+        assert len(chain) == len(set(chain)) and masked not in chain
+        for k in range(0, len(chain) - 1, 2):
+            u, v, w = chain[k], chain[k + 1], chain[k + 2]
+            assert match[u] == v and match[v] == u
+            assert w in h.adj[v] and match[v] != w
