@@ -71,6 +71,14 @@ class _PathQuery:
 
     def __call__(self, x: str, y: str, start: Colour,
                  end: Optional[Colour] = None) -> Optional[AlternatingTrail]:
+        path = self.find(x, y, start, end)
+        if path is not None:
+            _check(self.g, path, y, start, end, simple=True)
+        return path
+
+    def find(self, x: str, y: str, start: Colour,
+             end: Optional[Colour] = None) -> Optional[AlternatingTrail]:
+        """The path the search tree gives, or None; not verified."""
         if x == y:
             raise ValueError("endpoints must differ")
         root = 2 * self._index[x] + _copy_bit(start)
@@ -92,9 +100,7 @@ class _PathQuery:
         while a != root ^ 1:
             seq.append(self._split.edge_id(a, p[a]))
             a = p[a] ^ 1
-        path = AlternatingTrail(x, tuple(reversed(seq)))
-        _check(self.g, path, y)
-        return path
+        return AlternatingTrail(x, tuple(reversed(seq)))
 
 
 class _TrailQuery:
@@ -107,12 +113,14 @@ class _TrailQuery:
 
     def __call__(self, x: str, y: str, start: Colour,
                  end: Optional[Colour] = None) -> Optional[AlternatingTrail]:
-        p = self._paths(f"{x}.1", f"{y}.1", start, end)
+        # only the projected trail of g is checked: it alone certifies
+        # the answer
+        p = self._paths.find(f"{x}.1", f"{y}.1", start, end)
         if p is None:
             return None
         t = AlternatingTrail(
             x, tuple(eid[:-2] for eid in p.edge_ids if eid.endswith(".x")))
-        _check(self.g, t, y)
+        _check(self.g, t, y, start, end)
         return t
 
 
@@ -120,16 +128,27 @@ def _copy_bit(c: Colour) -> int:
     return 0 if c is Colour.RED else 1
 
 
-def _check(g: EdgeColouredMultigraph, t: AlternatingTrail, y: str) -> None:
-    """Raise unless t is a valid alternating trail of g ending at y, as
-    verification's one walk of t finds; explicit, so python -O keeps it."""
+def _check(g: EdgeColouredMultigraph, t: AlternatingTrail, y: str,
+           start: Colour, end: Optional[Colour], simple: bool = False
+           ) -> None:
+    """Raise unless t is a valid alternating trail of g that ends at y,
+    starts with colour `start`, ends with colour `end` unless that is
+    None, and visits no vertex twice if `simple`: all read from
+    verification's one walk of t.  Explicit, so python -O keeps it."""
     r = verify_witness(g, t)
     if not r:
-        raise GraphError(f"internal error: {t.start!r}-{y!r} witness "
-                         f"fails verification: {r.reason}")
-    if r.end != y:
-        raise GraphError(f"internal error: {t.start!r}-{y!r} witness "
-                         f"ends at {r.end!r}")
+        problem = f"fails verification: {r.reason}"
+    elif r.end != y:
+        problem = f"ends at {r.end!r}"
+    elif r.first is not start:
+        problem = f"starts with {r.first!r}"
+    elif end is not None and r.last is not end:
+        problem = f"ends with {r.last!r}"
+    elif simple and not r.simple:
+        problem = "revisits a vertex"
+    else:
+        return
+    raise GraphError(f"internal error: {t.start!r}-{y!r} witness {problem}")
 
 
 def alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
@@ -223,6 +242,7 @@ def complete_multipartite_classes(g: EdgeColouredMultigraph
     # classes are the components of the complement; then every
     # cross-class pair must actually be adjacent
     verts = list(g.vertices)
+    nbrs = {v: set(g.neighbours(v)) for v in verts}
     seen: set[str] = set()
     classes: list[list[str]] = []
     for v in verts:
@@ -234,16 +254,14 @@ def complete_multipartite_classes(g: EdgeColouredMultigraph
         while stack:
             a = stack.pop()
             for b in verts:
-                if b not in seen and not g.adjacent(a, b):
+                if b not in seen and b not in nbrs[a]:
                     seen.add(b)
                     comp.append(b)
                     stack.append(b)
         classes.append(comp)
     for cls in classes:
-        for i, a in enumerate(cls):
-            for b in cls[i + 1:]:
-                if g.adjacent(a, b):
-                    return None
+        if any(nbrs[a].intersection(cls) for a in cls):
+            return None
     return classes
 
 

@@ -329,7 +329,13 @@ def serialize_witness(g: EdgeColouredMultigraph, w: Witness) -> str:
 class VerifyResult:
     ok: bool
     reason: Optional[str] = None
-    end: Optional[str] = None   # a valid trail's last vertex
+    # what the walk of a valid trail found: its last vertex, its first
+    # and last edge colours, and whether it visits no vertex twice
+    # (a closed trail's return to its start aside)
+    end: Optional[str] = None
+    first: Optional[Colour] = None
+    last: Optional[Colour] = None
+    simple: bool = False
 
     def __bool__(self) -> bool:
         return self.ok
@@ -341,6 +347,8 @@ def _check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail) -> VerifyResult
     if len(t.edge_ids) != len(set(t.edge_ids)):
         return VerifyResult(False, "edge repeated")
     cur = t.start
+    walk = [cur]
+    first: Optional[Colour] = None
     prev_colour: Optional[Colour] = None
     for eid in t.edge_ids:
         if not g.has_edge_id(eid):
@@ -348,10 +356,13 @@ def _check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail) -> VerifyResult
         e = g.edge(eid)
         if not e.touches(cur):
             return VerifyResult(False, f"edge {eid!r} does not continue the walk")
-        if prev_colour is not None and e.colour is prev_colour:
+        if prev_colour is None:
+            first = e.colour
+        elif e.colour is prev_colour:
             return VerifyResult(False, f"colours do not alternate at edge {eid!r}")
         prev_colour = e.colour
         cur = e.other_end(cur)
+        walk.append(cur)
     if t.closed:
         if not t.edge_ids:
             return VerifyResult(False, "closed trail must have edges")
@@ -359,24 +370,21 @@ def _check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail) -> VerifyResult
             return VerifyResult(False, "not closed")
         if len(t.edge_ids) % 2 != 0 or len(t.edge_ids) < 2:
             return VerifyResult(False, "closed trail length must be even and >= 2")
-        first = g.edge(t.edge_ids[0]).colour
-        last = g.edge(t.edge_ids[-1]).colour
-        if first is last:
+        if first is prev_colour:
             return VerifyResult(False, "first and last edge colours must differ")
-    return VerifyResult(True, end=cur)
+        walk.pop()
+    return VerifyResult(True, end=cur, first=first, last=prev_colour,
+                        simple=len(set(walk)) == len(walk))
 
 
 def _check_cycle(g: EdgeColouredMultigraph, c: AlternatingCycle) -> VerifyResult:
     if not c.closed:
         return VerifyResult(False, "cycle must be closed")
     r = _check_trail(g, c)
-    if not r:
-        return r
-    seq = c.vertex_sequence(g)[:-1]
-    if len(seq) != len(set(seq)):
-        # the length-2 digon case already passes: its sequence is [u, v]
+    if r and not r.simple:
+        # the length-2 digon case passes: its walk is u, v, u
         return VerifyResult(False, "cycle revisits a vertex")
-    return VerifyResult(True)
+    return r
 
 
 def verify_witness(g: EdgeColouredMultigraph, w: Witness) -> VerifyResult:

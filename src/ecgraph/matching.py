@@ -12,7 +12,9 @@ and `search` runs it once from a single root, for the connectivity
 sweeps.  Each root's search resets only the vertices of that root's
 alternating tree, and each blossom contraction touches only the
 blossom's vertices.
-`maximum_matching` on a string-named `PlainGraph` is a thin wrapper.
+Every matching reduction in the package builds an `IndexedGraph`.
+`maximum_matching` on a string-named `PlainGraph` is a thin wrapper
+that the package no longer uses; the tests keep it as a reference.
 
 Vertices and edges are scanned in declaration order throughout, so the
 result is deterministic for a fixed input.
@@ -66,10 +68,11 @@ class Matching:
 class IndexedGraph:
     """A fixed plain graph on vertices 0..n-1, matched many times over.
 
-    The adjacency lists are deduplicated once: parallel edges collapse
-    to the first one declared, whose id `edge_id` returns for a matched
-    pair.  `matching` and `search` share one blossom search routine;
-    the graph itself never changes.
+    Built from an edge list, the adjacency lists are deduplicated once:
+    parallel edges collapse to the first one declared, whose id
+    `edge_id` returns for a matched pair.  `from_adjacency` takes lists
+    built without parallel edges instead.  `matching` and `search` share
+    one blossom search routine; the graph itself never changes.
     """
 
     __slots__ = ("adj", "_first")
@@ -84,6 +87,16 @@ class IndexedGraph:
                 self._first[key] = eid
                 self.adj[u].append(v)
                 self.adj[v].append(u)
+
+    @classmethod
+    def from_adjacency(cls, adj: list[list[int]]) -> "IndexedGraph":
+        """The graph with these adjacency lists, taken as they are: the
+        caller builds them without parallel edges, and `edge_id` does
+        not apply."""
+        h = cls.__new__(cls)
+        h.adj = adj
+        h._first = {}
+        return h
 
     def edge_id(self, u: int, v: int) -> object:
         n = len(self.adj)

@@ -30,8 +30,7 @@ from ecgraph import (
 )
 from ecgraph.cli import analyze_graph
 from ecgraph.connect import complete_multipartite_classes
-from ecgraph.factor import build_factor_gadget, gadget_visit_counts
-from ecgraph.matching import maximum_matching
+from ecgraph.factor import build_slot_gadget, gadget_visit_counts
 from ecgraph.reductions import fixture, generate, reduce_ham_to_supereulerian
 from ecgraph.structure import blow_up
 
@@ -126,8 +125,10 @@ def test_eulerian_factor_equivalence_1000():
         assert (fast is None) == (slow is None), seed
         if fast is not None:
             assert verify_witness(g, fast)
-            gadget = build_factor_gadget(g)
-            counts = gadget_visit_counts(gadget, maximum_matching(gadget.h))
+            # the factor's visit counts are those of the gadget matching
+            # it came from: 1 + its matched R'-B' pairs
+            gadget = build_slot_gadget(g)
+            counts = gadget_visit_counts(g, gadget, gadget.h.matching())
             for v in g.vertices:
                 assert fast.visit_count(g, v) == counts[v], (seed, v)
 

@@ -174,8 +174,90 @@ class TestQueryObjects:
         with pytest.raises(GraphError):
             alternating_trail(g, "a", "b", BLUE)
 
+    # a, b, c: e0 a-b red, e1 a-c red, e2 c-b blue, e3 a-b blue,
+    # e4 a-b red; every witness below is a valid trail from a to b
+    CHECKED = build_graph(["a", "b", "c"],
+                          [("a", "b", RED), ("a", "c", RED), ("c", "b", BLUE),
+                           ("a", "b", BLUE), ("a", "b", RED)])
+
+    @staticmethod
+    def feed(monkeypatch, edge_ids):
+        """Make the queries' witness from a (of g, not of an auxiliary
+        graph) the trail of g along edge_ids."""
+        real = ecgraph.connect.AlternatingTrail
+        monkeypatch.setattr(
+            ecgraph.connect, "AlternatingTrail",
+            lambda start, seq, closed=False: real(
+                start, edge_ids if start == "a" else seq, closed))
+
+    @pytest.mark.parametrize("query", [alternating_path, alternating_trail])
+    def test_witness_with_wrong_start_colour_raises(self, monkeypatch, query):
+        self.feed(monkeypatch, ("e3",))
+        with pytest.raises(GraphError, match="starts with"):
+            query(self.CHECKED, "a", "b", RED)
+
+    @pytest.mark.parametrize("query", [alternating_path, alternating_trail])
+    def test_witness_with_wrong_end_colour_raises(self, monkeypatch, query):
+        self.feed(monkeypatch, ("e1", "e2"))
+        with pytest.raises(GraphError, match="ends with"):
+            query(self.CHECKED, "a", "b", RED, RED)
+
+    def test_path_witness_revisiting_a_vertex_raises(self, monkeypatch):
+        self.feed(monkeypatch, ("e0", "e3", "e4"))
+        with pytest.raises(GraphError, match="revisits"):
+            alternating_path(self.CHECKED, "a", "b", RED)
+        # a trail may revisit a vertex
+        t = alternating_trail(self.CHECKED, "a", "b", RED)
+        assert t.edge_ids == ("e0", "e3", "e4")
+
+    def test_trail_sweep_verifies_each_trail_once(self, monkeypatch):
+        real = ecgraph.connect.verify_witness
+        seen = []
+        monkeypatch.setattr(ecgraph.connect, "verify_witness",
+                            lambda g, w: seen.append(g) or real(g, w))
+        g = fixture("halfm")
+        assert is_trail_colour_connected(g).connected
+        n = len(g.vertices)
+        # one check per positive triple, on g, never on the auxiliary graph
+        assert len(seen) == 2 * n * (n - 1)
+        assert all(h is g for h in seen)
+
+
+def reference_classes(g):
+    """complete_multipartite_classes by pairwise adjacency tests."""
+    verts = list(g.vertices)
+    seen, classes = set(), []
+    for v in verts:
+        if v in seen:
+            continue
+        comp, stack = [v], [v]
+        seen.add(v)
+        while stack:
+            a = stack.pop()
+            for b in verts:
+                if b not in seen and not g.adjacent(a, b):
+                    seen.add(b)
+                    comp.append(b)
+                    stack.append(b)
+        classes.append(comp)
+    if any(g.adjacent(a, b) for cls in classes
+           for i, a in enumerate(cls) for b in cls[i + 1:]):
+        return None
+    return classes
+
 
 class TestCompleteMultipartite:
+    def test_classes_match_pairwise_reference(self):
+        for seed in range(60):
+            for g in (rand_graph(seed, n_max=8, m_max=20),
+                      generate("mclosed_blowup", seed=seed, n=4 + seed % 9),
+                      generate("complete_bipartite", seed=seed,
+                               n1=1 + seed % 5, n2=1 + seed % 4),
+                      generate("complete_multipartite", seed=seed,
+                               sizes=[1 + seed % 3, 2, 1 + seed % 2])):
+                assert complete_multipartite_classes(g) \
+                    == reference_classes(g), seed
+
     def test_classes_of_fixture(self):
         classes = complete_multipartite_classes(fixture("cmg_example"))
         assert classes is not None

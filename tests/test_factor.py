@@ -16,8 +16,12 @@ from ecgraph import (
     tour_factor_from_balanced_edges,
     verify_witness,
 )
-from ecgraph.factor import ColourDeficient, build_factor_gadget
-from ecgraph.matching import maximum_matching
+from ecgraph.factor import (
+    ColourDeficient,
+    build_factor_gadget,
+    build_slot_gadget,
+)
+from ecgraph.matching import IndexedGraph, maximum_matching
 from ecgraph.reductions import fixture, generate
 
 
@@ -32,14 +36,15 @@ class TestGadget:
     def test_colour_deficient_vertex_rejected(self):
         g = build_graph(["a", "b"], [("a", "b", RED)])
         with pytest.raises(ColourDeficient):
-            build_factor_gadget(g)
+            build_slot_gadget(g)
         assert eulerian_factor(g) is None
 
     def test_digon_gadget(self):
         g = build_graph(["a", "b"], [("a", "b", RED), ("a", "b", BLUE)])
-        gadget = build_factor_gadget(g)
+        gadget = build_slot_gadget(g)
         # r = b = 1 per vertex: blocks R and B only, one slot each
-        assert len(gadget.h.vertices) == 4
+        assert len(gadget.h.adj) == 4
+        assert gadget.inner == ((1, 0, 1, 0), (3, 0, 3, 0))
         f = eulerian_factor(g)
         assert f is not None and verify_witness(g, f)
 
@@ -149,3 +154,78 @@ def test_cycle_factor_agrees_with_oracle(seed):
     assert (fast is None) == (slow is None)
     if fast is not None:
         assert verify_witness(g, fast)
+
+
+@st.composite
+def coloured_multigraphs(draw):
+    """2..6 vertices and up to 16 drawn edges, so parallel edges and
+    colour-deficient vertices are common; half the draws first give
+    each vertex a red and a blue edge to the next one."""
+    n = draw(st.integers(2, 6))
+    verts = [f"v{i}" for i in range(n)]
+    triples = []
+    if draw(st.booleans()):
+        triples += [(verts[i], verts[(i + 1) % n], c)
+                    for i in range(n) for c in (RED, BLUE)]
+    pairs = [(u, v) for u in verts for v in verts if u != v]
+    triples += draw(st.lists(st.tuples(st.sampled_from(pairs),
+                                       st.sampled_from((RED, BLUE))),
+                             max_size=16).map(
+        lambda es: [(u, v, c) for (u, v), c in es]))
+    return build_graph(verts, triples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coloured_multigraphs())
+def test_slot_gadget_answers_as_string_reference(g):
+    try:
+        ref = build_factor_gadget(g)
+    except ColourDeficient:
+        for full_join in (False, True):
+            with pytest.raises(ColourDeficient):
+                build_slot_gadget(g, full_join)
+        return
+    m = maximum_matching(ref.h)
+    ref_perfect = 2 * len(m) == len(ref.h.vertices)
+    index = {v: i for i, v in enumerate(ref.h.vertices)}
+
+    # with the complete join: the reference's numbering and adjacency
+    # order, hence the very same matching
+    full = build_slot_gadget(g, full_join=True)
+    assert full.h.adj == IndexedGraph(len(index), (
+        (index[u], index[v], h) for h, u, v in ref.h.edges)).adj
+    match = full.h.matching()
+    assert sorted((i, j) for i, j in enumerate(match) if i < j) \
+        == sorted(tuple(sorted((index[a], index[b]))) for a, b in m.pairs)
+
+    # with the diagonal join: the same answer, and the matched edges of
+    # g give every vertex equal red and blue degree, its visit count
+    diag = build_slot_gadget(g)
+    assert len(diag.h.adj) == len(index)
+    match = diag.h.matching()
+    assert (-1 not in match) == ref_perfect
+    if not ref_perfect:
+        assert eulerian_factor(g) is None
+        return
+    chosen = [e for e, (su, sv) in zip(g.edges, diag.external)
+              if match[su] == sv]
+    counts = gadget_visit_counts(g, diag, match)
+    for v in g.vertices:
+        for c in (RED, BLUE):
+            assert sum(e.touches(v) for e in chosen if e.colour is c) \
+                == counts[v]
+    f = eulerian_factor(g)
+    assert f is not None and verify_witness(g, f)
+    for v in g.vertices:
+        assert f.visit_count(g, v) == counts[v]
+
+
+def test_diagonal_join_sizes():
+    g = generate("mclosed_blowup", seed=9, n=30)
+    full = build_slot_gadget(g, full_join=True)
+    diag = build_slot_gadget(g)
+    assert len(full.h.adj) == len(diag.h.adj)
+    # R'-B' shrinks from (r-1)(b-1) edges to min(r, b) - 1 at each vertex
+    cut = sum(nr * nb - min(nr, nb) for _, nr, _, nb in diag.inner)
+    assert cut > 0
+    assert sum(map(len, full.h.adj)) - sum(map(len, diag.h.adj)) == 2 * cut
