@@ -28,7 +28,6 @@ from .factor import (
     alternating_cycle_factor,
     alternating_euler_tour,
     eulerian_factor,
-    gadget_visit_counts,
     tour_factor_from_balanced_edges,
 )
 from .connect import (

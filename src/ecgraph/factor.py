@@ -70,22 +70,18 @@ class SlotGadget:
     """The factor gadget of g in integer form.
 
     The slots of vertex x are numbered block after block: R, R', B', B.
-    `inner` holds, per vertex of g in declaration order, the first slot
-    and the size of its R' and of its B' block; `external` holds, per
-    edge of g in declaration order, the slots its external edge joins.
+    `external` holds, per edge of g in declaration order, the slots its
+    external edge joins.
     """
 
     h: IndexedGraph
-    inner: tuple[tuple[int, int, int, int], ...]
     external: tuple[tuple[int, int], ...]
 
 
-def build_slot_gadget(g: EdgeColouredMultigraph,
-                      full_join: bool = False) -> SlotGadget:
+def build_slot_gadget(g: EdgeColouredMultigraph) -> SlotGadget:
     """The factor gadget as integer adjacency lists, R' joined to B'
-    diagonally unless `full_join` asks for the complete join that the
-    reference gadget has (see the module docstring); raises
-    ColourDeficient if some vertex misses a colour.
+    diagonally (see the module docstring); raises ColourDeficient if
+    some vertex misses a colour.
 
     The slots of each vertex take the next block of indices, and each
     external edge takes the next free R (or B) slot of both its ends,
@@ -107,7 +103,6 @@ def build_slot_gadget(g: EdgeColouredMultigraph,
 
     # (vertex, colour) -> next free slot of its R or B block
     free: dict[tuple[str, Colour], int] = {}
-    inner: list[tuple[int, int, int, int]] = []
     for x in g.vertices:
         r = g.degree(x, Colour.RED)
         b = g.degree(x, Colour.BLUE)
@@ -118,16 +113,12 @@ def build_slot_gadget(g: EdgeColouredMultigraph,
         Bp = range(Rp.stop, Rp.stop + b - 1)
         B = range(Bp.stop, Bp.stop + b)
         join(R, Rp)
-        if full_join:
-            join(Rp, Bp)
-        else:
-            for i, j in zip(Rp, Bp):
-                adj[i].append(j)
-                adj[j].append(i)
+        for i, j in zip(Rp, Bp):
+            adj[i].append(j)
+            adj[j].append(i)
         join(Bp, B)
         free[(x, Colour.RED)] = R.start
         free[(x, Colour.BLUE)] = B.start
-        inner.append((Rp.start, r - 1, Bp.start, b - 1))
 
     external: list[tuple[int, int]] = []
     for e in g.edges:
@@ -138,16 +129,7 @@ def build_slot_gadget(g: EdgeColouredMultigraph,
         adj[su].append(sv)
         adj[sv].append(su)
         external.append((su, sv))
-    return SlotGadget(IndexedGraph.from_adjacency(adj), tuple(inner),
-                      tuple(external))
-
-
-def gadget_visit_counts(g: EdgeColouredMultigraph, gadget: SlotGadget,
-                        match: list[int]) -> dict[str, int]:
-    """Visit count per vertex of the factor a perfect matching of the
-    gadget encodes: 1 + its matched R'(x)-B'(x) pairs."""
-    return {x: 1 + sum(bp <= match[s] < bp + nb for s in range(rp, rp + nr))
-            for x, (rp, nr, bp, nb) in zip(g.vertices, gadget.inner)}
+    return SlotGadget(IndexedGraph.from_adjacency(adj), tuple(external))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from ecgraph import (
 )
 from ecgraph.cli import analyze_graph
 from ecgraph.connect import complete_multipartite_classes
-from ecgraph.factor import build_slot_gadget, gadget_visit_counts
+from ecgraph.factor import build_slot_gadget
 from ecgraph.reductions import fixture, generate, reduce_ham_to_supereulerian
 from ecgraph.structure import blow_up
 
@@ -126,11 +126,17 @@ def test_eulerian_factor_equivalence_1000():
         if fast is not None:
             assert verify_witness(g, fast)
             # the factor's visit counts are those of the gadget matching
-            # it came from: 1 + its matched R'-B' pairs
-            gadget = build_slot_gadget(g)
-            counts = gadget_visit_counts(g, gadget, gadget.h.matching())
+            # it came from: 1 + its matched R'-B' pairs, where the slots
+            # of x are R (r), R' (r - 1), B' (b - 1), B (b) in a row
+            match = build_slot_gadget(g).h.matching()
+            o = 0
             for v in g.vertices:
-                assert fast.visit_count(g, v) == counts[v], (seed, v)
+                r, b = g.degree(v, RED), g.degree(v, BLUE)
+                bp = o + 2 * r - 1
+                pairs = sum(bp <= match[s] < bp + b - 1
+                            for s in range(o + r, bp))
+                assert fast.visit_count(g, v) == 1 + pairs, (seed, v)
+                o += 2 * (r + b - 1)
 
 
 def test_reduction_soundness_300():

@@ -10,7 +10,6 @@ from ecgraph import (
     alternating_cycle_factor,
     alternating_euler_tour,
     eulerian_factor,
-    gadget_visit_counts,
     oracle_cycle_factor,
     oracle_eulerian_factor,
     tour_factor_from_balanced_edges,
@@ -32,6 +31,22 @@ def rand_graph(seed, n_max=7, m_max=14):
                     m=rng.randint(1, m_max))
 
 
+def visit_counts(g, match):
+    """Visit count per vertex of the factor that a perfect matching of
+    `build_slot_gadget(g)` encodes: 1 + its matched R'(x)-B'(x) pairs.
+    The slots of x come block after block, R (r), R' (r - 1), B'
+    (b - 1), B (b)."""
+    counts = {}
+    o = 0
+    for x in g.vertices:
+        r, b = g.degree(x, RED), g.degree(x, BLUE)
+        bp = o + 2 * r - 1
+        counts[x] = 1 + sum(bp <= match[s] < bp + b - 1
+                            for s in range(o + r, bp))
+        o += 2 * (r + b - 1)
+    return counts
+
+
 class TestGadget:
     def test_colour_deficient_vertex_rejected(self):
         g = build_graph(["a", "b"], [("a", "b", RED)])
@@ -43,8 +58,8 @@ class TestGadget:
         g = build_graph(["a", "b"], [("a", "b", RED), ("a", "b", BLUE)])
         gadget = build_slot_gadget(g)
         # r = b = 1 per vertex: blocks R and B only, one slot each
-        assert len(gadget.h.adj) == 4
-        assert gadget.inner == ((1, 0, 1, 0), (3, 0, 3, 0))
+        assert gadget.h.adj == [[2], [3], [0], [1]]
+        assert gadget.external == ((0, 2), (1, 3))
         f = eulerian_factor(g)
         assert f is not None and verify_witness(g, f)
 
@@ -181,27 +196,28 @@ def test_slot_gadget_answers_as_string_reference(g):
     try:
         ref = build_factor_gadget(g)
     except ColourDeficient:
-        for full_join in (False, True):
-            with pytest.raises(ColourDeficient):
-                build_slot_gadget(g, full_join)
+        with pytest.raises(ColourDeficient):
+            build_slot_gadget(g)
         return
     m = maximum_matching(ref.h)
     ref_perfect = 2 * len(m) == len(ref.h.vertices)
     index = {v: i for i, v in enumerate(ref.h.vertices)}
 
-    # with the complete join: the reference's numbering and adjacency
-    # order, hence the very same matching
-    full = build_slot_gadget(g, full_join=True)
-    assert full.h.adj == IndexedGraph(len(index), (
-        (index[u], index[v], h) for h, u, v in ref.h.edges)).adj
-    match = full.h.matching()
-    assert sorted((i, j) for i, j in enumerate(match) if i < j) \
-        == sorted(tuple(sorted((index[a], index[b]))) for a, b in m.pairs)
-
-    # with the diagonal join: the same answer, and the matched edges of
-    # g give every vertex equal red and blue degree, its visit count
+    # the reference's numbering and adjacency order, with its complete
+    # R'-B' join cut to the diagonal
+    off = {frozenset((rp, bp)) for bl in ref.blocks.values()
+           for i, rp in enumerate(bl["Rp"])
+           for j, bp in enumerate(bl["Bp"]) if i != j}
     diag = build_slot_gadget(g)
-    assert len(diag.h.adj) == len(index)
+    assert diag.h.adj == IndexedGraph(len(index), (
+        (index[u], index[v], h) for h, u, v in ref.h.edges
+        if frozenset((u, v)) not in off)).adj
+    assert diag.external == tuple((index[u], index[v])
+                                  for h, u, v in ref.h.edges
+                                  if h in ref.external)
+
+    # the same answer as the complete join, and the matched edges of g
+    # give every vertex equal red and blue degree, its visit count
     match = diag.h.matching()
     assert (-1 not in match) == ref_perfect
     if not ref_perfect:
@@ -209,7 +225,7 @@ def test_slot_gadget_answers_as_string_reference(g):
         return
     chosen = [e for e, (su, sv) in zip(g.edges, diag.external)
               if match[su] == sv]
-    counts = gadget_visit_counts(g, diag, match)
+    counts = visit_counts(g, match)
     for v in g.vertices:
         for c in (RED, BLUE):
             assert sum(e.touches(v) for e in chosen if e.colour is c) \
@@ -222,10 +238,13 @@ def test_slot_gadget_answers_as_string_reference(g):
 
 def test_diagonal_join_sizes():
     g = generate("mclosed_blowup", seed=9, n=30)
-    full = build_slot_gadget(g, full_join=True)
     diag = build_slot_gadget(g)
-    assert len(full.h.adj) == len(diag.h.adj)
+    full = build_factor_gadget(g)
+    assert len(diag.h.adj) == len(full.h.vertices)
     # R'-B' shrinks from (r-1)(b-1) edges to min(r, b) - 1 at each vertex
-    cut = sum(nr * nb - min(nr, nb) for _, nr, _, nb in diag.inner)
+    cut = 0
+    for x in g.vertices:
+        nr, nb = g.degree(x, RED) - 1, g.degree(x, BLUE) - 1
+        cut += nr * nb - min(nr, nb)
     assert cut > 0
-    assert sum(map(len, full.h.adj)) - sum(map(len, diag.h.adj)) == 2 * cut
+    assert sum(map(len, diag.h.adj)) == 2 * (len(full.h.edges) - cut)
