@@ -1,38 +1,67 @@
 """Eulerian factors, alternating cycle factors, and alternating Euler tours.
 
-The central construction is a matching gadget: a plain auxiliary graph H
-whose perfect matchings correspond exactly to spanning sub-multigraphs in
-which every vertex has equal red and blue degree, at least one of each.
-The connected components of such a sub-multigraph, each equipped with an
-alternating Euler tour, form an eulerian factor.
+An eulerian factor is a spanning sub-multigraph in which every vertex
+has equal red and blue degree, at least one of each; its connected
+components, each with an alternating Euler tour, are the factor's parts.
 
-A vertex x of red degree r and blue degree b gets four blocks of
-slots: R (r slots), R' (r - 1), B' (b - 1) and B (b), with R-R', R'-B'
-and B'-B completely joined (R'-B' is thinned below).  Each edge of g
-joins a slot in the R blocks (red) or the B blocks (blue) of its two
-ends.  In a perfect matching with k matched R'-B' pairs at x, the
-other r - 1 - k R' slots take R slots, so k + 1 R slots are left for
-matched edges of g, and as many B slots: the matched edges of g give x
-red and blue degree k + 1.  Every balanced spanning edge set arises
-this way, with k + 1 <= min(r, b).
+**The slot gadget.**  A vertex x of red degree r and blue degree b gets
+four blocks of slots: R (r slots), R' (r - 1), B' (b - 1) and B (b),
+with R-R', R'-B' and B'-B completely joined.  Each edge of g joins a
+slot in the R blocks (red) or the B blocks (blue) of its two ends.  In
+a perfect matching with k matched R'-B' pairs at x, the other
+r - 1 - k R' slots take R slots, so k + 1 R slots are left for matched
+edges of g, and as many B slots: the matched edges of g give x red and
+blue degree k + 1.  Every balanced spanning edge set arises this way,
+with k + 1 <= min(r, b).
 
-R' is joined to B' diagonally: R'_i to B'_i for i < min(r, b) - 1
-only, not completely.  This keeps every set of edges of g that a
-perfect matching selects.  With R-R', R'-B' and B'-B complete, any
-renumbering of the R' slots, or of the B' slots, of one vertex is an
-automorphism of the gadget that fixes the edges of g.  Given a perfect
-matching with k R'-B' pairs at x, renumber the R' slots so the k
-matched into B' come first, and the B' slots so that R'_i's partner is
-B'_i.  The image is a perfect matching whose R'-B' pairs are all
-diagonal, since k <= min(r, b) - 1, and it selects the same edges of
-g.  The diagonal gadget is a subgraph of the complete one, so the
-converse holds too.  At 60 vertices (mclosed_blowup seed 9) it has
-79,001 edges instead of 100,943.
+**Collapsing the slots.**  The slots of one block are interchangeable,
+so only counts matter.  Counting the edges of a perfect matching
+between each pair of blocks gives a perfect capacitated b-matching on
+four nodes per vertex: R, R', B' and B, to be covered r, r - 1, b - 1
+and b times; R-R' usable r - 1 times, R'-B' min(r, b) - 1 times and
+B'-B b - 1 times; and each R(x)-R(y) or B(x)-B(y) as often as g has
+parallel edges of that colour between x and y.  Conversely, from such
+a b-matching, take as many parallel edges of g as it uses of each
+R(x)-R(y) or B(x)-B(y), match R'_i to B'_i for i below x's R'-B'
+count, and pair the other R' and B' slots with the R and B slots left
+free, which the complete R-R' and B'-B joins allow.  So the two
+problems select the same edge sets of g, and since the converse uses
+only diagonal R'-B' pairs, the slot gadget joins R'_i to B'_i for
+i < min(r, b) - 1 only.  At 60 vertices (mclosed_blowup seed 9) the
+b-matching has 240 nodes, against the gadget's 5,452 slots and 79,001
+edges.
 
-`build_slot_gadget` builds the gadget straight into integer adjacency
-lists for the blossom engine.  `build_factor_gadget`, with string slot
-names and the complete join, is kept only as the reference the tests
-check it against.
+**Solving it** (after Anstee, "A polynomial algorithm for b-matchings:
+an alternative approach", Inf. Process. Lett. 24, 1987):
+
+1. Max-flow on the bipartite double cover: a left and a right copy of
+   each node, both with its b, and an arc from u to w' and from w to
+   u' for each edge uw, of its capacity.  A perfect b-matching x gives
+   a full flow, x on both arcs of each edge, so a short flow is a sound
+   "no".  A full flow f gives the perfect fractional b-matching
+   (f(u, w') + f(w, u')) / 2, which is half-integral.
+2. Rounding: at every node the half-integral edges have an integral
+   sum, so they meet it an even number of times.  Rounding each
+   connected component of them down and up in turn along one Euler
+   circuit keeps every node covered as before, except the circuit's
+   start when the component has an odd number of edges: that node is
+   one short.
+3. Repair, only if some node is short.  Alternating walks between
+   short nodes, +1 and -1 in turn, each kept only if it stays within
+   the capacities, usually pair them up.  If one does not, the
+   b-matching is laid out on the diagonal slot gadget, where it leaves
+   at most one slot exposed per short node, and the blossom engine
+   augments from each exposed slot.  That is exact: one augmenting search from
+   every exposed vertex, in any order and from any starting matching,
+   ends in a maximum matching, so the gadget has a perfect matching
+   iff the repair finds one.
+
+Whichever stage answers "yes", its edges of g go through
+`tour_factor_from_balanced_edges`, which fails loudly on an edge set
+that is not balanced.  `build_slot_gadget` builds the diagonal gadget
+straight into integer adjacency lists for the repair.
+`build_factor_gadget`, with string slot names and the complete join,
+is kept only as the reference the tests check it against.
 
 Cycle factors reduce to perfect matching in a much smaller auxiliary
 graph with one red and one blue copy per vertex.
@@ -80,8 +109,9 @@ class SlotGadget:
 
 def build_slot_gadget(g: EdgeColouredMultigraph) -> SlotGadget:
     """The factor gadget as integer adjacency lists, R' joined to B'
-    diagonally (see the module docstring); raises ColourDeficient if
-    some vertex misses a colour.
+    diagonally, for the repair stage of `eulerian_factor` (see the
+    module docstring); raises ColourDeficient if some vertex misses a
+    colour.
 
     The slots of each vertex take the next block of indices, and each
     external edge takes the next free R (or B) slot of both its ends,
@@ -204,14 +234,357 @@ def build_factor_gadget(g: EdgeColouredMultigraph) -> FactorGadget:
 
 
 def eulerian_factor(g: EdgeColouredMultigraph) -> Optional[EulerianFactor]:
-    """Eulerian factor via the gadget, or None if no perfect matching."""
+    """Eulerian factor, or None: a perfect b-matching of the collapsed
+    gadget, from a max-flow, rounding and repair (module docstring)."""
     if len(g.vertices) < 2:
         return None
     try:
-        gadget = build_slot_gadget(g)
+        p = _BMatching(g)
     except ColourDeficient:
         return None
-    match = gadget.h.matching()
+    twice = p.half_integral()
+    if twice is None:
+        return None
+    y, short = p.rounded(twice)
+    if short and not p.paired(y, short):
+        return _repair(g, p, y)
+    return tour_factor_from_balanced_edges(
+        g, [g.edges[i].id for i in p.chosen(y)])
+
+
+class _BMatching:
+    """The collapsed gadget of g as a capacitated b-matching problem.
+
+    Vertex i has nodes 4i (R), 4i + 1 (R'), 4i + 2 (B'), 4i + 3 (B),
+    each to be covered `need` times.  Edge k joins nodes ends[2k] and
+    ends[2k + 1] at most cap[k] times: edges 3i, 3i + 1 and 3i + 2 are
+    vertex i's R-R', R'-B' and B'-B joins, and the others merge the
+    parallel edges of g of one colour, `edge_class` giving each edge
+    of g its k.  Arc 2k leaves ends[2k] and arc 2k + 1 leaves
+    ends[2k + 1]; out[u] lists the arcs leaving u on edges of nonzero
+    capacity, so arc a runs from ends[a] to ends[a ^ 1].
+    """
+
+    __slots__ = ("need", "ends", "cap", "out", "edge_class")
+
+    def __init__(self, g: EdgeColouredMultigraph):
+        """Raises ColourDeficient if some vertex misses a colour."""
+        need: list[int] = []
+        for x in g.vertices:
+            inc = g.incident(x)
+            r = [e.colour for e in inc].count(Colour.RED)
+            if not r:
+                raise ColourDeficient(x, Colour.RED)
+            if r == len(inc):
+                raise ColourDeficient(x, Colour.BLUE)
+            b = len(inc) - r
+            need += (r, r - 1, b - 1, b)
+        self.need = need
+        self.cap = cap = []
+        self.ends = ends = []
+        self.out = out = [[] for _ in need]
+        for u in range(0, len(need), 4):
+            r, b = need[u], need[u + 3]
+            for v, c in ((u, r - 1), (u + 1, min(r, b) - 1), (u + 2, b - 1)):
+                if c:
+                    out[v].append(len(ends))
+                    out[v + 1].append(len(ends) + 1)
+                cap.append(c)
+                ends += (v, v + 1)
+        # an edge's ends are the R nodes of a red edge, the B nodes of
+        # a blue one
+        shift = {Colour.RED: 0, Colour.BLUE: 3}
+        index = g.vertex_index
+        merged: dict[tuple[int, int], int] = {}
+        self.edge_class = edge_class = []
+        for e in g.edges:
+            c = shift[e.colour]
+            u = 4 * index(e.u) + c
+            w = 4 * index(e.v) + c
+            key = (u, w) if u < w else (w, u)
+            k = merged.get(key)
+            if k is None:
+                k = merged[key] = len(cap)
+                cap.append(1)
+                ends += key
+                out[key[0]].append(2 * k)
+                out[key[1]].append(2 * k + 1)
+            else:
+                cap[k] += 1
+            edge_class.append(k)
+
+    def chosen(self, y: list[int]) -> list[int]:
+        """The positions in g.edges of the edges b-matching y takes: the
+        first y[k] edges of each class k."""
+        left = y[:]
+        out = []
+        for i, k in enumerate(self.edge_class):
+            if left[k]:
+                left[k] -= 1
+                out.append(i)
+        return out
+
+    def half_integral(self) -> Optional[list[int]]:
+        """2x per edge for a half-integral perfect b-matching x, or None
+        if there is no perfect b-matching, fractional or not.
+
+        A max-flow from S through a left copy u and a right copy w' of
+        each node to T: S-u and w'-T carry `need`, and arc a carries up
+        to cap[a >> 1] from ends[a] to ends[a ^ 1]'.  A full flow f
+        gives x(k) = (f[2k] + f[2k + 1]) / 2.  The flow starts from a
+        greedy integer b-matching, edge by edge in index order: each
+        length-3 path S-u-w'-T is pushed together with its mirror
+        S-w-u'-T, so the start adds no half-integral edges.  Dinic's
+        blocking flows, each found by an iterative depth-first search,
+        complete it.
+        """
+        need, ends, cap, out = self.need, self.ends, self.cap, self.out
+        N = len(need)
+        f = [0] * len(ends)
+        s = need[:]     # S-u residue per left copy
+        for k, t in enumerate(cap):
+            u = ends[2 * k]
+            w = ends[2 * k + 1]
+            if s[u] < t:
+                t = s[u]
+            if s[w] < t:
+                t = s[w]
+            if t > 0:
+                f[2 * k] = f[2 * k + 1] = t
+                s[u] -= t
+                s[w] -= t
+        d = s[:]        # w'-T residue per right copy
+        while True:
+            sources = [u for u in range(N) if s[u]]
+            if not sources:
+                return [f[a] + f[a + 1] for a in range(0, len(f), 2)]
+            # levels: left copies even, right copies odd; the first
+            # level with a right copy short of T is the last
+            ll = [-1] * N
+            lr = [-1] * N
+            for u in sources:
+                ll[u] = 0
+            layer = sources
+            top = 1
+            while True:
+                rights = []
+                for u in layer:
+                    for a in out[u]:
+                        w = ends[a ^ 1]
+                        if lr[w] < 0 and f[a] < cap[a >> 1]:
+                            lr[w] = top
+                            rights.append(w)
+                if not rights:
+                    return None
+                if any(d[w] for w in rights):
+                    break
+                layer = []
+                for w in rights:
+                    for a in out[w]:
+                        u = ends[a ^ 1]
+                        if ll[u] < 0 and f[a ^ 1]:
+                            ll[u] = top + 1
+                            layer.append(u)
+                if not layer:
+                    return None
+                top += 2
+            # a blocking flow: `path` alternates left and right copies
+            # from a source, arcs[j] is to carry more flow for even j
+            # and less for odd j, il and ir are each copy's next arc to
+            # try, and a copy that leads nowhere leaves the level graph
+            il = [0] * N
+            ir = [0] * N
+            for src in sources:
+                while s[src] and ll[src] == 0:
+                    path = [src]
+                    arcs: list[int] = []
+                    while path:
+                        v = path[-1]
+                        lst = out[v]
+                        m = len(lst)
+                        if len(path) & 1:
+                            i = il[v]
+                            nxt = ll[v] + 1
+                            while i < m:
+                                a = lst[i]
+                                if lr[ends[a ^ 1]] == nxt \
+                                        and f[a] < cap[a >> 1]:
+                                    path.append(ends[a ^ 1])
+                                    arcs.append(a)
+                                    break
+                                i += 1
+                            il[v] = i
+                            if i < m:
+                                continue
+                            ll[v] = -1
+                            path.pop()
+                            if path:
+                                arcs.pop()
+                                ir[path[-1]] += 1
+                            continue
+                        if lr[v] == top:
+                            if d[v]:
+                                break
+                        else:
+                            i = ir[v]
+                            nxt = lr[v] + 1
+                            while i < m:
+                                a = lst[i] ^ 1
+                                if ll[ends[a]] == nxt and f[a]:
+                                    path.append(ends[a])
+                                    arcs.append(a)
+                                    break
+                                i += 1
+                            ir[v] = i
+                            if i < m:
+                                continue
+                        lr[v] = -1
+                        path.pop()
+                        arcs.pop()
+                        il[path[-1]] += 1
+                    if not path:
+                        break
+                    w = path[-1]
+                    t = min(s[src], d[w])
+                    for j, a in enumerate(arcs):
+                        r = f[a] if j & 1 else cap[a >> 1] - f[a]
+                        if r < t:
+                            t = r
+                    for j, a in enumerate(arcs):
+                        f[a] += -t if j & 1 else t
+                    s[src] -= t
+                    d[w] -= t
+
+    def rounded(self, twice: list[int]) -> tuple[list[int], list[int]]:
+        """(y, short): an integer b-matching within the capacities, and
+        the nodes it covers need - 1 times; it covers every other node
+        exactly as often as `twice` / 2 does.
+
+        The edges where `twice` is odd meet every node an even number of
+        times.  Each connected component of them is rounded down and up
+        alternately along one Euler circuit (Hierholzer's, iteratively);
+        only one with an odd number of edges leaves a node short, its
+        circuit's start.
+        """
+        ends = self.ends
+        y = [t >> 1 for t in twice]
+        odd: dict[int, list[int]] = {}
+        for k, t in enumerate(twice):
+            if t & 1:
+                odd.setdefault(ends[2 * k], []).append(k)
+                odd.setdefault(ends[2 * k + 1], []).append(k)
+        short: list[int] = []
+        used = bytearray(len(twice))
+        for start in odd:
+            stack = [start]
+            trail: list[int] = []
+            circuit: list[int] = []
+            while stack:
+                v = stack[-1]
+                lst = odd[v]
+                while lst and used[lst[-1]]:
+                    lst.pop()
+                if lst:
+                    k = lst.pop()
+                    used[k] = 1
+                    stack.append(ends[2 * k] + ends[2 * k + 1] - v)
+                    trail.append(k)
+                else:
+                    stack.pop()
+                    if trail:
+                        circuit.append(trail.pop())
+            for k in circuit[1::2]:
+                y[k] += 1
+            if len(circuit) & 1:
+                short.append(start)
+        return y, short
+
+    def paired(self, y: list[int], short: list[int]) -> bool:
+        """Whether alternating walks, found by breadth-first search in
+        the left and right copies, pair up every short node; y takes
+        each walk, +1 and -1 in turn, that stays within 0..cap.  False
+        once a short node finds no such walk."""
+        ends, cap, out = self.ends, self.cap, self.out
+        left = set(short)
+        for src in short:
+            if src not in left:
+                continue
+            left.remove(src)
+            # arc into each right copy, and out of each left copy's
+            # right copy, on the search tree
+            into_r: dict[int, int] = {}
+            into_l = {src: -1}
+            queue = [src]
+            end = -1
+            for u in queue:
+                for a in out[u]:
+                    w = ends[a ^ 1]
+                    if w in into_r or y[a >> 1] == cap[a >> 1]:
+                        continue
+                    into_r[w] = a
+                    if w in left:
+                        end = w
+                        break
+                    for b in out[w]:
+                        x = ends[b ^ 1]
+                        if x not in into_l and y[b >> 1]:
+                            into_l[x] = b
+                            queue.append(x)
+                if end >= 0:
+                    break
+            if end < 0:
+                return False
+            delta: dict[int, int] = {}
+            w = end
+            while True:
+                a = into_r[w]
+                delta[a >> 1] = delta.get(a >> 1, 0) + 1
+                b = into_l[ends[a]]
+                if b < 0:
+                    break
+                delta[b >> 1] = delta.get(b >> 1, 0) - 1
+                w = ends[b]
+            if any(not 0 <= y[k] + t <= cap[k] for k, t in delta.items()):
+                return False
+            for k, t in delta.items():
+                y[k] += t
+            left.discard(end)
+        return True
+
+
+def _repair(g: EdgeColouredMultigraph, p: _BMatching, y: list[int]
+            ) -> Optional[EulerianFactor]:
+    """Factor from a b-matching y that leaves some nodes one short, or
+    None: y laid out on the slot gadget, then grown to a maximum
+    matching from the slots it leaves exposed."""
+    gadget = build_slot_gadget(g)
+    match = [-1] * len(gadget.h.adj)
+    for i in p.chosen(y):
+        su, sv = gadget.external[i]
+        match[su] = sv
+        match[sv] = su
+    need = p.need
+    o = 0
+    for i in range(len(g.vertices)):
+        r, rp, bp, b = need[4 * i:4 * i + 4]
+        Rp = o + r
+        Bp = Rp + rp
+        B = Bp + bp
+        k = y[3 * i + 1]
+        for j in range(k):
+            match[Rp + j] = Bp + j
+            match[Bp + j] = Rp + j
+        # R-R' and B'-B are complete: pair the rest in any order
+        for s, t in zip([s for s in range(o, Rp) if match[s] == -1],
+                        range(Rp + k, Bp)):
+            match[s] = t
+            match[t] = s
+        for s, t in zip(range(Bp + k, B),
+                        [t for t in range(B, B + b) if match[t] == -1]):
+            match[s] = t
+            match[t] = s
+        o = B + b
+    match = gadget.h.matching(match)
     if -1 in match:
         return None
     return tour_factor_from_balanced_edges(
@@ -224,13 +597,14 @@ def tour_factor_from_balanced_edges(g: EdgeColouredMultigraph,
     """Factor from a colour-balanced edge set covering V: one part per
     connected component, spanned by its alternating Euler tour."""
     sub = g.restricted_to_edges(edge_ids)
-    missing = set(g.vertices) - set(sub.vertices)
-    if missing:
+    if len(sub.vertices) != len(g.vertices):
+        missing = set(g.vertices) - set(sub.vertices)
         raise GraphError(f"balanced edge set misses vertex {sorted(missing)[0]!r}")
+    comps = _components(sub)
     parts: list[tuple[frozenset[str], AlternatingTrail]] = []
-    for comp in _components(sub):
-        comp_sub = sub.induced(comp)
-        tour = alternating_euler_tour(comp_sub)
+    for comp in comps:
+        tour = alternating_euler_tour(sub if len(comps) == 1
+                                      else sub.induced(comp))
         if tour is None:
             raise GraphError("component admits no alternating euler tour")
         parts.append((frozenset(comp), tour))
@@ -245,14 +619,12 @@ def _components(g: EdgeColouredMultigraph) -> list[list[str]]:
             continue
         comp = [v]
         seen.add(v)
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for w in g.neighbours(x):
+        for x in comp:
+            for e in g.incident(x):
+                w = e.v if e.u == x else e.u
                 if w not in seen:
                     seen.add(w)
                     comp.append(w)
-                    stack.append(w)
         out.append(comp)
     return out
 
@@ -263,83 +635,77 @@ def alternating_euler_tour(g_sub: EdgeColouredMultigraph
 
     Exists iff g_sub is connected and every vertex has red degree equal
     to blue degree.  Red and blue edge-ends are paired at each vertex
-    into a transition system whose orbits are closed alternating trails;
-    trails sharing a vertex are then merged by swapping one transition
-    pair, until a single tour remains.
+    into a transition system whose orbits are closed alternating trails.
+    Then, vertex by vertex, each trail through the vertex that is not
+    yet merged with the first one through it is merged with it by
+    swapping one transition pair of each; a union-find over the trails
+    keeps track.  The graph is connected iff one trail remains.
     """
     if not g_sub.edges:
         return None
-    if len(_components(g_sub)) != 1:
-        return None
-    for v in g_sub.vertices:
-        if g_sub.degree(v, Colour.RED) != g_sub.degree(v, Colour.BLUE):
-            return None
-
     # pair[v][edge id] = partner edge id at v (always a red-blue pair)
     pair: dict[str, dict[str, str]] = {}
+    reds_at: dict[str, list[str]] = {}
     for v in g_sub.vertices:
-        reds = [e.id for e in g_sub.incident(v, Colour.RED)]
-        blues = [e.id for e in g_sub.incident(v, Colour.BLUE)]
-        pair[v] = {}
-        for r, b in zip(reds, blues):
-            pair[v][r] = b
-            pair[v][b] = r
-
-    def trails_of_pairing() -> list[AlternatingTrail]:
-        unused = {e.id for e in g_sub.edges}
-        trails: list[AlternatingTrail] = []
-        for e0 in g_sub.edges:
-            if e0.id not in unused:
-                continue
-            start = e0.u
-            seq = [e0.id]
-            unused.discard(e0.id)
-            eid = e0.id
-            cur = e0.v
-            while not (cur == start and pair[cur][eid] == e0.id):
-                nxt = pair[cur][eid]
-                seq.append(nxt)
-                unused.discard(nxt)
-                eid = nxt
-                cur = g_sub.edge(nxt).other_end(cur)
-            trails.append(AlternatingTrail(start, tuple(seq), closed=True))
-        return trails
-
-    while True:
-        trails = trails_of_pairing()
-        if len(trails) == 1:
-            return trails[0]
-        # merge two trails meeting at some vertex by swapping a transition
-        owner: dict[str, int] = {}
-        merged = False
-        for ti, t in enumerate(trails):
-            for v in t.vertex_sequence(g_sub):
-                if v in owner and owner[v] != ti:
-                    other = trails[owner[v]]
-                    r1, b1 = _pair_at(g_sub, pair, v, t)
-                    r2, b2 = _pair_at(g_sub, pair, v, other)
-                    pair[v][r1] = b2
-                    pair[v][b2] = r1
-                    pair[v][r2] = b1
-                    pair[v][b1] = r2
-                    merged = True
-                    break
-                owner[v] = ti
-            if merged:
-                break
-        if not merged:
-            # connected input always yields a mergeable vertex
+        reds: list[str] = []
+        blues: list[str] = []
+        for e in g_sub.incident(v):
+            (reds if e.colour is Colour.RED else blues).append(e.id)
+        # an isolated vertex is a component of its own
+        if not reds or len(reds) != len(blues):
             return None
+        pv = pair[v] = {}
+        for r, b in zip(reds, blues):
+            pv[r] = b
+            pv[b] = r
+        reds_at[v] = reds
 
+    def trail(e0) -> list[str]:
+        start = e0.u
+        seq = [e0.id]
+        eid = e0.id
+        cur = e0.v
+        while not (cur == start and pair[cur][eid] == e0.id):
+            eid = pair[cur][eid]
+            seq.append(eid)
+            cur = g_sub.edge(eid).other_end(cur)
+        return seq
 
-def _pair_at(g: EdgeColouredMultigraph, pair: dict[str, dict[str, str]],
-             v: str, t: AlternatingTrail) -> tuple[str, str]:
-    """Some (red, blue) transition pair of trail t at vertex v."""
-    in_t = set(t.edge_ids)
-    for eid, partner in pair[v].items():
-        if eid in in_t and g.edge(eid).colour is Colour.RED:
-            return eid, partner
-    raise GraphError(f"trail has no transition at {v!r}")
+    trail_of: dict[str, int] = {}
+    root: list[int] = []
+    for e0 in g_sub.edges:
+        if e0.id not in trail_of:
+            for eid in trail(e0):
+                trail_of[eid] = len(root)
+            root.append(len(root))
+
+    def find(t: int) -> int:
+        while root[t] != t:
+            root[t] = root[root[t]]
+            t = root[t]
+        return t
+
+    merges = 0
+    for v, reds in reds_at.items():
+        pv = pair[v]
+        r1 = reds[0]
+        b1 = pv[r1]
+        for r in reds[1:]:
+            t1 = find(trail_of[r1])
+            t = find(trail_of[r])
+            if t != t1:
+                b = pv[r]
+                pv[r1] = b
+                pv[b] = r1
+                pv[r] = b1
+                pv[b1] = r
+                b1 = b
+                root[t] = t1
+                merges += 1
+    if merges != len(root) - 1:
+        return None
+    e0 = g_sub.edges[0]
+    return AlternatingTrail(e0.u, tuple(trail(e0)), closed=True)
 
 
 def alternating_cycle_factor(g: EdgeColouredMultigraph,

@@ -7,11 +7,11 @@ and alternating path queries all reduce to (perfect) matching in an
 auxiliary plain graph that is not bipartite in general.
 
 There is one engine, a blossom search over the fixed integer adjacency
-list of an `IndexedGraph`: `matching` grows a greedy matching with it,
-and `search` runs it once from a single root, for the connectivity
-sweeps.  Each root's search resets only the vertices of that root's
-alternating tree, and each blossom contraction touches only the
-blossom's vertices.
+list of an `IndexedGraph`: `matching` grows a greedy matching, or one
+its caller supplies, with it, and `search` runs it once from a single
+root, for the connectivity sweeps.  Each root's search resets only the
+vertices of that root's alternating tree, and each blossom contraction
+touches only the blossom's vertices.
 Every matching reduction in the package builds an `IndexedGraph`.
 `maximum_matching` on a string-named `PlainGraph` is a thin wrapper
 that the package no longer uses; the tests keep it as a reference.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class MatchingError(ValueError):
@@ -102,19 +102,23 @@ class IndexedGraph:
         n = len(self.adj)
         return self._first[u * n + v if u < v else v * n + u]
 
-    def matching(self) -> list[int]:
+    def matching(self, match: Optional[list[int]] = None) -> list[int]:
         """match[] over vertex indices, -1 where unmatched: a maximum
-        matching, grown from a greedy one."""
+        matching, grown in place from `match` if given, else from a
+        greedy one.  One augmenting search from each exposed vertex
+        suffices: a vertex with no augmenting path never gains one as
+        the matching grows (Edmonds 1965)."""
         adj = self.adj
         n = len(adj)
-        match = [-1] * n
-        for v in range(n):
-            if match[v] == -1:
-                for u in adj[v]:
-                    if match[u] == -1:
-                        match[v] = u
-                        match[u] = v
-                        break
+        if match is None:
+            match = [-1] * n
+            for v in range(n):
+                if match[v] == -1:
+                    for u in adj[v]:
+                        if match[u] == -1:
+                            match[v] = u
+                            match[u] = v
+                            break
         self._search(match, [-1] * n, range(n))
         return match
 

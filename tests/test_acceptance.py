@@ -30,7 +30,6 @@ from ecgraph import (
 )
 from ecgraph.cli import analyze_graph
 from ecgraph.connect import complete_multipartite_classes
-from ecgraph.factor import build_slot_gadget
 from ecgraph.reductions import fixture, generate, reduce_ham_to_supereulerian
 from ecgraph.structure import blow_up
 
@@ -125,18 +124,17 @@ def test_eulerian_factor_equivalence_1000():
         assert (fast is None) == (slow is None), seed
         if fast is not None:
             assert verify_witness(g, fast)
-            # the factor's visit counts are those of the gadget matching
-            # it came from: 1 + its matched R'-B' pairs, where the slots
-            # of x are R (r), R' (r - 1), B' (b - 1), B (b) in a row
-            match = build_slot_gadget(g).h.matching()
-            o = 0
+            # each vertex is visited as often as the factor's edges give
+            # it red edges, and blue ones: at least once, at most
+            # min(r, b) times
+            edges = [g.edge(eid) for _, t in fast.parts for eid in t.edge_ids]
             for v in g.vertices:
-                r, b = g.degree(v, RED), g.degree(v, BLUE)
-                bp = o + 2 * r - 1
-                pairs = sum(bp <= match[s] < bp + b - 1
-                            for s in range(o + r, bp))
-                assert fast.visit_count(g, v) == 1 + pairs, (seed, v)
-                o += 2 * (r + b - 1)
+                k = fast.visit_count(g, v)
+                for c in (RED, BLUE):
+                    assert sum(e.colour is c and e.touches(v)
+                               for e in edges) == k, (seed, v)
+                assert 1 <= k <= min(g.degree(v, RED),
+                                     g.degree(v, BLUE)), (seed, v)
 
 
 def test_reduction_soundness_300():

@@ -17,6 +17,8 @@ from ecgraph import (
 )
 from ecgraph.factor import (
     ColourDeficient,
+    _BMatching,
+    _repair,
     build_factor_gadget,
     build_slot_gadget,
 )
@@ -31,20 +33,15 @@ def rand_graph(seed, n_max=7, m_max=14):
                     m=rng.randint(1, m_max))
 
 
-def visit_counts(g, match):
-    """Visit count per vertex of the factor that a perfect matching of
-    `build_slot_gadget(g)` encodes: 1 + its matched R'(x)-B'(x) pairs.
-    The slots of x come block after block, R (r), R' (r - 1), B'
-    (b - 1), B (b)."""
-    counts = {}
-    o = 0
-    for x in g.vertices:
-        r, b = g.degree(x, RED), g.degree(x, BLUE)
-        bp = o + 2 * r - 1
-        counts[x] = 1 + sum(bp <= match[s] < bp + b - 1
-                            for s in range(o + r, bp))
-        o += 2 * (r + b - 1)
-    return counts
+def assert_visits_are_degrees(g, f):
+    """Each vertex's visit count is its red and its blue degree in the
+    factor's edges, between 1 and min(r, b)."""
+    edges = [g.edge(eid) for _, t in f.parts for eid in t.edge_ids]
+    for v in g.vertices:
+        k = f.visit_count(g, v)
+        for c in (RED, BLUE):
+            assert sum(e.colour is c and e.touches(v) for e in edges) == k
+        assert 1 <= k <= min(g.degree(v, RED), g.degree(v, BLUE))
 
 
 class TestGadget:
@@ -216,24 +213,16 @@ def test_slot_gadget_answers_as_string_reference(g):
                                   for h, u, v in ref.h.edges
                                   if h in ref.external)
 
-    # the same answer as the complete join, and the matched edges of g
-    # give every vertex equal red and blue degree, its visit count
+    # the same answer as the complete join, and as eulerian_factor,
+    # whose factor visits each vertex as often as its edges give the
+    # vertex red edges, and blue ones
     match = diag.h.matching()
     assert (-1 not in match) == ref_perfect
-    if not ref_perfect:
-        assert eulerian_factor(g) is None
-        return
-    chosen = [e for e, (su, sv) in zip(g.edges, diag.external)
-              if match[su] == sv]
-    counts = visit_counts(g, match)
-    for v in g.vertices:
-        for c in (RED, BLUE):
-            assert sum(e.touches(v) for e in chosen if e.colour is c) \
-                == counts[v]
     f = eulerian_factor(g)
-    assert f is not None and verify_witness(g, f)
-    for v in g.vertices:
-        assert f.visit_count(g, v) == counts[v]
+    assert (f is not None) == ref_perfect
+    if f is not None:
+        assert verify_witness(g, f)
+        assert_visits_are_degrees(g, f)
 
 
 def test_diagonal_join_sizes():
@@ -248,3 +237,149 @@ def test_diagonal_join_sizes():
         cut += nr * nb - min(nr, nb)
     assert cut > 0
     assert sum(map(len, diag.h.adj)) == 2 * (len(full.h.edges) - cut)
+
+
+# The b-matching route of eulerian_factor, stage by stage (see the
+# factor module docstring).  Each named instance reaches one branch.
+
+def short_flow_graph():
+    # random_2ec seed 125: balanced nowhere near enough for a flow
+    return build_graph(["v0", "v1", "v2"],
+                       [("v0", "v2", BLUE), ("v0", "v1", RED),
+                        ("v2", "v1", RED), ("v1", "v0", BLUE)])
+
+
+def digon_triangle():
+    # random_2ec seed 3: a red and a blue edge on each side
+    return build_graph(["v0", "v1", "v2"],
+                       [(u, v, c) for u, v in (("v0", "v1"), ("v1", "v2"),
+                                               ("v2", "v0"))
+                        for c in (RED, BLUE)])
+
+
+def two_triangles_at_z():
+    # z has red edges to a, b, c and blue ones to a2, b2, c2; a blue
+    # triangle on a, b, c and a red one on a2, b2, c2.  Each triangle
+    # would need a perfect matching of its own
+    return build_graph(
+        ["z", "a", "b", "c", "a2", "b2", "c2"],
+        [("z", x, RED) for x in ("a", "b", "c")]
+        + [("z", x, BLUE) for x in ("a2", "b2", "c2")]
+        + [("a", "b", BLUE), ("b", "c", BLUE), ("c", "a", BLUE),
+           ("a2", "b2", RED), ("b2", "c2", RED), ("c2", "a2", RED)])
+
+
+def coverage(p, y):
+    """How often the b-matching y covers each node of problem p."""
+    cov = [0] * len(p.need)
+    for k, t in enumerate(y):
+        cov[p.ends[2 * k]] += t
+        cov[p.ends[2 * k + 1]] += t
+    return cov
+
+
+class TestBMatchingRoute:
+    def test_generated_instances(self):
+        assert generate("random_2ec", seed=125, n=3, m=4) \
+            == short_flow_graph()
+        def sides(g):
+            return sorted((min(e.u, e.v), max(e.u, e.v), e.colour)
+                          for e in g.edges)
+
+        assert sides(generate("random_2ec", seed=3, n=3, m=6)) \
+            == sides(digon_triangle())
+
+    def test_short_flow_is_no(self):
+        g = short_flow_graph()
+        assert _BMatching(g).half_integral() is None
+        assert eulerian_factor(g) is None
+        assert oracle_eulerian_factor(g) is None
+
+    def test_odd_component_is_repaired(self):
+        g = digon_triangle()
+        p = _BMatching(g)
+        y, short = p.rounded(p.half_integral())
+        assert short
+        # the gadget repair alone, from the rounded b-matching
+        f = _repair(g, p, y[:])
+        assert f is not None and verify_witness(g, f)
+        # and the whole route, which pairs the short nodes first
+        assert p.paired(y, short)
+        assert coverage(p, y) == p.need
+        f = eulerian_factor(g)
+        assert f is not None and verify_witness(g, f)
+        assert oracle_eulerian_factor(g) is not None
+
+    def test_full_flow_then_failed_repair_is_no(self):
+        g = two_triangles_at_z()
+        p = _BMatching(g)
+        twice = p.half_integral()
+        assert twice is not None
+        y, short = p.rounded(twice)
+        assert short
+        assert not p.paired(y[:], short)
+        assert _repair(g, p, y) is None
+        assert eulerian_factor(g) is None
+        assert oracle_eulerian_factor(g) is None
+        gadget = build_slot_gadget(g)
+        assert -1 in gadget.h.matching()
+
+
+@settings(max_examples=300, deadline=None)
+@given(coloured_multigraphs())
+def test_b_matching_answers_as_slot_gadget(g):
+    try:
+        perfect = -1 not in build_slot_gadget(g).h.matching()
+    except ColourDeficient:
+        perfect = False
+    f = eulerian_factor(g)
+    assert (f is not None) == perfect
+    if f is not None:
+        assert verify_witness(g, f)
+        assert_visits_are_degrees(g, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coloured_multigraphs())
+def test_b_matching_stages(g):
+    try:
+        p = _BMatching(g)
+    except ColourDeficient:
+        return
+    twice = p.half_integral()
+    if twice is None:
+        return
+    # a perfect half-integral b-matching within the capacities
+    assert all(0 <= t <= 2 * c for t, c in zip(twice, p.cap))
+    assert coverage(p, twice) == [2 * b for b in p.need]
+    # rounding: within the capacities, each node covered as before or
+    # once less, and the short nodes in distinct components of the
+    # half-integral edges that have an odd number of edges
+    y, short = p.rounded(twice)
+    assert all(0 <= t <= c for t, c in zip(y, p.cap))
+    assert all(abs(2 * t - u) <= 1 for t, u in zip(y, twice))
+    cov = coverage(p, y)
+    assert [u for u, (c, b) in enumerate(zip(cov, p.need)) if c != b] \
+        == sorted(short)
+    assert all(b - c in (0, 1) for c, b in zip(cov, p.need))
+    comp = list(range(len(p.need)))
+
+    def find(u):
+        while comp[u] != u:
+            u = comp[u]
+        return u
+
+    odd_edges = [k for k, t in enumerate(twice) if t & 1]
+    for k in odd_edges:
+        comp[find(p.ends[2 * k])] = find(p.ends[2 * k + 1])
+    size = {}
+    for k in odd_edges:
+        size[find(p.ends[2 * k])] = size.get(find(p.ends[2 * k]), 0) + 1
+    roots = [find(u) for u in short]
+    assert len(set(roots)) == len(roots)
+    assert all(size[r] % 2 == 1 for r in roots)
+    # pairing keeps a b-matching within the capacities, perfect if it
+    # says so
+    if short and p.paired(y, short):
+        assert coverage(p, y) == p.need
+    assert all(0 <= t <= c for t, c in zip(y, p.cap))
