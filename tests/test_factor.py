@@ -1,4 +1,5 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,6 +338,44 @@ def test_b_matching_answers_as_slot_gadget(g):
     if f is not None:
         assert verify_witness(g, f)
         assert_visits_are_degrees(g, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coloured_multigraphs())
+def test_gadget_repair_alone_answers_as_slot_gadget(g):
+    # with the alternating walks turned off, every short node goes to
+    # the slot-gadget repair, which must still decide exactly
+    try:
+        perfect = -1 not in build_slot_gadget(g).h.matching()
+    except ColourDeficient:
+        perfect = False
+    with patch.object(_BMatching, "paired", lambda self, y, short: False):
+        f = eulerian_factor(g)
+    assert (f is not None) == perfect
+    if f is not None:
+        assert verify_witness(g, f)
+
+
+def test_pairing_refuses_a_walk_beyond_capacity():
+    # nodes s p a b c d e t, unit capacities, y = 1 on a-p, c-b, b-d and
+    # e-a, s and t one short.  The only walk from s to t is
+    # s+p-a+b-c+d-b+a-e+t, which takes a-b twice
+    names = "spabcdet"
+    edges = ["sp", "ap", "ab", "cb", "cd", "bd", "ea", "et"]
+    y = [0, 1, 0, 1, 0, 1, 1, 0]
+    p = _BMatching.__new__(_BMatching)
+    p.ends = [names.index(x) for e in edges for x in e]
+    p.cap = [1] * len(edges)
+    p.out = [[] for _ in names]
+    for a, u in enumerate(p.ends):
+        p.out[u].append(a)
+    p.need = [0] * len(names)
+    p.need = coverage(p, y)
+    p.need[names.index("s")] += 1
+    p.need[names.index("t")] += 1
+    before = y[:]
+    assert not p.paired(y, [names.index("s"), names.index("t")])
+    assert y == before
 
 
 @settings(max_examples=300, deadline=None)
