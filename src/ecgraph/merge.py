@@ -14,6 +14,11 @@ similar cross pair, and rerouting along two parallel same-coloured
 chords); if neither applies and the domination structure is absent, a
 bounded exhaustive search settles the pair.  Any inconsistency is a
 hard error, never a wrong answer.
+
+The moves and the domination test also take closed alternating trails,
+which may revisit vertices: positions along the walk, not vertex names,
+index it.  Two cycles merge into a cycle; any other pair merges into a
+closed trail.
 """
 
 from __future__ import annotations
@@ -66,11 +71,20 @@ class NoEdgeBetween:
 MergeOutcome = Merged | Dominates | NoEdgeBetween
 
 
+def _closed(start: str, edges, cycle: bool) -> AlternatingTrail:
+    """A closed walk as a cycle or as a closed trail."""
+    if cycle:
+        return AlternatingCycle(start, tuple(edges))
+    return AlternatingTrail(start, tuple(edges), closed=True)
+
+
 class _Cyc:
-    """Indexed view of an alternating cycle: verts[t] -- edges[t] -- verts[t+1]."""
+    """Indexed view of a closed alternating trail or cycle:
+    verts[t] -- edges[t] -- verts[t+1], positions taken mod n."""
 
     def __init__(self, g: EdgeColouredMultigraph, c: AlternatingTrail):
         self.g = g
+        self.cycle = isinstance(c, AlternatingCycle)
         seq = c.vertex_sequence(g)
         self.verts: list[str] = seq[:-1]
         self.edges: list[str] = list(c.edge_ids)
@@ -78,7 +92,7 @@ class _Cyc:
         self.n = len(self.verts)
 
     def seg(self, p: int, q: int) -> list[str]:
-        """Edge ids walking forward from verts[p] to verts[q]."""
+        """Edge ids walking forward from position p to position q."""
         out = []
         t = p
         while t != q % self.n:
@@ -87,12 +101,14 @@ class _Cyc:
         return out
 
     def reversed(self) -> "_Cyc":
-        rev = AlternatingTrail(self.verts[0], tuple(reversed(self.edges)),
-                               closed=True)
-        return _Cyc(self.g, rev)
+        """The same walk backwards from verts[0]: position t becomes
+        position (n - t) % n."""
+        return _Cyc(self.g, _closed(self.verts[0], reversed(self.edges),
+                                    self.cycle))
 
-    def as_cycle(self) -> AlternatingCycle:
-        return AlternatingCycle(self.verts[0], tuple(self.edges))
+    def as_cycle(self) -> AlternatingTrail:
+        """The walk from verts[0], of the kind it was built from."""
+        return _closed(self.verts[0], self.edges, self.cycle)
 
 
 def _first_edge(g: EdgeColouredMultigraph, u: str, v: str,
@@ -102,13 +118,14 @@ def _first_edge(g: EdgeColouredMultigraph, u: str, v: str,
 
 
 def merge_similar(g: EdgeColouredMultigraph, C1: AlternatingTrail,
-                  C2: AlternatingTrail, i: int, j: int) -> AlternatingCycle:
-    """Splice two disjoint alternating cycles at a similar cross pair.
+                  C2: AlternatingTrail, i: int, j: int) -> AlternatingTrail:
+    """Splice two disjoint closed alternating trails at a similar cross
+    pair.
 
-    verts(C1)[i] and verts(C2)[j] must be similar; C2 is reversed
-    internally if needed so that the outgoing edge colours at the two
-    pivots agree.  The pivots' identical joins supply the two cross
-    chords closing the spliced cycle.
+    The vertices at position i of C1 and position j of C2 must be
+    similar; C2 is reversed internally if needed so that the outgoing
+    edge colours at the two pivots agree.  The pivots' identical joins
+    supply the two cross chords closing the spliced walk.
     """
     a = _Cyc(g, C1)
     b = _Cyc(g, C2)
@@ -118,7 +135,7 @@ def merge_similar(g: EdgeColouredMultigraph, C1: AlternatingTrail,
         raise ValueError(f"vertices {x!r} and {y!r} are not similar")
     if b.cols[j] is not a.cols[i]:
         b = b.reversed()
-        j = b.verts.index(y)
+        j = (b.n - j) % b.n
     if b.cols[j] is not a.cols[i]:
         raise MergeInternalError("cannot align cycle orientations")
     cp = a.cols[(i - 1) % a.n]   # colour into x, = colour into y
@@ -128,7 +145,7 @@ def merge_similar(g: EdgeColouredMultigraph, C1: AlternatingTrail,
         raise MergeInternalError("similar pivots lack the mirrored chords")
     edges = (a.seg(i, (i - 1) % a.n) + [chord1]
              + b.seg(j, (j - 1) % b.n) + [chord2])
-    out = AlternatingCycle(x, tuple(edges))
+    out = _closed(x, edges, a.cycle and b.cycle)
     r = verify_witness(g, out)
     if not r:
         raise MergeInternalError(f"similar merge produced {r.reason}")
@@ -137,10 +154,10 @@ def merge_similar(g: EdgeColouredMultigraph, C1: AlternatingTrail,
 
 def merge_parallel_chords(g: EdgeColouredMultigraph, C1: AlternatingTrail,
                           C2: AlternatingTrail, i: int, j: int
-                          ) -> AlternatingCycle:
+                          ) -> AlternatingTrail:
     """Merge along chords verts(C1)[i]-verts(C2)[j] and
     verts(C1)[i+1]-verts(C2)[j+1], all four of the involved edges sharing
-    one colour c = colour of the cycle edges at positions i and j."""
+    one colour c = colour of the walks' edges at positions i and j."""
     a = _Cyc(g, C1)
     b = _Cyc(g, C2)
     c = a.cols[i]
@@ -155,7 +172,7 @@ def merge_parallel_chords(g: EdgeColouredMultigraph, C1: AlternatingTrail,
     j1 = (j + 1) % b.n
     edges = (a.seg(i1, i) + [chord1]
              + list(reversed(b.seg(j1, j))) + [chord2])
-    out = AlternatingCycle(a.verts[i1], tuple(edges))
+    out = _closed(a.verts[i1], edges, a.cycle and b.cycle)
     r = verify_witness(g, out)
     if not r:
         raise MergeInternalError(f"chord merge produced {r.reason}")
@@ -211,12 +228,13 @@ def _cross_colours(g: EdgeColouredMultigraph, V1: frozenset[str],
 def _structured_merge(g: EdgeColouredMultigraph, C1: AlternatingTrail,
                       C2: AlternatingTrail
                       ) -> Optional[MergeOutcome]:
-    """The constructive moves plus the domination test; None when all of
-    them come up empty (caller falls back to exhaustive search)."""
+    """The constructive moves plus the domination test on two disjoint
+    closed trails or cycles of g; None when all of them come up empty
+    (caller falls back to exhaustive search)."""
     V1 = C1.vertex_set(g)
     V2 = C2.vertex_set(g)
     if V1 & V2:
-        raise ValueError("cycles are not vertex-disjoint")
+        raise ValueError("cycles or trails are not vertex-disjoint")
     cross = _cross_colours(g, V1, V2)
     if not cross:
         return NoEdgeBetween()
@@ -326,8 +344,6 @@ def alternating_hamiltonian_cycle(g: EdgeColouredMultigraph
                 "unmergeable factor; this should be impossible")
         p, q, cyc = merged_pair
         cycles = [c for t, c in enumerate(cycles) if t not in (p, q)]
-        if not isinstance(cyc, AlternatingCycle):
-            cyc = AlternatingCycle(cyc.start, cyc.edge_ids)
         cycles.append(cyc)
     final = cycles[0]
     if final.vertex_set(g) != set(g.vertices):

@@ -4,13 +4,18 @@ of bipartite instances.
 
 Such a graph has a spanning closed alternating trail iff it is
 trail-colour-connected and has an eulerian factor.  The construction
-starts from a factor and merges its trails: a pair of trails is lifted
-to a pair of cycles in a blow-up by visit counts, merged there, and
-contracted back.  When every pair is blocked by a domination
-certificate, the certificates form a tournament on the trails; a
-directed triangle admits a three-way merge, and a transitive tournament
-admits a merge through a vertex of the top trail whose edge colours
-towards two dominated trails differ.
+starts from a factor and merges its trails pairwise with the cycle
+moves of `ecgraph.merge`, run on the trails themselves in the subgraph
+induced by the pair.  The paper's proof lifts the pair to cycles of a
+blow-up, sending visit k of v to copy v.k, so a trail's positions match
+its cycle's copies one to one.  Copies of distinct vertices are similar
+iff the vertices are, and copies are joined in a colour iff their
+vertices are, so each move picks the same positions and edges on the
+trails as on the cycles, and no blow-up is built.  When every pair is
+blocked by a domination certificate, the certificates form a tournament
+on the trails; a directed triangle admits a three-way merge, and a
+transitive tournament admits a merge through a vertex of the top trail
+whose edge colours towards two dominated trails differ.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from typing import Optional
 
 from .analysis import Analysis
 from .core import (
-    AlternatingCycle,
     AlternatingTrail,
     Colour,
     Edge,
@@ -31,48 +35,17 @@ from .core import (
 )
 from .merge import (
     DominationCertificate,
-    Dominates,
     Merged,
     MergeInternalError,
     MergeOutcome,
     NoEdgeBetween,
-    check_domination,
     _structured_merge,
 )
-from .structure import blow_up
 
 
 # ---------------------------------------------------------------------
-# trail pair merging through a blow-up
+# trail pair merging
 # ---------------------------------------------------------------------
-
-def _trail_to_blown_cycle(g: EdgeColouredMultigraph,
-                          t: AlternatingTrail) -> AlternatingCycle:
-    """Image of a closed trail in the blow-up by its own visit counts:
-    the o-th visit of v goes to copy v.o, turning the trail into a cycle."""
-    seq = t.vertex_sequence(g)
-    cnt: dict[str, int] = {}
-    occ: list[int] = []
-    for v in seq[:-1]:
-        occ.append(cnt.get(v, 0))
-        cnt[v] = occ[-1] + 1
-    occ.append(0)   # the closing visit is the start copy
-    ids: list[str] = []
-    for p, eid in enumerate(t.edge_ids):
-        e = g.edge(eid)
-        a, b = occ[p], occ[p + 1]
-        if e.u != seq[p]:
-            a, b = b, a
-        ids.append(f"{eid}.{a}.{b}")
-    return AlternatingCycle(f"{seq[0]}.0", tuple(ids))
-
-
-def _contract_blown(g: EdgeColouredMultigraph, start: str,
-                    edge_ids: tuple[str, ...]) -> AlternatingTrail:
-    base_start = start.rsplit(".", 1)[0]
-    base_ids = tuple(h.rsplit(".", 2)[0] for h in edge_ids)
-    return AlternatingTrail(base_start, base_ids, closed=True)
-
 
 def merge_trails_pair(g: EdgeColouredMultigraph, T1: AlternatingTrail,
                       T2: AlternatingTrail) -> MergeOutcome:
@@ -81,47 +54,17 @@ def merge_trails_pair(g: EdgeColouredMultigraph, T1: AlternatingTrail,
     between them."""
     V1 = T1.vertex_set(g)
     V2 = T2.vertex_set(g)
-    if V1 & V2:
-        raise ValueError("trails are not vertex-disjoint")
+    # similarity is taken in the subgraph the two trails induce
     union = g.induced(V1 | V2)
-    if not any(e.u in V1 and e.v in V2 or e.u in V2 and e.v in V1
-               for e in union.edges):
-        return NoEdgeBetween()
-
-    visits: dict[str, int] = {}
-    for t in (T1, T2):
-        seq = t.vertex_sequence(g)[:-1]
-        for v in seq:
-            visits[v] = visits.get(v, 0) + 1
-    h = blow_up(union, visits)
-    c1 = _trail_to_blown_cycle(g, T1)
-    c2 = _trail_to_blown_cycle(g, T2)
-    for c in (c1, c2):
-        r = verify_witness(h, c)
-        if not r:
-            raise MergeInternalError(f"blown-up trail invalid: {r.reason}")
-
-    out = _structured_merge(h, c1, c2)
-    if isinstance(out, NoEdgeBetween):
-        raise MergeInternalError("blow-up lost the cross edges")
+    out = _structured_merge(union, T1, T2)
     if isinstance(out, Merged):
-        trail = _contract_blown(g, out.cycle.start, out.cycle.edge_ids)
-        r = verify_witness(g, trail)
+        r = verify_witness(g, out.cycle)
         if not r:
-            raise MergeInternalError(f"contracted merge invalid: {r.reason}")
-        if trail.vertex_set(g) != V1 | V2:
-            raise MergeInternalError("contracted merge does not span the union")
-        return Merged(trail)
-    if isinstance(out, Dominates):
-        # re-derive the certificate at trail level; the blow-up one is
-        # equivalent but talks about vertex copies
-        dom_base = {v.rsplit(".", 1)[0]
-                    for v in out.certificate.dominating.vertex_set(h)}
-        dom, sub = (T1, T2) if dom_base == set(V1) else (T2, T1)
-        cert = check_domination(g, dom, sub)
-        if cert is None:
-            raise MergeInternalError("domination did not survive contraction")
-        return Dominates(cert)
+            raise MergeInternalError(f"trail merge invalid: {r.reason}")
+        if out.cycle.vertex_set(g) != V1 | V2:
+            raise MergeInternalError("trail merge does not span the union")
+    if out is not None:
+        return out
 
     # no structured outcome: search the union for a spanning trail directly
     from .oracle import BudgetExceeded, OracleBudget, oracle_supereulerian
@@ -285,8 +228,7 @@ def supereulerian(g: EdgeColouredMultigraph) -> SupereulerianResult:
                         "trail-colour-connected graph has trail pairs "
                         "with no edge between them")
                 cert = out.certificate
-                winner = p if (cert.dominating.vertex_set(g)
-                               == trails[p].vertex_set(g)) else q
+                winner = p if cert.dominating == trails[p] else q
                 loser = q if winner == p else p
                 arc[(winner, loser)] = cert
             if merged:

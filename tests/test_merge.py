@@ -53,6 +53,33 @@ class TestMergeSimilar:
         assert verify_witness(g, merged)
         assert merged.vertex_set(g) == {"a1", "a2", "b1", "b2"}
 
+    @pytest.mark.parametrize("t1_edges, j", [(("e0", "e1"), 3),
+                                             (("e1", "e0"), 0)])
+    def test_splice_of_trails_at_a_revisited_pivot(self, t1_edges, j):
+        # T1 is the digon x-w, T2 a bowtie visiting y at positions 0 and
+        # 3; the cross edges make x and y similar
+        g = build_graph(
+            ["x", "w", "y", "p", "q", "r", "s"],
+            [("x", "w", RED), ("x", "w", BLUE),
+             ("y", "p", RED), ("p", "q", BLUE), ("q", "y", RED),
+             ("y", "r", BLUE), ("r", "s", RED), ("s", "y", BLUE),
+             ("y", "w", RED), ("y", "w", BLUE),
+             ("x", "p", RED), ("x", "q", RED),
+             ("x", "r", BLUE), ("x", "s", BLUE)])
+        t1 = AlternatingTrail("x", t1_edges, closed=True)
+        t2 = AlternatingTrail("y", tuple(f"e{k}" for k in range(2, 8)),
+                              closed=True)
+        assert verify_witness(g, t1) and verify_witness(g, t2)
+        assert t2.vertex_sequence(g)[j] == "y"
+        # the pivots leave in different colours: T2 is reversed first
+        assert g.edge(t2.edge_ids[j]).colour \
+            is not g.edge(t1.edge_ids[0]).colour
+        merged = merge_similar(g, t1, t2, 0, j)
+        assert not isinstance(merged, AlternatingCycle)
+        assert verify_witness(g, merged)
+        assert merged.vertex_set(g) == set(g.vertices)
+        assert len(merged) == len(t1) + len(t2)
+
     def test_rejects_dissimilar_pivots(self):
         g = two_digons([("a1", "b1", RED)])
         c1, c2 = digon_cycles(g)

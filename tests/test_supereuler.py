@@ -1,11 +1,16 @@
+import itertools
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ecgraph.merge as merge_module
 from ecgraph import (
     BLUE,
     RED,
+    AlternatingCycle,
     AlternatingTrail,
     BudgetExceeded,
     Dominates,
@@ -26,8 +31,10 @@ from ecgraph import (
     supereulerian,
     verify_witness,
 )
-from ecgraph.core import GraphError
-from ecgraph.structure import is_m_closed, m_closure
+from ecgraph.analysis import Analysis
+from ecgraph.core import EdgeColouredMultigraph, GraphError
+from ecgraph.merge import _Cyc, _structured_merge, check_domination
+from ecgraph.structure import blow_up, is_m_closed, m_closure
 from ecgraph.supereuler import merge_trails_3cycle, merge_trails_transitive
 from ecgraph.reductions import fixture, generate
 
@@ -120,6 +127,172 @@ class TestTrailPairMerging:
         res = supereulerian(g)
         assert res and verify_witness(g, res.trail)
         assert res.trail.vertex_set(g) == set(g.vertices)
+
+
+# ---------------------------------------------------------------------
+# the blow-up route of the paper's proof, kept as the reference that
+# merge_trails_pair must agree with
+# ---------------------------------------------------------------------
+
+def _trail_to_blown_cycle(g: EdgeColouredMultigraph,
+                          t: AlternatingTrail) -> AlternatingCycle:
+    """Image of a closed trail in the blow-up by its own visit counts:
+    the o-th visit of v goes to copy v.o, turning the trail into a cycle."""
+    seq = t.vertex_sequence(g)
+    cnt: dict[str, int] = {}
+    occ: list[int] = []
+    for v in seq[:-1]:
+        occ.append(cnt.get(v, 0))
+        cnt[v] = occ[-1] + 1
+    occ.append(0)   # the closing visit is the start copy
+    ids: list[str] = []
+    for p, eid in enumerate(t.edge_ids):
+        e = g.edge(eid)
+        a, b = occ[p], occ[p + 1]
+        if e.u != seq[p]:
+            a, b = b, a
+        ids.append(f"{eid}.{a}.{b}")
+    return AlternatingCycle(f"{seq[0]}.0", tuple(ids))
+
+
+def _contract_blown(g: EdgeColouredMultigraph, start: str,
+                    edge_ids: tuple[str, ...]) -> AlternatingTrail:
+    base_start = start.rsplit(".", 1)[0]
+    base_ids = tuple(h.rsplit(".", 2)[0] for h in edge_ids)
+    return AlternatingTrail(base_start, base_ids, closed=True)
+
+
+def merge_through_blow_up(g, T1, T2):
+    """Lift the two trails to cycles of the blow-up of their union by
+    visit counts, merge the cycles there and contract the outcome back;
+    None where the structured moves come up empty."""
+    V1 = T1.vertex_set(g)
+    V2 = T2.vertex_set(g)
+    union = g.induced(V1 | V2)
+    if not any(e.u in V1 and e.v in V2 or e.u in V2 and e.v in V1
+               for e in union.edges):
+        return NoEdgeBetween()
+    visits: dict[str, int] = {}
+    for t in (T1, T2):
+        for v in t.vertex_sequence(g)[:-1]:
+            visits[v] = visits.get(v, 0) + 1
+    h = blow_up(union, visits)
+    c1 = _trail_to_blown_cycle(g, T1)
+    c2 = _trail_to_blown_cycle(g, T2)
+    assert verify_witness(h, c1) and verify_witness(h, c2)
+    out = _structured_merge(h, c1, c2)
+    if isinstance(out, Merged):
+        return Merged(_contract_blown(g, out.cycle.start, out.cycle.edge_ids))
+    if isinstance(out, Dominates):
+        dom_base = {v.rsplit(".", 1)[0]
+                    for v in out.certificate.dominating.vertex_set(h)}
+        dom, sub = (T1, T2) if dom_base == set(V1) else (T2, T1)
+        cert = check_domination(g, dom, sub)
+        assert cert is not None
+        return Dominates(cert)
+    assert out is None
+    return None
+
+
+def split_trail_pairs(graphs):
+    """(g, T1, T2) for random vertex splits of random_2ec and
+    mclosed_blowup graphs on 4-24 vertices, where each side has a
+    one-part eulerian factor: T1 and T2 are those factors' trails."""
+    for seed in range(graphs):
+        rng = random.Random(seed)
+        n = rng.randint(4, 24)
+        if seed % 2:
+            g = generate("mclosed_blowup", seed=seed, n=n)
+        else:
+            g = generate("random_2ec", seed=seed, n=n,
+                         m=rng.randint(n, 4 * n))
+        vs = list(g.vertices)
+        rng.shuffle(vs)
+        k = rng.randint(2, n - 2)
+        trails = []
+        for side in (vs[:k], vs[k:]):
+            ef = eulerian_factor(g.induced(side))
+            if ef is None or len(ef.parts) != 1:
+                break
+            trails.append(ef.parts[0][1])
+        if len(trails) == 2:
+            yield g, trails[0], trails[1]
+
+
+def digon_pattern_pairs():
+    """Both orders of the digon trails a and b under every choice of
+    monochromatic joins a -> b and b -> a, at least one of them present."""
+    choices = [None] + list(itertools.product((RED, BLUE), repeat=2))
+    for ab, ba in itertools.product(choices, repeat=2):
+        pattern = {k: c for k, c in ((("a", "b"), ab), (("b", "a"), ba))
+                   if c is not None}
+        if not pattern:
+            continue
+        g = three_digons(pattern)
+        t = digon_trails(g)
+        yield g, t[0], t[1]
+        yield g, t[1], t[0]
+
+
+def test_in_place_merge_matches_blow_up_route(monkeypatch):
+    cases = list(split_trail_pairs(3000)) + list(digon_pattern_pairs())
+    expected = [merge_through_blow_up(g, T1, T2) for g, T1, T2 in cases]
+
+    fired = Counter()
+    similar_move = merge_module.merge_similar
+    chord_move = merge_module.merge_parallel_chords
+
+    def spy_similar(g, C1, C2, i, j):
+        fired["similar"] += 1
+        if _Cyc(g, C2).cols[j] is not _Cyc(g, C1).cols[i]:
+            fired["reversal"] += 1
+        return similar_move(g, C1, C2, i, j)
+
+    def spy_chords(*args):
+        fired["chords"] += 1
+        return chord_move(*args)
+
+    monkeypatch.setattr(merge_module, "merge_similar", spy_similar)
+    monkeypatch.setattr(merge_module, "merge_parallel_chords", spy_chords)
+    for (g, T1, T2), ref in zip(cases, expected):
+        if any(len(t.vertex_set(g)) < len(t.edge_ids) for t in (T1, T2)):
+            fired["revisiting pair"] += 1
+        if ref is None:
+            # both routes fall back to the same exhaustive search
+            union = g.induced(T1.vertex_set(g) | T2.vertex_set(g))
+            assert _structured_merge(union, T1, T2) is None
+            continue
+        got = merge_trails_pair(g, T1, T2)
+        assert type(got) is type(ref)
+        if isinstance(ref, Merged):
+            assert got.cycle.start == ref.cycle.start
+            assert got.cycle.edge_ids == ref.cycle.edge_ids
+        elif isinstance(ref, Dominates):
+            fired["dominates"] += 1
+            assert got.certificate.dominating == ref.certificate.dominating
+            assert got.certificate.colour is ref.certificate.colour
+            assert got.certificate.labels == ref.certificate.labels
+    for what in ("similar", "reversal", "chords", "dominates",
+                 "revisiting pair"):
+        assert fired[what] > 0, what
+
+
+@pytest.mark.parametrize("seed, n", [(37, 50), (24, 40)])
+def test_supereulerian_builds_no_blow_up(monkeypatch, seed, n):
+    """Multi-part factors are merged without blowing up any trail pair."""
+    g = generate("mclosed_blowup", seed=seed, n=n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("blow_up called")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "ecgraph" or name.startswith("ecgraph.")) \
+                and hasattr(module, "blow_up"):
+            monkeypatch.setattr(module, "blow_up", refuse)
+    assert len(Analysis.of(g).ef.parts) > 1
+    res = supereulerian(g)
+    assert res and verify_witness(g, res.trail)
+    assert res.trail.vertex_set(g) == set(g.vertices)
 
 
 class TestTournamentMerges:
