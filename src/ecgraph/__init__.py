@@ -18,7 +18,6 @@ from .core import (
     graph_to_dict,
     parse_graph,
     serialize_graph,
-    serialize_witness,
     verify_witness,
     witness_to_dict,
 )

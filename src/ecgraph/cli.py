@@ -278,7 +278,7 @@ def connectivity(file: str, kind: str) -> None:
     """Report colour-connectivity and trail-colour-connectivity."""
     g = read_graph(file)
     if len(g.vertices) < 2:
-        fail("connectivity needs at least two vertices")
+        fail("connectivity needs at least two vertices", EXIT_UNSUPPORTED)
     a = Analysis.of(g)
     doc = {}
     ok = True

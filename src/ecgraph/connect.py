@@ -4,19 +4,18 @@ two connectivity notions built on them.
 A graph is colour-connected when every ordered vertex pair (u, v) admits
 an alternating (u, v)-path starting with each colour, and
 trail-colour-connected when the same holds with trails in place of
-paths.  Path queries reduce to perfect matching in the split graph,
-which has a red and a blue copy of every vertex; trail queries reduce
-to path queries in an auxiliary graph with two copies of every vertex
-and a small gadget per edge.
+paths.  Both reduce to perfect matching in a split graph on integers:
+for paths a red and a blue copy of every vertex (`alternating_path`),
+for trails two such pairs per vertex and two helpers per edge
+(`alternating_trail`).
 
-Neither auxiliary graph depends on the queried pair, so a sweep builds
-its split graph once, in integer form (for trails: the auxiliary graph
-once, then its split graph once).  One blossom search per source and
-start colour then answers every target and end colour, because its
-outer vertices are exactly the copies whose deletion leaves a perfect
-matching (see `alternating_path`); a sweep keeps only the current
-source's two.  `alternating_path` and `alternating_trail` build the
-same query objects and ask them once.
+Neither split graph depends on the queried pair, so a sweep builds it
+once.  One blossom search per source and start colour then answers
+every target and end colour, because its outer vertices are exactly the
+copies whose deletion leaves a perfect matching (see
+`alternating_path`); a sweep keeps only the current source's two.
+`alternating_path` and `alternating_trail` build the same query objects
+and ask them once.
 
 Both sweeps always run on the graph they are given.  Sweeping a smaller
 graph in its place (the similarity quotient of an extension of an
@@ -32,9 +31,9 @@ from typing import Optional
 from .core import (
     AlternatingTrail,
     Colour,
-    Edge,
     EdgeColouredMultigraph,
     GraphError,
+    UnsupportedClass,
     verify_witness,
 )
 from .matching import IndexedGraph
@@ -54,34 +53,34 @@ class _PathQuery:
     Vertex i of g has a red copy 2i and a blue copy 2i+1, joined by an
     internal edge; a colour-c graph edge joins the two c-copies.  The
     searches from the current source's two copies are kept, so a sweep
-    searches once per (source, start colour).
+    searches once per (source, start colour).  A subclass changes only
+    the split graph: vertex i's first copy of colour c is
+    `STRIDE * i + c`, and every split vertex a is paired with a ^ 1.
     """
+
+    STRIDE = 2
+    SIMPLE = True
 
     def __init__(self, g: EdgeColouredMultigraph):
         self.g = g
-        self._index = {v: i for i, v in enumerate(g.vertices)}
+        self._split = self._split_graph(g)
+        self._searches: dict[int, tuple] = {}
+
+    @staticmethod
+    def _split_graph(g: EdgeColouredMultigraph) -> IndexedGraph:
         edges: list[tuple[int, int, Optional[str]]] = [
             (2 * i, 2 * i + 1, None) for i in range(len(g.vertices))]
         for e in g.edges:
             c = _copy_bit(e.colour)
-            edges.append((2 * self._index[e.u] + c,
-                          2 * self._index[e.v] + c, e.id))
-        self._split = IndexedGraph(2 * len(g.vertices), edges)
-        self._searches: dict[int, tuple] = {}
+            edges.append((2 * g.vertex_index(e.u) + c,
+                          2 * g.vertex_index(e.v) + c, e.id))
+        return IndexedGraph(2 * len(g.vertices), edges)
 
     def __call__(self, x: str, y: str, start: Colour,
                  end: Optional[Colour] = None) -> Optional[AlternatingTrail]:
-        path = self.find(x, y, start, end)
-        if path is not None:
-            _check(self.g, path, y, start, end, simple=True)
-        return path
-
-    def find(self, x: str, y: str, start: Colour,
-             end: Optional[Colour] = None) -> Optional[AlternatingTrail]:
-        """The path the search tree gives, or None; not verified."""
         if x == y:
             raise ValueError("endpoints must differ")
-        root = 2 * self._index[x] + _copy_bit(start)
+        root = self.STRIDE * self.g.vertex_index(x) + _copy_bit(start)
         if root not in self._searches:
             # a new source drops the searches of the one before
             if root ^ 1 not in self._searches:
@@ -89,39 +88,43 @@ class _PathQuery:
             self._searches[root] = self._split.search(root)
         outer, p, _ = self._searches[root]
         # y's non-end copy must be outer; end=None tries red first
-        j = 2 * self._index[y]
+        j = self.STRIDE * self.g.vertex_index(y)
         ends = (j, j + 1) if end is None else (j + _copy_bit(end),)
         last = next((c for c in ends if outer[c ^ 1]), None)
         if last is None:
             return None
-        # back to root: p crosses a graph edge, ^ 1 an internal one
-        seq: list[str] = []
+        # back to root: p crosses a split edge (id of g or None), ^ 1 a pair
+        seq: list[Optional[str]] = []
         a = last
         while a != root ^ 1:
             seq.append(self._split.edge_id(a, p[a]))
             a = p[a] ^ 1
-        return AlternatingTrail(x, tuple(reversed(seq)))
-
-
-class _TrailQuery:
-    """Alternating trail queries on one graph, as path queries in its
-    auxiliary graph, which is built once with its split graph."""
-
-    def __init__(self, g: EdgeColouredMultigraph):
-        self.g = g
-        self._paths = _PathQuery(_trail_aux_graph(g))
-
-    def __call__(self, x: str, y: str, start: Colour,
-                 end: Optional[Colour] = None) -> Optional[AlternatingTrail]:
-        # only the projected trail of g is checked: it alone certifies
-        # the answer
-        p = self._paths.find(f"{x}.1", f"{y}.1", start, end)
-        if p is None:
-            return None
-        t = AlternatingTrail(
-            x, tuple(eid[:-2] for eid in p.edge_ids if eid.endswith(".x")))
-        _check(self.g, t, y, start, end)
+        t = AlternatingTrail(x, tuple(e for e in seq[::-1] if e is not None))
+        _check(self.g, t, y, start, end, self.SIMPLE)
         return t
+
+
+class _TrailQuery(_PathQuery):
+    """Alternating trail queries on one graph, as path queries in its
+    trail split graph, built once; `alternating_trail` gives its numbers."""
+
+    STRIDE = 4
+    SIMPLE = False
+
+    @staticmethod
+    def _split_graph(g: EdgeColouredMultigraph) -> IndexedGraph:
+        n = len(g.vertices)
+        # the pairs first: vertex copies', then helpers'
+        edges: list[tuple[int, int, Optional[str]]] = [
+            (2 * a, 2 * a + 1, None) for a in range(2 * n + len(g.edges))]
+        for k, e in enumerate(g.edges):
+            h = 4 * n + 2 * k
+            c = _copy_bit(e.colour)
+            u = 4 * g.vertex_index(e.u) + c
+            v = 4 * g.vertex_index(e.v) + c
+            edges += ((h, u, e.id), (h, u + 2, e.id),
+                      (h + 1, v, None), (h + 1, v + 2, None))
+        return IndexedGraph(4 * n + 2 * len(g.edges), edges)
 
 
 def _copy_bit(c: Colour) -> int:
@@ -178,36 +181,38 @@ def alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
     return _PathQuery(g)(x, y, start, end)
 
 
-def _trail_aux_graph(g: EdgeColouredMultigraph) -> EdgeColouredMultigraph:
-    """Two vertex copies v.1/v.2 plus a 5-edge gadget per original edge;
-    alternating trails of g correspond to alternating paths here."""
-    verts: list[str] = []
-    for v in g.vertices:
-        verts.append(f"{v}.1")
-        verts.append(f"{v}.2")
-    edges: list[Edge] = []
-    for e in g.edges:
-        hu, hv = f"{e.id}.u", f"{e.id}.v"
-        verts.append(hu)
-        verts.append(hv)
-        edges.append(Edge(f"{e.id}.a", f"{e.u}.1", hu, e.colour))
-        edges.append(Edge(f"{e.id}.b", f"{e.u}.2", hu, e.colour))
-        edges.append(Edge(f"{e.id}.c", f"{e.v}.1", hv, e.colour))
-        edges.append(Edge(f"{e.id}.d", f"{e.v}.2", hv, e.colour))
-        edges.append(Edge(f"{e.id}.x", hu, hv, e.colour.other()))
-    return EdgeColouredMultigraph(verts, edges)
-
-
 def alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
                       start: Colour, end: Optional[Colour] = None
                       ) -> Optional[AlternatingTrail]:
     """Alternating (x,y)-trail with prescribed first (and optionally
-    last) edge colour, via a path query in the auxiliary graph."""
+    last) edge colour, via a path query in the trail split graph.
+
+    An auxiliary graph gives each vertex v copies v.1 and v.2, and each
+    colour-c edge uv helpers hu and hv, joined by the other colour; hu
+    is joined by colour c to both copies of u, hv to both of v.  Its
+    alternating (x.1, y.1)-paths cross gadgets whole and give the
+    (x,y)-trails of g, and a shortest trail lifts: of three visits to a
+    vertex, two enter by one colour or one leaves by the start colour,
+    and the closed trail between them can be cut out.  Split, hu and hv
+    are a chain hu_c - hu_c' - hv_c' - hv_c with two degree-2 middle
+    vertices: it has the same perfect matchings on the other vertices as
+    the edge hu_c - hv_c (the middle pair is matched, or both outer
+    edges are).  So `_TrailQuery` gives edge k of g the pair
+    h = 4n + 2k, h + 1, also a start pair of `IndexedGraph.search`, and
+    joins h by edges with e's id to the c-vertices 4i + c, 4i + 2 + c of
+    u's copies, h + 1 to v's by edges with none; a query runs from x's
+    first copy to y's.  A tree path crosses one id-carrying edge per
+    pass through a gadget, in either direction, so those ids are the
+    trail.
+    """
     return _TrailQuery(g)(x, y, start, end)
 
 
-def _sweep(g: EdgeColouredMultigraph, query, collect: bool
+def _sweep(g: EdgeColouredMultigraph, make, collect: bool
            ) -> ConnectivityReport:
+    if len(g.vertices) < 2:
+        raise UnsupportedClass("connectivity needs at least two vertices")
+    query = make(g)
     witnesses: dict[tuple[str, str, Colour], AlternatingTrail] = {}
     for u in g.vertices:
         for v in g.vertices:
@@ -224,16 +229,12 @@ def _sweep(g: EdgeColouredMultigraph, query, collect: bool
 
 def is_colour_connected(g: EdgeColouredMultigraph, collect: bool = False
                         ) -> ConnectivityReport:
-    if len(g.vertices) < 2:
-        raise ValueError("colour-connectivity needs at least two vertices")
-    return _sweep(g, _PathQuery(g), collect)
+    return _sweep(g, _PathQuery, collect)
 
 
 def is_trail_colour_connected(g: EdgeColouredMultigraph,
                               collect: bool = False) -> ConnectivityReport:
-    if len(g.vertices) < 2:
-        raise ValueError("trail-colour-connectivity needs at least two vertices")
-    return _sweep(g, _TrailQuery(g), collect)
+    return _sweep(g, _TrailQuery, collect)
 
 
 def complete_multipartite_classes(g: EdgeColouredMultigraph

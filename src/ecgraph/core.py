@@ -317,10 +317,6 @@ def witness_to_dict(g: EdgeColouredMultigraph, w: Witness) -> dict:
     raise GraphError(f"unknown witness type {type(w).__name__}")
 
 
-def serialize_witness(g: EdgeColouredMultigraph, w: Witness) -> str:
-    return json.dumps(witness_to_dict(g, w), indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------
 # Witness verification
 # ---------------------------------------------------------------------

@@ -8,8 +8,12 @@ import ecgraph.connect
 from ecgraph import (
     BLUE,
     RED,
+    AlternatingTrail,
     Analysis,
+    Edge,
+    EdgeColouredMultigraph,
     GraphError,
+    UnsupportedClass,
     VerifyResult,
     alternating_path,
     alternating_trail,
@@ -25,7 +29,8 @@ from ecgraph import (
     verify_witness,
 )
 from ecgraph.cli import main
-from ecgraph.connect import _PathQuery, _TrailQuery
+from ecgraph.connect import _PathQuery, _TrailQuery, _check, _copy_bit
+from ecgraph.matching import IndexedGraph
 from ecgraph.core import serialize_graph
 from ecgraph.structure import blow_up
 from ecgraph.reductions import fixture, generate
@@ -79,9 +84,12 @@ class TestTrailQueries:
 
 class TestConnectivity:
     def test_needs_two_vertices(self):
+        # out of class, and still a ValueError for callers catching that
+        assert issubclass(UnsupportedClass, ValueError)
         g = build_graph(["a"], [])
-        with pytest.raises(ValueError):
-            is_colour_connected(g)
+        for sweep in (is_colour_connected, is_trail_colour_connected):
+            with pytest.raises(UnsupportedClass):
+                sweep(g)
 
     def test_counterexample_is_first_in_declaration_order(self):
         g = fixture("needall_g")
@@ -402,3 +410,139 @@ def test_connectivity_invariant_under_blow_up(seed, extra):
                                      alternating_path)
     assert blow_up_failure_explained(g, h, is_trail_colour_connected,
                                      alternating_trail)
+
+
+class RefPathQuery:
+    """Reference path query on the split graph; `find` gives the search
+    tree's path unverified, for `RefTrailQuery` to project."""
+
+    def __init__(self, g):
+        self.g = g
+        self._index = {v: i for i, v in enumerate(g.vertices)}
+        edges = [(2 * i, 2 * i + 1, None) for i in range(len(g.vertices))]
+        for e in g.edges:
+            c = _copy_bit(e.colour)
+            edges.append((2 * self._index[e.u] + c,
+                          2 * self._index[e.v] + c, e.id))
+        self._split = IndexedGraph(2 * len(g.vertices), edges)
+        self._searches = {}
+
+    def __call__(self, x, y, start, end=None):
+        path = self.find(x, y, start, end)
+        if path is not None:
+            _check(self.g, path, y, start, end, simple=True)
+        return path
+
+    def find(self, x, y, start, end=None):
+        """The path the search tree gives, or None; not verified."""
+        if x == y:
+            raise ValueError("endpoints must differ")
+        root = 2 * self._index[x] + _copy_bit(start)
+        if root not in self._searches:
+            # a new source drops the searches of the one before
+            if root ^ 1 not in self._searches:
+                self._searches.clear()
+            self._searches[root] = self._split.search(root)
+        outer, p, _ = self._searches[root]
+        # y's non-end copy must be outer; end=None tries red first
+        j = 2 * self._index[y]
+        ends = (j, j + 1) if end is None else (j + _copy_bit(end),)
+        last = next((c for c in ends if outer[c ^ 1]), None)
+        if last is None:
+            return None
+        # back to root: p crosses a graph edge, ^ 1 an internal one
+        seq = []
+        a = last
+        while a != root ^ 1:
+            seq.append(self._split.edge_id(a, p[a]))
+            a = p[a] ^ 1
+        return AlternatingTrail(x, tuple(reversed(seq)))
+
+
+class RefTrailQuery:
+    """Reference: alternating trail queries on one graph, as path
+    queries in its string-named auxiliary graph, projected back by
+    edge id."""
+
+    def __init__(self, g):
+        self.g = g
+        self._paths = RefPathQuery(ref_trail_aux_graph(g))
+
+    def __call__(self, x, y, start, end=None):
+        # only the projected trail of g is checked: it alone certifies
+        # the answer
+        p = self._paths.find(f"{x}.1", f"{y}.1", start, end)
+        if p is None:
+            return None
+        t = AlternatingTrail(
+            x, tuple(eid[:-2] for eid in p.edge_ids if eid.endswith(".x")))
+        _check(self.g, t, y, start, end)
+        return t
+
+
+def ref_trail_aux_graph(g):
+    """Two vertex copies v.1/v.2 plus a 5-edge gadget per original edge;
+    alternating trails of g correspond to alternating paths here."""
+    verts = []
+    for v in g.vertices:
+        verts.append(f"{v}.1")
+        verts.append(f"{v}.2")
+    edges = []
+    for e in g.edges:
+        hu, hv = f"{e.id}.u", f"{e.id}.v"
+        verts.append(hu)
+        verts.append(hv)
+        edges.append(Edge(f"{e.id}.a", f"{e.u}.1", hu, e.colour))
+        edges.append(Edge(f"{e.id}.b", f"{e.u}.2", hu, e.colour))
+        edges.append(Edge(f"{e.id}.c", f"{e.v}.1", hv, e.colour))
+        edges.append(Edge(f"{e.id}.d", f"{e.v}.2", hv, e.colour))
+        edges.append(Edge(f"{e.id}.x", hu, hv, e.colour.other()))
+    return EdgeColouredMultigraph(verts, edges)
+
+
+def rand_multigraph(rng):
+    """2-12 vertices; about a third of the edges repeat an earlier
+    edge's ends and colour, which `random_2ec` never draws."""
+    n = rng.randint(2, 12)
+    triples = []
+    for _ in range(rng.randint(1, 3 * n)):
+        if triples and rng.random() < 0.3:
+            triples.append(rng.choice(triples))
+        else:
+            u, v = rng.sample(range(n), 2)
+            triples.append((f"v{u}", f"v{v}", rng.choice((RED, BLUE))))
+    return build_graph([f"v{i}" for i in range(n)], triples)
+
+
+def test_queries_match_the_string_auxiliary_graph_reference():
+    rng = random.Random(2020)
+    parallel = found = missing = 0
+    for _ in range(100):
+        g = rand_multigraph(rng)
+        n, m = len(g.vertices), len(g.edges)
+        parallel += len({(e.u, e.v, e.colour) for e in g.edges}) < m
+        trail = _TrailQuery(g)
+        # two copies of each vertex, one contracted helper pair per edge
+        assert len(trail._split.adj) == 4 * n + 2 * m
+        assert sum(map(len, trail._split.adj)) == 2 * (2 * n + 5 * m)
+        for q, ref, simple in ((_PathQuery(g), RefPathQuery(g), True),
+                               (trail, RefTrailQuery(g), False)):
+            for x in g.vertices:
+                for y in g.vertices:
+                    if x == y:
+                        continue
+                    for start in (RED, BLUE):
+                        for end in (None, RED, BLUE):
+                            w = q(x, y, start, end)
+                            r = ref(x, y, start, end)
+                            assert (w is None) == (r is None), \
+                                (type(q).__name__, x, y, start, end)
+                            if w is None:
+                                missing += 1
+                                continue
+                            found += 1
+                            v = verify_witness(g, w)
+                            assert v and v.end == y and v.first is start
+                            assert end is None or v.last is end
+                            assert v.simple or not simple
+    assert parallel > 30 and found and missing

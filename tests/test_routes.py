@@ -223,9 +223,13 @@ def test_analyze_route(name, max_n):
 ONE_VERTEX = build_graph(["a"], [])
 
 
-@pytest.mark.parametrize("question", ["supereulerian", "hamiltonian"])
+@pytest.mark.parametrize("question",
+                         ["supereulerian", "hamiltonian", "connectivity"])
 @pytest.mark.parametrize("args", [[], ["--max-n", "5"]])
 def test_one_vertex_is_unsupported(runner, question, args):
+    if question == "connectivity" and args:
+        # it takes no --max-n; ask for one sweep instead
+        args = ["--kind", "trail"]
     res = runner.invoke(main, [question, "-"] + args,
                         input=serialize_graph(ONE_VERTEX))
     assert res.exit_code == 4
