@@ -300,19 +300,23 @@ def connectivity(file: str, kind: str) -> None:
 @click.option("--kind", default="eulerian",
               type=click.Choice(["eulerian", "cycle"]))
 @click.option("--forbid-digons", is_flag=True,
-              help="cycle factors may not use a pair of parallel edges")
+              help="cycle factors may not use a pair of parallel edges "
+                   "(exhaustive search, small inputs only)")
 def factor(file: str, kind: str, forbid_digons: bool) -> None:
     """Construct an eulerian factor or an alternating cycle factor."""
     g = read_graph(file)
-    try:
-        if kind == "eulerian":
-            if forbid_digons:
-                fail("--forbid-digons applies to cycle factors only")
-            w = eulerian_factor(g)
-        else:
-            w = alternating_cycle_factor(g, forbid_digons=forbid_digons)
-    except BudgetExceeded as exc:
-        fail(str(exc), EXIT_BUDGET)
+    if kind == "eulerian":
+        if forbid_digons:
+            fail("--forbid-digons applies to cycle factors only")
+        w = eulerian_factor(g)
+    elif forbid_digons:
+        # no polynomial route keeps digons out: search exhaustively
+        try:
+            w = oracle_cycle_factor(g, forbid_digons=True)
+        except BudgetExceeded as exc:
+            fail(str(exc), EXIT_BUDGET)
+    else:
+        w = alternating_cycle_factor(g)
     if w is None:
         _answer({"kind": f"no_{kind}_factor"}, False)
     emit(witness_to_dict(g, w))

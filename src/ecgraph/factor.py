@@ -708,24 +708,18 @@ def alternating_euler_tour(g_sub: EdgeColouredMultigraph
     return AlternatingTrail(e0.u, tuple(trail(e0)), closed=True)
 
 
-def alternating_cycle_factor(g: EdgeColouredMultigraph,
-                             forbid_digons: bool = False
+def alternating_cycle_factor(g: EdgeColouredMultigraph
                              ) -> Optional[CycleFactor]:
     """Vertex-disjoint alternating cycles covering V, or None.
 
     Reduction: a red and a blue copy per vertex, each colour-c edge uv
     joins the colour-c copies; a perfect matching picks exactly one red
     and one blue edge per vertex, and that 2-regular colour-balanced
-    edge set splits into alternating cycles.
-
-    With forbid_digons=True the simple-graph convention is enforced by
-    exhaustive search instead (small inputs only).
+    edge set splits into alternating cycles.  A digon (a red and a blue
+    edge between the same two vertices) counts as a cycle.
     """
     if len(g.vertices) < 2:
         return None
-    if forbid_digons:
-        from .oracle import oracle_cycle_factor
-        return oracle_cycle_factor(g, forbid_digons=True)
     # vertex i has a red copy 2i and a blue copy 2i+1
     bit = {Colour.RED: 0, Colour.BLUE: 1}
     split = IndexedGraph(2 * len(g.vertices), (

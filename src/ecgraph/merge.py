@@ -1,30 +1,64 @@
-"""Cycle merging for extensions of M-closed graphs, and the alternating
+"""Merging the parts of a factor into one spanning closed alternating
+trail or cycle, for extensions of M-closed graphs, and the alternating
 hamiltonian cycle algorithm built on it.
 
-Two disjoint alternating cycles with an edge between them either merge
-into one alternating cycle on the union of their vertex sets, or one of
-them c-dominates the other: every vertex of the dominating cycle sends
-edges of a single colour to the other cycle, those colours alternate
-along the cycle, and same-colour classes are internally monochromatic.
-Domination makes the union non-colour-connected, so exactly one of the
-two outcomes holds.
+Such a graph is supereulerian iff it is trail-colour-connected and has
+an eulerian factor, and hamiltonian iff it is colour-connected and has
+an alternating cycle factor.  `merge_factor` builds the witness from the
+factor's parts, vertex-disjoint closed trails or cycles covering V, in
+one loop for both decisions.
 
-Merging is attempted through two constructive moves (splicing at a
-similar cross pair, and rerouting along two parallel same-coloured
-chords); if neither applies and the domination structure is absent, a
-bounded exhaustive search settles the pair.  Any inconsistency is a
-hard error, never a wrong answer.
+Two disjoint parts with an edge between them either merge into one part
+on the union of their vertex sets, or one of them c-dominates the other:
+every vertex of the dominating part sends edges of a single colour to
+the other part, those colours alternate along the part, and same-colour
+vertices are joined inside it only in their own colour.  Domination
+makes the union non-colour-connected, so exactly one of the two outcomes
+holds.  The pair merge (`merge_cycles`, which `ecgraph.supereuler` also
+names `merge_trails_pair`) tries two constructive moves, splicing at a
+similar cross pair and rerouting along two parallel same-coloured
+chords, then the domination test; if all three come up empty, a bounded
+exhaustive search of the union settles the pair.  The two moves do not
+cover every merge (a pair of a 5-vertex M-closed graph that merges
+reaches the search), so the search is not dead code.  Any inconsistency
+is a hard error, never a wrong answer.
 
-The moves and the domination test also take closed alternating trails,
-which may revisit vertices: positions along the walk, not vertex names,
-index it.  Two cycles merge into a cycle; any other pair merges into a
-closed trail.
+Similarity is taken within the union U of the pair: x and y are
+U-similar when their coloured edge multisets towards U are equal.
+Similarity in g implies it, and it is what the splice needs: the
+predecessors of the two pivots lie in U, so each pivot's join to the
+other's predecessor exists, in the colour entering the pivots, and the
+two mirrored chords close the spliced walk.  Domination leaves no
+U-similar cross pair either, as a dominating vertex is adjacent to
+every vertex of the dominated part, its would-be twin included.
+
+The moves and the domination test take closed alternating trails, which
+may revisit vertices: positions along the walk, not vertex names, index
+it.  This is the paper's merge of the pair's lift to a blow-up, which
+sends visit k of v to copy v.k, so a trail's positions match its
+cycle's copies one to one.  Copies of distinct vertices are similar iff
+the vertices are, and copies are joined in a colour iff their vertices
+are, so each move picks the same positions and edges on the trails as
+on the cycles, and no blow-up is built.  Two cycles merge into a cycle;
+any other pair merges into a closed trail.
+
+The loop sorts the parts by (length, index of the lowest vertex) each
+round, merges the first pair in that order that merges, and skips pairs
+with no edge between them.  When no pair of cycles merges the factor is
+unmergeable, which the characterization rules out.  When no pair of
+trails merges, the domination certificates form a tournament on the
+trails; a directed triangle admits a three-way merge, and a transitive
+tournament admits a merge through a vertex of the top trail whose edge
+colours towards two dominated trails differ.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .analysis import Analysis
 from .core import (
@@ -35,7 +69,12 @@ from .core import (
     UnsupportedClass,
     verify_witness,
 )
-from .structure import similar
+from .oracle import (
+    BudgetExceeded,
+    OracleBudget,
+    oracle_ham_alternating,
+    oracle_supereulerian,
+)
 
 
 class MergeInternalError(RuntimeError):
@@ -117,21 +156,31 @@ def _first_edge(g: EdgeColouredMultigraph, u: str, v: str,
     return es[0].id if es else None
 
 
+def _joins_within(g: EdgeColouredMultigraph, v: str,
+                  verts: frozenset[str]) -> Counter:
+    """v's coloured edge multiset {(other end, colour): count} towards
+    the vertices of `verts`."""
+    return Counter((w, e.colour) for e in g.incident(v)
+                   if (w := e.other_end(v)) in verts)
+
+
 def merge_similar(g: EdgeColouredMultigraph, C1: AlternatingTrail,
                   C2: AlternatingTrail, i: int, j: int) -> AlternatingTrail:
     """Splice two disjoint closed alternating trails at a similar cross
     pair.
 
     The vertices at position i of C1 and position j of C2 must be
-    similar; C2 is reversed internally if needed so that the outgoing
-    edge colours at the two pivots agree.  The pivots' identical joins
-    supply the two cross chords closing the spliced walk.
+    similar within the union of the two vertex sets; C2 is reversed
+    internally if needed so that the outgoing edge colours at the two
+    pivots agree.  The pivots' identical joins supply the two cross
+    chords closing the spliced walk.
     """
     a = _Cyc(g, C1)
     b = _Cyc(g, C2)
     x = a.verts[i]
     y = b.verts[j]
-    if not similar(g, x, y):
+    union = frozenset(a.verts + b.verts)
+    if x == y or _joins_within(g, x, union) != _joins_within(g, y, union):
         raise ValueError(f"vertices {x!r} and {y!r} are not similar")
     if b.cols[j] is not a.cols[i]:
         b = b.reversed()
@@ -214,36 +263,30 @@ def check_domination(g: EdgeColouredMultigraph, dom: AlternatingTrail,
     return DominationCertificate(dom, sub, labels[start], labels)
 
 
-def _cross_colours(g: EdgeColouredMultigraph, V1: frozenset[str],
-                   V2: frozenset[str]) -> dict[tuple[str, str], set[Colour]]:
-    out: dict[tuple[str, str], set[Colour]] = {}
-    for x in V1:
-        for e in g.incident(x):
-            y = e.other_end(x)
-            if y in V2:
-                out.setdefault((x, y), set()).add(e.colour)
-    return out
+# the exhaustive search that settles a pair no move or certificate does
+_PAIR_BUDGET = OracleBudget(max_vertices=12, max_edges=40, seconds=60.0)
 
 
 def _structured_merge(g: EdgeColouredMultigraph, C1: AlternatingTrail,
-                      C2: AlternatingTrail
-                      ) -> Optional[MergeOutcome]:
+                      C2: AlternatingTrail) -> Optional[MergeOutcome]:
     """The constructive moves plus the domination test on two disjoint
-    closed trails or cycles of g; None when all of them come up empty
-    (caller falls back to exhaustive search)."""
-    V1 = C1.vertex_set(g)
-    V2 = C2.vertex_set(g)
-    if V1 & V2:
-        raise ValueError("cycles or trails are not vertex-disjoint")
-    cross = _cross_colours(g, V1, V2)
-    if not cross:
-        return NoEdgeBetween()
-
+    closed trails or cycles of g, with similarity taken within the union
+    of their vertex sets; None when all of them come up empty."""
     a = _Cyc(g, C1)
     b = _Cyc(g, C2)
+    V1 = frozenset(a.verts)
+    V2 = frozenset(b.verts)
+    if V1 & V2:
+        raise ValueError("cycles or trails are not vertex-disjoint")
+    union = V1 | V2
+    # read on demand: a similar pair is usually found within a few reads
+    joins = functools.cache(lambda v: _joins_within(g, v, union))
+    if not any(w in V2 for x in V1 for w, _ in joins(x)):
+        return NoEdgeBetween()
+
     for i, x in enumerate(a.verts):
         for j, y in enumerate(b.verts):
-            if similar(g, x, y):
+            if joins(x) == joins(y):
                 return Merged(merge_similar(g, C1, C2, i, j))
 
     for ao in (a, a.reversed()):
@@ -255,7 +298,7 @@ def _structured_merge(g: EdgeColouredMultigraph, C1: AlternatingTrail,
                     if bo.cols[j] is not c:
                         continue
                     y, y1 = bo.verts[j], bo.verts[(j + 1) % bo.n]
-                    if c in cross.get((x, y), ()) and c in cross.get((x1, y1), ()):
+                    if joins(x)[(y, c)] and joins(x1)[(y1, c)]:
                         return Merged(merge_parallel_chords(
                             g, ao.as_cycle(), bo.as_cycle(), i, j))
 
@@ -268,28 +311,214 @@ def _structured_merge(g: EdgeColouredMultigraph, C1: AlternatingTrail,
 
 def merge_cycles(g: EdgeColouredMultigraph, C1: AlternatingTrail,
                  C2: AlternatingTrail) -> MergeOutcome:
-    """Merge two disjoint alternating cycles, or certify why not.
+    """Merge two vertex-disjoint closed alternating trails or cycles of g
+    into one spanning their union, or certify domination or the lack of
+    any edge between them.  Two cycles merge into a cycle.
 
-    Merged is returned exactly when the induced subgraph on the union of
-    the two vertex sets is colour-connected; otherwise the domination
-    certificate explains the obstruction.
+    Merged is returned exactly when the union of the two vertex sets
+    carries a spanning closed alternating trail (a spanning alternating
+    cycle, for two cycles); otherwise the domination certificate
+    explains the obstruction.
     """
     out = _structured_merge(g, C1, C2)
-    if out is not None:
+    if isinstance(out, (Dominates, NoEdgeBetween)):
         return out
-    # neither constructive move fired and no domination: the union must
-    # still carry a spanning alternating cycle; find it exhaustively
-    from .oracle import BudgetExceeded, oracle_ham_alternating
-    union = g.induced(C1.vertex_set(g) | C2.vertex_set(g))
-    try:
-        found = oracle_ham_alternating(union)
-    except BudgetExceeded as exc:
+    union = C1.vertex_set(g) | C2.vertex_set(g)
+    if out is None:
+        # no move applies and no domination: the union must still carry
+        # a spanning walk of the pair's kind; find it exhaustively
+        cycles = isinstance(C1, AlternatingCycle) \
+            and isinstance(C2, AlternatingCycle)
+        search = oracle_ham_alternating if cycles else oracle_supereulerian
+        try:
+            found = search(g.induced(union), _PAIR_BUDGET)
+        except BudgetExceeded as exc:
+            raise MergeInternalError(
+                f"unresolved pair too large for exhaustive search: {exc}")
+        if found is None:
+            raise MergeInternalError(
+                "pair neither merges nor exhibits domination")
+        out = Merged(found)
+    if out.cycle.vertex_set(g) != union:
+        raise MergeInternalError("merge does not span the pair's union")
+    return out
+
+
+# ---------------------------------------------------------------------
+# tournament merges
+# ---------------------------------------------------------------------
+
+def _traversal_from(g: EdgeColouredMultigraph, t: AlternatingTrail, v: str,
+                    first: Colour) -> tuple[list[str], str]:
+    """Full traversal of closed trail t from v whose first edge has the
+    given colour, together with the last vertex visited before closing."""
+    seq = t.vertex_sequence(g)[:-1]
+    edges = list(t.edge_ids)
+    L = len(edges)
+    for p, w in enumerate(seq):
+        if w != v:
+            continue
+        fwd = edges[p:] + edges[:p]
+        if g.edge(fwd[0]).colour is first:
+            return fwd, seq[(p - 1) % L]
+        bwd = list(reversed(edges[:p])) + list(reversed(edges[p:]))
+        if g.edge(bwd[0]).colour is first:
+            return bwd, seq[(p + 1) % L]
+    raise MergeInternalError(
+        f"no traversal of the trail from {v!r} starting {first.token}")
+
+
+def _cross_edge(g: EdgeColouredMultigraph, u: str, v: str,
+                colour: Colour) -> str:
+    es = g.edges_between(u, v, colour)
+    if not es:
         raise MergeInternalError(
-            f"unresolved cycle pair too large for exhaustive search: {exc}")
-    if found is None:
-        raise MergeInternalError(
-            "cycle pair neither merges nor exhibits domination")
-    return Merged(found)
+            f"certificate promised a {colour.token} edge {u!r}-{v!r}")
+    return es[0].id
+
+
+def _lex_min(g: EdgeColouredMultigraph, vs) -> str:
+    return min(vs, key=g.vertex_index)
+
+
+def merge_trails_3cycle(g: EdgeColouredMultigraph,
+                        Ta: AlternatingTrail, Tb: AlternatingTrail,
+                        Tc: AlternatingTrail,
+                        cert_ab: DominationCertificate,
+                        cert_bc: DominationCertificate,
+                        cert_ca: DominationCertificate) -> AlternatingTrail:
+    """Merge a directed triangle Ta -> Tb -> Tc -> Ta of dominations:
+    traverse each trail once and close through the three predecessors of
+    the chosen start vertices."""
+    la, lb, lc = cert_ab.labels, cert_bc.labels, cert_ca.labels
+    va = _lex_min(g, Ta.vertex_set(g))
+    alpha = la[va]
+    ea, va_pred = _traversal_from(g, Ta, va, alpha)
+    vb = _lex_min(g, [v for v in Tb.vertex_set(g)
+                      if lb[v] is alpha.other()])
+    eb, vb_pred = _traversal_from(g, Tb, vb, alpha.other())
+    vc = _lex_min(g, [v for v in Tc.vertex_set(g) if lc[v] is alpha])
+    ec, vc_pred = _traversal_from(g, Tc, vc, alpha)
+
+    ids = (ea
+           + [_cross_edge(g, va, vb, alpha)]
+           + eb
+           + [_cross_edge(g, vb, vc, alpha.other())]
+           + ec
+           + [_cross_edge(g, vc, va_pred, alpha),
+              _cross_edge(g, va_pred, vb_pred, alpha.other()),
+              _cross_edge(g, vb_pred, vc_pred, alpha),
+              _cross_edge(g, vc_pred, va, alpha.other())])
+    out = AlternatingTrail(va, tuple(ids), closed=True)
+    r = verify_witness(g, out)
+    if not r:
+        raise MergeInternalError(f"triangle merge produced {r.reason}")
+    return out
+
+
+def merge_trails_transitive(g: EdgeColouredMultigraph,
+                            T1: AlternatingTrail, T2: AlternatingTrail,
+                            T3: AlternatingTrail, v: str,
+                            c: Colour) -> AlternatingTrail:
+    """Merge T1 with two trails it dominates, where the pivot v of T1
+    sends colour c to T2 and the other colour to T3: pick up T2 and
+    return, pick up T3 and return, then traverse T1."""
+    u = _lex_min(g, T2.vertex_set(g))
+    e2, u_pred = _traversal_from(g, T2, u, c.other())
+    w = _lex_min(g, T3.vertex_set(g))
+    e3, w_pred = _traversal_from(g, T3, w, c)
+    e1, _ = _traversal_from(g, T1, v, c)
+
+    ids = ([_cross_edge(g, v, u, c)]
+           + e2[:-1]
+           + [_cross_edge(g, u_pred, v, c),
+              _cross_edge(g, v, w, c.other())]
+           + e3[:-1]
+           + [_cross_edge(g, w_pred, v, c.other())]
+           + e1)
+    out = AlternatingTrail(v, tuple(ids), closed=True)
+    r = verify_witness(g, out)
+    if not r:
+        raise MergeInternalError(f"transitive merge produced {r.reason}")
+    return out
+
+
+def _tournament_merge(g: EdgeColouredMultigraph,
+                      trails: list[AlternatingTrail],
+                      arc: dict[tuple[int, int], DominationCertificate]
+                      ) -> tuple[tuple[int, ...], AlternatingTrail]:
+    """Merge three trails of the domination tournament `arc` ((winner,
+    loser) -> certificate): the indices merged and the merged trail."""
+    k = len(trails)
+    for a, b, c in itertools.product(range(k), repeat=3):
+        if (a, b) in arc and (b, c) in arc and (c, a) in arc:
+            return (a, b, c), merge_trails_3cycle(
+                g, trails[a], trails[b], trails[c],
+                arc[(a, b)], arc[(b, c)], arc[(c, a)])
+
+    # transitive tournament: the top trail first, the rest defensively
+    order = sorted(range(k),
+                   key=lambda i: (-sum((i, j) in arc for j in range(k)), i))
+    for s in order:
+        doms = [j for j in range(k) if (s, j) in arc]
+        for t2 in doms:
+            l2 = arc[(s, t2)].labels
+            for v in sorted(trails[s].vertex_set(g), key=g.vertex_index):
+                for t3 in doms:
+                    if t3 != t2 and arc[(s, t3)].labels[v] is not l2[v]:
+                        return (s, t2, t3), merge_trails_transitive(
+                            g, trails[s], trails[t2], trails[t3], v, l2[v])
+    raise MergeInternalError(
+        "domination tournament admits neither a triangle nor a "
+        "two-coloured pivot; this should be impossible")
+
+
+# ---------------------------------------------------------------------
+# the merge loop and the hamiltonian decision
+# ---------------------------------------------------------------------
+
+def merge_factor(g: EdgeColouredMultigraph,
+                 parts: Sequence[AlternatingTrail]) -> AlternatingTrail:
+    """One closed alternating trail spanning g, merged from `parts`:
+    vertex-disjoint closed alternating trails or cycles covering V.  It
+    is a cycle when every part is an AlternatingCycle.
+
+    Raises MergeInternalError where the parts cannot be merged, which
+    the characterizations rule out for a factor of a (trail-)colour-
+    connected extension of an M-closed graph.
+    """
+    cycles = all(isinstance(t, AlternatingCycle) for t in parts)
+    parts = list(parts)
+    while len(parts) > 1:
+        parts.sort(key=lambda t: (len(t.edge_ids),
+                                  min(map(g.vertex_index,
+                                          t.vertex_sequence(g)))))
+        merged: Optional[tuple[tuple[int, ...], AlternatingTrail]] = None
+        arc: dict[tuple[int, int], DominationCertificate] = {}
+        for p, q in itertools.combinations(range(len(parts)), 2):
+            out = merge_cycles(g, parts[p], parts[q])
+            if isinstance(out, Merged):
+                merged = (p, q), out.cycle
+                break
+            if isinstance(out, Dominates):
+                cert = out.certificate
+                arc[(p, q) if cert.dominating is parts[p] else (q, p)] = cert
+        if merged is None:
+            if cycles:
+                raise MergeInternalError(
+                    "no two cycles of the factor merge; this should be "
+                    "impossible in a colour-connected graph")
+            merged = _tournament_merge(g, parts, arc)
+        used, t = merged
+        parts = [s for i, s in enumerate(parts) if i not in used]
+        parts.append(t)
+    final = parts[0]
+    if final.vertex_set(g) != set(g.vertices):
+        raise MergeInternalError("merged factor does not span the graph")
+    r = verify_witness(g, final)
+    if not r:
+        raise MergeInternalError(f"merged factor invalid: {r.reason}")
+    return final
 
 
 @dataclass(frozen=True)
@@ -307,10 +536,7 @@ def alternating_hamiltonian_cycle(g: EdgeColouredMultigraph
     """Spanning alternating cycle of an extension of an M-closed graph.
 
     Exists iff the graph is colour-connected and has an alternating
-    cycle factor; the factor's cycles are merged pairwise until one
-    remains.  A colour-connected graph with a factor in which no pair
-    merges would contradict the characterization, so that state is a
-    hard error rather than a negative answer.
+    cycle factor; `merge_factor` merges the factor's cycles.
     """
     a = Analysis.of(g)
     if a.ext is None:
@@ -325,30 +551,4 @@ def alternating_hamiltonian_cycle(g: EdgeColouredMultigraph
     if not rep.connected:
         return HamiltonianResult(reason="not_colour_connected",
                                  counterexample=rep.counterexample)
-    cycles: list[AlternatingCycle] = list(cf.cycles)
-    while len(cycles) > 1:
-        cycles.sort(key=lambda c: (len(c.edge_ids),
-                                   min(c.vertex_set(g), key=g.vertex_index)))
-        merged_pair = None
-        for p in range(len(cycles)):
-            for q in range(p + 1, len(cycles)):
-                out = merge_cycles(g, cycles[p], cycles[q])
-                if isinstance(out, Merged):
-                    merged_pair = (p, q, out.cycle)
-                    break
-            if merged_pair:
-                break
-        if merged_pair is None:
-            raise MergeInternalError(
-                "colour-connected graph with a cycle factor has an "
-                "unmergeable factor; this should be impossible")
-        p, q, cyc = merged_pair
-        cycles = [c for t, c in enumerate(cycles) if t not in (p, q)]
-        cycles.append(cyc)
-    final = cycles[0]
-    if final.vertex_set(g) != set(g.vertices):
-        raise MergeInternalError("merged cycle does not span the graph")
-    r = verify_witness(g, final)
-    if not r:
-        raise MergeInternalError(f"merged cycle invalid: {r.reason}")
-    return HamiltonianResult(cycle=final)
+    return HamiltonianResult(cycle=merge_factor(g, cf.cycles))

@@ -5,7 +5,10 @@ from click.testing import CliRunner
 
 import ecgraph.cli
 from ecgraph.cli import analyze_graph, main
-from ecgraph.core import GraphError, VerifyResult, parse_graph, serialize_graph
+from ecgraph.core import (
+    BLUE, RED, GraphError, VerifyResult, build_graph, parse_graph,
+    serialize_graph,
+)
 from ecgraph.reductions import fixture, generate
 
 
@@ -161,6 +164,42 @@ class TestDecisions:
         res = runner.invoke(main, ["factor", "-", "--kind", "cycle"],
                             input=fixture_json("halfm"))
         assert res.exit_code == 0
+
+
+class TestForbidDigons:
+    """`factor --kind cycle --forbid-digons` searches exhaustively."""
+
+    def test_digon_is_no_cycle_factor(self, runner):
+        g = build_graph(["a", "b"], [("a", "b", RED), ("a", "b", BLUE)])
+        res = runner.invoke(
+            main, ["factor", "-", "--kind", "cycle", "--forbid-digons"],
+            input=serialize_graph(g))
+        assert res.exit_code == 3
+        assert json.loads(res.output)["kind"] == "no_cycle_factor"
+
+    def test_four_cycle_survives_digon_ban(self, runner):
+        g = build_graph(["a", "b", "c", "d"],
+                        [("a", "b", RED), ("b", "c", BLUE),
+                         ("c", "d", RED), ("d", "a", BLUE)])
+        res = runner.invoke(
+            main, ["factor", "-", "--kind", "cycle", "--forbid-digons"],
+            input=serialize_graph(g))
+        assert res.exit_code == 0
+        assert json.loads(res.output)["kind"] == "cycle_factor"
+
+    def test_eulerian_kind_rejects_the_flag(self, runner):
+        res = runner.invoke(
+            main, ["factor", "-", "--kind", "eulerian", "--forbid-digons"],
+            input=fixture_json("efig"))
+        assert res.exit_code == 2
+
+    def test_over_budget_exits_5(self, runner):
+        # beyond the default oracle budget of 10 vertices
+        g = generate("mclosed_blowup", seed=1, n=12)
+        res = runner.invoke(
+            main, ["factor", "-", "--kind", "cycle", "--forbid-digons"],
+            input=serialize_graph(g))
+        assert res.exit_code == 5
 
 
 class TestTransforms:

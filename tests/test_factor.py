@@ -131,13 +131,6 @@ class TestCycleFactor:
         g = build_graph(["a", "b"], [("a", "b", RED), ("a", "b", BLUE)])
         cf = alternating_cycle_factor(g)
         assert cf is not None and verify_witness(g, cf)
-        assert alternating_cycle_factor(g, forbid_digons=True) is None
-
-    def test_four_cycle_survives_digon_ban(self):
-        g = build_graph(["a", "b", "c", "d"],
-                        [("a", "b", RED), ("b", "c", BLUE),
-                         ("c", "d", RED), ("d", "a", BLUE)])
-        assert alternating_cycle_factor(g, forbid_digons=True) is not None
 
     def test_halfm_two_cycles(self):
         g = fixture("halfm")

@@ -14,14 +14,16 @@ from ecgraph import (
     alternating_hamiltonian_cycle,
     build_graph,
     is_colour_connected,
+    MergeInternalError,
     merge_cycles,
     merge_parallel_chords,
     merge_similar,
     oracle_ham_alternating,
+    similar,
     verify_witness,
 )
 from ecgraph.factor import alternating_cycle_factor
-from ecgraph.merge import check_domination
+from ecgraph.merge import check_domination, merge_factor
 from ecgraph.reductions import fixture, generate
 
 
@@ -80,6 +82,26 @@ class TestMergeSimilar:
         assert merged.vertex_set(g) == set(g.vertices)
         assert len(merged) == len(t1) + len(t2)
 
+    def test_pivots_similar_within_the_pair_only(self):
+        # a1 and b1 have equal joins inside the two digons, but z sees
+        # a1 only: they are similar within the pair, not in g
+        g = build_graph(
+            ["a1", "a2", "b1", "b2", "z"],
+            [("a1", "a2", RED), ("a1", "a2", BLUE),
+             ("b1", "b2", RED), ("b1", "b2", BLUE),
+             ("a1", "b2", RED), ("a1", "b2", BLUE),
+             ("b1", "a2", RED), ("b1", "a2", BLUE),
+             ("z", "a1", RED)])
+        assert not similar(g, "a1", "b1")
+        c1, c2 = digon_cycles(g)
+        merged = merge_similar(g, c1, c2, 0, 0)
+        assert isinstance(merged, AlternatingCycle)
+        assert verify_witness(g, merged)
+        assert merged.vertex_set(g) == {"a1", "a2", "b1", "b2"}
+        out = merge_cycles(g, c1, c2)
+        assert isinstance(out, Merged)
+        assert out.cycle.vertex_set(g) == {"a1", "a2", "b1", "b2"}
+
     def test_rejects_dissimilar_pivots(self):
         g = two_digons([("a1", "b1", RED)])
         c1, c2 = digon_cycles(g)
@@ -131,6 +153,17 @@ class TestMergeCycles:
         c1, _ = digon_cycles(g)
         with pytest.raises(ValueError):
             merge_cycles(g, c1, c1)
+
+
+class TestMergeFactor:
+    def test_dominated_cycles_do_not_merge(self):
+        # the union of two cycles of a cycle factor that only dominate
+        # each other has no spanning cycle, and cycles have no
+        # tournament to fall back on
+        g = two_digons([("a1", "b1", RED), ("a1", "b2", RED),
+                        ("a2", "b1", BLUE), ("a2", "b2", BLUE)])
+        with pytest.raises(MergeInternalError, match="no two cycles"):
+            merge_factor(g, digon_cycles(g))
 
 
 class TestCheckDomination:

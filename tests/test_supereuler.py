@@ -33,9 +33,15 @@ from ecgraph import (
 )
 from ecgraph.analysis import Analysis
 from ecgraph.core import EdgeColouredMultigraph, GraphError
-from ecgraph.merge import _Cyc, _structured_merge, check_domination
+from ecgraph.merge import (
+    _Cyc,
+    _structured_merge,
+    check_domination,
+    merge_factor,
+    merge_trails_3cycle,
+    merge_trails_transitive,
+)
 from ecgraph.structure import blow_up, is_m_closed, m_closure
-from ecgraph.supereuler import merge_trails_3cycle, merge_trails_transitive
 from ecgraph.reductions import fixture, generate
 
 WIDE = OracleBudget(max_vertices=9, max_edges=40, seconds=60)
@@ -295,8 +301,20 @@ def test_supereulerian_builds_no_blow_up(monkeypatch, seed, n):
     assert res.trail.vertex_set(g) == set(g.vertices)
 
 
+@pytest.fixture
+def tournament_merges(monkeypatch):
+    """The names of the tournament merges the merge loop runs, in order."""
+    reached = []
+    for name in ("merge_trails_3cycle", "merge_trails_transitive"):
+        def spy(*args, _move=getattr(merge_module, name), _name=name):
+            reached.append(_name)
+            return _move(*args)
+        monkeypatch.setattr(merge_module, name, spy)
+    return reached
+
+
 class TestTournamentMerges:
-    def test_triangle(self):
+    def test_triangle(self, tournament_merges):
         g = three_digons({("a", "b"): (RED, BLUE),
                           ("b", "c"): (RED, BLUE),
                           ("c", "a"): (RED, BLUE)})
@@ -311,11 +329,12 @@ class TestTournamentMerges:
                                      certs[(2, 0)])
         assert verify_witness(g, merged)
         assert merged.vertex_set(g) == set(g.vertices)
-        # the full pipeline agrees with the oracle
+        # the full pipeline agrees with the oracle, through the triangle
         assert bool(supereulerian(g)) \
             == (oracle_supereulerian(g, WIDE) is not None)
+        assert tournament_merges == ["merge_trails_3cycle"]
 
-    def test_transitive(self):
+    def test_transitive(self, tournament_merges):
         g = three_digons({("a", "b"): (RED, BLUE),
                           ("a", "c"): (BLUE, RED),
                           ("b", "c"): (RED, BLUE)})
@@ -327,6 +346,65 @@ class TestTournamentMerges:
         assert merged.vertex_set(g) == set(g.vertices)
         assert bool(supereulerian(g)) \
             == (oracle_supereulerian(g, WIDE) is not None)
+        assert tournament_merges == ["merge_trails_transitive"]
+
+    def test_merge_factor_takes_dominating_trails_through_the_tournament(
+            self, tournament_merges):
+        g = three_digons({("a", "b"): (RED, BLUE),
+                          ("b", "c"): (RED, BLUE),
+                          ("c", "a"): (RED, BLUE)})
+        t = merge_factor(g, digon_trails(g))
+        assert verify_witness(g, t)
+        assert t.vertex_set(g) == set(g.vertices)
+        assert tournament_merges == ["merge_trails_3cycle"]
+
+
+def fragmented_factors(graphs):
+    """(g, parts) where g is an M-closed closure of a random_2ec graph
+    (even seeds) or an mclosed_blowup graph (odd seeds), cut into 2-4
+    random blocks, trail-colour-connected, and each block has an
+    eulerian factor: parts are the closed trails of all those factors."""
+    for seed in range(graphs):
+        rng = random.Random(seed)
+        if seed % 2:
+            g = generate("mclosed_blowup", seed=seed, n=rng.randint(4, 30))
+        else:
+            n = rng.randint(4, 9)
+            g = m_closure(generate("random_2ec", seed=seed, n=n,
+                                   m=rng.randint(n, 3 * n)),
+                          "seeded_random", seed=seed)
+        vs = list(g.vertices)
+        rng.shuffle(vs)
+        k = rng.randint(2, min(4, len(vs) // 2))
+        cuts = sorted(rng.sample(range(1, len(vs)), k - 1))
+        parts = []
+        for a, b in zip([0] + cuts, cuts + [len(vs)]):
+            ef = eulerian_factor(g.induced(vs[a:b]))
+            if ef is None:
+                break
+            parts += [t for _, t in ef.parts]
+        else:
+            if is_trail_colour_connected(g).connected:
+                yield g, parts
+
+
+def test_merge_factor_on_fragmented_factors(monkeypatch):
+    fired = Counter()
+    for name in ("merge_similar", "merge_parallel_chords"):
+        def spy(*args, _move=getattr(merge_module, name), _name=name):
+            fired[_name] += 1
+            return _move(*args)
+        monkeypatch.setattr(merge_module, name, spy)
+    factors = 0
+    for g, parts in fragmented_factors(5000):
+        factors += 1
+        t = merge_factor(g, parts)
+        assert not isinstance(t, AlternatingCycle)
+        assert verify_witness(g, t)
+        assert t.vertex_set(g) == set(g.vertices)
+    assert factors >= 50
+    assert fired["merge_similar"] > 0
+    assert fired["merge_parallel_chords"] > 0
 
 
 class TestBipartiteDigraph:
