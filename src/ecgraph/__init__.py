@@ -36,7 +36,6 @@ from .connect import (
     complete_multipartite_classes,
     is_colour_connected,
     is_trail_colour_connected,
-    trail_to_path_complete_multipartite,
 )
 from .structure import (
     SimilarityPartition,

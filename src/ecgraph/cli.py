@@ -13,6 +13,7 @@ it.  The commands that only make graphs live in `ecgraph.cli_graphs`.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import time
@@ -26,8 +27,8 @@ from .cli_graphs import (
     emit, fail, fixture_cmd, random_cmd, read_graph, transform,
 )
 from .core import (
-    Colour, EdgeColouredMultigraph, GraphError, UnsupportedClass, Witness,
-    verify_witness, witness_to_dict,
+    Colour, EdgeColouredMultigraph, UnsupportedClass, Witness,
+    check_witness, witness_to_dict,
 )
 from .factor import alternating_cycle_factor, eulerian_factor
 from .merge import alternating_hamiltonian_cycle
@@ -49,6 +50,9 @@ def _budget(max_n: int) -> OracleBudget:
     try:
         seconds = float(raw)
     except ValueError:
+        seconds = math.nan
+    # a NaN limit is never passed, and a negative one makes no sense
+    if not seconds >= 0:
         fail(f"invalid ECGRAPH_BUDGET_SECS value {raw!r}")
     return OracleBudget(max_vertices=max_n, max_edges=max(22, 10 * max_n),
                         seconds=seconds)
@@ -72,11 +76,7 @@ def _checked_witness(g: EdgeColouredMultigraph, witness) -> Optional[dict]:
     (one that also runs under python -O)."""
     if witness is None:
         return None
-    r = verify_witness(g, witness)
-    if not r:
-        raise GraphError(f"internal error: witness fails verification: "
-                         f"{r.reason}")
-    return witness_to_dict(g, witness)
+    return witness_to_dict(g, check_witness(g, witness, "witness"))
 
 
 @click.group()

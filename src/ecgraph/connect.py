@@ -239,105 +239,16 @@ def is_trail_colour_connected(g: EdgeColouredMultigraph,
 
 def complete_multipartite_classes(g: EdgeColouredMultigraph
                                   ) -> Optional[list[list[str]]]:
-    """Partite classes if g is complete multipartite, else None."""
-    # classes are the components of the complement; then every
-    # cross-class pair must actually be adjacent
-    verts = list(g.vertices)
-    nbrs = {v: set(g.neighbours(v)) for v in verts}
-    seen: set[str] = set()
-    classes: list[list[str]] = []
-    for v in verts:
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            a = stack.pop()
-            for b in verts:
-                if b not in seen and b not in nbrs[a]:
-                    seen.add(b)
-                    comp.append(b)
-                    stack.append(b)
-        classes.append(comp)
-    for cls in classes:
-        if any(nbrs[a].intersection(cls) for a in cls):
-            return None
-    return classes
+    """Partite classes if g is complete multipartite, else None.
 
-
-def trail_to_path_complete_multipartite(g: EdgeColouredMultigraph,
-                                        t: AlternatingTrail
-                                        ) -> AlternatingTrail:
-    """Shorten an open alternating (u,v)-trail of a complete multipartite
-    graph into an alternating (u,v)-path with the same start colour.
-
-    Repeatedly removes the first repetition: an even-length detour is
-    spliced out; an odd-length one is bypassed through a neighbour of
-    the repeated vertex, using completeness to find the bypass edge.
-    """
-    if complete_multipartite_classes(g) is None:
-        raise ValueError("graph is not complete multipartite")
-    if t.closed or not t.edge_ids:
-        raise ValueError("expected a nonempty open trail")
-    r = verify_witness(g, t)
-    if not r:
-        raise ValueError(f"invalid trail: {r.reason}")
-
-    u = t.start
-    c = g.edge(t.edge_ids[0]).colour
-    cur = t
-    while True:
-        seq = cur.vertex_sequence(g)
-        v = seq[-1]
-        k = len(cur.edge_ids)
-        # already a path?
-        if len(set(seq)) == len(seq):
-            return cur
-        # target v revisited: cut at its first occurrence
-        first_v = seq.index(v)
-        if first_v < k:
-            cur = AlternatingTrail(u, cur.edge_ids[:first_v])
-            continue
-        # first vertex met twice, by order of second occurrence
-        pos: dict[str, int] = {}
-        a = b = -1
-        for p, w in enumerate(seq):
-            if w in pos:
-                a, b = pos[w], p
-                break
-            pos[w] = p
-        gap = b - a
-        if gap % 2 == 0:
-            cur = AlternatingTrail(
-                u, cur.edge_ids[:a] + cur.edge_ids[b:])
-            continue
-        # odd detour: bypass through x = successor of the first
-        # occurrence, or its own successor, or straight to v
-        w = seq[a]
-        xx = seq[a + 1]
-        x_pred = seq[a + 2]
-        d = g.edge(cur.edge_ids[a]).colour
-        prefix = cur.edge_ids[:a]
-        back = tuple(reversed(cur.edge_ids[a + 1:b]))  # w -> xx, starts d
-        candidates: list[tuple[str, ...]] = []
-        for e in g.edges_between(xx, v, d.other()):
-            candidates.append(prefix + (cur.edge_ids[a],) + (e.id,))
-        for e in g.edges_between(xx, v, d):
-            candidates.append(prefix + back + (e.id,))
-        for e in g.edges_between(w, v, d):
-            candidates.append(prefix + (e.id,))
-        for e in g.edges_between(x_pred, v, d):
-            candidates.append(prefix + cur.edge_ids[a:a + 2] + (e.id,))
-        for e in g.edges_between(x_pred, v, d.other()):
-            candidates.append(prefix + back[:-1] + (e.id,))
-        for cand in candidates:
-            nxt = AlternatingTrail(u, cand)
-            if len(cand) >= k or not verify_witness(g, nxt):
-                continue
-            if g.edge(cand[0]).colour is not c or nxt.end(g) != v:
-                continue
-            cur = nxt
-            break
-        else:
-            raise GraphError("trail shortening found no valid bypass")
+    The candidate classes group the vertices by neighbour set.  Without
+    loops no vertex is its own neighbour, so vertices of one group are
+    never adjacent, and g is complete multipartite exactly when each
+    vertex is adjacent to all n - |its group| vertices outside it."""
+    groups: dict[frozenset[str], list[str]] = {}
+    for v in g.vertices:
+        groups.setdefault(frozenset(g.neighbours(v)), []).append(v)
+    n = len(g.vertices)
+    if any(len(nb) != n - len(cls) for nb, cls in groups.items()):
+        return None
+    return list(groups.values())

@@ -159,13 +159,6 @@ class EdgeColouredMultigraph:
         edges = [e for e in self.edges if e.u in keep and e.v in keep]
         return EdgeColouredMultigraph(verts, edges)
 
-    def restricted_to_edges(self, edge_ids: Iterable[str]) -> "EdgeColouredMultigraph":
-        keep = set(edge_ids)
-        edges = [e for e in self.edges if e.id in keep]
-        touched = {x for e in edges for x in (e.u, e.v)}
-        verts = [v for v in self.vertices if v in touched]
-        return EdgeColouredMultigraph(verts, edges)
-
 
 @dataclass(frozen=True)
 class AlternatingTrail:
@@ -216,13 +209,6 @@ class EulerianFactor:
     """Partition of V into parts, each spanned by a closed alternating trail."""
 
     parts: tuple[tuple[frozenset[str], AlternatingTrail], ...]
-
-    def visit_count(self, g: EdgeColouredMultigraph, v: str) -> int:
-        for _, trail in self.parts:
-            seq = trail.vertex_sequence(g)
-            if v in seq:
-                return seq[:-1].count(v)
-        raise GraphError(f"vertex {v!r} not covered by factor")
 
 
 @dataclass(frozen=True)
@@ -426,6 +412,18 @@ def verify_witness(g: EdgeColouredMultigraph, w: Witness) -> VerifyResult:
             return VerifyResult(False, "factor cycles do not cover V")
         return VerifyResult(True)
     return VerifyResult(False, f"unknown witness type {type(w).__name__}")
+
+
+def check_witness(g: EdgeColouredMultigraph, w: Witness, what: str,
+                  error: type[Exception] = GraphError) -> Witness:
+    """w, after an explicit check that it is a valid witness in g (one
+    that also runs under python -O); raises `error`, naming `what`,
+    if it is not."""
+    r = verify_witness(g, w)
+    if not r:
+        raise error(f"internal error: {what} fails verification: "
+                    f"{r.reason}")
+    return w
 
 
 def build_graph(vertices: Sequence[str],

@@ -56,15 +56,21 @@ an alternative approach", Inf. Process. Lett. 24, 1987):
    ends in a maximum matching, so the gadget has a perfect matching
    iff the repair finds one.
 
-Whichever stage answers "yes", its edges of g go through
-`tour_factor_from_balanced_edges`, which fails loudly on an edge set
-that is not balanced.  `build_slot_gadget` builds the diagonal gadget
-straight into integer adjacency lists for the repair.
-`build_factor_gadget`, with string slot names and the complete join,
-is kept only as the reference the tests check it against.
+Whichever stage answers "yes", the positions in g.edges of its edges
+go through `tour_factor_from_balanced_edges`, which fails loudly on an
+edge set that is not balanced.  In one pass over vertex indices it
+pairs red and blue edge-ends into closed trails and merges them with a
+union-find, whose classes are the factor's parts (after Kotzig, "Moves
+without forbidden transitions in a graph", 1968); no sub-multigraph of
+g is built.  `alternating_euler_tour` is its one-part case.
+`build_slot_gadget` builds the diagonal gadget straight into integer
+adjacency lists for the repair.  `build_factor_gadget`, with string
+slot names and the complete join, is kept only as the reference the
+tests check it against.
 
 Cycle factors reduce to perfect matching in a much smaller auxiliary
-graph with one red and one blue copy per vertex.
+graph with one red and one blue copy per vertex; the cycles are read
+straight off the matching, from copy to matched copy.
 """
 
 from __future__ import annotations
@@ -248,8 +254,7 @@ def eulerian_factor(g: EdgeColouredMultigraph) -> Optional[EulerianFactor]:
     y, short = p.rounded(twice)
     if short and not p.paired(y, short):
         return _repair(g, p, y)
-    return tour_factor_from_balanced_edges(
-        g, [g.edges[i].id for i in p.chosen(y)])
+    return tour_factor_from_balanced_edges(g, p.chosen(y))
 
 
 class _BMatching:
@@ -588,95 +593,72 @@ def _repair(g: EdgeColouredMultigraph, p: _BMatching, y: list[int]
     if -1 in match:
         return None
     return tour_factor_from_balanced_edges(
-        g, [e.id for e, (su, sv) in zip(g.edges, gadget.external)
+        g, [i for i, (su, sv) in enumerate(gadget.external)
             if match[su] == sv])
 
 
 def tour_factor_from_balanced_edges(g: EdgeColouredMultigraph,
-                                    edge_ids: Iterable[str]) -> EulerianFactor:
-    """Factor from a colour-balanced edge set covering V: one part per
-    connected component, spanned by its alternating Euler tour."""
-    sub = g.restricted_to_edges(edge_ids)
-    if len(sub.vertices) != len(g.vertices):
-        missing = set(g.vertices) - set(sub.vertices)
-        raise GraphError(f"balanced edge set misses vertex {sorted(missing)[0]!r}")
-    comps = _components(sub)
-    parts: list[tuple[frozenset[str], AlternatingTrail]] = []
-    for comp in comps:
-        tour = alternating_euler_tour(sub if len(comps) == 1
-                                      else sub.induced(comp))
-        if tour is None:
-            raise GraphError("component admits no alternating euler tour")
-        parts.append((frozenset(comp), tour))
-    return EulerianFactor(tuple(parts))
+                                    chosen: Iterable[int]) -> EulerianFactor:
+    """Factor from a colour-balanced edge set covering V, given by
+    positions in g.edges: one part per connected component, spanned by
+    its alternating Euler tour.  Raises GraphError on a set that is not
+    balanced or misses a vertex, and on a repeated or unknown position.
 
-
-def _components(g: EdgeColouredMultigraph) -> list[list[str]]:
-    seen: set[str] = set()
-    out: list[list[str]] = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        for x in comp:
-            for e in g.incident(x):
-                w = e.v if e.u == x else e.u
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        out.append(comp)
-    return out
-
-
-def alternating_euler_tour(g_sub: EdgeColouredMultigraph
-                           ) -> Optional[AlternatingTrail]:
-    """Closed alternating trail using every edge of g_sub exactly once.
-
-    Exists iff g_sub is connected and every vertex has red degree equal
-    to blue degree.  Red and blue edge-ends are paired at each vertex
-    into a transition system whose orbits are closed alternating trails.
-    Then, vertex by vertex, each trail through the vertex that is not
-    yet merged with the first one through it is merged with it by
-    swapping one transition pair of each; a union-find over the trails
-    keeps track.  The graph is connected iff one trail remains.
+    Edge k has ends 2k at its u and 2k + 1 at its v.  At each vertex
+    the red and blue ends are paired in edge order, a transition system
+    whose orbits are closed alternating trails.  Then, vertex by vertex,
+    each orbit through the vertex not yet merged with the first one
+    through it is merged with it by swapping one transition pair of
+    each; a union-find over the orbits keeps track, and its classes end
+    as the components.  Parts come in the order of their lowest vertex,
+    and each tour starts at its component's first edge, from its u.
     """
-    if not g_sub.edges:
-        return None
-    # pair[v][edge id] = partner edge id at v (always a red-blue pair)
-    pair: dict[str, dict[str, str]] = {}
-    reds_at: dict[str, list[str]] = {}
-    for v in g_sub.vertices:
-        reds: list[str] = []
-        blues: list[str] = []
-        for e in g_sub.incident(v):
-            (reds if e.colour is Colour.RED else blues).append(e.id)
-        # an isolated vertex is a component of its own
-        if not reds or len(reds) != len(blues):
-            return None
-        pv = pair[v] = {}
-        for r, b in zip(reds, blues):
-            pv[r] = b
-            pv[b] = r
-        reds_at[v] = reds
+    m = len(g.edges)
+    used = bytearray(m)
+    for k in chosen:
+        if not 0 <= k < m:
+            raise GraphError(f"no edge at position {k!r}")
+        if used[k]:
+            raise GraphError(f"edge {g.edges[k].id!r} chosen twice")
+        used[k] = 1
+    edges = [k for k in range(m) if used[k]]
+    index = g.vertex_index
+    n = len(g.vertices)
+    reds: list[list[int]] = [[] for _ in range(n)]
+    blues: list[list[int]] = [[] for _ in range(n)]
+    for k in edges:
+        e = g.edges[k]
+        ends = reds if e.colour is Colour.RED else blues
+        ends[index(e.u)].append(2 * k)
+        ends[index(e.v)].append(2 * k + 1)
+    # pair[h]: the end paired with end h at its vertex
+    pair = [-1] * (2 * m)
+    for i in range(n):
+        if not reds[i] and not blues[i]:
+            raise GraphError(
+                f"balanced edge set misses vertex {g.vertices[i]!r}")
+        if len(reds[i]) != len(blues[i]):
+            raise GraphError(
+                f"edge set is not balanced at {g.vertices[i]!r}")
+        for r, b in zip(reds[i], blues[i]):
+            pair[r] = b
+            pair[b] = r
 
-    def trail(e0) -> list[str]:
-        start = e0.u
-        seq = [e0.id]
-        eid = e0.id
-        cur = e0.v
-        while not (cur == start and pair[cur][eid] == e0.id):
-            eid = pair[cur][eid]
-            seq.append(eid)
-            cur = g_sub.edge(eid).other_end(cur)
+    def walk(k0: int) -> list[int]:
+        """Edge positions of the orbit leaving edge k0's u by k0."""
+        seq = [k0]
+        h = pair[2 * k0 + 1]
+        while h != 2 * k0:
+            seq.append(h >> 1)
+            h = pair[h ^ 1]
         return seq
 
-    trail_of: dict[str, int] = {}
+    orbit = [-1] * m
     root: list[int] = []
-    for e0 in g_sub.edges:
-        if e0.id not in trail_of:
-            for eid in trail(e0):
-                trail_of[eid] = len(root)
+    for k0 in edges:
+        if orbit[k0] < 0:
+            for k in walk(k0):
+                orbit[k] = len(root)
             root.append(len(root))
 
     def find(t: int) -> int:
@@ -685,27 +667,47 @@ def alternating_euler_tour(g_sub: EdgeColouredMultigraph
             t = root[t]
         return t
 
-    merges = 0
-    for v, reds in reds_at.items():
-        pv = pair[v]
-        r1 = reds[0]
-        b1 = pv[r1]
-        for r in reds[1:]:
-            t1 = find(trail_of[r1])
-            t = find(trail_of[r])
+    for rs in reds:
+        r1 = rs[0]
+        b1 = pair[r1]
+        for r in rs[1:]:
+            t1 = find(orbit[r1 >> 1])
+            t = find(orbit[r >> 1])
             if t != t1:
-                b = pv[r]
-                pv[r1] = b
-                pv[b] = r1
-                pv[r] = b1
-                pv[b1] = r
+                b = pair[r]
+                pair[r1] = b
+                pair[b] = r1
+                pair[r] = b1
+                pair[b1] = r
                 b1 = b
                 root[t] = t1
-                merges += 1
-    if merges != len(root) - 1:
+    # each component's vertices, and its first edge
+    parts: dict[int, list[str]] = {}
+    for i, rs in enumerate(reds):
+        parts.setdefault(find(orbit[rs[0] >> 1]), []).append(g.vertices[i])
+    first: dict[int, int] = {}
+    for k in edges:
+        first.setdefault(find(orbit[k]), k)
+    return EulerianFactor(tuple(
+        (frozenset(vs), AlternatingTrail(
+            g.edges[first[t]].u,
+            tuple(g.edges[k].id for k in walk(first[t])), closed=True))
+        for t, vs in parts.items()))
+
+
+def alternating_euler_tour(g_sub: EdgeColouredMultigraph
+                           ) -> Optional[AlternatingTrail]:
+    """Closed alternating trail using every edge of g_sub exactly once,
+    or None: the one-part case of `tour_factor_from_balanced_edges`.
+
+    Exists iff g_sub is connected and every vertex has red degree equal
+    to blue degree, at least one.
+    """
+    try:
+        f = tour_factor_from_balanced_edges(g_sub, range(len(g_sub.edges)))
+    except GraphError:
         return None
-    e0 = g_sub.edges[0]
-    return AlternatingTrail(e0.u, tuple(trail(e0)), closed=True)
+    return f.parts[0][1] if len(f.parts) == 1 else None
 
 
 def alternating_cycle_factor(g: EdgeColouredMultigraph
@@ -728,27 +730,21 @@ def alternating_cycle_factor(g: EdgeColouredMultigraph
     match = split.matching()
     if -1 in match:
         return None
-    chosen: dict[tuple[str, Colour], str] = {}
-    for i, j in enumerate(match):
-        if i < j:
-            e = g.edge(split.edge_id(i, j))
-            chosen[(e.u, e.colour)] = e.id
-            chosen[(e.v, e.colour)] = e.id
+    # from the red copy of i, each matched pair is one edge of the cycle
+    # and b ^ 1 the other copy of the vertex it reaches
     cycles: list[AlternatingCycle] = []
-    done: set[str] = set()
-    for v in g.vertices:
-        if v in done:
+    done = bytearray(len(g.vertices))
+    for i, v in enumerate(g.vertices):
+        if done[i]:
             continue
         seq: list[str] = []
-        cur = v
-        col = Colour.RED
+        a = 2 * i
         while True:
-            eid = chosen[(cur, col)]
-            seq.append(eid)
-            done.add(cur)
-            cur = g.edge(eid).other_end(cur)
-            col = col.other()
-            if cur == v:
+            done[a >> 1] = 1
+            b = match[a]
+            seq.append(split.edge_id(a, b))
+            a = b ^ 1
+            if a >> 1 == i:
                 break
         cycles.append(AlternatingCycle(v, tuple(seq)))
     return CycleFactor(tuple(cycles))

@@ -259,7 +259,3 @@ def maximum_matching(g: PlainGraph) -> Matching:
             ids.append(h.edge_id(v, m))
             pairs.append((g.vertices[v], g.vertices[m]))
     return Matching(frozenset(ids), tuple(pairs))
-
-
-def has_perfect_matching(g: PlainGraph) -> bool:
-    return 2 * len(maximum_matching(g)) == len(g.vertices)

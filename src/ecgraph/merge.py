@@ -54,6 +54,7 @@ colours towards two dominated trails differ.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from collections import Counter
@@ -67,7 +68,7 @@ from .core import (
     Colour,
     EdgeColouredMultigraph,
     UnsupportedClass,
-    verify_witness,
+    check_witness,
 )
 from .oracle import (
     BudgetExceeded,
@@ -122,7 +123,6 @@ class _Cyc:
     verts[t] -- edges[t] -- verts[t+1], positions taken mod n."""
 
     def __init__(self, g: EdgeColouredMultigraph, c: AlternatingTrail):
-        self.g = g
         self.cycle = isinstance(c, AlternatingCycle)
         seq = c.vertex_sequence(g)
         self.verts: list[str] = seq[:-1]
@@ -142,8 +142,11 @@ class _Cyc:
     def reversed(self) -> "_Cyc":
         """The same walk backwards from verts[0]: position t becomes
         position (n - t) % n."""
-        return _Cyc(self.g, _closed(self.verts[0], reversed(self.edges),
-                                    self.cycle))
+        r = copy.copy(self)
+        r.verts = self.verts[:1] + self.verts[:0:-1]
+        r.edges = self.edges[::-1]
+        r.cols = self.cols[::-1]
+        return r
 
     def as_cycle(self) -> AlternatingTrail:
         """The walk from verts[0], of the kind it was built from."""
@@ -195,10 +198,7 @@ def merge_similar(g: EdgeColouredMultigraph, C1: AlternatingTrail,
     edges = (a.seg(i, (i - 1) % a.n) + [chord1]
              + b.seg(j, (j - 1) % b.n) + [chord2])
     out = _closed(x, edges, a.cycle and b.cycle)
-    r = verify_witness(g, out)
-    if not r:
-        raise MergeInternalError(f"similar merge produced {r.reason}")
-    return out
+    return check_witness(g, out, "similar merge", MergeInternalError)
 
 
 def merge_parallel_chords(g: EdgeColouredMultigraph, C1: AlternatingTrail,
@@ -222,10 +222,7 @@ def merge_parallel_chords(g: EdgeColouredMultigraph, C1: AlternatingTrail,
     edges = (a.seg(i1, i) + [chord1]
              + list(reversed(b.seg(j1, j))) + [chord2])
     out = _closed(a.verts[i1], edges, a.cycle and b.cycle)
-    r = verify_witness(g, out)
-    if not r:
-        raise MergeInternalError(f"chord merge produced {r.reason}")
-    return out
+    return check_witness(g, out, "chord merge", MergeInternalError)
 
 
 def check_domination(g: EdgeColouredMultigraph, dom: AlternatingTrail,
@@ -289,8 +286,9 @@ def _structured_merge(g: EdgeColouredMultigraph, C1: AlternatingTrail,
             if joins(x) == joins(y):
                 return Merged(merge_similar(g, C1, C2, i, j))
 
+    bs = (b, b.reversed())
     for ao in (a, a.reversed()):
-        for bo in (b, b.reversed()):
+        for bo in bs:
             for i in range(ao.n):
                 c = ao.cols[i]
                 x, x1 = ao.verts[i], ao.verts[(i + 1) % ao.n]
@@ -410,10 +408,7 @@ def merge_trails_3cycle(g: EdgeColouredMultigraph,
               _cross_edge(g, vb_pred, vc_pred, alpha),
               _cross_edge(g, vc_pred, va, alpha.other())])
     out = AlternatingTrail(va, tuple(ids), closed=True)
-    r = verify_witness(g, out)
-    if not r:
-        raise MergeInternalError(f"triangle merge produced {r.reason}")
-    return out
+    return check_witness(g, out, "triangle merge", MergeInternalError)
 
 
 def merge_trails_transitive(g: EdgeColouredMultigraph,
@@ -437,10 +432,7 @@ def merge_trails_transitive(g: EdgeColouredMultigraph,
            + [_cross_edge(g, w_pred, v, c.other())]
            + e1)
     out = AlternatingTrail(v, tuple(ids), closed=True)
-    r = verify_witness(g, out)
-    if not r:
-        raise MergeInternalError(f"transitive merge produced {r.reason}")
-    return out
+    return check_witness(g, out, "transitive merge", MergeInternalError)
 
 
 def _tournament_merge(g: EdgeColouredMultigraph,
@@ -515,10 +507,7 @@ def merge_factor(g: EdgeColouredMultigraph,
     final = parts[0]
     if final.vertex_set(g) != set(g.vertices):
         raise MergeInternalError("merged factor does not span the graph")
-    r = verify_witness(g, final)
-    if not r:
-        raise MergeInternalError(f"merged factor invalid: {r.reason}")
-    return final
+    return check_witness(g, final, "merged factor", MergeInternalError)
 
 
 @dataclass(frozen=True)

