@@ -10,12 +10,18 @@ for trails two such pairs per vertex and two helpers per edge
 (`alternating_trail`).
 
 Neither split graph depends on the queried pair, so a sweep builds it
-once.  One blossom search per source and start colour then answers
-every target and end colour, because its outer vertices are exactly the
+once, from the graph's integer view (`EdgeColouredMultigraph.view`).
+One blossom search per source and start colour then answers every
+target and end colour, because its outer vertices are exactly the
 copies whose deletion leaves a perfect matching (see
 `alternating_path`); a sweep keeps only the current source's two.
-`alternating_path` and `alternating_trail` build the same query objects
-and ask them once.
+
+Each positive triple is read back as positions in g.edges and checked
+by the view's `walk`, the routine `verify_witness` runs too, for its
+end vertex, its end colours and, for a path, simplicity.  An
+`AlternatingTrail` is built from the checked positions only when a
+sweep collects witnesses, or for `alternating_path` and
+`alternating_trail`, which ask the same query objects once.
 
 Both sweeps always run on the graph they are given.  Sweeping a smaller
 graph in its place (the similarity quotient of an extension of an
@@ -29,12 +35,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
+    BIT_COLOUR,
     AlternatingTrail,
+    BadWalk,
     Colour,
     EdgeColouredMultigraph,
     GraphError,
+    GraphView,
     UnsupportedClass,
-    verify_witness,
 )
 from .matching import IndexedGraph
 
@@ -51,10 +59,11 @@ class _PathQuery:
     built once in integer form.
 
     Vertex i of g has a red copy 2i and a blue copy 2i+1, joined by an
-    internal edge; a colour-c graph edge joins the two c-copies.  The
-    searches from the current source's two copies are kept, so a sweep
-    searches once per (source, start colour).  A subclass changes only
-    the split graph: vertex i's first copy of colour c is
+    internal edge; a colour-c edge at position k of g.edges joins the
+    two c-copies, and the split graph keeps k as its id.  The searches
+    from the current source's two copies are kept, so a sweep searches
+    once per (source, start colour).  A subclass changes only the split
+    graph and its read-back: vertex i's first copy of colour bit c is
     `STRIDE * i + c`, and every split vertex a is paired with a ^ 1.
     """
 
@@ -63,45 +72,98 @@ class _PathQuery:
 
     def __init__(self, g: EdgeColouredMultigraph):
         self.g = g
-        self._split = self._split_graph(g)
+        self.view = g.view()
+        self._split = self._split_graph(self.view, len(g.vertices))
         self._searches: dict[int, tuple] = {}
 
     @staticmethod
-    def _split_graph(g: EdgeColouredMultigraph) -> IndexedGraph:
-        edges: list[tuple[int, int, Optional[str]]] = [
-            (2 * i, 2 * i + 1, None) for i in range(len(g.vertices))]
-        for e in g.edges:
-            c = _copy_bit(e.colour)
-            edges.append((2 * g.vertex_index(e.u) + c,
-                          2 * g.vertex_index(e.v) + c, e.id))
-        return IndexedGraph(2 * len(g.vertices), edges)
+    def _split_graph(view: GraphView, n: int) -> IndexedGraph:
+        eu, ev, bit = view.eu, view.ev, view.bit
+        edges = [(2 * i, 2 * i + 1, -1) for i in range(n)]
+        edges += [(2 * eu[k] + bit[k], 2 * ev[k] + bit[k], k)
+                  for k in range(len(bit))]
+        return IndexedGraph(2 * n, edges)
+
+    def _read_back(self, a: int, stop: int, p: list[int]) -> list[int]:
+        """The positions in g.edges of the split edges on the search
+        tree's path from split vertex a back to `stop`, last edge
+        first: p crosses a split edge, ^ 1 a pair."""
+        split = self._split
+        seq = []
+        while a != stop:
+            b = p[a]
+            seq.append(split.edge_id(a, b))
+            a = b ^ 1
+        return seq
+
+    def positions(self, x: int, y: int, start: int, end: int = -1
+                  ) -> Optional[list[int]]:
+        """The positions in g.edges of an alternating path (trail) from
+        vertex index x to y != x, first colour bit `start`, last colour
+        bit `end` (either when -1), once checked; None if there is
+        none."""
+        root = self.STRIDE * x + start
+        search = self._searches.get(root)
+        if search is None:
+            # a new source drops the searches of the one before
+            if root ^ 1 not in self._searches:
+                self._searches.clear()
+            search = self._searches[root] = self._split.search(root)
+        outer = search[0]
+        # y's non-end copy must be outer; end -1 tries red first
+        j = self.STRIDE * y
+        if end >= 0:
+            last = j + end if outer[(j + end) ^ 1] else -1
+        else:
+            last = j if outer[j + 1] else j + 1 if outer[j] else -1
+        if last < 0:
+            return None
+        ks = self._read_back(last, root ^ 1, search[1])
+        ks.reverse()
+        self._check(x, ks, y, start, end)
+        return ks
+
+    def _check(self, x: int, ks: list[int], y: int, start: int, end: int
+               ) -> None:
+        """Raise GraphError unless ks is an alternating trail of g from
+        x to y, first colour bit `start`, last `end` unless that is -1,
+        and visiting no vertex twice if SIMPLE: all read from the view's
+        one walk of ks.  Explicit, so python -O keeps it."""
+        g = self.g
+        try:
+            got, first, last, simple = self.view.walk(x, ks)
+        except BadWalk as exc:
+            m = len(g.edges)
+            problem = "fails verification: " + exc.reason(
+                [g.edges[k].id if 0 <= k < m else k for k in ks])
+        else:
+            if got != y:
+                problem = f"ends at {g.vertices[got]!r}"
+            elif first != start:
+                problem = f"starts with {BIT_COLOUR[first]!r}"
+            elif end >= 0 and last != end:
+                problem = f"ends with {BIT_COLOUR[last]!r}"
+            elif self.SIMPLE and not simple:
+                problem = "revisits a vertex"
+            else:
+                return
+        raise GraphError(f"internal error: {g.vertices[x]!r}-"
+                         f"{g.vertices[y]!r} witness {problem}")
+
+    def trail(self, x: int, ks: list[int]) -> AlternatingTrail:
+        """The trail from vertex index x along the positions ks."""
+        edges = self.g.edges
+        return AlternatingTrail(self.g.vertices[x],
+                                tuple(edges[k].id for k in ks))
 
     def __call__(self, x: str, y: str, start: Colour,
                  end: Optional[Colour] = None) -> Optional[AlternatingTrail]:
         if x == y:
             raise ValueError("endpoints must differ")
-        root = self.STRIDE * self.g.vertex_index(x) + _copy_bit(start)
-        if root not in self._searches:
-            # a new source drops the searches of the one before
-            if root ^ 1 not in self._searches:
-                self._searches.clear()
-            self._searches[root] = self._split.search(root)
-        outer, p, _ = self._searches[root]
-        # y's non-end copy must be outer; end=None tries red first
-        j = self.STRIDE * self.g.vertex_index(y)
-        ends = (j, j + 1) if end is None else (j + _copy_bit(end),)
-        last = next((c for c in ends if outer[c ^ 1]), None)
-        if last is None:
-            return None
-        # back to root: p crosses a split edge (id of g or None), ^ 1 a pair
-        seq: list[Optional[str]] = []
-        a = last
-        while a != root ^ 1:
-            seq.append(self._split.edge_id(a, p[a]))
-            a = p[a] ^ 1
-        t = AlternatingTrail(x, tuple(e for e in seq[::-1] if e is not None))
-        _check(self.g, t, y, start, end, self.SIMPLE)
-        return t
+        i = self.g.vertex_index(x)
+        ks = self.positions(i, self.g.vertex_index(y), start.bit,
+                            -1 if end is None else end.bit)
+        return None if ks is None else self.trail(i, ks)
 
 
 class _TrailQuery(_PathQuery):
@@ -112,46 +174,35 @@ class _TrailQuery(_PathQuery):
     SIMPLE = False
 
     @staticmethod
-    def _split_graph(g: EdgeColouredMultigraph) -> IndexedGraph:
-        n = len(g.vertices)
-        # the pairs first: vertex copies', then helpers'
-        edges: list[tuple[int, int, Optional[str]]] = [
-            (2 * a, 2 * a + 1, None) for a in range(2 * n + len(g.edges))]
-        for k, e in enumerate(g.edges):
+    def _split_graph(view: GraphView, n: int) -> IndexedGraph:
+        eu, ev, bit = view.eu, view.ev, view.bit
+        # each vertex's pair partner first, then in edge order; no two
+        # edges are parallel, so the lists are built directly
+        adj = [[a ^ 1] for a in range(4 * n + 2 * len(bit))]
+        for k in range(len(bit)):
             h = 4 * n + 2 * k
-            c = _copy_bit(e.colour)
-            u = 4 * g.vertex_index(e.u) + c
-            v = 4 * g.vertex_index(e.v) + c
-            edges += ((h, u, e.id), (h, u + 2, e.id),
-                      (h + 1, v, None), (h + 1, v + 2, None))
-        return IndexedGraph(4 * n + 2 * len(g.edges), edges)
+            u = 4 * eu[k] + bit[k]
+            v = 4 * ev[k] + bit[k]
+            adj[h] += (u, u + 2)
+            adj[u].append(h)
+            adj[u + 2].append(h)
+            adj[h + 1] += (v, v + 2)
+            adj[v].append(h + 1)
+            adj[v + 2].append(h + 1)
+        return IndexedGraph.from_adjacency(adj)
 
-
-def _copy_bit(c: Colour) -> int:
-    return 0 if c is Colour.RED else 1
-
-
-def _check(g: EdgeColouredMultigraph, t: AlternatingTrail, y: str,
-           start: Colour, end: Optional[Colour], simple: bool = False
-           ) -> None:
-    """Raise unless t is a valid alternating trail of g that ends at y,
-    starts with colour `start`, ends with colour `end` unless that is
-    None, and visits no vertex twice if `simple`: all read from
-    verification's one walk of t.  Explicit, so python -O keeps it."""
-    r = verify_witness(g, t)
-    if not r:
-        problem = f"fails verification: {r.reason}"
-    elif r.end != y:
-        problem = f"ends at {r.end!r}"
-    elif r.first is not start:
-        problem = f"starts with {r.first!r}"
-    elif end is not None and r.last is not end:
-        problem = f"ends with {r.last!r}"
-    elif simple and not r.simple:
-        problem = "revisits a vertex"
-    else:
-        return
-    raise GraphError(f"internal error: {t.start!r}-{y!r} witness {problem}")
+    def _read_back(self, a: int, stop: int, p: list[int]) -> list[int]:
+        # every split edge on the path has a helper end, the larger
+        # one; helper h = 4n + 2k stands for edge k, h + 1 for nothing
+        base = 4 * len(self.g.vertices)
+        seq = []
+        while a != stop:
+            b = p[a]
+            h = a if a > b else b
+            if not h & 1:
+                seq.append((h - base) >> 1)
+            a = b ^ 1
+        return seq
 
 
 def alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
@@ -199,31 +250,35 @@ def alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
     the edge hu_c - hv_c (the middle pair is matched, or both outer
     edges are).  So `_TrailQuery` gives edge k of g the pair
     h = 4n + 2k, h + 1, also a start pair of `IndexedGraph.search`, and
-    joins h by edges with e's id to the c-vertices 4i + c, 4i + 2 + c of
-    u's copies, h + 1 to v's by edges with none; a query runs from x's
-    first copy to y's.  A tree path crosses one id-carrying edge per
-    pass through a gadget, in either direction, so those ids are the
-    trail.
+    joins h to the c-vertices 4i + c, 4i + 2 + c of u's copies, h + 1
+    to v's; a query runs from x's first copy to y's.  A tree path
+    crosses one edge at h per pass through a gadget, in either
+    direction, so the even helpers h on it give the trail's edges,
+    k = (h - 4n) / 2.
     """
     return _TrailQuery(g)(x, y, start, end)
 
 
 def _sweep(g: EdgeColouredMultigraph, make, collect: bool
            ) -> ConnectivityReport:
-    if len(g.vertices) < 2:
+    n = len(g.vertices)
+    if n < 2:
         raise UnsupportedClass("connectivity needs at least two vertices")
     query = make(g)
+    names = g.vertices
     witnesses: dict[tuple[str, str, Colour], AlternatingTrail] = {}
-    for u in g.vertices:
-        for v in g.vertices:
+    for u in range(n):
+        for v in range(n):
             if u == v:
                 continue
-            for c in (Colour.RED, Colour.BLUE):
-                w = query(u, v, c)
-                if w is None:
-                    return ConnectivityReport(False, (u, v, c))
+            for c in (0, 1):
+                ks = query.positions(u, v, c)
+                if ks is None:
+                    return ConnectivityReport(
+                        False, (names[u], names[v], BIT_COLOUR[c]))
                 if collect:
-                    witnesses[(u, v, c)] = w
+                    witnesses[(names[u], names[v], BIT_COLOUR[c])] = \
+                        query.trail(u, ks)
     return ConnectivityReport(True, None, witnesses if collect else None)
 
 

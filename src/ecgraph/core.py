@@ -5,11 +5,20 @@ each coloured red or blue.  Parallel edges are allowed, self-loops are not.
 Witness objects (alternating trails, cycles, eulerian factors, cycle
 factors) reference edges by id so that parallel edges are handled
 uniformly.  Everything is immutable; every function here is pure.
+
+The algorithms read a graph through its integer view (`GraphView`,
+built on the first `g.view()` and kept with g): edges by position in
+g.edges, with their ends as vertex indices, colour bits and the
+incidence lists.  Its `walk` is the one check of an alternating trail:
+`verify_witness` maps a trail's ids to positions and runs it, and the
+connectivity sweeps run it on the positions they read back, building a
+witness object only when one is asked for.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -26,9 +35,16 @@ class Colour(enum.IntEnum):
     def token(self) -> str:
         return "red" if self is Colour.RED else "blue"
 
+    @property
+    def bit(self) -> int:
+        """The colour's bit in a graph's integer view: 0 red, 1 blue."""
+        return self - 1
+
 
 RED = Colour.RED
 BLUE = Colour.BLUE
+# colour bit -> colour
+BIT_COLOUR = (RED, BLUE)
 
 _COLOUR_TOKENS = {"red": RED, "blue": BLUE}
 
@@ -64,12 +80,13 @@ class EdgeColouredMultigraph:
 
     Vertex order is declaration order and is the deterministic tie-break
     used by every algorithm in this package.  `_analysis` holds the memo
-    of facts derived from the graph (see `ecgraph.analysis`), created on
-    first use; it lives and dies with the graph object.
+    of facts derived from the graph (see `ecgraph.analysis`) and `_view`
+    its integer view (`view`), each created on first use; they live and
+    die with the graph object.
     """
 
     __slots__ = ("vertices", "edges", "_by_id", "_incident", "_index",
-                 "_analysis")
+                 "_analysis", "_view")
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[Edge]):
         seen: set[str] = set()
@@ -97,6 +114,7 @@ class EdgeColouredMultigraph:
         self._incident = {v: tuple(es) for v, es in incident.items()}
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._analysis = None
+        self._view = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColouredMultigraph):
@@ -141,6 +159,12 @@ class EdgeColouredMultigraph:
     def vertex_index(self, v: str) -> int:
         return self._index[v]
 
+    def view(self) -> "GraphView":
+        """The graph's integer view, built on first use."""
+        if self._view is None:
+            self._view = GraphView(self)
+        return self._view
+
     def neighbours(self, v: str) -> tuple[str, ...]:
         seen: list[str] = []
         got: set[str] = set()
@@ -158,6 +182,82 @@ class EdgeColouredMultigraph:
         verts = [v for v in self.vertices if v in keep]
         edges = [e for e in self.edges if e.u in keep and e.v in keep]
         return EdgeColouredMultigraph(verts, edges)
+
+
+class BadWalk(GraphError):
+    """Edge positions that do not form an alternating trail: `problem`
+    says why, with {} for the edge at index `at` of the sequence (-1
+    for a repeat, which names no edge)."""
+
+    def __init__(self, problem: str, at: int):
+        super().__init__(problem.format(f"number {at}"))
+        self.problem = problem
+        self.at = at
+
+    def reason(self, names: Sequence) -> str:
+        """The problem, naming the edge by the repr of its entry in
+        `names`."""
+        return self.problem.format(repr(names[self.at]) if self.at >= 0
+                                   else None)
+
+
+class GraphView:
+    """A graph in integers, by position k in g.edges: the ends eu[k] and
+    ev[k] as vertex indices, and colour bit[k] (`Colour.bit`).  Vertex
+    i's incidence, in g.incident order, is inc[off[i]:off[i + 1]] (edge
+    positions) with far[...] the other end of each; pos maps edge ids
+    to positions.  `walk` is the package's one check of a trail."""
+
+    __slots__ = ("eu", "ev", "bit", "off", "inc", "far", "pos")
+
+    def __init__(self, g: EdgeColouredMultigraph):
+        index = g._index
+        self.eu = eu = [index[e.u] for e in g.edges]
+        self.ev = ev = [index[e.v] for e in g.edges]
+        self.bit = [e.colour.bit for e in g.edges]
+        self.pos = pos = {e.id: k for k, e in enumerate(g.edges)}
+        incident = [g._incident[v] for v in g.vertices]
+        self.off = list(itertools.accumulate(map(len, incident), initial=0))
+        self.inc = [pos[e.id] for es in incident for e in es]
+        self.far = [index[e.v if e.u == v else e.u]
+                    for v, es in zip(g.vertices, incident) for e in es]
+
+    def walk(self, x: int, ks: Sequence[int], closed: bool = False
+             ) -> tuple[int, int, int, bool]:
+        """(end, first, last, simple) for the walk from vertex x along
+        the edges at positions ks: its last vertex, its first and last
+        colour bits (-1 without edges), and whether it visits no vertex
+        twice, the return of a closed walk to x aside.
+
+        Raises BadWalk unless the edges are pairwise distinct, and each
+        is known, continues the walk and changes colour.  An explicit
+        check, so python -O keeps it; verification and the sweeps share
+        it as their one definition of an alternating trail.
+        """
+        if len(set(ks)) != len(ks):
+            raise BadWalk("edge repeated", -1)
+        eu, ev, bit = self.eu, self.ev, self.bit
+        m = len(bit)
+        cur = x
+        last = -1
+        seen = [x]
+        for t, k in enumerate(ks):
+            if not 0 <= k < m:
+                raise BadWalk("unknown edge id {}", t)
+            if eu[k] == cur:
+                cur = ev[k]
+            elif ev[k] == cur:
+                cur = eu[k]
+            else:
+                raise BadWalk("edge {} does not continue the walk", t)
+            if bit[k] == last:
+                raise BadWalk("colours do not alternate at edge {}", t)
+            last = bit[k]
+            seen.append(cur)
+        if closed:
+            seen.pop()
+        return (cur, bit[ks[0]] if ks else -1, last,
+                len(set(seen)) == len(seen))
 
 
 @dataclass(frozen=True)
@@ -324,39 +424,33 @@ class VerifyResult:
 
 
 def _check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail) -> VerifyResult:
-    if t.start not in g._index:
+    x = g._index.get(t.start)
+    if x is None:
         return VerifyResult(False, f"unknown start vertex {t.start!r}")
-    if len(t.edge_ids) != len(set(t.edge_ids)):
-        return VerifyResult(False, "edge repeated")
-    cur = t.start
-    walk = [cur]
-    first: Optional[Colour] = None
-    prev_colour: Optional[Colour] = None
-    for eid in t.edge_ids:
-        if not g.has_edge_id(eid):
-            return VerifyResult(False, f"unknown edge id {eid!r}")
-        e = g.edge(eid)
-        if not e.touches(cur):
-            return VerifyResult(False, f"edge {eid!r} does not continue the walk")
-        if prev_colour is None:
-            first = e.colour
-        elif e.colour is prev_colour:
-            return VerifyResult(False, f"colours do not alternate at edge {eid!r}")
-        prev_colour = e.colour
-        cur = e.other_end(cur)
-        walk.append(cur)
+    view = g.view()
+    # each unknown id gets a negative number of its own, so the walk
+    # sees repeats exactly where the ids repeat
+    pos = view.pos
+    unknown: dict[str, int] = {}
+    ks = [pos[e] if e in pos else unknown.setdefault(e, ~len(unknown))
+          for e in t.edge_ids]
+    try:
+        end, first, last, simple = view.walk(x, ks, t.closed)
+    except BadWalk as exc:
+        return VerifyResult(False, exc.reason(t.edge_ids))
     if t.closed:
         if not t.edge_ids:
             return VerifyResult(False, "closed trail must have edges")
-        if cur != t.start:
+        if end != x:
             return VerifyResult(False, "not closed")
         if len(t.edge_ids) % 2 != 0 or len(t.edge_ids) < 2:
             return VerifyResult(False, "closed trail length must be even and >= 2")
-        if first is prev_colour:
+        if first == last:
             return VerifyResult(False, "first and last edge colours must differ")
-        walk.pop()
-    return VerifyResult(True, end=cur, first=first, last=prev_colour,
-                        simple=len(set(walk)) == len(walk))
+    return VerifyResult(True, end=g.vertices[end],
+                        first=BIT_COLOUR[first] if first >= 0 else None,
+                        last=BIT_COLOUR[last] if last >= 0 else None,
+                        simple=simple)
 
 
 def _check_cycle(g: EdgeColouredMultigraph, c: AlternatingCycle) -> VerifyResult:

@@ -274,15 +274,17 @@ class _BMatching:
 
     def __init__(self, g: EdgeColouredMultigraph):
         """Raises ColourDeficient if some vertex misses a colour."""
+        view = g.view()
+        eu, ev, bit, off, inc = view.eu, view.ev, view.bit, view.off, view.inc
         need: list[int] = []
-        for x in g.vertices:
-            inc = g.incident(x)
-            r = [e.colour for e in inc].count(Colour.RED)
-            if not r:
+        for i, x in enumerate(g.vertices):
+            d = off[i + 1] - off[i]
+            b = sum(bit[k] for k in inc[off[i]:off[i + 1]])
+            if b == d:
                 raise ColourDeficient(x, Colour.RED)
-            if r == len(inc):
+            if not b:
                 raise ColourDeficient(x, Colour.BLUE)
-            b = len(inc) - r
+            r = d - b
             need += (r, r - 1, b - 1, b)
         self.need = need
         self.cap = cap = []
@@ -298,14 +300,11 @@ class _BMatching:
                 ends += (v, v + 1)
         # an edge's ends are the R nodes of a red edge, the B nodes of
         # a blue one
-        shift = {Colour.RED: 0, Colour.BLUE: 3}
-        index = g.vertex_index
         merged: dict[tuple[int, int], int] = {}
         self.edge_class = edge_class = []
-        for e in g.edges:
-            c = shift[e.colour]
-            u = 4 * index(e.u) + c
-            w = 4 * index(e.v) + c
+        for x, y, c in zip(eu, ev, bit):
+            u = 4 * x + 3 * c
+            w = 4 * y + 3 * c
             key = (u, w) if u < w else (w, u)
             k = merged.get(key)
             if k is None:
@@ -622,15 +621,15 @@ def tour_factor_from_balanced_edges(g: EdgeColouredMultigraph,
             raise GraphError(f"edge {g.edges[k].id!r} chosen twice")
         used[k] = 1
     edges = [k for k in range(m) if used[k]]
-    index = g.vertex_index
+    view = g.view()
+    eu, ev, bit = view.eu, view.ev, view.bit
     n = len(g.vertices)
     reds: list[list[int]] = [[] for _ in range(n)]
     blues: list[list[int]] = [[] for _ in range(n)]
     for k in edges:
-        e = g.edges[k]
-        ends = reds if e.colour is Colour.RED else blues
-        ends[index(e.u)].append(2 * k)
-        ends[index(e.v)].append(2 * k + 1)
+        ends = blues if bit[k] else reds
+        ends[eu[k]].append(2 * k)
+        ends[ev[k]].append(2 * k + 1)
     # pair[h]: the end paired with end h at its vertex
     pair = [-1] * (2 * m)
     for i in range(n):
@@ -722,22 +721,25 @@ def alternating_cycle_factor(g: EdgeColouredMultigraph
     """
     if len(g.vertices) < 2:
         return None
-    # vertex i has a red copy 2i and a blue copy 2i+1
-    bit = {Colour.RED: 0, Colour.BLUE: 1}
+    # vertex i has a red copy 2i and a blue copy 2i+1; the split edges
+    # carry positions in g.edges
+    view = g.view()
+    eu, ev, bit = view.eu, view.ev, view.bit
     split = IndexedGraph(2 * len(g.vertices), (
-        (2 * g.vertex_index(e.u) + bit[e.colour],
-         2 * g.vertex_index(e.v) + bit[e.colour], e.id) for e in g.edges))
+        (2 * eu[k] + bit[k], 2 * ev[k] + bit[k], k)
+        for k in range(len(bit))))
     match = split.matching()
     if -1 in match:
         return None
     # from the red copy of i, each matched pair is one edge of the cycle
     # and b ^ 1 the other copy of the vertex it reaches
+    edges = g.edges
     cycles: list[AlternatingCycle] = []
     done = bytearray(len(g.vertices))
     for i, v in enumerate(g.vertices):
         if done[i]:
             continue
-        seq: list[str] = []
+        seq: list[int] = []
         a = 2 * i
         while True:
             done[a >> 1] = 1
@@ -746,5 +748,5 @@ def alternating_cycle_factor(g: EdgeColouredMultigraph
             a = b ^ 1
             if a >> 1 == i:
                 break
-        cycles.append(AlternatingCycle(v, tuple(seq)))
+        cycles.append(AlternatingCycle(v, tuple(edges[k].id for k in seq)))
     return CycleFactor(tuple(cycles))

@@ -185,6 +185,15 @@ def merge_similar(g: EdgeColouredMultigraph, C1: AlternatingTrail,
     union = frozenset(a.verts + b.verts)
     if x == y or _joins_within(g, x, union) != _joins_within(g, y, union):
         raise ValueError(f"vertices {x!r} and {y!r} are not similar")
+    return _splice(g, a, b, i, j)
+
+
+def _splice(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc, i: int, j: int
+            ) -> AlternatingTrail:
+    """`merge_similar` on the views of the two walks, once the pivots
+    a.verts[i] and b.verts[j] are known to be similar within the union."""
+    x = a.verts[i]
+    y = b.verts[j]
     if b.cols[j] is not a.cols[i]:
         b = b.reversed()
         j = (b.n - j) % b.n
@@ -284,7 +293,7 @@ def _structured_merge(g: EdgeColouredMultigraph, C1: AlternatingTrail,
     for i, x in enumerate(a.verts):
         for j, y in enumerate(b.verts):
             if joins(x) == joins(y):
-                return Merged(merge_similar(g, C1, C2, i, j))
+                return Merged(_splice(g, a, b, i, j))
 
     bs = (b, b.reversed())
     for ao in (a, a.reversed()):

@@ -48,29 +48,14 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
-class _Indexed:
-    """Array view of a graph for the bitmask searches below."""
-
-    def __init__(self, g: EdgeColouredMultigraph):
-        self.g = g
-        self.verts = list(g.vertices)
-        self.vidx = {v: i for i, v in enumerate(self.verts)}
-        self.edges = list(g.edges)
-        self.eidx = {e.id: i for i, e in enumerate(self.edges)}
-        self.adj: list[list[tuple[int, int, Colour]]] = [[] for _ in self.verts]
-        for i, e in enumerate(self.edges):
-            u, v = self.vidx[e.u], self.vidx[e.v]
-            self.adj[u].append((i, v, e.colour))
-            self.adj[v].append((i, u, e.colour))
-
-    def full_vertex_mask(self) -> int:
-        return (1 << len(self.verts)) - 1
-
-
 def _tick(deadline: float, counter: list[int]) -> None:
     counter[0] += 1
     if counter[0] % 4096 == 0 and time.monotonic() > deadline:
         raise BudgetExceeded("time limit exceeded")
+
+
+def _ids(g: EdgeColouredMultigraph, path: list[int]) -> tuple[str, ...]:
+    return tuple(g.edges[k].id for k in path)
 
 
 def oracle_supereulerian(g: EdgeColouredMultigraph,
@@ -83,46 +68,49 @@ def oracle_supereulerian(g: EdgeColouredMultigraph,
     for v in g.vertices:
         if g.degree(v, Colour.RED) == 0 or g.degree(v, Colour.BLUE) == 0:
             return None
-    ix = _Indexed(g)
+    view = g.view()
+    eu, ev, bit, off, inc, far = (view.eu, view.ev, view.bit, view.off,
+                                  view.inc, view.far)
     deadline = budget.deadline()
     counter = [0]
     root = 0
-    n = len(ix.verts)
-    failed: set[tuple[int, int, Colour, Colour]] = set()
+    full = (1 << len(g.vertices)) - 1
+    failed: set[tuple[int, int, int, int]] = set()
 
     def covered(mask: int) -> int:
         vm = 1 << root
-        for i, e in enumerate(ix.edges):
-            if mask >> i & 1:
-                vm |= 1 << ix.vidx[e.u]
-                vm |= 1 << ix.vidx[e.v]
+        for k in range(len(bit)):
+            if mask >> k & 1:
+                vm |= (1 << eu[k]) | (1 << ev[k])
         return vm
 
     path: list[int] = []
 
-    def dfs(cur: int, mask: int, last: Colour, first: Colour) -> bool:
+    def dfs(cur: int, mask: int, last: int, first: int) -> bool:
         _tick(deadline, counter)
         key = (cur, mask, last, first)
         if key in failed:
             return False
-        if cur == root and last is not first and covered(mask) == ix.full_vertex_mask():
+        if cur == root and last != first and covered(mask) == full:
             return True
-        for ei, to, col in ix.adj[cur]:
-            if mask >> ei & 1 or col is last:
+        for t in range(off[cur], off[cur + 1]):
+            ei = inc[t]
+            if mask >> ei & 1 or bit[ei] == last:
                 continue
             path.append(ei)
-            if dfs(to, mask | (1 << ei), col, first):
+            if dfs(far[t], mask | (1 << ei), bit[ei], first):
                 return True
             path.pop()
         failed.add(key)
         return False
 
-    for ei, to, col in ix.adj[root]:
+    for t in range(off[root], off[root + 1]):
+        ei = inc[t]
         path.append(ei)
-        if dfs(to, 1 << ei, col, col):
+        if dfs(far[t], 1 << ei, bit[ei], bit[ei]):
             return check_witness(g, AlternatingTrail(
-                ix.verts[root], tuple(ix.edges[i].id for i in path),
-                closed=True), "oracle witness")
+                g.vertices[root], _ids(g, path), closed=True),
+                "oracle witness")
         path.pop()
     return None
 
@@ -135,67 +123,70 @@ def oracle_ham_alternating(g: EdgeColouredMultigraph,
     n = len(g.vertices)
     if n < 2:
         return None
-    ix = _Indexed(g)
+    view = g.view()
+    bit, off, inc, far = view.bit, view.off, view.inc, view.far
     deadline = budget.deadline()
     counter = [0]
     root = 0
-    full = ix.full_vertex_mask()
-    failed: set[tuple[int, int, Colour, Colour]] = set()
+    full = (1 << n) - 1
+    failed: set[tuple[int, int, int, int]] = set()
     path: list[int] = []
 
-    def dfs(cur: int, vmask: int, last: Colour, first: Colour) -> bool:
+    def dfs(cur: int, vmask: int, last: int, first: int) -> bool:
         _tick(deadline, counter)
         key = (cur, vmask, last, first)
         if key in failed:
             return False
         if vmask == full:
-            for ei, to, col in ix.adj[cur]:
-                if to == root and col is not last and col is not first \
-                        and ei not in path:
+            for t in range(off[cur], off[cur + 1]):
+                ei = inc[t]
+                if far[t] == root and bit[ei] != last \
+                        and bit[ei] != first and ei not in path:
                     path.append(ei)
                     return True
             failed.add(key)
             return False
-        for ei, to, col in ix.adj[cur]:
-            if col is last or vmask >> to & 1:
+        for t in range(off[cur], off[cur + 1]):
+            ei = inc[t]
+            to = far[t]
+            if bit[ei] == last or vmask >> to & 1:
                 continue
             path.append(ei)
-            if dfs(to, vmask | (1 << to), col, first):
+            if dfs(to, vmask | (1 << to), bit[ei], first):
                 return True
             path.pop()
         failed.add(key)
         return False
 
-    for ei, to, col in ix.adj[root]:
-        if to == root:
-            continue
+    for t in range(off[root], off[root + 1]):
+        ei = inc[t]
         path.append(ei)
-        if dfs(to, (1 << root) | (1 << to), col, col):
+        if dfs(far[t], (1 << root) | (1 << far[t]), bit[ei], bit[ei]):
             return check_witness(g, AlternatingCycle(
-                ix.verts[root], tuple(ix.edges[i].id for i in path)),
-                "oracle witness")
+                g.vertices[root], _ids(g, path)), "oracle witness")
         path.pop()
     return None
 
 
-def _balanced_subsets(ix: _Indexed, deadline: float):
+def _balanced_subsets(g: EdgeColouredMultigraph, deadline: float):
     """Yield edge masks where every vertex has red-deg = blue-deg >= 1."""
-    n = len(ix.verts)
-    m = len(ix.edges)
+    view = g.view()
+    eu, ev, bit = view.eu, view.ev, view.bit
+    n = len(g.vertices)
+    m = len(bit)
     counter = [0]
     # remaining red/blue edges per vertex among edges >= position k
     rem_red = [[0] * (m + 1) for _ in range(n)]
     rem_blue = [[0] * (m + 1) for _ in range(n)]
     for k in range(m - 1, -1, -1):
-        e = ix.edges[k]
         for v in range(n):
             rem_red[v][k] = rem_red[v][k + 1]
             rem_blue[v][k] = rem_blue[v][k + 1]
-        for v in (ix.vidx[e.u], ix.vidx[e.v]):
-            if e.colour is Colour.RED:
-                rem_red[v][k] += 1
-            else:
+        for v in (eu[k], ev[k]):
+            if bit[k]:
                 rem_blue[v][k] += 1
+            else:
+                rem_red[v][k] += 1
 
     bal = [0] * n       # selected red minus selected blue
     red_sel = [0] * n
@@ -218,26 +209,25 @@ def _balanced_subsets(ix: _Indexed, deadline: float):
             if all(bal[v] == 0 and red_sel[v] >= 1 for v in range(n)):
                 yield mask
             return
-        e = ix.edges[k]
-        eu, ev = ix.vidx[e.u], ix.vidx[e.v]
-        d = 1 if e.colour is Colour.RED else -1
+        u, w = eu[k], ev[k]
+        d = -1 if bit[k] else 1
         # include
-        for v in (eu, ev):
+        for v in (u, w):
             bal[v] += d
             if d > 0:
                 red_sel[v] += 1
             else:
                 blue_sel[v] += 1
-        if feasible(eu, k + 1) and feasible(ev, k + 1):
+        if feasible(u, k + 1) and feasible(w, k + 1):
             yield from rec(k + 1, mask | (1 << k))
-        for v in (eu, ev):
+        for v in (u, w):
             bal[v] -= d
             if d > 0:
                 red_sel[v] -= 1
             else:
                 blue_sel[v] -= 1
         # exclude
-        if feasible(eu, k + 1) and feasible(ev, k + 1):
+        if feasible(u, k + 1) and feasible(w, k + 1):
             yield from rec(k + 1, mask)
 
     yield from rec(0, 0)
@@ -254,11 +244,10 @@ def oracle_eulerian_factor(g: EdgeColouredMultigraph,
         if g.degree(v, Colour.RED) == 0 or g.degree(v, Colour.BLUE) == 0:
             return None
     from .factor import tour_factor_from_balanced_edges
-    ix = _Indexed(g)
     deadline = budget.deadline()
-    for mask in _balanced_subsets(ix, deadline):
+    for mask in _balanced_subsets(g, deadline):
         return check_witness(g, tour_factor_from_balanced_edges(
-            g, [i for i in range(len(ix.edges)) if mask >> i & 1]),
+            g, [k for k in range(len(g.edges)) if mask >> k & 1]),
             "oracle witness")
     return None
 
@@ -272,21 +261,26 @@ def oracle_cycle_factor(g: EdgeColouredMultigraph,
     n = len(g.vertices)
     if n < 2:
         return None
-    ix = _Indexed(g)
+    view = g.view()
+    eu, ev, bit, off, inc, far = (view.eu, view.ev, view.bit, view.off,
+                                  view.inc, view.far)
     deadline = budget.deadline()
     counter = [0]
-    full = ix.full_vertex_mask()
+    full = (1 << n) - 1
 
     def cycles_through(root: int, free: int):
         """All alternating simple cycles on `free` vertices containing root."""
         path: list[int] = []
 
-        def dfs(cur: int, vmask: int, last: Colour, first: Colour):
+        def dfs(cur: int, vmask: int, last: int, first: int):
             _tick(deadline, counter)
-            for ei, to, col in ix.adj[cur]:
-                if col is last:
+            for t in range(off[cur], off[cur + 1]):
+                ei = inc[t]
+                to = far[t]
+                col = bit[ei]
+                if col == last:
                     continue
-                if to == root and col is not first and ei not in path \
+                if to == root and col != first and ei not in path \
                         and not (forbid_digons and len(path) == 1):
                     yield path + [ei]
                 if to > root and free >> to & 1 and not vmask >> to & 1:
@@ -294,10 +288,12 @@ def oracle_cycle_factor(g: EdgeColouredMultigraph,
                     yield from dfs(to, vmask | (1 << to), col, first)
                     path.pop()
 
-        for ei, to, col in ix.adj[root]:
+        for t in range(off[root], off[root + 1]):
+            ei = inc[t]
+            to = far[t]
             if to > root and free >> to & 1:
                 path.append(ei)
-                yield from dfs(to, (1 << root) | (1 << to), col, col)
+                yield from dfs(to, (1 << root) | (1 << to), bit[ei], bit[ei])
                 path.pop()
 
     def rec(free: int, acc: list[AlternatingCycle]) -> bool:
@@ -307,10 +303,8 @@ def oracle_cycle_factor(g: EdgeColouredMultigraph,
         for edge_path in cycles_through(root, free):
             used = 0
             for ei in edge_path:
-                e = ix.edges[ei]
-                used |= (1 << ix.vidx[e.u]) | (1 << ix.vidx[e.v])
-            acc.append(AlternatingCycle(
-                ix.verts[root], tuple(ix.edges[i].id for i in edge_path)))
+                used |= (1 << eu[ei]) | (1 << ev[ei])
+            acc.append(AlternatingCycle(g.vertices[root], _ids(g, edge_path)))
             if rec(free & ~used, acc):
                 return True
             acc.pop()
@@ -330,34 +324,35 @@ def oracle_alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
     budget.admit(g)
     if x == y:
         raise ValueError("endpoints must differ")
-    ix = _Indexed(g)
+    view = g.view()
+    bit, off, inc, far = view.bit, view.off, view.inc, view.far
     deadline = budget.deadline()
     counter = [0]
-    xi, yi = ix.vidx[x], ix.vidx[y]
+    xi, yi = g.vertex_index(x), g.vertex_index(y)
+    s = start.bit
+    e = -1 if end is None else end.bit
     path: list[int] = []
 
-    def dfs(cur: int, vmask: int, last: Optional[Colour]) -> bool:
+    def dfs(cur: int, vmask: int, last: int) -> bool:
         _tick(deadline, counter)
         if cur == yi:
-            return end is None or last is end
-        for ei, to, col in ix.adj[cur]:
+            return e < 0 or last == e
+        for t in range(off[cur], off[cur + 1]):
+            ei = inc[t]
+            to = far[t]
             if vmask >> to & 1:
                 continue
-            if last is None:
-                if col is not start:
-                    continue
-            elif col is last:
+            if bit[ei] == last or last < 0 and bit[ei] != s:
                 continue
             path.append(ei)
-            if dfs(to, vmask | (1 << to), col):
+            if dfs(to, vmask | (1 << to), bit[ei]):
                 return True
             path.pop()
         return False
 
-    if dfs(xi, 1 << xi, None):
-        return check_witness(g, AlternatingTrail(
-            x, tuple(ix.edges[i].id for i in path)),
-            "oracle witness")
+    if dfs(xi, 1 << xi, -1):
+        return check_witness(g, AlternatingTrail(x, _ids(g, path)),
+                             "oracle witness")
     return None
 
 
@@ -369,39 +364,39 @@ def oracle_alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
     budget.admit(g)
     if x == y:
         raise ValueError("endpoints must differ")
-    ix = _Indexed(g)
+    view = g.view()
+    bit, off, inc, far = view.bit, view.off, view.inc, view.far
     deadline = budget.deadline()
     counter = [0]
-    xi, yi = ix.vidx[x], ix.vidx[y]
+    xi, yi = g.vertex_index(x), g.vertex_index(y)
+    s = start.bit
+    e = -1 if end is None else end.bit
     path: list[int] = []
-    failed: set[tuple[int, int, Optional[Colour]]] = set()
+    failed: set[tuple[int, int, int]] = set()
 
-    def dfs(cur: int, emask: int, last: Optional[Colour]) -> bool:
+    def dfs(cur: int, emask: int, last: int) -> bool:
         _tick(deadline, counter)
-        if cur == yi and last is not None and (end is None or last is end):
+        if cur == yi and last >= 0 and (e < 0 or last == e):
             return True
         key = (cur, emask, last)
         if key in failed:
             return False
-        for ei, to, col in ix.adj[cur]:
+        for t in range(off[cur], off[cur + 1]):
+            ei = inc[t]
             if emask >> ei & 1:
                 continue
-            if last is None:
-                if col is not start:
-                    continue
-            elif col is last:
+            if bit[ei] == last or last < 0 and bit[ei] != s:
                 continue
             path.append(ei)
-            if dfs(to, emask | (1 << ei), col):
+            if dfs(far[t], emask | (1 << ei), bit[ei]):
                 return True
             path.pop()
         failed.add(key)
         return False
 
-    if dfs(xi, 0, None):
-        return check_witness(g, AlternatingTrail(
-            x, tuple(ix.edges[i].id for i in path)),
-            "oracle witness")
+    if dfs(xi, 0, -1):
+        return check_witness(g, AlternatingTrail(x, _ids(g, path)),
+                             "oracle witness")
     return None
 
 

@@ -5,6 +5,10 @@ test-only helpers.  Nothing in the package calls these.
   read-backs that `tour_factor_from_balanced_edges` and
   `alternating_cycle_factor` replaced: edge ids, a sub-multigraph of
   the chosen edges, its components, and a `(vertex, colour)` dict.
+- `ref_check_trail` is the string walk `verify_witness` ran on a trail
+  before the graph's integer view replaced it, and `ref_check` the
+  check the connectivity queries ran on each witness with it.
+- `rand_multigraph` draws small multigraphs with parallel edges.
 - `trail_to_path_complete_multipartite` shortens an open alternating
   trail of a complete multipartite graph into an alternating path with
   the same ends and start colour.
@@ -22,10 +26,28 @@ from ecgraph import (
     EdgeColouredMultigraph,
     EulerianFactor,
     GraphError,
+    VerifyResult,
+    build_graph,
     complete_multipartite_classes,
     verify_witness,
 )
 from ecgraph.matching import IndexedGraph, PlainGraph, maximum_matching
+
+
+def rand_multigraph(rng) -> EdgeColouredMultigraph:
+    """2-12 vertices, drawn with the random.Random rng; about a third of
+    the edges repeat an earlier edge's ends and colour, which
+    `random_2ec` never draws."""
+    n = rng.randint(2, 12)
+    triples = []
+    for _ in range(rng.randint(1, 3 * n)):
+        if triples and rng.random() < 0.3:
+            triples.append(rng.choice(triples))
+        else:
+            u, v = rng.sample(range(n), 2)
+            triples.append((f"v{u}", f"v{v}",
+                            rng.choice((Colour.RED, Colour.BLUE))))
+    return build_graph([f"v{i}" for i in range(n)], triples)
 
 
 def has_perfect_matching(g: PlainGraph) -> bool:
@@ -182,6 +204,66 @@ def ref_cycle_read_back(g: EdgeColouredMultigraph, split: IndexedGraph,
                 break
         cycles.append(AlternatingCycle(v, tuple(seq)))
     return CycleFactor(tuple(cycles))
+
+
+def ref_check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail
+                    ) -> VerifyResult:
+    """verify_witness on a trail, walked through g's edge-id dicts."""
+    if t.start not in g.vertices:
+        return VerifyResult(False, f"unknown start vertex {t.start!r}")
+    if len(t.edge_ids) != len(set(t.edge_ids)):
+        return VerifyResult(False, "edge repeated")
+    cur = t.start
+    walk = [cur]
+    first: Optional[Colour] = None
+    prev_colour: Optional[Colour] = None
+    for eid in t.edge_ids:
+        if not g.has_edge_id(eid):
+            return VerifyResult(False, f"unknown edge id {eid!r}")
+        e = g.edge(eid)
+        if not e.touches(cur):
+            return VerifyResult(False, f"edge {eid!r} does not continue the walk")
+        if prev_colour is None:
+            first = e.colour
+        elif e.colour is prev_colour:
+            return VerifyResult(False, f"colours do not alternate at edge {eid!r}")
+        prev_colour = e.colour
+        cur = e.other_end(cur)
+        walk.append(cur)
+    if t.closed:
+        if not t.edge_ids:
+            return VerifyResult(False, "closed trail must have edges")
+        if cur != t.start:
+            return VerifyResult(False, "not closed")
+        if len(t.edge_ids) % 2 != 0 or len(t.edge_ids) < 2:
+            return VerifyResult(False, "closed trail length must be even and >= 2")
+        if first is prev_colour:
+            return VerifyResult(False, "first and last edge colours must differ")
+        walk.pop()
+    return VerifyResult(True, end=cur, first=first, last=prev_colour,
+                        simple=len(set(walk)) == len(walk))
+
+
+def ref_check(g: EdgeColouredMultigraph, t: AlternatingTrail, y: str,
+              start: Colour, end: Optional[Colour], simple: bool = False
+              ) -> None:
+    """Raise GraphError unless t is an alternating trail of g that ends
+    at y, starts with `start`, ends with `end` unless that is None, and
+    visits no vertex twice if `simple`."""
+    r = ref_check_trail(g, t)
+    if not r:
+        problem = f"fails verification: {r.reason}"
+    elif r.end != y:
+        problem = f"ends at {r.end!r}"
+    elif r.first is not start:
+        problem = f"starts with {r.first!r}"
+    elif end is not None and r.last is not end:
+        problem = f"ends with {r.last!r}"
+    elif simple and not r.simple:
+        problem = "revisits a vertex"
+    else:
+        return
+    raise GraphError(f"internal error: {t.start!r}-{y!r} witness {problem}")
 
 
 def trail_to_path_complete_multipartite(g: EdgeColouredMultigraph,

@@ -14,7 +14,6 @@ from ecgraph import (
     EdgeColouredMultigraph,
     GraphError,
     UnsupportedClass,
-    VerifyResult,
     alternating_path,
     alternating_trail,
     build_graph,
@@ -28,13 +27,17 @@ from ecgraph import (
     verify_witness,
 )
 from ecgraph.cli import main
-from ecgraph.connect import _PathQuery, _TrailQuery, _check, _copy_bit
+from ecgraph.connect import _PathQuery, _TrailQuery
 from ecgraph.matching import IndexedGraph
-from ecgraph.core import serialize_graph
+from ecgraph.core import BadWalk, GraphView, serialize_graph
 from ecgraph.structure import blow_up
 from ecgraph.reductions import fixture, generate
 
-from reference import trail_to_path_complete_multipartite
+from reference import (
+    rand_multigraph,
+    ref_check,
+    trail_to_path_complete_multipartite,
+)
 
 
 def rand_graph(seed, n_max=6, m_max=12):
@@ -161,58 +164,69 @@ class TestQueryObjects:
 
     def test_failed_witness_check_raises(self, monkeypatch):
         # an explicit check, not an assert, so it holds under python -O
-        monkeypatch.setattr(ecgraph.connect, "verify_witness",
-                            lambda g, w: VerifyResult(False, "forced"))
+        def forced(self, x, ks, closed=False):
+            raise BadWalk("forced", -1)
+
+        monkeypatch.setattr(GraphView, "walk", forced)
         g = build_graph(["a", "b"], [("a", "b", RED), ("a", "b", BLUE)])
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="forced"):
             alternating_path(g, "a", "b", RED)
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="forced"):
             alternating_trail(g, "a", "b", BLUE)
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="forced"):
             is_colour_connected(g)
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="forced"):
             is_trail_colour_connected(g)
 
-    def test_witness_ending_elsewhere_raises(self, monkeypatch):
-        # the end test reads verification's walk, and is explicit too
-        monkeypatch.setattr(ecgraph.connect, "verify_witness",
-                            lambda g, w: VerifyResult(True, end="elsewhere"))
-        g = build_graph(["a", "b"], [("a", "b", RED), ("a", "b", BLUE)])
-        with pytest.raises(GraphError):
-            alternating_path(g, "a", "b", RED)
-        with pytest.raises(GraphError):
-            alternating_trail(g, "a", "b", BLUE)
-
     # a, b, c: e0 a-b red, e1 a-c red, e2 c-b blue, e3 a-b blue,
-    # e4 a-b red; every witness below is a valid trail from a to b
+    # e4 a-b red, at positions 0-4
     CHECKED = build_graph(["a", "b", "c"],
                           [("a", "b", RED), ("a", "c", RED), ("c", "b", BLUE),
                            ("a", "b", BLUE), ("a", "b", RED)])
 
     @staticmethod
-    def feed(monkeypatch, edge_ids):
-        """Make the queries' witness from a (of g, not of an auxiliary
-        graph) the trail of g along edge_ids."""
-        real = ecgraph.connect.AlternatingTrail
-        monkeypatch.setattr(
-            ecgraph.connect, "AlternatingTrail",
-            lambda start, seq, closed=False: real(
-                start, edge_ids if start == "a" else seq, closed))
+    def feed(monkeypatch, ks):
+        """Make every query read back the edge positions ks of g (not of
+        a split graph) as its witness; the read-back goes from the last
+        edge to the first."""
+        for make in (_PathQuery, _TrailQuery):
+            monkeypatch.setattr(make, "_read_back",
+                                lambda self, a, stop, p: list(ks[::-1]))
+
+    def test_witness_ending_elsewhere_raises(self, monkeypatch):
+        # a valid trail, but from a to c
+        self.feed(monkeypatch, (1,))
+        with pytest.raises(GraphError, match="ends at 'c'"):
+            alternating_path(self.CHECKED, "a", "b", RED)
+        with pytest.raises(GraphError, match="ends at 'c'"):
+            alternating_trail(self.CHECKED, "a", "b", RED)
 
     @pytest.mark.parametrize("query", [alternating_path, alternating_trail])
     def test_witness_with_wrong_start_colour_raises(self, monkeypatch, query):
-        self.feed(monkeypatch, ("e3",))
+        self.feed(monkeypatch, (3,))
         with pytest.raises(GraphError, match="starts with"):
             query(self.CHECKED, "a", "b", RED)
 
     @pytest.mark.parametrize("query", [alternating_path, alternating_trail])
     def test_witness_with_wrong_end_colour_raises(self, monkeypatch, query):
-        self.feed(monkeypatch, ("e1", "e2"))
+        self.feed(monkeypatch, (1, 2))
         with pytest.raises(GraphError, match="ends with"):
             query(self.CHECKED, "a", "b", RED, RED)
 
+    @pytest.mark.parametrize("query", [alternating_path, alternating_trail])
+    @pytest.mark.parametrize("ks, problem", [
+        ((0, 1), "edge 'e1' does not continue the walk"),
+        ((0, 4), "colours do not alternate at edge 'e4'"),
+        ((0, 3, 0), "edge repeated"),
+        ((0, 99), "unknown edge id 99"),
+    ])
+    def test_broken_witness_raises(self, monkeypatch, query, ks, problem):
+        self.feed(monkeypatch, ks)
+        with pytest.raises(GraphError, match=f"fails verification: {problem}"):
+            query(self.CHECKED, "a", "b", RED)
+
     def test_path_witness_revisiting_a_vertex_raises(self, monkeypatch):
-        self.feed(monkeypatch, ("e0", "e3", "e4"))
+        self.feed(monkeypatch, (0, 3, 4))
         with pytest.raises(GraphError, match="revisits"):
             alternating_path(self.CHECKED, "a", "b", RED)
         # a trail may revisit a vertex
@@ -220,16 +234,18 @@ class TestQueryObjects:
         assert t.edge_ids == ("e0", "e3", "e4")
 
     def test_trail_sweep_verifies_each_trail_once(self, monkeypatch):
-        real = ecgraph.connect.verify_witness
+        real = GraphView.walk
         seen = []
-        monkeypatch.setattr(ecgraph.connect, "verify_witness",
-                            lambda g, w: seen.append(g) or real(g, w))
+        monkeypatch.setattr(GraphView, "walk",
+                            lambda view, *args: seen.append(view)
+                            or real(view, *args))
         g = fixture("halfm")
         assert is_trail_colour_connected(g).connected
         n = len(g.vertices)
-        # one check per positive triple, on g, never on the auxiliary graph
+        # one check per positive triple, on g's view, never on the
+        # split graph
         assert len(seen) == 2 * n * (n - 1)
-        assert all(h is g for h in seen)
+        assert all(v is g.view() for v in seen)
 
 
 def reference_classes(g):
@@ -422,7 +438,7 @@ class RefPathQuery:
         self._index = {v: i for i, v in enumerate(g.vertices)}
         edges = [(2 * i, 2 * i + 1, None) for i in range(len(g.vertices))]
         for e in g.edges:
-            c = _copy_bit(e.colour)
+            c = e.colour.bit
             edges.append((2 * self._index[e.u] + c,
                           2 * self._index[e.v] + c, e.id))
         self._split = IndexedGraph(2 * len(g.vertices), edges)
@@ -431,14 +447,14 @@ class RefPathQuery:
     def __call__(self, x, y, start, end=None):
         path = self.find(x, y, start, end)
         if path is not None:
-            _check(self.g, path, y, start, end, simple=True)
+            ref_check(self.g, path, y, start, end, simple=True)
         return path
 
     def find(self, x, y, start, end=None):
         """The path the search tree gives, or None; not verified."""
         if x == y:
             raise ValueError("endpoints must differ")
-        root = 2 * self._index[x] + _copy_bit(start)
+        root = 2 * self._index[x] + start.bit
         if root not in self._searches:
             # a new source drops the searches of the one before
             if root ^ 1 not in self._searches:
@@ -447,7 +463,7 @@ class RefPathQuery:
         outer, p, _ = self._searches[root]
         # y's non-end copy must be outer; end=None tries red first
         j = 2 * self._index[y]
-        ends = (j, j + 1) if end is None else (j + _copy_bit(end),)
+        ends = (j, j + 1) if end is None else (j + end.bit,)
         last = next((c for c in ends if outer[c ^ 1]), None)
         if last is None:
             return None
@@ -477,7 +493,7 @@ class RefTrailQuery:
             return None
         t = AlternatingTrail(
             x, tuple(eid[:-2] for eid in p.edge_ids if eid.endswith(".x")))
-        _check(self.g, t, y, start, end)
+        ref_check(self.g, t, y, start, end)
         return t
 
 
@@ -499,20 +515,6 @@ def ref_trail_aux_graph(g):
         edges.append(Edge(f"{e.id}.d", f"{e.v}.2", hv, e.colour))
         edges.append(Edge(f"{e.id}.x", hu, hv, e.colour.other()))
     return EdgeColouredMultigraph(verts, edges)
-
-
-def rand_multigraph(rng):
-    """2-12 vertices; about a third of the edges repeat an earlier
-    edge's ends and colour, which `random_2ec` never draws."""
-    n = rng.randint(2, 12)
-    triples = []
-    for _ in range(rng.randint(1, 3 * n)):
-        if triples and rng.random() < 0.3:
-            triples.append(rng.choice(triples))
-        else:
-            u, v = rng.sample(range(n), 2)
-            triples.append((f"v{u}", f"v{v}", rng.choice((RED, BLUE))))
-    return build_graph([f"v{i}" for i in range(n)], triples)
 
 
 def test_queries_match_the_string_auxiliary_graph_reference():

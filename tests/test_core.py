@@ -1,4 +1,6 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +23,8 @@ from ecgraph import (
     witness_to_dict,
 )
 
-from reference import visit_count
+from ecgraph.core import BIT_COLOUR, BadWalk, GraphView
+from reference import rand_multigraph, ref_check_trail, visit_count
 
 
 def digon():
@@ -198,3 +201,122 @@ def test_witness_dict_shapes(g):
     t = AlternatingTrail(e.u, (e.id,))
     d = witness_to_dict(g, t)
     assert d["kind"] == "trail" and d["edges"] == [e.id]
+
+
+def naive_view(g):
+    """The integer view of g, rebuilt edge by edge from g.edges and
+    g.incident."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    pos = {e.id: k for k, e in enumerate(g.edges)}
+    off, inc, far = [0], [], []
+    for v in g.vertices:
+        for e in g.incident(v):
+            inc.append(pos[e.id])
+            far.append(idx[e.other_end(v)])
+        off.append(len(inc))
+    return {"eu": [idx[e.u] for e in g.edges],
+            "ev": [idx[e.v] for e in g.edges],
+            "bit": [0 if e.colour is RED else 1 for e in g.edges],
+            "off": off, "inc": inc, "far": far, "pos": pos}
+
+
+def test_view_matches_naive_rebuild():
+    rng = random.Random(7)
+    parallel = 0
+    for _ in range(200):
+        g = rand_multigraph(rng)
+        parallel += len({(e.u, e.v, e.colour) for e in g.edges}) \
+            < len(g.edges)
+        view = g.view()
+        assert view is g.view()
+        assert {k: getattr(view, k) for k in GraphView.__slots__} \
+            == naive_view(g)
+        assert [BIT_COLOUR[b] for b in view.bit] \
+            == [e.colour for e in g.edges]
+    assert parallel > 50
+
+
+def random_walks(g, rng):
+    """Alternating trails of g: open ones from random walks, and the
+    closed ones those walks find on the way."""
+    for _ in range(6):
+        start = rng.choice(g.vertices)
+        cur, used, seq = start, set(), []
+        for _ in range(rng.randint(1, 10)):
+            es = [e for e in g.incident(cur) if e.id not in used
+                  and (not seq or e.colour is not g.edge(seq[-1]).colour)]
+            if not es:
+                break
+            e = rng.choice(es)
+            used.add(e.id)
+            seq.append(e.id)
+            cur = e.other_end(cur)
+            if cur == start and g.edge(seq[0]).colour is not e.colour:
+                yield AlternatingTrail(start, tuple(seq), closed=True)
+        yield AlternatingTrail(start, tuple(seq))
+
+
+def corrupted(g, t, rng):
+    """t, and t broken in each way a trail can be broken."""
+    ids = list(t.edge_ids)
+    other = rng.choice(g.edges).id
+    yield t
+    yield AlternatingTrail(t.start, t.edge_ids, not t.closed)
+    yield AlternatingTrail("nowhere", t.edge_ids, t.closed)
+    yield AlternatingTrail(rng.choice(g.vertices), t.edge_ids, t.closed)
+    for k in range(len(ids) + 1):
+        for new in (ids[:k] + [other] + ids[k:],
+                    ids[:k] + ["ghost"] + ids[k:],
+                    ids[:k] + ["ghost", "ghost"] + ids[k:],
+                    ids[:k] + ids[k + 1:],
+                    ids[:k] + ids[k:k + 1] * 2 + ids[k + 1:]):
+            for closed in (False, True):
+                yield AlternatingTrail(t.start, tuple(new), closed)
+    yield AlternatingTrail(t.start, tuple(ids[::-1]), t.closed)
+
+
+def test_walk_agrees_with_the_string_walk():
+    # verify_witness on a trail is the view's walk; the string walk it
+    # replaced gives the same verdict, reason and walk facts
+    rng = random.Random(11)
+    kinds = ("unknown start vertex", "edge repeated", "unknown edge id",
+             "does not continue the walk", "colours do not alternate",
+             "closed trail must have edges", "not closed",
+             "closed trail length must be even")
+    seen = Counter()
+    for _ in range(150):
+        g = rand_multigraph(rng)
+        for t in random_walks(g, rng):
+            for w in corrupted(g, t, rng):
+                got = verify_witness(g, w)
+                assert got == ref_check_trail(g, w), (w, got)
+                seen[got.reason and next(
+                    k for k in kinds if k in got.reason)] += 1
+                if got and w.closed:
+                    seen["closed and valid"] += 1
+    # an alternating closed walk of odd length has first and last
+    # colours equal and fails as odd first, so no case reaches the
+    # colour test
+    assert set(seen) == {None, "closed and valid", *kinds}, seen
+
+
+def test_walk_rejects_bad_positions():
+    g = build_graph(["a", "b", "c"], [("a", "b", RED), ("b", "c", BLUE),
+                                      ("a", "b", BLUE)])
+    view = g.view()
+    assert view.walk(0, [0, 1]) == (2, 0, 1, True)
+    assert view.walk(0, [0, 2], closed=True) == (0, 0, 1, True)
+    assert view.walk(0, [0, 2]) == (0, 0, 1, False)
+    assert view.walk(1, []) == (1, -1, -1, True)
+    for ks, problem in (([0, 0], "edge repeated"),
+                        ([0, 3], "unknown edge id number 1"),
+                        ([0, -1], "unknown edge id number 1"),
+                        ([1], "edge number 0 does not continue the walk"),
+                        ([0, 2, 0], "edge repeated"),
+                        ([0, 2, 1], "edge number 2 does not continue")):
+        with pytest.raises(BadWalk, match=problem):
+            view.walk(0, ks)
+    with pytest.raises(BadWalk, match="colours do not alternate at edge "
+                                      "number 1"):
+        build_graph(["a", "b", "c"], [("a", "b", RED), ("b", "c", RED)]
+                    ).view().walk(0, [0, 1])

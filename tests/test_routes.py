@@ -266,12 +266,15 @@ def test_failed_merge_check_raises_through_hamiltonian(runner, monkeypatch):
 
 
 def test_failed_sweep_check_raises_through_hamiltonian(runner, monkeypatch):
-    # a GraphError is a ValueError; it must not read as "unsupported"
-    monkeypatch.setattr(ecgraph.connect, "verify_witness",
-                        _fail_verification)
+    # a GraphError is a ValueError; it must not read as "unsupported".
+    # Each query reads back edge 0 twice, which the sweep's check rejects
+    for query in (ecgraph.connect._PathQuery, ecgraph.connect._TrailQuery):
+        monkeypatch.setattr(query, "_read_back",
+                            lambda self, a, stop, p: [0, 0])
     res = runner.invoke(main, ["hamiltonian", "-"],
                         input=serialize_graph(fixture("needall_h")))
     assert isinstance(res.exception, GraphError)
+    assert "edge repeated" in str(res.exception)
     assert res.exit_code not in (0, 3, 4, 5)
 
 

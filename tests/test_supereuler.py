@@ -34,7 +34,6 @@ from ecgraph import (
 from ecgraph.analysis import Analysis
 from ecgraph.core import EdgeColouredMultigraph, GraphError
 from ecgraph.merge import (
-    _Cyc,
     _structured_merge,
     check_domination,
     merge_factor,
@@ -245,20 +244,24 @@ def test_in_place_merge_matches_blow_up_route(monkeypatch):
     expected = [merge_through_blow_up(g, T1, T2) for g, T1, T2 in cases]
 
     fired = Counter()
-    similar_move = merge_module.merge_similar
+    splice = merge_module._splice
     chord_move = merge_module.merge_parallel_chords
 
-    def spy_similar(g, C1, C2, i, j):
+    spliced = []
+
+    def spy_similar(g, a, b, i, j):
         fired["similar"] += 1
-        if _Cyc(g, C2).cols[j] is not _Cyc(g, C1).cols[i]:
+        if b.cols[j] is not a.cols[i]:
             fired["reversal"] += 1
-        return similar_move(g, C1, C2, i, j)
+        out = splice(g, a, b, i, j)
+        spliced.append((g, a.as_cycle(), b.as_cycle(), i, j, out))
+        return out
 
     def spy_chords(*args):
         fired["chords"] += 1
         return chord_move(*args)
 
-    monkeypatch.setattr(merge_module, "merge_similar", spy_similar)
+    monkeypatch.setattr(merge_module, "_splice", spy_similar)
     monkeypatch.setattr(merge_module, "merge_parallel_chords", spy_chords)
     for (g, T1, T2), ref in zip(cases, expected):
         if any(len(t.vertex_set(g)) < len(t.edge_ids) for t in (T1, T2)):
@@ -281,6 +284,11 @@ def test_in_place_merge_matches_blow_up_route(monkeypatch):
     for what in ("similar", "reversal", "chords", "dominates",
                  "revisiting pair"):
         assert fired[what] > 0, what
+    # the loop splices on its own views of the pair; the public move,
+    # which checks the similarity again, gives the same walk
+    monkeypatch.undo()
+    for g, C1, C2, i, j, out in spliced:
+        assert merge_module.merge_similar(g, C1, C2, i, j) == out
 
 
 @pytest.mark.parametrize("seed, n", [(37, 50), (24, 40)])
@@ -390,7 +398,7 @@ def fragmented_factors(graphs):
 
 def test_merge_factor_on_fragmented_factors(monkeypatch):
     fired = Counter()
-    for name in ("merge_similar", "merge_parallel_chords"):
+    for name in ("_splice", "merge_parallel_chords"):
         def spy(*args, _move=getattr(merge_module, name), _name=name):
             fired[_name] += 1
             return _move(*args)
@@ -403,7 +411,7 @@ def test_merge_factor_on_fragmented_factors(monkeypatch):
         assert verify_witness(g, t)
         assert t.vertex_set(g) == set(g.vertices)
     assert factors >= 50
-    assert fired["merge_similar"] > 0
+    assert fired["_splice"] > 0
     assert fired["merge_parallel_chords"] > 0
 
 
