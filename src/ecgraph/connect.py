@@ -300,9 +300,10 @@ def complete_multipartite_classes(g: EdgeColouredMultigraph
     loops no vertex is its own neighbour, so vertices of one group are
     never adjacent, and g is complete multipartite exactly when each
     vertex is adjacent to all n - |its group| vertices outside it."""
-    groups: dict[frozenset[str], list[str]] = {}
-    for v in g.vertices:
-        groups.setdefault(frozenset(g.neighbours(v)), []).append(v)
+    view = g.view()
+    groups: dict[frozenset[int], list[str]] = {}
+    for i, v in enumerate(g.vertices):
+        groups.setdefault(frozenset(view.star(i)[1]), []).append(v)
     n = len(g.vertices)
     if any(len(nb) != n - len(cls) for nb, cls in groups.items()):
         return None

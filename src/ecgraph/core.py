@@ -6,10 +6,11 @@ Witness objects (alternating trails, cycles, eulerian factors, cycle
 factors) reference edges by id so that parallel edges are handled
 uniformly.  Everything is immutable; every function here is pure.
 
-The algorithms read a graph through its integer view (`GraphView`,
-built on the first `g.view()` and kept with g): edges by position in
-g.edges, with their ends as vertex indices, colour bits and the
-incidence lists.  Its `walk` is the one check of an alternating trail:
+A graph has one index, its integer view (`GraphView`, `g.view()`),
+which the constructor builds while it validates the graph: edges by
+position in g.edges, with their ends as vertex indices, colour bits and
+the incidence lists.  The graph's string lookups and every algorithm
+read it.  Its `walk` is the one check of an alternating trail:
 `verify_witness` maps a trail's ids to positions and runs it, and the
 connectivity sweeps run it on the positions they read back, building a
 witness object only when one is asked for.
@@ -79,42 +80,20 @@ class EdgeColouredMultigraph:
     """Immutable 2-edge-coloured multigraph with opaque string ids.
 
     Vertex order is declaration order and is the deterministic tie-break
-    used by every algorithm in this package.  `_analysis` holds the memo
-    of facts derived from the graph (see `ecgraph.analysis`) and `_view`
-    its integer view (`view`), each created on first use; they live and
-    die with the graph object.
+    used by every algorithm in this package.  The constructor validates
+    the graph while it builds its integer view (`view`), the graph's
+    only index: every lookup below reads it.  `_analysis` holds the memo
+    of facts derived from the graph (see `ecgraph.analysis`), created on
+    first use; both live and die with the graph object.
     """
 
-    __slots__ = ("vertices", "edges", "_by_id", "_incident", "_index",
-                 "_analysis", "_view")
+    __slots__ = ("vertices", "edges", "_view", "_analysis")
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[Edge]):
-        seen: set[str] = set()
-        for v in vertices:
-            if v in seen:
-                raise GraphError(f"duplicate vertex id {v!r}")
-            seen.add(v)
         self.vertices: tuple[str, ...] = tuple(vertices)
-        by_id: dict[str, Edge] = {}
-        incident: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in edges:
-            if e.id in by_id:
-                raise GraphError(f"duplicate edge id {e.id!r}")
-            if e.u not in seen:
-                raise GraphError(f"edge {e.id!r}: unknown vertex {e.u!r}")
-            if e.v not in seen:
-                raise GraphError(f"edge {e.id!r}: unknown vertex {e.v!r}")
-            if e.u == e.v:
-                raise GraphError(f"edge {e.id!r}: self-loop at {e.u!r}")
-            by_id[e.id] = e
-            incident[e.u].append(e)
-            incident[e.v].append(e)
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self._by_id = by_id
-        self._incident = {v: tuple(es) for v, es in incident.items()}
-        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._view = GraphView(self.vertices, self.edges)
         self._analysis = None
-        self._view = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColouredMultigraph):
@@ -130,50 +109,44 @@ class EdgeColouredMultigraph:
 
     # --- lookups -----------------------------------------------------
 
+    def view(self) -> "GraphView":
+        """The graph's integer view, built by the constructor."""
+        return self._view
+
     def edge(self, edge_id: str) -> Edge:
         try:
-            return self._by_id[edge_id]
+            return self.edges[self._view.pos[edge_id]]
         except KeyError:
             raise GraphError(f"unknown edge id {edge_id!r}") from None
 
     def has_edge_id(self, edge_id: str) -> bool:
-        return edge_id in self._by_id
+        return edge_id in self._view.pos
+
+    def vertex_index(self, v: str) -> int:
+        return self._view.index[v]
+
+    def _star(self, v: str) -> tuple[list[int], list[int]]:
+        return self._view.star(self._view.index[v])
 
     def incident(self, v: str, colour: Optional[Colour] = None) -> tuple[Edge, ...]:
-        es = self._incident[v]
-        if colour is None:
-            return es
-        return tuple(e for e in es if e.colour is colour)
+        bit = self._view.bit
+        return tuple(self.edges[k] for k in self._star(v)[0]
+                     if colour is None or bit[k] == colour.bit)
 
     def degree(self, v: str, colour: Optional[Colour] = None) -> int:
         return len(self.incident(v, colour))
 
     def edges_between(self, u: str, v: str,
                       colour: Optional[Colour] = None) -> tuple[Edge, ...]:
-        return tuple(e for e in self._incident[u]
-                     if e.touches(v) and (colour is None or e.colour is colour))
+        j = self._view.index.get(v)
+        return tuple(e for e, w in zip(self.incident(u), self._star(u)[1])
+                     if w == j and (colour is None or e.colour is colour))
 
     def adjacent(self, u: str, v: str) -> bool:
-        return any(e.touches(v) for e in self._incident[u])
-
-    def vertex_index(self, v: str) -> int:
-        return self._index[v]
-
-    def view(self) -> "GraphView":
-        """The graph's integer view, built on first use."""
-        if self._view is None:
-            self._view = GraphView(self)
-        return self._view
+        return self._view.index.get(v) in self._star(u)[1]
 
     def neighbours(self, v: str) -> tuple[str, ...]:
-        seen: list[str] = []
-        got: set[str] = set()
-        for e in self._incident[v]:
-            w = e.other_end(v)
-            if w not in got:
-                got.add(w)
-                seen.append(w)
-        return tuple(seen)
+        return tuple(self.vertices[w] for w in dict.fromkeys(self._star(v)[1]))
 
     # --- derived graphs ----------------------------------------------
 
@@ -204,23 +177,58 @@ class BadWalk(GraphError):
 class GraphView:
     """A graph in integers, by position k in g.edges: the ends eu[k] and
     ev[k] as vertex indices, and colour bit[k] (`Colour.bit`).  Vertex
-    i's incidence, in g.incident order, is inc[off[i]:off[i + 1]] (edge
-    positions) with far[...] the other end of each; pos maps edge ids
-    to positions.  `walk` is the package's one check of a trail."""
+    i's incidence, in edge declaration order, is inc[off[i]:off[i + 1]]
+    (edge positions) with far[...] the other end of each; index maps
+    vertex names to indices and pos edge ids to positions.  `walk` is
+    the package's one check of a trail."""
 
-    __slots__ = ("eu", "ev", "bit", "off", "inc", "far", "pos")
+    __slots__ = ("index", "pos", "eu", "ev", "bit", "off", "inc", "far")
 
-    def __init__(self, g: EdgeColouredMultigraph):
-        index = g._index
-        self.eu = eu = [index[e.u] for e in g.edges]
-        self.ev = ev = [index[e.v] for e in g.edges]
-        self.bit = [e.colour.bit for e in g.edges]
-        self.pos = pos = {e.id: k for k, e in enumerate(g.edges)}
-        incident = [g._incident[v] for v in g.vertices]
-        self.off = list(itertools.accumulate(map(len, incident), initial=0))
-        self.inc = [pos[e.id] for es in incident for e in es]
-        self.far = [index[e.v if e.u == v else e.u]
-                    for v, es in zip(g.vertices, incident) for e in es]
+    def __init__(self, vertices: Sequence[str], edges: Sequence[Edge]):
+        """Raises GraphError on the first fault, in this order: a
+        duplicate vertex, then per edge a duplicate id, an unknown u, an
+        unknown v, a self-loop."""
+        self.index = index = {}
+        for i, v in enumerate(vertices):
+            if index.setdefault(v, i) != i:
+                raise GraphError(f"duplicate vertex id {v!r}")
+        self.pos = pos = {}
+        self.eu = eu = []
+        self.ev = ev = []
+        incs: list[list[int]] = [[] for _ in vertices]
+        for k, e in enumerate(edges):
+            if pos.setdefault(e.id, k) != k:
+                raise GraphError(f"duplicate edge id {e.id!r}")
+            u = index.get(e.u)
+            if u is None:
+                raise GraphError(f"edge {e.id!r}: unknown vertex {e.u!r}")
+            v = index.get(e.v)
+            if v is None:
+                raise GraphError(f"edge {e.id!r}: unknown vertex {e.v!r}")
+            if u == v:
+                raise GraphError(f"edge {e.id!r}: self-loop at {e.u!r}")
+            eu.append(u)
+            ev.append(v)
+            incs[u].append(k)
+            incs[v].append(k)
+        # Colour.bit, without a call per edge
+        self.bit = [e.colour - 1 for e in edges]
+        self.off = list(itertools.accumulate(map(len, incs), initial=0))
+        self.inc = list(itertools.chain.from_iterable(incs))
+        self.far = [ev[k] if eu[k] == i else eu[k]
+                    for i, ks in enumerate(incs) for k in ks]
+
+    def star(self, i: int) -> tuple[list[int], list[int]]:
+        """Vertex i's incidence: its edges' positions and their far
+        ends, in incidence order."""
+        a, b = self.off[i], self.off[i + 1]
+        return self.inc[a:b], self.far[a:b]
+
+    def colour_degrees(self, i: int) -> tuple[int, int]:
+        """Vertex i's red and blue degrees, indexed by colour bit."""
+        ks = self.star(i)[0]
+        blue = sum(map(self.bit.__getitem__, ks))
+        return len(ks) - blue, blue
 
     def walk(self, x: int, ks: Sequence[int], closed: bool = False
              ) -> tuple[int, int, int, bool]:
@@ -353,10 +361,7 @@ def parse_graph(text: str) -> EdgeColouredMultigraph:
         if item["u"] == item["v"]:
             raise GraphError(f"{where}: self-loop at {item['u']!r}")
         edges.append(Edge(item["id"], item["u"], item["v"], colour))
-    try:
-        return EdgeColouredMultigraph(verts, edges)
-    except GraphError as exc:
-        raise GraphError(str(exc)) from None
+    return EdgeColouredMultigraph(verts, edges)
 
 
 def graph_to_dict(g: EdgeColouredMultigraph) -> dict:
@@ -424,10 +429,10 @@ class VerifyResult:
 
 
 def _check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail) -> VerifyResult:
-    x = g._index.get(t.start)
+    view = g.view()
+    x = view.index.get(t.start)
     if x is None:
         return VerifyResult(False, f"unknown start vertex {t.start!r}")
-    view = g.view()
     # each unknown id gets a negative number of its own, so the walk
     # sees repeats exactly where the ids repeat
     pos = view.pos
@@ -463,6 +468,14 @@ def _check_cycle(g: EdgeColouredMultigraph, c: AlternatingCycle) -> VerifyResult
     return r
 
 
+def _visited(g: EdgeColouredMultigraph, t: AlternatingTrail) -> set[str]:
+    """The vertices closed trail t, once checked, visits: the ends of
+    its edges."""
+    view = g.view()
+    ks = [view.pos[e] for e in t.edge_ids]
+    return {g.vertices[x] for k in ks for x in (view.eu[k], view.ev[k])}
+
+
 def verify_witness(g: EdgeColouredMultigraph, w: Witness) -> VerifyResult:
     """Check every invariant of the witness type against g."""
     if isinstance(w, AlternatingCycle):
@@ -480,15 +493,11 @@ def verify_witness(g: EdgeColouredMultigraph, w: Witness) -> VerifyResult:
             r = _check_trail(g, trail)
             if not r:
                 return r
-            visited = set(trail.vertex_sequence(g))
-            if visited != vs:
+            # both ends of each edge are visited, so this also keeps
+            # every edge inside its part
+            if _visited(g, trail) != vs:
                 return VerifyResult(
                     False, "factor witness does not span its vertex set")
-            for eid in trail.edge_ids:
-                e = g.edge(eid)
-                if e.u not in vs or e.v not in vs:
-                    return VerifyResult(
-                        False, f"edge {eid!r} leaves its factor part")
         if covered != set(g.vertices):
             return VerifyResult(False, "factor parts do not cover V")
         return VerifyResult(True)
@@ -498,7 +507,7 @@ def verify_witness(g: EdgeColouredMultigraph, w: Witness) -> VerifyResult:
             r = _check_cycle(g, c)
             if not r:
                 return r
-            vs = set(c.vertex_sequence(g))
+            vs = _visited(g, c)
             if covered & vs:
                 return VerifyResult(False, "factor cycles overlap")
             covered |= vs

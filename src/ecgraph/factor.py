@@ -113,6 +113,17 @@ class SlotGadget:
     external: tuple[tuple[int, int], ...]
 
 
+def _colour_degrees(g: EdgeColouredMultigraph) -> list[tuple[int, int]]:
+    """Each vertex's red and blue degree, from g's view; raises
+    ColourDeficient at the first vertex that misses a colour."""
+    view = g.view()
+    out = [view.colour_degrees(i) for i in range(len(g.vertices))]
+    for v, (r, b) in zip(g.vertices, out):
+        if not r or not b:
+            raise ColourDeficient(v, Colour.BLUE if r else Colour.RED)
+    return out
+
+
 def build_slot_gadget(g: EdgeColouredMultigraph) -> SlotGadget:
     """The factor gadget as integer adjacency lists, R' joined to B'
     diagonally, for the repair stage of `eulerian_factor` (see the
@@ -124,11 +135,7 @@ def build_slot_gadget(g: EdgeColouredMultigraph) -> SlotGadget:
     in edge declaration order.  The gadget has no parallel edges, so
     the lists are built directly.
     """
-    for v in g.vertices:
-        for c in (Colour.RED, Colour.BLUE):
-            if g.degree(v, c) == 0:
-                raise ColourDeficient(v, c)
-
+    view = g.view()
     adj: list[list[int]] = []
 
     def join(a: range, b: range) -> None:
@@ -137,11 +144,9 @@ def build_slot_gadget(g: EdgeColouredMultigraph) -> SlotGadget:
         for j in b:
             adj[j].extend(a)
 
-    # (vertex, colour) -> next free slot of its R or B block
-    free: dict[tuple[str, Colour], int] = {}
-    for x in g.vertices:
-        r = g.degree(x, Colour.RED)
-        b = g.degree(x, Colour.BLUE)
+    # 2 * vertex + colour bit -> next free slot of its R or B block
+    free: list[int] = []
+    for r, b in _colour_degrees(g):
         o = len(adj)
         adj.extend([] for _ in range(2 * (r + b - 1)))
         R = range(o, o + r)
@@ -153,15 +158,14 @@ def build_slot_gadget(g: EdgeColouredMultigraph) -> SlotGadget:
             adj[i].append(j)
             adj[j].append(i)
         join(Bp, B)
-        free[(x, Colour.RED)] = R.start
-        free[(x, Colour.BLUE)] = B.start
+        free += (R.start, B.start)
 
     external: list[tuple[int, int]] = []
-    for e in g.edges:
-        su = free[(e.u, e.colour)]
-        sv = free[(e.v, e.colour)]
-        free[(e.u, e.colour)] = su + 1
-        free[(e.v, e.colour)] = sv + 1
+    for u, v, c in zip(view.eu, view.ev, view.bit):
+        su = free[2 * u + c]
+        sv = free[2 * v + c]
+        free[2 * u + c] = su + 1
+        free[2 * v + c] = sv + 1
         adj[su].append(sv)
         adj[sv].append(su)
         external.append((su, sv))
@@ -275,18 +279,9 @@ class _BMatching:
     def __init__(self, g: EdgeColouredMultigraph):
         """Raises ColourDeficient if some vertex misses a colour."""
         view = g.view()
-        eu, ev, bit, off, inc = view.eu, view.ev, view.bit, view.off, view.inc
-        need: list[int] = []
-        for i, x in enumerate(g.vertices):
-            d = off[i + 1] - off[i]
-            b = sum(bit[k] for k in inc[off[i]:off[i + 1]])
-            if b == d:
-                raise ColourDeficient(x, Colour.RED)
-            if not b:
-                raise ColourDeficient(x, Colour.BLUE)
-            r = d - b
-            need += (r, r - 1, b - 1, b)
-        self.need = need
+        eu, ev, bit = view.eu, view.ev, view.bit
+        self.need = need = [d for r, b in _colour_degrees(g)
+                            for d in (r, r - 1, b - 1, b)]
         self.cap = cap = []
         self.ends = ends = []
         self.out = out = [[] for _ in need]

@@ -63,6 +63,7 @@ from typing import Optional, Sequence
 
 from .analysis import Analysis
 from .core import (
+    BIT_COLOUR,
     AlternatingCycle,
     AlternatingTrail,
     Colour,
@@ -111,27 +112,37 @@ class NoEdgeBetween:
 MergeOutcome = Merged | Dominates | NoEdgeBetween
 
 
-def _closed(start: str, edges, cycle: bool) -> AlternatingTrail:
-    """A closed walk as a cycle or as a closed trail."""
+def _closed(g: EdgeColouredMultigraph, x: int, ks: Sequence[int],
+            cycle: bool) -> AlternatingTrail:
+    """The closed walk from vertex x along the edges at positions ks, as
+    a cycle or as a closed trail."""
+    start = g.vertices[x]
+    ids = tuple(g.edges[k].id for k in ks)
     if cycle:
-        return AlternatingCycle(start, tuple(edges))
-    return AlternatingTrail(start, tuple(edges), closed=True)
+        return AlternatingCycle(start, ids)
+    return AlternatingTrail(start, ids, closed=True)
 
 
 class _Cyc:
-    """Indexed view of a closed alternating trail or cycle:
-    verts[t] -- edges[t] -- verts[t+1], positions taken mod n."""
+    """A closed alternating trail or cycle of g in integers:
+    verts[t] -- edges[t] -- verts[t+1] as vertex indices and edge
+    positions, cols[t] the colour bit of edges[t], positions taken
+    mod n."""
 
     def __init__(self, g: EdgeColouredMultigraph, c: AlternatingTrail):
+        view = g.view()
         self.cycle = isinstance(c, AlternatingCycle)
-        seq = c.vertex_sequence(g)
-        self.verts: list[str] = seq[:-1]
-        self.edges: list[str] = list(c.edge_ids)
-        self.cols: list[Colour] = [g.edge(e).colour for e in self.edges]
+        self.edges: list[int] = [view.pos[e] for e in c.edge_ids]
+        self.cols: list[int] = [view.bit[k] for k in self.edges]
+        self.verts: list[int] = []
+        x = view.index[c.start]
+        for k in self.edges:
+            self.verts.append(x)
+            x = view.ev[k] if view.eu[k] == x else view.eu[k]
         self.n = len(self.verts)
 
-    def seg(self, p: int, q: int) -> list[str]:
-        """Edge ids walking forward from position p to position q."""
+    def seg(self, p: int, q: int) -> list[int]:
+        """Edge positions walking forward from position p to position q."""
         out = []
         t = p
         while t != q % self.n:
@@ -148,23 +159,29 @@ class _Cyc:
         r.cols = self.cols[::-1]
         return r
 
-    def as_cycle(self) -> AlternatingTrail:
+    def as_cycle(self, g: EdgeColouredMultigraph) -> AlternatingTrail:
         """The walk from verts[0], of the kind it was built from."""
-        return _closed(self.verts[0], self.edges, self.cycle)
+        return _closed(g, self.verts[0], self.edges, self.cycle)
 
 
-def _first_edge(g: EdgeColouredMultigraph, u: str, v: str,
-                colour: Colour) -> Optional[str]:
-    es = g.edges_between(u, v, colour)
-    return es[0].id if es else None
+def _edge_to(g: EdgeColouredMultigraph, u: int, v: int, c: int
+             ) -> Optional[int]:
+    """The position of vertex u's first edge to vertex v in colour bit
+    c, in incidence order, or None."""
+    view = g.view()
+    for k, w in zip(*view.star(u)):
+        if w == v and view.bit[k] == c:
+            return k
+    return None
 
 
-def _joins_within(g: EdgeColouredMultigraph, v: str,
-                  verts: frozenset[str]) -> Counter:
-    """v's coloured edge multiset {(other end, colour): count} towards
-    the vertices of `verts`."""
-    return Counter((w, e.colour) for e in g.incident(v)
-                   if (w := e.other_end(v)) in verts)
+def _joins_within(g: EdgeColouredMultigraph, v: int, verts: frozenset[int]
+                  ) -> Counter:
+    """Vertex v's coloured edge multiset {(other end, colour bit):
+    count} towards the vertices of `verts`."""
+    view = g.view()
+    return Counter((w, view.bit[k]) for k, w in zip(*view.star(v))
+                   if w in verts)
 
 
 def merge_similar(g: EdgeColouredMultigraph, C1: AlternatingTrail,
@@ -184,7 +201,8 @@ def merge_similar(g: EdgeColouredMultigraph, C1: AlternatingTrail,
     y = b.verts[j]
     union = frozenset(a.verts + b.verts)
     if x == y or _joins_within(g, x, union) != _joins_within(g, y, union):
-        raise ValueError(f"vertices {x!r} and {y!r} are not similar")
+        raise ValueError(f"vertices {g.vertices[x]!r} and "
+                         f"{g.vertices[y]!r} are not similar")
     return _splice(g, a, b, i, j)
 
 
@@ -194,19 +212,19 @@ def _splice(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc, i: int, j: int
     a.verts[i] and b.verts[j] are known to be similar within the union."""
     x = a.verts[i]
     y = b.verts[j]
-    if b.cols[j] is not a.cols[i]:
+    if b.cols[j] != a.cols[i]:
         b = b.reversed()
         j = (b.n - j) % b.n
-    if b.cols[j] is not a.cols[i]:
+    if b.cols[j] != a.cols[i]:
         raise MergeInternalError("cannot align cycle orientations")
     cp = a.cols[(i - 1) % a.n]   # colour into x, = colour into y
-    chord1 = _first_edge(g, a.verts[(i - 1) % a.n], y, cp)
-    chord2 = _first_edge(g, b.verts[(j - 1) % b.n], x, cp)
+    chord1 = _edge_to(g, a.verts[(i - 1) % a.n], y, cp)
+    chord2 = _edge_to(g, b.verts[(j - 1) % b.n], x, cp)
     if chord1 is None or chord2 is None:
         raise MergeInternalError("similar pivots lack the mirrored chords")
     edges = (a.seg(i, (i - 1) % a.n) + [chord1]
              + b.seg(j, (j - 1) % b.n) + [chord2])
-    out = _closed(x, edges, a.cycle and b.cycle)
+    out = _closed(g, x, edges, a.cycle and b.cycle)
     return check_witness(g, out, "similar merge", MergeInternalError)
 
 
@@ -219,18 +237,17 @@ def merge_parallel_chords(g: EdgeColouredMultigraph, C1: AlternatingTrail,
     a = _Cyc(g, C1)
     b = _Cyc(g, C2)
     c = a.cols[i]
-    if b.cols[j] is not c:
+    if b.cols[j] != c:
         raise ValueError("cycle edge colours at i and j differ")
-    chord1 = _first_edge(g, a.verts[i], b.verts[j], c)
-    chord2 = _first_edge(g, a.verts[(i + 1) % a.n],
-                         b.verts[(j + 1) % b.n], c)
+    chord1 = _edge_to(g, a.verts[i], b.verts[j], c)
+    chord2 = _edge_to(g, a.verts[(i + 1) % a.n], b.verts[(j + 1) % b.n], c)
     if chord1 is None or chord2 is None:
         raise ValueError("required same-coloured chords are missing")
     i1 = (i + 1) % a.n
     j1 = (j + 1) % b.n
     edges = (a.seg(i1, i) + [chord1]
              + list(reversed(b.seg(j1, j))) + [chord2])
-    out = _closed(a.verts[i1], edges, a.cycle and b.cycle)
+    out = _closed(g, a.verts[i1], edges, a.cycle and b.cycle)
     return check_witness(g, out, "chord merge", MergeInternalError)
 
 
@@ -240,33 +257,28 @@ def check_domination(g: EdgeColouredMultigraph, dom: AlternatingTrail,
     """Certificate that `dom` c-dominates `sub`, if the structure holds:
     complete adjacency between the objects, per-vertex monochromatic
     edges from dom to sub alternating along dom, and same-label pairs
-    inside dom joined only in their own colour."""
-    dv = dom.vertex_sequence(g)[:-1]
-    sv = sub.vertex_set(g)
-    labels: dict[str, Colour] = {}
+    inside dom joined only in their own colour.  Each dominating
+    vertex's colours come from its slice of the incidence lists."""
+    view = g.view()
+    bit = view.bit
+    dv = _Cyc(g, dom).verts
+    sv = set(_Cyc(g, sub).verts)
+    label: dict[int, int] = {}
     for x in set(dv):
-        colours = set()
-        for y in sv:
-            es = g.edges_between(x, y)
-            if not es:
-                return None
-            colours.update(e.colour for e in es)
-        if len(colours) != 1:
+        ks, ws = view.star(x)
+        colours = {bit[k] for k, w in zip(ks, ws) if w in sv}
+        if len(colours) != 1 or not sv <= set(ws):
             return None
-        labels[x] = colours.pop()
+        label[x] = colours.pop()
     for t, x in enumerate(dv):
-        if labels[x] is labels[dv[(t + 1) % len(dv)]]:
+        if label[x] == label[dv[(t + 1) % len(dv)]]:
             return None
-    verts = list(dict.fromkeys(dv))
-    for p, x in enumerate(verts):
-        for y in verts[p + 1:]:
-            if labels[x] is not labels[y]:
-                continue
-            for e in g.edges_between(x, y):
-                if e.colour is not labels[x]:
-                    return None
-    start = min(dv, key=g.vertex_index)
-    return DominationCertificate(dom, sub, labels[start], labels)
+    for x, c in label.items():
+        for k, w in zip(*view.star(x)):
+            if label.get(w) == c and bit[k] != c:
+                return None
+    labels = {g.vertices[x]: BIT_COLOUR[c] for x, c in label.items()}
+    return DominationCertificate(dom, sub, BIT_COLOUR[label[min(dv)]], labels)
 
 
 # the exhaustive search that settles a pair no move or certificate does
@@ -302,12 +314,12 @@ def _structured_merge(g: EdgeColouredMultigraph, C1: AlternatingTrail,
                 c = ao.cols[i]
                 x, x1 = ao.verts[i], ao.verts[(i + 1) % ao.n]
                 for j in range(bo.n):
-                    if bo.cols[j] is not c:
+                    if bo.cols[j] != c:
                         continue
                     y, y1 = bo.verts[j], bo.verts[(j + 1) % bo.n]
                     if joins(x)[(y, c)] and joins(x1)[(y1, c)]:
                         return Merged(merge_parallel_chords(
-                            g, ao.as_cycle(), bo.as_cycle(), i, j))
+                            g, ao.as_cycle(g), bo.as_cycle(g), i, j))
 
     for dom, sub in ((C1, C2), (C2, C1)):
         cert = check_domination(g, dom, sub)
@@ -377,11 +389,11 @@ def _traversal_from(g: EdgeColouredMultigraph, t: AlternatingTrail, v: str,
 
 def _cross_edge(g: EdgeColouredMultigraph, u: str, v: str,
                 colour: Colour) -> str:
-    es = g.edges_between(u, v, colour)
-    if not es:
+    k = _edge_to(g, g.vertex_index(u), g.vertex_index(v), colour.bit)
+    if k is None:
         raise MergeInternalError(
             f"certificate promised a {colour.token} edge {u!r}-{v!r}")
-    return es[0].id
+    return g.edges[k].id
 
 
 def _lex_min(g: EdgeColouredMultigraph, vs) -> str:
@@ -489,11 +501,12 @@ def merge_factor(g: EdgeColouredMultigraph,
     connected extension of an M-closed graph.
     """
     cycles = all(isinstance(t, AlternatingCycle) for t in parts)
+    # each part's sort key, (length, index of the lowest vertex), once
+    key = functools.cache(lambda t: (len(t.edge_ids), min(
+        map(g.vertex_index, t.vertex_sequence(g)))))
     parts = list(parts)
     while len(parts) > 1:
-        parts.sort(key=lambda t: (len(t.edge_ids),
-                                  min(map(g.vertex_index,
-                                          t.vertex_sequence(g)))))
+        parts.sort(key=key)
         merged: Optional[tuple[tuple[int, ...], AlternatingTrail]] = None
         arc: dict[tuple[int, int], DominationCertificate] = {}
         for p, q in itertools.combinations(range(len(parts)), 2):

@@ -65,10 +65,9 @@ def oracle_supereulerian(g: EdgeColouredMultigraph,
     budget.admit(g)
     if len(g.vertices) < 2:
         return None
-    for v in g.vertices:
-        if g.degree(v, Colour.RED) == 0 or g.degree(v, Colour.BLUE) == 0:
-            return None
     view = g.view()
+    if any(0 in view.colour_degrees(i) for i in range(len(g.vertices))):
+        return None
     eu, ev, bit, off, inc, far = (view.eu, view.ev, view.bit, view.off,
                                   view.inc, view.far)
     deadline = budget.deadline()
@@ -240,9 +239,8 @@ def oracle_eulerian_factor(g: EdgeColouredMultigraph,
     budget.admit(g)
     if len(g.vertices) < 2:
         return None
-    for v in g.vertices:
-        if g.degree(v, Colour.RED) == 0 or g.degree(v, Colour.BLUE) == 0:
-            return None
+    if any(0 in g.view().colour_degrees(i) for i in range(len(g.vertices))):
+        return None
     from .factor import tour_factor_from_balanced_edges
     deadline = budget.deadline()
     for mask in _balanced_subsets(g, deadline):

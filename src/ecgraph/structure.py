@@ -12,12 +12,14 @@ similarity, and a graph is an extension of an M-closed graph iff that
 quotient is M-closed: merging non-similar vertices into one class is
 never available, because copies of a blown-up vertex must be
 non-adjacent with identical joins.
+
+Both read the graph's integer view: a vertex's multiset comes from its
+incidence lists, and M-closedness walks them in declaration order.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,16 +38,18 @@ def is_m_closed(g: EdgeColouredMultigraph
     On failure, returns the first violating (x, y, z) in declaration
     order: x-y and y-z share a colour but x and z are non-adjacent.
     """
-    for y in g.vertices:
-        inc = g.incident(y)
-        for i, e in enumerate(inc):
-            x = e.other_end(y)
-            for f in inc[i + 1:]:
-                z = f.other_end(y)
-                if x == z or f.colour is not e.colour:
-                    continue
-                if not g.adjacent(x, z):
-                    return False, (x, y, z)
+    view = g.view()
+    bit, off, inc, far = view.bit, view.off, view.inc, view.far
+    names = g.vertices
+    for y in range(len(names)):
+        for s in range(off[y], off[y + 1]):
+            x, c = far[s], bit[inc[s]]
+            for t in range(s + 1, off[y + 1]):
+                z = far[t]
+                # x's far ends scanned, not kept as sets: blow-ups fail
+                if x != z and bit[inc[t]] == c \
+                        and z not in far[off[x]:off[x + 1]]:
+                    return False, (names[x], names[y], names[z])
     return True, None
 
 
@@ -83,22 +87,25 @@ class SimilarityPartition:
     multiplicities: dict[str, int]     # quotient vertex -> block size
 
 
-def _joins(g: EdgeColouredMultigraph, v: str) -> Counter:
-    """v's coloured edge multiset {(other end, colour): count}."""
-    return Counter((e.other_end(v), e.colour) for e in g.incident(v))
+def _joins(g: EdgeColouredMultigraph, i: int) -> tuple[int, ...]:
+    """Vertex i's coloured edge multiset, as the sorted numbers
+    2 * (other end) + colour bit."""
+    view = g.view()
+    return tuple(sorted([2 * w + view.bit[k] for k, w in zip(*view.star(i))]))
 
 
 def similar(g: EdgeColouredMultigraph, u: str, v: str) -> bool:
     """Non-adjacent with identical coloured joins to every third vertex."""
-    return u != v and _joins(g, u) == _joins(g, v)
+    i, j = g.vertex_index(u), g.vertex_index(v)
+    return i != j and _joins(g, i) == _joins(g, j)
 
 
 def similarity_partition(g: EdgeColouredMultigraph) -> SimilarityPartition:
     """Blocks of similar vertices, in order of their first member, each
     in vertex order; the quotient keeps each block's first member."""
-    by_joins: dict[frozenset, list[str]] = {}
-    for v in g.vertices:
-        by_joins.setdefault(frozenset(_joins(g, v).items()), []).append(v)
+    by_joins: dict[tuple[int, ...], list[str]] = {}
+    for i, v in enumerate(g.vertices):
+        by_joins.setdefault(_joins(g, i), []).append(v)
     blocks = tuple(tuple(b) for b in by_joins.values())
     quotient = g.induced(b[0] for b in blocks)
     mult = {b[0]: len(b) for b in blocks}

@@ -5,6 +5,9 @@ test-only helpers.  Nothing in the package calls these.
   read-backs that `tour_factor_from_balanced_edges` and
   `alternating_cycle_factor` replaced: edge ids, a sub-multigraph of
   the chosen edges, its components, and a `(vertex, colour)` dict.
+- `RefIndex` is the string index (edges by id, incident edges by
+  vertex) a graph kept beside its integer view, before the view became
+  its only index, with the lookups it answered.
 - `ref_check_trail` is the string walk `verify_witness` ran on a trail
   before the graph's integer view replaced it, and `ref_check` the
   check the connectivity queries ran on each witness with it.
@@ -23,6 +26,7 @@ from ecgraph import (
     AlternatingTrail,
     Colour,
     CycleFactor,
+    Edge,
     EdgeColouredMultigraph,
     EulerianFactor,
     GraphError,
@@ -32,6 +36,53 @@ from ecgraph import (
     verify_witness,
 )
 from ecgraph.matching import IndexedGraph, PlainGraph, maximum_matching
+
+
+class RefIndex:
+    """g's lookups, answered from dicts of Edge objects built from
+    g.vertices and g.edges alone."""
+
+    def __init__(self, g: EdgeColouredMultigraph):
+        self.by_id = {e.id: e for e in g.edges}
+        self.index = {v: i for i, v in enumerate(g.vertices)}
+        incident: dict[str, list[Edge]] = {v: [] for v in g.vertices}
+        for e in g.edges:
+            incident[e.u].append(e)
+            incident[e.v].append(e)
+        self._incident = {v: tuple(es) for v, es in incident.items()}
+
+    def edge(self, edge_id: str) -> Edge:
+        try:
+            return self.by_id[edge_id]
+        except KeyError:
+            raise GraphError(f"unknown edge id {edge_id!r}") from None
+
+    def has_edge_id(self, edge_id: str) -> bool:
+        return edge_id in self.by_id
+
+    def incident(self, v: str, colour: Optional[Colour] = None
+                 ) -> tuple[Edge, ...]:
+        es = self._incident[v]
+        if colour is None:
+            return es
+        return tuple(e for e in es if e.colour is colour)
+
+    def degree(self, v: str, colour: Optional[Colour] = None) -> int:
+        return len(self.incident(v, colour))
+
+    def edges_between(self, u: str, v: str,
+                      colour: Optional[Colour] = None) -> tuple[Edge, ...]:
+        return tuple(e for e in self._incident[u]
+                     if e.touches(v) and (colour is None or e.colour is colour))
+
+    def adjacent(self, u: str, v: str) -> bool:
+        return any(e.touches(v) for e in self._incident[u])
+
+    def vertex_index(self, v: str) -> int:
+        return self.index[v]
+
+    def neighbours(self, v: str) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(e.other_end(v) for e in self._incident[v]))
 
 
 def rand_multigraph(rng) -> EdgeColouredMultigraph:
@@ -209,6 +260,7 @@ def ref_cycle_read_back(g: EdgeColouredMultigraph, split: IndexedGraph,
 def ref_check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail
                     ) -> VerifyResult:
     """verify_witness on a trail, walked through g's edge-id dicts."""
+    ref = RefIndex(g)
     if t.start not in g.vertices:
         return VerifyResult(False, f"unknown start vertex {t.start!r}")
     if len(t.edge_ids) != len(set(t.edge_ids)):
@@ -218,9 +270,9 @@ def ref_check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail
     first: Optional[Colour] = None
     prev_colour: Optional[Colour] = None
     for eid in t.edge_ids:
-        if not g.has_edge_id(eid):
+        if not ref.has_edge_id(eid):
             return VerifyResult(False, f"unknown edge id {eid!r}")
-        e = g.edge(eid)
+        e = ref.edge(eid)
         if not e.touches(cur):
             return VerifyResult(False, f"edge {eid!r} does not continue the walk")
         if prev_colour is None:

@@ -24,7 +24,7 @@ from ecgraph import (
 )
 
 from ecgraph.core import BIT_COLOUR, BadWalk, GraphView
-from reference import rand_multigraph, ref_check_trail, visit_count
+from reference import RefIndex, rand_multigraph, ref_check_trail, visit_count
 
 
 def digon():
@@ -49,6 +49,34 @@ class TestGraphConstruction:
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(GraphError, match="unknown vertex"):
             EdgeColouredMultigraph(["a"], [Edge("e", "a", "b", RED)])
+
+    def test_first_fault_is_reported(self):
+        # of several faults the first is reported: vertices first, then
+        # edge by edge a duplicate id, an unknown u, an unknown v, a
+        # self-loop
+        cases = [
+            (["a", "b", "a"],
+             [Edge("e", "a", "z", RED), Edge("e", "b", "b", RED)],
+             "duplicate vertex id 'a'"),
+            (["a", "b"],
+             [Edge("e", "a", "b", RED), Edge("e", "z", "z", RED)],
+             "duplicate edge id 'e'"),
+            (["a", "b"],
+             [Edge("e", "x", "y", RED), Edge("f", "a", "a", RED)],
+             "edge 'e': unknown vertex 'x'"),
+            (["a", "b"],
+             [Edge("e", "a", "y", RED), Edge("e", "a", "a", RED)],
+             "edge 'e': unknown vertex 'y'"),
+            (["a", "b"], [Edge("e", "x", "x", RED)],
+             "edge 'e': unknown vertex 'x'"),
+            (["a", "b"],
+             [Edge("e", "a", "a", RED), Edge("e", "a", "z", RED)],
+             "edge 'e': self-loop at 'a'"),
+        ]
+        for verts, edges, message in cases:
+            with pytest.raises(GraphError) as exc:
+                EdgeColouredMultigraph(verts, edges)
+            assert str(exc.value) == message
 
     def test_lookups(self):
         g = digon()
@@ -156,6 +184,48 @@ class TestWitnessVerification:
         assert verify_witness(g, CycleFactor((c,)))
         assert not verify_witness(g, CycleFactor((c, c)))
 
+    def test_factor_reasons(self):
+        # digons a-b (e0, e1) and c-d (e2, e3); blue e4 = b-c and
+        # e5 = d-a close the alternating square a b c d
+        g = build_graph(["a", "b", "c", "d"],
+                        [("a", "b", RED), ("a", "b", BLUE),
+                         ("c", "d", RED), ("c", "d", BLUE),
+                         ("b", "c", BLUE), ("d", "a", BLUE)])
+        ab, cd = frozenset("ab"), frozenset("cd")
+        t_ab = AlternatingTrail("a", ("e0", "e1"), closed=True)
+        t_cd = AlternatingTrail("c", ("e2", "e3"), closed=True)
+        square = ("e0", "e4", "e2", "e5")
+        c_ab = AlternatingCycle("a", ("e0", "e1"))
+        c_cd = AlternatingCycle("c", ("e2", "e3"))
+        assert verify_witness(g, EulerianFactor(((ab, t_ab), (cd, t_cd))))
+        assert verify_witness(g, EulerianFactor(
+            ((frozenset("abcd"),
+              AlternatingTrail("a", square, closed=True)),)))
+        assert verify_witness(g, CycleFactor((c_ab, c_cd)))
+        for w, reason in (
+                (EulerianFactor(((ab, t_ab), (ab, t_ab))),
+                 "factor parts overlap"),
+                (EulerianFactor(((ab, AlternatingTrail("a", ("e0", "e1"))),
+                                 (cd, t_cd))),
+                 "factor witness must be closed"),
+                (EulerianFactor(((ab, AlternatingTrail(
+                    "a", ("e0", "e0"), closed=True)), (cd, t_cd))),
+                 "edge repeated"),
+                (EulerianFactor(((frozenset("abc"), t_ab), (frozenset("d"),
+                                                            t_cd))),
+                 "factor witness does not span its vertex set"),
+                # the trail leaves its part: it visits c and d too
+                (EulerianFactor(((ab, AlternatingTrail("a", square,
+                                                       closed=True)),
+                                 (cd, t_cd))),
+                 "factor witness does not span its vertex set"),
+                (EulerianFactor(((ab, t_ab),)),
+                 "factor parts do not cover V"),
+                (CycleFactor((AlternatingCycle("a", square), c_cd)),
+                 "factor cycles overlap"),
+                (CycleFactor((c_ab,)), "factor cycles do not cover V")):
+            assert verify_witness(g, w).reason == reason, w
+
     def test_visit_count(self):
         g = build_graph(["a", "b", "c"],
                         [("a", "b", RED), ("b", "a", BLUE),
@@ -204,20 +274,22 @@ def test_witness_dict_shapes(g):
 
 
 def naive_view(g):
-    """The integer view of g, rebuilt edge by edge from g.edges and
-    g.incident."""
+    """The integer view of g, rebuilt edge by edge from g.vertices and
+    g.edges alone: each vertex's incident edges in declaration order."""
     idx = {v: i for i, v in enumerate(g.vertices)}
     pos = {e.id: k for k, e in enumerate(g.edges)}
     off, inc, far = [0], [], []
     for v in g.vertices:
-        for e in g.incident(v):
-            inc.append(pos[e.id])
-            far.append(idx[e.other_end(v)])
+        for k, e in enumerate(g.edges):
+            if v in (e.u, e.v):
+                inc.append(k)
+                far.append(idx[e.v if e.u == v else e.u])
         off.append(len(inc))
-    return {"eu": [idx[e.u] for e in g.edges],
+    return {"index": idx, "pos": pos,
+            "eu": [idx[e.u] for e in g.edges],
             "ev": [idx[e.v] for e in g.edges],
             "bit": [0 if e.colour is RED else 1 for e in g.edges],
-            "off": off, "inc": inc, "far": far, "pos": pos}
+            "off": off, "inc": inc, "far": far}
 
 
 def test_view_matches_naive_rebuild():
@@ -233,6 +305,42 @@ def test_view_matches_naive_rebuild():
             == naive_view(g)
         assert [BIT_COLOUR[b] for b in view.bit] \
             == [e.colour for e in g.edges]
+    assert parallel > 50
+
+
+def test_lookups_match_the_string_index():
+    # the string lookups read the view and answer as the string index
+    # the graph kept before did, except between a vertex and itself:
+    # with no loops nothing joins them, where the old scan listed
+    # every edge of the vertex
+    rng = random.Random(13)
+    parallel = 0
+    for _ in range(200):
+        g = rand_multigraph(rng)
+        parallel += len({(e.u, e.v, e.colour) for e in g.edges}) \
+            < len(g.edges)
+        ref = RefIndex(g)
+        for eid in [e.id for e in g.edges] + ["ghost"]:
+            assert g.has_edge_id(eid) == ref.has_edge_id(eid)
+            if ref.has_edge_id(eid):
+                assert g.edge(eid) is ref.edge(eid)
+        with pytest.raises(GraphError, match="unknown edge id 'ghost'"):
+            g.edge("ghost")
+        for u in g.vertices:
+            assert g.vertex_index(u) == ref.vertex_index(u)
+            assert g.neighbours(u) == ref.neighbours(u)
+            for c in (None, RED, BLUE):
+                assert g.incident(u, c) == ref.incident(u, c)
+                assert g.degree(u, c) == ref.degree(u, c)
+            for v in g.vertices + ("ghost",):
+                if v == u:
+                    assert not g.adjacent(u, u)
+                    assert g.edges_between(u, u) == ()
+                    continue
+                assert g.adjacent(u, v) == ref.adjacent(u, v)
+                for c in (None, RED, BLUE):
+                    assert g.edges_between(u, v, c) \
+                        == ref.edges_between(u, v, c)
     assert parallel > 50
 
 

@@ -273,12 +273,14 @@ def test_reversed_walk_matches_walk_rebuilt_backwards():
             for t in parts:
                 c = _Cyc(g, t)
                 r = c.reversed()
-                back = kind(c.verts[0], tuple(reversed(c.edges)), closed=True)
+                back = kind(g.vertices[c.verts[0]],
+                            tuple(g.edges[k].id for k in reversed(c.edges)),
+                            closed=True)
                 ref = _Cyc(g, back)
                 assert (r.verts, r.edges, r.cols, r.n, r.cycle) \
                     == (ref.verts, ref.edges, ref.cols, ref.n, ref.cycle)
                 # the walk reversed is left as it was
-                assert c.edges == list(t.edge_ids)
-                assert r.as_cycle() == back
+                assert [g.edges[k].id for k in c.edges] == list(t.edge_ids)
+                assert r.as_cycle(g) == back
                 walks += 1
     assert walks >= 30

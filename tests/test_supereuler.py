@@ -251,10 +251,10 @@ def test_in_place_merge_matches_blow_up_route(monkeypatch):
 
     def spy_similar(g, a, b, i, j):
         fired["similar"] += 1
-        if b.cols[j] is not a.cols[i]:
+        if b.cols[j] != a.cols[i]:
             fired["reversal"] += 1
         out = splice(g, a, b, i, j)
-        spliced.append((g, a.as_cycle(), b.as_cycle(), i, j, out))
+        spliced.append((g, a.as_cycle(g), b.as_cycle(g), i, j, out))
         return out
 
     def spy_chords(*args):
