@@ -57,8 +57,6 @@ from .merge import (
     NoEdgeBetween,
     alternating_hamiltonian_cycle,
     merge_cycles,
-    merge_parallel_chords,
-    merge_similar,
 )
 from .supereuler import (
     BipartiteDigraph,

@@ -285,12 +285,24 @@ class AlternatingTrail:
         return len(self.edge_ids)
 
     def vertex_sequence(self, g: EdgeColouredMultigraph) -> list[str]:
-        """Vertices visited in order, including both endpoints."""
+        """Vertices visited in order, including both endpoints, read
+        from g's view.  Raises GraphError for an unknown edge id or an
+        edge that does not continue the walk."""
+        view = g.view()
         seq = [self.start]
-        cur = self.start
+        cur = view.index.get(self.start)
         for eid in self.edge_ids:
-            cur = g.edge(eid).other_end(cur)
-            seq.append(cur)
+            k = view.pos.get(eid)
+            if k is None:
+                raise GraphError(f"unknown edge id {eid!r}")
+            if view.eu[k] == cur:
+                cur = view.ev[k]
+            elif view.ev[k] == cur:
+                cur = view.eu[k]
+            else:
+                raise GraphError(f"vertex {seq[-1]!r} is not an endpoint "
+                                 f"of edge {eid!r}")
+            seq.append(g.vertices[cur])
         return seq
 
     def end(self, g: EdgeColouredMultigraph) -> str:

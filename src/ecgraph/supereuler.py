@@ -5,9 +5,10 @@ of bipartite instances.
 Such a graph has a spanning closed alternating trail iff it is
 trail-colour-connected and has an eulerian factor.  The construction
 hands the factor's closed trails to `ecgraph.merge.merge_factor`, which
-merges them pairwise in place, with the cycle moves, and through the
-domination tournament where no pair merges; `merge_trails_pair` is the
-pair merge it uses, `ecgraph.merge.merge_cycles` under a second name.
+merges them pairwise in place through its private pair merge `_pair`,
+with the cycle moves, and through the domination tournament where no
+pair merges.  `merge_trails_pair` is `ecgraph.merge.merge_cycles`, that
+pair merge on two trails given by ids, under a second name.
 """
 
 from __future__ import annotations

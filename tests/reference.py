@@ -11,6 +11,11 @@ test-only helpers.  Nothing in the package calls these.
 - `ref_check_trail` is the string walk `verify_witness` ran on a trail
   before the graph's integer view replaced it, and `ref_check` the
   check the connectivity queries ran on each witness with it.
+- `ref_vertex_sequence` is the string walk `vertex_sequence` ran
+  before it read the view.
+- `merge_trails_3cycle` and `merge_trails_transitive` are the
+  tournament merges the merge loop ran on trails by id, walked with
+  `traversal_from`, before the loop ran on the integer walks alone.
 - `rand_multigraph` draws small multigraphs with parallel edges.
 - `trail_to_path_complete_multipartite` shortens an open alternating
   trail of a complete multipartite graph into an alternating path with
@@ -25,6 +30,7 @@ from ecgraph import (
     AlternatingCycle,
     AlternatingTrail,
     Colour,
+    DominationCertificate,
     CycleFactor,
     Edge,
     EdgeColouredMultigraph,
@@ -35,7 +41,9 @@ from ecgraph import (
     complete_multipartite_classes,
     verify_witness,
 )
+from ecgraph.core import check_witness
 from ecgraph.matching import IndexedGraph, PlainGraph, maximum_matching
+from ecgraph.merge import MergeInternalError
 
 
 class RefIndex:
@@ -83,6 +91,109 @@ class RefIndex:
 
     def neighbours(self, v: str) -> tuple[str, ...]:
         return tuple(dict.fromkeys(e.other_end(v) for e in self._incident[v]))
+
+
+def ref_vertex_sequence(g: EdgeColouredMultigraph, t: AlternatingTrail
+                        ) -> list[str]:
+    """Vertices t visits in order, walked through g's edge-id dicts."""
+    ref = RefIndex(g)
+    seq = [t.start]
+    cur = t.start
+    for eid in t.edge_ids:
+        cur = ref.edge(eid).other_end(cur)
+        seq.append(cur)
+    return seq
+
+
+def traversal_from(g: EdgeColouredMultigraph, t: AlternatingTrail, v: str,
+                   first: Colour) -> tuple[list[str], str]:
+    """Full traversal of closed trail t from v whose first edge has the
+    given colour, together with the last vertex visited before closing."""
+    ref = RefIndex(g)
+    seq = ref_vertex_sequence(g, t)[:-1]
+    edges = list(t.edge_ids)
+    L = len(edges)
+    for p, w in enumerate(seq):
+        if w != v:
+            continue
+        fwd = edges[p:] + edges[:p]
+        if ref.edge(fwd[0]).colour is first:
+            return fwd, seq[(p - 1) % L]
+        bwd = list(reversed(edges[:p])) + list(reversed(edges[p:]))
+        if ref.edge(bwd[0]).colour is first:
+            return bwd, seq[(p + 1) % L]
+    raise MergeInternalError(
+        f"no traversal of the trail from {v!r} starting {first.token}")
+
+
+def _cross_edge(g: EdgeColouredMultigraph, u: str, v: str,
+                colour: Colour) -> str:
+    es = RefIndex(g).edges_between(u, v, colour)
+    if not es:
+        raise MergeInternalError(
+            f"certificate promised a {colour.token} edge {u!r}-{v!r}")
+    return es[0].id
+
+
+def _lex_min(g: EdgeColouredMultigraph, vs) -> str:
+    return min(vs, key=RefIndex(g).vertex_index)
+
+
+def merge_trails_3cycle(g: EdgeColouredMultigraph,
+                        Ta: AlternatingTrail, Tb: AlternatingTrail,
+                        Tc: AlternatingTrail,
+                        cert_ab: DominationCertificate,
+                        cert_bc: DominationCertificate,
+                        cert_ca: DominationCertificate) -> AlternatingTrail:
+    """Merge a directed triangle Ta -> Tb -> Tc -> Ta of dominations:
+    traverse each trail once and close through the three predecessors of
+    the chosen start vertices."""
+    la, lb, lc = cert_ab.labels, cert_bc.labels, cert_ca.labels
+    va = _lex_min(g, ref_vertex_sequence(g, Ta))
+    alpha = la[va]
+    ea, va_pred = traversal_from(g, Ta, va, alpha)
+    vb = _lex_min(g, [v for v in ref_vertex_sequence(g, Tb)
+                      if lb[v] is alpha.other()])
+    eb, vb_pred = traversal_from(g, Tb, vb, alpha.other())
+    vc = _lex_min(g, [v for v in ref_vertex_sequence(g, Tc)
+                      if lc[v] is alpha])
+    ec, vc_pred = traversal_from(g, Tc, vc, alpha)
+
+    ids = (ea
+           + [_cross_edge(g, va, vb, alpha)]
+           + eb
+           + [_cross_edge(g, vb, vc, alpha.other())]
+           + ec
+           + [_cross_edge(g, vc, va_pred, alpha),
+              _cross_edge(g, va_pred, vb_pred, alpha.other()),
+              _cross_edge(g, vb_pred, vc_pred, alpha),
+              _cross_edge(g, vc_pred, va, alpha.other())])
+    out = AlternatingTrail(va, tuple(ids), closed=True)
+    return check_witness(g, out, "triangle merge", MergeInternalError)
+
+
+def merge_trails_transitive(g: EdgeColouredMultigraph,
+                            T1: AlternatingTrail, T2: AlternatingTrail,
+                            T3: AlternatingTrail, v: str,
+                            c: Colour) -> AlternatingTrail:
+    """Merge T1 with two trails it dominates, where the pivot v of T1
+    sends colour c to T2 and the other colour to T3: pick up T2 and
+    return, pick up T3 and return, then traverse T1."""
+    u = _lex_min(g, ref_vertex_sequence(g, T2))
+    e2, u_pred = traversal_from(g, T2, u, c.other())
+    w = _lex_min(g, ref_vertex_sequence(g, T3))
+    e3, w_pred = traversal_from(g, T3, w, c)
+    e1, _ = traversal_from(g, T1, v, c)
+
+    ids = ([_cross_edge(g, v, u, c)]
+           + e2[:-1]
+           + [_cross_edge(g, u_pred, v, c),
+              _cross_edge(g, v, w, c.other())]
+           + e3[:-1]
+           + [_cross_edge(g, w_pred, v, c.other())]
+           + e1)
+    out = AlternatingTrail(v, tuple(ids), closed=True)
+    return check_witness(g, out, "transitive merge", MergeInternalError)
 
 
 def rand_multigraph(rng) -> EdgeColouredMultigraph:

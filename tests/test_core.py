@@ -24,7 +24,13 @@ from ecgraph import (
 )
 
 from ecgraph.core import BIT_COLOUR, BadWalk, GraphView
-from reference import RefIndex, rand_multigraph, ref_check_trail, visit_count
+from reference import (
+    RefIndex,
+    rand_multigraph,
+    ref_check_trail,
+    ref_vertex_sequence,
+    visit_count,
+)
 
 
 def digon():
@@ -306,6 +312,49 @@ def test_view_matches_naive_rebuild():
         assert [BIT_COLOUR[b] for b in view.bit] \
             == [e.colour for e in g.edges]
     assert parallel > 50
+
+
+def _outcome(walk):
+    """walk(), or the message of the GraphError it raises."""
+    try:
+        return walk()
+    except GraphError as exc:
+        return f"GraphError: {exc}"
+
+
+def test_vertex_sequence_matches_the_string_walk():
+    # random walks through each graph, some with one entry replaced by
+    # an unknown id, another edge, or an unknown start
+    rng = random.Random(29)
+    kinds = Counter()
+    for _ in range(300):
+        g = rand_multigraph(rng)
+        start = rng.choice(g.vertices)
+        ids, cur = [], start
+        for _ in range(rng.randint(0, 8)):
+            e = rng.choice(g.incident(cur) or g.edges)
+            if not e.touches(cur):
+                break
+            ids.append(e.id)
+            cur = e.other_end(cur)
+        fault = rng.randrange(4)
+        if fault == 1 and ids:
+            ids[rng.randrange(len(ids))] = "ghost"
+        elif fault == 2 and ids:
+            ids[rng.randrange(len(ids))] = rng.choice(g.edges).id
+        elif fault == 3:
+            start = "ghost"
+        t = AlternatingTrail(start, tuple(ids))
+        got = _outcome(lambda: t.vertex_sequence(g))
+        assert got == _outcome(lambda: ref_vertex_sequence(g, t))
+        if isinstance(got, list):
+            kinds["walk"] += 1
+            assert got[-1] == t.end(g)
+            assert frozenset(got) == t.vertex_set(g)
+        else:
+            kinds["unknown id" if "unknown edge id" in got
+                  else "not an endpoint"] += 1
+    assert len(kinds) == 3 and min(kinds.values()) >= 30, kinds
 
 
 def test_lookups_match_the_string_index():

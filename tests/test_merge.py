@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from ecgraph import (
     AlternatingCycle,
     AlternatingTrail,
     Dominates,
+    GraphError,
     Merged,
     NoEdgeBetween,
     alternating_hamiltonian_cycle,
@@ -16,14 +18,19 @@ from ecgraph import (
     is_colour_connected,
     MergeInternalError,
     merge_cycles,
-    merge_parallel_chords,
-    merge_similar,
     oracle_ham_alternating,
     similar,
     verify_witness,
 )
 from ecgraph.factor import alternating_cycle_factor, eulerian_factor
-from ecgraph.merge import _Cyc, check_domination, merge_factor
+from ecgraph.merge import (
+    _Cyc,
+    _chords,
+    _dominates,
+    _joins_within,
+    _splice,
+    merge_factor,
+)
 from ecgraph.reductions import fixture, generate
 
 
@@ -41,6 +48,22 @@ def digon_cycles(g):
     return c1, c2
 
 
+def similar_in_pair(g, a, b, i, j):
+    """Whether a.verts[i] and b.verts[j] are similar within the union
+    of the two walks, as the pair merge tests before it splices."""
+    union = a.vset | b.vset
+    return _joins_within(g, a.verts[i], union) \
+        == _joins_within(g, b.verts[j], union)
+
+
+def splice(g, C1, C2, i, j):
+    """The splice of C1 and C2 at positions i and j, by ids, after
+    checking that the pivots are similar within the pair."""
+    a, b = _Cyc.of(g, C1), _Cyc.of(g, C2)
+    assert similar_in_pair(g, a, b, i, j)
+    return _splice(g, a, b, i, j).as_cycle(g)
+
+
 class TestMergeSimilar:
     def test_splice_at_similar_pair(self):
         # a2 and b2 are copies of one blown-up vertex
@@ -51,7 +74,7 @@ class TestMergeSimilar:
              ("a1", "b2", RED), ("a1", "b2", BLUE),
              ("b1", "a2", RED), ("b1", "a2", BLUE)])
         c1, c2 = digon_cycles(g)
-        merged = merge_similar(g, c1, c2, 1, 1)
+        merged = splice(g, c1, c2, 1, 1)
         assert verify_witness(g, merged)
         assert merged.vertex_set(g) == {"a1", "a2", "b1", "b2"}
 
@@ -76,7 +99,7 @@ class TestMergeSimilar:
         # the pivots leave in different colours: T2 is reversed first
         assert g.edge(t2.edge_ids[j]).colour \
             is not g.edge(t1.edge_ids[0]).colour
-        merged = merge_similar(g, t1, t2, 0, j)
+        merged = splice(g, t1, t2, 0, j)
         assert not isinstance(merged, AlternatingCycle)
         assert verify_witness(g, merged)
         assert merged.vertex_set(g) == set(g.vertices)
@@ -94,7 +117,7 @@ class TestMergeSimilar:
              ("z", "a1", RED)])
         assert not similar(g, "a1", "b1")
         c1, c2 = digon_cycles(g)
-        merged = merge_similar(g, c1, c2, 0, 0)
+        merged = splice(g, c1, c2, 0, 0)
         assert isinstance(merged, AlternatingCycle)
         assert verify_witness(g, merged)
         assert merged.vertex_set(g) == {"a1", "a2", "b1", "b2"}
@@ -103,25 +126,30 @@ class TestMergeSimilar:
         assert out.cycle.vertex_set(g) == {"a1", "a2", "b1", "b2"}
 
     def test_rejects_dissimilar_pivots(self):
+        # a splice at dissimilar pivots lacks a mirrored chord
         g = two_digons([("a1", "b1", RED)])
-        c1, c2 = digon_cycles(g)
-        with pytest.raises(ValueError, match="not similar"):
-            merge_similar(g, c1, c2, 0, 0)
+        a, b = map(functools.partial(_Cyc.of, g), digon_cycles(g))
+        assert not similar_in_pair(g, a, b, 0, 0)
+        with pytest.raises(MergeInternalError,
+                           match="needs a blue edge 'a2'-'b1'"):
+            _splice(g, a, b, 0, 0)
 
 
 class TestMergeParallelChords:
     def test_two_red_chords(self):
         g = two_digons([("a1", "b1", RED), ("a2", "b2", RED)])
         c1, c2 = digon_cycles(g)
-        merged = merge_parallel_chords(g, c1, c2, 0, 0)
-        assert verify_witness(g, merged)
-        assert merged.vertex_set(g) == {"a1", "a2", "b1", "b2"}
+        merged = _chords(g, _Cyc.of(g, c1), _Cyc.of(g, c2), 0, 0)
+        assert merged.cycle
+        assert verify_witness(g, merged.as_cycle(g))
+        assert merged.as_cycle(g).vertex_set(g) == {"a1", "a2", "b1", "b2"}
 
     def test_missing_chord_rejected(self):
         g = two_digons([("a1", "b1", RED)])
         c1, c2 = digon_cycles(g)
-        with pytest.raises(ValueError):
-            merge_parallel_chords(g, c1, c2, 0, 0)
+        with pytest.raises(MergeInternalError,
+                           match="needs a red edge 'a2'-'b2'"):
+            _chords(g, _Cyc.of(g, c1), _Cyc.of(g, c2), 0, 0)
 
 
 class TestMergeCycles:
@@ -171,12 +199,63 @@ class TestCheckDomination:
         g = two_digons([("a1", "b1", RED), ("a1", "b2", BLUE),
                         ("a2", "b1", BLUE), ("a2", "b2", BLUE)])
         c1, c2 = digon_cycles(g)
-        assert check_domination(g, c1, c2) is None
+        assert _dominates(g, _Cyc.of(g, c1), _Cyc.of(g, c2)) is None
 
     def test_missing_adjacency_fails(self):
         g = two_digons([("a1", "b1", RED), ("a2", "b1", BLUE)])
         c1, c2 = digon_cycles(g)
-        assert check_domination(g, c1, c2) is None
+        assert _dominates(g, _Cyc.of(g, c1), _Cyc.of(g, c2)) is None
+
+    def test_labels_by_vertex_index(self):
+        g = two_digons([("a1", "b1", RED), ("a1", "b2", RED),
+                        ("a2", "b1", BLUE), ("a2", "b2", BLUE)])
+        a, b = map(functools.partial(_Cyc.of, g), digon_cycles(g))
+        assert _dominates(g, a, b) == {0: 0, 1: 1}
+        assert _dominates(g, b, a) is None
+
+
+class TestInputFaults:
+    """A part that is not a closed alternating trail (cycle) of g is
+    the caller's fault: GraphError, with verify_witness's reason, from
+    both public merges."""
+
+    BOWTIE = build_graph(
+        ["y", "p", "q", "r", "s", "a1", "a2"],
+        [("y", "p", RED), ("p", "q", BLUE), ("q", "y", RED),
+         ("y", "r", BLUE), ("r", "s", RED), ("s", "y", BLUE),
+         ("a1", "a2", RED), ("a1", "a2", BLUE), ("a1", "y", RED)])
+    GOOD = AlternatingCycle("a1", ("e6", "e7"))
+
+    @pytest.mark.parametrize("bad", [
+        AlternatingCycle("y", ("e0", "zz")),
+        AlternatingCycle("zz", ("e0", "e1")),
+        AlternatingTrail("y", ("e0", "e2"), closed=True),
+        AlternatingTrail("y", ("e0", "e0"), closed=True),
+        AlternatingTrail("y", ("e0", "e1"), closed=True),
+        AlternatingTrail("y", ("e0", "e1", "e2", "e8"), closed=True),
+        AlternatingTrail("y", ("e0", "e1", "e2", "e3", "e3", "e5"),
+                         closed=True),
+        AlternatingCycle("y", ("e0", "e1", "e2", "e3", "e4", "e5")),
+    ])
+    def test_bad_part_raises_graph_error(self, bad):
+        g = self.BOWTIE
+        reason = verify_witness(g, bad).reason
+        assert reason
+        for call in (lambda: merge_cycles(g, bad, self.GOOD),
+                     lambda: merge_cycles(g, self.GOOD, bad),
+                     lambda: merge_factor(g, [self.GOOD, bad])):
+            with pytest.raises(GraphError) as exc:
+                call()
+            assert reason in str(exc.value)
+
+    def test_overlapping_or_missing_parts(self):
+        g = two_digons([("a1", "b1", RED)])
+        c1, c2 = digon_cycles(g)
+        for parts in ([c1, c1], [c1], [c1, c2, c2]):
+            with pytest.raises(GraphError, match="overlap or do not cover"):
+                merge_factor(g, parts)
+        with pytest.raises(GraphError, match="not vertex-disjoint"):
+            merge_cycles(g, c1, c1)
 
 
 class TestHamiltonian:
@@ -271,14 +350,15 @@ def test_reversed_walk_matches_walk_rebuilt_backwards():
             parts = f.cycles if kind is AlternatingCycle \
                 else [t for _, t in f.parts]
             for t in parts:
-                c = _Cyc(g, t)
+                c = _Cyc.of(g, t)
                 r = c.reversed()
                 back = kind(g.vertices[c.verts[0]],
                             tuple(g.edges[k].id for k in reversed(c.edges)),
                             closed=True)
-                ref = _Cyc(g, back)
-                assert (r.verts, r.edges, r.cols, r.n, r.cycle) \
-                    == (ref.verts, ref.edges, ref.cols, ref.n, ref.cycle)
+                ref = _Cyc.of(g, back)
+                assert (r.verts, r.edges, r.cols, r.n, r.cycle, r.vset) \
+                    == (ref.verts, ref.edges, ref.cols, ref.n, ref.cycle,
+                        ref.vset)
                 # the walk reversed is left as it was
                 assert [g.edges[k].id for k in c.edges] == list(t.edge_ids)
                 assert r.as_cycle(g) == back

@@ -257,7 +257,7 @@ def _fail_verification(g, w):
 
 
 def test_failed_merge_check_raises_through_hamiltonian(runner, monkeypatch):
-    # the merge moves check their results through core.check_witness
+    # merge_factor checks the merged witness through core.check_witness
     monkeypatch.setattr(ecgraph.core, "verify_witness", _fail_verification)
     res = runner.invoke(main, ["hamiltonian", "-"],
                         input=serialize_graph(fixture("needall_h")))

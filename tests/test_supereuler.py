@@ -6,6 +6,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from click.testing import CliRunner
+
 import ecgraph.merge as merge_module
 from ecgraph import (
     BLUE,
@@ -14,6 +16,8 @@ from ecgraph import (
     AlternatingTrail,
     BudgetExceeded,
     Dominates,
+    Edge,
+    MergeInternalError,
     Merged,
     NoEdgeBetween,
     OracleBudget,
@@ -28,20 +32,29 @@ from ecgraph import (
     merge_trails_pair,
     oracle_ham_alternating,
     oracle_supereulerian,
+    serialize_graph,
     supereulerian,
     verify_witness,
 )
 from ecgraph.analysis import Analysis
-from ecgraph.core import EdgeColouredMultigraph, GraphError
+from ecgraph.cli import main
+from ecgraph.core import BIT_COLOUR, EdgeColouredMultigraph, GraphError
 from ecgraph.merge import (
-    _structured_merge,
-    check_domination,
+    DominationCertificate,
+    _Cyc,
+    _chords,
+    _dominates,
+    _joins_within,
+    _pair,
+    _splice,
+    _transitive,
+    _triangle,
+    alternating_hamiltonian_cycle,
     merge_factor,
-    merge_trails_3cycle,
-    merge_trails_transitive,
 )
 from ecgraph.structure import blow_up, is_m_closed, m_closure
 from ecgraph.reductions import fixture, generate
+from reference import merge_trails_3cycle, merge_trails_transitive
 
 WIDE = OracleBudget(max_vertices=9, max_edges=40, seconds=60)
 
@@ -167,10 +180,35 @@ def _contract_blown(g: EdgeColouredMultigraph, start: str,
     return AlternatingTrail(base_start, base_ids, closed=True)
 
 
+class ReachedFallback(Exception):
+    """A pair merge reached the exhaustive search."""
+
+
+def refuse_search(*args):
+    raise ReachedFallback
+
+
+def stub_pair_search(monkeypatch):
+    """Make the pair merge's exhaustive search raise ReachedFallback."""
+    for name in ("oracle_ham_alternating", "oracle_supereulerian"):
+        monkeypatch.setattr(merge_module, name, refuse_search)
+
+
+def certificate(g, dom, sub):
+    """The domination certificate of trail dom over trail sub, from
+    `_dominates` on their walks."""
+    labels = _dominates(g, _Cyc.of(g, dom), _Cyc.of(g, sub))
+    assert labels is not None
+    return DominationCertificate(
+        dom, sub, BIT_COLOUR[labels[min(labels)]],
+        {g.vertices[x]: BIT_COLOUR[c] for x, c in labels.items()})
+
+
 def merge_through_blow_up(g, T1, T2):
     """Lift the two trails to cycles of the blow-up of their union by
     visit counts, merge the cycles there and contract the outcome back;
-    None where the structured moves come up empty."""
+    None where the structured moves come up empty, which the caller
+    sees through `stub_pair_search`."""
     V1 = T1.vertex_set(g)
     V2 = T2.vertex_set(g)
     union = g.induced(V1 | V2)
@@ -185,18 +223,16 @@ def merge_through_blow_up(g, T1, T2):
     c1 = _trail_to_blown_cycle(g, T1)
     c2 = _trail_to_blown_cycle(g, T2)
     assert verify_witness(h, c1) and verify_witness(h, c2)
-    out = _structured_merge(h, c1, c2)
-    if isinstance(out, Merged):
-        return Merged(_contract_blown(g, out.cycle.start, out.cycle.edge_ids))
-    if isinstance(out, Dominates):
-        dom_base = {v.rsplit(".", 1)[0]
-                    for v in out.certificate.dominating.vertex_set(h)}
-        dom, sub = (T1, T2) if dom_base == set(V1) else (T2, T1)
-        cert = check_domination(g, dom, sub)
-        assert cert is not None
-        return Dominates(cert)
-    assert out is None
-    return None
+    try:
+        out = _pair(h, _Cyc.of(h, c1), _Cyc.of(h, c2))
+    except ReachedFallback:
+        return None
+    if isinstance(out, _Cyc):
+        cycle = out.as_cycle(h)
+        return Merged(_contract_blown(g, cycle.start, cycle.edge_ids))
+    dom_base = {h.vertices[x].rsplit(".", 1)[0] for x in out[0].vset}
+    dom, sub = (T1, T2) if dom_base == set(V1) else (T2, T1)
+    return Dominates(certificate(g, dom, sub))
 
 
 def split_trail_pairs(graphs):
@@ -240,12 +276,13 @@ def digon_pattern_pairs():
 
 
 def test_in_place_merge_matches_blow_up_route(monkeypatch):
+    stub_pair_search(monkeypatch)
     cases = list(split_trail_pairs(3000)) + list(digon_pattern_pairs())
     expected = [merge_through_blow_up(g, T1, T2) for g, T1, T2 in cases]
 
     fired = Counter()
     splice = merge_module._splice
-    chord_move = merge_module.merge_parallel_chords
+    chord_move = merge_module._chords
 
     spliced = []
 
@@ -254,7 +291,8 @@ def test_in_place_merge_matches_blow_up_route(monkeypatch):
         if b.cols[j] != a.cols[i]:
             fired["reversal"] += 1
         out = splice(g, a, b, i, j)
-        spliced.append((g, a.as_cycle(g), b.as_cycle(g), i, j, out))
+        spliced.append((g, a.as_cycle(g), b.as_cycle(g), i, j,
+                        out.as_cycle(g)))
         return out
 
     def spy_chords(*args):
@@ -262,14 +300,15 @@ def test_in_place_merge_matches_blow_up_route(monkeypatch):
         return chord_move(*args)
 
     monkeypatch.setattr(merge_module, "_splice", spy_similar)
-    monkeypatch.setattr(merge_module, "merge_parallel_chords", spy_chords)
+    monkeypatch.setattr(merge_module, "_chords", spy_chords)
     for (g, T1, T2), ref in zip(cases, expected):
         if any(len(t.vertex_set(g)) < len(t.edge_ids) for t in (T1, T2)):
             fired["revisiting pair"] += 1
         if ref is None:
             # both routes fall back to the same exhaustive search
-            union = g.induced(T1.vertex_set(g) | T2.vertex_set(g))
-            assert _structured_merge(union, T1, T2) is None
+            with pytest.raises(ReachedFallback):
+                merge_trails_pair(g, T1, T2)
+            fired["fallback"] += 1
             continue
         got = merge_trails_pair(g, T1, T2)
         assert type(got) is type(ref)
@@ -284,11 +323,15 @@ def test_in_place_merge_matches_blow_up_route(monkeypatch):
     for what in ("similar", "reversal", "chords", "dominates",
                  "revisiting pair"):
         assert fired[what] > 0, what
-    # the loop splices on its own views of the pair; the public move,
-    # which checks the similarity again, gives the same walk
+    # every splice is at a pair similar within the union, and fresh
+    # walks of the pair by id give the same walk
     monkeypatch.undo()
     for g, C1, C2, i, j, out in spliced:
-        assert merge_module.merge_similar(g, C1, C2, i, j) == out
+        a, b = _Cyc.of(g, C1), _Cyc.of(g, C2)
+        union = a.vset | b.vset
+        assert _joins_within(g, a.verts[i], union) \
+            == _joins_within(g, b.verts[j], union)
+        assert _splice(g, a, b, i, j).as_cycle(g) == out
 
 
 @pytest.mark.parametrize("seed, n", [(37, 50), (24, 40)])
@@ -313,7 +356,7 @@ def test_supereulerian_builds_no_blow_up(monkeypatch, seed, n):
 def tournament_merges(monkeypatch):
     """The names of the tournament merges the merge loop runs, in order."""
     reached = []
-    for name in ("merge_trails_3cycle", "merge_trails_transitive"):
+    for name in ("_triangle", "_transitive"):
         def spy(*args, _move=getattr(merge_module, name), _name=name):
             reached.append(_name)
             return _move(*args)
@@ -327,20 +370,24 @@ class TestTournamentMerges:
                           ("b", "c"): (RED, BLUE),
                           ("c", "a"): (RED, BLUE)})
         t = digon_trails(g)
-        certs = {}
+        w = [_Cyc.of(g, x) for x in t]
+        certs, labels = {}, {}
         for i, j in ((0, 1), (1, 2), (2, 0)):
             out = merge_trails_pair(g, t[i], t[j])
             assert isinstance(out, Dominates)
             certs[(i, j)] = out.certificate
-        merged = merge_trails_3cycle(g, t[0], t[1], t[2],
-                                     certs[(0, 1)], certs[(1, 2)],
-                                     certs[(2, 0)])
+            dom, labels[(i, j)] = _pair(g, w[i], w[j])
+            assert dom is w[i]
+        merged = _triangle(g, *w, labels[(0, 1)], labels[(1, 2)],
+                           labels[(2, 0)]).as_cycle(g)
         assert verify_witness(g, merged)
         assert merged.vertex_set(g) == set(g.vertices)
+        assert merged == merge_trails_3cycle(g, *t, certs[(0, 1)],
+                                             certs[(1, 2)], certs[(2, 0)])
         # the full pipeline agrees with the oracle, through the triangle
         assert bool(supereulerian(g)) \
             == (oracle_supereulerian(g, WIDE) is not None)
-        assert tournament_merges == ["merge_trails_3cycle"]
+        assert tournament_merges == ["_triangle"]
 
     def test_transitive(self, tournament_merges):
         g = three_digons({("a", "b"): (RED, BLUE),
@@ -349,12 +396,15 @@ class TestTournamentMerges:
         t = digon_trails(g)
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert isinstance(merge_trails_pair(g, t[i], t[j]), Dominates)
-        merged = merge_trails_transitive(g, t[0], t[1], t[2], "a1", RED)
+        w = [_Cyc.of(g, x) for x in t]
+        merged = _transitive(g, *w, g.vertex_index("a1"),
+                             RED.bit).as_cycle(g)
         assert verify_witness(g, merged)
         assert merged.vertex_set(g) == set(g.vertices)
+        assert merged == merge_trails_transitive(g, *t, "a1", RED)
         assert bool(supereulerian(g)) \
             == (oracle_supereulerian(g, WIDE) is not None)
-        assert tournament_merges == ["merge_trails_transitive"]
+        assert tournament_merges == ["_transitive"]
 
     def test_merge_factor_takes_dominating_trails_through_the_tournament(
             self, tournament_merges):
@@ -364,41 +414,219 @@ class TestTournamentMerges:
         t = merge_factor(g, digon_trails(g))
         assert verify_witness(g, t)
         assert t.vertex_set(g) == set(g.vertices)
-        assert tournament_merges == ["merge_trails_3cycle"]
+        assert tournament_merges == ["_triangle"]
+
+
+TRIANGLE = {("a", "b"): (RED, BLUE), ("b", "c"): (RED, BLUE),
+            ("c", "a"): (RED, BLUE)}
+TRANSITIVE = {("a", "b"): (RED, BLUE), ("a", "c"): (BLUE, RED),
+              ("b", "c"): (RED, BLUE)}
+
+
+def tournament_patterns():
+    """Every three-digon pattern whose pairs are all joined: per pair a
+    direction and the colours of the dominating digon's two vertices,
+    4 ** 3 patterns."""
+    pairs = (("a", "b"), ("a", "c"), ("b", "c"))
+    options = [(flip, cs) for flip in (False, True)
+               for cs in ((RED, BLUE), (BLUE, RED))]
+    for choice in itertools.product(options, repeat=3):
+        yield three_digons({(p[::-1] if flip else p): cs
+                            for p, (flip, cs) in zip(pairs, choice)})
+
+
+def test_tournament_moves_match_the_merges_by_id():
+    """`_triangle` and `_transitive` give the trails the merges by id
+    gave, on every three-digon tournament pattern, for every directed
+    triangle and every transitive pivot."""
+    seen = Counter()
+    for g in tournament_patterns():
+        t = digon_trails(g)
+        w = [_Cyc.of(g, x) for x in t]
+        labels, certs = {}, {}
+        for i, j in itertools.combinations(range(3), 2):
+            dom, lab = _pair(g, w[i], w[j])
+            if dom is w[j]:
+                i, j = j, i
+            labels[(i, j)] = lab
+            certs[(i, j)] = certificate(g, t[i], t[j])
+        for a, b, c in itertools.permutations(range(3)):
+            if {(a, b), (b, c), (c, a)} <= labels.keys():
+                got = _triangle(g, w[a], w[b], w[c], labels[(a, b)],
+                                labels[(b, c)], labels[(c, a)])
+                assert got.as_cycle(g) == merge_trails_3cycle(
+                    g, t[a], t[b], t[c],
+                    certs[(a, b)], certs[(b, c)], certs[(c, a)])
+                seen["triangle"] += 1
+            if {(a, b), (a, c)} <= labels.keys():
+                for v in w[a].verts:
+                    col = labels[(a, b)][v]
+                    if labels[(a, c)][v] == col:
+                        continue
+                    got = _transitive(g, w[a], w[b], w[c], v, col)
+                    assert got.as_cycle(g) == merge_trails_transitive(
+                        g, t[a], t[b], t[c], g.vertices[v], BIT_COLOUR[col])
+                    seen["transitive"] += 1
+    assert seen == {"triangle": 48, "transitive": 96}, seen
+
+
+def merge_inputs():
+    """(graph, decision) pairs whose merges run every move: a three-part
+    eulerian factor, a five-cycle cycle factor, and the triangle and
+    transitive tournaments."""
+    return [(generate("mclosed_blowup", seed=37, n=50), supereulerian),
+            (generate("mclosed_blowup", seed=244, n=20),
+             alternating_hamiltonian_cycle),
+            (three_digons(TRIANGLE), supereulerian),
+            (three_digons(TRANSITIVE), supereulerian)]
+
+
+def test_merge_reads_no_ids(monkeypatch, tournament_merges):
+    """From the factor's parts to the witness, the merge walks integers
+    only: it never walks a trail by id or looks an edge up by id."""
+    cases = merge_inputs()
+    for g, _ in cases:
+        a = Analysis.of(g)
+        assert a.ext is not None
+        a.ef, a.tcc, a.cf, a.cc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the merge read a trail or an edge by id")
+
+    monkeypatch.setattr(AlternatingTrail, "vertex_sequence", refuse)
+    monkeypatch.setattr(EdgeColouredMultigraph, "edge", refuse)
+    monkeypatch.setattr(Edge, "other_end", refuse)
+    results = [decide(g) for g, decide in cases]
+    assert tournament_merges == ["_triangle", "_transitive"]
+    monkeypatch.undo()
+    for (g, decide), res in zip(cases, results):
+        walk = res.trail if decide is supereulerian else res.cycle
+        assert walk is not None and verify_witness(g, walk)
+        assert walk.vertex_set(g) == set(g.vertices)
+
+
+def with_spare_digon(g):
+    """g plus a digon z1-z2 on two new vertices, edges z0 and z1."""
+    spare = [Edge("z0", "z1", "z2", RED), Edge("z1", "z1", "z2", BLUE)]
+    return EdgeColouredMultigraph(g.vertices + ("z1", "z2"),
+                                  g.edges + tuple(spare))
+
+
+def move_cases():
+    """(move, graph, call) for each merge move: call runs the move on
+    the graph's walks."""
+    def walks(g, trails):
+        return [_Cyc.of(g, t) for t in trails]
+
+    def tournament(g, move):
+        w = walks(g, digon_trails(g))
+        lab = {(i, j): _pair(g, w[i], w[j])[1]
+               for i, j in ((0, 1), (1, 2), (2, 0), (0, 2))
+               if _pair(g, w[i], w[j])[0] is w[i]}
+        if move == "triangle":
+            return _triangle(g, *w, lab[(0, 1)], lab[(1, 2)], lab[(2, 0)])
+        return _transitive(g, *w, g.vertex_index("a1"), RED.bit)
+
+    similar = with_spare_digon(build_graph(
+        ["a1", "a2", "b1", "b2"],
+        [("a1", "a2", RED), ("a1", "a2", BLUE),
+         ("b1", "b2", RED), ("b1", "b2", BLUE),
+         ("a1", "b2", RED), ("a1", "b2", BLUE),
+         ("b1", "a2", RED), ("b1", "a2", BLUE)]))
+    chords = with_spare_digon(build_graph(
+        ["a1", "a2", "b1", "b2"],
+        [("a1", "a2", RED), ("a1", "a2", BLUE),
+         ("b1", "b2", RED), ("b1", "b2", BLUE),
+         ("a1", "b1", RED), ("a2", "b2", RED)]))
+    pair = [AlternatingCycle("a1", ("e0", "e1")),
+            AlternatingCycle("b1", ("e2", "e3"))]
+    triangle = with_spare_digon(three_digons(TRIANGLE))
+    transitive = with_spare_digon(three_digons(TRANSITIVE))
+    return [
+        ("similar", similar,
+         lambda: _splice(similar, *walks(similar, pair), 1, 1)),
+        ("chord", chords,
+         lambda: _chords(chords, *walks(chords, pair), 0, 0)),
+        ("triangle", triangle, lambda: tournament(triangle, "triangle")),
+        ("transitive", transitive,
+         lambda: tournament(transitive, "transitive")),
+    ]
+
+
+@pytest.mark.parametrize("wrong", ["off the walk", "out of range"])
+def test_a_wrong_edge_fails_the_move_that_took_it(monkeypatch, wrong):
+    """Each move checks the walk it builds: with _edge_to giving an edge
+    that touches neither end, or no edge of g, the move raises
+    MergeInternalError naming itself."""
+    for move, g, call in move_cases():
+        merged = call()
+        assert merged.vset == frozenset(range(len(g.vertices) - 2))
+    monkeypatch.setattr(
+        merge_module, "_edge_to",
+        lambda g, u, v, c: g.view().pos["z0"] if wrong == "off the walk"
+        else len(g.edges))
+    for move, g, call in move_cases():
+        with pytest.raises(MergeInternalError,
+                           match=f"^{move} merge fails verification: "):
+            call()
+
+
+@pytest.mark.parametrize("g, question", [
+    (generate("mclosed_blowup", seed=244, n=20), "hamiltonian"),
+    (generate("mclosed_blowup", seed=37, n=50), "supereulerian"),
+    (three_digons(TRIANGLE), "supereulerian"),
+    (three_digons(TRANSITIVE), "supereulerian"),
+])
+def test_a_wrong_edge_is_an_internal_error_through_the_cli(
+        monkeypatch, g, question):
+    monkeypatch.setattr(merge_module, "_edge_to",
+                        lambda g, u, v, c: len(g.edges))
+    res = CliRunner().invoke(main, [question, "-"],
+                             input=serialize_graph(g))
+    assert isinstance(res.exception, MergeInternalError)
+    assert " merge fails verification: " in str(res.exception)
+    assert res.exit_code not in (0, 3, 4, 5)
+
+
+def fragmented_factor(seed):
+    """(g, parts), or None: g is an M-closed closure of a random_2ec
+    graph (even seeds) or an mclosed_blowup graph (odd seeds), cut into
+    2-4 random blocks, trail-colour-connected, and each block has an
+    eulerian factor: parts are the closed trails of all those factors."""
+    rng = random.Random(seed)
+    if seed % 2:
+        g = generate("mclosed_blowup", seed=seed, n=rng.randint(4, 30))
+    else:
+        n = rng.randint(4, 9)
+        g = m_closure(generate("random_2ec", seed=seed, n=n,
+                               m=rng.randint(n, 3 * n)),
+                      "seeded_random", seed=seed)
+    vs = list(g.vertices)
+    rng.shuffle(vs)
+    k = rng.randint(2, min(4, len(vs) // 2))
+    cuts = sorted(rng.sample(range(1, len(vs)), k - 1))
+    parts = []
+    for a, b in zip([0] + cuts, cuts + [len(vs)]):
+        ef = eulerian_factor(g.induced(vs[a:b]))
+        if ef is None:
+            return None
+        parts += [t for _, t in ef.parts]
+    if is_trail_colour_connected(g).connected:
+        return g, parts
+    return None
 
 
 def fragmented_factors(graphs):
-    """(g, parts) where g is an M-closed closure of a random_2ec graph
-    (even seeds) or an mclosed_blowup graph (odd seeds), cut into 2-4
-    random blocks, trail-colour-connected, and each block has an
-    eulerian factor: parts are the closed trails of all those factors."""
+    """`fragmented_factor` of every seed below `graphs` that gives one."""
     for seed in range(graphs):
-        rng = random.Random(seed)
-        if seed % 2:
-            g = generate("mclosed_blowup", seed=seed, n=rng.randint(4, 30))
-        else:
-            n = rng.randint(4, 9)
-            g = m_closure(generate("random_2ec", seed=seed, n=n,
-                                   m=rng.randint(n, 3 * n)),
-                          "seeded_random", seed=seed)
-        vs = list(g.vertices)
-        rng.shuffle(vs)
-        k = rng.randint(2, min(4, len(vs) // 2))
-        cuts = sorted(rng.sample(range(1, len(vs)), k - 1))
-        parts = []
-        for a, b in zip([0] + cuts, cuts + [len(vs)]):
-            ef = eulerian_factor(g.induced(vs[a:b]))
-            if ef is None:
-                break
-            parts += [t for _, t in ef.parts]
-        else:
-            if is_trail_colour_connected(g).connected:
-                yield g, parts
+        case = fragmented_factor(seed)
+        if case is not None:
+            yield case
 
 
 def test_merge_factor_on_fragmented_factors(monkeypatch):
     fired = Counter()
-    for name in ("_splice", "merge_parallel_chords"):
+    for name in ("_splice", "_chords"):
         def spy(*args, _move=getattr(merge_module, name), _name=name):
             fired[_name] += 1
             return _move(*args)
@@ -412,7 +640,33 @@ def test_merge_factor_on_fragmented_factors(monkeypatch):
         assert t.vertex_set(g) == set(g.vertices)
     assert factors >= 50
     assert fired["_splice"] > 0
-    assert fired["merge_parallel_chords"] > 0
+    assert fired["_chords"] > 0
+
+
+def test_exhaustive_merge_checks_the_trail_it_finds(monkeypatch):
+    # seed 4390 pairs two parts that merge, though neither move applies
+    # (ROADMAP item 3), so the pair merge's exhaustive search runs
+    g, parts = fragmented_factor(4390)
+    found = []
+    search = merge_module.oracle_supereulerian
+
+    def spy(*args):
+        found.append(search(*args))
+        return found[-1]
+
+    monkeypatch.setattr(merge_module, "oracle_supereulerian", spy)
+    t = merge_factor(g, parts)
+    assert len(found) == 1 and verify_witness(g, t)
+    # a bad trail from the search is the package's fault, not the input's
+    ids = found[0].edge_ids
+    bad = AlternatingTrail(found[0].start, ids[:1] + ids[:1] + ids[2:],
+                           closed=True)
+    monkeypatch.setattr(merge_module, "oracle_supereulerian",
+                        lambda *args: bad)
+    with pytest.raises(MergeInternalError,
+                       match="^exhaustive merge fails verification: "
+                             "edge repeated"):
+        merge_factor(g, parts)
 
 
 class TestBipartiteDigraph:
