@@ -435,6 +435,16 @@ def tournament_patterns():
                             for p, (flip, cs) in zip(pairs, choice)})
 
 
+def tournament_labels(g, w):
+    """(winner, loser) -> domination labels, for three walks of g that
+    dominate pairwise."""
+    arc = {}
+    for i, j in itertools.combinations(range(3), 2):
+        dom, labels = _pair(g, w[i], w[j])
+        arc[(i, j) if dom is w[i] else (j, i)] = labels
+    return arc
+
+
 def test_tournament_moves_match_the_merges_by_id():
     """`_triangle` and `_transitive` give the trails the merges by id
     gave, on every three-digon tournament pattern, for every directed
@@ -443,13 +453,8 @@ def test_tournament_moves_match_the_merges_by_id():
     for g in tournament_patterns():
         t = digon_trails(g)
         w = [_Cyc.of(g, x) for x in t]
-        labels, certs = {}, {}
-        for i, j in itertools.combinations(range(3), 2):
-            dom, lab = _pair(g, w[i], w[j])
-            if dom is w[j]:
-                i, j = j, i
-            labels[(i, j)] = lab
-            certs[(i, j)] = certificate(g, t[i], t[j])
+        labels = tournament_labels(g, w)
+        certs = {(i, j): certificate(g, t[i], t[j]) for i, j in labels}
         for a, b, c in itertools.permutations(range(3)):
             if {(a, b), (b, c), (c, a)} <= labels.keys():
                 got = _triangle(g, w[a], w[b], w[c], labels[(a, b)],
@@ -520,9 +525,7 @@ def move_cases():
 
     def tournament(g, move):
         w = walks(g, digon_trails(g))
-        lab = {(i, j): _pair(g, w[i], w[j])[1]
-               for i, j in ((0, 1), (1, 2), (2, 0), (0, 2))
-               if _pair(g, w[i], w[j])[0] is w[i]}
+        lab = tournament_labels(g, w)
         if move == "triangle":
             return _triangle(g, *w, lab[(0, 1)], lab[(1, 2)], lab[(2, 0)])
         return _transitive(g, *w, g.vertex_index("a1"), RED.bit)
