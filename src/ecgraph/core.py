@@ -542,9 +542,9 @@ def check_witness(g: EdgeColouredMultigraph, w: Witness, what: str,
 
 
 def build_graph(vertices: Sequence[str],
-                edge_triples: Sequence[tuple[str, str, Colour]],
-                prefix: str = "e") -> EdgeColouredMultigraph:
-    """Convenience constructor assigning sequential edge ids."""
-    edges = [Edge(f"{prefix}{i}", u, v, c)
+                edge_triples: Sequence[tuple[str, str, Colour]]
+                ) -> EdgeColouredMultigraph:
+    """Convenience constructor assigning sequential edge ids e0, e1, ..."""
+    edges = [Edge(f"e{i}", u, v, c)
              for i, (u, v, c) in enumerate(edge_triples)]
     return EdgeColouredMultigraph(vertices, edges)

@@ -14,13 +14,13 @@ every vertex of the dominating part sends edges of a single colour to
 the other part, those colours alternate along the part, and same-colour
 vertices are joined inside it only in their own colour.  Domination
 makes the union non-colour-connected, so exactly one of the two outcomes
-holds.  The pair merge `_pair` tries two constructive moves, splicing at
-a similar cross pair and rerouting along two parallel same-coloured
-chords, then the domination test; if all three come up empty, a bounded
-exhaustive search of the union settles the pair.  The two moves do not
-cover every merge (a pair of a 5-vertex M-closed graph that merges
-reaches the search), so the search is not dead code.  Any inconsistency
-is a hard error, never a wrong answer.  `merge_cycles` (also named
+holds.  The pair merge `_pair` splices at a similar cross pair, trades
+an edge of each part for two same-coloured cross chords, tests
+domination, then trades after one Posa rotation of either part.  That
+these moves find every merge is cross-checked by scans against the
+exhaustive oracles, not proved; a pair they leave unsettled is a
+MergeInternalError in an extension (never a wrong answer) and an
+UnsupportedClass outside the class.  `merge_cycles` (also named
 `ecgraph.supereuler.merge_trails_pair`) is `_pair` on two trails by id.
 
 Similarity is taken within the union U of the pair: x and y are
@@ -39,10 +39,12 @@ sends visit k of v to copy v.k, so a trail's positions match its
 cycle's copies one to one.  Copies of distinct vertices are similar iff
 the vertices are, and copies are joined in a colour iff their vertices
 are, so each move picks the same positions and edges on the trails as
-on the cycles, and no blow-up is built.  Two cycles merge into a cycle;
-any other pair merges into a closed trail.  Every walk, from the parts
-to the final witness, is a `_Cyc` in g's integer view, checked once
-when built; only the public entry and exit points read or write ids.
+on the cycles (but a rotation's chord must be off the trail, where the
+lift needs only its copy off the cycle), and no blow-up is built.  Two
+cycles merge into a cycle; any other pair merges into a closed trail.
+Every walk, from the parts to the final witness, is a `_Cyc` in g's
+integer view, checked once when built; only the public entry and exit
+points read or write ids.
 
 The loop sorts the parts by (length, index of the lowest vertex) each
 round, merges the first pair in that order that merges, and skips pairs
@@ -61,7 +63,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .analysis import Analysis
 from .core import (
@@ -74,12 +76,6 @@ from .core import (
     GraphError,
     UnsupportedClass,
     check_witness,
-)
-from .oracle import (
-    BudgetExceeded,
-    OracleBudget,
-    oracle_ham_alternating,
-    oracle_supereulerian,
 )
 
 
@@ -173,12 +169,7 @@ class _Cyc:
 
     def seg(self, p: int, q: int) -> list[int]:
         """Edge positions walking forward from position p to position q."""
-        out = []
-        t = p
-        while t != q % self.n:
-            out.append(self.edges[t % self.n])
-            t = (t + 1) % self.n
-        return out
+        return [self.edges[(p + t) % self.n] for t in range((q - p) % self.n)]
 
     def reversed(self) -> "_Cyc":
         """The same walk backwards from verts[0]: position t becomes
@@ -248,21 +239,6 @@ def _splice(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc, i: int, j: int
     return _Cyc(g, x, edges, a.cycle and b.cycle, "similar merge")
 
 
-def _chords(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc, i: int, j: int
-            ) -> _Cyc:
-    """Merge along chords a.verts[i]-b.verts[j] and
-    a.verts[i+1]-b.verts[j+1], all four of the involved edges sharing
-    one colour c = colour of the walks' edges at positions i and j."""
-    c = a.cols[i]
-    i1 = (i + 1) % a.n
-    j1 = (j + 1) % b.n
-    chord1 = _edge_to(g, a.verts[i], b.verts[j], c)
-    chord2 = _edge_to(g, a.verts[i1], b.verts[j1], c)
-    edges = (a.seg(i1, i) + [chord1]
-             + list(reversed(b.seg(j1, j))) + [chord2])
-    return _Cyc(g, a.verts[i1], edges, a.cycle and b.cycle, "chord merge")
-
-
 def _dominates(g: EdgeColouredMultigraph, dom: _Cyc, sub: _Cyc
                ) -> Optional[dict[int, int]]:
     """The labels (vertex index -> colour bit) of a certificate that
@@ -290,8 +266,52 @@ def _dominates(g: EdgeColouredMultigraph, dom: _Cyc, sub: _Cyc
     return label
 
 
-# the exhaustive search that settles a pair no move or certificate does
-_PAIR_BUDGET = OracleBudget(max_vertices=12, max_edges=40, seconds=60.0)
+def _exchange(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc,
+              joins: Callable[[int], Counter], rotate: bool
+              ) -> Optional[_Cyc]:
+    """a and b merged by trading an edge of each, of one colour c, for
+    two cross chords of colour c, else None.  a less its edge at
+    position i is a path from s = a.verts[i+1] to t = a.verts[i] whose
+    end edges are not of colour c; so is b less an edge y-y1 of colour
+    c, and the chords t-y and y1-s close one walk.  With `rotate` the
+    path is first rotated once (Posa): a chord s-p_k of colour c off
+    a, where the path's edge p_{k-1}-p_k has colour c, gives the path
+    p_{k-1} ... s, p_k ... t, with end edges still not of colour c."""
+    view = g.view()
+    own = set(a.edges)
+
+    def paths(ao: _Cyc, i: int, c: int):
+        """(start, head, q): the path is head, then ao.seg(q, i)."""
+        i1 = (i + 1) % ao.n
+        s = ao.verts[i1]
+        if not rotate:
+            yield s, [], i1
+            return
+        # p_k at position q = i1 + k; its edge in has colour c iff k even
+        for q in range(i1 + 2, i1 + ao.n - 1, 2):
+            q %= ao.n
+            for e, w in zip(*view.star(s)):
+                if w == ao.verts[q] and view.bit[e] == c and e not in own:
+                    yield ao.verts[q - 1], ao.seg(i1, q - 1)[::-1] + [e], q
+                    break
+
+    for ao in (a, a.reversed()):
+        for bo in (b, b.reversed()):
+            for i in range(ao.n):
+                c, t = ao.cols[i], ao.verts[i]
+                for s, head, q in paths(ao, i, c):
+                    for j in range(bo.n):
+                        y, y1 = bo.verts[j], bo.verts[(j + 1) % bo.n]
+                        if bo.cols[j] == c and joins(t)[(y, c)] \
+                                and joins(s)[(y1, c)]:
+                            edges = (head + ao.seg(q, i)
+                                     + [_edge_to(g, t, y, c)]
+                                     + bo.seg(j + 1, j)[::-1]
+                                     + [_edge_to(g, s, y1, c)])
+                            return _Cyc(g, s, edges, a.cycle and b.cycle,
+                                        ("rotation" if rotate else "chord")
+                                        + " merge")
+    return None
 
 
 def _pair(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc
@@ -299,7 +319,9 @@ def _pair(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc
     """Two vertex-disjoint walks of g merged into one spanning their
     union (a cycle, for two cycles), else the dominating walk with its
     labels, else NoEdgeBetween.  Similarity is taken within the union;
-    the moves span it by construction."""
+    the moves span it by construction.  Raises UnsupportedClass where
+    none of these holds and g is not an extension of an M-closed graph,
+    MergeInternalError where it is."""
     union = a.vset | b.vset
     # read on demand: a similar pair is usually found within a few reads
     joins = functools.cache(lambda v: _joins_within(g, v, union))
@@ -310,43 +332,20 @@ def _pair(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc
         for j, y in enumerate(b.verts):
             if joins(x) == joins(y):
                 return _splice(g, a, b, i, j)
-
-    bs = (b, b.reversed())
-    for ao in (a, a.reversed()):
-        for bo in bs:
-            for i in range(ao.n):
-                c = ao.cols[i]
-                x, x1 = ao.verts[i], ao.verts[(i + 1) % ao.n]
-                for j in range(bo.n):
-                    if bo.cols[j] != c:
-                        continue
-                    y, y1 = bo.verts[j], bo.verts[(j + 1) % bo.n]
-                    if joins(x)[(y, c)] and joins(x1)[(y1, c)]:
-                        return _chords(g, ao, bo, i, j)
-
+    out = _exchange(g, a, b, joins, False)
+    if out is not None:
+        return out
     for dom, sub in ((a, b), (b, a)):
         labels = _dominates(g, dom, sub)
         if labels is not None:
             return dom, labels
-    # no move applies and no domination: the union must still carry a
-    # spanning walk of the pair's kind; find it exhaustively
-    search = oracle_ham_alternating if a.cycle and b.cycle \
-        else oracle_supereulerian
-    try:
-        found = search(g.induced([g.vertices[x] for x in union]),
-                       _PAIR_BUDGET)
-    except BudgetExceeded as exc:
-        raise MergeInternalError(
-            f"unresolved pair too large for exhaustive search: {exc}")
-    if found is None:
-        raise MergeInternalError("pair neither merges nor exhibits domination")
-    view = g.view()
-    out = _Cyc(g, view.index[found.start],
-               [view.pos[e] for e in found.edge_ids],
-               isinstance(found, AlternatingCycle), "exhaustive merge")
-    if out.vset != union:
-        raise MergeInternalError("merge does not span the pair's union")
-    return out
+    out = _exchange(g, a, b, joins, True) or _exchange(g, b, a, joins, True)
+    if out is not None:
+        return out
+    if Analysis.of(g).ext is None:
+        raise UnsupportedClass("pair neither merges nor exhibits domination"
+                               ": not an extension of an M-closed graph")
+    raise MergeInternalError("pair neither merges nor exhibits domination")
 
 
 def merge_cycles(g: EdgeColouredMultigraph, C1: AlternatingTrail,
@@ -355,11 +354,14 @@ def merge_cycles(g: EdgeColouredMultigraph, C1: AlternatingTrail,
     into one spanning their union, or certify domination or the lack of
     any edge between them.  Two cycles merge into a cycle.
 
-    Merged is returned exactly when the union of the two vertex sets
-    carries a spanning closed alternating trail (a spanning alternating
-    cycle, for two cycles); otherwise the domination certificate
-    explains the obstruction.  Raises GraphError where C1 or C2 is not
-    a closed alternating trail (cycle) of g, or they share a vertex.
+    The contract is for extensions of M-closed graphs: there Merged is
+    returned exactly when the union of the two vertex sets carries a
+    spanning closed alternating trail (a spanning alternating cycle,
+    for two cycles); otherwise the domination certificate explains the
+    obstruction.  Raises GraphError where C1 or C2 is not a closed
+    alternating trail (cycle) of g, or they share a vertex, and
+    UnsupportedClass where g is outside the class and the pair neither
+    merges nor shows domination.
     """
     a = _Cyc.of(g, C1)
     b = _Cyc.of(g, C2)
@@ -471,7 +473,8 @@ def merge_factor(g: EdgeColouredMultigraph,
     Raises GraphError where the parts are not such trails or cycles,
     and MergeInternalError where they cannot be merged, which the
     characterizations rule out for a factor of a (trail-)colour-
-    connected extension of an M-closed graph.
+    connected extension of an M-closed graph; outside that class, a
+    pair that neither merges nor shows domination is UnsupportedClass.
     """
     walks = [_Cyc.of(g, t) for t in parts]
     if sorted(x for w in walks for x in w.vset) \

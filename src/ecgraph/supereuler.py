@@ -78,26 +78,22 @@ class BipartiteDigraph:
     arcs: tuple[tuple[str, str, str], ...]   # (id, tail, head)
 
 
-def bb_to_digraph(g: EdgeColouredMultigraph,
-                  x_part: Optional[list[str]] = None) -> BipartiteDigraph:
-    if x_part is None:
-        side: dict[str, int] = {}
-        for v in g.vertices:
-            if v in side:
-                continue
-            side[v] = 0
-            stack = [v]
-            while stack:
-                a = stack.pop()
-                for b in g.neighbours(a):
-                    if b not in side:
-                        side[b] = 1 - side[a]
-                        stack.append(b)
-                    elif side[b] == side[a]:
-                        raise GraphError("graph is not bipartite")
-        xs = [v for v in g.vertices if side[v] == 0]
-    else:
-        xs = list(x_part)
+def bb_to_digraph(g: EdgeColouredMultigraph) -> BipartiteDigraph:
+    side: dict[str, int] = {}
+    for v in g.vertices:
+        if v in side:
+            continue
+        side[v] = 0
+        stack = [v]
+        while stack:
+            a = stack.pop()
+            for b in g.neighbours(a):
+                if b not in side:
+                    side[b] = 1 - side[a]
+                    stack.append(b)
+                elif side[b] == side[a]:
+                    raise GraphError("graph is not bipartite")
+    xs = [v for v in g.vertices if side[v] == 0]
     x_set = set(xs)
     ys = [v for v in g.vertices if v not in x_set]
     arcs: list[tuple[str, str, str]] = []

@@ -1,5 +1,6 @@
 import functools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +26,8 @@ from ecgraph import (
 from ecgraph.factor import alternating_cycle_factor, eulerian_factor
 from ecgraph.merge import (
     _Cyc,
-    _chords,
     _dominates,
+    _exchange,
     _joins_within,
     _splice,
     merge_factor,
@@ -136,20 +137,27 @@ class TestMergeSimilar:
 
 
 class TestMergeParallelChords:
+    """`_exchange` without rotation: the chord merge."""
+
     def test_two_red_chords(self):
         g = two_digons([("a1", "b1", RED), ("a2", "b2", RED)])
-        c1, c2 = digon_cycles(g)
-        merged = _chords(g, _Cyc.of(g, c1), _Cyc.of(g, c2), 0, 0)
+        a, b = map(functools.partial(_Cyc.of, g), digon_cycles(g))
+        union = a.vset | b.vset
+        merged = _exchange(g, a, b, lambda v: _joins_within(g, v, union),
+                           False)
         assert merged.cycle
         assert verify_witness(g, merged.as_cycle(g))
         assert merged.as_cycle(g).vertex_set(g) == {"a1", "a2", "b1", "b2"}
 
     def test_missing_chord_rejected(self):
+        # joins that claim every chord: the move asks for a2-b2, which
+        # g lacks
         g = two_digons([("a1", "b1", RED)])
-        c1, c2 = digon_cycles(g)
+        a, b = map(functools.partial(_Cyc.of, g), digon_cycles(g))
+        every = Counter({(w, c): 1 for w in range(4) for c in (0, 1)})
         with pytest.raises(MergeInternalError,
                            match="needs a red edge 'a2'-'b2'"):
-            _chords(g, _Cyc.of(g, c1), _Cyc.of(g, c2), 0, 0)
+            _exchange(g, a, b, lambda v: every, False)
 
 
 class TestMergeCycles:

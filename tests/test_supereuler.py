@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 from collections import Counter
@@ -38,18 +39,24 @@ from ecgraph import (
 )
 from ecgraph.analysis import Analysis
 from ecgraph.cli import main
-from ecgraph.core import BIT_COLOUR, EdgeColouredMultigraph, GraphError
+from ecgraph.core import (
+    BIT_COLOUR,
+    EdgeColouredMultigraph,
+    GraphError,
+    parse_graph,
+)
 from ecgraph.merge import (
     DominationCertificate,
     _Cyc,
-    _chords,
     _dominates,
+    _exchange,
     _joins_within,
     _pair,
     _splice,
     _transitive,
     _triangle,
     alternating_hamiltonian_cycle,
+    merge_cycles,
     merge_factor,
 )
 from ecgraph.structure import blow_up, is_m_closed, m_closure
@@ -180,18 +187,19 @@ def _contract_blown(g: EdgeColouredMultigraph, start: str,
     return AlternatingTrail(base_start, base_ids, closed=True)
 
 
-class ReachedFallback(Exception):
-    """A pair merge reached the exhaustive search."""
+@pytest.fixture
+def exchanges(monkeypatch):
+    """The `rotate` flag of each merge `_exchange` makes, in order."""
+    made = []
 
+    def spy(g, a, b, joins, rotate, _move=merge_module._exchange):
+        out = _move(g, a, b, joins, rotate)
+        if out is not None:
+            made.append(rotate)
+        return out
 
-def refuse_search(*args):
-    raise ReachedFallback
-
-
-def stub_pair_search(monkeypatch):
-    """Make the pair merge's exhaustive search raise ReachedFallback."""
-    for name in ("oracle_ham_alternating", "oracle_supereulerian"):
-        monkeypatch.setattr(merge_module, name, refuse_search)
+    monkeypatch.setattr(merge_module, "_exchange", spy)
+    return made
 
 
 def certificate(g, dom, sub):
@@ -207,8 +215,8 @@ def certificate(g, dom, sub):
 def merge_through_blow_up(g, T1, T2):
     """Lift the two trails to cycles of the blow-up of their union by
     visit counts, merge the cycles there and contract the outcome back;
-    None where the structured moves come up empty, which the caller
-    sees through `stub_pair_search`."""
+    UnsupportedClass where the pair neither merges nor shows domination
+    outside the class."""
     V1 = T1.vertex_set(g)
     V2 = T2.vertex_set(g)
     union = g.induced(V1 | V2)
@@ -225,8 +233,8 @@ def merge_through_blow_up(g, T1, T2):
     assert verify_witness(h, c1) and verify_witness(h, c2)
     try:
         out = _pair(h, _Cyc.of(h, c1), _Cyc.of(h, c2))
-    except ReachedFallback:
-        return None
+    except UnsupportedClass:
+        return UnsupportedClass
     if isinstance(out, _Cyc):
         cycle = out.as_cycle(h)
         return Merged(_contract_blown(g, cycle.start, cycle.edge_ids))
@@ -275,14 +283,13 @@ def digon_pattern_pairs():
         yield g, t[1], t[0]
 
 
-def test_in_place_merge_matches_blow_up_route(monkeypatch):
-    stub_pair_search(monkeypatch)
+def test_in_place_merge_matches_blow_up_route(monkeypatch, exchanges):
     cases = list(split_trail_pairs(3000)) + list(digon_pattern_pairs())
     expected = [merge_through_blow_up(g, T1, T2) for g, T1, T2 in cases]
+    exchanges.clear()
 
     fired = Counter()
     splice = merge_module._splice
-    chord_move = merge_module._chords
 
     spliced = []
 
@@ -295,20 +302,16 @@ def test_in_place_merge_matches_blow_up_route(monkeypatch):
                         out.as_cycle(g)))
         return out
 
-    def spy_chords(*args):
-        fired["chords"] += 1
-        return chord_move(*args)
-
     monkeypatch.setattr(merge_module, "_splice", spy_similar)
-    monkeypatch.setattr(merge_module, "_chords", spy_chords)
     for (g, T1, T2), ref in zip(cases, expected):
         if any(len(t.vertex_set(g)) < len(t.edge_ids) for t in (T1, T2)):
             fired["revisiting pair"] += 1
-        if ref is None:
-            # both routes fall back to the same exhaustive search
-            with pytest.raises(ReachedFallback):
+        if ref is UnsupportedClass:
+            # two random_2ec pairs, outside the class, that neither
+            # merge nor show domination
+            with pytest.raises(UnsupportedClass):
                 merge_trails_pair(g, T1, T2)
-            fired["fallback"] += 1
+            fired["unsupported"] += 1
             continue
         got = merge_trails_pair(g, T1, T2)
         assert type(got) is type(ref)
@@ -320,9 +323,10 @@ def test_in_place_merge_matches_blow_up_route(monkeypatch):
             assert got.certificate.dominating == ref.certificate.dominating
             assert got.certificate.colour is ref.certificate.colour
             assert got.certificate.labels == ref.certificate.labels
-    for what in ("similar", "reversal", "chords", "dominates",
-                 "revisiting pair"):
+    for what in ("similar", "reversal", "dominates", "revisiting pair"):
         assert fired[what] > 0, what
+    assert False in exchanges   # a chord merge
+    assert fired["unsupported"] == 2
     # every splice is at a pair similar within the union, and fresh
     # walks of the pair by id give the same walk
     monkeypatch.undo()
@@ -517,6 +521,12 @@ def with_spare_digon(g):
                                   g.edges + tuple(spare))
 
 
+def exchange(g, a, b, rotate):
+    """`_exchange` on walks a and b of g, as `_pair` calls it."""
+    union = a.vset | b.vset
+    return _exchange(g, a, b, lambda v: _joins_within(g, v, union), rotate)
+
+
 def move_cases():
     """(move, graph, call) for each merge move: call runs the move on
     the graph's walks."""
@@ -549,7 +559,7 @@ def move_cases():
         ("similar", similar,
          lambda: _splice(similar, *walks(similar, pair), 1, 1)),
         ("chord", chords,
-         lambda: _chords(chords, *walks(chords, pair), 0, 0)),
+         lambda: exchange(chords, *walks(chords, pair), False)),
         ("triangle", triangle, lambda: tournament(triangle, "triangle")),
         ("transitive", transitive,
          lambda: tournament(transitive, "transitive")),
@@ -627,13 +637,14 @@ def fragmented_factors(graphs):
             yield case
 
 
-def test_merge_factor_on_fragmented_factors(monkeypatch):
+def test_merge_factor_on_fragmented_factors(monkeypatch, exchanges):
     fired = Counter()
-    for name in ("_splice", "_chords"):
-        def spy(*args, _move=getattr(merge_module, name), _name=name):
-            fired[_name] += 1
-            return _move(*args)
-        monkeypatch.setattr(merge_module, name, spy)
+
+    def spy(*args, _move=merge_module._splice):
+        fired["_splice"] += 1
+        return _move(*args)
+
+    monkeypatch.setattr(merge_module, "_splice", spy)
     factors = 0
     for g, parts in fragmented_factors(5000):
         factors += 1
@@ -643,33 +654,94 @@ def test_merge_factor_on_fragmented_factors(monkeypatch):
         assert t.vertex_set(g) == set(g.vertices)
     assert factors >= 50
     assert fired["_splice"] > 0
-    assert fired["_chords"] > 0
+    # chord merges, and seed 4390's merge after a rotation
+    assert exchanges.count(False) > 0
+    assert exchanges.count(True) > 0
 
 
-def test_exhaustive_merge_checks_the_trail_it_finds(monkeypatch):
-    # seed 4390 pairs two parts that merge, though neither move applies
-    # (ROADMAP item 3), so the pair merge's exhaustive search runs
+def test_rotation_merge_checks_the_trail_it_builds(monkeypatch, exchanges):
+    # seed 4390 pairs the closed trail v1 v4 v0 v4 with the digon v3 v2:
+    # neither the splice nor the chords apply and neither dominates, but
+    # rotating the trail's path at the chord v0-v1 lets the chords close
     g, parts = fragmented_factor(4390)
-    found = []
-    search = merge_module.oracle_supereulerian
-
-    def spy(*args):
-        found.append(search(*args))
-        return found[-1]
-
-    monkeypatch.setattr(merge_module, "oracle_supereulerian", spy)
     t = merge_factor(g, parts)
-    assert len(found) == 1 and verify_witness(g, t)
-    # a bad trail from the search is the package's fault, not the input's
-    ids = found[0].edge_ids
-    bad = AlternatingTrail(found[0].start, ids[:1] + ids[:1] + ids[2:],
-                           closed=True)
-    monkeypatch.setattr(merge_module, "oracle_supereulerian",
-                        lambda *args: bad)
+    assert exchanges == [True] and verify_witness(g, t)
+    assert t.vertex_set(g) == set(g.vertices)
+    # a wrong edge in the rotation merge is the package's fault
+    monkeypatch.setattr(merge_module, "_edge_to",
+                        lambda g, u, v, c: len(g.edges))
     with pytest.raises(MergeInternalError,
-                       match="^exhaustive merge fails verification: "
-                             "edge repeated"):
+                       match="^rotation merge fails verification: "):
         merge_factor(g, parts)
+
+
+def rotation_closure(seed):
+    """The M-closed closure of a random_2ec graph on 4-9 vertices."""
+    n = 4 + seed % 6
+    return m_closure(generate("random_2ec", seed=seed, n=n,
+                              m=n + seed % (2 * n + 1)),
+                     "seeded_random", seed=seed)
+
+
+# the closures, up to seed 20000, whose decisions need a rotation
+@pytest.mark.parametrize("seed", [1468, 2272, 4450, 5822, 7304, 9158,
+                                  15104, 18446])
+def test_rotation_merges_agree_with_the_oracles(exchanges, seed):
+    g = rotation_closure(seed)
+    wide = OracleBudget(max_vertices=9, max_edges=80, seconds=60)
+    for decide, oracle in ((supereulerian, oracle_supereulerian),
+                           (alternating_hamiltonian_cycle,
+                            oracle_ham_alternating)):
+        res = decide(g)
+        walk = res.trail if decide is supereulerian else res.cycle
+        assert (walk is not None) == (oracle(g, wide) is not None)
+        if walk is not None:
+            assert verify_witness(g, walk)
+            assert walk.vertex_set(g) == set(g.vertices)
+    assert True in exchanges
+
+
+def test_rotation_merges_pairs_beyond_any_search():
+    """Seed 4390's pair lifted with v2 and v3 five times: the trail
+    stays, the digon becomes a 10-cycle, and the 13-vertex union
+    merges."""
+    g, (t1, t2) = fragmented_factor(4390)
+    h = blow_up(g, {v: 5 if v in ("v2", "v3") else 1 for v in g.vertices})
+    c2 = AlternatingCycle("v3.0", tuple(
+        f"e{1 + k % 2}.{(k + 1) // 2 % 5}.{k // 2}" for k in range(10)))
+    t1 = AlternatingTrail("v1.0", tuple(f"{e}.0.0" for e in t1.edge_ids),
+                          closed=True)
+    assert verify_witness(h, c2) and verify_witness(h, t1)
+    assert len(h.vertices) == 13 and Analysis.of(h).ext is not None
+    out = merge_cycles(h, t1, c2)
+    assert isinstance(out, Merged) and verify_witness(h, out.cycle)
+    assert out.cycle.vertex_set(h) == set(h.vertices)
+
+
+def test_rotation_merges_a_14_vertex_extension_through_the_cli():
+    """`ecgraph random --model random_2ec --seed 9158 --n 6 --m 12`,
+    closed under M with seeded_random colours and seed 9158, then blown
+    up with v0-v3 three times: 14 vertices and 97 edges."""
+    runner = CliRunner()
+    doc = runner.invoke(main, ["random", "--model", "random_2ec",
+                               "--seed", "9158", "--n", "6", "--m", "12"])
+    for step in (["mclosure", "-", "--colour-policy", "seeded_random",
+                  "--seed", "9158"],
+                 ["blowup", "-", "--mult", "v0=3,v1=3,v2=3,v3=3"]):
+        doc = runner.invoke(main, ["transform"] + step, input=doc.output)
+        assert doc.exit_code == 0
+    g = parse_graph(doc.output)
+    assert (len(g.vertices), len(g.edges)) == (14, 97)
+    for question, kind in (("supereulerian", AlternatingTrail),
+                           ("hamiltonian", AlternatingCycle)):
+        res = runner.invoke(main, [question, "-"], input=doc.output)
+        assert res.exit_code == 0, res.output
+        w = json.loads(res.output)
+        assert w["kind"] == ("cycle" if kind is AlternatingCycle
+                             else "trail")
+        walk = kind(w["start"], tuple(w["edges"]), closed=True)
+        assert verify_witness(g, walk)
+        assert walk.vertex_set(g) == set(g.vertices)
 
 
 class TestBipartiteDigraph:
