@@ -46,11 +46,10 @@ from .structure import (
     similar,
     similarity_partition,
 )
-from .analysis import Analysis
+from .analysis import Analysis, Decision
 from .merge import (
     DominationCertificate,
     Dominates,
-    HamiltonianResult,
     Merged,
     MergeInternalError,
     MergeOutcome,
@@ -60,8 +59,6 @@ from .merge import (
 )
 from .supereuler import (
     BipartiteDigraph,
-    CompleteBipartiteVerdict,
-    SupereulerianResult,
     bb_from_digraph,
     bb_to_digraph,
     decide_complete_bipartite,

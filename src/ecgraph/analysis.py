@@ -1,46 +1,76 @@
-"""The facts the decisions rest on, computed at most once per graph.
+"""The facts the decisions rest on, computed at most once per graph,
+and the two characterizations that decide from them.
 
-The decisions of this package are conjunctions of a few facts.  An
-extension of an M-closed graph is supereulerian iff it is
-trail-colour-connected and has an eulerian factor, and hamiltonian iff
-it is colour-connected and has an alternating cycle factor; a complete
+An extension of an M-closed graph is supereulerian iff it has an
+eulerian factor and is trail-colour-connected, and hamiltonian iff it
+has an alternating cycle factor and is colour-connected; a complete
 bipartite graph is supereulerian (hamiltonian) iff it is
-colour-connected and has an eulerian (cycle) factor.  `Analysis.of(g)`
-is the memo those deciders and the CLI report read the facts from: each
-is computed on its first read and kept in a slot of g itself, so it
-lives exactly as long as that graph object and is never shared with
-another graph.
+colour-connected and has an eulerian (cycle) factor.
+`Analysis.decision` states both, once, for both questions.
+`Analysis.of(g)` is the memo the decisions and the CLI report read the
+facts from: each is computed on its first read and kept in a slot of g
+itself, so it lives exactly as long as that graph object and is never
+shared with another graph.
 
 The similarity partition is computed once, by `ext`.  When g is an
 extension of an M-closed graph with more than `_QUOTIENT_THRESHOLD`
 vertices and its M-closed base is smaller (and has at least two
-vertices), both connectivity facts are swept on that base instead of on
-g; its vertices carry the names of the first member of their block, so
-a failing triple names vertices of g.  That both notions agree between
-such an extension and its base is cross-checked (against the direct
-sweeps of g, on blow-ups of 13 to 16 vertices), not proved.  It fails
-outside the class: a path of a blow-up may pass through two copies of
-one vertex, so every other graph is swept directly.
+vertices), both connectivity facts are swept on that base first; its
+vertices carry the names of the first member of their block, so a
+failing triple names vertices of g.  A base yes is g's, because every
+path or trail of the base lifts to g, and two copies of one vertex are
+joined through a neighbour.  A base no is not always g's: a walk of g
+may pass through two copies of one vertex.  So it stands only when its
+triple fails in g too, asked with one path or trail query on g;
+otherwise g is swept.  Every other graph is swept directly.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from .connect import (
     ConnectivityReport,
+    alternating_path,
+    alternating_trail,
     complete_multipartite_classes,
     is_colour_connected,
     is_trail_colour_connected,
 )
-from .core import CycleFactor, EdgeColouredMultigraph, EulerianFactor
+from .core import (
+    Colour, CycleFactor, EdgeColouredMultigraph, EulerianFactor,
+    UnsupportedClass, Witness,
+)
 from .factor import alternating_cycle_factor, eulerian_factor
 from .structure import is_extension_of_m_closed
 
 # above this size an extension of an M-closed graph is swept on its
-# smaller M-closed base, whose answers are the graph's (see above)
+# smaller M-closed base first; a base yes lifts to the graph, and a
+# base no is confirmed on it (see above)
 _QUOTIENT_THRESHOLD = 12
+
+
+@dataclass(frozen=True)
+class Decision:
+    """An answer to "supereulerian" or "hamiltonian" and the route that
+    gave it: "extension" (of an M-closed graph), "complete_bipartite"
+    or "oracle".  A negative answer names its reason, and the failing
+    (u, v, colour) triple when connectivity is what fails."""
+
+    answer: bool
+    route: str
+    witness: Optional[Witness] = None
+    reason: Optional[str] = None
+    counterexample: Optional[tuple[str, str, Colour]] = None
+
+    def __bool__(self) -> bool:
+        return self.answer
+
+    @property
+    def method(self) -> str:
+        return "oracle" if self.route == "oracle" else "fast"
 
 
 class Analysis:
@@ -82,25 +112,66 @@ class Analysis:
 
     @property
     def swept(self) -> EdgeColouredMultigraph:
-        """The graph the connectivity facts are swept on: ext's base
-        for a large extension with a smaller base, else g."""
+        """The graph the connectivity facts are swept on first: ext's
+        base for a large extension with a smaller base, else g."""
         n = len(self.g.vertices)
         if n > _QUOTIENT_THRESHOLD and self.ext is not None \
                 and 2 <= len(self.ext[0].vertices) < n:
             return self.ext[0]
         return self.g
 
+    def _connectivity(self, sweep, query) -> ConnectivityReport:
+        """g's report by `sweep`, read off `swept` where that answers
+        yes or its failing triple fails `query` on g too; otherwise
+        g's own sweep."""
+        rep = sweep(self.swept)
+        if self.swept is self.g or rep.connected \
+                or query(self.g, *rep.counterexample) is None:
+            return rep
+        return sweep(self.g)
+
     @cached_property
     def cc(self) -> ConnectivityReport:
-        return is_colour_connected(self.swept)
+        return self._connectivity(is_colour_connected, alternating_path)
 
     @cached_property
     def tcc(self) -> ConnectivityReport:
-        return is_trail_colour_connected(self.swept)
+        return self._connectivity(is_trail_colour_connected,
+                                  alternating_trail)
 
-    @cached_property
-    def cb(self):
-        """Both complete-bipartite answers, decided once for the two
-        questions; raises UnsupportedClass unless complete bipartite."""
-        from .supereuler import decide_complete_bipartite
-        return decide_complete_bipartite(self.g)
+    def decision(self, question: str) -> Optional[Decision]:
+        """The characterized answer to `question` ("supereulerian" or
+        "hamiltonian"), or None where g is neither an extension of an
+        M-closed graph nor complete bipartite.  An extension checks its
+        factor first, then (trail-)colour-connectivity, and merges the
+        factor's parts into the witness; a complete bipartite graph
+        checks colour-connectivity first, then the factor, and carries
+        no witness.  Raises UnsupportedClass for fewer than two
+        vertices."""
+        from .merge import merge_factor    # merge reads this memo
+
+        g = self.g
+        if len(g.vertices) < 2:
+            raise UnsupportedClass("input needs at least two vertices")
+        ham = question == "hamiltonian"
+        no_factor = "no_cycle_factor" if ham else "no_eulerian_factor"
+        if self.ext is not None:
+            factor = self.cf if ham else self.ef
+            if factor is None:
+                return Decision(False, "extension", reason=no_factor)
+            rep, unlinked = ((self.cc, "not_colour_connected") if ham else
+                             (self.tcc, "not_trail_colour_connected"))
+            if not rep.connected:
+                return Decision(False, "extension", reason=unlinked,
+                                counterexample=rep.counterexample)
+            parts = factor.cycles if ham else [t for _, t in factor.parts]
+            return Decision(True, "extension", merge_factor(g, parts))
+        if self.complete_bipartite:
+            if not self.cc.connected:
+                return Decision(False, "complete_bipartite",
+                                reason="not_colour_connected",
+                                counterexample=self.cc.counterexample)
+            if (self.cf if ham else self.ef) is None:
+                return Decision(False, "complete_bipartite", reason=no_factor)
+            return Decision(True, "complete_bipartite")
+        return None

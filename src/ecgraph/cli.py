@@ -6,7 +6,8 @@ Exit codes: 0 positive decision, 2 usage or parse error, 3 negative
 decision with a certificate, 4 input outside the supported class,
 5 oracle budget exceeded.
 
-`decide` holds the one route ladder for the two decision questions;
+`decide` holds the one route ladder for the two decision questions:
+the characterized classes of `Analysis.decision`, then the oracle;
 `analyze` and the `supereulerian` and `hamiltonian` commands all ask
 it.  The commands that only make graphs live in `ecgraph.cli_graphs`.
 """
@@ -17,28 +18,25 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import click
 
-from .analysis import Analysis
+from .analysis import Analysis, Decision
 from .cli_graphs import (
     emit, fail, fixture_cmd, random_cmd, read_graph, transform,
 )
 from .core import (
-    Colour, EdgeColouredMultigraph, UnsupportedClass, Witness,
-    check_witness, witness_to_dict,
+    EdgeColouredMultigraph, UnsupportedClass, check_witness, witness_to_dict,
 )
 from .factor import alternating_cycle_factor, eulerian_factor
-from .merge import alternating_hamiltonian_cycle
 from .oracle import (
     BudgetExceeded, OracleBudget, oracle_colour_connected,
     oracle_cycle_factor, oracle_eulerian_factor, oracle_ham_alternating,
     oracle_supereulerian, oracle_trail_colour_connected,
 )
 from .structure import is_m_closed
-from .supereuler import supereulerian
 
 EXIT_NEGATIVE = 3
 EXIT_UNSUPPORTED = 4
@@ -88,62 +86,31 @@ for _command in (fixture_cmd, random_cmd, transform):
     main.add_command(_command)
 
 
-@dataclass(frozen=True)
-class Decision:
-    """An answer to "supereulerian" or "hamiltonian" and the route that
-    gave it: "extension" (of an M-closed graph), "complete_bipartite"
-    or "oracle".  A negative answer names its reason, and the failing
-    (u, v, colour) triple when connectivity is what fails."""
-
-    answer: bool
-    route: str
-    witness: Optional[Witness] = None
-    reason: Optional[str] = None
-    counterexample: Optional[tuple[str, str, Colour]] = None
-
-    @property
-    def method(self) -> str:
-        return "oracle" if self.route == "oracle" else "fast"
-
-
 def decide(question: str, g: EdgeColouredMultigraph, *, max_n: int,
            oracle_witness: bool = False) -> Decision:
-    """Decide `question` by the first route that applies: extension of
-    an M-closed graph, then complete bipartite (whose positive answers
-    carry an oracle witness only when `oracle_witness` is set and max_n
-    allows), then the exhaustive oracle when max_n >= n.
+    """Decide `question` by the first route that applies: the
+    characterized classes (`Analysis.decision`; a complete bipartite
+    graph's positive answer carries an oracle witness only when
+    `oracle_witness` is set and max_n allows), then the exhaustive
+    oracle when max_n >= n.
 
     Raises UnsupportedClass for fewer than two vertices or when no
     route applies, and BudgetExceeded when an oracle runs out.
     """
-    if len(g.vertices) < 2:
-        raise UnsupportedClass("input needs at least two vertices")
-    a = Analysis.of(g)
-    ham = question == "hamiltonian"
-    oracle = oracle_ham_alternating if ham else oracle_supereulerian
+    d = Analysis.of(g).decision(question)
+    oracle = (oracle_ham_alternating if question == "hamiltonian"
+              else oracle_supereulerian)
     searchable = max_n >= len(g.vertices)
-    if a.ext is not None:
-        res = alternating_hamiltonian_cycle(g) if ham else supereulerian(g)
-        w = res.cycle if ham else res.trail
-        return Decision(w is not None, "extension", w, res.reason,
-                        res.counterexample)
-    if a.complete_bipartite:
-        v = a.cb
-        answer = v.hamiltonian if ham else v.supereulerian
-        if answer:
-            w = oracle(g, _budget(max_n)) \
-                if oracle_witness and searchable else None
-            return Decision(True, "complete_bipartite", w)
-        reason = ("not_colour_connected" if not v.colour_connected
-                  else "no_cycle_factor" if ham else "no_eulerian_factor")
-        return Decision(False, "complete_bipartite", None, reason,
-                        v.counterexample)
-    if searchable:
+    if d is None:
+        if not searchable:
+            raise UnsupportedClass("input outside the supported class; "
+                                   "rerun with --max-n to allow the oracle")
         w = oracle(g, _budget(max_n))
         return Decision(w is not None, "oracle", w,
                         None if w else f"not_{question}")
-    raise UnsupportedClass("input outside the supported class; rerun "
-                           "with --max-n to allow the oracle")
+    if d.answer and d.witness is None and oracle_witness and searchable:
+        return replace(d, witness=oracle(g, _budget(max_n)))
+    return d
 
 
 @dataclass

@@ -1,12 +1,13 @@
 """Merging the parts of a factor into one spanning closed alternating
-trail or cycle, for extensions of M-closed graphs, and the alternating
-hamiltonian cycle algorithm built on it.
+trail or cycle, for extensions of M-closed graphs.
 
 Such a graph is supereulerian iff it is trail-colour-connected and has
 an eulerian factor, and hamiltonian iff it is colour-connected and has
-an alternating cycle factor.  `merge_factor` builds the witness from the
-factor's parts, vertex-disjoint closed trails or cycles covering V, in
-one loop for both decisions.
+an alternating cycle factor (`Analysis.decision`).  `merge_factor`
+builds the witness from the factor's parts, vertex-disjoint closed
+trails or cycles covering V, in one loop for both decisions.
+`alternating_hamiltonian_cycle` keeps its name here; it reads
+`Analysis.decision`.
 
 Two disjoint parts with an edge between them either merge into one part
 on the union of their vertex sets, or one of them c-dominates the other:
@@ -65,7 +66,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .analysis import Analysis
+from .analysis import Analysis, Decision
 from .core import (
     BIT_COLOUR,
     AlternatingCycle,
@@ -461,7 +462,7 @@ def _tournament_merge(g: EdgeColouredMultigraph, walks: list[_Cyc],
 
 
 # ---------------------------------------------------------------------
-# the merge loop and the hamiltonian decision
+# the merge loop
 # ---------------------------------------------------------------------
 
 def merge_factor(g: EdgeColouredMultigraph,
@@ -509,34 +510,11 @@ def merge_factor(g: EdgeColouredMultigraph,
                          MergeInternalError)
 
 
-@dataclass(frozen=True)
-class HamiltonianResult:
-    cycle: Optional[AlternatingCycle] = None
-    reason: Optional[str] = None    # "no_cycle_factor" | "not_colour_connected"
-    counterexample: Optional[tuple[str, str, Colour]] = None
-
-    def __bool__(self) -> bool:
-        return self.cycle is not None
-
-
-def alternating_hamiltonian_cycle(g: EdgeColouredMultigraph
-                                  ) -> HamiltonianResult:
-    """Spanning alternating cycle of an extension of an M-closed graph.
-
-    Exists iff the graph is colour-connected and has an alternating
-    cycle factor; `merge_factor` merges the factor's cycles.
-    """
-    a = Analysis.of(g)
-    if a.ext is None:
+def alternating_hamiltonian_cycle(g: EdgeColouredMultigraph) -> Decision:
+    """Spanning alternating cycle of an extension of an M-closed graph,
+    or the reason none exists (see `Analysis.decision`)."""
+    d = Analysis.of(g).decision("hamiltonian")
+    if d is None or d.route != "extension":
         raise UnsupportedClass(
             "input is not an extension of an M-closed graph")
-    if len(g.vertices) < 2:
-        raise UnsupportedClass("need at least two vertices")
-    cf = a.cf
-    if cf is None:
-        return HamiltonianResult(reason="no_cycle_factor")
-    rep = a.cc
-    if not rep.connected:
-        return HamiltonianResult(reason="not_colour_connected",
-                                 counterexample=rep.counterexample)
-    return HamiltonianResult(cycle=merge_factor(g, cf.cycles))
+    return d

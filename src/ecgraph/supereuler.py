@@ -1,24 +1,21 @@
-"""Supereulerian decision and construction for extensions of M-closed
-graphs, plus the complete-bipartite fast decision and the digraph view
-of bipartite instances.
+"""The named entry points of the two decisions, and the digraph view of
+bipartite instances.
 
-Such a graph has a spanning closed alternating trail iff it is
-trail-colour-connected and has an eulerian factor.  The construction
-hands the factor's closed trails to `ecgraph.merge.merge_factor`, which
-merges them pairwise in place through its private pair merge `_pair`,
-with the cycle moves, and through the domination tournament where no
-pair merges.  `merge_trails_pair` is `ecgraph.merge.merge_cycles`, that
-pair merge on two trails given by ids, under a second name.
+`supereulerian` and `alternating_hamiltonian_cycle` (in
+`ecgraph.merge`) decide extensions of M-closed graphs, and
+`decide_complete_bipartite` complete bipartite graphs; each reads
+`Analysis.decision`, where both characterizations are stated, and
+raises UnsupportedClass outside its class.  `merge_trails_pair` is
+`ecgraph.merge.merge_cycles`, the pair merge on two trails given by
+ids, under a second name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .analysis import Analysis
+from .analysis import Analysis, Decision
 from .core import (
-    AlternatingTrail,
     Colour,
     Edge,
     EdgeColouredMultigraph,
@@ -26,42 +23,17 @@ from .core import (
     UnsupportedClass,
 )
 # merge_trails_pair is kept as a public name of the one pair merge
-from .merge import merge_cycles as merge_trails_pair, merge_factor
+from .merge import merge_cycles as merge_trails_pair
 
 
-# ---------------------------------------------------------------------
-# top-level decision
-# ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SupereulerianResult:
-    trail: Optional[AlternatingTrail] = None
-    reason: Optional[str] = None    # "no_eulerian_factor" |
-    #                                 "not_trail_colour_connected"
-    counterexample: Optional[tuple[str, str, Colour]] = None
-
-    def __bool__(self) -> bool:
-        return self.trail is not None
-
-
-def supereulerian(g: EdgeColouredMultigraph) -> SupereulerianResult:
+def supereulerian(g: EdgeColouredMultigraph) -> Decision:
     """Spanning closed alternating trail of an extension of an M-closed
     graph, or the reason none exists."""
-    a = Analysis.of(g)
-    if a.ext is None:
+    d = Analysis.of(g).decision("supereulerian")
+    if d is None or d.route != "extension":
         raise UnsupportedClass(
             "input is not an extension of an M-closed graph")
-    if len(g.vertices) < 2:
-        raise UnsupportedClass("need at least two vertices")
-    ef = a.ef
-    if ef is None:
-        return SupereulerianResult(reason="no_eulerian_factor")
-    rep = a.tcc
-    if not rep.connected:
-        return SupereulerianResult(reason="not_trail_colour_connected",
-                                   counterexample=rep.counterexample)
-    return SupereulerianResult(
-        trail=merge_factor(g, [t for _, t in ef.parts]))
+    return d
 
 
 # ---------------------------------------------------------------------
@@ -120,30 +92,11 @@ def bb_from_digraph(d: BipartiteDigraph) -> EdgeColouredMultigraph:
     return EdgeColouredMultigraph(tuple(d.x_part) + tuple(d.y_part), edges)
 
 
-# ---------------------------------------------------------------------
-# complete bipartite fast decision
-# ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CompleteBipartiteVerdict:
-    supereulerian: bool
-    hamiltonian: bool
-    colour_connected: bool
-    counterexample: Optional[tuple[str, str, Colour]] = None
-
-
-def decide_complete_bipartite(g: EdgeColouredMultigraph
-                              ) -> CompleteBipartiteVerdict:
-    """Characterization-based decision for complete bipartite graphs:
-    supereulerian iff colour-connected with an eulerian factor, and
-    hamiltonian iff colour-connected with an alternating cycle factor."""
-    a = Analysis.of(g)
-    if not a.complete_bipartite:
+def decide_complete_bipartite(g: EdgeColouredMultigraph,
+                              question: str) -> Decision:
+    """The decision of `question` for a complete bipartite graph: by
+    its own characterization, or, for one that is also an extension of
+    an M-closed graph, by that route, as everywhere else."""
+    if not Analysis.of(g).complete_bipartite:
         raise UnsupportedClass("input is not complete bipartite")
-    rep = a.cc
-    return CompleteBipartiteVerdict(
-        supereulerian=rep.connected and a.ef is not None,
-        hamiltonian=rep.connected and a.cf is not None,
-        colour_connected=rep.connected,
-        counterexample=rep.counterexample,
-    )
+    return Analysis.of(g).decision(question)

@@ -64,8 +64,8 @@ def test_fixture_suite_exact():
 
     g = fixture("needall_h")
     res = alternating_hamiltonian_cycle(g)
-    assert res.cycle is not None and len(res.cycle.edge_ids) == 8
-    assert verify_witness(g, res.cycle)
+    assert res.witness is not None and len(res.witness.edge_ids) == 8
+    assert verify_witness(g, res.witness)
     assert oracle_ham_alternating(g) is not None
 
     g = fixture("cmg_example")
@@ -91,8 +91,8 @@ def test_supereulerian_three_way_equivalence_500():
         assert bool(res) == characterized == (slow is not None), seed
         if res:
             positives += 1
-            assert verify_witness(g, res.trail)
-            assert res.trail.vertex_set(g) == set(g.vertices)
+            assert verify_witness(g, res.witness)
+            assert res.witness.vertex_set(g) == set(g.vertices)
     assert positives > 0
     assert time.monotonic() - t0 < 600
 
@@ -111,7 +111,7 @@ def test_hamiltonian_equivalence_500():
         assert bool(res) == characterized == (slow is not None), seed
         if res:
             positives += 1
-            assert verify_witness(g, res.cycle)
+            assert verify_witness(g, res.witness)
     assert positives > 0
 
 
@@ -233,20 +233,18 @@ def test_complete_bipartite_decision_exhaustive_and_random():
         pairs = [(x, y) for x in xs for y in ys]
         for triples in _colourings(pairs):
             g = build_graph(xs + ys, triples)
-            v = decide_complete_bipartite(g)
-            assert v.supereulerian \
+            assert decide_complete_bipartite(g, "supereulerian").answer \
                 == (oracle_supereulerian(g) is not None), triples
-            assert v.hamiltonian \
+            assert decide_complete_bipartite(g, "hamiltonian").answer \
                 == (oracle_ham_alternating(g) is not None), triples
     for seed in range(200):
         rng = random.Random(seed)
         n1 = rng.randint(2, 3)
         n2 = rng.randint(2, 7 - n1)
         g = generate("complete_bipartite", seed=seed, n1=n1, n2=n2)
-        v = decide_complete_bipartite(g)
-        assert v.supereulerian \
+        assert decide_complete_bipartite(g, "supereulerian").answer \
             == (oracle_supereulerian(g, WIDE) is not None), seed
-        assert v.hamiltonian \
+        assert decide_complete_bipartite(g, "hamiltonian").answer \
             == (oracle_ham_alternating(g, WIDE) is not None), seed
 
 

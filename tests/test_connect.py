@@ -8,8 +8,10 @@ import ecgraph.connect
 from ecgraph import (
     BLUE,
     RED,
+    AlternatingCycle,
     AlternatingTrail,
     Analysis,
+    OracleBudget,
     Edge,
     EdgeColouredMultigraph,
     GraphError,
@@ -23,14 +25,15 @@ from ecgraph import (
     oracle_alternating_path,
     oracle_alternating_trail,
     oracle_colour_connected,
+    oracle_ham_alternating,
     oracle_trail_colour_connected,
     verify_witness,
 )
-from ecgraph.cli import main
+from ecgraph.cli import decide, main
 from ecgraph.connect import _PathQuery, _TrailQuery
 from ecgraph.matching import IndexedGraph
 from ecgraph.core import BadWalk, GraphView, serialize_graph
-from ecgraph.structure import blow_up
+from ecgraph.structure import blow_up, similarity_partition
 from ecgraph.reductions import fixture, generate
 
 from reference import (
@@ -142,6 +145,33 @@ def test_blow_up_outside_class_is_swept_directly(mult):
     rep = is_colour_connected(h, collect=True)
     assert rep.connected
     assert all(verify_witness(h, w) for w in rep.witnesses.values())
+
+
+# blow-ups of the M-closed quotient of mclosed_blowup (seed, n), with
+# these multiplicities, that are colour-connected over a base that is
+# not: a path of the blow-up may pass through two copies of one vertex
+@pytest.mark.parametrize("seed, n, mult", [
+    (1312, 9, (1, 3, 2, 2, 2, 4)), (2253, 6, (3, 3, 3, 4, 3)),
+    (4717, 6, (3, 1, 3, 3, 5)), (5828, 6, (2, 2, 4, 3, 3))])
+def test_base_no_is_confirmed_on_the_graph(seed, n, mult):
+    q = similarity_partition(generate("mclosed_blowup", seed=seed, n=n)
+                             ).quotient
+    g = blow_up(q, dict(zip(q.vertices, mult)))
+    a = Analysis.of(g)
+    assert a.swept is not g and not is_colour_connected(a.swept).connected
+    budget = OracleBudget(max_vertices=len(g.vertices),
+                          max_edges=len(g.edges), seconds=60)
+    assert a.cc.connected == is_colour_connected(g).connected \
+        == oracle_colour_connected(g, budget)
+    assert a.tcc.connected == is_trail_colour_connected(g).connected \
+        == oracle_trail_colour_connected(g, budget)
+    d = decide("hamiltonian", g, max_n=0)
+    assert d.answer == (oracle_ham_alternating(g, budget) is not None)
+    if seed == 1312:
+        assert d.answer and isinstance(d.witness, AlternatingCycle)
+    if d.answer:
+        assert verify_witness(g, d.witness)
+        assert d.witness.vertex_set(g) == set(g.vertices)
 
 
 class TestQueryObjects:

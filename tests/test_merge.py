@@ -274,9 +274,9 @@ class TestHamiltonian:
     def test_needall_h_positive(self):
         g = fixture("needall_h")
         res = alternating_hamiltonian_cycle(g)
-        assert res.cycle is not None
-        assert len(res.cycle.edge_ids) == 8
-        assert verify_witness(g, res.cycle)
+        assert res.witness is not None
+        assert len(res.witness.edge_ids) == 8
+        assert verify_witness(g, res.witness)
 
     def test_reason_no_cycle_factor(self):
         g = build_graph(["a", "b", "c"],
@@ -315,7 +315,7 @@ def test_hamiltonian_agrees_with_oracle(seed):
     slow = oracle_ham_alternating(g, _wide_budget())
     assert bool(res) == (slow is not None)
     if res:
-        assert verify_witness(g, res.cycle)
+        assert verify_witness(g, res.witness)
 
 
 @settings(max_examples=80, deadline=None)

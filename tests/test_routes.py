@@ -278,25 +278,32 @@ def test_failed_sweep_check_raises_through_hamiltonian(runner, monkeypatch):
     assert res.exit_code not in (0, 3, 4, 5)
 
 
-# module -> the functions whose results the analysis memo keeps, and the
-# deciders that read them
+# module -> the functions whose results the analysis memo keeps
 FACTS = {
     "structure": ("similarity_partition", "is_extension_of_m_closed"),
     "connect": ("complete_multipartite_classes", "is_colour_connected",
                 "is_trail_colour_connected"),
     "factor": ("eulerian_factor", "alternating_cycle_factor"),
-    "supereuler": ("supereulerian", "decide_complete_bipartite"),
-    "merge": ("alternating_hamiltonian_cycle",),
 }
 EVERY_FACT = {name for names in FACTS.values() for name in names}
 SWEEPS = {"is_colour_connected", "is_trail_colour_connected"}
 
 
-def _count_fact_calls(monkeypatch, g) -> tuple[Counter, Counter, Counter]:
+def _count_fact_calls(monkeypatch, g
+                      ) -> tuple[Counter, Counter, Counter, Counter]:
     """Calls to each FACTS function, through every binding of it in the
     ecgraph package, during analyze_graph: those on g, those on the
-    M-closed base of g's analysis, and all of them."""
+    M-closed base of g's analysis, and all of them; and the questions
+    `Analysis.decision` was asked."""
     calls: list = []
+    asked: list = []
+    decision = Analysis.decision
+
+    def counted_decision(self, question):
+        asked.append(question)
+        return decision(self, question)
+
+    monkeypatch.setattr(Analysis, "decision", counted_decision)
     originals = {}
     for mod, names in FACTS.items():
         for name in names:
@@ -322,26 +329,27 @@ def _count_fact_calls(monkeypatch, g) -> tuple[Counter, Counter, Counter]:
     return (Counter(name for name, arg in calls if arg is g),
             Counter(name for name, arg in calls
                     if base is not None and arg is base),
-            Counter(name for name, _ in calls))
+            Counter(name for name, _ in calls), Counter(asked))
 
 
 def test_each_fact_once_on_m_closed_blow_up(monkeypatch):
     # 14 vertices over a smaller M-closed base: both sweeps run on the
-    # base, once each, and never on g
+    # base, once each, and never on g, as a base yes stands for g
     g = generate("mclosed_blowup", seed=9, n=14)
-    on_g, on_base, every = _count_fact_calls(monkeypatch, g)
+    on_g, on_base, every, asked = _count_fact_calls(monkeypatch, g)
     assert len(Analysis.of(g).ext[0].vertices) < len(g.vertices)
-    assert on_g == Counter(EVERY_FACT - SWEEPS - {"decide_complete_bipartite"})
+    assert on_g == Counter(EVERY_FACT - SWEEPS)
     assert on_base == Counter(SWEEPS)
     assert every["similarity_partition"] == 1
+    assert asked == Counter(("supereulerian", "hamiltonian"))
 
 
 def test_each_fact_once_on_complete_bipartite(monkeypatch):
     g = INPUTS["cb_pos"]()
-    on_g, _, every = _count_fact_calls(monkeypatch, g)
-    assert on_g == Counter(
-        EVERY_FACT - {"supereulerian", "alternating_hamiltonian_cycle"})
+    on_g, _, every, asked = _count_fact_calls(monkeypatch, g)
+    assert on_g == Counter(EVERY_FACT)
     assert every["similarity_partition"] == 1
+    assert asked == Counter(("supereulerian", "hamiltonian"))
 
 
 def test_analyze_output_does_not_depend_on_hash_seed(tmp_path):

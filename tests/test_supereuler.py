@@ -110,7 +110,7 @@ class TestSupereulerianTopLevel:
     def test_digon_positive(self):
         g = build_graph(["a", "b"], [("a", "b", RED), ("a", "b", BLUE)])
         res = supereulerian(g)
-        assert res and len(res.trail.edge_ids) == 2
+        assert res and len(res.witness.edge_ids) == 2
 
 
 class TestTrailPairMerging:
@@ -150,8 +150,8 @@ class TestTrailPairMerging:
         # alternating cycle, hence a spanning closed trail
         g = fixture("needall_h")
         res = supereulerian(g)
-        assert res and verify_witness(g, res.trail)
-        assert res.trail.vertex_set(g) == set(g.vertices)
+        assert res and verify_witness(g, res.witness)
+        assert res.witness.vertex_set(g) == set(g.vertices)
 
 
 # ---------------------------------------------------------------------
@@ -352,8 +352,8 @@ def test_supereulerian_builds_no_blow_up(monkeypatch, seed, n):
             monkeypatch.setattr(module, "blow_up", refuse)
     assert len(Analysis.of(g).ef.parts) > 1
     res = supereulerian(g)
-    assert res and verify_witness(g, res.trail)
-    assert res.trail.vertex_set(g) == set(g.vertices)
+    assert res and verify_witness(g, res.witness)
+    assert res.witness.vertex_set(g) == set(g.vertices)
 
 
 @pytest.fixture
@@ -509,7 +509,7 @@ def test_merge_reads_no_ids(monkeypatch, tournament_merges):
     assert tournament_merges == ["_triangle", "_transitive"]
     monkeypatch.undo()
     for (g, decide), res in zip(cases, results):
-        walk = res.trail if decide is supereulerian else res.cycle
+        walk = res.witness
         assert walk is not None and verify_witness(g, walk)
         assert walk.vertex_set(g) == set(g.vertices)
 
@@ -693,7 +693,7 @@ def test_rotation_merges_agree_with_the_oracles(exchanges, seed):
                            (alternating_hamiltonian_cycle,
                             oracle_ham_alternating)):
         res = decide(g)
-        walk = res.trail if decide is supereulerian else res.cycle
+        walk = res.witness
         assert (walk is not None) == (oracle(g, wide) is not None)
         if walk is not None:
             assert verify_witness(g, walk)
@@ -770,22 +770,26 @@ class TestBipartiteDigraph:
 class TestDecideCompleteBipartite:
     def test_requires_complete_bipartite(self):
         with pytest.raises(UnsupportedClass):
-            decide_complete_bipartite(fixture("cmg_example"))
+            decide_complete_bipartite(fixture("cmg_example"), "hamiltonian")
 
     def test_all_red_k22_negative(self):
         g = build_graph(["a1", "a2", "b1", "b2"],
                         [("a1", "b1", RED), ("a1", "b2", RED),
                          ("a2", "b1", RED), ("a2", "b2", RED)])
-        v = decide_complete_bipartite(g)
-        assert not v.supereulerian and not v.hamiltonian
-        assert not v.colour_connected
+        sup = decide_complete_bipartite(g, "supereulerian")
+        ham = decide_complete_bipartite(g, "hamiltonian")
+        assert not sup.answer and not ham.answer
+        # all red, it is a blow-up of one red edge, decided by that
+        # route: no factor, and not colour-connected either
+        assert sup.route == ham.route == "extension"
+        assert not Analysis.of(g).cc.connected
 
     def test_alternating_k22_positive(self):
         g = build_graph(["a1", "a2", "b1", "b2"],
                         [("a1", "b1", RED), ("b1", "a2", BLUE),
                          ("a2", "b2", RED), ("b2", "a1", BLUE)])
-        v = decide_complete_bipartite(g)
-        assert v.supereulerian and v.hamiltonian
+        assert decide_complete_bipartite(g, "supereulerian").answer
+        assert decide_complete_bipartite(g, "hamiltonian").answer
 
 
 def test_reconstructed_trail_cc_not_cc_witness():
@@ -823,5 +827,5 @@ def test_supereulerian_three_way_equivalence(seed):
     slow = oracle_supereulerian(g, WIDE)
     assert bool(res) == characterized == (slow is not None)
     if res:
-        assert verify_witness(g, res.trail)
-        assert res.trail.vertex_set(g) == set(g.vertices)
+        assert verify_witness(g, res.witness)
+        assert res.witness.vertex_set(g) == set(g.vertices)
