@@ -21,8 +21,10 @@ failing triple names vertices of g.  A base yes is g's, because every
 path or trail of the base lifts to g, and two copies of one vertex are
 joined through a neighbour.  A base no is not always g's: a walk of g
 may pass through two copies of one vertex.  So it stands only when its
-triple fails in g too, asked with one path or trail query on g;
-otherwise g is swept.  Every other graph is swept directly.
+triple (u, v, c) fails in g too: at once where u has no edge of colour
+c in g, as then nothing leaves u in that colour, else as asked with one
+path or trail query on g; otherwise g is swept.  Every other graph is
+swept directly.
 """
 
 from __future__ import annotations
@@ -122,13 +124,17 @@ class Analysis:
 
     def _connectivity(self, sweep, query) -> ConnectivityReport:
         """g's report by `sweep`, read off `swept` where that answers
-        yes or its failing triple fails `query` on g too; otherwise
+        yes or its failing triple fails on g too (see above); otherwise
         g's own sweep."""
+        g = self.g
         rep = sweep(self.swept)
-        if self.swept is self.g or rep.connected \
-                or query(self.g, *rep.counterexample) is None:
+        if self.swept is g or rep.connected:
             return rep
-        return sweep(self.g)
+        u, _, c = rep.counterexample
+        if g.colour_degrees(g.index[u])[c.bit] == 0 \
+                or query(g, *rep.counterexample) is None:
+            return rep
+        return sweep(g)
 
     @cached_property
     def cc(self) -> ConnectivityReport:

@@ -10,18 +10,18 @@ for trails two such pairs per vertex and two helpers per edge
 (`alternating_trail`).
 
 Neither split graph depends on the queried pair, so a sweep builds it
-once, from the graph's integer view (`EdgeColouredMultigraph.view`).
+once, from the graph's integer index (`EdgeColouredMultigraph`).
 One blossom search per source and start colour then answers every
 target and end colour, because its outer vertices are exactly the
 copies whose deletion leaves a perfect matching (see
 `alternating_path`); a sweep keeps only the current source's two.
 
 Each positive triple is read back as positions in g.edges and checked
-by the view's `walk`, the routine `verify_witness` runs too, for its
-end vertex, its end colours and, for a path, simplicity.  An
-`AlternatingTrail` is built from the checked positions only when a
-sweep collects witnesses, or for `alternating_path` and
-`alternating_trail`, which ask the same query objects once.
+by the graph's `walk`, the routine `verify_witness` runs too, for its
+end vertex, its end colours and, for a path, simplicity.  A sweep
+builds no witness object; `alternating_path` and `alternating_trail`,
+which ask the same query objects once, build an `AlternatingTrail`
+from the checked positions.
 
 Both sweeps always run on the graph they are given.  Sweeping a smaller
 graph in its place (the similarity quotient of an extension of an
@@ -41,7 +41,6 @@ from .core import (
     Colour,
     EdgeColouredMultigraph,
     GraphError,
-    GraphView,
     UnsupportedClass,
 )
 from .matching import IndexedGraph
@@ -51,7 +50,6 @@ from .matching import IndexedGraph
 class ConnectivityReport:
     connected: bool
     counterexample: Optional[tuple[str, str, Colour]] = None
-    witnesses: Optional[dict[tuple[str, str, Colour], AlternatingTrail]] = None
 
 
 class _PathQuery:
@@ -72,13 +70,12 @@ class _PathQuery:
 
     def __init__(self, g: EdgeColouredMultigraph):
         self.g = g
-        self.view = g.view()
-        self._split = self._split_graph(self.view, len(g.vertices))
+        self._split = self._split_graph(g)
         self._searches: dict[int, tuple] = {}
 
     @staticmethod
-    def _split_graph(view: GraphView, n: int) -> IndexedGraph:
-        eu, ev, bit = view.eu, view.ev, view.bit
+    def _split_graph(g: EdgeColouredMultigraph) -> IndexedGraph:
+        eu, ev, bit, n = g.eu, g.ev, g.bit, len(g.vertices)
         edges = [(2 * i, 2 * i + 1, -1) for i in range(n)]
         edges += [(2 * eu[k] + bit[k], 2 * ev[k] + bit[k], k)
                   for k in range(len(bit))]
@@ -127,43 +124,40 @@ class _PathQuery:
                ) -> None:
         """Raise GraphError unless ks is an alternating trail of g from
         x to y, first colour bit `start`, last `end` unless that is -1,
-        and visiting no vertex twice if SIMPLE: all read from the view's
-        one walk of ks.  Explicit, so python -O keeps it."""
+        and visiting no vertex twice if SIMPLE: all read from the
+        graph's one walk of ks.  Explicit, so python -O keeps it."""
         g = self.g
         try:
-            got, first, last, simple = self.view.walk(x, ks)
+            seen = g.walk(x, ks)
         except BadWalk as exc:
             m = len(g.edges)
             problem = "fails verification: " + exc.reason(
                 [g.edges[k].id if 0 <= k < m else k for k in ks])
         else:
-            if got != y:
-                problem = f"ends at {g.vertices[got]!r}"
-            elif first != start:
-                problem = f"starts with {BIT_COLOUR[first]!r}"
-            elif end >= 0 and last != end:
-                problem = f"ends with {BIT_COLOUR[last]!r}"
-            elif self.SIMPLE and not simple:
+            # a walk without edges ends at x != y, so ks[0] exists below
+            bit = g.bit
+            if seen[-1] != y:
+                problem = f"ends at {g.vertices[seen[-1]]!r}"
+            elif bit[ks[0]] != start:
+                problem = f"starts with {BIT_COLOUR[bit[ks[0]]]!r}"
+            elif end >= 0 and bit[ks[-1]] != end:
+                problem = f"ends with {BIT_COLOUR[bit[ks[-1]]]!r}"
+            elif self.SIMPLE and len(set(seen)) != len(seen):
                 problem = "revisits a vertex"
             else:
                 return
         raise GraphError(f"internal error: {g.vertices[x]!r}-"
                          f"{g.vertices[y]!r} witness {problem}")
 
-    def trail(self, x: int, ks: list[int]) -> AlternatingTrail:
-        """The trail from vertex index x along the positions ks."""
-        edges = self.g.edges
-        return AlternatingTrail(self.g.vertices[x],
-                                tuple(edges[k].id for k in ks))
-
     def __call__(self, x: str, y: str, start: Colour,
                  end: Optional[Colour] = None) -> Optional[AlternatingTrail]:
         if x == y:
             raise ValueError("endpoints must differ")
-        i = self.g.vertex_index(x)
-        ks = self.positions(i, self.g.vertex_index(y), start.bit,
+        g = self.g
+        ks = self.positions(g.index[x], g.index[y], start.bit,
                             -1 if end is None else end.bit)
-        return None if ks is None else self.trail(i, ks)
+        return None if ks is None else AlternatingTrail(
+            x, tuple(g.edges[k].id for k in ks))
 
 
 class _TrailQuery(_PathQuery):
@@ -174,8 +168,8 @@ class _TrailQuery(_PathQuery):
     SIMPLE = False
 
     @staticmethod
-    def _split_graph(view: GraphView, n: int) -> IndexedGraph:
-        eu, ev, bit = view.eu, view.ev, view.bit
+    def _split_graph(g: EdgeColouredMultigraph) -> IndexedGraph:
+        eu, ev, bit, n = g.eu, g.ev, g.bit, len(g.vertices)
         # each vertex's pair partner first, then in edge order; no two
         # edges are parallel, so the lists are built directly
         adj = [[a ^ 1] for a in range(4 * n + 2 * len(bit))]
@@ -259,37 +253,30 @@ def alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
     return _TrailQuery(g)(x, y, start, end)
 
 
-def _sweep(g: EdgeColouredMultigraph, make, collect: bool
-           ) -> ConnectivityReport:
+def _sweep(g: EdgeColouredMultigraph, make) -> ConnectivityReport:
     n = len(g.vertices)
     if n < 2:
         raise UnsupportedClass("connectivity needs at least two vertices")
     query = make(g)
     names = g.vertices
-    witnesses: dict[tuple[str, str, Colour], AlternatingTrail] = {}
     for u in range(n):
         for v in range(n):
             if u == v:
                 continue
             for c in (0, 1):
-                ks = query.positions(u, v, c)
-                if ks is None:
+                if query.positions(u, v, c) is None:
                     return ConnectivityReport(
                         False, (names[u], names[v], BIT_COLOUR[c]))
-                if collect:
-                    witnesses[(names[u], names[v], BIT_COLOUR[c])] = \
-                        query.trail(u, ks)
-    return ConnectivityReport(True, None, witnesses if collect else None)
+    return ConnectivityReport(True)
 
 
-def is_colour_connected(g: EdgeColouredMultigraph, collect: bool = False
-                        ) -> ConnectivityReport:
-    return _sweep(g, _PathQuery, collect)
+def is_colour_connected(g: EdgeColouredMultigraph) -> ConnectivityReport:
+    return _sweep(g, _PathQuery)
 
 
-def is_trail_colour_connected(g: EdgeColouredMultigraph,
-                              collect: bool = False) -> ConnectivityReport:
-    return _sweep(g, _TrailQuery, collect)
+def is_trail_colour_connected(g: EdgeColouredMultigraph
+                              ) -> ConnectivityReport:
+    return _sweep(g, _TrailQuery)
 
 
 def complete_multipartite_classes(g: EdgeColouredMultigraph
@@ -300,10 +287,9 @@ def complete_multipartite_classes(g: EdgeColouredMultigraph
     loops no vertex is its own neighbour, so vertices of one group are
     never adjacent, and g is complete multipartite exactly when each
     vertex is adjacent to all n - |its group| vertices outside it."""
-    view = g.view()
     groups: dict[frozenset[int], list[str]] = {}
     for i, v in enumerate(g.vertices):
-        groups.setdefault(frozenset(view.star(i)[1]), []).append(v)
+        groups.setdefault(frozenset(g.star(i)[1]), []).append(v)
     n = len(g.vertices)
     if any(len(nb) != n - len(cls) for nb, cls in groups.items()):
         return None

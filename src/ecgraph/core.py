@@ -6,14 +6,19 @@ Witness objects (alternating trails, cycles, eulerian factors, cycle
 factors) reference edges by id so that parallel edges are handled
 uniformly.  Everything is immutable; every function here is pure.
 
-A graph has one index, its integer view (`GraphView`, `g.view()`),
-which the constructor builds while it validates the graph: edges by
-position in g.edges, with their ends as vertex indices, colour bits and
-the incidence lists.  The graph's string lookups and every algorithm
-read it.  Its `walk` is the one check of an alternating trail:
-`verify_witness` maps a trail's ids to positions and runs it, and the
-connectivity sweeps run it on the positions they read back, building a
-witness object only when one is asked for.
+A graph is its own integer index, which the constructor builds while
+it validates the graph: edges by position in g.edges, with their ends
+as vertex indices, colour bits and the incidence lists.  The graph's
+string lookups and every algorithm read it.  Its `walk` is the one
+check of an alternating trail, and `closed_walk` adds the closed-trail
+and cycle verdicts: `verify_witness` maps a trail's ids to positions
+and runs them, the connectivity sweeps run `walk` on the positions they
+read back, and the merge runs `closed_walk` on every walk it builds.
+
+The id-level API (`EdgeColouredMultigraph.edge`, `Edge.other_end`,
+`Edge.touches`) has no caller inside the package's decisions; it stays
+on purpose, as the string-level way to inspect a graph that the tests,
+their reference implementations and user code use.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ class Colour(enum.IntEnum):
 
     @property
     def bit(self) -> int:
-        """The colour's bit in a graph's integer view: 0 red, 1 blue."""
+        """The colour's bit in a graph's integer index: 0 red, 1 blue."""
         return self - 1
 
 
@@ -76,91 +81,10 @@ class Edge:
         return x == self.u or x == self.v
 
 
-class EdgeColouredMultigraph:
-    """Immutable 2-edge-coloured multigraph with opaque string ids.
-
-    Vertex order is declaration order and is the deterministic tie-break
-    used by every algorithm in this package.  The constructor validates
-    the graph while it builds its integer view (`view`), the graph's
-    only index: every lookup below reads it.  `_analysis` holds the memo
-    of facts derived from the graph (see `ecgraph.analysis`), created on
-    first use; both live and die with the graph object.
-    """
-
-    __slots__ = ("vertices", "edges", "_view", "_analysis")
-
-    def __init__(self, vertices: Sequence[str], edges: Sequence[Edge]):
-        self.vertices: tuple[str, ...] = tuple(vertices)
-        self.edges: tuple[Edge, ...] = tuple(edges)
-        self._view = GraphView(self.vertices, self.edges)
-        self._analysis = None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EdgeColouredMultigraph):
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
-
-    def __repr__(self) -> str:
-        return (f"EdgeColouredMultigraph({len(self.vertices)} vertices, "
-                f"{len(self.edges)} edges)")
-
-    # --- lookups -----------------------------------------------------
-
-    def view(self) -> "GraphView":
-        """The graph's integer view, built by the constructor."""
-        return self._view
-
-    def edge(self, edge_id: str) -> Edge:
-        try:
-            return self.edges[self._view.pos[edge_id]]
-        except KeyError:
-            raise GraphError(f"unknown edge id {edge_id!r}") from None
-
-    def has_edge_id(self, edge_id: str) -> bool:
-        return edge_id in self._view.pos
-
-    def vertex_index(self, v: str) -> int:
-        return self._view.index[v]
-
-    def _star(self, v: str) -> tuple[list[int], list[int]]:
-        return self._view.star(self._view.index[v])
-
-    def incident(self, v: str, colour: Optional[Colour] = None) -> tuple[Edge, ...]:
-        bit = self._view.bit
-        return tuple(self.edges[k] for k in self._star(v)[0]
-                     if colour is None or bit[k] == colour.bit)
-
-    def degree(self, v: str, colour: Optional[Colour] = None) -> int:
-        return len(self.incident(v, colour))
-
-    def edges_between(self, u: str, v: str,
-                      colour: Optional[Colour] = None) -> tuple[Edge, ...]:
-        j = self._view.index.get(v)
-        return tuple(e for e, w in zip(self.incident(u), self._star(u)[1])
-                     if w == j and (colour is None or e.colour is colour))
-
-    def adjacent(self, u: str, v: str) -> bool:
-        return self._view.index.get(v) in self._star(u)[1]
-
-    def neighbours(self, v: str) -> tuple[str, ...]:
-        return tuple(self.vertices[w] for w in dict.fromkeys(self._star(v)[1]))
-
-    # --- derived graphs ----------------------------------------------
-
-    def induced(self, vertex_set: Iterable[str]) -> "EdgeColouredMultigraph":
-        keep = set(vertex_set)
-        verts = [v for v in self.vertices if v in keep]
-        edges = [e for e in self.edges if e.u in keep and e.v in keep]
-        return EdgeColouredMultigraph(verts, edges)
-
-
 class BadWalk(GraphError):
     """Edge positions that do not form an alternating trail: `problem`
     says why, with {} for the edge at index `at` of the sequence (-1
-    for a repeat, which names no edge)."""
+    where the problem names no edge)."""
 
     def __init__(self, problem: str, at: int):
         super().__init__(problem.format(f"number {at}"))
@@ -174,29 +98,40 @@ class BadWalk(GraphError):
                                    else None)
 
 
-class GraphView:
-    """A graph in integers, by position k in g.edges: the ends eu[k] and
-    ev[k] as vertex indices, and colour bit[k] (`Colour.bit`).  Vertex
-    i's incidence, in edge declaration order, is inc[off[i]:off[i + 1]]
-    (edge positions) with far[...] the other end of each; index maps
-    vertex names to indices and pos edge ids to positions.  `walk` is
-    the package's one check of a trail."""
+class EdgeColouredMultigraph:
+    """Immutable 2-edge-coloured multigraph with opaque string ids.
 
-    __slots__ = ("index", "pos", "eu", "ev", "bit", "off", "inc", "far")
+    Vertex order is declaration order and is the deterministic tie-break
+    used by every algorithm in this package.  The graph is its own
+    integer index, built by the constructor while it validates: by
+    position k in g.edges, the ends eu[k] and ev[k] as vertex indices
+    and colour bit[k] (`Colour.bit`).  Vertex i's incidence, in edge
+    declaration order, is inc[off[i]:off[i + 1]] (edge positions) with
+    far[...] the other end of each; index maps vertex names to indices
+    and pos edge ids to positions.  Every lookup below and every
+    algorithm reads these arrays.  `_analysis` holds the memo of facts
+    derived from the graph (see `ecgraph.analysis`), created on first
+    use; it lives and dies with the graph object.
+    """
+
+    __slots__ = ("vertices", "edges", "index", "pos", "eu", "ev", "bit",
+                 "off", "inc", "far", "_analysis")
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[Edge]):
         """Raises GraphError on the first fault, in this order: a
         duplicate vertex, then per edge a duplicate id, an unknown u, an
         unknown v, a self-loop."""
+        self.vertices: tuple[str, ...] = tuple(vertices)
+        self.edges: tuple[Edge, ...] = tuple(edges)
         self.index = index = {}
-        for i, v in enumerate(vertices):
+        for i, v in enumerate(self.vertices):
             if index.setdefault(v, i) != i:
                 raise GraphError(f"duplicate vertex id {v!r}")
         self.pos = pos = {}
         self.eu = eu = []
         self.ev = ev = []
-        incs: list[list[int]] = [[] for _ in vertices]
-        for k, e in enumerate(edges):
+        incs: list[list[int]] = [[] for _ in self.vertices]
+        for k, e in enumerate(self.edges):
             if pos.setdefault(e.id, k) != k:
                 raise GraphError(f"duplicate edge id {e.id!r}")
             u = index.get(e.u)
@@ -212,11 +147,26 @@ class GraphView:
             incs[u].append(k)
             incs[v].append(k)
         # Colour.bit, without a call per edge
-        self.bit = [e.colour - 1 for e in edges]
+        self.bit = [e.colour - 1 for e in self.edges]
         self.off = list(itertools.accumulate(map(len, incs), initial=0))
         self.inc = list(itertools.chain.from_iterable(incs))
         self.far = [ev[k] if eu[k] == i else eu[k]
                     for i, ks in enumerate(incs) for k in ks]
+        self._analysis = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeColouredMultigraph):
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self) -> str:
+        return (f"EdgeColouredMultigraph({len(self.vertices)} vertices, "
+                f"{len(self.edges)} edges)")
+
+    # --- integer lookups ---------------------------------------------
 
     def star(self, i: int) -> tuple[list[int], list[int]]:
         """Vertex i's incidence: its edges' positions and their far
@@ -230,17 +180,14 @@ class GraphView:
         blue = sum(map(self.bit.__getitem__, ks))
         return len(ks) - blue, blue
 
-    def walk(self, x: int, ks: Sequence[int], closed: bool = False
-             ) -> tuple[int, int, int, bool]:
-        """(end, first, last, simple) for the walk from vertex x along
-        the edges at positions ks: its last vertex, its first and last
-        colour bits (-1 without edges), and whether it visits no vertex
-        twice, the return of a closed walk to x aside.
+    def walk(self, x: int, ks: Sequence[int]) -> list[int]:
+        """The vertices of the walk from vertex x along the edges at
+        positions ks: x, then the vertex each edge reaches.
 
         Raises BadWalk unless the edges are pairwise distinct, and each
         is known, continues the walk and changes colour.  An explicit
-        check, so python -O keeps it; verification and the sweeps share
-        it as their one definition of an alternating trail.
+        check, so python -O keeps it; verification, the sweeps and the
+        merge share it as their one definition of an alternating trail.
         """
         if len(set(ks)) != len(ks):
             raise BadWalk("edge repeated", -1)
@@ -262,10 +209,73 @@ class GraphView:
                 raise BadWalk("colours do not alternate at edge {}", t)
             last = bit[k]
             seen.append(cur)
-        if closed:
-            seen.pop()
-        return (cur, bit[ks[0]] if ks else -1, last,
-                len(set(seen)) == len(seen))
+        return seen
+
+    def closed_walk(self, x: int, ks: Sequence[int], cycle: bool = False
+                    ) -> list[int]:
+        """The vertices of the closed walk from vertex x along the edges
+        at positions ks, one per edge: the vertex each edge leaves.
+
+        Raises BadWalk as `walk` does, and unless the walk has edges,
+        returns to x, has even length (so it alternates all round: its
+        first and last colours differ) and, for a cycle, visits no
+        vertex twice.
+        """
+        seen = self.walk(x, ks)
+        if not ks:
+            raise BadWalk("closed trail must have edges", -1)
+        if seen.pop() != x:
+            raise BadWalk("not closed", -1)
+        if len(ks) % 2:
+            raise BadWalk("closed trail length must be even and >= 2", -1)
+        if cycle and len(set(seen)) != len(seen):
+            # the length-2 digon passes: its walk is u, v, u
+            raise BadWalk("cycle revisits a vertex", -1)
+        return seen
+
+    # --- string lookups ----------------------------------------------
+
+    def edge(self, edge_id: str) -> Edge:
+        try:
+            return self.edges[self.pos[edge_id]]
+        except KeyError:
+            raise GraphError(f"unknown edge id {edge_id!r}") from None
+
+    def has_edge_id(self, edge_id: str) -> bool:
+        return edge_id in self.pos
+
+    def vertex_index(self, v: str) -> int:
+        return self.index[v]
+
+    def incident(self, v: str, colour: Optional[Colour] = None) -> tuple[Edge, ...]:
+        bit = self.bit
+        return tuple(self.edges[k] for k in self.star(self.index[v])[0]
+                     if colour is None or bit[k] == colour.bit)
+
+    def degree(self, v: str, colour: Optional[Colour] = None) -> int:
+        return len(self.incident(v, colour))
+
+    def edges_between(self, u: str, v: str,
+                      colour: Optional[Colour] = None) -> tuple[Edge, ...]:
+        j = self.index.get(v)
+        ks, ws = self.star(self.index[u])
+        return tuple(self.edges[k] for k, w in zip(ks, ws) if w == j
+                     and (colour is None or self.bit[k] == colour.bit))
+
+    def adjacent(self, u: str, v: str) -> bool:
+        return self.index.get(v) in self.star(self.index[u])[1]
+
+    def neighbours(self, v: str) -> tuple[str, ...]:
+        return tuple(self.vertices[w]
+                     for w in dict.fromkeys(self.star(self.index[v])[1]))
+
+    # --- derived graphs ----------------------------------------------
+
+    def induced(self, vertex_set: Iterable[str]) -> "EdgeColouredMultigraph":
+        keep = set(vertex_set)
+        verts = [v for v in self.vertices if v in keep]
+        edges = [e for e in self.edges if e.u in keep and e.v in keep]
+        return EdgeColouredMultigraph(verts, edges)
 
 
 @dataclass(frozen=True)
@@ -286,19 +296,18 @@ class AlternatingTrail:
 
     def vertex_sequence(self, g: EdgeColouredMultigraph) -> list[str]:
         """Vertices visited in order, including both endpoints, read
-        from g's view.  Raises GraphError for an unknown edge id or an
+        from g's index.  Raises GraphError for an unknown edge id or an
         edge that does not continue the walk."""
-        view = g.view()
         seq = [self.start]
-        cur = view.index.get(self.start)
+        cur = g.index.get(self.start)
         for eid in self.edge_ids:
-            k = view.pos.get(eid)
+            k = g.pos.get(eid)
             if k is None:
                 raise GraphError(f"unknown edge id {eid!r}")
-            if view.eu[k] == cur:
-                cur = view.ev[k]
-            elif view.ev[k] == cur:
-                cur = view.eu[k]
+            if g.eu[k] == cur:
+                cur = g.ev[k]
+            elif g.ev[k] == cur:
+                cur = g.eu[k]
             else:
                 raise GraphError(f"vertex {seq[-1]!r} is not an endpoint "
                                  f"of edge {eid!r}")
@@ -440,52 +449,39 @@ class VerifyResult:
         return self.ok
 
 
-def _check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail) -> VerifyResult:
-    view = g.view()
-    x = view.index.get(t.start)
+def _check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail,
+                 cycle: bool = False) -> VerifyResult:
+    x = g.index.get(t.start)
     if x is None:
         return VerifyResult(False, f"unknown start vertex {t.start!r}")
     # each unknown id gets a negative number of its own, so the walk
     # sees repeats exactly where the ids repeat
-    pos = view.pos
+    pos = g.pos
     unknown: dict[str, int] = {}
     ks = [pos[e] if e in pos else unknown.setdefault(e, ~len(unknown))
           for e in t.edge_ids]
     try:
-        end, first, last, simple = view.walk(x, ks, t.closed)
+        seen = g.closed_walk(x, ks, cycle) if t.closed else g.walk(x, ks)
     except BadWalk as exc:
         return VerifyResult(False, exc.reason(t.edge_ids))
-    if t.closed:
-        if not t.edge_ids:
-            return VerifyResult(False, "closed trail must have edges")
-        if end != x:
-            return VerifyResult(False, "not closed")
-        if len(t.edge_ids) % 2 != 0 or len(t.edge_ids) < 2:
-            return VerifyResult(False, "closed trail length must be even and >= 2")
-        if first == last:
-            return VerifyResult(False, "first and last edge colours must differ")
-    return VerifyResult(True, end=g.vertices[end],
-                        first=BIT_COLOUR[first] if first >= 0 else None,
-                        last=BIT_COLOUR[last] if last >= 0 else None,
-                        simple=simple)
+    end = t.start if t.closed else g.vertices[seen[-1]]
+    return VerifyResult(True, end=end,
+                        first=BIT_COLOUR[g.bit[ks[0]]] if ks else None,
+                        last=BIT_COLOUR[g.bit[ks[-1]]] if ks else None,
+                        simple=len(set(seen)) == len(seen))
 
 
 def _check_cycle(g: EdgeColouredMultigraph, c: AlternatingCycle) -> VerifyResult:
     if not c.closed:
         return VerifyResult(False, "cycle must be closed")
-    r = _check_trail(g, c)
-    if r and not r.simple:
-        # the length-2 digon case passes: its walk is u, v, u
-        return VerifyResult(False, "cycle revisits a vertex")
-    return r
+    return _check_trail(g, c, cycle=True)
 
 
 def _visited(g: EdgeColouredMultigraph, t: AlternatingTrail) -> set[str]:
     """The vertices closed trail t, once checked, visits: the ends of
     its edges."""
-    view = g.view()
-    ks = [view.pos[e] for e in t.edge_ids]
-    return {g.vertices[x] for k in ks for x in (view.eu[k], view.ev[k])}
+    ks = [g.pos[e] for e in t.edge_ids]
+    return {g.vertices[x] for k in ks for x in (g.eu[k], g.ev[k])}
 
 
 def verify_witness(g: EdgeColouredMultigraph, w: Witness) -> VerifyResult:

@@ -114,10 +114,9 @@ class SlotGadget:
 
 
 def _colour_degrees(g: EdgeColouredMultigraph) -> list[tuple[int, int]]:
-    """Each vertex's red and blue degree, from g's view; raises
+    """Each vertex's red and blue degree, from g's index; raises
     ColourDeficient at the first vertex that misses a colour."""
-    view = g.view()
-    out = [view.colour_degrees(i) for i in range(len(g.vertices))]
+    out = [g.colour_degrees(i) for i in range(len(g.vertices))]
     for v, (r, b) in zip(g.vertices, out):
         if not r or not b:
             raise ColourDeficient(v, Colour.BLUE if r else Colour.RED)
@@ -135,7 +134,6 @@ def build_slot_gadget(g: EdgeColouredMultigraph) -> SlotGadget:
     in edge declaration order.  The gadget has no parallel edges, so
     the lists are built directly.
     """
-    view = g.view()
     adj: list[list[int]] = []
 
     def join(a: range, b: range) -> None:
@@ -161,7 +159,7 @@ def build_slot_gadget(g: EdgeColouredMultigraph) -> SlotGadget:
         free += (R.start, B.start)
 
     external: list[tuple[int, int]] = []
-    for u, v, c in zip(view.eu, view.ev, view.bit):
+    for u, v, c in zip(g.eu, g.ev, g.bit):
         su = free[2 * u + c]
         sv = free[2 * v + c]
         free[2 * u + c] = su + 1
@@ -278,8 +276,7 @@ class _BMatching:
 
     def __init__(self, g: EdgeColouredMultigraph):
         """Raises ColourDeficient if some vertex misses a colour."""
-        view = g.view()
-        eu, ev, bit = view.eu, view.ev, view.bit
+        eu, ev, bit = g.eu, g.ev, g.bit
         self.need = need = [d for r, b in _colour_degrees(g)
                             for d in (r, r - 1, b - 1, b)]
         self.cap = cap = []
@@ -616,8 +613,7 @@ def tour_factor_from_balanced_edges(g: EdgeColouredMultigraph,
             raise GraphError(f"edge {g.edges[k].id!r} chosen twice")
         used[k] = 1
     edges = [k for k in range(m) if used[k]]
-    view = g.view()
-    eu, ev, bit = view.eu, view.ev, view.bit
+    eu, ev, bit = g.eu, g.ev, g.bit
     n = len(g.vertices)
     reds: list[list[int]] = [[] for _ in range(n)]
     blues: list[list[int]] = [[] for _ in range(n)]
@@ -718,8 +714,7 @@ def alternating_cycle_factor(g: EdgeColouredMultigraph
         return None
     # vertex i has a red copy 2i and a blue copy 2i+1; the split edges
     # carry positions in g.edges
-    view = g.view()
-    eu, ev, bit = view.eu, view.ev, view.bit
+    eu, ev, bit = g.eu, g.ev, g.bit
     split = IndexedGraph(2 * len(g.vertices), (
         (2 * eu[k] + bit[k], 2 * ev[k] + bit[k], k)
         for k in range(len(bit))))

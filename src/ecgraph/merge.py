@@ -43,9 +43,9 @@ are, so each move picks the same positions and edges on the trails as
 on the cycles (but a rotation's chord must be off the trail, where the
 lift needs only its copy off the cycle), and no blow-up is built.  Two
 cycles merge into a cycle; any other pair merges into a closed trail.
-Every walk, from the parts to the final witness, is a `_Cyc` in g's
-integer view, checked once when built; only the public entry and exit
-points read or write ids.
+Every walk, from the parts to the final witness, is a `_Cyc` on g's
+integer index, checked once when built by the graph's `closed_walk`;
+only the public entry and exit points read or write ids.
 
 The loop sorts the parts by (length, index of the lowest vertex) each
 round, merges the first pair in that order that merges, and skips pairs
@@ -124,30 +124,19 @@ class _Cyc:
                  error: type[Exception] = MergeInternalError):
         """The walk from vertex x along the edge positions `edges`;
         raises `error`, naming `what`, unless it is closed, alternates
-        all round and, for a cycle, visits no vertex twice.  An explicit
-        check, so python -O keeps it."""
-        view = g.view()
+        all round and, for a cycle, visits no vertex twice
+        (`EdgeColouredMultigraph.closed_walk`).  An explicit check, so
+        python -O keeps it."""
         try:
-            end, first, last, simple = view.walk(x, edges, closed=True)
+            self.verts: list[int] = g.closed_walk(x, edges, cycle)
         except BadWalk as exc:
             m = len(g.edges)
-            problem = exc.reason([g.edges[k].id if 0 <= k < m else k
-                                  for k in edges])
-        else:
-            problem = ("not closed" if end != x
-                       else "first and last edge colours must differ"
-                       if first == last
-                       else "cycle revisits a vertex" if cycle and not simple
-                       else None)
-        if problem:
-            raise error(f"{what} fails verification: {problem}")
+            raise error(f"{what} fails verification: " + exc.reason(
+                [g.edges[k].id if 0 <= k < m else k for k in edges])
+            ) from None
         self.cycle = cycle
         self.edges: list[int] = list(edges)
-        self.cols: list[int] = [view.bit[k] for k in self.edges]
-        self.verts: list[int] = []
-        for k in self.edges:
-            self.verts.append(x)
-            x = view.ev[k] if view.eu[k] == x else view.eu[k]
+        self.cols: list[int] = [g.bit[k] for k in self.edges]
         self.n = len(self.verts)
         self.vset = frozenset(self.verts)
 
@@ -157,12 +146,11 @@ class _Cyc:
         with the reason, unless t is a closed alternating trail of g (an
         alternating cycle, for an AlternatingCycle)."""
         what = f"part from {t.start!r}"
-        view = g.view()
         try:
-            x = view.index[t.start]
-            ks = [view.pos[e] for e in t.edge_ids]
+            x = g.index[t.start]
+            ks = [g.pos[e] for e in t.edge_ids]
         except KeyError as exc:
-            kind = "edge id" if t.start in view.index else "start vertex"
+            kind = "edge id" if t.start in g.index else "start vertex"
             raise GraphError(f"{what} fails verification: unknown {kind} "
                              f"{exc.args[0]!r}") from None
         return cls(g, x, ks, isinstance(t, AlternatingCycle), what,
@@ -203,9 +191,8 @@ def _edge_to(g: EdgeColouredMultigraph, u: int, v: int, c: int) -> int:
     c, in incidence order.  The moves ask only for edges that the
     similarity, chord or domination test has shown, so a missing one is
     a MergeInternalError."""
-    view = g.view()
-    for k, w in zip(*view.star(u)):
-        if w == v and view.bit[k] == c:
+    for k, w in zip(*g.star(u)):
+        if w == v and g.bit[k] == c:
             return k
     raise MergeInternalError(f"a move needs a {BIT_COLOUR[c].token} edge "
                              f"{g.vertices[u]!r}-{g.vertices[v]!r}")
@@ -215,8 +202,7 @@ def _joins_within(g: EdgeColouredMultigraph, v: int, verts: frozenset[int]
                   ) -> Counter:
     """Vertex v's coloured edge multiset {(other end, colour bit):
     count} towards the vertices of `verts`."""
-    view = g.view()
-    return Counter((w, view.bit[k]) for k, w in zip(*view.star(v))
+    return Counter((w, g.bit[k]) for k, w in zip(*g.star(v))
                    if w in verts)
 
 
@@ -248,11 +234,10 @@ def _dominates(g: EdgeColouredMultigraph, dom: _Cyc, sub: _Cyc
     alternating along dom, and same-label pairs inside dom joined only
     in their own colour.  Each dominating vertex's colours come from
     its slice of the incidence lists."""
-    view = g.view()
-    bit = view.bit
+    bit = g.bit
     label: dict[int, int] = {}
     for x in dom.vset:
-        ks, ws = view.star(x)
+        ks, ws = g.star(x)
         colours = {bit[k] for k, w in zip(ks, ws) if w in sub.vset}
         if len(colours) != 1 or not sub.vset <= set(ws):
             return None
@@ -261,7 +246,7 @@ def _dominates(g: EdgeColouredMultigraph, dom: _Cyc, sub: _Cyc
         if label[x] == label[dom.verts[t - 1]]:
             return None
     for x, c in label.items():
-        for k, w in zip(*view.star(x)):
+        for k, w in zip(*g.star(x)):
             if label.get(w) == c and bit[k] != c:
                 return None
     return label
@@ -278,7 +263,6 @@ def _exchange(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc,
     path is first rotated once (Posa): a chord s-p_k of colour c off
     a, where the path's edge p_{k-1}-p_k has colour c, gives the path
     p_{k-1} ... s, p_k ... t, with end edges still not of colour c."""
-    view = g.view()
     own = set(a.edges)
 
     def paths(ao: _Cyc, i: int, c: int):
@@ -291,8 +275,8 @@ def _exchange(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc,
         # p_k at position q = i1 + k; its edge in has colour c iff k even
         for q in range(i1 + 2, i1 + ao.n - 1, 2):
             q %= ao.n
-            for e, w in zip(*view.star(s)):
-                if w == ao.verts[q] and view.bit[e] == c and e not in own:
+            for e, w in zip(*g.star(s)):
+                if w == ao.verts[q] and g.bit[e] == c and e not in own:
                     yield ao.verts[q - 1], ao.seg(i1, q - 1)[::-1] + [e], q
                     break
 

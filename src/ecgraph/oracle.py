@@ -65,11 +65,9 @@ def oracle_supereulerian(g: EdgeColouredMultigraph,
     budget.admit(g)
     if len(g.vertices) < 2:
         return None
-    view = g.view()
-    if any(0 in view.colour_degrees(i) for i in range(len(g.vertices))):
+    if any(0 in g.colour_degrees(i) for i in range(len(g.vertices))):
         return None
-    eu, ev, bit, off, inc, far = (view.eu, view.ev, view.bit, view.off,
-                                  view.inc, view.far)
+    eu, ev, bit, off, inc, far = g.eu, g.ev, g.bit, g.off, g.inc, g.far
     deadline = budget.deadline()
     counter = [0]
     root = 0
@@ -122,8 +120,7 @@ def oracle_ham_alternating(g: EdgeColouredMultigraph,
     n = len(g.vertices)
     if n < 2:
         return None
-    view = g.view()
-    bit, off, inc, far = view.bit, view.off, view.inc, view.far
+    bit, off, inc, far = g.bit, g.off, g.inc, g.far
     deadline = budget.deadline()
     counter = [0]
     root = 0
@@ -169,8 +166,7 @@ def oracle_ham_alternating(g: EdgeColouredMultigraph,
 
 def _balanced_subsets(g: EdgeColouredMultigraph, deadline: float):
     """Yield edge masks where every vertex has red-deg = blue-deg >= 1."""
-    view = g.view()
-    eu, ev, bit = view.eu, view.ev, view.bit
+    eu, ev, bit = g.eu, g.ev, g.bit
     n = len(g.vertices)
     m = len(bit)
     counter = [0]
@@ -239,7 +235,7 @@ def oracle_eulerian_factor(g: EdgeColouredMultigraph,
     budget.admit(g)
     if len(g.vertices) < 2:
         return None
-    if any(0 in g.view().colour_degrees(i) for i in range(len(g.vertices))):
+    if any(0 in g.colour_degrees(i) for i in range(len(g.vertices))):
         return None
     from .factor import tour_factor_from_balanced_edges
     deadline = budget.deadline()
@@ -259,9 +255,7 @@ def oracle_cycle_factor(g: EdgeColouredMultigraph,
     n = len(g.vertices)
     if n < 2:
         return None
-    view = g.view()
-    eu, ev, bit, off, inc, far = (view.eu, view.ev, view.bit, view.off,
-                                  view.inc, view.far)
+    eu, ev, bit, off, inc, far = g.eu, g.ev, g.bit, g.off, g.inc, g.far
     deadline = budget.deadline()
     counter = [0]
     full = (1 << n) - 1
@@ -322,8 +316,7 @@ def oracle_alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
     budget.admit(g)
     if x == y:
         raise ValueError("endpoints must differ")
-    view = g.view()
-    bit, off, inc, far = view.bit, view.off, view.inc, view.far
+    bit, off, inc, far = g.bit, g.off, g.inc, g.far
     deadline = budget.deadline()
     counter = [0]
     xi, yi = g.vertex_index(x), g.vertex_index(y)
@@ -362,8 +355,7 @@ def oracle_alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
     budget.admit(g)
     if x == y:
         raise ValueError("endpoints must differ")
-    view = g.view()
-    bit, off, inc, far = view.bit, view.off, view.inc, view.far
+    bit, off, inc, far = g.bit, g.off, g.inc, g.far
     deadline = budget.deadline()
     counter = [0]
     xi, yi = g.vertex_index(x), g.vertex_index(y)

@@ -13,7 +13,7 @@ quotient is M-closed: merging non-similar vertices into one class is
 never available, because copies of a blown-up vertex must be
 non-adjacent with identical joins.
 
-Both read the graph's integer view: a vertex's multiset comes from its
+Both read the graph's integer index: a vertex's multiset comes from its
 incidence lists, and M-closedness walks them in declaration order.
 """
 
@@ -38,8 +38,7 @@ def is_m_closed(g: EdgeColouredMultigraph
     On failure, returns the first violating (x, y, z) in declaration
     order: x-y and y-z share a colour but x and z are non-adjacent.
     """
-    view = g.view()
-    bit, off, inc, far = view.bit, view.off, view.inc, view.far
+    bit, off, inc, far = g.bit, g.off, g.inc, g.far
     names = g.vertices
     for y in range(len(names)):
         for s in range(off[y], off[y + 1]):
@@ -90,8 +89,7 @@ class SimilarityPartition:
 def _joins(g: EdgeColouredMultigraph, i: int) -> tuple[int, ...]:
     """Vertex i's coloured edge multiset, as the sorted numbers
     2 * (other end) + colour bit."""
-    view = g.view()
-    return tuple(sorted([2 * w + view.bit[k] for k, w in zip(*view.star(i))]))
+    return tuple(sorted([2 * w + g.bit[k] for k, w in zip(*g.star(i))]))
 
 
 def similar(g: EdgeColouredMultigraph, u: str, v: str) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+import ecgraph.analysis
 import ecgraph.connect
 from ecgraph import (
     BLUE,
@@ -32,7 +33,7 @@ from ecgraph import (
 from ecgraph.cli import decide, main
 from ecgraph.connect import _PathQuery, _TrailQuery
 from ecgraph.matching import IndexedGraph
-from ecgraph.core import BadWalk, GraphView, serialize_graph
+from ecgraph.core import BadWalk, serialize_graph
 from ecgraph.structure import blow_up, similarity_partition
 from ecgraph.reductions import fixture, generate
 
@@ -104,14 +105,6 @@ class TestConnectivity:
         assert not rep.connected
         assert rep.counterexample == ("x1", "x2", RED)
 
-    def test_collect_witnesses(self):
-        g = build_graph(["a", "b"], [("a", "b", RED), ("a", "b", BLUE)])
-        rep = is_colour_connected(g, collect=True)
-        assert rep.connected
-        assert len(rep.witnesses) == 4
-        for w in rep.witnesses.values():
-            assert verify_witness(g, w)
-
     def test_quotient_sweeps_match_direct_sweeps(self):
         # the memo sweeps a large extension's smaller M-closed base in
         # its place; no proof covers that, so check it against sweeping
@@ -142,9 +135,7 @@ def test_blow_up_outside_class_is_swept_directly(mult):
     res = CliRunner().invoke(main, ["connectivity", "-"],
                              input=serialize_graph(h))
     assert res.exit_code == 0, res.output
-    rep = is_colour_connected(h, collect=True)
-    assert rep.connected
-    assert all(verify_witness(h, w) for w in rep.witnesses.values())
+    assert is_colour_connected(h).connected
 
 
 # blow-ups of the M-closed quotient of mclosed_blowup (seed, n), with
@@ -174,6 +165,24 @@ def test_base_no_is_confirmed_on_the_graph(seed, n, mult):
         assert d.witness.vertex_set(g) == set(g.vertices)
 
 
+def test_base_no_from_a_colourless_start_needs_no_query(monkeypatch):
+    # the base's failing triple starts at v0.0 in red, and v0.0 has no
+    # red edge in g either, so no path or trail of g leaves it in red:
+    # the base "no" stands without a query on g
+    def forced(*args):
+        raise AssertionError("queried g")
+
+    monkeypatch.setattr(ecgraph.analysis, "alternating_path", forced)
+    monkeypatch.setattr(ecgraph.analysis, "alternating_trail", forced)
+    g = generate("mclosed_blowup", seed=23, n=69)
+    a = Analysis.of(g)
+    assert a.swept is not g and g.degree("v0.0", RED) == 0
+    for rep, sweep in ((a.cc, is_colour_connected),
+                       (a.tcc, is_trail_colour_connected)):
+        assert rep.counterexample == ("v0.0", "v1.0", RED)
+        assert not rep.connected and not sweep(g).connected
+
+
 class TestQueryObjects:
     @pytest.mark.parametrize("make", [_PathQuery, _TrailQuery])
     def test_reused_query_answers_do_not_depend_on_order(self, make):
@@ -194,10 +203,10 @@ class TestQueryObjects:
 
     def test_failed_witness_check_raises(self, monkeypatch):
         # an explicit check, not an assert, so it holds under python -O
-        def forced(self, x, ks, closed=False):
+        def forced(self, x, ks):
             raise BadWalk("forced", -1)
 
-        monkeypatch.setattr(GraphView, "walk", forced)
+        monkeypatch.setattr(EdgeColouredMultigraph, "walk", forced)
         g = build_graph(["a", "b"], [("a", "b", RED), ("a", "b", BLUE)])
         with pytest.raises(GraphError, match="forced"):
             alternating_path(g, "a", "b", RED)
@@ -264,18 +273,17 @@ class TestQueryObjects:
         assert t.edge_ids == ("e0", "e3", "e4")
 
     def test_trail_sweep_verifies_each_trail_once(self, monkeypatch):
-        real = GraphView.walk
+        real = EdgeColouredMultigraph.walk
         seen = []
-        monkeypatch.setattr(GraphView, "walk",
-                            lambda view, *args: seen.append(view)
-                            or real(view, *args))
+        monkeypatch.setattr(EdgeColouredMultigraph, "walk",
+                            lambda graph, *args: seen.append(graph)
+                            or real(graph, *args))
         g = fixture("halfm")
         assert is_trail_colour_connected(g).connected
         n = len(g.vertices)
-        # one check per positive triple, on g's view, never on the
-        # split graph
+        # one check per positive triple, on g, never on the split graph
         assert len(seen) == 2 * n * (n - 1)
-        assert all(v is g.view() for v in seen)
+        assert all(graph is g for graph in seen)
 
 
 def reference_classes(g):

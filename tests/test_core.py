@@ -23,7 +23,7 @@ from ecgraph import (
     witness_to_dict,
 )
 
-from ecgraph.core import BIT_COLOUR, BadWalk, GraphView
+from ecgraph.core import BIT_COLOUR, BadWalk
 from reference import (
     RefIndex,
     rand_multigraph,
@@ -280,7 +280,7 @@ def test_witness_dict_shapes(g):
 
 
 def naive_view(g):
-    """The integer view of g, rebuilt edge by edge from g.vertices and
+    """The integer index of g, rebuilt edge by edge from g.vertices and
     g.edges alone: each vertex's incident edges in declaration order."""
     idx = {v: i for i, v in enumerate(g.vertices)}
     pos = {e.id: k for k, e in enumerate(g.edges)}
@@ -305,11 +305,9 @@ def test_view_matches_naive_rebuild():
         g = rand_multigraph(rng)
         parallel += len({(e.u, e.v, e.colour) for e in g.edges}) \
             < len(g.edges)
-        view = g.view()
-        assert view is g.view()
-        assert {k: getattr(view, k) for k in GraphView.__slots__} \
-            == naive_view(g)
-        assert [BIT_COLOUR[b] for b in view.bit] \
+        naive = naive_view(g)
+        assert {k: getattr(g, k) for k in naive} == naive
+        assert [BIT_COLOUR[b] for b in g.bit] \
             == [e.colour for e in g.edges]
     assert parallel > 50
 
@@ -358,7 +356,7 @@ def test_vertex_sequence_matches_the_string_walk():
 
 
 def test_lookups_match_the_string_index():
-    # the string lookups read the view and answer as the string index
+    # the string lookups read the graph's index and answer as the string index
     # the graph kept before did, except between a vertex and itself:
     # with no loops nothing joins them, where the old scan listed
     # every edge of the vertex
@@ -433,7 +431,7 @@ def corrupted(g, t, rng):
 
 
 def test_walk_agrees_with_the_string_walk():
-    # verify_witness on a trail is the view's walk; the string walk it
+    # verify_witness on a trail is the graph's walk; the string walk it
     # replaced gives the same verdict, reason and walk facts
     rng = random.Random(11)
     kinds = ("unknown start vertex", "edge repeated", "unknown edge id",
@@ -452,19 +450,18 @@ def test_walk_agrees_with_the_string_walk():
                 if got and w.closed:
                     seen["closed and valid"] += 1
     # an alternating closed walk of odd length has first and last
-    # colours equal and fails as odd first, so no case reaches the
-    # colour test
+    # colours equal, so the length test is the colour test
     assert set(seen) == {None, "closed and valid", *kinds}, seen
 
 
 def test_walk_rejects_bad_positions():
     g = build_graph(["a", "b", "c"], [("a", "b", RED), ("b", "c", BLUE),
                                       ("a", "b", BLUE)])
-    view = g.view()
-    assert view.walk(0, [0, 1]) == (2, 0, 1, True)
-    assert view.walk(0, [0, 2], closed=True) == (0, 0, 1, True)
-    assert view.walk(0, [0, 2]) == (0, 0, 1, False)
-    assert view.walk(1, []) == (1, -1, -1, True)
+    assert g.walk(0, [0, 1]) == [0, 1, 2]
+    assert g.walk(0, [0, 2]) == [0, 1, 0]
+    assert g.walk(1, []) == [1]
+    assert g.closed_walk(0, [0, 2]) == [0, 1]
+    assert g.closed_walk(1, [2, 0], cycle=True) == [1, 0]
     for ks, problem in (([0, 0], "edge repeated"),
                         ([0, 3], "unknown edge id number 1"),
                         ([0, -1], "unknown edge id number 1"),
@@ -472,8 +469,24 @@ def test_walk_rejects_bad_positions():
                         ([0, 2, 0], "edge repeated"),
                         ([0, 2, 1], "edge number 2 does not continue")):
         with pytest.raises(BadWalk, match=problem):
-            view.walk(0, ks)
+            g.walk(0, ks)
+        with pytest.raises(BadWalk, match=problem):
+            g.closed_walk(0, ks)
     with pytest.raises(BadWalk, match="colours do not alternate at edge "
                                       "number 1"):
         build_graph(["a", "b", "c"], [("a", "b", RED), ("b", "c", RED)]
-                    ).view().walk(0, [0, 1])
+                    ).walk(0, [0, 1])
+
+
+def test_closed_walk_verdicts():
+    # e0 a-b red, e1 b-c blue, e2 c-a red, e3 a-b blue, e4 a-c blue
+    g = build_graph(["a", "b", "c"],
+                    [("a", "b", RED), ("b", "c", BLUE), ("c", "a", RED),
+                     ("a", "b", BLUE), ("a", "c", BLUE)])
+    assert g.closed_walk(0, [0, 3, 2, 4]) == [0, 1, 0, 2]
+    for ks, problem in (([], "closed trail must have edges"),
+                        ([0, 1], "not closed"),
+                        ([0, 1, 2], "closed trail length must be even"),
+                        ([0, 3, 2, 4], "cycle revisits a vertex")):
+        with pytest.raises(BadWalk, match=problem):
+            g.closed_walk(0, ks, cycle=True)

@@ -576,7 +576,7 @@ def test_a_wrong_edge_fails_the_move_that_took_it(monkeypatch, wrong):
         assert merged.vset == frozenset(range(len(g.vertices) - 2))
     monkeypatch.setattr(
         merge_module, "_edge_to",
-        lambda g, u, v, c: g.view().pos["z0"] if wrong == "off the walk"
+        lambda g, u, v, c: g.pos["z0"] if wrong == "off the walk"
         else len(g.edges))
     for move, g, call in move_cases():
         with pytest.raises(MergeInternalError,
