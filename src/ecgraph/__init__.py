@@ -21,7 +21,6 @@ from .core import (
     verify_witness,
     witness_to_dict,
 )
-from .matching import Matching, MatchingError, PlainGraph, maximum_matching
 from .factor import (
     ColourDeficient,
     alternating_cycle_factor,

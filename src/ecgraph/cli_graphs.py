@@ -30,7 +30,10 @@ def fail(msg: str, code: int = 2) -> None:
 
 def read_text(file: str) -> str:
     try:
-        return sys.stdin.read() if file == "-" else open(file).read()
+        if file == "-":
+            return sys.stdin.read()
+        with open(file) as f:
+            return f.read()
     except OSError as exc:
         fail(str(exc))
 

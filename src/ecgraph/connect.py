@@ -18,10 +18,11 @@ copies whose deletion leaves a perfect matching (see
 
 Each positive triple is read back as positions in g.edges and checked
 by the graph's `walk`, the routine `verify_witness` runs too, for its
-end vertex, its end colours and, for a path, simplicity.  A sweep
-builds no witness object; `alternating_path` and `alternating_trail`,
-which ask the same query objects once, build an `AlternatingTrail`
-from the checked positions.
+end vertex, its end colours and, for a path, simplicity: the package's
+one check of these verdicts.  A sweep builds no witness object;
+`alternating_path` and `alternating_trail`, which ask the same query
+objects once, turn the checked positions into an `AlternatingTrail`
+(`ids`) and do not check it again.
 
 Both sweeps always run on the graph they are given.  Sweeping a smaller
 graph in its place (the similarity quotient of an extension of an
@@ -130,9 +131,7 @@ class _PathQuery:
         try:
             seen = g.walk(x, ks)
         except BadWalk as exc:
-            m = len(g.edges)
-            problem = "fails verification: " + exc.reason(
-                [g.edges[k].id if 0 <= k < m else k for k in ks])
+            problem = "fails verification: " + exc.reason(g.ids(ks))
         else:
             # a walk without edges ends at x != y, so ks[0] exists below
             bit = g.bit
@@ -156,8 +155,7 @@ class _PathQuery:
         g = self.g
         ks = self.positions(g.index[x], g.index[y], start.bit,
                             -1 if end is None else end.bit)
-        return None if ks is None else AlternatingTrail(
-            x, tuple(g.edges[k].id for k in ks))
+        return None if ks is None else AlternatingTrail(x, g.ids(ks))
 
 
 class _TrailQuery(_PathQuery):

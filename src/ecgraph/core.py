@@ -4,7 +4,9 @@ A graph is a set of named vertices together with identity-carrying edges,
 each coloured red or blue.  Parallel edges are allowed, self-loops are not.
 Witness objects (alternating trails, cycles, eulerian factors, cycle
 factors) reference edges by id so that parallel edges are handled
-uniformly.  Everything is immutable; every function here is pure.
+uniformly.  Graphs and witnesses are immutable and every function here
+is pure, with one exception: a graph's `_analysis` slot holds the
+mutable memo of facts derived from it (`ecgraph.analysis`).
 
 A graph is its own integer index, which the constructor builds while
 it validates the graph: edges by position in g.edges, with their ends
@@ -14,6 +16,11 @@ check of an alternating trail, and `closed_walk` adds the closed-trail
 and cycle verdicts: `verify_witness` maps a trail's ids to positions
 and runs them, the connectivity sweeps run `walk` on the positions they
 read back, and the merge runs `closed_walk` on every walk it builds.
+
+`positions` and `ids` are the one conversion between edge ids and
+positions.  Every function that returns a witness checks it once,
+before it returns (`check_witness`, or the walks above on positions),
+and nothing downstream checks it again.
 
 The id-level API (`EdgeColouredMultigraph.edge`, `Edge.other_end`,
 `Edge.touches`) has no caller inside the package's decisions; it stays
@@ -233,6 +240,22 @@ class EdgeColouredMultigraph:
             raise BadWalk("cycle revisits a vertex", -1)
         return seen
 
+    def positions(self, ids: Iterable[str]) -> list[int]:
+        """The positions in g.edges of the edges with ids `ids`.  Each
+        unknown id gets a negative number of its own, so a walk sees
+        repeats exactly where the ids repeat and rejects the unknown ones
+        as unknown."""
+        pos = self.pos
+        unknown: dict[str, int] = {}
+        return [pos[e] if e in pos else unknown.setdefault(e, ~len(unknown))
+                for e in ids]
+
+    def ids(self, ks: Iterable[int]) -> tuple:
+        """The ids of the edges at positions ks; a position with no edge
+        stands for itself, so a BadWalk can name it."""
+        m = len(self.edges)
+        return tuple(self.edges[k].id if 0 <= k < m else k for k in ks)
+
     # --- string lookups ----------------------------------------------
 
     def edge(self, edge_id: str) -> Edge:
@@ -435,61 +458,37 @@ def witness_to_dict(g: EdgeColouredMultigraph, w: Witness) -> dict:
 
 @dataclass(frozen=True)
 class VerifyResult:
+    """A witness check's verdict, and why it fails."""
+
     ok: bool
     reason: Optional[str] = None
-    # what the walk of a valid trail found: its last vertex, its first
-    # and last edge colours, and whether it visits no vertex twice
-    # (a closed trail's return to its start aside)
-    end: Optional[str] = None
-    first: Optional[Colour] = None
-    last: Optional[Colour] = None
-    simple: bool = False
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 def _check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail,
-                 cycle: bool = False) -> VerifyResult:
+                 cycle: bool = False) -> tuple[VerifyResult, list[int]]:
+    """The verdict on trail t (a cycle, with `cycle`), and the vertex
+    indices its walk visits: one decode of its ids, one walk."""
+    if cycle and not t.closed:
+        return VerifyResult(False, "cycle must be closed"), []
     x = g.index.get(t.start)
     if x is None:
-        return VerifyResult(False, f"unknown start vertex {t.start!r}")
-    # each unknown id gets a negative number of its own, so the walk
-    # sees repeats exactly where the ids repeat
-    pos = g.pos
-    unknown: dict[str, int] = {}
-    ks = [pos[e] if e in pos else unknown.setdefault(e, ~len(unknown))
-          for e in t.edge_ids]
+        return VerifyResult(False, f"unknown start vertex {t.start!r}"), []
+    ks = g.positions(t.edge_ids)
     try:
         seen = g.closed_walk(x, ks, cycle) if t.closed else g.walk(x, ks)
     except BadWalk as exc:
-        return VerifyResult(False, exc.reason(t.edge_ids))
-    end = t.start if t.closed else g.vertices[seen[-1]]
-    return VerifyResult(True, end=end,
-                        first=BIT_COLOUR[g.bit[ks[0]]] if ks else None,
-                        last=BIT_COLOUR[g.bit[ks[-1]]] if ks else None,
-                        simple=len(set(seen)) == len(seen))
-
-
-def _check_cycle(g: EdgeColouredMultigraph, c: AlternatingCycle) -> VerifyResult:
-    if not c.closed:
-        return VerifyResult(False, "cycle must be closed")
-    return _check_trail(g, c, cycle=True)
-
-
-def _visited(g: EdgeColouredMultigraph, t: AlternatingTrail) -> set[str]:
-    """The vertices closed trail t, once checked, visits: the ends of
-    its edges."""
-    ks = [g.pos[e] for e in t.edge_ids]
-    return {g.vertices[x] for k in ks for x in (g.eu[k], g.ev[k])}
+        return VerifyResult(False, exc.reason(t.edge_ids)), []
+    return VerifyResult(True), seen
 
 
 def verify_witness(g: EdgeColouredMultigraph, w: Witness) -> VerifyResult:
     """Check every invariant of the witness type against g."""
-    if isinstance(w, AlternatingCycle):
-        return _check_cycle(g, w)
     if isinstance(w, AlternatingTrail):
-        return _check_trail(g, w)
+        return _check_trail(g, w, isinstance(w, AlternatingCycle))[0]
+    verts = g.vertices
     if isinstance(w, EulerianFactor):
         covered: set[str] = set()
         for vs, trail in w.parts:
@@ -498,28 +497,28 @@ def verify_witness(g: EdgeColouredMultigraph, w: Witness) -> VerifyResult:
             covered |= vs
             if not trail.closed:
                 return VerifyResult(False, "factor witness must be closed")
-            r = _check_trail(g, trail)
+            r, seen = _check_trail(g, trail)
             if not r:
                 return r
-            # both ends of each edge are visited, so this also keeps
-            # every edge inside its part
-            if _visited(g, trail) != vs:
+            # a closed walk visits both ends of each edge, so this also
+            # keeps every edge inside its part
+            if {verts[x] for x in seen} != vs:
                 return VerifyResult(
                     False, "factor witness does not span its vertex set")
-        if covered != set(g.vertices):
+        if covered != set(verts):
             return VerifyResult(False, "factor parts do not cover V")
         return VerifyResult(True)
     if isinstance(w, CycleFactor):
         covered = set()
         for c in w.cycles:
-            r = _check_cycle(g, c)
+            r, seen = _check_trail(g, c, cycle=True)
             if not r:
                 return r
-            vs = _visited(g, c)
+            vs = {verts[x] for x in seen}
             if covered & vs:
                 return VerifyResult(False, "factor cycles overlap")
             covered |= vs
-        if covered != set(g.vertices):
+        if covered != set(verts):
             return VerifyResult(False, "factor cycles do not cover V")
         return VerifyResult(True)
     return VerifyResult(False, f"unknown witness type {type(w).__name__}")
@@ -529,7 +528,8 @@ def check_witness(g: EdgeColouredMultigraph, w: Witness, what: str,
                   error: type[Exception] = GraphError) -> Witness:
     """w, after an explicit check that it is a valid witness in g (one
     that also runs under python -O); raises `error`, naming `what`,
-    if it is not."""
+    if it is not.  Each producer of a witness calls it once, on what it
+    returns."""
     r = verify_witness(g, w)
     if not r:
         raise error(f"internal error: {what} fails verification: "

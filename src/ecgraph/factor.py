@@ -86,6 +86,7 @@ from .core import (
     EdgeColouredMultigraph,
     EulerianFactor,
     GraphError,
+    check_witness,
 )
 from .matching import IndexedGraph, PlainGraph
 
@@ -243,7 +244,8 @@ def build_factor_gadget(g: EdgeColouredMultigraph) -> FactorGadget:
 
 def eulerian_factor(g: EdgeColouredMultigraph) -> Optional[EulerianFactor]:
     """Eulerian factor, or None: a perfect b-matching of the collapsed
-    gadget, from a max-flow, rounding and repair (module docstring)."""
+    gadget, from a max-flow, rounding and repair (module docstring),
+    checked before it is returned."""
     if len(g.vertices) < 2:
         return None
     try:
@@ -255,8 +257,10 @@ def eulerian_factor(g: EdgeColouredMultigraph) -> Optional[EulerianFactor]:
         return None
     y, short = p.rounded(twice)
     if short and not p.paired(y, short):
-        return _repair(g, p, y)
-    return tour_factor_from_balanced_edges(g, p.chosen(y))
+        f = _repair(g, p, y)
+    else:
+        f = tour_factor_from_balanced_edges(g, p.chosen(y))
+    return None if f is None else check_witness(g, f, "eulerian factor")
 
 
 class _BMatching:
@@ -681,14 +685,15 @@ def tour_factor_from_balanced_edges(g: EdgeColouredMultigraph,
     return EulerianFactor(tuple(
         (frozenset(vs), AlternatingTrail(
             g.edges[first[t]].u,
-            tuple(g.edges[k].id for k in walk(first[t])), closed=True))
+            g.ids(walk(first[t])), closed=True))
         for t, vs in parts.items()))
 
 
 def alternating_euler_tour(g_sub: EdgeColouredMultigraph
                            ) -> Optional[AlternatingTrail]:
     """Closed alternating trail using every edge of g_sub exactly once,
-    or None: the one-part case of `tour_factor_from_balanced_edges`.
+    or None: the one-part case of `tour_factor_from_balanced_edges`,
+    checked before it is returned (a failed check raises GraphError).
 
     Exists iff g_sub is connected and every vertex has red degree equal
     to blue degree, at least one.
@@ -697,7 +702,10 @@ def alternating_euler_tour(g_sub: EdgeColouredMultigraph
         f = tour_factor_from_balanced_edges(g_sub, range(len(g_sub.edges)))
     except GraphError:
         return None
-    return f.parts[0][1] if len(f.parts) == 1 else None
+    # outside the except: a failed check is an internal error, not "no"
+    if len(f.parts) != 1:
+        return None
+    return check_witness(g_sub, f.parts[0][1], "alternating Euler tour")
 
 
 def alternating_cycle_factor(g: EdgeColouredMultigraph
@@ -708,7 +716,8 @@ def alternating_cycle_factor(g: EdgeColouredMultigraph
     joins the colour-c copies; a perfect matching picks exactly one red
     and one blue edge per vertex, and that 2-regular colour-balanced
     edge set splits into alternating cycles.  A digon (a red and a blue
-    edge between the same two vertices) counts as a cycle.
+    edge between the same two vertices) counts as a cycle.  The factor
+    is checked before it is returned.
     """
     if len(g.vertices) < 2:
         return None
@@ -723,7 +732,6 @@ def alternating_cycle_factor(g: EdgeColouredMultigraph
         return None
     # from the red copy of i, each matched pair is one edge of the cycle
     # and b ^ 1 the other copy of the vertex it reaches
-    edges = g.edges
     cycles: list[AlternatingCycle] = []
     done = bytearray(len(g.vertices))
     for i, v in enumerate(g.vertices):
@@ -738,5 +746,5 @@ def alternating_cycle_factor(g: EdgeColouredMultigraph
             a = b ^ 1
             if a >> 1 == i:
                 break
-        cycles.append(AlternatingCycle(v, tuple(edges[k].id for k in seq)))
-    return CycleFactor(tuple(cycles))
+        cycles.append(AlternatingCycle(v, g.ids(seq)))
+    return check_witness(g, CycleFactor(tuple(cycles)), "cycle factor")

@@ -45,7 +45,8 @@ lift needs only its copy off the cycle), and no blow-up is built.  Two
 cycles merge into a cycle; any other pair merges into a closed trail.
 Every walk, from the parts to the final witness, is a `_Cyc` on g's
 integer index, checked once when built by the graph's `closed_walk`;
-only the public entry and exit points read or write ids.
+only the public entry and exit points read or write ids (`positions`
+and `ids`), and the final witness is not checked again.
 
 The loop sorts the parts by (length, index of the lowest vertex) each
 round, merges the first pair in that order that merges, and skips pairs
@@ -76,7 +77,6 @@ from .core import (
     EdgeColouredMultigraph,
     GraphError,
     UnsupportedClass,
-    check_witness,
 )
 
 
@@ -121,19 +121,19 @@ class _Cyc:
 
     def __init__(self, g: EdgeColouredMultigraph, x: int,
                  edges: Sequence[int], cycle: bool, what: str,
-                 error: type[Exception] = MergeInternalError):
+                 error: type[Exception] = MergeInternalError,
+                 names: Optional[Sequence] = None):
         """The walk from vertex x along the edge positions `edges`;
-        raises `error`, naming `what`, unless it is closed, alternates
+        raises `error`, naming `what` and the faulty edge by its entry
+        in `names` (by default its id), unless it is closed, alternates
         all round and, for a cycle, visits no vertex twice
         (`EdgeColouredMultigraph.closed_walk`).  An explicit check, so
         python -O keeps it."""
         try:
             self.verts: list[int] = g.closed_walk(x, edges, cycle)
         except BadWalk as exc:
-            m = len(g.edges)
             raise error(f"{what} fails verification: " + exc.reason(
-                [g.edges[k].id if 0 <= k < m else k for k in edges])
-            ) from None
+                g.ids(edges) if names is None else names)) from None
         self.cycle = cycle
         self.edges: list[int] = list(edges)
         self.cols: list[int] = [g.bit[k] for k in self.edges]
@@ -146,15 +146,13 @@ class _Cyc:
         with the reason, unless t is a closed alternating trail of g (an
         alternating cycle, for an AlternatingCycle)."""
         what = f"part from {t.start!r}"
-        try:
-            x = g.index[t.start]
-            ks = [g.pos[e] for e in t.edge_ids]
-        except KeyError as exc:
-            kind = "edge id" if t.start in g.index else "start vertex"
-            raise GraphError(f"{what} fails verification: unknown {kind} "
-                             f"{exc.args[0]!r}") from None
-        return cls(g, x, ks, isinstance(t, AlternatingCycle), what,
-                   GraphError)
+        x = g.index.get(t.start)
+        if x is None:
+            raise GraphError(f"{what} fails verification: unknown start "
+                             f"vertex {t.start!r}")
+        return cls(g, x, g.positions(t.edge_ids),
+                   isinstance(t, AlternatingCycle), what, GraphError,
+                   t.edge_ids)
 
     def seg(self, p: int, q: int) -> list[int]:
         """Edge positions walking forward from position p to position q."""
@@ -182,8 +180,8 @@ class _Cyc:
     def as_cycle(self, g: EdgeColouredMultigraph) -> AlternatingTrail:
         """The walk from verts[0] in ids, of the kind it was built as."""
         kind = AlternatingCycle if self.cycle else AlternatingTrail
-        return kind(g.vertices[self.verts[0]],
-                    tuple(g.edges[k].id for k in self.edges), closed=True)
+        return kind(g.vertices[self.verts[0]], g.ids(self.edges),
+                    closed=True)
 
 
 def _edge_to(g: EdgeColouredMultigraph, u: int, v: int, c: int) -> int:
@@ -490,8 +488,7 @@ def merge_factor(g: EdgeColouredMultigraph,
     final = walks[0]
     if len(final.vset) != len(g.vertices):
         raise MergeInternalError("merged factor does not span the graph")
-    return check_witness(g, final.as_cycle(g), "merged factor",
-                         MergeInternalError)
+    return final.as_cycle(g)
 
 
 def alternating_hamiltonian_cycle(g: EdgeColouredMultigraph) -> Decision:

@@ -3,7 +3,8 @@
 These are definition-literal exhaustive searches.  They exist for truth,
 not speed: the fast algorithms elsewhere are validated against them on
 small instances.  Every oracle refuses inputs beyond its budget instead
-of running unbounded.
+of running unbounded, and checks each witness it returns
+(`check_witness`), once, before it returns it.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ def _tick(deadline: float, counter: list[int]) -> None:
         raise BudgetExceeded("time limit exceeded")
 
 
-def _ids(g: EdgeColouredMultigraph, path: list[int]) -> tuple[str, ...]:
-    return tuple(g.edges[k].id for k in path)
-
-
 def oracle_supereulerian(g: EdgeColouredMultigraph,
                          budget: OracleBudget = DEFAULT_BUDGET
                          ) -> Optional[AlternatingTrail]:
@@ -106,7 +103,7 @@ def oracle_supereulerian(g: EdgeColouredMultigraph,
         path.append(ei)
         if dfs(far[t], 1 << ei, bit[ei], bit[ei]):
             return check_witness(g, AlternatingTrail(
-                g.vertices[root], _ids(g, path), closed=True),
+                g.vertices[root], g.ids(path), closed=True),
                 "oracle witness")
         path.pop()
     return None
@@ -159,7 +156,7 @@ def oracle_ham_alternating(g: EdgeColouredMultigraph,
         path.append(ei)
         if dfs(far[t], (1 << root) | (1 << far[t]), bit[ei], bit[ei]):
             return check_witness(g, AlternatingCycle(
-                g.vertices[root], _ids(g, path)), "oracle witness")
+                g.vertices[root], g.ids(path)), "oracle witness")
         path.pop()
     return None
 
@@ -296,7 +293,7 @@ def oracle_cycle_factor(g: EdgeColouredMultigraph,
             used = 0
             for ei in edge_path:
                 used |= (1 << eu[ei]) | (1 << ev[ei])
-            acc.append(AlternatingCycle(g.vertices[root], _ids(g, edge_path)))
+            acc.append(AlternatingCycle(g.vertices[root], g.ids(edge_path)))
             if rec(free & ~used, acc):
                 return True
             acc.pop()
@@ -342,7 +339,7 @@ def oracle_alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
         return False
 
     if dfs(xi, 1 << xi, -1):
-        return check_witness(g, AlternatingTrail(x, _ids(g, path)),
+        return check_witness(g, AlternatingTrail(x, g.ids(path)),
                              "oracle witness")
     return None
 
@@ -385,7 +382,7 @@ def oracle_alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
         return False
 
     if dfs(xi, 0, -1):
-        return check_witness(g, AlternatingTrail(x, _ids(g, path)),
+        return check_witness(g, AlternatingTrail(x, g.ids(path)),
                              "oracle witness")
     return None
 

@@ -9,8 +9,9 @@ test-only helpers.  Nothing in the package calls these.
   vertex) a graph kept beside its integer view, before the view became
   its only index, with the lookups it answered.
 - `ref_check_trail` is the string walk `verify_witness` ran on a trail
-  before the graph's integer view replaced it, and `ref_check` the
-  check the connectivity queries ran on each witness with it.
+  before the graph's integer view replaced it, with the walk facts
+  (`RefVerdict`) that `ref_check`, the check the connectivity queries
+  ran on each witness with it, reads.
 - `ref_vertex_sequence` is the string walk `vertex_sequence` ran
   before it read the view.
 - `merge_trails_3cycle` and `merge_trails_transitive` are the
@@ -24,6 +25,7 @@ test-only helpers.  Nothing in the package calls these.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ecgraph import (
@@ -36,7 +38,6 @@ from ecgraph import (
     EdgeColouredMultigraph,
     EulerianFactor,
     GraphError,
-    VerifyResult,
     build_graph,
     complete_multipartite_classes,
     verify_witness,
@@ -368,42 +369,61 @@ def ref_cycle_read_back(g: EdgeColouredMultigraph, split: IndexedGraph,
     return CycleFactor(tuple(cycles))
 
 
+@dataclass(frozen=True)
+class RefVerdict:
+    """`ref_check_trail`'s verdict and reason, as `VerifyResult` has
+    them, and what the walk of a valid trail found: its last vertex, its
+    first and last edge colours, and whether it visits no vertex twice
+    (a closed trail's return to its start aside)."""
+
+    ok: bool
+    reason: Optional[str] = None
+    end: Optional[str] = None
+    first: Optional[Colour] = None
+    last: Optional[Colour] = None
+    simple: bool = False
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
 def ref_check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail
-                    ) -> VerifyResult:
-    """verify_witness on a trail, walked through g's edge-id dicts."""
+                    ) -> RefVerdict:
+    """verify_witness on a trail, walked through g's edge-id dicts, with
+    the facts its walk found."""
     ref = RefIndex(g)
     if t.start not in g.vertices:
-        return VerifyResult(False, f"unknown start vertex {t.start!r}")
+        return RefVerdict(False, f"unknown start vertex {t.start!r}")
     if len(t.edge_ids) != len(set(t.edge_ids)):
-        return VerifyResult(False, "edge repeated")
+        return RefVerdict(False, "edge repeated")
     cur = t.start
     walk = [cur]
     first: Optional[Colour] = None
     prev_colour: Optional[Colour] = None
     for eid in t.edge_ids:
         if not ref.has_edge_id(eid):
-            return VerifyResult(False, f"unknown edge id {eid!r}")
+            return RefVerdict(False, f"unknown edge id {eid!r}")
         e = ref.edge(eid)
         if not e.touches(cur):
-            return VerifyResult(False, f"edge {eid!r} does not continue the walk")
+            return RefVerdict(False, f"edge {eid!r} does not continue the walk")
         if prev_colour is None:
             first = e.colour
         elif e.colour is prev_colour:
-            return VerifyResult(False, f"colours do not alternate at edge {eid!r}")
+            return RefVerdict(False, f"colours do not alternate at edge {eid!r}")
         prev_colour = e.colour
         cur = e.other_end(cur)
         walk.append(cur)
     if t.closed:
         if not t.edge_ids:
-            return VerifyResult(False, "closed trail must have edges")
+            return RefVerdict(False, "closed trail must have edges")
         if cur != t.start:
-            return VerifyResult(False, "not closed")
+            return RefVerdict(False, "not closed")
         if len(t.edge_ids) % 2 != 0 or len(t.edge_ids) < 2:
-            return VerifyResult(False, "closed trail length must be even and >= 2")
+            return RefVerdict(False, "closed trail length must be even and >= 2")
         if first is prev_colour:
-            return VerifyResult(False, "first and last edge colours must differ")
+            return RefVerdict(False, "first and last edge colours must differ")
         walk.pop()
-    return VerifyResult(True, end=cur, first=first, last=prev_colour,
+    return RefVerdict(True, end=cur, first=first, last=prev_colour,
                         simple=len(set(walk)) == len(walk))
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -104,6 +108,22 @@ class TestAnalyze:
                             lambda g, w: VerifyResult(False, "forced"))
         with pytest.raises(GraphError):
             analyze_graph(fixture("efig"))
+
+
+def test_analyze_closes_its_input_file(tmp_path):
+    # development mode reports a file left open as a ResourceWarning
+    path = tmp_path / "efig.json"
+    path.write_text(fixture_json("efig"))
+    src = str(Path(ecgraph.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-m", "ecgraph.cli", "analyze", str(path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "ResourceWarning" not in out.stderr, out.stderr
+    assert json.loads(out.stdout)["report"]
 
 
 class TestExitCodes:

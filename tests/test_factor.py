@@ -4,10 +4,12 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ecgraph.core
 from ecgraph import (
     BLUE,
     RED,
     GraphError,
+    VerifyResult,
     build_graph,
     alternating_cycle_factor,
     alternating_euler_tour,
@@ -553,3 +555,27 @@ def test_cycle_read_back_matches_id_route():
                 == [(c.start, c.edge_ids) for c in ref.cycles]
             found += len(cf.cycles) > 1
     assert found >= 10
+
+
+@pytest.mark.parametrize("build, g, repair", [
+    # the flow route, and the slot-gadget repair with the walks off
+    (eulerian_factor, generate("mclosed_blowup", seed=278, n=8), False),
+    (eulerian_factor, digon_triangle(), True),
+    (alternating_cycle_factor, generate("mclosed_blowup", seed=278, n=8),
+     False),
+    (alternating_euler_tour, digon_triangle(), False),
+], ids=["eulerian_flow", "eulerian_repair", "cycle_factor", "euler_tour"])
+def test_a_failed_check_of_the_built_witness_raises(monkeypatch, build, g,
+                                                    repair):
+    # each builder checks what it returns: a failed check is an internal
+    # error, neither a witness nor None
+    if repair:
+        monkeypatch.setattr(_BMatching, "paired",
+                            lambda self, y, short: False)
+        p = _BMatching(g)
+        assert p.rounded(p.half_integral())[1]
+    assert build(g) is not None
+    monkeypatch.setattr(ecgraph.core, "verify_witness",
+                        lambda g, w: VerifyResult(False, "forced"))
+    with pytest.raises(GraphError, match="fails verification: forced"):
+        build(g)

@@ -257,12 +257,49 @@ def _fail_verification(g, w):
 
 
 def test_failed_merge_check_raises_through_hamiltonian(runner, monkeypatch):
-    # merge_factor checks the merged witness through core.check_witness
-    monkeypatch.setattr(ecgraph.core, "verify_witness", _fail_verification)
+    # each merge move checks the walk it builds; a chord that is no edge
+    # of g fails that check.  This blow-up merges a two-cycle factor
+    monkeypatch.setattr(ecgraph.merge, "_edge_to",
+                        lambda g, u, v, c: len(g.edges))
+    g = generate("mclosed_blowup", seed=278, n=8)
+    assert len(Analysis.of(g).cf.cycles) == 2
     res = runner.invoke(main, ["hamiltonian", "-"],
-                        input=serialize_graph(fixture("needall_h")))
+                        input=serialize_graph(g))
     assert isinstance(res.exception, MergeInternalError)
     assert res.exit_code not in (0, 3, 4, 5)
+
+
+@pytest.mark.parametrize("kind", ["eulerian", "cycle"])
+def test_failed_factor_check_raises_through_the_cli(runner, monkeypatch,
+                                                    kind):
+    # the factor command prints a factor only after its builder's check
+    doc = serialize_graph(generate("mclosed_blowup", seed=278, n=8))
+    args = ["factor", "-", "--kind", kind]
+    assert runner.invoke(main, args, input=doc).exit_code == 0
+    monkeypatch.setattr(ecgraph.core, "verify_witness", _fail_verification)
+    res = runner.invoke(main, args, input=doc)
+    assert isinstance(res.exception, GraphError)
+    assert res.exit_code not in (0, 3)
+
+
+def test_analyze_checks_each_witness_once(monkeypatch):
+    # each witness is checked where it is built, and nowhere after: the
+    # merged trail of this three-part factor is checked on positions, as
+    # it is built, and the factor once, by eulerian_factor
+    checked = []
+    verify = ecgraph.core.verify_witness
+
+    def counted(g, w):
+        checked.append(w)
+        return verify(g, w)
+
+    monkeypatch.setattr(ecgraph.core, "verify_witness", counted)
+    g = generate("mclosed_blowup", seed=37, n=50)
+    by_q = {e["question"]: e for e in analyze_graph(g).entries}
+    assert by_q["supereulerian"]["answer"] is True
+    assert any(w is Analysis.of(g).ef for w in checked)
+    # every checked object is still alive, so their ids are distinct
+    assert len({id(w) for w in checked}) == len(checked)
 
 
 def test_failed_sweep_check_raises_through_hamiltonian(runner, monkeypatch):
