@@ -15,34 +15,32 @@ every vertex of the dominating part sends edges of a single colour to
 the other part, those colours alternate along the part, and same-colour
 vertices are joined inside it only in their own colour.  Domination
 makes the union non-colour-connected, so exactly one of the two outcomes
-holds.  The pair merge `_pair` splices at a similar cross pair, trades
-an edge of each part for two same-coloured cross chords, tests
-domination, then trades after one Posa rotation of either part.  That
-these moves find every merge is cross-checked by scans against the
-exhaustive oracles, not proved; a pair they leave unsettled is a
-MergeInternalError in an extension (never a wrong answer) and an
-UnsupportedClass outside the class.  `merge_cycles` (also named
-`ecgraph.supereuler.merge_trails_pair`) is `_pair` on two trails by id.
+holds.  The pair merge `_pair` trades an edge of each part for two
+same-coloured cross chords, tests domination, then trades after one
+Posa rotation of either part.  That these moves find every merge is
+cross-checked by scans against the exhaustive oracles, not proved; a
+pair they leave unsettled is a MergeInternalError in an extension
+(never a wrong answer) and an UnsupportedClass outside the class.
+`merge_cycles` (also named `ecgraph.supereuler.merge_trails_pair`) is
+`_pair` on two trails by id.
 
-Similarity is taken within the union U of the pair: x and y are
-U-similar when their coloured edge multisets towards U are equal.
-Similarity in g implies it, and it is what the splice needs: the
-predecessors of the two pivots lie in U, so each pivot's join to the
-other's predecessor exists, in the colour entering the pivots, and the
-two mirrored chords close the spliced walk.  Domination leaves no
-U-similar cross pair either, as a dominating vertex is adjacent to
-every vertex of the dominated part, its would-be twin included.
+The exchange also covers a splice at a cross pair x, y that is similar
+within the union: with the parts oriented so that both pivots leave in
+one colour, the colour c into x is also the colour into y, and
+similarity gives the chords x'-y and y'-x in colour c (x' and y' the
+predecessors).  Those are the chords the exchange asks for when it
+trades the edges x'x and y'y, so no similarity is computed here.
 
 The moves and the domination test take closed alternating trails, which
 may revisit vertices: positions along the walk, not vertex names, index
 it.  This is the paper's merge of the pair's lift to a blow-up, which
 sends visit k of v to copy v.k, so a trail's positions match its
-cycle's copies one to one.  Copies of distinct vertices are similar iff
-the vertices are, and copies are joined in a colour iff their vertices
-are, so each move picks the same positions and edges on the trails as
-on the cycles (but a rotation's chord must be off the trail, where the
-lift needs only its copy off the cycle), and no blow-up is built.  Two
-cycles merge into a cycle; any other pair merges into a closed trail.
+cycle's copies one to one.  Copies are joined in a colour iff their
+vertices are, so each move picks the same positions and edges on the
+trails as on the cycles (but a rotation's chord must be off the trail,
+where the lift needs only its copy off the cycle), and no blow-up is
+built.  Two cycles merge into a cycle; any other pair merges into a
+closed trail.
 Every walk, from the parts to the final witness, is a `_Cyc` on g's
 integer index, checked once when built by the graph's `closed_walk`;
 only the public entry and exit points read or write ids (`positions`
@@ -63,7 +61,6 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -146,6 +143,9 @@ class _Cyc:
         with the reason, unless t is a closed alternating trail of g (an
         alternating cycle, for an AlternatingCycle)."""
         what = f"part from {t.start!r}"
+        if not t.closed:
+            raise GraphError(f"{what} fails verification: part must be "
+                             "closed")
         x = g.index.get(t.start)
         if x is None:
             raise GraphError(f"{what} fails verification: unknown start "
@@ -187,41 +187,13 @@ class _Cyc:
 def _edge_to(g: EdgeColouredMultigraph, u: int, v: int, c: int) -> int:
     """The position of vertex u's first edge to vertex v in colour bit
     c, in incidence order.  The moves ask only for edges that the
-    similarity, chord or domination test has shown, so a missing one is
-    a MergeInternalError."""
+    chord or domination test has shown, so a missing one is a
+    MergeInternalError."""
     for k, w in zip(*g.star(u)):
         if w == v and g.bit[k] == c:
             return k
     raise MergeInternalError(f"a move needs a {BIT_COLOUR[c].token} edge "
                              f"{g.vertices[u]!r}-{g.vertices[v]!r}")
-
-
-def _joins_within(g: EdgeColouredMultigraph, v: int, verts: frozenset[int]
-                  ) -> Counter:
-    """Vertex v's coloured edge multiset {(other end, colour bit):
-    count} towards the vertices of `verts`."""
-    return Counter((w, g.bit[k]) for k, w in zip(*g.star(v))
-                   if w in verts)
-
-
-def _splice(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc, i: int, j: int
-            ) -> _Cyc:
-    """Splice two disjoint walks at a similar cross pair: the pivots
-    a.verts[i] and b.verts[j] must be similar within the union of the
-    two vertex sets.  b is reversed if needed so that the outgoing edge
-    colours at the two pivots agree; the pivots' identical joins supply
-    the two cross chords closing the spliced walk."""
-    x = a.verts[i]
-    y = b.verts[j]
-    if b.cols[j] != a.cols[i]:
-        b = b.reversed()
-        j = (b.n - j) % b.n
-    cp = a.cols[(i - 1) % a.n]   # colour into x, = colour into y
-    chord1 = _edge_to(g, a.verts[(i - 1) % a.n], y, cp)
-    chord2 = _edge_to(g, b.verts[(j - 1) % b.n], x, cp)
-    edges = (a.seg(i, (i - 1) % a.n) + [chord1]
-             + b.seg(j, (j - 1) % b.n) + [chord2])
-    return _Cyc(g, x, edges, a.cycle and b.cycle, "similar merge")
 
 
 def _dominates(g: EdgeColouredMultigraph, dom: _Cyc, sub: _Cyc
@@ -251,16 +223,17 @@ def _dominates(g: EdgeColouredMultigraph, dom: _Cyc, sub: _Cyc
 
 
 def _exchange(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc,
-              joins: Callable[[int], Counter], rotate: bool
+              joins: Callable[[int], set[tuple[int, int]]], rotate: bool
               ) -> Optional[_Cyc]:
     """a and b merged by trading an edge of each, of one colour c, for
-    two cross chords of colour c, else None.  a less its edge at
-    position i is a path from s = a.verts[i+1] to t = a.verts[i] whose
-    end edges are not of colour c; so is b less an edge y-y1 of colour
-    c, and the chords t-y and y1-s close one walk.  With `rotate` the
-    path is first rotated once (Posa): a chord s-p_k of colour c off
-    a, where the path's edge p_{k-1}-p_k has colour c, gives the path
-    p_{k-1} ... s, p_k ... t, with end edges still not of colour c."""
+    two cross chords of colour c, else None; joins(v) holds (w, c) for
+    each edge v-w of colour bit c.  a less its edge at position i is a
+    path from s = a.verts[i+1] to t = a.verts[i] whose end edges are
+    not of colour c; so is b less an edge y-y1 of colour c, and the
+    chords t-y and y1-s close one walk.  With `rotate` the path is
+    first rotated once (Posa): a chord s-p_k of colour c off a, where
+    the path's edge p_{k-1}-p_k has colour c, gives the path p_{k-1}
+    ... s, p_k ... t, with end edges still not of colour c."""
     own = set(a.edges)
 
     def paths(ao: _Cyc, i: int, c: int):
@@ -283,10 +256,11 @@ def _exchange(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc,
             for i in range(ao.n):
                 c, t = ao.cols[i], ao.verts[i]
                 for s, head, q in paths(ao, i, c):
+                    jt, js = joins(t), joins(s)
                     for j in range(bo.n):
                         y, y1 = bo.verts[j], bo.verts[(j + 1) % bo.n]
-                        if bo.cols[j] == c and joins(t)[(y, c)] \
-                                and joins(s)[(y1, c)]:
+                        if bo.cols[j] == c and (y, c) in jt \
+                                and (y1, c) in js:
                             edges = (head + ao.seg(q, i)
                                      + [_edge_to(g, t, y, c)]
                                      + bo.seg(j + 1, j)[::-1]
@@ -301,20 +275,15 @@ def _pair(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc
           ) -> _Cyc | tuple[_Cyc, dict[int, int]] | NoEdgeBetween:
     """Two vertex-disjoint walks of g merged into one spanning their
     union (a cycle, for two cycles), else the dominating walk with its
-    labels, else NoEdgeBetween.  Similarity is taken within the union;
-    the moves span it by construction.  Raises UnsupportedClass where
-    none of these holds and g is not an extension of an M-closed graph,
-    MergeInternalError where it is."""
-    union = a.vset | b.vset
-    # read on demand: a similar pair is usually found within a few reads
-    joins = functools.cache(lambda v: _joins_within(g, v, union))
+    labels, else NoEdgeBetween.  The moves span the union by
+    construction.  Raises UnsupportedClass where none of these holds
+    and g is not an extension of an M-closed graph, MergeInternalError
+    where it is."""
+    # (neighbour, colour bit) of each vertex's edges, read on demand
+    joins = functools.cache(
+        lambda v: {(w, g.bit[k]) for k, w in zip(*g.star(v))})
     if not any(w in b.vset for x in a.vset for w, _ in joins(x)):
         return NoEdgeBetween()
-
-    for i, x in enumerate(a.verts):
-        for j, y in enumerate(b.verts):
-            if joins(x) == joins(y):
-                return _splice(g, a, b, i, j)
     out = _exchange(g, a, b, joins, False)
     if out is not None:
         return out

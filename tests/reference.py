@@ -17,6 +17,11 @@ test-only helpers.  Nothing in the package calls these.
 - `merge_trails_3cycle` and `merge_trails_transitive` are the
   tournament merges the merge loop ran on trails by id, walked with
   `traversal_from`, before the loop ran on the integer walks alone.
+- `exchange` runs the merge's chord exchange on two walks with the
+  joins the pair merge gives it.
+- `similar_cross_pair` finds a vertex of one trail and a vertex of
+  another that are similar within the union of the two; the tests
+  check that the chord exchange merges every such pair.
 - `rand_multigraph` draws small multigraphs with parallel edges.
 - `trail_to_path_complete_multipartite` shortens an open alternating
   trail of a complete multipartite graph into an alternating path with
@@ -25,6 +30,7 @@ test-only helpers.  Nothing in the package calls these.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -44,7 +50,7 @@ from ecgraph import (
 )
 from ecgraph.core import check_witness
 from ecgraph.matching import IndexedGraph, PlainGraph, maximum_matching
-from ecgraph.merge import MergeInternalError
+from ecgraph.merge import MergeInternalError, _Cyc, _exchange
 
 
 class RefIndex:
@@ -195,6 +201,32 @@ def merge_trails_transitive(g: EdgeColouredMultigraph,
            + e1)
     out = AlternatingTrail(v, tuple(ids), closed=True)
     return check_witness(g, out, "transitive merge", MergeInternalError)
+
+
+def exchange(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc, rotate: bool
+             ) -> Optional[_Cyc]:
+    """`_exchange` on walks a and b of g, as `_pair` calls it: joins(v)
+    is the set of (neighbour, colour bit) of v's edges."""
+    return _exchange(g, a, b,
+                     lambda v: {(w, g.bit[k]) for k, w in zip(*g.star(v))},
+                     rotate)
+
+
+def similar_cross_pair(g: EdgeColouredMultigraph, T1: AlternatingTrail,
+                       T2: AlternatingTrail) -> Optional[tuple[str, str]]:
+    """The first (x, y), x on T1 and y on T2 in walk order, whose
+    coloured edge multisets {(other end, colour): count} towards the
+    vertices of T1 and T2 are equal (x and y are similar within the
+    union), or None."""
+    union = T1.vertex_set(g) | T2.vertex_set(g)
+    joins = {v: Counter((e.other_end(v), e.colour) for e in g.edges
+                        if e.touches(v) and e.other_end(v) in union)
+             for v in union}
+    for x in T1.vertex_sequence(g):
+        for y in T2.vertex_sequence(g):
+            if joins[x] == joins[y]:
+                return x, y
+    return None
 
 
 def rand_multigraph(rng) -> EdgeColouredMultigraph:

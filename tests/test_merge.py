@@ -28,11 +28,10 @@ from ecgraph.merge import (
     _Cyc,
     _dominates,
     _exchange,
-    _joins_within,
-    _splice,
     merge_factor,
 )
 from ecgraph.reductions import fixture, generate
+from reference import exchange, similar_cross_pair
 
 
 def two_digons(cross):
@@ -49,23 +48,20 @@ def digon_cycles(g):
     return c1, c2
 
 
-def similar_in_pair(g, a, b, i, j):
-    """Whether a.verts[i] and b.verts[j] are similar within the union
-    of the two walks, as the pair merge tests before it splices."""
-    union = a.vset | b.vset
-    return _joins_within(g, a.verts[i], union) \
-        == _joins_within(g, b.verts[j], union)
-
-
-def splice(g, C1, C2, i, j):
-    """The splice of C1 and C2 at positions i and j, by ids, after
-    checking that the pivots are similar within the pair."""
-    a, b = _Cyc.of(g, C1), _Cyc.of(g, C2)
-    assert similar_in_pair(g, a, b, i, j)
-    return _splice(g, a, b, i, j).as_cycle(g)
+def chord_merge(g, C1, C2):
+    """The chord exchange, without rotation, of C1 and C2 by ids, after
+    checking that some cross pair is similar within the pair."""
+    assert similar_cross_pair(g, C1, C2) is not None
+    merged = exchange(g, _Cyc.of(g, C1), _Cyc.of(g, C2), False)
+    assert merged is not None
+    return merged.as_cycle(g)
 
 
 class TestMergeSimilar:
+    """Pairs with a cross pair similar within their union: the pivots'
+    joins to each other's predecessors are the two chords of an
+    exchange, so the chord exchange merges the pair."""
+
     def test_splice_at_similar_pair(self):
         # a2 and b2 are copies of one blown-up vertex
         g = build_graph(
@@ -75,7 +71,8 @@ class TestMergeSimilar:
              ("a1", "b2", RED), ("a1", "b2", BLUE),
              ("b1", "a2", RED), ("b1", "a2", BLUE)])
         c1, c2 = digon_cycles(g)
-        merged = splice(g, c1, c2, 1, 1)
+        merged = chord_merge(g, c1, c2)
+        assert isinstance(merged, AlternatingCycle)
         assert verify_witness(g, merged)
         assert merged.vertex_set(g) == {"a1", "a2", "b1", "b2"}
 
@@ -97,10 +94,8 @@ class TestMergeSimilar:
                               closed=True)
         assert verify_witness(g, t1) and verify_witness(g, t2)
         assert t2.vertex_sequence(g)[j] == "y"
-        # the pivots leave in different colours: T2 is reversed first
-        assert g.edge(t2.edge_ids[j]).colour \
-            is not g.edge(t1.edge_ids[0]).colour
-        merged = splice(g, t1, t2, 0, j)
+        assert similar_cross_pair(g, t1, t2) == ("x", "y")
+        merged = chord_merge(g, t1, t2)
         assert not isinstance(merged, AlternatingCycle)
         assert verify_witness(g, merged)
         assert merged.vertex_set(g) == set(g.vertices)
@@ -118,22 +113,14 @@ class TestMergeSimilar:
              ("z", "a1", RED)])
         assert not similar(g, "a1", "b1")
         c1, c2 = digon_cycles(g)
-        merged = splice(g, c1, c2, 0, 0)
+        assert similar_cross_pair(g, c1, c2) == ("a1", "b1")
+        merged = chord_merge(g, c1, c2)
         assert isinstance(merged, AlternatingCycle)
         assert verify_witness(g, merged)
         assert merged.vertex_set(g) == {"a1", "a2", "b1", "b2"}
         out = merge_cycles(g, c1, c2)
         assert isinstance(out, Merged)
         assert out.cycle.vertex_set(g) == {"a1", "a2", "b1", "b2"}
-
-    def test_rejects_dissimilar_pivots(self):
-        # a splice at dissimilar pivots lacks a mirrored chord
-        g = two_digons([("a1", "b1", RED)])
-        a, b = map(functools.partial(_Cyc.of, g), digon_cycles(g))
-        assert not similar_in_pair(g, a, b, 0, 0)
-        with pytest.raises(MergeInternalError,
-                           match="needs a blue edge 'a2'-'b1'"):
-            _splice(g, a, b, 0, 0)
 
 
 class TestMergeParallelChords:
@@ -142,9 +129,7 @@ class TestMergeParallelChords:
     def test_two_red_chords(self):
         g = two_digons([("a1", "b1", RED), ("a2", "b2", RED)])
         a, b = map(functools.partial(_Cyc.of, g), digon_cycles(g))
-        union = a.vset | b.vset
-        merged = _exchange(g, a, b, lambda v: _joins_within(g, v, union),
-                           False)
+        merged = exchange(g, a, b, False)
         assert merged.cycle
         assert verify_witness(g, merged.as_cycle(g))
         assert merged.as_cycle(g).vertex_set(g) == {"a1", "a2", "b1", "b2"}
@@ -255,6 +240,19 @@ class TestInputFaults:
             with pytest.raises(GraphError) as exc:
                 call()
             assert reason in str(exc.value)
+
+    @pytest.mark.parametrize("kind", [AlternatingTrail, AlternatingCycle])
+    def test_open_part_raises_graph_error(self, kind):
+        # each part's edges close, but the part is marked open
+        g = two_digons([("a1", "b1", RED), ("a1", "b1", BLUE)])
+        c1, c2 = digon_cycles(g)
+        bad = kind("a1", ("e0", "e1"), closed=False)
+        for call in (lambda: merge_cycles(g, bad, c2),
+                     lambda: merge_cycles(g, c2, bad),
+                     lambda: merge_factor(g, [c2, bad])):
+            with pytest.raises(GraphError, match="part from 'a1' fails "
+                               "verification: part must be closed"):
+                call()
 
     def test_overlapping_or_missing_parts(self):
         g = two_digons([("a1", "b1", RED)])

@@ -49,10 +49,7 @@ from ecgraph.merge import (
     DominationCertificate,
     _Cyc,
     _dominates,
-    _exchange,
-    _joins_within,
     _pair,
-    _splice,
     _transitive,
     _triangle,
     alternating_hamiltonian_cycle,
@@ -61,7 +58,12 @@ from ecgraph.merge import (
 )
 from ecgraph.structure import blow_up, is_m_closed, m_closure
 from ecgraph.reductions import fixture, generate
-from reference import merge_trails_3cycle, merge_trails_transitive
+from reference import (
+    exchange,
+    merge_trails_3cycle,
+    merge_trails_transitive,
+    similar_cross_pair,
+)
 
 WIDE = OracleBudget(max_vertices=9, max_edges=40, seconds=60)
 
@@ -283,26 +285,12 @@ def digon_pattern_pairs():
         yield g, t[1], t[0]
 
 
-def test_in_place_merge_matches_blow_up_route(monkeypatch, exchanges):
+def test_in_place_merge_matches_blow_up_route(exchanges):
     cases = list(split_trail_pairs(3000)) + list(digon_pattern_pairs())
     expected = [merge_through_blow_up(g, T1, T2) for g, T1, T2 in cases]
     exchanges.clear()
 
     fired = Counter()
-    splice = merge_module._splice
-
-    spliced = []
-
-    def spy_similar(g, a, b, i, j):
-        fired["similar"] += 1
-        if b.cols[j] != a.cols[i]:
-            fired["reversal"] += 1
-        out = splice(g, a, b, i, j)
-        spliced.append((g, a.as_cycle(g), b.as_cycle(g), i, j,
-                        out.as_cycle(g)))
-        return out
-
-    monkeypatch.setattr(merge_module, "_splice", spy_similar)
     for (g, T1, T2), ref in zip(cases, expected):
         if any(len(t.vertex_set(g)) < len(t.edge_ids) for t in (T1, T2)):
             fired["revisiting pair"] += 1
@@ -323,19 +311,10 @@ def test_in_place_merge_matches_blow_up_route(monkeypatch, exchanges):
             assert got.certificate.dominating == ref.certificate.dominating
             assert got.certificate.colour is ref.certificate.colour
             assert got.certificate.labels == ref.certificate.labels
-    for what in ("similar", "reversal", "dominates", "revisiting pair"):
+    for what in ("dominates", "revisiting pair"):
         assert fired[what] > 0, what
     assert False in exchanges   # a chord merge
     assert fired["unsupported"] == 2
-    # every splice is at a pair similar within the union, and fresh
-    # walks of the pair by id give the same walk
-    monkeypatch.undo()
-    for g, C1, C2, i, j, out in spliced:
-        a, b = _Cyc.of(g, C1), _Cyc.of(g, C2)
-        union = a.vset | b.vset
-        assert _joins_within(g, a.verts[i], union) \
-            == _joins_within(g, b.verts[j], union)
-        assert _splice(g, a, b, i, j).as_cycle(g) == out
 
 
 @pytest.mark.parametrize("seed, n", [(37, 50), (24, 40)])
@@ -521,12 +500,6 @@ def with_spare_digon(g):
                                   g.edges + tuple(spare))
 
 
-def exchange(g, a, b, rotate):
-    """`_exchange` on walks a and b of g, as `_pair` calls it."""
-    union = a.vset | b.vset
-    return _exchange(g, a, b, lambda v: _joins_within(g, v, union), rotate)
-
-
 def move_cases():
     """(move, graph, call) for each merge move: call runs the move on
     the graph's walks."""
@@ -556,8 +529,8 @@ def move_cases():
     triangle = with_spare_digon(three_digons(TRIANGLE))
     transitive = with_spare_digon(three_digons(TRANSITIVE))
     return [
-        ("similar", similar,
-         lambda: _splice(similar, *walks(similar, pair), 1, 1)),
+        ("chord", similar,
+         lambda: exchange(similar, *walks(similar, pair), False)),
         ("chord", chords,
          lambda: exchange(chords, *walks(chords, pair), False)),
         ("triangle", triangle, lambda: tournament(triangle, "triangle")),
@@ -637,31 +610,60 @@ def fragmented_factors(graphs):
             yield case
 
 
-def test_merge_factor_on_fragmented_factors(monkeypatch, exchanges):
-    fired = Counter()
+@pytest.fixture(scope="module")
+def fragmented():
+    """`fragmented_factors(5000)`, built once for the tests that read it."""
+    return list(fragmented_factors(5000))
 
-    def spy(*args, _move=merge_module._splice):
-        fired["_splice"] += 1
-        return _move(*args)
 
-    monkeypatch.setattr(merge_module, "_splice", spy)
+def test_merge_factor_on_fragmented_factors(exchanges, fragmented):
     factors = 0
-    for g, parts in fragmented_factors(5000):
+    for g, parts in fragmented:
         factors += 1
         t = merge_factor(g, parts)
         assert not isinstance(t, AlternatingCycle)
         assert verify_witness(g, t)
         assert t.vertex_set(g) == set(g.vertices)
     assert factors >= 50
-    assert fired["_splice"] > 0
     # chord merges, and seed 4390's merge after a rotation
     assert exchanges.count(False) > 0
     assert exchanges.count(True) > 0
 
 
+def test_chord_exchange_merges_every_similar_pair(monkeypatch, fragmented):
+    """A splice at a cross pair similar within the pair's union is a
+    chord exchange: the pivots' joins to each other's predecessors are
+    the exchange's two chords.  Wherever such a pair exists, among the
+    trail pairs and the pairs the merge loop meets in fragmented
+    factors, the exchange without rotation merges the pair into a walk
+    spanning the union, a cycle for two cycles."""
+    met = []
+
+    def spy(g, a, b, _pair=_pair):
+        met.append((g, a.as_cycle(g), b.as_cycle(g)))
+        return _pair(g, a, b)
+
+    monkeypatch.setattr(merge_module, "_pair", spy)
+    for g, parts in fragmented:
+        merge_factor(g, parts)
+    checked = 0
+    for g, T1, T2 in itertools.chain(split_trail_pairs(3000),
+                                     digon_pattern_pairs(), met):
+        if similar_cross_pair(g, T1, T2) is None:
+            continue
+        checked += 1
+        a, b = _Cyc.of(g, T1), _Cyc.of(g, T2)
+        merged = exchange(g, a, b, False)
+        assert merged is not None
+        assert merged.vset == a.vset | b.vset
+        assert merged.cycle == (a.cycle and b.cycle)
+        assert verify_witness(g, merged.as_cycle(g))
+    assert checked >= 10
+
+
 def test_rotation_merge_checks_the_trail_it_builds(monkeypatch, exchanges):
     # seed 4390 pairs the closed trail v1 v4 v0 v4 with the digon v3 v2:
-    # neither the splice nor the chords apply and neither dominates, but
+    # the chords do not apply as they stand and neither dominates, but
     # rotating the trail's path at the chord v0-v1 lets the chords close
     g, parts = fragmented_factor(4390)
     t = merge_factor(g, parts)
