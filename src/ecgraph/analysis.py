@@ -25,6 +25,15 @@ triple (u, v, c) fails in g too: at once where u has no edge of colour
 c in g, as then nothing leaves u in that colour, else as asked with one
 path or trail query on g; otherwise g is swept.  Every other graph is
 swept directly.
+
+Trail-colour-connectivity is derived from the path sweeps.  Every
+alternating path is an alternating trail, so `tcc` of a colour-connected
+g is yes with no trail sweep, resting on the path sweep's witnesses.
+Otherwise each trail sweep starts at the triple where the path sweep of
+the same graph failed: every triple before it has a path, so a trail,
+and both sweeps take the triples in one order, so it reports what a full
+trail sweep would.  Where g had no path sweep (the base's path no was
+confirmed on g), g's trail sweep starts at the first triple.
 """
 
 from __future__ import annotations
@@ -35,11 +44,12 @@ from typing import Optional
 
 from .connect import (
     ConnectivityReport,
+    _sweep,
+    _TrailQuery,
     alternating_path,
     alternating_trail,
     complete_multipartite_classes,
     is_colour_connected,
-    is_trail_colour_connected,
 )
 from .core import (
     Colour, CycleFactor, EdgeColouredMultigraph, EulerianFactor,
@@ -81,6 +91,9 @@ class Analysis:
 
     def __init__(self, g: EdgeColouredMultigraph):
         self.g = g
+        # id of a graph whose path sweep failed (g or ext's base, both
+        # alive as long as this memo) -> the failing triple, as indices
+        self._path_failed: dict[int, tuple[int, int, int]] = {}
 
     @classmethod
     def of(cls, g: EdgeColouredMultigraph) -> "Analysis":
@@ -136,14 +149,26 @@ class Analysis:
             return rep
         return sweep(g)
 
+    def _path_sweep(self, h: EdgeColouredMultigraph) -> ConnectivityReport:
+        rep = is_colour_connected(h)
+        if not rep.connected:
+            u, v, c = rep.counterexample
+            self._path_failed[id(h)] = (h.index[u], h.index[v], c.bit)
+        return rep
+
+    def _trail_sweep(self, h: EdgeColouredMultigraph) -> ConnectivityReport:
+        return _sweep(h, _TrailQuery, self._path_failed.get(id(h), (0, 0, 0)))
+
     @cached_property
     def cc(self) -> ConnectivityReport:
-        return self._connectivity(is_colour_connected, alternating_path)
+        return self._connectivity(self._path_sweep, alternating_path)
 
     @cached_property
     def tcc(self) -> ConnectivityReport:
-        return self._connectivity(is_trail_colour_connected,
-                                  alternating_trail)
+        """Derived from cc; see above."""
+        if self.cc.connected:
+            return self.cc
+        return self._connectivity(self._trail_sweep, alternating_trail)
 
     def decision(self, question: str) -> Optional[Decision]:
         """The characterized answer to `question` ("supereulerian" or

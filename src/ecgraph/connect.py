@@ -24,6 +24,10 @@ one check of these verdicts.  A sweep builds no witness object;
 objects once, turn the checked positions into an `AlternatingTrail`
 (`ids`) and do not check it again.
 
+A sweep asks the triples (u, v, start colour) in one order, u, then v,
+then red before blue, from a start triple on (the first, for the public
+sweeps), and stops at the first that fails.
+
 Both sweeps always run on the graph they are given.  Sweeping a smaller
 graph in its place (the similarity quotient of an extension of an
 M-closed graph) is a decision about the graph class, so it is made in
@@ -219,7 +223,8 @@ def alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
     edges leave exposed, so y's non-end copy is outer exactly when
     deleting it too leaves a perfect matching (`IndexedGraph.search`).
     The graph edges on its tree path back from that copy are the path.
-    A sweep asks the query object this builds up to 2·n·(n-1) times.
+    A sweep asks the one query object it builds at most 2·n·(n-1)
+    times, with at most 2·n searches.
     """
     return _PathQuery(g)(x, y, start, end)
 
@@ -251,7 +256,8 @@ def alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
     return _TrailQuery(g)(x, y, start, end)
 
 
-def _sweep(g: EdgeColouredMultigraph, make) -> ConnectivityReport:
+def _sweep(g: EdgeColouredMultigraph, make,
+           start: tuple[int, int, int] = (0, 0, 0)) -> ConnectivityReport:
     n = len(g.vertices)
     if n < 2:
         raise UnsupportedClass("connectivity needs at least two vertices")
@@ -262,7 +268,7 @@ def _sweep(g: EdgeColouredMultigraph, make) -> ConnectivityReport:
             if u == v:
                 continue
             for c in (0, 1):
-                if query.positions(u, v, c) is None:
+                if (u, v, c) >= start and query.positions(u, v, c) is None:
                     return ConnectivityReport(
                         False, (names[u], names[v], BIT_COLOUR[c]))
     return ConnectivityReport(True)

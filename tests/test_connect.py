@@ -31,7 +31,7 @@ from ecgraph import (
     verify_witness,
 )
 from ecgraph.cli import decide, main
-from ecgraph.connect import _PathQuery, _TrailQuery
+from ecgraph.connect import ConnectivityReport, _PathQuery, _TrailQuery
 from ecgraph.matching import IndexedGraph
 from ecgraph.core import BadWalk, serialize_graph
 from ecgraph.structure import blow_up, similarity_partition
@@ -138,24 +138,33 @@ def test_blow_up_outside_class_is_swept_directly(mult):
     assert is_colour_connected(h).connected
 
 
+def blown_up_quotient(seed, n, mult):
+    """The M-closed quotient of mclosed_blowup (seed, n), blown up by
+    the multiplicities mult."""
+    q = similarity_partition(generate("mclosed_blowup", seed=seed, n=n)
+                             ).quotient
+    return blow_up(q, dict(zip(q.vertices, mult)))
+
+
 # blow-ups of the M-closed quotient of mclosed_blowup (seed, n), with
 # these multiplicities, that are colour-connected over a base that is
 # not: a path of the blow-up may pass through two copies of one vertex
-@pytest.mark.parametrize("seed, n, mult", [
+BASE_NO_NOT_CONFIRMED = [
     (1312, 9, (1, 3, 2, 2, 2, 4)), (2253, 6, (3, 3, 3, 4, 3)),
-    (4717, 6, (3, 1, 3, 3, 5)), (5828, 6, (2, 2, 4, 3, 3))])
+    (4717, 6, (3, 1, 3, 3, 5)), (5828, 6, (2, 2, 4, 3, 3))]
+
+
+@pytest.mark.parametrize("seed, n, mult", BASE_NO_NOT_CONFIRMED)
 def test_base_no_is_confirmed_on_the_graph(seed, n, mult):
-    q = similarity_partition(generate("mclosed_blowup", seed=seed, n=n)
-                             ).quotient
-    g = blow_up(q, dict(zip(q.vertices, mult)))
+    g = blown_up_quotient(seed, n, mult)
     a = Analysis.of(g)
     assert a.swept is not g and not is_colour_connected(a.swept).connected
     budget = OracleBudget(max_vertices=len(g.vertices),
                           max_edges=len(g.edges), seconds=60)
     assert a.cc.connected == is_colour_connected(g).connected \
         == oracle_colour_connected(g, budget)
-    assert a.tcc.connected == is_trail_colour_connected(g).connected \
-        == oracle_trail_colour_connected(g, budget)
+    assert a.tcc == is_trail_colour_connected(g)
+    assert a.tcc.connected == oracle_trail_colour_connected(g, budget)
     d = decide("hamiltonian", g, max_n=0)
     assert d.answer == (oracle_ham_alternating(g, budget) is not None)
     if seed == 1312:
@@ -181,6 +190,96 @@ def test_base_no_from_a_colourless_start_needs_no_query(monkeypatch):
                        (a.tcc, is_trail_colour_connected)):
         assert rep.counterexample == ("v0.0", "v1.0", RED)
         assert not rep.connected and not sweep(g).connected
+
+
+# Analysis.tcc on the quotient route, as computed by a full trail sweep
+# of every swept graph: each trail sweep may resume only at the failing
+# triple of the same graph's path sweep.  (spec, cc's, tcc's triple)
+QUOTIENT_ROUTE = [
+    # base path and trail sweeps fail at one triple, confirmed on g
+    (("mclosed_blowup", 0, 13), ("v0.0", "v1.0", RED),
+     ("v0.0", "v1.0", RED)),
+    (("mclosed_blowup", 1, 13), ("v0.0", "v1.0", BLUE),
+     ("v0.0", "v1.0", BLUE)),
+    # the base path "no" is confirmed, so g's path sweep never runs,
+    # and the base trail "no" is not: g's trail sweep starts at the
+    # first triple, not at the base's path triple (v0.0.0, v1.0.0, blue)
+    (("blow_up", 9227, 8, (3, 4, 2, 3, 1)), ("v0.0.0", "v1.0.0", BLUE),
+     ("v0.0.0", "v0.0.1", RED)),
+    # neither base "no" is confirmed: g's trail sweep resumes at g's
+    # own path triple
+    (("blow_up", 9227, 6, (4, 4, 3, 4, 3)), ("v0.0.0", "v0.0.1", RED),
+     ("v0.0.0", "v0.0.1", RED)),
+    # g's path sweep fails; the base's trail sweep resumes at the
+    # base's path triple and its "no" is confirmed on g
+    (("blow_up", 5785, 7, (4, 4, 4, 2, 2)), ("v0.0.0", "v0.0.1", BLUE),
+     ("v0.0.0", "v2.0.0", BLUE)),
+    # the base path "no" is confirmed, so g's path sweep never runs;
+    # the base's resumed trail sweep answers yes, which lifts to g
+    (("blow_up", 5828, 6, (4, 2, 1, 3, 4)), ("v0.0.0", "v1.0.0", BLUE),
+     None),
+] + [(("blow_up",) + spec, None, None) for spec in BASE_NO_NOT_CONFIRMED]
+
+
+@pytest.mark.parametrize("spec, cc, tcc", QUOTIENT_ROUTE)
+def test_quotient_route_reports_are_pinned(spec, cc, tcc):
+    g = (generate(spec[0], seed=spec[1], n=spec[2])
+         if spec[0] == "mclosed_blowup" else blown_up_quotient(*spec[1:]))
+    a = Analysis.of(g)
+    assert a.swept is not g
+    assert a.cc == ConnectivityReport(cc is None, cc)
+    assert a.tcc == ConnectivityReport(tcc is None, tcc)
+
+
+class TestDerivedTrailConnectivity:
+    """Analysis.tcc runs no trail sweep on a colour-connected graph and
+    otherwise starts it at the path sweep's failing triple; it must
+    answer as the full trail sweep does."""
+
+    def test_matches_the_full_trail_sweep(self):
+        cc, cc_not_tcc, later = 0, [], 0
+        for seed in range(300):
+            g = generate("random_2ec", seed=seed, n=8, m=16)
+            a = Analysis.of(g)
+            full = is_trail_colour_connected(g)
+            assert a.tcc == full, seed
+            if a.cc.connected:
+                cc += 1
+            elif full.connected:
+                cc_not_tcc.append(seed)
+            elif full.counterexample != a.cc.counterexample:
+                later += 1
+        assert (cc, cc_not_tcc, later) == (24, [55, 100, 160], 35)
+
+    def test_colour_connected_graph_builds_no_trail_query(self, monkeypatch):
+        def forced(self, g):
+            raise AssertionError("trail query built")
+
+        monkeypatch.setattr(_TrailQuery, "__init__", forced)
+        a = Analysis.of(generate("random_2ec", seed=2, n=30, m=120))
+        assert a.tcc.connected and a.cc.connected
+
+    # random_2ec n=8 m=16: the path sweep fails at the first triple, or
+    # at a later one
+    @pytest.mark.parametrize("seed, path, trail", [
+        (10, ("v0", "v1", RED), ("v7", "v0", RED)),
+        (17, ("v1", "v3", RED), ("v3", "v0", RED))])
+    def test_trail_sweep_starts_at_the_path_counterexample(
+            self, monkeypatch, seed, path, trail):
+        asked = []
+        positions = _TrailQuery.positions
+
+        def spy(self, x, y, start, end=-1):
+            asked.append((x, y, start))
+            return positions(self, x, y, start, end)
+
+        monkeypatch.setattr(_TrailQuery, "positions", spy)
+        g = generate("random_2ec", seed=seed, n=8, m=16)
+        a = Analysis.of(g)
+        assert a.cc.counterexample == path
+        assert a.tcc.counterexample == trail
+        u, v, c = path
+        assert asked[0] == (g.index[u], g.index[v], c.bit)
 
 
 class TestQueryObjects:

@@ -315,32 +315,42 @@ def test_failed_sweep_check_raises_through_hamiltonian(runner, monkeypatch):
     assert res.exit_code not in (0, 3, 4, 5)
 
 
-# module -> the functions whose results the analysis memo keeps
+# module -> the functions whose results the analysis memo keeps; the
+# memo starts its trail sweep where the path sweep failed, through no
+# public function, so trail queries count by the query objects built
 FACTS = {
     "structure": ("similarity_partition", "is_extension_of_m_closed"),
     "connect": ("complete_multipartite_classes", "is_colour_connected",
                 "is_trail_colour_connected"),
     "factor": ("eulerian_factor", "alternating_cycle_factor"),
 }
+TRAIL_QUERIES = "_TrailQuery"
 EVERY_FACT = {name for names in FACTS.values() for name in names}
-SWEEPS = {"is_colour_connected", "is_trail_colour_connected"}
 
 
 def _count_fact_calls(monkeypatch, g
                       ) -> tuple[Counter, Counter, Counter, Counter]:
     """Calls to each FACTS function, through every binding of it in the
-    ecgraph package, during analyze_graph: those on g, those on the
-    M-closed base of g's analysis, and all of them; and the questions
-    `Analysis.decision` was asked."""
+    ecgraph package, and TRAIL_QUERIES objects built, during
+    analyze_graph: those on g, those on the M-closed base of g's
+    analysis, and all of them; and the questions `Analysis.decision`
+    was asked."""
     calls: list = []
     asked: list = []
     decision = Analysis.decision
+    trail_init = ecgraph.connect._TrailQuery.__init__
 
     def counted_decision(self, question):
         asked.append(question)
         return decision(self, question)
 
+    def counted_trail_init(self, h):
+        calls.append((TRAIL_QUERIES, h))
+        trail_init(self, h)
+
     monkeypatch.setattr(Analysis, "decision", counted_decision)
+    monkeypatch.setattr(ecgraph.connect._TrailQuery, "__init__",
+                        counted_trail_init)
     originals = {}
     for mod, names in FACTS.items():
         for name in names:
@@ -370,21 +380,30 @@ def _count_fact_calls(monkeypatch, g
 
 
 def test_each_fact_once_on_m_closed_blow_up(monkeypatch):
-    # 14 vertices over a smaller M-closed base: both sweeps run on the
-    # base, once each, and never on g, as a base yes stands for g
+    # 14 vertices over a smaller M-closed base: the path sweep runs on
+    # the base, once, and never on g, as a base yes stands for g.  So g
+    # is colour-connected, hence trail-colour-connected: no trail sweep
     g = generate("mclosed_blowup", seed=9, n=14)
     on_g, on_base, every, asked = _count_fact_calls(monkeypatch, g)
     assert len(Analysis.of(g).ext[0].vertices) < len(g.vertices)
-    assert on_g == Counter(EVERY_FACT - SWEEPS)
-    assert on_base == Counter(SWEEPS)
+    assert max((on_g | on_base).values()) == 1
+    assert on_g == Counter(EVERY_FACT - {"is_colour_connected",
+                                         "is_trail_colour_connected"})
+    assert on_base == Counter(("is_colour_connected",))
+    assert every[TRAIL_QUERIES] == every["is_trail_colour_connected"] == 0
+    assert Analysis.of(g).tcc.connected
     assert every["similarity_partition"] == 1
     assert asked == Counter(("supereulerian", "hamiltonian"))
 
 
 def test_each_fact_once_on_complete_bipartite(monkeypatch):
+    # colour-connected, so trail-colour-connected with no trail sweep
     g = INPUTS["cb_pos"]()
     on_g, _, every, asked = _count_fact_calls(monkeypatch, g)
-    assert on_g == Counter(EVERY_FACT)
+    assert max(on_g.values()) == 1
+    assert on_g == Counter(EVERY_FACT - {"is_trail_colour_connected"})
+    assert every[TRAIL_QUERIES] == every["is_trail_colour_connected"] == 0
+    assert Analysis.of(g).tcc.connected
     assert every["similarity_partition"] == 1
     assert asked == Counter(("supereulerian", "hamiltonian"))
 
