@@ -45,7 +45,13 @@ from .structure import (
     similar,
     similarity_partition,
 )
-from .analysis import Analysis, Decision
+from .analysis import (
+    Analysis,
+    Decision,
+    alternating_hamiltonian_cycle,
+    decide_complete_bipartite,
+    supereulerian,
+)
 from .merge import (
     DominationCertificate,
     Dominates,
@@ -53,19 +59,14 @@ from .merge import (
     MergeInternalError,
     MergeOutcome,
     NoEdgeBetween,
-    alternating_hamiltonian_cycle,
     merge_cycles,
 )
-from .supereuler import (
+from .supereuler import merge_trails_pair
+from .reductions import (
     BipartiteDigraph,
+    ReductionMap,
     bb_from_digraph,
     bb_to_digraph,
-    decide_complete_bipartite,
-    merge_trails_pair,
-    supereulerian,
-)
-from .reductions import (
-    ReductionMap,
     fixture,
     fixture_names,
     generate,

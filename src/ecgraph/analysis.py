@@ -6,34 +6,42 @@ eulerian factor and is trail-colour-connected, and hamiltonian iff it
 has an alternating cycle factor and is colour-connected; a complete
 bipartite graph is supereulerian (hamiltonian) iff it is
 colour-connected and has an eulerian (cycle) factor.
-`Analysis.decision` states both, once, for both questions.
+`Analysis.decision` states both, once, for both questions; the named
+deciders at the end of this module read it.
 `Analysis.of(g)` is the memo the decisions and the CLI report read the
 facts from: each is computed on its first read and kept in a slot of g
 itself, so it lives exactly as long as that graph object and is never
 shared with another graph.
 
-The similarity partition is computed once, by `ext`.  When g is an
-extension of an M-closed graph with more than `_QUOTIENT_THRESHOLD`
-vertices and its M-closed base is smaller (and has at least two
-vertices), both connectivity facts are swept on that base first; its
-vertices carry the names of the first member of their block, so a
-failing triple names vertices of g.  A base yes is g's, because every
-path or trail of the base lifts to g, and two copies of one vertex are
-joined through a neighbour.  A base no is not always g's: a walk of g
-may pass through two copies of one vertex.  So it stands only when its
-triple (u, v, c) fails in g too: at once where u has no edge of colour
-c in g, as then nothing leaves u in that colour, else as asked with one
-path or trail query on g; otherwise g is swept.  Every other graph is
-swept directly.
+The similarity partition is computed once, by `ext`, and M-closedness
+is read off it: M-closedness is hereditary and the quotient is an
+induced subgraph, so a graph with no M-closed base is not M-closed, and
+one that is its own M-closed base is.  Only a graph with similar
+vertices and an M-closed base is checked.  A base other than g gets a
+memo seeded with itself as its base, so it is never partitioned or
+checked again.
+
+When g is an extension of an M-closed graph with more than
+`_QUOTIENT_THRESHOLD` vertices and its M-closed base is smaller (and
+has at least two vertices), both connectivity facts are read off the
+base's memo first; its vertices carry the names of the first member of
+their block, so a failing triple names vertices of g.  A base yes is
+g's, because every path or trail of the base lifts to g, and two copies
+of one vertex are joined through a neighbour.  A base no is not always
+g's: a walk of g may pass through two copies of one vertex.  So it
+stands only when its triple (u, v, c) fails in g too: at once where u
+has no edge of colour c in g, as then nothing leaves u in that colour,
+else as asked with one path or trail query on g; otherwise g is swept.
+Every other graph is swept directly.
 
 Trail-colour-connectivity is derived from the path sweeps.  Every
 alternating path is an alternating trail, so `tcc` of a colour-connected
 g is yes with no trail sweep, resting on the path sweep's witnesses.
-Otherwise each trail sweep starts at the triple where the path sweep of
-the same graph failed: every triple before it has a path, so a trail,
-and both sweeps take the triples in one order, so it reports what a full
-trail sweep would.  Where g had no path sweep (the base's path no was
-confirmed on g), g's trail sweep starts at the first triple.
+Otherwise each trail sweep starts at the triple, kept on the same
+graph's memo, where its path sweep failed: every triple before it has a
+path, so a trail, and both sweeps take the triples in one order, so it
+reports what a full trail sweep would.  Where g had no path sweep (the
+base's path no was confirmed on g), it starts at the first triple.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from .core import (
     UnsupportedClass, Witness,
 )
 from .factor import alternating_cycle_factor, eulerian_factor
-from .structure import is_extension_of_m_closed
+from .structure import is_extension_of_m_closed, is_m_closed
 
 # above this size an extension of an M-closed graph is swept on its
 # smaller M-closed base first; a base yes lifts to the graph, and a
@@ -91,9 +99,8 @@ class Analysis:
 
     def __init__(self, g: EdgeColouredMultigraph):
         self.g = g
-        # id of a graph whose path sweep failed (g or ext's base, both
-        # alive as long as this memo) -> the failing triple, as indices
-        self._path_failed: dict[int, tuple[int, int, int]] = {}
+        # g's trail sweep starts where g's own path sweep failed (above)
+        self._trail_start = (0, 0, 0)
 
     @classmethod
     def of(cls, g: EdgeColouredMultigraph) -> "Analysis":
@@ -105,8 +112,19 @@ class Analysis:
     @cached_property
     def ext(self) -> Optional[tuple[EdgeColouredMultigraph, dict[str, int]]]:
         """M-closed base and multiplicities, or None (not an extension
-        of an M-closed graph)."""
-        return is_extension_of_m_closed(self.g)
+        of an M-closed graph).  A base other than g is its own base."""
+        ext = is_extension_of_m_closed(self.g)
+        if ext is not None and ext[0] is not self.g:
+            base = ext[0]
+            Analysis.of(base).ext = base, dict.fromkeys(base.vertices, 1)
+        return ext
+
+    @cached_property
+    def m_closed(self) -> bool:
+        """Read off ext where that tells (see above)."""
+        if self.ext is None or self.ext[0] is self.g:
+            return self.ext is not None
+        return is_m_closed(self.g)[0]
 
     @cached_property
     def classes(self) -> Optional[list[list[str]]]:
@@ -127,48 +145,49 @@ class Analysis:
 
     @property
     def swept(self) -> EdgeColouredMultigraph:
-        """The graph the connectivity facts are swept on first: ext's
-        base for a large extension with a smaller base, else g."""
+        """The graph whose memo gives the connectivity facts first:
+        ext's base for a large extension with a smaller base, else g."""
         n = len(self.g.vertices)
         if n > _QUOTIENT_THRESHOLD and self.ext is not None \
                 and 2 <= len(self.ext[0].vertices) < n:
             return self.ext[0]
         return self.g
 
-    def _connectivity(self, sweep, query) -> ConnectivityReport:
-        """g's report by `sweep`, read off `swept` where that answers
-        yes or its failing triple fails on g too (see above); otherwise
-        g's own sweep."""
+    def _connectivity(self, fact: str, query, sweep) -> ConnectivityReport:
+        """g's report of `fact`, read off `swept`'s memo where that
+        answers yes or its failing triple fails on g too (see above);
+        otherwise g's own `sweep()`."""
         g = self.g
-        rep = sweep(self.swept)
-        if self.swept is g or rep.connected:
-            return rep
-        u, _, c = rep.counterexample
-        if g.colour_degrees(g.index[u])[c.bit] == 0 \
-                or query(g, *rep.counterexample) is None:
-            return rep
-        return sweep(g)
+        if self.swept is not g:
+            rep = getattr(Analysis.of(self.swept), fact)
+            if rep.connected:
+                return rep
+            u, _, c = rep.counterexample
+            if g.colour_degrees(g.index[u])[c.bit] == 0 \
+                    or query(g, *rep.counterexample) is None:
+                return rep
+        return sweep()
 
-    def _path_sweep(self, h: EdgeColouredMultigraph) -> ConnectivityReport:
-        rep = is_colour_connected(h)
+    def _path_sweep(self) -> ConnectivityReport:
+        g = self.g
+        rep = is_colour_connected(g)
         if not rep.connected:
             u, v, c = rep.counterexample
-            self._path_failed[id(h)] = (h.index[u], h.index[v], c.bit)
+            self._trail_start = (g.index[u], g.index[v], c.bit)
         return rep
-
-    def _trail_sweep(self, h: EdgeColouredMultigraph) -> ConnectivityReport:
-        return _sweep(h, _TrailQuery, self._path_failed.get(id(h), (0, 0, 0)))
 
     @cached_property
     def cc(self) -> ConnectivityReport:
-        return self._connectivity(self._path_sweep, alternating_path)
+        return self._connectivity("cc", alternating_path, self._path_sweep)
 
     @cached_property
     def tcc(self) -> ConnectivityReport:
         """Derived from cc; see above."""
         if self.cc.connected:
             return self.cc
-        return self._connectivity(self._trail_sweep, alternating_trail)
+        return self._connectivity(
+            "tcc", alternating_trail,
+            lambda: _sweep(self.g, _TrailQuery, self._trail_start))
 
     def decision(self, question: str) -> Optional[Decision]:
         """The characterized answer to `question` ("supereulerian" or
@@ -206,3 +225,33 @@ class Analysis:
                 return Decision(False, "complete_bipartite", reason=no_factor)
             return Decision(True, "complete_bipartite")
         return None
+
+
+def _extension(g: EdgeColouredMultigraph, question: str) -> Decision:
+    d = Analysis.of(g).decision(question)
+    if d is None or d.route != "extension":
+        raise UnsupportedClass(
+            "input is not an extension of an M-closed graph")
+    return d
+
+
+def supereulerian(g: EdgeColouredMultigraph) -> Decision:
+    """Spanning closed alternating trail of an extension of an M-closed
+    graph, or the reason none exists."""
+    return _extension(g, "supereulerian")
+
+
+def alternating_hamiltonian_cycle(g: EdgeColouredMultigraph) -> Decision:
+    """Spanning alternating cycle of an extension of an M-closed graph,
+    or the reason none exists."""
+    return _extension(g, "hamiltonian")
+
+
+def decide_complete_bipartite(g: EdgeColouredMultigraph,
+                              question: str) -> Decision:
+    """The decision of `question` for a complete bipartite graph: by
+    its own characterization, or, for one that is also an extension of
+    an M-closed graph, by that route, as everywhere else."""
+    if not Analysis.of(g).complete_bipartite:
+        raise UnsupportedClass("input is not complete bipartite")
+    return Analysis.of(g).decision(question)

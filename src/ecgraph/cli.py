@@ -36,7 +36,6 @@ from .oracle import (
     oracle_cycle_factor, oracle_eulerian_factor, oracle_ham_alternating,
     oracle_supereulerian, oracle_trail_colour_connected,
 )
-from .structure import is_m_closed
 
 EXIT_NEGATIVE = 3
 EXIT_UNSUPPORTED = 4
@@ -143,7 +142,7 @@ def analyze_graph(g: EdgeColouredMultigraph,
         rep.add(question, answer, _witness_dict(g, witness), _ce(ce),
                 elapsed=time.monotonic() - t0)
 
-    timed("m_closed", lambda: (is_m_closed(g)[0], None, None))
+    timed("m_closed", lambda: (a.m_closed, None, None))
     rep.add("extension_of_m_closed", a.ext is not None)
     rep.add("complete_multipartite", a.classes is not None)
     rep.add("complete_bipartite", a.complete_bipartite)

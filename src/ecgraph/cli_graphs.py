@@ -16,9 +16,11 @@ from .core import (
     EdgeColouredMultigraph, GraphError, graph_to_dict, parse_graph,
     serialize_graph,
 )
-from .reductions import fixture, generate, reduce_ham_to_supereulerian
+from .reductions import (
+    BipartiteDigraph, bb_from_digraph, bb_to_digraph, fixture, generate,
+    reduce_ham_to_supereulerian,
+)
 from .structure import blow_up, m_closure, similarity_partition
-from .supereuler import BipartiteDigraph, bb_from_digraph, bb_to_digraph
 
 
 def fail(msg: str, code: int = 2) -> None:

@@ -696,7 +696,8 @@ def alternating_euler_tour(g_sub: EdgeColouredMultigraph
     checked before it is returned (a failed check raises GraphError).
 
     Exists iff g_sub is connected and every vertex has red degree equal
-    to blue degree, at least one.
+    to blue degree, at least one.  Public on purpose, though no decision
+    calls it: the tests and the benchmark's tracer do.
     """
     try:
         f = tour_factor_from_balanced_edges(g_sub, range(len(g_sub.edges)))

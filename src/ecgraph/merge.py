@@ -1,13 +1,10 @@
 """Merging the parts of a factor into one spanning closed alternating
 trail or cycle, for extensions of M-closed graphs.
 
-Such a graph is supereulerian iff it is trail-colour-connected and has
-an eulerian factor, and hamiltonian iff it is colour-connected and has
-an alternating cycle factor (`Analysis.decision`).  `merge_factor`
-builds the witness from the factor's parts, vertex-disjoint closed
-trails or cycles covering V, in one loop for both decisions.
-`alternating_hamiltonian_cycle` keeps its name here; it reads
-`Analysis.decision`.
+`Analysis.decision` decides such a graph by its characterizations and
+asks `merge_factor` for the witness: the one loop, for both decisions,
+that merges the factor's parts, vertex-disjoint closed trails or cycles
+covering V, into one.
 
 Two disjoint parts with an edge between them either merge into one part
 on the union of their vertex sets, or one of them c-dominates the other:
@@ -21,8 +18,7 @@ Posa rotation of either part.  That these moves find every merge is
 cross-checked by scans against the exhaustive oracles, not proved; a
 pair they leave unsettled is a MergeInternalError in an extension
 (never a wrong answer) and an UnsupportedClass outside the class.
-`merge_cycles` (also named `ecgraph.supereuler.merge_trails_pair`) is
-`_pair` on two trails by id.
+`merge_cycles` is `_pair` on two trails by id.
 
 The exchange also covers a splice at a cross pair x, y that is similar
 within the union: with the parts oriented so that both pivots leave in
@@ -64,7 +60,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .analysis import Analysis, Decision
+# alternating_hamiltonian_cycle: bound here for bench/tracer.py
+from .analysis import Analysis, alternating_hamiltonian_cycle  # noqa: F401
 from .core import (
     BIT_COLOUR,
     AlternatingCycle,
@@ -458,13 +455,3 @@ def merge_factor(g: EdgeColouredMultigraph,
     if len(final.vset) != len(g.vertices):
         raise MergeInternalError("merged factor does not span the graph")
     return final.as_cycle(g)
-
-
-def alternating_hamiltonian_cycle(g: EdgeColouredMultigraph) -> Decision:
-    """Spanning alternating cycle of an extension of an M-closed graph,
-    or the reason none exists (see `Analysis.decision`)."""
-    d = Analysis.of(g).decision("hamiltonian")
-    if d is None or d.route != "extension":
-        raise UnsupportedClass(
-            "input is not an extension of an M-closed graph")
-    return d

@@ -1,4 +1,5 @@
-"""Hardness reductions, named fixture graphs, and random generators.
+"""Hardness reductions, the digraph view of bipartite graphs, named
+fixture graphs, and random generators.
 
 The reductions turn the alternating hamiltonian cycle problem into the
 spanning closed alternating trail problem, preserving the answer.  Both
@@ -27,7 +28,7 @@ from .structure import blow_up, m_closure
 
 
 # ---------------------------------------------------------------------
-# reductions
+# reductions, and bipartite graphs as digraphs
 # ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -93,6 +94,57 @@ def reduce_ham_to_supereulerian(g: EdgeColouredMultigraph,
         tag = "r" if e.colour is RED else "b"
         edges.append(Edge(e.id, f"{e.u}.{tag}", f"{e.v}.{tag}", e.colour))
     return ReductionMap(EdgeColouredMultigraph(verts, edges), prov)
+
+
+@dataclass(frozen=True)
+class BipartiteDigraph:
+    """Digraph view of a bipartite 2-edge-coloured graph: a red edge
+    points from the X side to the Y side, a blue edge the other way."""
+
+    x_part: tuple[str, ...]
+    y_part: tuple[str, ...]
+    arcs: tuple[tuple[str, str, str], ...]   # (id, tail, head)
+
+
+def bb_to_digraph(g: EdgeColouredMultigraph) -> BipartiteDigraph:
+    """g's digraph view, the first vertex of each component on side X.
+    Raises GraphError unless g is bipartite."""
+    side = [-1] * len(g.vertices)
+    for v in range(len(side)):
+        if side[v] >= 0:
+            continue
+        side[v] = 0
+        stack = [v]
+        while stack:
+            a = stack.pop()
+            for b in g.star(a)[1]:
+                if side[b] < 0:
+                    side[b] = 1 - side[a]
+                    stack.append(b)
+                elif side[b] == side[a]:
+                    raise GraphError("graph is not bipartite")
+    arcs = []
+    for e, u, c in zip(g.edges, g.eu, g.bit):
+        # a red edge from its X end, a blue edge from its Y end
+        arcs.append((e.id, e.u, e.v) if side[u] == c else (e.id, e.v, e.u))
+    return BipartiteDigraph(
+        tuple(v for v, s in zip(g.vertices, side) if s == 0),
+        tuple(v for v, s in zip(g.vertices, side) if s == 1), tuple(arcs))
+
+
+def bb_from_digraph(d: BipartiteDigraph) -> EdgeColouredMultigraph:
+    """The bipartite graph whose digraph view is d.  Raises GraphError
+    for an arc with both ends on one side, or an unknown end."""
+    x_set, y_set = set(d.x_part), set(d.y_part)
+    edges = []
+    for eid, tail, head in d.arcs:
+        if {tail, head} <= x_set or {tail, head} <= y_set:
+            raise GraphError(f"arc {eid!r} does not cross the bipartition")
+        if tail in x_set:
+            edges.append(Edge(eid, tail, head, Colour.RED))
+        else:
+            edges.append(Edge(eid, head, tail, Colour.BLUE))
+    return EdgeColouredMultigraph(tuple(d.x_part) + tuple(d.y_part), edges)
 
 
 # ---------------------------------------------------------------------

@@ -14,7 +14,9 @@ never available, because copies of a blown-up vertex must be
 non-adjacent with identical joins.
 
 Both read the graph's integer index: a vertex's multiset comes from its
-incidence lists, and M-closedness walks them in declaration order.
+incidence lists, and M-closedness walks them in declaration order.  The
+quotient of a graph with no two similar vertices is the graph itself,
+not a copy, so facts kept on it are kept on the graph.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def m_closure(g: EdgeColouredMultigraph,
 @dataclass(frozen=True)
 class SimilarityPartition:
     blocks: tuple[tuple[str, ...], ...]
-    quotient: EdgeColouredMultigraph   # induced on first block members
+    quotient: EdgeColouredMultigraph   # g, or induced on first members
     multiplicities: dict[str, int]     # quotient vertex -> block size
 
 
@@ -100,12 +102,14 @@ def similar(g: EdgeColouredMultigraph, u: str, v: str) -> bool:
 
 def similarity_partition(g: EdgeColouredMultigraph) -> SimilarityPartition:
     """Blocks of similar vertices, in order of their first member, each
-    in vertex order; the quotient keeps each block's first member."""
+    in vertex order; the quotient keeps each block's first member, and
+    is g itself when every block is a single vertex."""
     by_joins: dict[tuple[int, ...], list[str]] = {}
     for i, v in enumerate(g.vertices):
         by_joins.setdefault(_joins(g, i), []).append(v)
     blocks = tuple(tuple(b) for b in by_joins.values())
-    quotient = g.induced(b[0] for b in blocks)
+    quotient = (g if len(blocks) == len(g.vertices)
+                else g.induced(b[0] for b in blocks))
     mult = {b[0]: len(b) for b in blocks}
     return SimilarityPartition(blocks, quotient, mult)
 

@@ -261,6 +261,19 @@ class TestTransforms:
         key = lambda e: (e.id, frozenset((e.u, e.v)), e.colour)
         assert sorted(map(key, h.edges)) == sorted(map(key, g.edges))
 
+    # an X->X or a Y->Y arc has no colour in the digraph view
+    @pytest.mark.parametrize("part, arc", [
+        ('"x_part": ["a", "b"], "y_part": ["c"]', ("a", "b")),
+        ('"x_part": ["a"], "y_part": ["b", "c"]', ("b", "c"))])
+    def test_bb_from_digraph_rejects_an_arc_inside_one_side(
+            self, runner, part, arc):
+        doc = ('{%s, "arcs": [{"id": "e0", "tail": "%s", "head": "%s"}]}'
+               % (part, *arc))
+        res = runner.invoke(main, ["transform", "bb-from-digraph", "-"],
+                            input=doc)
+        assert res.exit_code == 2
+        assert "bad digraph document: arc 'e0' does not cross" in res.output
+
     def test_blowup_multiplicities(self, runner):
         res = runner.invoke(
             main, ["transform", "blowup", "-", "--mult", "u=2,v=2"],

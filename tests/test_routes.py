@@ -8,6 +8,7 @@ must surface instead of turning into an answer, the per-graph fact
 memo, and output that does not depend on the interpreter's hash seed.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ import ecgraph
 import ecgraph.connect
 import ecgraph.core
 import ecgraph.merge
+from ecgraph import UnsupportedClass, supereulerian
 from ecgraph.analysis import Analysis
 from ecgraph.cli import analyze_graph, main
 from ecgraph.core import (
@@ -29,16 +31,19 @@ from ecgraph.core import (
     AlternatingTrail,
     Edge,
     EdgeColouredMultigraph,
+    RED,
     GraphError,
     VerifyResult,
     build_graph,
+    graph_to_dict,
     serialize_graph,
     verify_witness,
 )
 from ecgraph.merge import MergeInternalError, alternating_hamiltonian_cycle
 from ecgraph.reductions import fixture, generate
-from ecgraph.structure import m_closure
-from ecgraph.supereuler import UnsupportedClass, supereulerian
+from ecgraph.structure import (
+    blow_up, is_m_closed, m_closure, similarity_partition,
+)
 
 
 def _over_edge_budget():
@@ -317,28 +322,36 @@ def test_failed_sweep_check_raises_through_hamiltonian(runner, monkeypatch):
 
 # module -> the functions whose results the analysis memo keeps; the
 # memo starts its trail sweep where the path sweep failed, through no
-# public function, so trail queries count by the query objects built
+# public function, so trail queries count by the query objects built,
+# and the quotient's copy of g by the calls to `induced`
 FACTS = {
-    "structure": ("similarity_partition", "is_extension_of_m_closed"),
+    "structure": ("similarity_partition", "is_extension_of_m_closed",
+                  "is_m_closed"),
     "connect": ("complete_multipartite_classes", "is_colour_connected",
                 "is_trail_colour_connected"),
     "factor": ("eulerian_factor", "alternating_cycle_factor"),
 }
 TRAIL_QUERIES = "_TrailQuery"
+INDUCED = "induced"
 EVERY_FACT = {name for names in FACTS.values() for name in names}
 
 
 def _count_fact_calls(monkeypatch, g
                       ) -> tuple[Counter, Counter, Counter, Counter]:
     """Calls to each FACTS function, through every binding of it in the
-    ecgraph package, and TRAIL_QUERIES objects built, during
-    analyze_graph: those on g, those on the M-closed base of g's
-    analysis, and all of them; and the questions `Analysis.decision`
-    was asked."""
+    ecgraph package, TRAIL_QUERIES objects built and INDUCED subgraphs
+    taken, during analyze_graph: those on g, those on the M-closed base
+    of g's analysis, and all of them; and the questions
+    `Analysis.decision` was asked."""
     calls: list = []
     asked: list = []
     decision = Analysis.decision
     trail_init = ecgraph.connect._TrailQuery.__init__
+    induced = EdgeColouredMultigraph.induced
+
+    def counted_induced(self, vertex_set):
+        calls.append((INDUCED, self))
+        return induced(self, vertex_set)
 
     def counted_decision(self, question):
         asked.append(question)
@@ -351,6 +364,7 @@ def _count_fact_calls(monkeypatch, g
     monkeypatch.setattr(Analysis, "decision", counted_decision)
     monkeypatch.setattr(ecgraph.connect._TrailQuery, "__init__",
                         counted_trail_init)
+    monkeypatch.setattr(EdgeColouredMultigraph, "induced", counted_induced)
     originals = {}
     for mod, names in FACTS.items():
         for name in names:
@@ -388,8 +402,9 @@ def test_each_fact_once_on_m_closed_blow_up(monkeypatch):
     assert len(Analysis.of(g).ext[0].vertices) < len(g.vertices)
     assert max((on_g | on_base).values()) == 1
     assert on_g == Counter(EVERY_FACT - {"is_colour_connected",
-                                         "is_trail_colour_connected"})
-    assert on_base == Counter(("is_colour_connected",))
+                                         "is_trail_colour_connected"}
+                           | {INDUCED})
+    assert on_base == Counter(("is_colour_connected", "is_m_closed"))
     assert every[TRAIL_QUERIES] == every["is_trail_colour_connected"] == 0
     assert Analysis.of(g).tcc.connected
     assert every["similarity_partition"] == 1
@@ -406,6 +421,50 @@ def test_each_fact_once_on_complete_bipartite(monkeypatch):
     assert Analysis.of(g).tcc.connected
     assert every["similarity_partition"] == 1
     assert asked == Counter(("supereulerian", "hamiltonian"))
+
+
+# no two vertices similar: the quotient is g itself, not a copy, and
+# M-closedness is checked once, on g, as the quotient's
+@pytest.mark.parametrize("make", [
+    INPUTS["cb_pos"], INPUTS["ext_pos"],
+    lambda: generate("random_2ec", seed=2, n=30, m=120)],
+    ids=["cb_pos", "ext_pos", "random_2ec-2"])
+def test_twin_free_graph_is_its_own_quotient(monkeypatch, make):
+    g = make()
+    on_g, _, every, _ = _count_fact_calls(monkeypatch, g)
+    assert similarity_partition(g).quotient is g
+    assert every["is_m_closed"] == on_g["is_m_closed"] == 1
+    assert every[INDUCED] == 0
+    a = Analysis.of(g)
+    assert a.ext is None or a.ext[0] is g
+    assert a.m_closed == (a.ext is not None) == is_m_closed(g)[0]
+
+
+def test_each_fact_once_over_a_base_above_the_threshold(monkeypatch):
+    # an all-red K13 with one vertex doubled: the base has 13 vertices,
+    # more than _QUOTIENT_THRESHOLD, and is swept through its own memo,
+    # which must not partition or check the base again
+    vs = [f"v{i}" for i in range(13)]
+    k13 = build_graph(vs, [(u, v, RED)
+                           for u, v in itertools.combinations(vs, 2)])
+    g = blow_up(k13, {v: 1 + (v == "v0") for v in vs})
+    on_g, on_base, every, _ = _count_fact_calls(monkeypatch, g)
+    base = Analysis.of(g).ext[0]
+    assert len(base.vertices) == 13 and Analysis.of(g).swept is base
+    assert every["similarity_partition"] == 1
+    assert on_g["is_m_closed"] == on_base["is_m_closed"] == 1
+    assert every["is_m_closed"] == 2
+    assert Analysis.of(base).ext[0] is base and Analysis.of(base).m_closed
+    assert not Analysis.of(g).m_closed
+
+
+def test_quotient_transform_of_a_twin_free_graph(runner):
+    g = INPUTS["cb_pos"]()
+    res = runner.invoke(main, ["transform", "quotient", "-"],
+                        input=serialize_graph(g))
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {
+        **graph_to_dict(g), "blocks": [[v] for v in g.vertices]}
 
 
 def test_analyze_output_does_not_depend_on_hash_seed(tmp_path):

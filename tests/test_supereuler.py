@@ -15,6 +15,7 @@ from ecgraph import (
     RED,
     AlternatingCycle,
     AlternatingTrail,
+    BipartiteDigraph,
     BudgetExceeded,
     Dominates,
     Edge,
@@ -30,7 +31,6 @@ from ecgraph import (
     eulerian_factor,
     is_colour_connected,
     is_trail_colour_connected,
-    merge_trails_pair,
     oracle_ham_alternating,
     oracle_supereulerian,
     serialize_graph,
@@ -122,7 +122,7 @@ class TestTrailPairMerging:
                          ("c", "d", RED), ("c", "d", BLUE)])
         t1 = AlternatingTrail("a", ("e0", "e1"), closed=True)
         t2 = AlternatingTrail("c", ("e2", "e3"), closed=True)
-        assert isinstance(merge_trails_pair(g, t1, t2), NoEdgeBetween)
+        assert isinstance(merge_cycles(g, t1, t2), NoEdgeBetween)
 
     def test_merge_through_blow_up(self):
         g = three_digons({("a", "b"): (RED, BLUE)})
@@ -135,7 +135,7 @@ class TestTrailPairMerging:
              ("a2", "b2", RED), ("a2", "b2", BLUE)])
         t1 = AlternatingTrail("a1", ("e0", "e1"), closed=True)
         t2 = AlternatingTrail("b1", ("e2", "e3"), closed=True)
-        out = merge_trails_pair(g, t1, t2)
+        out = merge_cycles(g, t1, t2)
         assert isinstance(out, Merged)
         assert out.cycle.vertex_set(g) == set(g.vertices)
         assert verify_witness(g, out.cycle)
@@ -143,7 +143,7 @@ class TestTrailPairMerging:
     def test_domination_between_trails(self):
         g = three_digons({("a", "b"): (RED, BLUE)})
         t = digon_trails(g)
-        out = merge_trails_pair(g, t[0], t[1])
+        out = merge_cycles(g, t[0], t[1])
         assert isinstance(out, Dominates)
         assert out.certificate.labels == {"a1": RED, "a2": BLUE}
 
@@ -158,7 +158,7 @@ class TestTrailPairMerging:
 
 # ---------------------------------------------------------------------
 # the blow-up route of the paper's proof, kept as the reference that
-# merge_trails_pair must agree with
+# merge_cycles must agree with
 # ---------------------------------------------------------------------
 
 def _trail_to_blown_cycle(g: EdgeColouredMultigraph,
@@ -298,10 +298,10 @@ def test_in_place_merge_matches_blow_up_route(exchanges):
             # two random_2ec pairs, outside the class, that neither
             # merge nor show domination
             with pytest.raises(UnsupportedClass):
-                merge_trails_pair(g, T1, T2)
+                merge_cycles(g, T1, T2)
             fired["unsupported"] += 1
             continue
-        got = merge_trails_pair(g, T1, T2)
+        got = merge_cycles(g, T1, T2)
         assert type(got) is type(ref)
         if isinstance(ref, Merged):
             assert got.cycle.start == ref.cycle.start
@@ -356,7 +356,7 @@ class TestTournamentMerges:
         w = [_Cyc.of(g, x) for x in t]
         certs, labels = {}, {}
         for i, j in ((0, 1), (1, 2), (2, 0)):
-            out = merge_trails_pair(g, t[i], t[j])
+            out = merge_cycles(g, t[i], t[j])
             assert isinstance(out, Dominates)
             certs[(i, j)] = out.certificate
             dom, labels[(i, j)] = _pair(g, w[i], w[j])
@@ -378,7 +378,7 @@ class TestTournamentMerges:
                           ("b", "c"): (RED, BLUE)})
         t = digon_trails(g)
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            assert isinstance(merge_trails_pair(g, t[i], t[j]), Dominates)
+            assert isinstance(merge_cycles(g, t[i], t[j]), Dominates)
         w = [_Cyc.of(g, x) for x in t]
         merged = _transitive(g, *w, g.vertex_index("a1"),
                              RED.bit).as_cycle(g)
@@ -755,7 +755,6 @@ class TestBipartiteDigraph:
         assert sorted(map(key, back.edges)) == sorted(map(key, g.edges))
 
     def test_directed_four_cycle(self):
-        from ecgraph.supereuler import BipartiteDigraph
         d = BipartiteDigraph(("x1", "x2"), ("y1", "y2"),
                              (("a1", "x1", "y1"), ("a2", "y1", "x2"),
                               ("a3", "x2", "y2"), ("a4", "y2", "x1")))
@@ -767,6 +766,13 @@ class TestBipartiteDigraph:
     def test_non_bipartite_rejected(self):
         with pytest.raises(GraphError, match="not bipartite"):
             bb_to_digraph(fixture("needall_h"))
+
+    @pytest.mark.parametrize("tail, head", [("x1", "x2"), ("y2", "y1")])
+    def test_arc_inside_one_side_rejected(self, tail, head):
+        d = BipartiteDigraph(("x1", "x2"), ("y1", "y2"),
+                             (("a1", "x1", "y1"), ("a2", tail, head)))
+        with pytest.raises(GraphError, match="arc 'a2' does not cross"):
+            bb_from_digraph(d)
 
 
 class TestDecideCompleteBipartite:
