@@ -8,14 +8,14 @@ uniformly.  Graphs and witnesses are immutable and every function here
 is pure, with one exception: a graph's `_analysis` slot holds the
 mutable memo of facts derived from it (`ecgraph.analysis`).
 
-A graph is its own integer index, which the constructor builds while
-it validates the graph: edges by position in g.edges, with their ends
-as vertex indices, colour bits and the incidence lists.  The graph's
-string lookups and every algorithm read it.  Its `walk` is the one
-check of an alternating trail, and `closed_walk` adds the closed-trail
-and cycle verdicts: `verify_witness` maps a trail's ids to positions
-and runs them, the connectivity sweeps run `walk` on the positions they
-read back, and the merge runs `closed_walk` on every walk it builds.
+A graph is its own integer index, built in one validating pass from
+`Edge` records or, by `parse_graph`, straight from the document: edges
+by position, with ids, ends as vertex indices, colour bits, incidence
+lists.  Lookups and algorithms read it, never g.edges (built on first
+read).  Its `walk` is the one check of an alternating trail, and
+`closed_walk` adds the closed-trail and cycle verdicts: `verify_witness`
+maps a trail's ids to positions and runs them, the sweeps run `walk` on
+the positions they read back, the merge `closed_walk` on its walks.
 
 `positions` and `ids` are the one conversion between edge ids and
 positions.  Every function that returns a witness checks it once,
@@ -59,7 +59,7 @@ BLUE = Colour.BLUE
 # colour bit -> colour
 BIT_COLOUR = (RED, BLUE)
 
-_COLOUR_TOKENS = {"red": RED, "blue": BLUE}
+_COLOUR_BITS = {"red": 0, "blue": 1}
 
 
 class GraphError(ValueError):
@@ -110,68 +110,100 @@ class EdgeColouredMultigraph:
 
     Vertex order is declaration order and is the deterministic tie-break
     used by every algorithm in this package.  The graph is its own
-    integer index, built by the constructor while it validates: by
-    position k in g.edges, the ends eu[k] and ev[k] as vertex indices
-    and colour bit[k] (`Colour.bit`).  Vertex i's incidence, in edge
-    declaration order, is inc[off[i]:off[i + 1]] (edge positions) with
-    far[...] the other end of each; index maps vertex names to indices
-    and pos edge ids to positions.  Every lookup below and every
-    algorithm reads these arrays.  `_analysis` holds the memo of facts
-    derived from the graph (see `ecgraph.analysis`), created on first
-    use; it lives and dies with the graph object.
+    integer index, built by `_build` while it validates: by position k,
+    id eid[k], ends eu[k] and ev[k] as vertex indices and colour bit[k]
+    (`Colour.bit`).  Vertex i's incidence, in edge declaration order, is
+    inc[off[i]:off[i + 1]] (edge positions) with far[...] the other end
+    of each; index maps vertex names to indices and pos edge ids to
+    positions.  Every lookup below and every algorithm reads these
+    arrays; g.edges is built from them on first read, if not given.
+    `_analysis` holds the memo of facts derived from the graph (see
+    `ecgraph.analysis`), created on first use; it dies with the graph.
     """
 
-    __slots__ = ("vertices", "edges", "index", "pos", "eu", "ev", "bit",
-                 "off", "inc", "far", "_analysis")
+    __slots__ = ("vertices", "index", "pos", "eid", "eu", "ev", "bit",
+                 "off", "inc", "far", "_edges", "_analysis")
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[Edge]):
         """Raises GraphError on the first fault, in this order: a
         duplicate vertex, then per edge a duplicate id, an unknown u, an
         unknown v, a self-loop."""
-        self.vertices: tuple[str, ...] = tuple(vertices)
-        self.edges: tuple[Edge, ...] = tuple(edges)
+        self._edges = edges = tuple(edges)
+        # Colour.bit, without a call per edge
+        self._build(vertices, ((e.id, e.u, e.v, e.colour - 1)
+                               for e in edges))
+
+    @classmethod
+    def _of(cls, vertices, items) -> "EdgeColouredMultigraph":
+        """The graph `_build` builds; g.edges is built on first read."""
+        g = cls.__new__(cls)
+        g._edges = None
+        g._build(vertices, items)
+        return g
+
+    def _build(self, vertices: Sequence[str], items: Iterable) -> None:
+        """The index of the edges `items`, each an (id, u, v, colour
+        bit), built in one validating pass.  An error that `items` raises
+        passes through at once; the index's first fault, in the
+        constructor's order, is raised after the last item."""
+        self.vertices = tuple(vertices)
         self.index = index = {}
+        fault = None
         for i, v in enumerate(self.vertices):
-            if index.setdefault(v, i) != i:
-                raise GraphError(f"duplicate vertex id {v!r}")
+            if index.setdefault(v, i) != i and fault is None:
+                fault = f"duplicate vertex id {v!r}"
         self.pos = pos = {}
-        self.eu = eu = []
-        self.ev = ev = []
+        eid, eu, ev, bit = self.eid, self.eu, self.ev, self.bit = (
+            [], [], [], [])
         incs: list[list[int]] = [[] for _ in self.vertices]
-        for k, e in enumerate(self.edges):
-            if pos.setdefault(e.id, k) != k:
-                raise GraphError(f"duplicate edge id {e.id!r}")
-            u = index.get(e.u)
-            if u is None:
-                raise GraphError(f"edge {e.id!r}: unknown vertex {e.u!r}")
-            v = index.get(e.v)
-            if v is None:
-                raise GraphError(f"edge {e.id!r}: unknown vertex {e.v!r}")
-            if u == v:
-                raise GraphError(f"edge {e.id!r}: self-loop at {e.u!r}")
+        for k, (e, a, b, c) in enumerate(items):
+            u = index.get(a)
+            v = index.get(b)
+            if pos.setdefault(e, k) != k or u is None or v is None or u == v:
+                # the graph is not built, so the arrays may skip the edge
+                fault = fault or (
+                    f"duplicate edge id {e!r}" if pos[e] != k else
+                    f"edge {e!r}: unknown vertex {a!r}" if u is None else
+                    f"edge {e!r}: unknown vertex {b!r}" if v is None else
+                    f"edge {e!r}: self-loop at {a!r}")
+                continue
+            eid.append(e)
             eu.append(u)
             ev.append(v)
+            bit.append(c)
             incs[u].append(k)
             incs[v].append(k)
-        # Colour.bit, without a call per edge
-        self.bit = [e.colour - 1 for e in self.edges]
+        if fault:
+            raise GraphError(fault)
         self.off = list(itertools.accumulate(map(len, incs), initial=0))
         self.inc = list(itertools.chain.from_iterable(incs))
         self.far = [ev[k] if eu[k] == i else eu[k]
                     for i, ks in enumerate(incs) for k in ks]
         self._analysis = None
 
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The `Edge` records: the constructor's, or built on first read."""
+        if self._edges is None:
+            vs = self.vertices
+            self._edges = tuple(
+                Edge(e, vs[u], vs[v], BIT_COLOUR[c])
+                for e, u, v, c in zip(self.eid, self.eu, self.ev, self.bit))
+        return self._edges
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColouredMultigraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        # with the vertices equal, equal arrays are equal edges
+        return (self.vertices, self.eid, self.eu, self.ev, self.bit) == (
+            other.vertices, other.eid, other.eu, other.ev, other.bit)
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, tuple(self.eid)))
 
     def __repr__(self) -> str:
         return (f"EdgeColouredMultigraph({len(self.vertices)} vertices, "
-                f"{len(self.edges)} edges)")
+                f"{len(self.bit)} edges)")
 
     # --- integer lookups ---------------------------------------------
 
@@ -253,8 +285,9 @@ class EdgeColouredMultigraph:
     def ids(self, ks: Iterable[int]) -> tuple:
         """The ids of the edges at positions ks; a position with no edge
         stands for itself, so a BadWalk can name it."""
-        m = len(self.edges)
-        return tuple(self.edges[k].id if 0 <= k < m else k for k in ks)
+        eid = self.eid
+        m = len(eid)
+        return tuple(eid[k] if 0 <= k < m else k for k in ks)
 
     # --- string lookups ----------------------------------------------
 
@@ -296,9 +329,12 @@ class EdgeColouredMultigraph:
 
     def induced(self, vertex_set: Iterable[str]) -> "EdgeColouredMultigraph":
         keep = set(vertex_set)
-        verts = [v for v in self.vertices if v in keep]
-        edges = [e for e in self.edges if e.u in keep and e.v in keep]
-        return EdgeColouredMultigraph(verts, edges)
+        vs = self.vertices
+        return EdgeColouredMultigraph._of(
+            [v for v in vs if v in keep],
+            ((e, vs[u], vs[v], c) for e, u, v, c
+             in zip(self.eid, self.eu, self.ev, self.bit)
+             if vs[u] in keep and vs[v] in keep))
 
 
 @dataclass(frozen=True)
@@ -391,21 +427,34 @@ def parse_graph(text: str) -> EdgeColouredMultigraph:
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise GraphError('"edges" must be a list')
-    edges: list[Edge] = []
+    return EdgeColouredMultigraph._of(verts, _edge_items(raw_edges))
+
+
+def _edge_items(raw_edges: list) -> Iterable[tuple[str, str, str, int]]:
+    """Each edge item's (id, u, v, colour bit), checked as it is read;
+    raises GraphError, with its location, at the first malformed item."""
     for i, item in enumerate(raw_edges):
-        where = f"edges[{i}]"
-        if not isinstance(item, dict):
-            raise GraphError(f"{where}: must be an object")
-        for key in ("id", "u", "v", "colour"):
-            if not isinstance(item.get(key), str):
-                raise GraphError(f'{where}: missing or non-string "{key}"')
-        colour = _COLOUR_TOKENS.get(item["colour"])
-        if colour is None:
-            raise GraphError(f"{where}: unknown colour token {item['colour']!r}")
-        if item["u"] == item["v"]:
-            raise GraphError(f"{where}: self-loop at {item['u']!r}")
-        edges.append(Edge(item["id"], item["u"], item["v"], colour))
-    return EdgeColouredMultigraph(verts, edges)
+        try:
+            e, a, b = item["id"], item["u"], item["v"]
+            c = _COLOUR_BITS[item["colour"]]
+        except (TypeError, KeyError):
+            c = None
+        if (c is None or a == b or not isinstance(e, str)
+                or not isinstance(a, str) or not isinstance(b, str)):
+            raise GraphError(f"edges[{i}]: {_item_fault(item)}")
+        yield e, a, b, c
+
+
+def _item_fault(item: object) -> str:
+    """The first fault of a malformed edge item, in the order checked."""
+    if not isinstance(item, dict):
+        return "must be an object"
+    for key in ("id", "u", "v", "colour"):
+        if not isinstance(item.get(key), str):
+            return f'missing or non-string "{key}"'
+    if item["colour"] not in _COLOUR_BITS:
+        return f"unknown colour token {item['colour']!r}"
+    return f"self-loop at {item['u']!r}"
 
 
 def graph_to_dict(g: EdgeColouredMultigraph) -> dict:

@@ -608,13 +608,13 @@ def tour_factor_from_balanced_edges(g: EdgeColouredMultigraph,
     as the components.  Parts come in the order of their lowest vertex,
     and each tour starts at its component's first edge, from its u.
     """
-    m = len(g.edges)
+    m = len(g.bit)
     used = bytearray(m)
     for k in chosen:
         if not 0 <= k < m:
             raise GraphError(f"no edge at position {k!r}")
         if used[k]:
-            raise GraphError(f"edge {g.edges[k].id!r} chosen twice")
+            raise GraphError(f"edge {g.eid[k]!r} chosen twice")
         used[k] = 1
     edges = [k for k in range(m) if used[k]]
     eu, ev, bit = g.eu, g.ev, g.bit
@@ -684,7 +684,7 @@ def tour_factor_from_balanced_edges(g: EdgeColouredMultigraph,
         first.setdefault(find(orbit[k]), k)
     return EulerianFactor(tuple(
         (frozenset(vs), AlternatingTrail(
-            g.edges[first[t]].u,
+            g.vertices[eu[first[t]]],
             g.ids(walk(first[t])), closed=True))
         for t, vs in parts.items()))
 
@@ -700,7 +700,7 @@ def alternating_euler_tour(g_sub: EdgeColouredMultigraph
     calls it: the tests and the benchmark's tracer do.
     """
     try:
-        f = tour_factor_from_balanced_edges(g_sub, range(len(g_sub.edges)))
+        f = tour_factor_from_balanced_edges(g_sub, range(len(g_sub.bit)))
     except GraphError:
         return None
     # outside the except: a failed check is an internal error, not "no"

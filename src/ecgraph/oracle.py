@@ -38,9 +38,9 @@ class OracleBudget:
         if len(g.vertices) > self.max_vertices:
             raise BudgetExceeded(
                 f"{len(g.vertices)} vertices exceeds budget {self.max_vertices}")
-        if len(g.edges) > self.max_edges:
+        if len(g.bit) > self.max_edges:
             raise BudgetExceeded(
-                f"{len(g.edges)} edges exceeds budget {self.max_edges}")
+                f"{len(g.bit)} edges exceeds budget {self.max_edges}")
 
     def deadline(self) -> float:
         return time.monotonic() + self.seconds
@@ -238,7 +238,7 @@ def oracle_eulerian_factor(g: EdgeColouredMultigraph,
     deadline = budget.deadline()
     for mask in _balanced_subsets(g, deadline):
         return check_witness(g, tour_factor_from_balanced_edges(
-            g, [k for k in range(len(g.edges)) if mask >> k & 1]),
+            g, [k for k in range(len(g.bit)) if mask >> k & 1]),
             "oracle witness")
     return None
 

@@ -138,6 +138,9 @@ def bb_from_digraph(d: BipartiteDigraph) -> EdgeColouredMultigraph:
     x_set, y_set = set(d.x_part), set(d.y_part)
     edges = []
     for eid, tail, head in d.arcs:
+        for v in (tail, head):
+            if v not in x_set and v not in y_set:
+                raise GraphError(f"arc {eid!r}: unknown vertex {v!r}")
         if {tail, head} <= x_set or {tail, head} <= y_set:
             raise GraphError(f"arc {eid!r} does not cross the bipartition")
         if tail in x_set:

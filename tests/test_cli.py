@@ -274,6 +274,15 @@ class TestTransforms:
         assert res.exit_code == 2
         assert "bad digraph document: arc 'e0' does not cross" in res.output
 
+    def test_bb_from_digraph_names_the_first_unknown_end(self, runner):
+        doc = ('{"x_part": ["a"], "y_part": ["b"], '
+               '"arcs": [{"id": "e0", "tail": "z", "head": "q"}]}')
+        res = runner.invoke(main, ["transform", "bb-from-digraph", "-"],
+                            input=doc)
+        assert res.exit_code == 2
+        assert ("bad digraph document: arc 'e0': unknown vertex 'z'"
+                in res.output)
+
     def test_blowup_multiplicities(self, runner):
         res = runner.invoke(
             main, ["transform", "blowup", "-", "--mult", "u=2,v=2"],

@@ -24,6 +24,8 @@ from ecgraph import (
 )
 
 from ecgraph.core import BIT_COLOUR, BadWalk
+from ecgraph.reductions import generate
+from ecgraph.structure import similarity_partition
 from reference import (
     RefIndex,
     rand_multigraph,
@@ -120,10 +122,125 @@ class TestParsing:
         with pytest.raises(GraphError, match="vertices"):
             parse_graph("{}")
 
+    @pytest.mark.parametrize("verts, items, message", [
+        # the constructor's cases, each self-loop by name that is not
+        # the reported fault swapped for an unknown end
+        (["a", "b", "a"], [("e", "a", "z"), ("e", "b", "q")],
+         "duplicate vertex id 'a'"),
+        (["a", "b"], [("e", "a", "b"), ("e", "z", "q")],
+         "duplicate edge id 'e'"),
+        (["a", "b"], [("e", "x", "y"), ("f", "a", "q")],
+         "edge 'e': unknown vertex 'x'"),
+        (["a", "b"], [("e", "a", "y"), ("e", "a", "q")],
+         "edge 'e': unknown vertex 'y'"),
+        (["a", "b"], [("e", "x", "q")], "edge 'e': unknown vertex 'x'"),
+        # a self-loop by name is an item fault, reported before them all
+        (["a", "b"], [("e", "a", "a"), ("e", "a", "z")],
+         "edges[0]: self-loop at 'a'"),
+        # an item fault in a later edge beats an index fault in an
+        # earlier one, and any item fault beats a duplicate vertex
+        (["a", "b"], [("e0", "a", "b"), ("e0", "a", "b", "green")],
+         "edges[1]: unknown colour token 'green'"),
+        (["a", "b"], [("e0", "a", "z"), ("e1", "b", "b")],
+         "edges[1]: self-loop at 'b'"),
+        (["a", "b", "a"], [("e0", "a", "b"), {"id": "e1", "u": "a"}],
+         'edges[1]: missing or non-string "v"'),
+        # within an item: its shape, then the keys in order, then the
+        # colour, then a self-loop
+        (["a"], [["e0", "a", "b", "red"]], "edges[0]: must be an object"),
+        (["a"], [{"id": 0, "colour": 1}],
+         'edges[0]: missing or non-string "id"'),
+        (["a"], [{"id": "e", "u": "a", "v": ["a"], "colour": "red"}],
+         'edges[0]: missing or non-string "v"'),
+        (["a"], [("e", "a", "a", "green")],
+         "edges[0]: unknown colour token 'green'"),
+        (["a"], [("e", "a", "a", ["red"])],
+         'edges[0]: missing or non-string "colour"'),
+    ])
+    def test_first_fault_is_reported(self, verts, items, message):
+        # the twin of TestGraphConstruction's: where the document has no
+        # item fault, the constructor reports the same fault
+        edges = [dict(zip(("id", "u", "v", "colour"), (*t, "red")[:4]))
+                 if isinstance(t, tuple) else t for t in items]
+        with pytest.raises(GraphError) as exc:
+            parse_graph(json.dumps({"vertices": verts, "edges": edges}))
+        assert str(exc.value) == message
+        if not message.startswith("edges["):
+            with pytest.raises(GraphError) as exc:
+                EdgeColouredMultigraph(
+                    verts, [Edge(e["id"], e["u"], e["v"], RED) for e in edges])
+            assert str(exc.value) == message
+
     def test_dot_output(self):
         out = serialize_graph(digon(), "dot")
         assert "color=red" in out and "color=blue" in out
         assert out.startswith("graph {")
+
+
+MODELS = [
+    ("random_2ec", dict(n=12, m=40)),
+    ("mclosed_blowup", dict(n=14)),
+    ("complete_bipartite", dict(n1=3, n2=4)),
+    ("complete_multipartite", dict(sizes=[2, 3, 2])),
+    ("cmg_family", dict(r=2)),
+]
+
+
+def _parallel_edges():
+    # parallel edges of both colours, and same-coloured ones
+    return build_graph(["a", "b", "c"],
+                       [("a", "b", RED), ("a", "b", BLUE), ("b", "c", RED),
+                        ("b", "c", RED), ("a", "b", RED), ("c", "a", BLUE)])
+
+
+INSTANCES = [pytest.param(_parallel_edges(), id="parallel_edges")] + [
+    pytest.param(generate(model, seed, **params), id=f"{model}-{seed}")
+    for model, params in MODELS for seed in range(3)]
+
+
+def _edge_filtered(g, keep):
+    """g.induced(keep) as the graph of g's Edge records was filtered."""
+    keep = set(keep)
+    return EdgeColouredMultigraph(
+        [v for v in g.vertices if v in keep],
+        [e for e in g.edges if e.u in keep and e.v in keep])
+
+
+ARRAYS = ("vertices", "index", "pos", "eid", "eu", "ev", "bit",
+          "off", "inc", "far")
+
+
+class TestParsedIndex:
+    """parse_graph builds the graph's index straight from the document;
+    it must equal the index the constructor builds from Edge records."""
+
+    @pytest.mark.parametrize("g", INSTANCES)
+    def test_parsed_graph_equals_constructed(self, g):
+        h = parse_graph(serialize_graph(g))
+        for name in ARRAYS:
+            assert getattr(h, name) == getattr(g, name), name
+        assert h.edges == g.edges
+        assert h == g and hash(h) == hash(g)
+
+    @pytest.mark.parametrize("g", INSTANCES)
+    def test_derived_graphs_equal_edge_filtered_ones(self, g):
+        for h in (g, parse_graph(serialize_graph(g))):
+            keep = h.vertices[::2]
+            sub = h.induced(keep)
+            old = _edge_filtered(h, keep)
+            for name in ARRAYS:
+                assert getattr(sub, name) == getattr(old, name), name
+            assert sub.edges == old.edges and sub == old
+            part = similarity_partition(h)
+            assert part.quotient == _edge_filtered(
+                h, [b[0] for b in part.blocks])
+
+    def test_edges_are_built_on_first_read(self):
+        g = _parallel_edges()
+        h = parse_graph(serialize_graph(g))
+        assert h.edges is h.edges
+        assert h.edges == g.edges and h.edge("e3") == Edge("e3", "b", "c", RED)
+        assert h.incident("a", BLUE) == g.incident("a", BLUE)
 
 
 class TestWitnessVerification:

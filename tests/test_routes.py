@@ -307,6 +307,31 @@ def test_analyze_checks_each_witness_once(monkeypatch):
     assert len({id(w) for w in checked}) == len(checked)
 
 
+@pytest.mark.parametrize("model, seed, params, max_n, oracle", [
+    ("mclosed_blowup", 9, dict(n=60), 0, False),
+    ("mclosed_blowup", 37, dict(n=50), 0, False),
+    ("random_2ec", 2, dict(n=30, m=120), 0, False),
+    ("complete_bipartite", 3, dict(n1=4, n2=5), 0, False),
+    # in no fast class: the oracle answers supereulerian "yes"
+    ("random_2ec", 0, dict(n=7, m=18), 9, True),
+])
+def test_analyze_of_a_parsed_graph_builds_no_edge(monkeypatch, model, seed,
+                                                  params, max_n, oracle):
+    # parse_graph builds no Edge records and g.edges builds them on
+    # first read, so a decision path that reads g.edges fails here, at
+    # the line that reads it
+    text = serialize_graph(generate(model, seed, **params))
+
+    def built(self, *args):
+        raise AssertionError("a decision path built an Edge record")
+
+    monkeypatch.setattr(Edge, "__init__", built)
+    rep = analyze_graph(ecgraph.core.parse_graph(text), max_n)
+    by_q = {e["question"]: e for e in rep.entries}
+    assert (by_q["supereulerian"]["method"] == "oracle") == oracle
+    assert by_q["supereulerian"]["answer"] is not None
+
+
 def test_failed_sweep_check_raises_through_hamiltonian(runner, monkeypatch):
     # a GraphError is a ValueError; it must not read as "unsupported".
     # Each query reads back edge 0 twice, which the sweep's check rejects

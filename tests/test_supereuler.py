@@ -774,6 +774,16 @@ class TestBipartiteDigraph:
         with pytest.raises(GraphError, match="arc 'a2' does not cross"):
             bb_from_digraph(d)
 
+    @pytest.mark.parametrize("tail, head, unknown", [
+        ("z", "q", "z"), ("x1", "q", "q"), ("q", "y1", "q")])
+    def test_arc_with_an_unknown_end_rejected(self, tail, head, unknown):
+        # the first unknown name in document order: the tail, then the head
+        d = BipartiteDigraph(("x1", "x2"), ("y1", "y2"),
+                             (("a1", "x1", "y1"), ("a2", tail, head)))
+        with pytest.raises(GraphError) as exc:
+            bb_from_digraph(d)
+        assert str(exc.value) == f"arc 'a2': unknown vertex {unknown!r}"
+
 
 class TestDecideCompleteBipartite:
     def test_requires_complete_bipartite(self):
