@@ -42,7 +42,8 @@ EXIT_UNSUPPORTED = 4
 EXIT_BUDGET = 5
 
 
-def _budget(max_n: int) -> OracleBudget:
+def _seconds() -> float:
+    """The oracle time limit, ECGRAPH_BUDGET_SECS (default 30)."""
     raw = os.environ.get("ECGRAPH_BUDGET_SECS", "30")
     try:
         seconds = float(raw)
@@ -51,8 +52,12 @@ def _budget(max_n: int) -> OracleBudget:
     # a NaN limit is never passed, and a negative one makes no sense
     if not seconds >= 0:
         fail(f"invalid ECGRAPH_BUDGET_SECS value {raw!r}")
+    return seconds
+
+
+def _budget(max_n: int) -> OracleBudget:
     return OracleBudget(max_vertices=max_n, max_edges=max(22, 10 * max_n),
-                        seconds=seconds)
+                        seconds=_seconds())
 
 
 def _answer(doc: dict, positive: bool) -> None:
@@ -275,7 +280,8 @@ def factor(file: str, kind: str, forbid_digons: bool) -> None:
     elif forbid_digons:
         # no polynomial route keeps digons out: search exhaustively
         try:
-            w = oracle_cycle_factor(g, forbid_digons=True)
+            w = oracle_cycle_factor(g, OracleBudget(seconds=_seconds()),
+                                    forbid_digons=True)
         except BudgetExceeded as exc:
             fail(str(exc), EXIT_BUDGET)
     else:

@@ -68,6 +68,27 @@ def _parse_mult(spec: Optional[str], times: int,
     return mult
 
 
+def _digraph(doc) -> BipartiteDigraph:
+    """The digraph of a parsed digraph document, whose parts must be
+    lists of strings and whose arcs must name their id, tail and head
+    by strings; raises ValueError at the first fault."""
+    if not isinstance(doc, dict):
+        raise ValueError("top-level document must be an object")
+    for key in ("x_part", "y_part"):
+        if not isinstance(doc.get(key), list) \
+                or not all(isinstance(v, str) for v in doc[key]):
+            raise ValueError(f'"{key}" must be a list of strings')
+    if not isinstance(doc.get("arcs"), list):
+        raise ValueError('"arcs" must be a list')
+    for i, a in enumerate(doc["arcs"]):
+        for key in ("id", "tail", "head"):
+            if not isinstance(a, dict) or not isinstance(a.get(key), str):
+                raise ValueError(f'arcs[{i}]: missing or non-string "{key}"')
+    return BipartiteDigraph(
+        tuple(doc["x_part"]), tuple(doc["y_part"]),
+        tuple((a["id"], a["tail"], a["head"]) for a in doc["arcs"]))
+
+
 @click.command()
 @click.argument("kind", type=click.Choice(
     ["np-reduce", "np-reduce-gadget", "bb-to-digraph", "bb-from-digraph",
@@ -86,12 +107,8 @@ def transform(kind: str, file: str, mult, times: int,
     if kind == "bb-from-digraph":
         text = read_text(file)
         try:
-            doc = json.loads(text)
-            d = BipartiteDigraph(
-                tuple(doc["x_part"]), tuple(doc["y_part"]),
-                tuple((a["id"], a["tail"], a["head"]) for a in doc["arcs"]))
-            g = bb_from_digraph(d)
-        except (KeyError, TypeError, ValueError) as exc:
+            g = bb_from_digraph(_digraph(json.loads(text)))
+        except ValueError as exc:
             fail(f"bad digraph document: {exc}")
         emit(graph_to_dict(g))
         return

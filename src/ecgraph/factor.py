@@ -48,13 +48,13 @@ an alternative approach", Inf. Process. Lett. 24, 1987):
    one short.
 3. Repair, only if some node is short.  Alternating walks between
    short nodes, +1 and -1 in turn, each kept only if it stays within
-   the capacities, usually pair them up.  If one does not, the
-   b-matching is laid out on the diagonal slot gadget, where it leaves
-   at most one slot exposed per short node, and the blossom engine
-   augments from each exposed slot.  That is exact: one augmenting search from
-   every exposed vertex, in any order and from any starting matching,
-   ends in a maximum matching, so the gadget has a perfect matching
-   iff the repair finds one.
+   the capacities, usually pair them up.  If one does not, one pass
+   lays out the diagonal slot gadget and, on it, the b-matching, which
+   leaves exactly one slot exposed per short node; the blossom engine
+   augments from each exposed slot.  That is exact: one augmenting
+   search from every exposed vertex, in any order and from any
+   starting matching, ends in a maximum matching, so the gadget has a
+   perfect matching iff the repair finds one.
 
 Whichever stage answers "yes", the positions in g.edges of its edges
 go through `tour_factor_from_balanced_edges`, which fails loudly on an
@@ -63,10 +63,11 @@ pairs red and blue edge-ends into closed trails and merges them with a
 union-find, whose classes are the factor's parts (after Kotzig, "Moves
 without forbidden transitions in a graph", 1968); no sub-multigraph of
 g is built.  `alternating_euler_tour` is its one-part case.
-`build_slot_gadget` builds the diagonal gadget straight into integer
-adjacency lists for the repair.  `build_factor_gadget`, with string
-slot names and the complete join, is kept only as the reference the
-tests check it against.
+The b-matching problem lays its own slot gadget out, straight into
+integer adjacency lists, with slot blocks numbered from the nodes'
+`need`.  `build_factor_gadget`, with string slot names and the
+complete join, is kept only as the reference the tests check that
+layout against.
 
 Cycle factors reduce to perfect matching in a much smaller auxiliary
 graph with one red and one blue copy per vertex; the cycles are read
@@ -76,6 +77,7 @@ straight off the matching, from copy to matched copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Iterable, Optional
 
 from .core import (
@@ -102,76 +104,6 @@ class ColourDeficient(GraphError):
 
 
 @dataclass(frozen=True)
-class SlotGadget:
-    """The factor gadget of g in integer form.
-
-    The slots of vertex x are numbered block after block: R, R', B', B.
-    `external` holds, per edge of g in declaration order, the slots its
-    external edge joins.
-    """
-
-    h: IndexedGraph
-    external: tuple[tuple[int, int], ...]
-
-
-def _colour_degrees(g: EdgeColouredMultigraph) -> list[tuple[int, int]]:
-    """Each vertex's red and blue degree, from g's index; raises
-    ColourDeficient at the first vertex that misses a colour."""
-    out = [g.colour_degrees(i) for i in range(len(g.vertices))]
-    for v, (r, b) in zip(g.vertices, out):
-        if not r or not b:
-            raise ColourDeficient(v, Colour.BLUE if r else Colour.RED)
-    return out
-
-
-def build_slot_gadget(g: EdgeColouredMultigraph) -> SlotGadget:
-    """The factor gadget as integer adjacency lists, R' joined to B'
-    diagonally, for the repair stage of `eulerian_factor` (see the
-    module docstring); raises ColourDeficient if some vertex misses a
-    colour.
-
-    The slots of each vertex take the next block of indices, and each
-    external edge takes the next free R (or B) slot of both its ends,
-    in edge declaration order.  The gadget has no parallel edges, so
-    the lists are built directly.
-    """
-    adj: list[list[int]] = []
-
-    def join(a: range, b: range) -> None:
-        for i in a:
-            adj[i].extend(b)
-        for j in b:
-            adj[j].extend(a)
-
-    # 2 * vertex + colour bit -> next free slot of its R or B block
-    free: list[int] = []
-    for r, b in _colour_degrees(g):
-        o = len(adj)
-        adj.extend([] for _ in range(2 * (r + b - 1)))
-        R = range(o, o + r)
-        Rp = range(R.stop, R.stop + r - 1)
-        Bp = range(Rp.stop, Rp.stop + b - 1)
-        B = range(Bp.stop, Bp.stop + b)
-        join(R, Rp)
-        for i, j in zip(Rp, Bp):
-            adj[i].append(j)
-            adj[j].append(i)
-        join(Bp, B)
-        free += (R.start, B.start)
-
-    external: list[tuple[int, int]] = []
-    for u, v, c in zip(g.eu, g.ev, g.bit):
-        su = free[2 * u + c]
-        sv = free[2 * v + c]
-        free[2 * u + c] = su + 1
-        free[2 * v + c] = sv + 1
-        adj[su].append(sv)
-        adj[sv].append(su)
-        external.append((su, sv))
-    return SlotGadget(IndexedGraph.from_adjacency(adj), tuple(external))
-
-
-@dataclass(frozen=True)
 class FactorGadget:
     h: PlainGraph
     # per original vertex: slot name lists R, R', B', B
@@ -182,7 +114,7 @@ class FactorGadget:
 
 def build_factor_gadget(g: EdgeColouredMultigraph) -> FactorGadget:
     """The factor gadget with string slot names, complete R'-B' join
-    included: the reference `build_slot_gadget` is tested against.
+    included: the reference `_BMatching.laid_out` is tested against.
 
     Per vertex x with red degree r and blue degree b: slot blocks
     R (size r), R' (r-1), B' (b-1), B (b), completely joined R-R',
@@ -257,10 +189,13 @@ def eulerian_factor(g: EdgeColouredMultigraph) -> Optional[EulerianFactor]:
         return None
     y, short = p.rounded(twice)
     if short and not p.paired(y, short):
-        f = _repair(g, p, y)
+        chosen = p.repaired(g, y)
+        if chosen is None:
+            return None
     else:
-        f = tour_factor_from_balanced_edges(g, p.chosen(y))
-    return None if f is None else check_witness(g, f, "eulerian factor")
+        chosen = p.chosen(y)
+    return check_witness(g, tour_factor_from_balanced_edges(g, chosen),
+                         "eulerian factor")
 
 
 class _BMatching:
@@ -279,15 +214,19 @@ class _BMatching:
     __slots__ = ("need", "ends", "cap", "out", "edge_class")
 
     def __init__(self, g: EdgeColouredMultigraph):
-        """Raises ColourDeficient if some vertex misses a colour."""
-        eu, ev, bit = g.eu, g.ev, g.bit
-        self.need = need = [d for r, b in _colour_degrees(g)
-                            for d in (r, r - 1, b - 1, b)]
+        """Raises ColourDeficient at the first vertex that misses a
+        colour."""
+        self.need = need = []
         self.cap = cap = []
         self.ends = ends = []
-        self.out = out = [[] for _ in need]
-        for u in range(0, len(need), 4):
-            r, b = need[u], need[u + 3]
+        self.out = out = [[] for _ in range(4 * len(g.vertices))]
+        for i, vertex in enumerate(g.vertices):
+            r, b = g.colour_degrees(i)
+            if not r or not b:
+                raise ColourDeficient(vertex,
+                                      Colour.BLUE if r else Colour.RED)
+            need += (r, r - 1, b - 1, b)
+            u = 4 * i
             for v, c in ((u, r - 1), (u + 1, min(r, b) - 1), (u + 2, b - 1)):
                 if c:
                     out[v].append(len(ends))
@@ -298,7 +237,7 @@ class _BMatching:
         # a blue one
         merged: dict[tuple[int, int], int] = {}
         self.edge_class = edge_class = []
-        for x, y, c in zip(eu, ev, bit):
+        for x, y, c in zip(g.eu, g.ev, g.bit):
             u = 4 * x + 3 * c
             w = 4 * y + 3 * c
             key = (u, w) if u < w else (w, u)
@@ -551,45 +490,67 @@ class _BMatching:
             left.discard(end)
         return True
 
+    def laid_out(self, g: EdgeColouredMultigraph, y: list[int]
+                 ) -> tuple[IndexedGraph, list[tuple[int, int]], list[int]]:
+        """(h, external, match): the diagonal slot gadget of g (module
+        docstring), the two slots each edge of g joins in it, in
+        declaration order, and b-matching y laid out as a matching of h.
 
-def _repair(g: EdgeColouredMultigraph, p: _BMatching, y: list[int]
-            ) -> Optional[EulerianFactor]:
-    """Factor from a b-matching y that leaves some nodes one short, or
-    None: y laid out on the slot gadget, then grown to a maximum
-    matching from the slots it leaves exposed."""
-    gadget = build_slot_gadget(g)
-    match = [-1] * len(gadget.h.adj)
-    for i in p.chosen(y):
-        su, sv = gadget.external[i]
-        match[su] = sv
-        match[sv] = su
-    need = p.need
-    o = 0
-    for i in range(len(g.vertices)):
-        r, rp, bp, b = need[4 * i:4 * i + 4]
-        Rp = o + r
-        Bp = Rp + rp
-        B = Bp + bp
-        k = y[3 * i + 1]
-        for j in range(k):
-            match[Rp + j] = Bp + j
-            match[Bp + j] = Rp + j
-        # R-R' and B'-B are complete: pair the rest in any order
-        for s, t in zip([s for s in range(o, Rp) if match[s] == -1],
-                        range(Rp + k, Bp)):
-            match[s] = t
-            match[t] = s
-        for s, t in zip(range(Bp + k, B),
-                        [t for t in range(B, B + b) if match[t] == -1]):
-            match[s] = t
-            match[t] = s
-        o = B + b
-    match = gadget.h.matching(match)
-    if -1 in match:
-        return None
-    return tour_factor_from_balanced_edges(
-        g, [i for i, (su, sv) in enumerate(gadget.external)
-            if match[su] == sv])
+        Node u's slots are the next need[u] indices, so vertex i's
+        blocks R, R', B' and B follow one another.  Each edge of g takes
+        the next free slot of the R (or B) blocks of both its ends; the
+        edges `chosen` takes from y are matched.  At vertex i, y[3i + 1]
+        diagonal R'-B' pairs are matched, and the other R' and B' slots
+        take the R and B slots left free, which the complete R-R' and
+        B'-B joins allow.  So where y covers each node need or need - 1
+        times, as `rounded` leaves it, one slot of each short node is
+        exposed and every other slot is matched.
+        """
+        start = [0, *accumulate(self.need)]
+        slots = [range(a, b) for a, b in zip(start, start[1:])]
+        # ext[s]: the slot an R or B slot s is joined to by an edge of g
+        ext = [-1] * start[-1]
+        free = start[:]     # per node, its next slot without an edge of g
+        external = []
+        for x, w, c in zip(g.eu, g.ev, g.bit):
+            su = free[4 * x + 3 * c]
+            sv = free[4 * w + 3 * c]
+            free[4 * x + 3 * c] = su + 1
+            free[4 * w + 3 * c] = sv + 1
+            ext[su] = sv
+            ext[sv] = su
+            external.append((su, sv))
+        match = [-1] * len(ext)
+        for k in self.chosen(y):
+            su, sv = external[k]
+            match[su] = sv
+            match[sv] = su
+        adj: list[list[int]] = []
+        for i in range(len(slots) // 4):
+            R, Rp, Bp, B = slots[4 * i:4 * i + 4]
+            adj += ([*Rp, ext[s]] for s in R)
+            adj += ([*R, *Bp[j:j + 1]] for j in range(len(Rp)))
+            adj += ([*Rp[j:j + 1], *B] for j in range(len(Bp)))
+            adj += ([*Bp, ext[s]] for s in B)
+            k = y[3 * i + 1]
+            for s, t in chain(zip(Rp, Bp[:k]),
+                              zip([s for s in R if match[s] < 0], Rp[k:]),
+                              zip(Bp[k:], [t for t in B if match[t] < 0])):
+                match[s] = t
+                match[t] = s
+        return IndexedGraph.from_adjacency(adj), external, match
+
+    def repaired(self, g: EdgeColouredMultigraph, y: list[int]
+                 ) -> Optional[list[int]]:
+        """The positions in g.edges of a balanced spanning edge set, from
+        a b-matching y that leaves some nodes one short, or None: y laid
+        out on the slot gadget, then grown to a maximum matching from the
+        slots it leaves exposed."""
+        h, external, match = self.laid_out(g, y)
+        match = h.matching(match)
+        if -1 in match:
+            return None
+        return [k for k, (su, sv) in enumerate(external) if match[su] == sv]
 
 
 def tour_factor_from_balanced_edges(g: EdgeColouredMultigraph,

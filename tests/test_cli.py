@@ -153,12 +153,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("raw", ["abc", "nan", "-1"])
     def test_invalid_budget_is_usage_error(self, runner, raw):
-        # a NaN limit would never be passed: the oracle would run unbounded
-        res = runner.invoke(main, ["oracle", "supereulerian", "-"],
-                            input=fixture_json("efig"),
-                            env={"ECGRAPH_BUDGET_SECS": raw})
-        assert res.exit_code == 2
-        assert "ECGRAPH_BUDGET_SECS" in res.output
+        # a NaN limit would never be passed: the oracle would run
+        # unbounded; both exhaustive searches read the one limit
+        for args, name in (
+                (["oracle", "supereulerian", "-"], "efig"),
+                (["factor", "-", "--kind", "cycle", "--forbid-digons"],
+                 "halfm")):
+            res = runner.invoke(main, args, input=fixture_json(name),
+                                env={"ECGRAPH_BUDGET_SECS": raw})
+            assert res.exit_code == 2, args
+            assert f"invalid ECGRAPH_BUDGET_SECS value {raw!r}" \
+                in res.output
 
     def test_unknown_fixture(self, runner):
         res = runner.invoke(main, ["fixture", "missing"])
@@ -282,6 +287,35 @@ class TestTransforms:
         assert res.exit_code == 2
         assert ("bad digraph document: arc 'e0': unknown vertex 'z'"
                 in res.output)
+
+    # the transform's output must parse as a graph document, so a part
+    # or an arc field that is not a string is refused where it is read
+    @pytest.mark.parametrize("doc, fault", [
+        ('"x_part": "ab", "y_part": ["c"], "arcs": []',
+         '"x_part" must be a list of strings'),
+        ('"x_part": ["a", 3], "y_part": ["c"], "arcs": []',
+         '"x_part" must be a list of strings'),
+        ('"x_part": ["a"], "y_part": {"c": 1}, "arcs": []',
+         '"y_part" must be a list of strings'),
+        ('"x_part": ["a"], "y_part": ["c"], '
+         '"arcs": [{"id": 5, "tail": "a", "head": "c"}]',
+         'arcs[0]: missing or non-string "id"'),
+        ('"x_part": ["a"], "y_part": ["c"], '
+         '"arcs": [{"id": "e0", "tail": "a", "head": "c"}, '
+         '{"id": "e1", "tail": "c"}]',
+         'arcs[1]: missing or non-string "head"'),
+        ('"x_part": ["a"], "y_part": ["c"], "arcs": ["e0"]',
+         'arcs[0]: missing or non-string "id"'),
+        ('"x_part": ["a"], "arcs": []', '"y_part" must be a list of strings'),
+        ('"x_part": ["a"], "y_part": ["c"], "arcs": "e0"',
+         '"arcs" must be a list'),
+    ], ids=["part_string", "part_item", "part_object", "arc_id",
+            "arc_head", "arc_string", "part_missing", "arcs_string"])
+    def test_bb_from_digraph_rejects_non_strings(self, runner, doc, fault):
+        res = runner.invoke(main, ["transform", "bb-from-digraph", "-"],
+                            input="{%s}" % doc)
+        assert res.exit_code == 2
+        assert f"bad digraph document: {fault}" in res.output
 
     def test_blowup_multiplicities(self, runner):
         res = runner.invoke(

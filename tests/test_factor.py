@@ -19,13 +19,7 @@ from ecgraph import (
     tour_factor_from_balanced_edges,
     verify_witness,
 )
-from ecgraph.factor import (
-    ColourDeficient,
-    _BMatching,
-    _repair,
-    build_factor_gadget,
-    build_slot_gadget,
-)
+from ecgraph.factor import ColourDeficient, _BMatching, build_factor_gadget
 from ecgraph.matching import IndexedGraph, maximum_matching
 from ecgraph.reductions import fixture, generate
 
@@ -37,6 +31,14 @@ def rand_graph(seed, n_max=7, m_max=14):
     n = rng.randint(2, n_max)
     return generate("random_2ec", seed=seed, n=n,
                     m=rng.randint(1, m_max))
+
+
+def slot_gadget(g):
+    """(h, external, match): the slot gadget of g with the zero
+    b-matching laid out on it; raises ColourDeficient as _BMatching
+    does."""
+    p = _BMatching(g)
+    return p.laid_out(g, [0] * len(p.cap))
 
 
 def assert_visits_are_degrees(g, f):
@@ -53,16 +55,18 @@ def assert_visits_are_degrees(g, f):
 class TestGadget:
     def test_colour_deficient_vertex_rejected(self):
         g = build_graph(["a", "b"], [("a", "b", RED)])
-        with pytest.raises(ColourDeficient):
-            build_slot_gadget(g)
+        with pytest.raises(ColourDeficient,
+                           match="vertex 'a' has no blue edge"):
+            _BMatching(g)
         assert eulerian_factor(g) is None
 
     def test_digon_gadget(self):
         g = build_graph(["a", "b"], [("a", "b", RED), ("a", "b", BLUE)])
-        gadget = build_slot_gadget(g)
+        h, external, match = slot_gadget(g)
         # r = b = 1 per vertex: blocks R and B only, one slot each
-        assert gadget.h.adj == [[2], [3], [0], [1]]
-        assert gadget.external == ((0, 2), (1, 3))
+        assert h.adj == [[2], [3], [0], [1]]
+        assert external == [(0, 2), (1, 3)]
+        assert match == [-1] * 4
         f = eulerian_factor(g)
         assert f is not None and verify_witness(g, f)
 
@@ -206,9 +210,9 @@ def coloured_multigraphs(draw):
 def test_slot_gadget_answers_as_string_reference(g):
     try:
         ref = build_factor_gadget(g)
-    except ColourDeficient:
-        with pytest.raises(ColourDeficient):
-            build_slot_gadget(g)
+    except ColourDeficient as exc:
+        with pytest.raises(ColourDeficient, match=str(exc)):
+            _BMatching(g)
         return
     m = maximum_matching(ref.h)
     ref_perfect = 2 * len(m) == len(ref.h.vertices)
@@ -219,19 +223,17 @@ def test_slot_gadget_answers_as_string_reference(g):
     off = {frozenset((rp, bp)) for bl in ref.blocks.values()
            for i, rp in enumerate(bl["Rp"])
            for j, bp in enumerate(bl["Bp"]) if i != j}
-    diag = build_slot_gadget(g)
-    assert diag.h.adj == IndexedGraph(len(index), (
-        (index[u], index[v], h) for h, u, v in ref.h.edges
+    h, external, _ = slot_gadget(g)
+    assert h.adj == IndexedGraph(len(index), (
+        (index[u], index[v], eid) for eid, u, v in ref.h.edges
         if frozenset((u, v)) not in off)).adj
-    assert diag.external == tuple((index[u], index[v])
-                                  for h, u, v in ref.h.edges
-                                  if h in ref.external)
+    assert external == [(index[u], index[v]) for eid, u, v in ref.h.edges
+                        if eid in ref.external]
 
     # the same answer as the complete join, and as eulerian_factor,
     # whose factor visits each vertex as often as its edges give the
     # vertex red edges, and blue ones
-    match = diag.h.matching()
-    assert (-1 not in match) == ref_perfect
+    assert (-1 not in h.matching()) == ref_perfect
     f = eulerian_factor(g)
     assert (f is not None) == ref_perfect
     if f is not None:
@@ -241,16 +243,16 @@ def test_slot_gadget_answers_as_string_reference(g):
 
 def test_diagonal_join_sizes():
     g = generate("mclosed_blowup", seed=9, n=30)
-    diag = build_slot_gadget(g)
+    h = slot_gadget(g)[0]
     full = build_factor_gadget(g)
-    assert len(diag.h.adj) == len(full.h.vertices)
+    assert len(h.adj) == len(full.h.vertices)
     # R'-B' shrinks from (r-1)(b-1) edges to min(r, b) - 1 at each vertex
     cut = 0
     for x in g.vertices:
         nr, nb = g.degree(x, RED) - 1, g.degree(x, BLUE) - 1
         cut += nr * nb - min(nr, nb)
     assert cut > 0
-    assert sum(map(len, diag.h.adj)) == 2 * (len(full.h.edges) - cut)
+    assert sum(map(len, h.adj)) == 2 * (len(full.h.edges) - cut)
 
 
 # The b-matching route of eulerian_factor, stage by stage (see the
@@ -315,8 +317,9 @@ class TestBMatchingRoute:
         y, short = p.rounded(p.half_integral())
         assert short
         # the gadget repair alone, from the rounded b-matching
-        f = _repair(g, p, y[:])
-        assert f is not None and verify_witness(g, f)
+        chosen = p.repaired(g, y[:])
+        assert chosen is not None
+        assert verify_witness(g, tour_factor_from_balanced_edges(g, chosen))
         # and the whole route, which pairs the short nodes first
         assert p.paired(y, short)
         assert coverage(p, y) == p.need
@@ -332,18 +335,17 @@ class TestBMatchingRoute:
         y, short = p.rounded(twice)
         assert short
         assert not p.paired(y[:], short)
-        assert _repair(g, p, y) is None
+        assert p.repaired(g, y) is None
         assert eulerian_factor(g) is None
         assert oracle_eulerian_factor(g) is None
-        gadget = build_slot_gadget(g)
-        assert -1 in gadget.h.matching()
+        assert -1 in slot_gadget(g)[0].matching()
 
 
 @settings(max_examples=300, deadline=None)
 @given(coloured_multigraphs())
 def test_b_matching_answers_as_slot_gadget(g):
     try:
-        perfect = -1 not in build_slot_gadget(g).h.matching()
+        perfect = -1 not in slot_gadget(g)[0].matching()
     except ColourDeficient:
         perfect = False
     f = eulerian_factor(g)
@@ -359,7 +361,7 @@ def test_gadget_repair_alone_answers_as_slot_gadget(g):
     # with the alternating walks turned off, every short node goes to
     # the slot-gadget repair, which must still decide exactly
     try:
-        perfect = -1 not in build_slot_gadget(g).h.matching()
+        perfect = -1 not in slot_gadget(g)[0].matching()
     except ColourDeficient:
         perfect = False
     with patch.object(_BMatching, "paired", lambda self, y, short: False):
@@ -367,6 +369,34 @@ def test_gadget_repair_alone_answers_as_slot_gadget(g):
     assert (f is not None) == perfect
     if f is not None:
         assert verify_witness(g, f)
+        assert_visits_are_degrees(g, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coloured_multigraphs())
+def test_laid_out_b_matching_leaves_one_slot_per_short_node(g):
+    # the repair's start: a matching of the gadget, with the chosen
+    # edges of g matched and exactly one slot of each short node exposed
+    try:
+        p = _BMatching(g)
+    except ColourDeficient:
+        return
+    twice = p.half_integral()
+    if twice is None:
+        return
+    y, short = p.rounded(twice)
+    h, external, match = p.laid_out(g, y)
+    for s, t in enumerate(match):
+        if t >= 0:
+            assert match[t] == s and t in h.adj[s]
+    for k in p.chosen(y):
+        su, sv = external[k]
+        assert match[su] == sv
+    # node u's slots are start[u] .. start[u + 1] - 1
+    start = [sum(p.need[:u]) for u in range(len(p.need) + 1)]
+    exposed = [u for u in range(len(p.need))
+               for s in range(start[u], start[u + 1]) if match[s] < 0]
+    assert exposed == sorted(short)
 
 
 def test_pairing_refuses_a_walk_beyond_capacity():
