@@ -160,7 +160,9 @@ def fixture_cmd(name: str, fmt: str) -> None:
                                  "complete_multipartite", "cmg_family"]))
 @click.option("--seed", default=0)
 @click.option("--n", default=None, type=int)
-@click.option("--m", default=None, type=int)
+@click.option("--m", default=None, type=int,
+              help="random_2ec edges (default 2n); at most n(n-1), one "
+                   "per vertex pair and colour, whatever is asked")
 @click.option("--n1", default=None, type=int)
 @click.option("--n2", default=None, type=int)
 @click.option("--sizes", default=None, help="e.g. 2,2,3")

@@ -17,9 +17,10 @@ copies whose deletion leaves a perfect matching (see
 `alternating_path`); a sweep keeps only the current source's two.
 
 Each positive triple is read back as positions in g.edges and checked
-by the graph's `walk`, the routine `verify_witness` runs too, for its
-end vertex, its end colours and, for a path, simplicity: the package's
-one check of these verdicts.  A sweep builds no witness object;
+by `check_walk`, on the graph's `walk`, the routine `verify_witness`
+runs too, for its end vertex, its end colours and, for a path,
+simplicity: the package's one check of these verdicts, which the path
+and trail oracles run as well.  A sweep builds no witness object;
 `alternating_path` and `alternating_trail`, which ask the same query
 objects once, turn the checked positions into an `AlternatingTrail`
 (`ids`) and do not check it again.
@@ -42,11 +43,10 @@ from typing import Optional
 from .core import (
     BIT_COLOUR,
     AlternatingTrail,
-    BadWalk,
     Colour,
     EdgeColouredMultigraph,
-    GraphError,
     UnsupportedClass,
+    check_walk,
 )
 from .matching import IndexedGraph
 
@@ -122,35 +122,8 @@ class _PathQuery:
             return None
         ks = self._read_back(last, root ^ 1, search[1])
         ks.reverse()
-        self._check(x, ks, y, start, end)
+        check_walk(self.g, x, ks, y, start, end, self.SIMPLE)
         return ks
-
-    def _check(self, x: int, ks: list[int], y: int, start: int, end: int
-               ) -> None:
-        """Raise GraphError unless ks is an alternating trail of g from
-        x to y, first colour bit `start`, last `end` unless that is -1,
-        and visiting no vertex twice if SIMPLE: all read from the
-        graph's one walk of ks.  Explicit, so python -O keeps it."""
-        g = self.g
-        try:
-            seen = g.walk(x, ks)
-        except BadWalk as exc:
-            problem = "fails verification: " + exc.reason(g.ids(ks))
-        else:
-            # a walk without edges ends at x != y, so ks[0] exists below
-            bit = g.bit
-            if seen[-1] != y:
-                problem = f"ends at {g.vertices[seen[-1]]!r}"
-            elif bit[ks[0]] != start:
-                problem = f"starts with {BIT_COLOUR[bit[ks[0]]]!r}"
-            elif end >= 0 and bit[ks[-1]] != end:
-                problem = f"ends with {BIT_COLOUR[bit[ks[-1]]]!r}"
-            elif self.SIMPLE and len(set(seen)) != len(seen):
-                problem = "revisits a vertex"
-            else:
-                return
-        raise GraphError(f"internal error: {g.vertices[x]!r}-"
-                         f"{g.vertices[y]!r} witness {problem}")
 
     def __call__(self, x: str, y: str, start: Colour,
                  end: Optional[Colour] = None) -> Optional[AlternatingTrail]:

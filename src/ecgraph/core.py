@@ -14,8 +14,10 @@ by position, with ids, ends as vertex indices, colour bits, incidence
 lists.  Lookups and algorithms read it, never g.edges (built on first
 read).  Its `walk` is the one check of an alternating trail, and
 `closed_walk` adds the closed-trail and cycle verdicts: `verify_witness`
-maps a trail's ids to positions and runs them, the sweeps run `walk` on
-the positions they read back, the merge `closed_walk` on its walks.
+maps a trail's ids to positions and runs them, the merge runs
+`closed_walk` on its walks, and `check_walk` adds the open path and
+trail verdicts (ends, end colours, simplicity) that the sweeps and the
+path and trail oracles run on the positions they find.
 
 `positions` and `ids` are the one conversion between edge ids and
 positions.  Every function that returns a witness checks it once,
@@ -573,17 +575,46 @@ def verify_witness(g: EdgeColouredMultigraph, w: Witness) -> VerifyResult:
     return VerifyResult(False, f"unknown witness type {type(w).__name__}")
 
 
-def check_witness(g: EdgeColouredMultigraph, w: Witness, what: str,
-                  error: type[Exception] = GraphError) -> Witness:
+def check_witness(g: EdgeColouredMultigraph, w: Witness, what: str
+                  ) -> Witness:
     """w, after an explicit check that it is a valid witness in g (one
-    that also runs under python -O); raises `error`, naming `what`,
+    that also runs under python -O); raises GraphError, naming `what`,
     if it is not.  Each producer of a witness calls it once, on what it
     returns."""
     r = verify_witness(g, w)
     if not r:
-        raise error(f"internal error: {what} fails verification: "
-                    f"{r.reason}")
+        raise GraphError(f"internal error: {what} fails verification: "
+                         f"{r.reason}")
     return w
+
+
+def check_walk(g: EdgeColouredMultigraph, x: int, ks: Sequence[int],
+               y: int, start: int, end: int, simple: bool) -> None:
+    """Raise GraphError unless ks are the positions of an alternating
+    trail of g from vertex index x to y != x, first colour bit `start`,
+    last `end` unless that is -1, and visiting no vertex twice if
+    `simple`: all read from the graph's one walk of ks.  An explicit
+    check, so python -O keeps it; the sweeps and the path and trail
+    oracles run it on each witness they find."""
+    try:
+        seen = g.walk(x, ks)
+    except BadWalk as exc:
+        problem = "fails verification: " + exc.reason(g.ids(ks))
+    else:
+        # a walk without edges ends at x != y, so ks[0] exists below
+        bit = g.bit
+        if seen[-1] != y:
+            problem = f"ends at {g.vertices[seen[-1]]!r}"
+        elif bit[ks[0]] != start:
+            problem = f"starts with {BIT_COLOUR[bit[ks[0]]]!r}"
+        elif end >= 0 and bit[ks[-1]] != end:
+            problem = f"ends with {BIT_COLOUR[bit[ks[-1]]]!r}"
+        elif simple and len(set(seen)) != len(seen):
+            problem = "revisits a vertex"
+        else:
+            return
+    raise GraphError(f"internal error: {g.vertices[x]!r}-"
+                     f"{g.vertices[y]!r} witness {problem}")
 
 
 def build_graph(vertices: Sequence[str],

@@ -4,14 +4,21 @@ These are definition-literal exhaustive searches.  They exist for truth,
 not speed: the fast algorithms elsewhere are validated against them on
 small instances.  Every oracle refuses inputs beyond its budget instead
 of running unbounded, and checks each witness it returns
-(`check_witness`), once, before it returns it.
+(`check_witness`, or `check_walk` for a path or trail), once, before it
+returns it.
+
+A budget's time limit holds for one oracle call as a whole: the call
+arms one clock (`OracleBudget.clock`), ticks it at every search node,
+and reads the time every 4096 ticks.  A connectivity oracle's queries
+all tick the one clock of its call.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from itertools import permutations
+from typing import Callable, Optional
 
 from .core import (
     AlternatingCycle,
@@ -20,6 +27,7 @@ from .core import (
     CycleFactor,
     EdgeColouredMultigraph,
     EulerianFactor,
+    check_walk,
     check_witness,
 )
 
@@ -42,17 +50,25 @@ class OracleBudget:
             raise BudgetExceeded(
                 f"{len(g.bit)} edges exceeds budget {self.max_edges}")
 
-    def deadline(self) -> float:
-        return time.monotonic() + self.seconds
+    def clock(self) -> Callable[[], None]:
+        """The tick one oracle call makes at every search node.  It holds
+        the call's deadline, `seconds` from now, and its count, and
+        raises BudgetExceeded on every 4096th tick once the deadline has
+        passed."""
+        deadline = time.monotonic() + self.seconds
+        left = 4096
+
+        def tick() -> None:
+            nonlocal left
+            left -= 1
+            if not left:
+                left = 4096
+                if time.monotonic() > deadline:
+                    raise BudgetExceeded("time limit exceeded")
+        return tick
 
 
 DEFAULT_BUDGET = OracleBudget()
-
-
-def _tick(deadline: float, counter: list[int]) -> None:
-    counter[0] += 1
-    if counter[0] % 4096 == 0 and time.monotonic() > deadline:
-        raise BudgetExceeded("time limit exceeded")
 
 
 def oracle_supereulerian(g: EdgeColouredMultigraph,
@@ -60,39 +76,34 @@ def oracle_supereulerian(g: EdgeColouredMultigraph,
                          ) -> Optional[AlternatingTrail]:
     """Spanning closed alternating trail by exhaustive trail DFS."""
     budget.admit(g)
+    tick = budget.clock()
     if len(g.vertices) < 2:
         return None
     if any(0 in g.colour_degrees(i) for i in range(len(g.vertices))):
         return None
-    eu, ev, bit, off, inc, far = g.eu, g.ev, g.bit, g.off, g.inc, g.far
-    deadline = budget.deadline()
-    counter = [0]
+    bit, off, inc, far = g.bit, g.off, g.inc, g.far
     root = 0
     full = (1 << len(g.vertices)) - 1
+    # vmask, the vertices the trail visits, follows from (mask, root),
+    # so the key leaves it out
     failed: set[tuple[int, int, int, int]] = set()
-
-    def covered(mask: int) -> int:
-        vm = 1 << root
-        for k in range(len(bit)):
-            if mask >> k & 1:
-                vm |= (1 << eu[k]) | (1 << ev[k])
-        return vm
-
     path: list[int] = []
 
-    def dfs(cur: int, mask: int, last: int, first: int) -> bool:
-        _tick(deadline, counter)
+    def dfs(cur: int, mask: int, vmask: int, last: int, first: int
+            ) -> bool:
+        tick()
         key = (cur, mask, last, first)
         if key in failed:
             return False
-        if cur == root and last != first and covered(mask) == full:
+        if cur == root and last != first and vmask == full:
             return True
         for t in range(off[cur], off[cur + 1]):
             ei = inc[t]
             if mask >> ei & 1 or bit[ei] == last:
                 continue
             path.append(ei)
-            if dfs(far[t], mask | (1 << ei), bit[ei], first):
+            if dfs(far[t], mask | (1 << ei), vmask | (1 << far[t]),
+                   bit[ei], first):
                 return True
             path.pop()
         failed.add(key)
@@ -101,7 +112,8 @@ def oracle_supereulerian(g: EdgeColouredMultigraph,
     for t in range(off[root], off[root + 1]):
         ei = inc[t]
         path.append(ei)
-        if dfs(far[t], 1 << ei, bit[ei], bit[ei]):
+        if dfs(far[t], 1 << ei, (1 << root) | (1 << far[t]), bit[ei],
+               bit[ei]):
             return check_witness(g, AlternatingTrail(
                 g.vertices[root], g.ids(path), closed=True),
                 "oracle witness")
@@ -114,19 +126,18 @@ def oracle_ham_alternating(g: EdgeColouredMultigraph,
                            ) -> Optional[AlternatingCycle]:
     """Spanning alternating cycle by exhaustive simple-cycle DFS."""
     budget.admit(g)
+    tick = budget.clock()
     n = len(g.vertices)
     if n < 2:
         return None
     bit, off, inc, far = g.bit, g.off, g.inc, g.far
-    deadline = budget.deadline()
-    counter = [0]
     root = 0
     full = (1 << n) - 1
     failed: set[tuple[int, int, int, int]] = set()
     path: list[int] = []
 
     def dfs(cur: int, vmask: int, last: int, first: int) -> bool:
-        _tick(deadline, counter)
+        tick()
         key = (cur, vmask, last, first)
         if key in failed:
             return False
@@ -161,66 +172,43 @@ def oracle_ham_alternating(g: EdgeColouredMultigraph,
     return None
 
 
-def _balanced_subsets(g: EdgeColouredMultigraph, deadline: float):
+def _balanced_subsets(g: EdgeColouredMultigraph, tick: Callable[[], None]):
     """Yield edge masks where every vertex has red-deg = blue-deg >= 1."""
     eu, ev, bit = g.eu, g.ev, g.bit
-    n = len(g.vertices)
-    m = len(bit)
-    counter = [0]
-    # remaining red/blue edges per vertex among edges >= position k
-    rem_red = [[0] * (m + 1) for _ in range(n)]
-    rem_blue = [[0] * (m + 1) for _ in range(n)]
-    for k in range(m - 1, -1, -1):
-        for v in range(n):
-            rem_red[v][k] = rem_red[v][k + 1]
-            rem_blue[v][k] = rem_blue[v][k + 1]
-        for v in (eu[k], ev[k]):
-            if bit[k]:
-                rem_blue[v][k] += 1
-            else:
-                rem_red[v][k] += 1
+    n, m = len(g.vertices), len(bit)
+    # at 2v + colour bit: v's selected edges of that colour, and its
+    # undecided ones (positions after the edge being decided)
+    sel = [0] * (2 * n)
+    left = [d for v in range(n) for d in g.colour_degrees(v)]
 
-    bal = [0] * n       # selected red minus selected blue
-    red_sel = [0] * n
-    blue_sel = [0] * n
-
-    def feasible(v: int, k: int) -> bool:
-        # can vertex v still reach red=blue>=1 using edges from position k on?
-        b = bal[v]
-        if b > rem_blue[v][k] or -b > rem_red[v][k]:
-            return False
-        if red_sel[v] == 0 and rem_red[v][k] == 0:
-            return False
-        if blue_sel[v] == 0 and rem_blue[v][k] == 0:
-            return False
-        return True
+    def feasible(v: int) -> bool:
+        # can vertex v still reach red=blue>=1 using its undecided edges?
+        i = 2 * v
+        r, b, lr, lb = sel[i], sel[i + 1], left[i], left[i + 1]
+        return r - b <= lb and b - r <= lr and r + lr > 0 and b + lb > 0
 
     def rec(k: int, mask: int):
-        _tick(deadline, counter)
+        tick()
         if k == m:
-            if all(bal[v] == 0 and red_sel[v] >= 1 for v in range(n)):
+            if all(sel[2 * v] == sel[2 * v + 1] >= 1 for v in range(n)):
                 yield mask
             return
         u, w = eu[k], ev[k]
-        d = -1 if bit[k] else 1
+        a, b = 2 * u + bit[k], 2 * w + bit[k]
+        left[a] -= 1
+        left[b] -= 1
         # include
-        for v in (u, w):
-            bal[v] += d
-            if d > 0:
-                red_sel[v] += 1
-            else:
-                blue_sel[v] += 1
-        if feasible(u, k + 1) and feasible(w, k + 1):
+        sel[a] += 1
+        sel[b] += 1
+        if feasible(u) and feasible(w):
             yield from rec(k + 1, mask | (1 << k))
-        for v in (u, w):
-            bal[v] -= d
-            if d > 0:
-                red_sel[v] -= 1
-            else:
-                blue_sel[v] -= 1
+        sel[a] -= 1
+        sel[b] -= 1
         # exclude
-        if feasible(u, k + 1) and feasible(w, k + 1):
+        if feasible(u) and feasible(w):
             yield from rec(k + 1, mask)
+        left[a] += 1
+        left[b] += 1
 
     yield from rec(0, 0)
 
@@ -230,13 +218,13 @@ def oracle_eulerian_factor(g: EdgeColouredMultigraph,
                            ) -> Optional[EulerianFactor]:
     """Edge-subset search for a colour-balanced spanning sub-multigraph."""
     budget.admit(g)
+    tick = budget.clock()
     if len(g.vertices) < 2:
         return None
     if any(0 in g.colour_degrees(i) for i in range(len(g.vertices))):
         return None
     from .factor import tour_factor_from_balanced_edges
-    deadline = budget.deadline()
-    for mask in _balanced_subsets(g, deadline):
+    for mask in _balanced_subsets(g, tick):
         return check_witness(g, tour_factor_from_balanced_edges(
             g, [k for k in range(len(g.bit)) if mask >> k & 1]),
             "oracle witness")
@@ -249,12 +237,11 @@ def oracle_cycle_factor(g: EdgeColouredMultigraph,
                         ) -> Optional[CycleFactor]:
     """Backtracking over alternating cycles through the lowest free vertex."""
     budget.admit(g)
+    tick = budget.clock()
     n = len(g.vertices)
     if n < 2:
         return None
     eu, ev, bit, off, inc, far = g.eu, g.ev, g.bit, g.off, g.inc, g.far
-    deadline = budget.deadline()
-    counter = [0]
     full = (1 << n) - 1
 
     def cycles_through(root: int, free: int):
@@ -262,7 +249,7 @@ def oracle_cycle_factor(g: EdgeColouredMultigraph,
         path: list[int] = []
 
         def dfs(cur: int, vmask: int, last: int, first: int):
-            _tick(deadline, counter)
+            tick()
             for t in range(off[cur], off[cur + 1]):
                 ei = inc[t]
                 to = far[t]
@@ -305,25 +292,17 @@ def oracle_cycle_factor(g: EdgeColouredMultigraph,
     return None
 
 
-def oracle_alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
-                            start: Colour, end: Optional[Colour] = None,
-                            budget: OracleBudget = DEFAULT_BUDGET
-                            ) -> Optional[AlternatingTrail]:
-    """Simple alternating (x,y)-path, first edge `start`, last `end` if given."""
-    budget.admit(g)
-    if x == y:
-        raise ValueError("endpoints must differ")
+def _path(g: EdgeColouredMultigraph, x: int, y: int, s: int, e: int,
+          tick: Callable[[], None]) -> Optional[list[int]]:
+    """Positions of a simple alternating path from vertex index x to
+    y != x, first colour bit s, last e unless -1, by exhaustive DFS;
+    None if there is none."""
     bit, off, inc, far = g.bit, g.off, g.inc, g.far
-    deadline = budget.deadline()
-    counter = [0]
-    xi, yi = g.vertex_index(x), g.vertex_index(y)
-    s = start.bit
-    e = -1 if end is None else end.bit
     path: list[int] = []
 
     def dfs(cur: int, vmask: int, last: int) -> bool:
-        _tick(deadline, counter)
-        if cur == yi:
+        tick()
+        if cur == y:
             return e < 0 or last == e
         for t in range(off[cur], off[cur + 1]):
             ei = inc[t]
@@ -338,32 +317,19 @@ def oracle_alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
             path.pop()
         return False
 
-    if dfs(xi, 1 << xi, -1):
-        return check_witness(g, AlternatingTrail(x, g.ids(path)),
-                             "oracle witness")
-    return None
+    return path if dfs(x, 1 << x, -1) else None
 
 
-def oracle_alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
-                             start: Colour, end: Optional[Colour] = None,
-                             budget: OracleBudget = DEFAULT_BUDGET
-                             ) -> Optional[AlternatingTrail]:
-    """Edge-distinct alternating (x,y)-trail with prescribed colours."""
-    budget.admit(g)
-    if x == y:
-        raise ValueError("endpoints must differ")
+def _trail(g: EdgeColouredMultigraph, x: int, y: int, s: int, e: int,
+           tick: Callable[[], None]) -> Optional[list[int]]:
+    """`_path` for an edge-distinct alternating trail."""
     bit, off, inc, far = g.bit, g.off, g.inc, g.far
-    deadline = budget.deadline()
-    counter = [0]
-    xi, yi = g.vertex_index(x), g.vertex_index(y)
-    s = start.bit
-    e = -1 if end is None else end.bit
     path: list[int] = []
     failed: set[tuple[int, int, int]] = set()
 
     def dfs(cur: int, emask: int, last: int) -> bool:
-        _tick(deadline, counter)
-        if cur == yi and last >= 0 and (e < 0 or last == e):
+        tick()
+        if cur == y and last >= 0 and (e < 0 or last == e):
             return True
         key = (cur, emask, last)
         if key in failed:
@@ -381,33 +347,61 @@ def oracle_alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
         failed.add(key)
         return False
 
-    if dfs(xi, 0, -1):
-        return check_witness(g, AlternatingTrail(x, g.ids(path)),
-                             "oracle witness")
-    return None
+    return path if dfs(x, 0, -1) else None
+
+
+def _query(g: EdgeColouredMultigraph, x: str, y: str, start: Colour,
+           end: Optional[Colour], budget: OracleBudget, search,
+           simple: bool) -> Optional[AlternatingTrail]:
+    """One (x, y) query: admit g, arm one clock, search and check."""
+    budget.admit(g)
+    if x == y:
+        raise ValueError("endpoints must differ")
+    xi, yi = g.vertex_index(x), g.vertex_index(y)
+    e = -1 if end is None else end.bit
+    ks = search(g, xi, yi, start.bit, e, budget.clock())
+    if ks is None:
+        return None
+    check_walk(g, xi, ks, yi, start.bit, e, simple)
+    return AlternatingTrail(x, g.ids(ks))
+
+
+def oracle_alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
+                            start: Colour, end: Optional[Colour] = None,
+                            budget: OracleBudget = DEFAULT_BUDGET
+                            ) -> Optional[AlternatingTrail]:
+    """Simple alternating (x,y)-path, first edge `start`, last `end` if given."""
+    return _query(g, x, y, start, end, budget, _path, True)
+
+
+def oracle_alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
+                             start: Colour, end: Optional[Colour] = None,
+                             budget: OracleBudget = DEFAULT_BUDGET
+                             ) -> Optional[AlternatingTrail]:
+    """Edge-distinct alternating (x,y)-trail with prescribed colours."""
+    return _query(g, x, y, start, end, budget, _trail, False)
+
+
+def _connected(g: EdgeColouredMultigraph, budget: OracleBudget, search,
+               simple: bool) -> bool:
+    """Whether `search` finds a checked walk for every triple (u, v != u,
+    start colour), asked in the sweeps' order on one clock."""
+    budget.admit(g)
+    tick = budget.clock()
+    for u, v in permutations(range(len(g.vertices)), 2):
+        for c in (0, 1):
+            ks = search(g, u, v, c, -1, tick)
+            if ks is None:
+                return False
+            check_walk(g, u, ks, v, c, -1, simple)
+    return True
 
 
 def oracle_colour_connected(g: EdgeColouredMultigraph,
                             budget: OracleBudget = DEFAULT_BUDGET) -> bool:
-    budget.admit(g)
-    for u in g.vertices:
-        for v in g.vertices:
-            if u == v:
-                continue
-            for c in (Colour.RED, Colour.BLUE):
-                if oracle_alternating_path(g, u, v, c, budget=budget) is None:
-                    return False
-    return True
+    return _connected(g, budget, _path, True)
 
 
 def oracle_trail_colour_connected(g: EdgeColouredMultigraph,
                                   budget: OracleBudget = DEFAULT_BUDGET) -> bool:
-    budget.admit(g)
-    for u in g.vertices:
-        for v in g.vertices:
-            if u == v:
-                continue
-            for c in (Colour.RED, Colour.BLUE):
-                if oracle_alternating_trail(g, u, v, c, budget=budget) is None:
-                    return False
-    return True
+    return _connected(g, budget, _trail, False)

@@ -255,7 +255,9 @@ def generate(model: str, seed: int = 0,
     """Seeded random instance of the named model.
 
     random_2ec(n, m): n vertices, m uniform random coloured edges
-    (parallel edges allowed, parallel same-coloured ones are not).
+    (parallel edges allowed, parallel same-coloured ones are not).  So
+    there are at most n(n-1) edges, one per vertex pair and colour: a
+    larger m is capped there without a word, e.g. n=3, m=20 gives 6.
 
     mclosed_blowup(n): blow-up of the closure of a small random base to
     exactly n vertices.

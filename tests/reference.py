@@ -176,7 +176,7 @@ def merge_trails_3cycle(g: EdgeColouredMultigraph,
               _cross_edge(g, vb_pred, vc_pred, alpha),
               _cross_edge(g, vc_pred, va, alpha.other())])
     out = AlternatingTrail(va, tuple(ids), closed=True)
-    return check_witness(g, out, "triangle merge", MergeInternalError)
+    return check_witness(g, out, "triangle merge")
 
 
 def merge_trails_transitive(g: EdgeColouredMultigraph,
@@ -200,7 +200,7 @@ def merge_trails_transitive(g: EdgeColouredMultigraph,
            + [_cross_edge(g, w_pred, v, c.other())]
            + e1)
     out = AlternatingTrail(v, tuple(ids), closed=True)
-    return check_witness(g, out, "transitive merge", MergeInternalError)
+    return check_witness(g, out, "transitive merge")
 
 
 def exchange(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc, rotate: bool

@@ -1,9 +1,12 @@
 import pytest
+from click.testing import CliRunner
 
+import ecgraph.oracle as oracle_module
 from ecgraph import (
     BLUE,
     RED,
     BudgetExceeded,
+    GraphError,
     OracleBudget,
     build_graph,
     oracle_alternating_path,
@@ -14,9 +17,11 @@ from ecgraph import (
     oracle_ham_alternating,
     oracle_supereulerian,
     oracle_trail_colour_connected,
+    serialize_graph,
     verify_witness,
 )
-from ecgraph.reductions import fixture
+from ecgraph.cli import main
+from ecgraph.reductions import fixture, generate
 
 
 def digon():
@@ -101,9 +106,66 @@ class TestBudget:
             oracle_ham_alternating(g, OracleBudget(max_edges=5))
 
     def test_time_cap(self):
-        from ecgraph.reductions import generate
         # large enough that the trail search cannot finish instantly
         g = generate("random_2ec", seed=5, n=12, m=36)
         with pytest.raises(BudgetExceeded):
             oracle_supereulerian(
                 g, OracleBudget(max_vertices=20, max_edges=500, seconds=0.0))
+
+
+class TestOneClock:
+    # no single (u, v, colour) query of this graph reaches 4096 search
+    # nodes, but the trail sweep as a whole does
+    SWEEP = generate("random_2ec", seed=46, n=10, m=30)
+
+    def test_connectivity_sweep_is_bounded_as_a_whole(self):
+        with pytest.raises(BudgetExceeded, match="time limit exceeded"):
+            oracle_trail_colour_connected(self.SWEEP, OracleBudget(
+                max_vertices=10, max_edges=100, seconds=0.0))
+
+    def test_connectivity_sweep_budget_exit_code(self):
+        res = CliRunner().invoke(
+            main, ["oracle", "trail-colour-connected", "-"],
+            input=serialize_graph(self.SWEEP),
+            env={"ECGRAPH_BUDGET_SECS": "0"})
+        assert res.exit_code == 5
+        assert "time limit exceeded" in res.output
+
+    @pytest.mark.parametrize("call", [
+        oracle_supereulerian,
+        oracle_ham_alternating,
+        oracle_eulerian_factor,
+        oracle_cycle_factor,
+        lambda g: oracle_alternating_path(g, "v1", "v4", RED),
+        lambda g: oracle_alternating_trail(g, "v1", "v4", BLUE),
+        oracle_colour_connected,
+        oracle_trail_colour_connected,
+    ], ids=["supereulerian", "hamiltonian", "eulerian-factor",
+            "cycle-factor", "path", "trail", "colour-connected",
+            "trail-colour-connected"])
+    def test_each_call_arms_one_clock(self, monkeypatch, call):
+        armed = []
+        real = OracleBudget.clock
+        monkeypatch.setattr(OracleBudget, "clock",
+                            lambda budget: armed.append(budget)
+                            or real(budget))
+        call(fixture("efig"))
+        assert armed == [oracle_module.DEFAULT_BUDGET]
+
+
+class TestWitnessCheck:
+    # a, b, c: e0 a-b red, e1 a-c red
+    G = build_graph(["a", "b", "c"], [("a", "b", RED), ("a", "c", RED)])
+
+    @pytest.mark.parametrize("name, call", [
+        ("_path", lambda g: oracle_alternating_path(g, "a", "b", RED)),
+        ("_trail", lambda g: oracle_alternating_trail(g, "a", "b", RED)),
+        ("_path", oracle_colour_connected),
+        ("_trail", oracle_trail_colour_connected),
+    ], ids=["path", "trail", "colour-connected", "trail-colour-connected"])
+    def test_witness_ending_elsewhere_raises(self, monkeypatch, name, call):
+        # an explicit check, not an assert, so it holds under python -O
+        monkeypatch.setattr(oracle_module, name,
+                            lambda g, x, y, s, e, tick: [1])
+        with pytest.raises(GraphError, match="witness ends at 'c'"):
+            call(self.G)
