@@ -16,14 +16,26 @@ target and end colour, because its outer vertices are exactly the
 copies whose deletion leaves a perfect matching (see
 `alternating_path`); a sweep keeps only the current source's two.
 
-Each positive triple is read back as positions in g.edges and checked
-by `check_walk`, on the graph's `walk`, the routine `verify_witness`
-runs too, for its end vertex, its end colours and, for a path,
-simplicity: the package's one check of these verdicts, which the path
-and trail oracles run as well.  A sweep builds no witness object;
-`alternating_path` and `alternating_trail`, which ask the same query
-objects once, turn the checked positions into an `AlternatingTrail`
-(`ids`) and do not check it again.
+A search's read-back paths form a tree: node a = b ^ 1 for each outer
+copy b, with parent p[a] ^ 1, rooted at the masked copy, and a target's
+path is its node's root path.  So a sweep checks trees, not triples:
+the first time a triple asks a node, it climbs to the node's first
+checked ancestor and checks each step down once, against g's own
+arrays (the edge joins the two vertices in the colours of both copies,
+so colours alternate from the start colour), and keeps a path simple
+(a trail edge-distinct) with a bitmask of the vertices (edges) that a
+second node of the tree could take again.  That is the package's check
+of a sweep's yes; it survives python -O, costs each search one step
+per node it settles, and builds no witness.  A copy that is outer but
+whose node fails the check is an internal error, never a no.
+
+A single query (`positions`, which `alternating_path`,
+`alternating_trail` and the quotient route's confirming query ask)
+reads its path back on its own and checks it with `check_walk`, on the
+graph's `walk`, the routine `verify_witness` runs too, for its end
+vertex, its end colours and, for a path, simplicity; the path and trail
+oracles run the same check.  The two public queries turn the checked
+positions into an `AlternatingTrail` (`ids`) and do not check it again.
 
 A sweep asks the triples (u, v, start colour) in one order, u, then v,
 then red before blue, from a start triple on (the first, for the public
@@ -45,6 +57,7 @@ from .core import (
     AlternatingTrail,
     Colour,
     EdgeColouredMultigraph,
+    GraphError,
     UnsupportedClass,
     check_walk,
 )
@@ -64,10 +77,12 @@ class _PathQuery:
     Vertex i of g has a red copy 2i and a blue copy 2i+1, joined by an
     internal edge; a colour-c edge at position k of g.edges joins the
     two c-copies, and the split graph keeps k as its id.  The searches
-    from the current source's two copies are kept, so a sweep searches
-    once per (source, start colour).  A subclass changes only the split
-    graph and its read-back: vertex i's first copy of colour bit c is
-    `STRIDE * i + c`, and every split vertex a is paired with a ^ 1.
+    from the current source's two copies are kept, with what their
+    trees' checks found, so a sweep searches once per (source, start
+    colour) and checks each tree node at most once.  A subclass changes
+    only the split graph and the steps of its search tree (`_read_back`,
+    `_settle`): vertex i's first copy of colour bit c is `STRIDE * i + c`,
+    and every split vertex a is paired with a ^ 1.
     """
 
     STRIDE = 2
@@ -86,6 +101,22 @@ class _PathQuery:
                   for k in range(len(bit))]
         return IndexedGraph(2 * n, edges)
 
+    def _search(self, root: int) -> tuple[list[bool], list[int], list]:
+        """outer and p of the search from split vertex root, and the
+        state `_settle` keeps of its tree's nodes."""
+        search = self._searches.get(root)
+        if search is None:
+            # a new source drops the searches of the one before
+            if root ^ 1 not in self._searches:
+                self._searches.clear()
+            outer, p, _ = self._split.search(root)
+            state = [None] * (self.STRIDE * len(self.g.vertices))
+            # the root node's path holds nothing; root itself is no
+            # node, as its partner is masked
+            state[root ^ 1] = 0
+            search = self._searches[root] = outer, p, state
+        return search
+
     def _read_back(self, a: int, stop: int, p: list[int]) -> list[int]:
         """The positions in g.edges of the split edges on the search
         tree's path from split vertex a back to `stop`, last edge
@@ -98,20 +129,85 @@ class _PathQuery:
             a = b ^ 1
         return seq
 
+    def _settle(self, a: int, outer: list[bool], p: list[int],
+                state: list) -> int:
+        """Settle node a of the search tree p, and the unsettled nodes
+        above it, in state: -1 for a node whose root path fails the
+        check, else the bitmask below.  Returns a's.
+
+        A node is a split vertex whose partner is outer; node a's parent
+        is b ^ 1, b = p[a], over the split edge (a, b), whose id k is the
+        position in g.edges that `_read_back` reads.  Climb from a to
+        its first settled node (-1 where the chain leaves the nodes or
+        loops back), then check each step down against g's arrays: edge
+        k joins b's vertex to a's in the colour bit of both, so colours
+        alternate and the first has the root's colour.  A path can take
+        a's vertex twice only through node a ^ 1 too, so where that is a
+        node, a's vertex must not be in the parent's bitmask, and goes
+        into a's."""
+        chain = []
+        while state[a] is None:
+            # -1 until checked, so a chain that loops back stops here
+            state[a] = -1
+            chain.append(a)
+            b = p[a]
+            if b < 0 or not outer[b]:
+                return -1
+            a = b ^ 1
+        s = state[a]
+        if s < 0:
+            return -1
+        edge_id = self._split.edge_id
+        g = self.g
+        eu, ev, bit = g.eu, g.ev, g.bit
+        m = len(bit)
+        for a in reversed(chain):
+            b = p[a]
+            try:
+                k = edge_id(a, b)
+            except KeyError:
+                return -1
+            v, w = b >> 1, a >> 1
+            if not (0 <= k < m and bit[k] == a & 1 == b & 1 and (
+                    eu[k] == v and ev[k] == w or eu[k] == w and ev[k] == v)):
+                return -1
+            if outer[a]:
+                mask = 1 << w
+                if s & mask:
+                    return -1
+                s |= mask
+            state[a] = s
+        return s
+
+    def reaches(self, x: int, y: int, start: int) -> bool:
+        """Whether g has an alternating path (trail) from vertex index x
+        to y != x, first colour bit `start`: y's non-end copy is outer in
+        the search from x's start copy, red end first, and its end node
+        is checked (`_settle`).  An outer copy whose end node fails the
+        check is an internal error, never a no."""
+        root = self.STRIDE * x + start
+        outer, p, state = self._searches.get(root) or self._search(root)
+        j = self.STRIDE * y
+        last = j if outer[j + 1] else j + 1 if outer[j] else -1
+        if last < 0:
+            return False
+        s = state[last]
+        if s is None:
+            s = self._settle(last, outer, p, state)
+        if s < 0:
+            names = self.g.vertices
+            raise GraphError(f"internal error: {names[x]!r}-{names[y]!r} "
+                             f"witness fails the search tree's check")
+        return True
+
     def positions(self, x: int, y: int, start: int, end: int = -1
                   ) -> Optional[list[int]]:
         """The positions in g.edges of an alternating path (trail) from
         vertex index x to y != x, first colour bit `start`, last colour
-        bit `end` (either when -1), once checked; None if there is
-        none."""
+        bit `end` (either when -1), read back on its own and checked by
+        `check_walk`; None if there is none."""
         root = self.STRIDE * x + start
-        search = self._searches.get(root)
-        if search is None:
-            # a new source drops the searches of the one before
-            if root ^ 1 not in self._searches:
-                self._searches.clear()
-            search = self._searches[root] = self._split.search(root)
-        outer = search[0]
+        outer, p, _ = self._search(root)
         # y's non-end copy must be outer; end -1 tries red first
         j = self.STRIDE * y
         if end >= 0:
@@ -120,7 +216,7 @@ class _PathQuery:
             last = j if outer[j + 1] else j + 1 if outer[j] else -1
         if last < 0:
             return None
-        ks = self._read_back(last, root ^ 1, search[1])
+        ks = self._read_back(last, root ^ 1, p)
         ks.reverse()
         check_walk(self.g, x, ks, y, start, end, self.SIMPLE)
         return ks
@@ -130,7 +226,7 @@ class _PathQuery:
         if x == y:
             raise ValueError("endpoints must differ")
         g = self.g
-        ks = self.positions(g.index[x], g.index[y], start.bit,
+        ks = self.positions(g.vertex_index(x), g.vertex_index(y), start.bit,
                             -1 if end is None else end.bit)
         return None if ks is None else AlternatingTrail(x, g.ids(ks))
 
@@ -172,6 +268,46 @@ class _TrailQuery(_PathQuery):
                 seq.append((h - base) >> 1)
             a = b ^ 1
         return seq
+
+    def _settle(self, a: int, outer: list[bool], p: list[int],
+                state: list) -> int:
+        # only vertex copies are nodes here: copy a hangs from helper
+        # node h ^ 1 of edge k, h = p[a] outer, which hangs from copy
+        # p[h ^ 1] ^ 1, so one step crosses the helper pair, as two
+        # steps of the read-back do.  A trail can take edge k twice only
+        # through both helper nodes, so where h is a node too, k goes
+        # into the bitmask
+        base = 4 * len(self.g.vertices)
+        chain = []
+        while state[a] is None:
+            state[a] = -1
+            chain.append(a)
+            h = p[a]
+            b = p[h ^ 1] if h >= base and outer[h] else -1
+            if not 0 <= b < base:
+                return -1
+            a = b ^ 1
+        s = state[a]
+        if s < 0:
+            return -1
+        g = self.g
+        eu, ev, bit = g.eu, g.ev, g.bit
+        m = len(bit)
+        for a in reversed(chain):
+            h = p[a]
+            b = p[h ^ 1]
+            k = (h - base) >> 1
+            v, w = b >> 2, a >> 2
+            if not (k < m and bit[k] == a & 1 == b & 1 and (
+                    eu[k] == v and ev[k] == w or eu[k] == w and ev[k] == v)):
+                return -1
+            if outer[h ^ 1]:
+                mask = 1 << k
+                if s & mask:
+                    return -1
+                s |= mask
+            state[a] = s
+        return s
 
 
 def alternating_path(g: EdgeColouredMultigraph, x: str, y: str,
@@ -234,14 +370,14 @@ def _sweep(g: EdgeColouredMultigraph, make,
     n = len(g.vertices)
     if n < 2:
         raise UnsupportedClass("connectivity needs at least two vertices")
-    query = make(g)
+    reaches = make(g).reaches
     names = g.vertices
-    for u in range(n):
+    for u in range(start[0], n):
         for v in range(n):
             if u == v:
                 continue
             for c in (0, 1):
-                if (u, v, c) >= start and query.positions(u, v, c) is None:
+                if (u, v, c) >= start and not reaches(u, v, c):
                     return ConnectivityReport(
                         False, (names[u], names[v], BIT_COLOUR[c]))
     return ConnectivityReport(True)

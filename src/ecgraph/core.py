@@ -12,12 +12,15 @@ A graph is its own integer index, built in one validating pass from
 `Edge` records or, by `parse_graph`, straight from the document: edges
 by position, with ids, ends as vertex indices, colour bits, incidence
 lists.  Lookups and algorithms read it, never g.edges (built on first
-read).  Its `walk` is the one check of an alternating trail, and
-`closed_walk` adds the closed-trail and cycle verdicts: `verify_witness`
-maps a trail's ids to positions and runs them, the merge runs
-`closed_walk` on its walks, and `check_walk` adds the open path and
-trail verdicts (ends, end colours, simplicity) that the sweeps and the
-path and trail oracles run on the positions they find.
+read).  Its `walk` is the one check of an alternating trail given as
+edge positions, and `closed_walk` adds the closed-trail and cycle
+verdicts: `verify_witness` maps a trail's ids to positions and runs
+them, the merge runs `closed_walk` on its walks, and `check_walk` adds
+the open path and trail verdicts (ends, end colours, simplicity) that
+single path and trail queries and the path and trail oracles run on the
+positions they find.  The connectivity sweeps read no walk back: they
+check each search tree's steps against the same arrays
+(`ecgraph.connect`).
 
 `positions` and `ids` are the one conversion between edge ids and
 positions.  Every function that returns a witness checks it once,
@@ -227,8 +230,9 @@ class EdgeColouredMultigraph:
 
         Raises BadWalk unless the edges are pairwise distinct, and each
         is known, continues the walk and changes colour.  An explicit
-        check, so python -O keeps it; verification, the sweeps and the
-        merge share it as their one definition of an alternating trail.
+        check, so python -O keeps it; verification, the single path and
+        trail queries, the oracles and the merge share it as their one
+        definition of an alternating trail.
         """
         if len(set(ks)) != len(ks):
             raise BadWalk("edge repeated", -1)
@@ -303,7 +307,10 @@ class EdgeColouredMultigraph:
         return edge_id in self.pos
 
     def vertex_index(self, v: str) -> int:
-        return self.index[v]
+        try:
+            return self.index[v]
+        except KeyError:
+            raise GraphError(f"unknown vertex {v!r}") from None
 
     def incident(self, v: str, colour: Optional[Colour] = None) -> tuple[Edge, ...]:
         bit = self.bit
@@ -594,8 +601,8 @@ def check_walk(g: EdgeColouredMultigraph, x: int, ks: Sequence[int],
     trail of g from vertex index x to y != x, first colour bit `start`,
     last `end` unless that is -1, and visiting no vertex twice if
     `simple`: all read from the graph's one walk of ks.  An explicit
-    check, so python -O keeps it; the sweeps and the path and trail
-    oracles run it on each witness they find."""
+    check, so python -O keeps it; single path and trail queries and the
+    path and trail oracles run it on each witness they find."""
     try:
         seen = g.walk(x, ks)
     except BadWalk as exc:

@@ -76,6 +76,17 @@ class TestPathQueries:
                 assert len(seq) == len(set(seq))
 
 
+@pytest.mark.parametrize("query", [
+    alternating_path, alternating_trail, oracle_alternating_path,
+    oracle_alternating_trail])
+def test_unknown_vertex_raises_graph_error(query):
+    g = fixture("efig")
+    with pytest.raises(GraphError, match="unknown vertex 'a'"):
+        query(g, "a", "v1", RED)
+    with pytest.raises(GraphError, match="unknown vertex 'a'"):
+        query(g, "v1", "a", RED)
+
+
 class TestTrailQueries:
     def test_trail_where_no_path(self):
         # blue-first works via the direct edge, red-first dead-ends at u
@@ -267,19 +278,61 @@ class TestDerivedTrailConnectivity:
     def test_trail_sweep_starts_at_the_path_counterexample(
             self, monkeypatch, seed, path, trail):
         asked = []
-        positions = _TrailQuery.positions
+        reaches = _TrailQuery.reaches
 
-        def spy(self, x, y, start, end=-1):
+        def spy(self, x, y, start):
             asked.append((x, y, start))
-            return positions(self, x, y, start, end)
+            return reaches(self, x, y, start)
 
-        monkeypatch.setattr(_TrailQuery, "positions", spy)
+        monkeypatch.setattr(_TrailQuery, "reaches", spy)
         g = generate("random_2ec", seed=seed, n=8, m=16)
         a = Analysis.of(g)
         assert a.cc.counterexample == path
         assert a.tcc.counterexample == trail
         u, v, c = path
         assert asked[0] == (g.index[u], g.index[v], c.bit)
+
+
+def corrupt_searches(monkeypatch, corrupt):
+    """Make every single-source search return p as `corrupt(p, root)`
+    changes it in place."""
+    search = IndexedGraph.search
+
+    def corrupted(self, root):
+        outer, p, match = search(self, root)
+        corrupt(p, root)
+        return outer, p, match
+
+    monkeypatch.setattr(IndexedGraph, "search", corrupted)
+
+
+# a -e0 red- c -e1 blue- b: the first triple of either sweep, (a, b,
+# red), has its one path through c, so the search from a's red copy
+# hangs b's blue node from c's red node, and that from the root node
+PATH_ACB = build_graph(["a", "b", "c"],
+                       [("a", "c", RED), ("c", "b", BLUE)])
+
+
+def hang_b_from_the_root(make):
+    """Hang b's blue node where c's red node hangs, from the root node,
+    along a step that is no edge of g from a to b."""
+    def corrupt(p, root):
+        if root == 0:
+            b, c = make.STRIDE + 1, 2 * make.STRIDE
+            p[b] = p[c]
+    return corrupt
+
+
+def hang_b_from_itself(make):
+    """Close b's blue node's chain into a loop that misses the root."""
+    def corrupt(p, root):
+        if root == 0:
+            b = make.STRIDE + 1
+            if make is _PathQuery:
+                p[b] = b ^ 1
+            else:
+                p[p[b] ^ 1] = b ^ 1
+    return corrupt
 
 
 class TestQueryObjects:
@@ -311,10 +364,22 @@ class TestQueryObjects:
             alternating_path(g, "a", "b", RED)
         with pytest.raises(GraphError, match="forced"):
             alternating_trail(g, "a", "b", BLUE)
-        with pytest.raises(GraphError, match="forced"):
-            is_colour_connected(g)
-        with pytest.raises(GraphError, match="forced"):
-            is_trail_colour_connected(g)
+
+    @pytest.mark.parametrize("corrupt", [hang_b_from_the_root,
+                                         hang_b_from_itself])
+    @pytest.mark.parametrize("sweep, make", [
+        (is_colour_connected, _PathQuery),
+        (is_trail_colour_connected, _TrailQuery)])
+    def test_failed_tree_check_raises(self, monkeypatch, sweep, make,
+                                      corrupt):
+        # the sweeps check each search's tree, not each triple's walk;
+        # an outer copy whose node fails it is an internal error, never
+        # a no, and the check is explicit, so it holds under python -O
+        assert sweep(PATH_ACB).counterexample == ("a", "b", BLUE)
+        corrupt_searches(monkeypatch, corrupt(make))
+        with pytest.raises(GraphError,
+                           match="'a'-'b' witness fails the search tree"):
+            sweep(PATH_ACB)
 
     # a, b, c: e0 a-b red, e1 a-c red, e2 c-b blue, e3 a-b blue,
     # e4 a-b red, at positions 0-4
@@ -371,18 +436,143 @@ class TestQueryObjects:
         t = alternating_trail(self.CHECKED, "a", "b", RED)
         assert t.edge_ids == ("e0", "e3", "e4")
 
-    def test_trail_sweep_verifies_each_trail_once(self, monkeypatch):
-        real = EdgeColouredMultigraph.walk
-        seen = []
-        monkeypatch.setattr(EdgeColouredMultigraph, "walk",
-                            lambda graph, *args: seen.append(graph)
-                            or real(graph, *args))
+    # a -e0 red- b -e1 blue- c -e2 red- d -e3 blue- b, e4 b-z red: the
+    # walk e0 e1 e2 e3 e4 revisits b, the walk e0 e1 e2 e3 e0 takes e0
+    # twice, the second time from b back to a
+    LOOPED = build_graph(["a", "b", "c", "d", "z"],
+                         [("a", "b", RED), ("b", "c", BLUE), ("c", "d", RED),
+                          ("d", "b", BLUE), ("b", "z", RED)])
+
+    @staticmethod
+    def hand_tree(q, walk):
+        """outer, p and the fresh state of a search from vertex 0's red
+        copy whose tree has one chain, along the edge positions `walk`,
+        and the node the chain ends at.  In a trail's split graph it
+        takes a vertex's second copy where its first is taken or is the
+        root, and crosses edge k by the helper at the end it reaches."""
+        g = q.g
+        stride, base = q.STRIDE, q.STRIDE * len(g.vertices)
+        size = len(q._split.adj)
+        outer, p = [False] * size, [-1] * size
+        outer[0] = True
+        state = [None] * base
+        state[1] = 0
+        node, x = 1, 0
+        for k in walk:
+            w = g.ev[k] if g.eu[k] == x else g.eu[k]
+            a = stride * w + g.bit[k]
+            if stride == 4:
+                a += 2 * (p[a] >= 0 or a == 0)
+                h = base + 2 * k + (w == g.ev[k])
+                p[a], p[h ^ 1] = h, node ^ 1
+                outer[h] = True
+            else:
+                p[a] = node ^ 1
+            outer[node ^ 1] = outer[a ^ 1] = True
+            node, x = a, w
+        return outer, p, state, node
+
+    # a search labels p[a] outer for each node a; the path chain e0 e1
+    # e2 e3 e4 leaves b's red copy 2 by e1, and the trail chain e0 e1 e2
+    # e3 e0 arrives at a by e0's helper 20 = 4n
+    @pytest.mark.parametrize("make, walk, unlabelled, checked", [
+        (_PathQuery, (0, 1, 2), None, True),
+        (_PathQuery, (0, 1, 2, 3, 4), None, False),
+        (_PathQuery, (0, 1, 2, 3, 4), 2, False),
+        (_TrailQuery, (0, 1, 2, 3, 4), None, True),
+        (_TrailQuery, (0, 1, 2, 3, 0), None, False),
+        (_TrailQuery, (0, 1, 2, 3, 0), 20, False)])
+    def test_tree_check_keeps_paths_simple_and_trails_edge_distinct(
+            self, make, walk, unlabelled, checked):
+        q = make(self.LOOPED)
+        outer, p, state, last = self.hand_tree(q, walk)
+        if unlabelled is not None:
+            outer[unlabelled] = False
+        assert (q._settle(last, outer, p, state) >= 0) is checked
+        if unlabelled is None:
+            # the chain's first three steps are a path, checked on the
+            # way, whatever fails below them
+            _, _, _, third = self.hand_tree(q, walk[:3])
+            assert state[third] >= 0
+
+    # a-b red is edge 0 of g; the split graph of `other` gives it
+    # position 1, a-c red in g (its colour, other ends), or position 2,
+    # which g does not have
+    @pytest.mark.parametrize("other", [
+        [("a", "c", RED), ("a", "b", RED)],
+        [("a", "c", RED), ("a", "c", BLUE), ("a", "b", RED)]])
+    @pytest.mark.parametrize("sweep, make", [
+        (is_colour_connected, _PathQuery),
+        (is_trail_colour_connected, _TrailQuery)])
+    def test_tree_check_reads_g_not_the_split_graph(
+            self, monkeypatch, sweep, make, other):
+        g = build_graph(["a", "b", "c"], [("a", "b", RED), ("a", "c", RED)])
+        split = make._split_graph
+        monkeypatch.setattr(make, "_split_graph", staticmethod(
+            lambda _: split(build_graph(["a", "b", "c"], other))))
+        with pytest.raises(GraphError,
+                           match="'a'-'b' witness fails the search tree"):
+            sweep(g)
+
+    def test_sweep_checks_each_search_tree_once(self, monkeypatch):
+        # each node of a search tree is checked once, against g's own
+        # colour bits: one read of g.bit per node settled, none from
+        # the split graph's build, and a full sweep checks 2·n trees
+        states = []
+        for make in (_PathQuery, _TrailQuery):
+            init, search = make.__init__, make._search
+
+            def counted(self, g, init=init):
+                init(self, g)
+                monkeypatch.setattr(g, "bit", CountedList(g.bit))
+
+            def kept(self, root, search=search):
+                s = search(self, root)
+                states.append((self.g, s[2]))
+                return s
+
+            monkeypatch.setattr(make, "__init__", counted)
+            monkeypatch.setattr(make, "_search", kept)
         g = fixture("halfm")
-        assert is_trail_colour_connected(g).connected
         n = len(g.vertices)
-        # one check per positive triple, on g, never on the split graph
-        assert len(seen) == 2 * n * (n - 1)
-        assert all(graph is g for graph in seen)
+        for sweep in (is_colour_connected, is_trail_colour_connected):
+            states.clear()
+            assert sweep(g).connected
+            assert all(graph is g for graph, _ in states)
+            trees = {id(state): state for _, state in states}
+            assert len(trees) == 2 * n
+            # the root node of each tree is settled from the start
+            settled = sum(len(state) - state.count(None) - 1
+                          for state in trees.values())
+            assert g.bit.reads == settled
+            monkeypatch.setattr(g, "bit", list(g.bit))
+
+    def test_sweep_reads_each_tree_edge_once_per_search(self, monkeypatch):
+        # on an alternating cycle a triple's path has up to n - 1 edges,
+        # and reading each back apart took 2·n·(n - 1) triples times
+        # that (990,000 split-edge lookups at n = 100); each search's
+        # tree has fewer than 2·n nodes, each looked up once
+        n = 100
+        vs = [f"v{i}" for i in range(n)]
+        g = build_graph(vs, [(vs[i], vs[(i + 1) % n], (RED, BLUE)[i % 2])
+                             for i in range(n)])
+        lookups = []
+        edge_id = IndexedGraph.edge_id
+        monkeypatch.setattr(IndexedGraph, "edge_id",
+                            lambda self, u, v: lookups.append(u)
+                            or edge_id(self, u, v))
+        assert is_colour_connected(g).connected
+        assert len(lookups) <= 4 * n * n
+
+
+class CountedList(list):
+    """A list that counts the items read from it one by one."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
 
 
 def reference_classes(g):

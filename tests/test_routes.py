@@ -39,6 +39,7 @@ from ecgraph.core import (
     serialize_graph,
     verify_witness,
 )
+from ecgraph.matching import IndexedGraph
 from ecgraph.merge import MergeInternalError, alternating_hamiltonian_cycle
 from ecgraph.reductions import fixture, generate
 from ecgraph.structure import (
@@ -334,14 +335,19 @@ def test_analyze_of_a_parsed_graph_builds_no_edge(monkeypatch, model, seed,
 
 def test_failed_sweep_check_raises_through_hamiltonian(runner, monkeypatch):
     # a GraphError is a ValueError; it must not read as "unsupported".
-    # Each query reads back edge 0 twice, which the sweep's check rejects
-    for query in (ecgraph.connect._PathQuery, ecgraph.connect._TrailQuery):
-        monkeypatch.setattr(query, "_read_back",
-                            lambda self, a, stop, p: [0, 0])
+    # Every search returns p[a] = a ^ 1, so no node's chain reaches the
+    # root, and the sweep's tree check rejects the first node it asks
+    search = IndexedGraph.search
+
+    def looped(self, root):
+        outer, p, match = search(self, root)
+        return outer, [a ^ 1 for a in range(len(p))], match
+
+    monkeypatch.setattr(IndexedGraph, "search", looped)
     res = runner.invoke(main, ["hamiltonian", "-"],
                         input=serialize_graph(fixture("needall_h")))
     assert isinstance(res.exception, GraphError)
-    assert "edge repeated" in str(res.exception)
+    assert "fails the search tree's check" in str(res.exception)
     assert res.exit_code not in (0, 3, 4, 5)
 
 
