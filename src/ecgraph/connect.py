@@ -16,9 +16,9 @@ target and end colour, because its outer vertices are exactly the
 copies whose deletion leaves a perfect matching (see
 `alternating_path`); a sweep keeps only the current source's two.
 
-A search's read-back paths form a tree: node a = b ^ 1 for each outer
-copy b, with parent p[a] ^ 1, rooted at the masked copy, and a target's
-path is its node's root path.  So a sweep checks trees, not triples:
+A search's paths form a tree: node a = b ^ 1 for each outer copy b,
+with parent p[a] ^ 1, rooted at the masked copy, and a target's path is
+its node's root path.  So a sweep checks trees, not triples:
 the first time a triple asks a node, it climbs to the node's first
 checked ancestor and checks each step down once, against g's own
 arrays (the edge joins the two vertices in the colours of both copies,
@@ -31,11 +31,14 @@ whose node fails the check is an internal error, never a no.
 
 A single query (`positions`, which `alternating_path`,
 `alternating_trail` and the quotient route's confirming query ask)
-reads its path back on its own and checks it with `check_walk`, on the
-graph's `walk`, the routine `verify_witness` runs too, for its end
-vertex, its end colours and, for a path, simplicity; the path and trail
-oracles run the same check.  The two public queries turn the checked
-positions into an `AlternatingTrail` (`ids`) and do not check it again.
+climbs the same tree with the same check (`_settle`), from its end node
+to the root on a fresh state, and collects each checked step's edge
+position on the way back down; a node that fails raises the sweeps'
+internal error.  `check_walk` then checks the positions on the graph's
+`walk`, the routine `verify_witness` runs too, for the end vertex, the
+end colours and, for a path, simplicity, as the path and trail oracles
+check theirs.  The two public queries turn the checked positions into
+an `AlternatingTrail` (`ids`) and do not check it again.
 
 A sweep asks the triples (u, v, start colour) in one order, u, then v,
 then red before blue, from a start triple on (the first, for the public
@@ -80,9 +83,9 @@ class _PathQuery:
     from the current source's two copies are kept, with what their
     trees' checks found, so a sweep searches once per (source, start
     colour) and checks each tree node at most once.  A subclass changes
-    only the split graph and the steps of its search tree (`_read_back`,
-    `_settle`): vertex i's first copy of colour bit c is `STRIDE * i + c`,
-    and every split vertex a is paired with a ^ 1.
+    only the split graph and the steps of its search tree (`_settle`):
+    vertex i's first copy of colour bit c is `STRIDE * i + c`, and every
+    split vertex a is paired with a ^ 1.
     """
 
     STRIDE = 2
@@ -117,34 +120,23 @@ class _PathQuery:
             search = self._searches[root] = outer, p, state
         return search
 
-    def _read_back(self, a: int, stop: int, p: list[int]) -> list[int]:
-        """The positions in g.edges of the split edges on the search
-        tree's path from split vertex a back to `stop`, last edge
-        first: p crosses a split edge, ^ 1 a pair."""
-        split = self._split
-        seq = []
-        while a != stop:
-            b = p[a]
-            seq.append(split.edge_id(a, b))
-            a = b ^ 1
-        return seq
-
     def _settle(self, a: int, outer: list[bool], p: list[int],
-                state: list) -> int:
+                state: list, ks: Optional[list[int]] = None) -> int:
         """Settle node a of the search tree p, and the unsettled nodes
         above it, in state: -1 for a node whose root path fails the
-        check, else the bitmask below.  Returns a's.
+        check, else the bitmask below.  Returns a's.  A list ks collects
+        the edge position of each step checked, root first: on a fresh
+        state, a's whole root path.
 
         A node is a split vertex whose partner is outer; node a's parent
         is b ^ 1, b = p[a], over the split edge (a, b), whose id k is the
-        position in g.edges that `_read_back` reads.  Climb from a to
-        its first settled node (-1 where the chain leaves the nodes or
-        loops back), then check each step down against g's arrays: edge
-        k joins b's vertex to a's in the colour bit of both, so colours
-        alternate and the first has the root's colour.  A path can take
-        a's vertex twice only through node a ^ 1 too, so where that is a
-        node, a's vertex must not be in the parent's bitmask, and goes
-        into a's."""
+        step's position in g.edges.  Climb from a to its first settled
+        node (-1 where the chain leaves the nodes or loops back), then
+        check each step down against g's arrays: edge k joins b's vertex
+        to a's in the colour bit of both, so colours alternate and the
+        first has the root's colour.  A path can take a's vertex twice
+        only through node a ^ 1 too, so where that is a node, a's vertex
+        must not be in the parent's bitmask, and goes into a's."""
         chain = []
         while state[a] is None:
             # -1 until checked, so a chain that loops back stops here
@@ -176,6 +168,8 @@ class _PathQuery:
                 if s & mask:
                     return -1
                 s |= mask
+            if ks is not None:
+                ks.append(k)
             state[a] = s
         return s
 
@@ -195,19 +189,17 @@ class _PathQuery:
         if s is None:
             s = self._settle(last, outer, p, state)
         if s < 0:
-            names = self.g.vertices
-            raise GraphError(f"internal error: {names[x]!r}-{names[y]!r} "
-                             f"witness fails the search tree's check")
+            raise self._tree_fault(x, y)
         return True
 
     def positions(self, x: int, y: int, start: int, end: int = -1
                   ) -> Optional[list[int]]:
         """The positions in g.edges of an alternating path (trail) from
         vertex index x to y != x, first colour bit `start`, last colour
-        bit `end` (either when -1), read back on its own and checked by
-        `check_walk`; None if there is none."""
+        bit `end` (either when -1), as `_settle` checks and collects
+        them, checked again by `check_walk`; None if there is none."""
         root = self.STRIDE * x + start
-        outer, p, _ = self._search(root)
+        outer, p, state = self._search(root)
         # y's non-end copy must be outer; end -1 tries red first
         j = self.STRIDE * y
         if end >= 0:
@@ -216,10 +208,19 @@ class _PathQuery:
             last = j if outer[j + 1] else j + 1 if outer[j] else -1
         if last < 0:
             return None
-        ks = self._read_back(last, root ^ 1, p)
-        ks.reverse()
+        # a fresh state, so that the climb checks every step to the root
+        state = [None] * len(state)
+        state[root ^ 1] = 0
+        ks = []
+        if self._settle(last, outer, p, state, ks) < 0:
+            raise self._tree_fault(x, y)
         check_walk(self.g, x, ks, y, start, end, self.SIMPLE)
         return ks
+
+    def _tree_fault(self, x: int, y: int) -> GraphError:
+        names = self.g.vertices
+        return GraphError(f"internal error: {names[x]!r}-{names[y]!r} "
+                          f"witness fails the search tree's check")
 
     def __call__(self, x: str, y: str, start: Colour,
                  end: Optional[Colour] = None) -> Optional[AlternatingTrail]:
@@ -256,27 +257,13 @@ class _TrailQuery(_PathQuery):
             adj[v + 2].append(h + 1)
         return IndexedGraph.from_adjacency(adj)
 
-    def _read_back(self, a: int, stop: int, p: list[int]) -> list[int]:
-        # every split edge on the path has a helper end, the larger
-        # one; helper h = 4n + 2k stands for edge k, h + 1 for nothing
-        base = 4 * len(self.g.vertices)
-        seq = []
-        while a != stop:
-            b = p[a]
-            h = a if a > b else b
-            if not h & 1:
-                seq.append((h - base) >> 1)
-            a = b ^ 1
-        return seq
-
     def _settle(self, a: int, outer: list[bool], p: list[int],
-                state: list) -> int:
+                state: list, ks: Optional[list[int]] = None) -> int:
         # only vertex copies are nodes here: copy a hangs from helper
         # node h ^ 1 of edge k, h = p[a] outer, which hangs from copy
-        # p[h ^ 1] ^ 1, so one step crosses the helper pair, as two
-        # steps of the read-back do.  A trail can take edge k twice only
-        # through both helper nodes, so where h is a node too, k goes
-        # into the bitmask
+        # p[h ^ 1] ^ 1, so one step crosses the helper pair and edge k.
+        # A trail can take edge k twice only through both helper nodes,
+        # so where h is a node too, k goes into the bitmask
         base = 4 * len(self.g.vertices)
         chain = []
         while state[a] is None:
@@ -306,6 +293,8 @@ class _TrailQuery(_PathQuery):
                 if s & mask:
                     return -1
                 s |= mask
+            if ks is not None:
+                ks.append(k)
             state[a] = s
         return s
 

@@ -17,10 +17,11 @@ edge positions, and `closed_walk` adds the closed-trail and cycle
 verdicts: `verify_witness` maps a trail's ids to positions and runs
 them, the merge runs `closed_walk` on its walks, and `check_walk` adds
 the open path and trail verdicts (ends, end colours, simplicity) that
-single path and trail queries and the path and trail oracles run on the
-positions they find.  The connectivity sweeps read no walk back: they
-check each search tree's steps against the same arrays
-(`ecgraph.connect`).
+the path and trail oracles run on the positions they find, and single
+path and trail queries on the positions they collect from their search
+tree's check.  That check reads the same arrays, one tree step at a
+time (`ecgraph.connect`); the connectivity sweeps run it alone and
+build no walk.
 
 `positions` and `ids` are the one conversion between edge ids and
 positions.  Every function that returns a witness checks it once,

@@ -5,6 +5,10 @@ test-only helpers.  Nothing in the package calls these.
   read-backs that `tour_factor_from_balanced_edges` and
   `alternating_cycle_factor` replaced: edge ids, a sub-multigraph of
   the chosen edges, its components, and a `(vertex, colour)` dict.
+- `ref_path_read_back` and `ref_trail_read_back` are the walkers that
+  single path and trail queries climbed their search trees with, with
+  no check, before they collected their positions from the tree check
+  the connectivity sweeps run.
 - `RefIndex` is the string index (edges by id, incident edges by
   vertex) a graph kept beside its integer view, before the view became
   its only index, with the lookups it answered.
@@ -399,6 +403,33 @@ def ref_cycle_read_back(g: EdgeColouredMultigraph, split: IndexedGraph,
                 break
         cycles.append(AlternatingCycle(v, tuple(seq)))
     return CycleFactor(tuple(cycles))
+
+
+def ref_path_read_back(q, a: int, stop: int, p: list[int]) -> list[int]:
+    """The positions in g.edges of the split edges on path query q's
+    search tree path from split vertex a back to `stop`, last edge
+    first: p crosses a split edge, ^ 1 a pair."""
+    seq = []
+    while a != stop:
+        b = p[a]
+        seq.append(q._split.edge_id(a, b))
+        a = b ^ 1
+    return seq
+
+
+def ref_trail_read_back(q, a: int, stop: int, p: list[int]) -> list[int]:
+    """The same for trail query q: every split edge on the path has a
+    helper end, the larger one; helper h = 4n + 2k stands for edge k,
+    h + 1 for nothing."""
+    base = 4 * len(q.g.vertices)
+    seq = []
+    while a != stop:
+        b = p[a]
+        h = a if a > b else b
+        if not h & 1:
+            seq.append((h - base) >> 1)
+        a = b ^ 1
+    return seq
 
 
 @dataclass(frozen=True)

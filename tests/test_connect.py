@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 
 import pytest
 from click.testing import CliRunner
@@ -40,6 +42,8 @@ from ecgraph.reductions import fixture, generate
 from reference import (
     rand_multigraph,
     ref_check,
+    ref_path_read_back,
+    ref_trail_read_back,
     trail_to_path_complete_multipartite,
 )
 
@@ -381,6 +385,22 @@ class TestQueryObjects:
                            match="'a'-'b' witness fails the search tree"):
             sweep(PATH_ACB)
 
+    @pytest.mark.parametrize("corrupt", [hang_b_from_the_root,
+                                         hang_b_from_itself])
+    @pytest.mark.parametrize("query, make", [
+        (alternating_path, _PathQuery),
+        (alternating_trail, _TrailQuery)])
+    def test_single_query_on_a_failed_tree_raises(self, monkeypatch, query,
+                                                  make, corrupt):
+        # a single query climbs its search tree with the sweeps' check,
+        # so a chain that loops, or a step along no edge of g, raises
+        # GraphError at once; the alarm bounds a climb that never ends
+        assert query(PATH_ACB, "a", "b", RED) is not None
+        corrupt_searches(monkeypatch, corrupt(make))
+        with within_seconds(1), pytest.raises(
+                GraphError, match="'a'-'b' witness fails the search tree's"):
+            query(PATH_ACB, "a", "b", RED)
+
     # a, b, c: e0 a-b red, e1 a-c red, e2 c-b blue, e3 a-b blue,
     # e4 a-b red, at positions 0-4
     CHECKED = build_graph(["a", "b", "c"],
@@ -389,12 +409,13 @@ class TestQueryObjects:
 
     @staticmethod
     def feed(monkeypatch, ks):
-        """Make every query read back the edge positions ks of g (not of
-        a split graph) as its witness; the read-back goes from the last
-        edge to the first."""
+        """Make every single query's tree check pass and collect the
+        edge positions ks of g (not of a split graph), first edge
+        first, as its witness."""
         for make in (_PathQuery, _TrailQuery):
-            monkeypatch.setattr(make, "_read_back",
-                                lambda self, a, stop, p: list(ks[::-1]))
+            monkeypatch.setattr(make, "_settle",
+                                lambda self, a, outer, p, state, collected:
+                                collected.extend(ks) or 0)
 
     def test_witness_ending_elsewhere_raises(self, monkeypatch):
         # a valid trail, but from a to c
@@ -563,6 +584,57 @@ class TestQueryObjects:
                             or edge_id(self, u, v))
         assert is_colour_connected(g).connected
         assert len(lookups) <= 4 * n * n
+
+
+@contextlib.contextmanager
+def within_seconds(t):
+    """Raise TimeoutError in the body once it has run t seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {t} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, t)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("make, read_back", [
+    (_PathQuery, ref_path_read_back),
+    (_TrailQuery, ref_trail_read_back)])
+def test_positions_match_the_reference_read_back(make, read_back):
+    # a single query collects its positions in the tree check; the
+    # walker that read them back on its own gives the same on each search
+    graphs = [generate("random_2ec", seed=s, n=4 + s, m=2 * (4 + s))
+              for s in range(3)]
+    graphs += [generate("mclosed_blowup", seed=s, n=5 + s) for s in range(3)]
+    graphs += [generate("complete_bipartite", seed=s, n1=2 + s, n2=3)
+               for s in range(3)]
+    found = missing = 0
+    for g in graphs:
+        q = make(g)
+        n = len(g.vertices)
+        for x in range(n):
+            for start in (0, 1):
+                root = q.STRIDE * x + start
+                for y in range(n):
+                    if y == x:
+                        continue
+                    j = q.STRIDE * y
+                    for end in (-1, 0, 1):
+                        ks = q.positions(x, y, start, end)
+                        outer, p, _ = q._search(root)
+                        ends = (j, j + 1) if end < 0 else (j + end,)
+                        last = next((a for a in ends if outer[a ^ 1]), None)
+                        if last is None:
+                            assert ks is None
+                            missing += 1
+                        else:
+                            assert ks == read_back(q, last, root ^ 1, p)[::-1]
+                            found += 1
+    assert found and missing
 
 
 class CountedList(list):
