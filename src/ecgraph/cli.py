@@ -28,7 +28,7 @@ from .cli_graphs import (
     emit, fail, fixture_cmd, random_cmd, read_graph, transform,
 )
 from .core import (
-    EdgeColouredMultigraph, UnsupportedClass, witness_to_dict,
+    EdgeColouredMultigraph, GraphError, UnsupportedClass, witness_to_dict,
 )
 from .factor import alternating_cycle_factor, eulerian_factor
 from .oracle import (
@@ -96,7 +96,9 @@ def decide(question: str, g: EdgeColouredMultigraph, *, max_n: int,
     oracle when max_n >= n.
 
     Raises UnsupportedClass for fewer than two vertices or when no
-    route applies, and BudgetExceeded when an oracle runs out.
+    route applies, BudgetExceeded when an oracle runs out, and
+    GraphError when the oracle finds no witness for a characterized
+    yes.
     """
     d = Analysis.of(g).decision(question)
     oracle = (oracle_ham_alternating if question == "hamiltonian"
@@ -110,7 +112,11 @@ def decide(question: str, g: EdgeColouredMultigraph, *, max_n: int,
         return Decision(w is not None, "oracle", w,
                         None if w else f"not_{question}")
     if d.answer and d.witness is None and oracle_witness and searchable:
-        return replace(d, witness=oracle(g, _budget(max_n)))
+        w = oracle(g, _budget(max_n))
+        if w is None:
+            raise GraphError(f"internal error: the oracle finds no witness "
+                             f"for the characterized {question} yes")
+        return replace(d, witness=w)
     return d
 
 

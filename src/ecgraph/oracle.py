@@ -5,7 +5,13 @@ not speed: the fast algorithms elsewhere are validated against them on
 small instances.  Every oracle refuses inputs beyond its budget instead
 of running unbounded, and checks each witness it returns
 (`check_witness`, or `check_walk` for a path or trail), once, before it
-returns it.
+returns it; a spanning walk is also checked to visit every vertex.
+
+One search per walk kind, `_path` (simple) and `_trail`
+(edge-distinct), answers every walk oracle: the single queries and the
+connectivity oracles ask it from x to y != x, and the spanning oracles
+ask it from vertex 0 back to itself, which it answers only with a
+closed walk through every vertex.
 
 A budget's time limit holds for one oracle call as a whole: the call
 arms one clock (`OracleBudget.clock`), ticks it at every search node,
@@ -27,6 +33,7 @@ from .core import (
     CycleFactor,
     EdgeColouredMultigraph,
     EulerianFactor,
+    GraphError,
     check_walk,
     check_witness,
 )
@@ -71,105 +78,44 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
+def _closed(g: EdgeColouredMultigraph, search, tick: Callable[[], None],
+            kind: type) -> Optional[AlternatingTrail]:
+    """The closed walk of type `kind` through every vertex that `search`
+    finds from vertex 0 back to itself, checked, or None."""
+    ks = search(g, 0, 0, -1, -1, tick)
+    if ks is None:
+        return None
+    w = check_witness(g, kind(g.vertices[0], g.ids(ks), closed=True),
+                      "oracle witness")
+    # a closed walk visits exactly the ends of its edges
+    if len({v for k in ks for v in (g.eu[k], g.ev[k])}) < len(g.vertices):
+        raise GraphError("internal error: oracle witness fails "
+                         "verification: misses a vertex")
+    return w
+
+
 def oracle_supereulerian(g: EdgeColouredMultigraph,
                          budget: OracleBudget = DEFAULT_BUDGET
                          ) -> Optional[AlternatingTrail]:
-    """Spanning closed alternating trail by exhaustive trail DFS."""
+    """Spanning closed alternating trail: `_trail` from vertex 0 back to
+    itself."""
     budget.admit(g)
     tick = budget.clock()
-    if len(g.vertices) < 2:
+    n = len(g.vertices)
+    if n < 2 or any(0 in g.colour_degrees(i) for i in range(n)):
         return None
-    if any(0 in g.colour_degrees(i) for i in range(len(g.vertices))):
-        return None
-    bit, off, inc, far = g.bit, g.off, g.inc, g.far
-    root = 0
-    full = (1 << len(g.vertices)) - 1
-    # vmask, the vertices the trail visits, follows from (mask, root),
-    # so the key leaves it out
-    failed: set[tuple[int, int, int, int]] = set()
-    path: list[int] = []
-
-    def dfs(cur: int, mask: int, vmask: int, last: int, first: int
-            ) -> bool:
-        tick()
-        key = (cur, mask, last, first)
-        if key in failed:
-            return False
-        if cur == root and last != first and vmask == full:
-            return True
-        for t in range(off[cur], off[cur + 1]):
-            ei = inc[t]
-            if mask >> ei & 1 or bit[ei] == last:
-                continue
-            path.append(ei)
-            if dfs(far[t], mask | (1 << ei), vmask | (1 << far[t]),
-                   bit[ei], first):
-                return True
-            path.pop()
-        failed.add(key)
-        return False
-
-    for t in range(off[root], off[root + 1]):
-        ei = inc[t]
-        path.append(ei)
-        if dfs(far[t], 1 << ei, (1 << root) | (1 << far[t]), bit[ei],
-               bit[ei]):
-            return check_witness(g, AlternatingTrail(
-                g.vertices[root], g.ids(path), closed=True),
-                "oracle witness")
-        path.pop()
-    return None
+    return _closed(g, _trail, tick, AlternatingTrail)
 
 
 def oracle_ham_alternating(g: EdgeColouredMultigraph,
                            budget: OracleBudget = DEFAULT_BUDGET
                            ) -> Optional[AlternatingCycle]:
-    """Spanning alternating cycle by exhaustive simple-cycle DFS."""
+    """Spanning alternating cycle: `_path` from vertex 0 back to itself."""
     budget.admit(g)
     tick = budget.clock()
-    n = len(g.vertices)
-    if n < 2:
+    if len(g.vertices) < 2:
         return None
-    bit, off, inc, far = g.bit, g.off, g.inc, g.far
-    root = 0
-    full = (1 << n) - 1
-    failed: set[tuple[int, int, int, int]] = set()
-    path: list[int] = []
-
-    def dfs(cur: int, vmask: int, last: int, first: int) -> bool:
-        tick()
-        key = (cur, vmask, last, first)
-        if key in failed:
-            return False
-        if vmask == full:
-            for t in range(off[cur], off[cur + 1]):
-                ei = inc[t]
-                if far[t] == root and bit[ei] != last \
-                        and bit[ei] != first and ei not in path:
-                    path.append(ei)
-                    return True
-            failed.add(key)
-            return False
-        for t in range(off[cur], off[cur + 1]):
-            ei = inc[t]
-            to = far[t]
-            if bit[ei] == last or vmask >> to & 1:
-                continue
-            path.append(ei)
-            if dfs(to, vmask | (1 << to), bit[ei], first):
-                return True
-            path.pop()
-        failed.add(key)
-        return False
-
-    for t in range(off[root], off[root + 1]):
-        ei = inc[t]
-        path.append(ei)
-        if dfs(far[t], (1 << root) | (1 << far[t]), bit[ei], bit[ei]):
-            return check_witness(g, AlternatingCycle(
-                g.vertices[root], g.ids(path)), "oracle witness")
-        path.pop()
-    return None
+    return _closed(g, _path, tick, AlternatingCycle)
 
 
 def _balanced_subsets(g: EdgeColouredMultigraph, tick: Callable[[], None]):
@@ -294,60 +240,77 @@ def oracle_cycle_factor(g: EdgeColouredMultigraph,
 
 def _path(g: EdgeColouredMultigraph, x: int, y: int, s: int, e: int,
           tick: Callable[[], None]) -> Optional[list[int]]:
-    """Positions of a simple alternating path from vertex index x to
-    y != x, first colour bit s, last e unless -1, by exhaustive DFS;
-    None if there is none."""
+    """Positions of a simple alternating path from vertex index x to y,
+    first colour bit s unless -1, last e unless -1, by exhaustive DFS;
+    None if there is none.  With y == x (s = e = -1) the path closes:
+    x stays barred until every vertex is visited, and the last colour
+    differs from the first, so it is an alternating hamiltonian
+    cycle."""
     bit, off, inc, far = g.bit, g.off, g.inc, g.far
+    full = (1 << len(g.vertices)) - 1
     path: list[int] = []
+    failed: set[tuple[int, int, int, int]] = set()
 
-    def dfs(cur: int, vmask: int, last: int) -> bool:
+    def dfs(cur: int, vmask: int, last: int, first: int) -> bool:
         tick()
-        if cur == y:
-            return e < 0 or last == e
-        for t in range(off[cur], off[cur + 1]):
-            ei = inc[t]
-            to = far[t]
-            if vmask >> to & 1:
-                continue
-            if bit[ei] == last or last < 0 and bit[ei] != s:
-                continue
-            path.append(ei)
-            if dfs(to, vmask | (1 << to), bit[ei]):
-                return True
-            path.pop()
-        return False
-
-    return path if dfs(x, 1 << x, -1) else None
-
-
-def _trail(g: EdgeColouredMultigraph, x: int, y: int, s: int, e: int,
-           tick: Callable[[], None]) -> Optional[list[int]]:
-    """`_path` for an edge-distinct alternating trail."""
-    bit, off, inc, far = g.bit, g.off, g.inc, g.far
-    path: list[int] = []
-    failed: set[tuple[int, int, int]] = set()
-
-    def dfs(cur: int, emask: int, last: int) -> bool:
-        tick()
-        if cur == y and last >= 0 and (e < 0 or last == e):
-            return True
-        key = (cur, emask, last)
+        if cur == y and last >= 0:
+            return (e < 0 or last == e) and (x != y or last != first)
+        key = (cur, vmask, last, first)
         if key in failed:
             return False
         for t in range(off[cur], off[cur + 1]):
             ei = inc[t]
-            if emask >> ei & 1:
-                continue
-            if bit[ei] == last or last < 0 and bit[ei] != s:
+            to = far[t]
+            c = bit[ei]
+            if vmask >> to & 1 and (to != y or vmask != full) \
+                    or c == last or last < 0 <= s and c != s:
                 continue
             path.append(ei)
-            if dfs(far[t], emask | (1 << ei), bit[ei]):
+            if dfs(to, vmask | (1 << to), c, first if last >= 0 else c):
                 return True
             path.pop()
         failed.add(key)
         return False
 
-    return path if dfs(x, 0, -1) else None
+    return path if dfs(x, 1 << x, -1, -1) else None
+
+
+def _trail(g: EdgeColouredMultigraph, x: int, y: int, s: int, e: int,
+           tick: Callable[[], None]) -> Optional[list[int]]:
+    """`_path` for an edge-distinct alternating trail; with y == x a
+    closed one through every vertex, a spanning closed alternating
+    trail."""
+    bit, off, inc, far = g.bit, g.off, g.inc, g.far
+    full = (1 << len(g.vertices)) - 1
+    path: list[int] = []
+    # vmask, the vertices visited, follows from (emask, x), so the key
+    # leaves it out
+    failed: set[tuple[int, int, int, int]] = set()
+
+    def dfs(cur: int, emask: int, vmask: int, last: int, first: int
+            ) -> bool:
+        tick()
+        if cur == y and last >= 0 and (e < 0 or last == e) \
+                and (x != y or last != first and vmask == full):
+            return True
+        key = (cur, emask, last, first)
+        if key in failed:
+            return False
+        for t in range(off[cur], off[cur + 1]):
+            ei = inc[t]
+            c = bit[ei]
+            if emask >> ei & 1 or c == last or last < 0 <= s and c != s:
+                continue
+            to = far[t]
+            path.append(ei)
+            if dfs(to, emask | (1 << ei), vmask | (1 << to), c,
+                   first if last >= 0 else c):
+                return True
+            path.pop()
+        failed.add(key)
+        return False
+
+    return path if dfs(x, 0, 1 << x, -1, -1) else None
 
 
 def _query(g: EdgeColouredMultigraph, x: str, y: str, start: Colour,

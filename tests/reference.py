@@ -9,6 +9,9 @@ test-only helpers.  Nothing in the package calls these.
   single path and trail queries climbed their search trees with, with
   no check, before they collected their positions from the tree check
   the connectivity sweeps run.
+- `ref_oracle_supereulerian` and `ref_oracle_ham_alternating` are the
+  spanning oracles' own depth-first searches, before both became closed
+  calls (y == x) of the oracles' trail and path searches.
 - `RefIndex` is the string index (edges by id, incident edges by
   vertex) a graph kept beside its integer view, before the view became
   its only index, with the lookups it answered.
@@ -55,6 +58,7 @@ from ecgraph import (
 from ecgraph.core import check_witness
 from ecgraph.matching import IndexedGraph, PlainGraph, maximum_matching
 from ecgraph.merge import MergeInternalError, _Cyc, _exchange
+from ecgraph.oracle import DEFAULT_BUDGET, OracleBudget
 
 
 class RefIndex:
@@ -430,6 +434,109 @@ def ref_trail_read_back(q, a: int, stop: int, p: list[int]) -> list[int]:
             seq.append((h - base) >> 1)
         a = b ^ 1
     return seq
+
+
+def ref_oracle_supereulerian(g: EdgeColouredMultigraph,
+                             budget: OracleBudget = DEFAULT_BUDGET
+                             ) -> Optional[AlternatingTrail]:
+    """Spanning closed alternating trail by exhaustive trail DFS from
+    vertex 0, with its own search."""
+    budget.admit(g)
+    tick = budget.clock()
+    if len(g.vertices) < 2:
+        return None
+    if any(0 in g.colour_degrees(i) for i in range(len(g.vertices))):
+        return None
+    bit, off, inc, far = g.bit, g.off, g.inc, g.far
+    root = 0
+    full = (1 << len(g.vertices)) - 1
+    # vmask, the vertices the trail visits, follows from (mask, root),
+    # so the key leaves it out
+    failed: set[tuple[int, int, int, int]] = set()
+    path: list[int] = []
+
+    def dfs(cur: int, mask: int, vmask: int, last: int, first: int
+            ) -> bool:
+        tick()
+        key = (cur, mask, last, first)
+        if key in failed:
+            return False
+        if cur == root and last != first and vmask == full:
+            return True
+        for t in range(off[cur], off[cur + 1]):
+            ei = inc[t]
+            if mask >> ei & 1 or bit[ei] == last:
+                continue
+            path.append(ei)
+            if dfs(far[t], mask | (1 << ei), vmask | (1 << far[t]),
+                   bit[ei], first):
+                return True
+            path.pop()
+        failed.add(key)
+        return False
+
+    for t in range(off[root], off[root + 1]):
+        ei = inc[t]
+        path.append(ei)
+        if dfs(far[t], 1 << ei, (1 << root) | (1 << far[t]), bit[ei],
+               bit[ei]):
+            return check_witness(g, AlternatingTrail(
+                g.vertices[root], g.ids(path), closed=True),
+                "oracle witness")
+        path.pop()
+    return None
+
+
+def ref_oracle_ham_alternating(g: EdgeColouredMultigraph,
+                               budget: OracleBudget = DEFAULT_BUDGET
+                               ) -> Optional[AlternatingCycle]:
+    """Spanning alternating cycle by exhaustive simple-cycle DFS from
+    vertex 0, with its own search."""
+    budget.admit(g)
+    tick = budget.clock()
+    n = len(g.vertices)
+    if n < 2:
+        return None
+    bit, off, inc, far = g.bit, g.off, g.inc, g.far
+    root = 0
+    full = (1 << n) - 1
+    failed: set[tuple[int, int, int, int]] = set()
+    path: list[int] = []
+
+    def dfs(cur: int, vmask: int, last: int, first: int) -> bool:
+        tick()
+        key = (cur, vmask, last, first)
+        if key in failed:
+            return False
+        if vmask == full:
+            for t in range(off[cur], off[cur + 1]):
+                ei = inc[t]
+                if far[t] == root and bit[ei] != last \
+                        and bit[ei] != first and ei not in path:
+                    path.append(ei)
+                    return True
+            failed.add(key)
+            return False
+        for t in range(off[cur], off[cur + 1]):
+            ei = inc[t]
+            to = far[t]
+            if bit[ei] == last or vmask >> to & 1:
+                continue
+            path.append(ei)
+            if dfs(to, vmask | (1 << to), bit[ei], first):
+                return True
+            path.pop()
+        failed.add(key)
+        return False
+
+    for t in range(off[root], off[root + 1]):
+        ei = inc[t]
+        path.append(ei)
+        if dfs(far[t], (1 << root) | (1 << far[t]), bit[ei], bit[ei]):
+            return check_witness(g, AlternatingCycle(
+                g.vertices[root], g.ids(path)), "oracle witness")
+        path.pop()
+    return None
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,54 @@ def test_connectivity_blow_up_invariance_200():
                 assert u == v or query(g, u, v, c) is None, seed
 
 
+def _relabelled(g, rng):
+    # new vertex names, and the vertices listed in a new order, so a
+    # search from vertex 0 starts elsewhere
+    names = [f"w{i}" for i in range(len(g.vertices))]
+    rng.shuffle(names)
+    name = dict(zip(g.vertices, names))
+    rng.shuffle(names)
+    return build_graph(names, [(name[e.u], name[e.v], e.colour)
+                               for e in g.edges])
+
+
+def _edges_shuffled(g, rng):
+    triples = [(e.v, e.u, e.colour) for e in g.edges]
+    rng.shuffle(triples)
+    return build_graph(g.vertices, triples)
+
+
+def _colours_exchanged(g, rng):
+    return build_graph(g.vertices, [(e.u, e.v, e.colour.other())
+                                    for e in g.edges])
+
+
+def test_answers_invariant_under_relabelling_and_colour_exchange():
+    # both spanning oracles search from vertex 0; some of these graphs
+    # have more edges than the default oracle budget admits
+    span = OracleBudget(max_vertices=12, max_edges=60)
+
+    def answers(g):
+        return ([(e["question"], e["answer"], e["method"])
+                 for e in analyze_graph(g, 9).entries],
+                oracle_supereulerian(g, span) is not None,
+                oracle_ham_alternating(g, span) is not None)
+
+    checks = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = 6 + seed % 4
+        n1 = 2 + seed % 3
+        for g in (generate("random_2ec", seed, n=n, m=2 * n),
+                  generate("mclosed_blowup", seed, n=n),
+                  generate("complete_bipartite", seed, n1=n1, n2=n - n1)):
+            want = answers(g)
+            for change in (_relabelled, _edges_shuffled, _colours_exchanged):
+                assert answers(change(g, rng)) == want, (seed, change)
+                checks += 1
+    assert checks == 360
+
+
 def test_complete_multipartite_properties_200():
     for seed in range(200):
         rng = random.Random(seed)

@@ -19,9 +19,12 @@ from ecgraph import (
     oracle_trail_colour_connected,
     serialize_graph,
     verify_witness,
+    witness_to_dict,
 )
 from ecgraph.cli import main
 from ecgraph.reductions import fixture, generate
+
+from reference import ref_oracle_ham_alternating, ref_oracle_supereulerian
 
 
 def digon():
@@ -169,3 +172,50 @@ class TestWitnessCheck:
                             lambda g, x, y, s, e, tick: [1])
         with pytest.raises(GraphError, match="witness ends at 'c'"):
             call(self.G)
+
+    # a, b, c: e0 a-b red, e1 a-b blue, e2 a-c red, e3 a-c blue; e0 e1
+    # e2 e3 from a is a spanning closed trail, and no cycle spans
+    SPAN = build_graph(["a", "b", "c"], [("a", "b", RED), ("a", "b", BLUE),
+                                         ("a", "c", RED), ("a", "c", BLUE)])
+
+    @pytest.mark.parametrize("name, call", [
+        ("_trail", oracle_supereulerian),
+        ("_path", oracle_ham_alternating),
+    ], ids=["supereulerian", "hamiltonian"])
+    @pytest.mark.parametrize("ks", [[0], [0, 1]],
+                             ids=["not-closed", "misses-a-vertex"])
+    def test_spanning_witness_fault_raises(self, monkeypatch, name, call,
+                                           ks):
+        monkeypatch.setattr(oracle_module, name,
+                            lambda g, x, y, s, e, tick: ks)
+        with pytest.raises(GraphError,
+                           match="oracle witness fails verification"):
+            call(self.SPAN)
+
+
+FIXTURES = ["efig", "halfm", "needall_g", "needall_h", "cmg_example"]
+
+
+def test_spanning_oracles_match_their_reference_searches():
+    # the closed calls of _trail and _path try edges in the order the
+    # oracles' own searches did, so they find the same witnesses
+    budget = OracleBudget(max_vertices=12, max_edges=40)
+    graphs = [fixture(name) for name in FIXTURES] + [digon()]
+    for s in range(100):
+        n = 4 + s % 7
+        graphs += [generate("random_2ec", s, n=n, m=2 * n + s % 5),
+                   generate("mclosed_blowup", s, n=n),
+                   generate("complete_bipartite", s, n1=2 + s % 3,
+                            n2=2 + (s // 3) % 4)]
+    found = 0
+    for g in graphs:
+        if len(g.bit) > budget.max_edges:
+            continue
+        for oracle, ref in ((oracle_supereulerian, ref_oracle_supereulerian),
+                            (oracle_ham_alternating,
+                             ref_oracle_ham_alternating)):
+            w, want = oracle(g, budget), ref(g, budget)
+            assert (w and witness_to_dict(g, w)) \
+                == (want and witness_to_dict(g, want))
+            found += w is not None
+    assert found > 50

@@ -20,6 +20,7 @@ import pytest
 from click.testing import CliRunner
 
 import ecgraph
+import ecgraph.cli
 import ecgraph.connect
 import ecgraph.core
 import ecgraph.merge
@@ -348,6 +349,24 @@ def test_failed_sweep_check_raises_through_hamiltonian(runner, monkeypatch):
                         input=serialize_graph(fixture("needall_h")))
     assert isinstance(res.exception, GraphError)
     assert "fails the search tree's check" in str(res.exception)
+    assert res.exit_code not in (0, 3, 4, 5)
+
+
+@pytest.mark.parametrize("question, name, oracle", [
+    ("supereulerian", "cb_ham_no_factor", "oracle_supereulerian"),
+    ("hamiltonian", "cb_pos", "oracle_ham_alternating"),
+])
+def test_oracle_witness_that_finds_nothing_raises(runner, monkeypatch,
+                                                  question, name, oracle):
+    # the oracle disagreeing with a characterized yes is an internal
+    # error, not a yes without a witness
+    monkeypatch.setattr(ecgraph.cli, oracle, lambda g, budget: None)
+    res = runner.invoke(main, [question, "-", "--max-n", "9",
+                               "--witness", "oracle"],
+                        input=serialize_graph(INPUTS[name]()))
+    assert isinstance(res.exception, GraphError)
+    assert "internal error: the oracle finds no witness" \
+        in str(res.exception)
     assert res.exit_code not in (0, 3, 4, 5)
 
 
