@@ -34,6 +34,25 @@ has no edge of colour c in g, as then nothing leaves u in that colour,
 else as asked with one path or trail query on g; otherwise g is swept.
 Every other graph is swept directly.
 
+Two more facts of an extension with a smaller base, of any size, are
+asked of the base first, where only a "no" is taken: a "yes" is still
+computed on g, so every witness is g's own.  Let k_x be the size of block x.  A cycle factor
+of g is a perfect red and a perfect blue matching.  Counted per pair
+of blocks, a perfect colour-c matching of g covers block x k_x times
+and joins blocks x and y at most min(k_x, k_y) times, and only where
+the base has a colour-c edge xy, since blocks are independent: a
+perfect b-matching of the base's colour-c edges with b(x) = k_x, caps
+min(k_x, k_y).  So a short max-flow for its fractional relaxation
+(`factor._BMatching.half_integral`) means g has no cycle factor.  A
+full flow proves nothing (a one-colour triangle of single-vertex
+blocks has a fractional perfect matching only), and g's own
+`alternating_cycle_factor` runs.  g is complete multipartite iff its
+similarity quotient is: an induced subgraph of a complete multipartite
+graph is one, and conversely, each block is independent and a vertex
+is adjacent to all of a block or to none of it, so g is the
+quotient's classes blown up.  So the base's "no" is g's, and after a
+base "yes" g's classes are computed on g.
+
 Trail-colour-connectivity is derived from the path sweeps.  Every
 alternating path is an alternating trail, so `tcc` of a colour-connected
 g is yes with no trail sweep, resting on the path sweep's witnesses.
@@ -63,7 +82,7 @@ from .core import (
     Colour, CycleFactor, EdgeColouredMultigraph, EulerianFactor,
     UnsupportedClass, Witness,
 )
-from .factor import alternating_cycle_factor, eulerian_factor
+from .factor import _BMatching, alternating_cycle_factor, eulerian_factor
 from .structure import is_extension_of_m_closed, is_m_closed
 
 # above this size an extension of an M-closed graph is swept on its
@@ -126,9 +145,20 @@ class Analysis:
             return self.ext is not None
         return is_m_closed(self.g)[0]
 
+    @property
+    def base(self) -> Optional[EdgeColouredMultigraph]:
+        """ext's base where it is smaller than g, else None."""
+        ext = self.ext
+        if ext is not None and len(ext[0].vertices) < len(self.g.vertices):
+            return ext[0]
+        return None
+
     @cached_property
     def classes(self) -> Optional[list[list[str]]]:
-        """Partite classes, or None (not complete multipartite)."""
+        """Partite classes, or None (not complete multipartite): at
+        once where the base's are None (above)."""
+        if self.base is not None and Analysis.of(self.base).classes is None:
+            return None
         return complete_multipartite_classes(self.g)
 
     @property
@@ -141,16 +171,30 @@ class Analysis:
 
     @cached_property
     def cf(self) -> Optional[CycleFactor]:
+        """None at once where the base's flow is short (above)."""
+        base = self.base
+        if base is not None:
+            k = [self.ext[1][v] for v in base.vertices]
+            # node 2x + c is block x in colour bit c; parallel edges merge
+            caps = {}
+            for x, y, c in zip(base.eu, base.ev, base.bit):
+                if x > y:
+                    x, y = y, x
+                caps[2 * x + c, 2 * y + c] = k[y] if k[y] < k[x] else k[x]
+            flow = _BMatching.problem([kx for kx in k for _ in (0, 1)],
+                                      [(*uw, t) for uw, t in caps.items()])
+            if flow.half_integral() is None:
+                return None
         return alternating_cycle_factor(self.g)
 
     @property
     def swept(self) -> EdgeColouredMultigraph:
         """The graph whose memo gives the connectivity facts first:
-        ext's base for a large extension with a smaller base, else g."""
-        n = len(self.g.vertices)
-        if n > _QUOTIENT_THRESHOLD and self.ext is not None \
-                and 2 <= len(self.ext[0].vertices) < n:
-            return self.ext[0]
+        the base of a large extension with a smaller base, else g."""
+        base = self.base
+        if len(self.g.vertices) > _QUOTIENT_THRESHOLD and base is not None \
+                and len(base.vertices) >= 2:
+            return base
         return self.g
 
     def _connectivity(self, fact: str, query, sweep) -> ConnectivityReport:

@@ -30,7 +30,6 @@ from .cli_graphs import (
 from .core import (
     EdgeColouredMultigraph, GraphError, UnsupportedClass, witness_to_dict,
 )
-from .factor import alternating_cycle_factor, eulerian_factor
 from .oracle import (
     BudgetExceeded, OracleBudget, oracle_colour_connected,
     oracle_cycle_factor, oracle_eulerian_factor, oracle_ham_alternating,
@@ -282,7 +281,7 @@ def factor(file: str, kind: str, forbid_digons: bool) -> None:
     if kind == "eulerian":
         if forbid_digons:
             fail("--forbid-digons applies to cycle factors only")
-        w = eulerian_factor(g)
+        w = Analysis.of(g).ef
     elif forbid_digons:
         # no polynomial route keeps digons out: search exhaustively
         try:
@@ -291,7 +290,7 @@ def factor(file: str, kind: str, forbid_digons: bool) -> None:
         except BudgetExceeded as exc:
             fail(str(exc), EXIT_BUDGET)
     else:
-        w = alternating_cycle_factor(g)
+        w = Analysis.of(g).cf
     if w is None:
         _answer({"kind": f"no_{kind}_factor"}, False)
     emit(witness_to_dict(g, w))

@@ -397,7 +397,9 @@ class AlternatingTrail:
 
 @dataclass(frozen=True)
 class AlternatingCycle(AlternatingTrail):
-    """Closed alternating trail visiting every vertex exactly once."""
+    """Closed alternating trail visiting no vertex twice: on its own a
+    hamiltonian cycle, through every vertex of its graph; in a
+    CycleFactor, one of the factor's cycles."""
 
     closed: bool = True
 
@@ -545,8 +547,13 @@ def _check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail,
 
 def verify_witness(g: EdgeColouredMultigraph, w: Witness) -> VerifyResult:
     """Check every invariant of the witness type against g."""
+    if isinstance(w, AlternatingCycle):
+        r, seen = _check_trail(g, w, cycle=True)
+        if r and len(seen) != len(g.vertices):
+            return VerifyResult(False, "cycle misses a vertex")
+        return r
     if isinstance(w, AlternatingTrail):
-        return _check_trail(g, w, isinstance(w, AlternatingCycle))[0]
+        return _check_trail(g, w)[0]
     verts = g.vertices
     if isinstance(w, EulerianFactor):
         covered: set[str] = set()

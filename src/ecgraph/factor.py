@@ -71,7 +71,11 @@ layout against.
 
 Cycle factors reduce to perfect matching in a much smaller auxiliary
 graph with one red and one blue copy per vertex; the cycles are read
-straight off the matching, from copy to matched copy.
+straight off the matching, from copy to matched copy.  For an
+extension of an M-closed graph, `ecgraph.analysis` first asks stage 1
+alone whether the base's colour classes have the perfect fractional
+b-matchings that the graph's red and blue matchings project to, on a
+problem built by `_BMatching.problem`; only a short flow is used.
 """
 
 from __future__ import annotations
@@ -251,6 +255,26 @@ class _BMatching:
             else:
                 cap[k] += 1
             edge_class.append(k)
+
+    @classmethod
+    def problem(cls, need: list[int], edges: Iterable[tuple[int, int, int]]
+                ) -> "_BMatching":
+        """The b-matching problem on nodes 0 .. len(need) - 1, node u to
+        be covered need[u] times, edge k = (u, w, cap) joining u != w at
+        most cap times: for `half_integral` alone, as it holds no edge
+        of g."""
+        p = cls.__new__(cls)
+        p.need, p.edge_class = need, []
+        p.ends = ends = []
+        p.cap = cap = []
+        p.out = out = [[] for _ in need]
+        for u, w, c in edges:
+            if c:
+                out[u].append(len(ends))
+                out[w].append(len(ends) + 1)
+            ends += (u, w)
+            cap.append(c)
+        return p
 
     def chosen(self, y: list[int]) -> list[int]:
         """The positions in g.edges of the edges b-matching y takes: the

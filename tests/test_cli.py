@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import ecgraph.analysis
 import ecgraph.cli
 from ecgraph.cli import analyze_graph, main
 from ecgraph.core import (
@@ -198,6 +199,27 @@ class TestDecisions:
         res = runner.invoke(main, ["factor", "-", "--kind", "cycle"],
                             input=fixture_json("halfm"))
         assert res.exit_code == 0
+
+    def test_factor_reads_the_analysis(self, runner, monkeypatch):
+        # over seed 9's 5-vertex base the cycle factor is ruled out with
+        # no matching on g; the eulerian factor is built on g
+        calls = []
+
+        def spy(name):
+            fn = getattr(ecgraph.analysis, name)
+            monkeypatch.setattr(ecgraph.analysis, name,
+                                lambda g: calls.append(name) or fn(g))
+
+        spy("eulerian_factor")
+        spy("alternating_cycle_factor")
+        text = serialize_graph(generate("mclosed_blowup", seed=9, n=60))
+        res = runner.invoke(main, ["factor", "-", "--kind", "cycle"],
+                            input=text)
+        assert res.exit_code == 3 and calls == []
+        assert json.loads(res.output) == {"kind": "no_cycle_factor"}
+        res = runner.invoke(main, ["factor", "-"], input=text)
+        assert res.exit_code == 0 and calls == ["eulerian_factor"]
+        assert json.loads(res.output)["kind"] == "eulerian_factor"
 
 
 class TestForbidDigons:

@@ -15,8 +15,10 @@ from ecgraph import (
     EdgeColouredMultigraph,
     EulerianFactor,
     GraphError,
+    alternating_hamiltonian_cycle,
     build_graph,
     graph_to_dict,
+    oracle_ham_alternating,
     parse_graph,
     serialize_graph,
     verify_witness,
@@ -286,6 +288,29 @@ class TestWitnessVerification:
         assert verify_witness(g, t)
         c = AlternatingCycle("a", ("e0", "e1", "e2", "e3"))
         assert not verify_witness(g, c)
+
+    def test_hamiltonian_cycle_must_visit_every_vertex(self):
+        # a digon a-b beside c: a closed alternating trail, and a cycle
+        # of a factor, but no hamiltonian cycle of the three vertices
+        g = build_graph(["a", "b", "c"],
+                        [("a", "b", RED), ("a", "b", BLUE),
+                         ("a", "c", RED), ("a", "c", BLUE)])
+        c = AlternatingCycle("a", ("e0", "e1"))
+        r = verify_witness(g, c)
+        assert not r and r.reason == "cycle misses a vertex"
+        assert verify_witness(g, AlternatingTrail("a", ("e0", "e1"),
+                                                  closed=True))
+        r = verify_witness(g, CycleFactor((c,)))
+        assert not r and r.reason == "factor cycles do not cover V"
+
+    @pytest.mark.parametrize("g, build", [
+        (generate("mclosed_blowup", seed=244, n=20),
+         lambda g: alternating_hamiltonian_cycle(g).witness),
+        (generate("random_2ec", seed=21, n=8, m=16),
+         oracle_ham_alternating)], ids=["merge", "oracle"])
+    def test_built_hamiltonian_cycles_pass(self, g, build):
+        c = build(g)
+        assert isinstance(c, AlternatingCycle) and verify_witness(g, c)
 
     def test_eulerian_factor_coverage(self):
         g = build_graph(["u", "v", "w", "x"],

@@ -406,19 +406,64 @@ def test_pairing_refuses_a_walk_beyond_capacity():
     names = "spabcdet"
     edges = ["sp", "ap", "ab", "cb", "cd", "bd", "ea", "et"]
     y = [0, 1, 0, 1, 0, 1, 1, 0]
-    p = _BMatching.__new__(_BMatching)
-    p.ends = [names.index(x) for e in edges for x in e]
-    p.cap = [1] * len(edges)
-    p.out = [[] for _ in names]
-    for a, u in enumerate(p.ends):
-        p.out[u].append(a)
-    p.need = [0] * len(names)
+    p = _BMatching.problem([0] * len(names), [
+        (names.index(u), names.index(w), 1) for u, w in edges])
     p.need = coverage(p, y)
     p.need[names.index("s")] += 1
     p.need[names.index("t")] += 1
     before = y[:]
     assert not p.paired(y, [names.index("s"), names.index("t")])
     assert y == before
+
+
+def fractional_by_brute_force(need, edges):
+    """Whether some x(k) in {0, 1/2, ..., cap} per edge covers each node
+    u exactly need[u] times: a perfect fractional b-matching exists iff
+    a half-integral one does."""
+    left = [2 * b for b in need]
+
+    def fill(k):
+        if k == len(edges):
+            return not any(left)
+        u, w, cap = edges[k]
+        for t in range(min(2 * cap, left[u], left[w]) + 1):
+            left[u] -= t
+            left[w] -= t
+            found = fill(k + 1)
+            left[u] += t
+            left[w] += t
+            if found:
+                return True
+        return False
+
+    return fill(0)
+
+
+def test_b_matching_problem_answers_as_brute_force():
+    # need: what a random integer b-matching covers, one node's need
+    # then moved by one in half the problems
+    rng = random.Random(5)
+    feasible = 0
+    for _ in range(600):
+        n = rng.randint(2, 5)
+        edges = [(*rng.sample(range(n), 2), rng.randint(0, 2))
+                 for _ in range(rng.randint(0, 7))]
+        need = [0] * n
+        for u, w, cap in edges:
+            t = rng.randint(0, cap)
+            need[u] += t
+            need[w] += t
+        u = rng.randrange(2 * n)
+        if u < n:
+            need[u] = abs(need[u] + rng.choice((-1, 1)))
+        p = _BMatching.problem(need, edges)
+        twice = p.half_integral()
+        assert (twice is not None) == fractional_by_brute_force(need, edges)
+        if twice is not None:
+            feasible += 1
+            assert all(0 <= t <= 2 * c for t, (_, _, c) in zip(twice, edges))
+            assert coverage(p, twice) == [2 * b for b in need]
+    assert 200 < feasible < 400
 
 
 @settings(max_examples=300, deadline=None)

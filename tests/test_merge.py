@@ -23,6 +23,7 @@ from ecgraph import (
     similar,
     verify_witness,
 )
+from ecgraph.core import _check_trail
 from ecgraph.factor import alternating_cycle_factor, eulerian_factor
 from ecgraph.merge import (
     _Cyc,
@@ -42,9 +43,11 @@ def two_digons(cross):
 
 
 def digon_cycles(g):
+    # parts, not hamiltonian cycles: each gets a CycleFactor's check
     c1 = AlternatingCycle("a1", ("e0", "e1"))
     c2 = AlternatingCycle("b1", ("e2", "e3"))
-    assert verify_witness(g, c1) and verify_witness(g, c2)
+    assert _check_trail(g, c1, cycle=True)[0]
+    assert _check_trail(g, c2, cycle=True)[0]
     return c1, c2
 
 
@@ -115,8 +118,9 @@ class TestMergeSimilar:
         c1, c2 = digon_cycles(g)
         assert similar_cross_pair(g, c1, c2) == ("a1", "b1")
         merged = chord_merge(g, c1, c2)
+        # a cycle through the pair's four vertices, not z
         assert isinstance(merged, AlternatingCycle)
-        assert verify_witness(g, merged)
+        assert _check_trail(g, merged, cycle=True)[0]
         assert merged.vertex_set(g) == {"a1", "a2", "b1", "b2"}
         out = merge_cycles(g, c1, c2)
         assert isinstance(out, Merged)

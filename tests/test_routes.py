@@ -11,6 +11,7 @@ memo, and output that does not depend on the interpreter's hash seed.
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -20,6 +21,7 @@ import pytest
 from click.testing import CliRunner
 
 import ecgraph
+import ecgraph.analysis
 import ecgraph.cli
 import ecgraph.connect
 import ecgraph.core
@@ -27,9 +29,11 @@ import ecgraph.merge
 from ecgraph import UnsupportedClass, supereulerian
 from ecgraph.analysis import Analysis
 from ecgraph.cli import analyze_graph, main
+from ecgraph.connect import complete_multipartite_classes
 from ecgraph.core import (
     AlternatingCycle,
     AlternatingTrail,
+    BLUE,
     Edge,
     EdgeColouredMultigraph,
     RED,
@@ -40,6 +44,7 @@ from ecgraph.core import (
     serialize_graph,
     verify_witness,
 )
+from ecgraph.factor import alternating_cycle_factor
 from ecgraph.matching import IndexedGraph
 from ecgraph.merge import MergeInternalError, alternating_hamiltonian_cycle
 from ecgraph.reductions import fixture, generate
@@ -446,15 +451,21 @@ def _count_fact_calls(monkeypatch, g
 def test_each_fact_once_on_m_closed_blow_up(monkeypatch):
     # 14 vertices over a smaller M-closed base: the path sweep runs on
     # the base, once, and never on g, as a base yes stands for g.  So g
-    # is colour-connected, hence trail-colour-connected: no trail sweep
+    # is colour-connected, hence trail-colour-connected: no trail sweep.
+    # The partite classes are read on the base first; it is K5, complete
+    # multipartite, so g's are computed on g.  The base's flow rules out
+    # a cycle factor, so g's is never computed
     g = generate("mclosed_blowup", seed=9, n=14)
     on_g, on_base, every, asked = _count_fact_calls(monkeypatch, g)
     assert len(Analysis.of(g).ext[0].vertices) < len(g.vertices)
     assert max((on_g | on_base).values()) == 1
     assert on_g == Counter(EVERY_FACT - {"is_colour_connected",
-                                         "is_trail_colour_connected"}
+                                         "is_trail_colour_connected",
+                                         "alternating_cycle_factor"}
                            | {INDUCED})
-    assert on_base == Counter(("is_colour_connected", "is_m_closed"))
+    assert on_base == Counter(("is_colour_connected", "is_m_closed",
+                               "complete_multipartite_classes"))
+    assert Analysis.of(g).cf is None
     assert every[TRAIL_QUERIES] == every["is_trail_colour_connected"] == 0
     assert Analysis.of(g).tcc.connected
     assert every["similarity_partition"] == 1
@@ -539,3 +550,89 @@ def test_analyze_output_does_not_depend_on_hash_seed(tmp_path):
                 del e["elapsed"]
             reports.append(entries)
         assert reports[0] == reports[1], (model, seed)
+
+
+# The base route of the cycle factor and the partite classes: a short
+# flow on an extension's smaller M-closed base is g's "no"; anything
+# else is computed on g (analysis.py's module docstring)
+
+def _quotient_blow_ups():
+    """M-closed quotients blown up with seeded multiplicities 1-3, or one
+    multiplicity 2-3 for all.  Half are quotients of generated M-closed
+    extensions; the other half are M-closures of an alternating cycle
+    of even length 4-8 with random chords, so they and their uniform
+    blow-ups have a cycle factor."""
+    for s in range(120):
+        rng = random.Random(s)
+        if s % 4 < 2:
+            g = generate("mclosed_blowup", seed=s, n=4 + s % 9)
+        else:
+            vs = [f"v{i}" for i in range(2 * rng.randint(2, 4))]
+            g = m_closure(build_graph(vs, [
+                (vs[i], vs[i - 1], (RED, BLUE)[i % 2])
+                for i in range(len(vs))] + [
+                (*rng.sample(vs, 2), rng.choice((RED, BLUE)))
+                for _ in range(rng.randint(0, 4))]),
+                "seeded_random", seed=s)
+        base = similarity_partition(g).quotient
+        k = rng.randint(2, 3)
+        yield blow_up(base, {v: rng.randint(1, 3) if s % 2 else k
+                             for v in base.vertices})
+
+
+def test_base_route_answers_as_g():
+    graphs = itertools.chain(
+        (generate("mclosed_blowup", seed=s, n=6 + s % 40)
+         for s in range(200)), _quotient_blow_ups())
+    answers = Counter()
+    for g in graphs:
+        a = Analysis.of(g)
+        assert a.cf == alternating_cycle_factor(g)
+        assert a.classes == complete_multipartite_classes(g)
+        if a.base is not None:
+            answers[a.cf is not None, a.classes is not None] += 1
+    # (has a cycle factor, is complete multipartite) over a smaller
+    # base: both answers of both facts occur
+    assert answers == {(False, True): 211, (False, False): 71,
+                       (True, True): 28, (True, False): 6}
+
+
+def _spy_on(monkeypatch, name):
+    """The graphs that ecgraph.analysis's `name` is called on, filled in
+    as facts are read."""
+    fn = getattr(ecgraph.analysis, name)
+    calls = []
+    monkeypatch.setattr(ecgraph.analysis, name,
+                        lambda h: calls.append(h) or fn(h))
+    return calls
+
+
+def test_short_base_flow_is_no_without_g(monkeypatch):
+    g = generate("mclosed_blowup", seed=9, n=60)
+    calls = _spy_on(monkeypatch, "alternating_cycle_factor")
+    assert Analysis.of(g).cf is None and calls == []
+
+
+def test_feasible_base_flow_leaves_a_parity_no_to_g(monkeypatch):
+    # a red and blue triangle x, y, z beside a red and blue digon w-v
+    # blown up to 2 + 2: the base's flow is full in both colours (a half
+    # on each triangle edge, 2 on w-v), but the triangle's three
+    # vertices have no perfect matching, so g has no cycle factor, and
+    # says so from its own matching
+    base = build_graph(["x", "y", "z", "w", "v"], [
+        (u, w, c) for u, w in ("xy", "yz", "zx", "wv")
+        for c in (RED, BLUE)])
+    g = blow_up(base, {"x": 1, "y": 1, "z": 1, "w": 2, "v": 2})
+    calls = _spy_on(monkeypatch, "alternating_cycle_factor")
+    a = Analysis.of(g)
+    assert len(a.base.vertices) == 5 < len(g.vertices)
+    assert a.cf is None and calls == [g]
+
+
+def test_base_without_classes_is_g_without_classes(monkeypatch):
+    # seed 10's base is not complete multipartite, so neither is g, and
+    # g's classes are never computed
+    g = generate("mclosed_blowup", seed=10, n=30)
+    calls = _spy_on(monkeypatch, "complete_multipartite_classes")
+    a = Analysis.of(g)
+    assert a.classes is None and calls == [a.base]

@@ -41,8 +41,10 @@ from ecgraph.analysis import Analysis
 from ecgraph.cli import main
 from ecgraph.core import (
     BIT_COLOUR,
+    CycleFactor,
     EdgeColouredMultigraph,
     GraphError,
+    _check_trail,
     parse_graph,
 )
 from ecgraph.merge import (
@@ -232,7 +234,7 @@ def merge_through_blow_up(g, T1, T2):
     h = blow_up(union, visits)
     c1 = _trail_to_blown_cycle(g, T1)
     c2 = _trail_to_blown_cycle(g, T2)
-    assert verify_witness(h, c1) and verify_witness(h, c2)
+    assert verify_witness(h, CycleFactor((c1, c2)))
     try:
         out = _pair(h, _Cyc.of(h, c1), _Cyc.of(h, c2))
     except UnsupportedClass:
@@ -713,7 +715,7 @@ def test_rotation_merges_pairs_beyond_any_search():
         f"e{1 + k % 2}.{(k + 1) // 2 % 5}.{k // 2}" for k in range(10)))
     t1 = AlternatingTrail("v1.0", tuple(f"{e}.0.0" for e in t1.edge_ids),
                           closed=True)
-    assert verify_witness(h, c2) and verify_witness(h, t1)
+    assert _check_trail(h, c2, cycle=True)[0] and verify_witness(h, t1)
     assert len(h.vertices) == 13 and Analysis.of(h).ext is not None
     out = merge_cycles(h, t1, c2)
     assert isinstance(out, Merged) and verify_witness(h, out.cycle)
