@@ -34,24 +34,21 @@ has no edge of colour c in g, as then nothing leaves u in that colour,
 else as asked with one path or trail query on g; otherwise g is swept.
 Every other graph is swept directly.
 
-Two more facts of an extension with a smaller base, of any size, are
+The cycle factor of an extension with a smaller base, of any size, is
 asked of the base first, where only a "no" is taken: a "yes" is still
-computed on g, so every witness is g's own.  Let k_x be the size of block x.  A cycle factor
-of g is a perfect red and a perfect blue matching.  Counted per pair
-of blocks, a perfect colour-c matching of g covers block x k_x times
-and joins blocks x and y at most min(k_x, k_y) times, and only where
-the base has a colour-c edge xy, since blocks are independent: a
-perfect b-matching of the base's colour-c edges with b(x) = k_x, caps
-min(k_x, k_y).  So a short max-flow for its fractional relaxation
+computed on g, so every witness is g's own.  Let k_x be the size of
+block x.  A cycle factor of g is a perfect red and a perfect blue
+matching.  Counted per pair of blocks, a perfect colour-c matching of
+g covers block x k_x times and joins blocks x and y at most
+min(k_x, k_y) times, and only where the base has a colour-c edge xy,
+since blocks are independent: a perfect b-matching of the base's
+colour-c edges with b(x) = k_x, caps min(k_x, k_y).  So a short
+max-flow for its fractional relaxation
 (`factor._BMatching.half_integral`) means g has no cycle factor.  A
 full flow proves nothing (a one-colour triangle of single-vertex
 blocks has a fractional perfect matching only), and g's own
-`alternating_cycle_factor` runs.  g is complete multipartite iff its
-similarity quotient is: an induced subgraph of a complete multipartite
-graph is one, and conversely, each block is independent and a vertex
-is adjacent to all of a block or to none of it, so g is the
-quotient's classes blown up.  So the base's "no" is g's, and after a
-base "yes" g's classes are computed on g.
+`alternating_cycle_factor` runs.  The partite classes are computed
+once, on g: asking the base first did not pay for itself.
 
 Trail-colour-connectivity is derived from the path sweeps.  Every
 alternating path is an alternating trail, so `tcc` of a colour-connected
@@ -155,10 +152,7 @@ class Analysis:
 
     @cached_property
     def classes(self) -> Optional[list[list[str]]]:
-        """Partite classes, or None (not complete multipartite): at
-        once where the base's are None (above)."""
-        if self.base is not None and Analysis.of(self.base).classes is None:
-            return None
+        """Partite classes, or None (not complete multipartite)."""
         return complete_multipartite_classes(self.g)
 
     @property
@@ -181,8 +175,7 @@ class Analysis:
                 if x > y:
                     x, y = y, x
                 caps[2 * x + c, 2 * y + c] = k[y] if k[y] < k[x] else k[x]
-            flow = _BMatching.problem([kx for kx in k for _ in (0, 1)],
-                                      [(*uw, t) for uw, t in caps.items()])
+            flow = _BMatching([kx for kx in k for _ in (0, 1)], caps.items())
             if flow.half_integral() is None:
                 return None
         return alternating_cycle_factor(self.g)

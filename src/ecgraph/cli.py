@@ -198,7 +198,8 @@ def _report_table(rep: AnalysisReport) -> str:
 @click.argument("file", default="-")
 @click.option("--table", "as_table", is_flag=True,
               help="emit a human-readable table instead of JSON")
-@click.option("--max-n", default=0, help="allow oracle routes up to this size")
+@click.option("--max-n", default=0, type=click.IntRange(min=0),
+              help="allow oracle routes up to this size")
 def analyze(file: str, as_table: bool, max_n: int) -> None:
     """Run every decision question against FILE."""
     g = read_graph(file)
@@ -214,7 +215,7 @@ def _decision_command(question: str, summary: str) -> None:
     decision as a document and exits with its code."""
     @main.command(name=question, help=summary)
     @click.argument("file", default="-")
-    @click.option("--max-n", default=0)
+    @click.option("--max-n", default=0, type=click.IntRange(min=0))
     @click.option("--witness", "witness_mode", default=None,
                   type=click.Choice(["oracle"]))
     def command(file: str, max_n: int, witness_mode) -> None:
@@ -309,7 +310,7 @@ _ORACLES = {
 @main.command(name="oracle")
 @click.argument("question", type=click.Choice(sorted(_ORACLES)))
 @click.argument("file", default="-")
-@click.option("--max-n", default=10)
+@click.option("--max-n", default=10, type=click.IntRange(min=0))
 def oracle_cmd(question: str, file: str, max_n: int) -> None:
     """Answer a question by exhaustive search (small inputs only)."""
     g = read_graph(file)

@@ -13,15 +13,16 @@ A graph is its own integer index, built in one validating pass from
 by position, with ids, ends as vertex indices, colour bits, incidence
 lists.  Lookups and algorithms read it, never g.edges (built on first
 read).  Its `walk` is the one check of an alternating trail given as
-edge positions, and `closed_walk` adds the closed-trail and cycle
-verdicts: `verify_witness` maps a trail's ids to positions and runs
-them, the merge runs `closed_walk` on its walks, and `check_walk` adds
-the open path and trail verdicts (ends, end colours, simplicity) that
-the path and trail oracles run on the positions they find, and single
-path and trail queries on the positions they collect from their search
-tree's check.  That check reads the same arrays, one tree step at a
-time (`ecgraph.connect`); the connectivity sweeps run it alone and
-build no walk.
+edge positions, open or closed, and of an alternating cycle.
+`_check_trail` maps a trail's ids to positions and walks them, for
+`verify_witness` and for the parts the merge is given; the merge walks
+each walk it builds; and `check_walk` adds the open path and trail
+verdicts (ends, end colours, simplicity) that the path and trail
+oracles run on the positions they find, and single path and trail
+queries on the positions they collect from their search tree's check.
+That check reads the same arrays, one tree step at a time
+(`ecgraph.connect`); the connectivity sweeps run it alone and build no
+walk.
 
 `positions` and `ids` are the one conversion between edge ids and
 positions.  Every function that returns a witness checks it once,
@@ -225,15 +226,20 @@ class EdgeColouredMultigraph:
         blue = sum(map(self.bit.__getitem__, ks))
         return len(ks) - blue, blue
 
-    def walk(self, x: int, ks: Sequence[int]) -> list[int]:
+    def walk(self, x: int, ks: Sequence[int], closed: bool = False,
+             cycle: bool = False) -> list[int]:
         """The vertices of the walk from vertex x along the edges at
-        positions ks: x, then the vertex each edge reaches.
+        positions ks: x, then the vertex each edge reaches; for a closed
+        walk, one per edge: the vertex each edge leaves.
 
         Raises BadWalk unless the edges are pairwise distinct, and each
-        is known, continues the walk and changes colour.  An explicit
-        check, so python -O keeps it; verification, the single path and
-        trail queries, the oracles and the merge share it as their one
-        definition of an alternating trail.
+        is known, continues the walk and changes colour; then, if
+        `closed`, unless the walk has edges, returns to x and has even
+        length (so it alternates all round: its first and last colours
+        differ); then, for a closed `cycle`, unless it visits no vertex
+        twice.  An explicit check, so python -O keeps it; verification,
+        the single path and trail queries, the oracles and the merge
+        share it as their one definition of an alternating trail.
         """
         if len(set(ks)) != len(ks):
             raise BadWalk("edge repeated", -1)
@@ -255,19 +261,8 @@ class EdgeColouredMultigraph:
                 raise BadWalk("colours do not alternate at edge {}", t)
             last = bit[k]
             seen.append(cur)
-        return seen
-
-    def closed_walk(self, x: int, ks: Sequence[int], cycle: bool = False
-                    ) -> list[int]:
-        """The vertices of the closed walk from vertex x along the edges
-        at positions ks, one per edge: the vertex each edge leaves.
-
-        Raises BadWalk as `walk` does, and unless the walk has edges,
-        returns to x, has even length (so it alternates all round: its
-        first and last colours differ) and, for a cycle, visits no
-        vertex twice.
-        """
-        seen = self.walk(x, ks)
+        if not closed:
+            return seen
         if not ks:
             raise BadWalk("closed trail must have edges", -1)
         if seen.pop() != x:
@@ -529,65 +524,65 @@ class VerifyResult:
 
 
 def _check_trail(g: EdgeColouredMultigraph, t: AlternatingTrail,
-                 cycle: bool = False) -> tuple[VerifyResult, list[int]]:
-    """The verdict on trail t (a cycle, with `cycle`), and the vertex
-    indices its walk visits: one decode of its ids, one walk."""
-    if cycle and not t.closed:
-        return VerifyResult(False, "cycle must be closed"), []
+                 cycle: bool = False, what: Optional[str] = None
+                 ) -> tuple[VerifyResult, list[int], list[int]]:
+    """The verdict on trail t (a cycle, with `cycle`), the vertex
+    indices its walk visits and its edge positions: one decode of its
+    ids, one walk.  Where `what` is given ("part", "factor witness"), t
+    must be closed, and the reason names it so; a cycle must be closed,
+    as "cycle" by default."""
+    what = what or ("cycle" if cycle else None)
     x = g.index.get(t.start)
-    if x is None:
-        return VerifyResult(False, f"unknown start vertex {t.start!r}"), []
-    ks = g.positions(t.edge_ids)
-    try:
-        seen = g.closed_walk(x, ks, cycle) if t.closed else g.walk(x, ks)
-    except BadWalk as exc:
-        return VerifyResult(False, exc.reason(t.edge_ids)), []
-    return VerifyResult(True), seen
+    if what and not t.closed:
+        problem = f"{what} must be closed"
+    elif x is None:
+        problem = f"unknown start vertex {t.start!r}"
+    else:
+        ks = g.positions(t.edge_ids)
+        try:
+            return VerifyResult(True), g.walk(x, ks, t.closed, cycle), ks
+        except BadWalk as exc:
+            problem = exc.reason(t.edge_ids)
+    return VerifyResult(False, problem), [], []
 
 
 def verify_witness(g: EdgeColouredMultigraph, w: Witness) -> VerifyResult:
     """Check every invariant of the witness type against g."""
     if isinstance(w, AlternatingCycle):
-        r, seen = _check_trail(g, w, cycle=True)
+        r, seen, _ = _check_trail(g, w, cycle=True)
         if r and len(seen) != len(g.vertices):
             return VerifyResult(False, "cycle misses a vertex")
         return r
     if isinstance(w, AlternatingTrail):
         return _check_trail(g, w)[0]
-    verts = g.vertices
+    # (declared vertex set, closed trail) per part; a cycle declares none
     if isinstance(w, EulerianFactor):
-        covered: set[str] = set()
-        for vs, trail in w.parts:
-            if covered & vs:
-                return VerifyResult(False, "factor parts overlap")
-            covered |= vs
-            if not trail.closed:
-                return VerifyResult(False, "factor witness must be closed")
-            r, seen = _check_trail(g, trail)
-            if not r:
-                return r
-            # a closed walk visits both ends of each edge, so this also
-            # keeps every edge inside its part
-            if {verts[x] for x in seen} != vs:
-                return VerifyResult(
-                    False, "factor witness does not span its vertex set")
-        if covered != set(verts):
-            return VerifyResult(False, "factor parts do not cover V")
-        return VerifyResult(True)
-    if isinstance(w, CycleFactor):
-        covered = set()
-        for c in w.cycles:
-            r, seen = _check_trail(g, c, cycle=True)
-            if not r:
-                return r
-            vs = {verts[x] for x in seen}
-            if covered & vs:
-                return VerifyResult(False, "factor cycles overlap")
-            covered |= vs
-        if covered != set(verts):
-            return VerifyResult(False, "factor cycles do not cover V")
-        return VerifyResult(True)
-    return VerifyResult(False, f"unknown witness type {type(w).__name__}")
+        parts, kind = w.parts, "parts"
+    elif isinstance(w, CycleFactor):
+        parts, kind = [(None, c) for c in w.cycles], "cycles"
+    else:
+        return VerifyResult(False, f"unknown witness type {type(w).__name__}")
+    verts = g.vertices
+    covered: set[str] = set()
+    for vs, t in parts:
+        if vs is not None and covered & vs:
+            return VerifyResult(False, "factor parts overlap")
+        r, seen, _ = _check_trail(g, t, vs is None,
+                                  "cycle" if vs is None else "factor witness")
+        if not r:
+            return r
+        got = {verts[x] for x in seen}
+        if vs is None and covered & got:
+            return VerifyResult(False, "factor cycles overlap")
+        # a closed walk visits both ends of each edge, so this also
+        # keeps every edge inside its part
+        if vs is not None and got != vs:
+            return VerifyResult(
+                False, "factor witness does not span its vertex set")
+        covered |= got
+    if covered != set(verts):
+        return VerifyResult(False, f"factor {kind} do not cover V")
+    return VerifyResult(True)
 
 
 def check_witness(g: EdgeColouredMultigraph, w: Witness, what: str

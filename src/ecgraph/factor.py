@@ -75,13 +75,14 @@ straight off the matching, from copy to matched copy.  For an
 extension of an M-closed graph, `ecgraph.analysis` first asks stage 1
 alone whether the base's colour classes have the perfect fractional
 b-matchings that the graph's red and blue matchings project to, on a
-problem built by `_BMatching.problem`; only a short flow is used.
+problem built by `_BMatching`'s constructor; only a short flow is used.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 from typing import Iterable, Optional
 
 from .core import (
@@ -185,7 +186,7 @@ def eulerian_factor(g: EdgeColouredMultigraph) -> Optional[EulerianFactor]:
     if len(g.vertices) < 2:
         return None
     try:
-        p = _BMatching(g)
+        p = _BMatching.of(g)
     except ColourDeficient:
         return None
     twice = p.half_integral()
@@ -203,12 +204,11 @@ def eulerian_factor(g: EdgeColouredMultigraph) -> Optional[EulerianFactor]:
 
 
 class _BMatching:
-    """The collapsed gadget of g as a capacitated b-matching problem.
-
-    Vertex i has nodes 4i (R), 4i + 1 (R'), 4i + 2 (B'), 4i + 3 (B),
-    each to be covered `need` times.  Edge k joins nodes ends[2k] and
-    ends[2k + 1] at most cap[k] times: edges 3i, 3i + 1 and 3i + 2 are
-    vertex i's R-R', R'-B' and B'-B joins, and the others merge the
+    """A capacitated b-matching problem: node u to be covered need[u]
+    times, edge k joining nodes ends[2k] and ends[2k + 1] at most cap[k]
+    times.  In g's collapsed gadget (`of`), vertex i has nodes 4i (R),
+    4i + 1 (R'), 4i + 2 (B'), 4i + 3 (B); edges 3i, 3i + 1 and 3i + 2
+    are vertex i's R-R', R'-B' and B'-B joins, and the others merge the
     parallel edges of g of one colour, `edge_class` giving each edge
     of g its k.  Arc 2k leaves ends[2k] and arc 2k + 1 leaves
     ends[2k + 1]; out[u] lists the arcs leaving u on edges of nonzero
@@ -217,13 +217,31 @@ class _BMatching:
 
     __slots__ = ("need", "ends", "cap", "out", "edge_class")
 
-    def __init__(self, g: EdgeColouredMultigraph):
-        """Raises ColourDeficient at the first vertex that misses a
-        colour."""
-        self.need = need = []
-        self.cap = cap = []
+    def __init__(self, need: list[int],
+                 edges: Iterable[tuple[tuple[int, int], int]],
+                 edge_class: Optional[list[int]] = None):
+        """The problem whose edge k is edges[k] = ((u, w), cap), u != w,
+        as in the items of a map from ends to capacities; `edge_class`
+        is left out for a problem that holds no edge of g, such as one
+        for `half_integral` alone."""
+        self.need = need
+        self.edge_class = edge_class or []
         self.ends = ends = []
-        self.out = out = [[] for _ in range(4 * len(g.vertices))]
+        self.cap = cap = []
+        self.out = out = [[] for _ in need]
+        for uw, c in edges:
+            if c:
+                out[uw[0]].append(len(ends))
+                out[uw[1]].append(len(ends) + 1)
+            ends += uw
+            cap.append(c)
+
+    @classmethod
+    def of(cls, g: EdgeColouredMultigraph) -> "_BMatching":
+        """The collapsed gadget of g.  Raises ColourDeficient at the
+        first vertex that misses a colour."""
+        need = []
+        joins = []
         for i, vertex in enumerate(g.vertices):
             r, b = g.colour_degrees(i)
             if not r or not b:
@@ -231,50 +249,18 @@ class _BMatching:
                                       Colour.BLUE if r else Colour.RED)
             need += (r, r - 1, b - 1, b)
             u = 4 * i
-            for v, c in ((u, r - 1), (u + 1, min(r, b) - 1), (u + 2, b - 1)):
-                if c:
-                    out[v].append(len(ends))
-                    out[v + 1].append(len(ends) + 1)
-                cap.append(c)
-                ends += (v, v + 1)
+            joins += (((u, u + 1), r - 1), ((u + 1, u + 2), min(r, b) - 1),
+                      ((u + 2, u + 3), b - 1))
         # an edge's ends are the R nodes of a red edge, the B nodes of
-        # a blue one
-        merged: dict[tuple[int, int], int] = {}
-        self.edge_class = edge_class = []
-        for x, y, c in zip(g.eu, g.ev, g.bit):
-            u = 4 * x + 3 * c
-            w = 4 * y + 3 * c
-            key = (u, w) if u < w else (w, u)
-            k = merged.get(key)
-            if k is None:
-                k = merged[key] = len(cap)
-                cap.append(1)
-                ends += key
-                out[key[0]].append(2 * k)
-                out[key[1]].append(2 * k + 1)
-            else:
-                cap[k] += 1
-            edge_class.append(k)
-
-    @classmethod
-    def problem(cls, need: list[int], edges: Iterable[tuple[int, int, int]]
-                ) -> "_BMatching":
-        """The b-matching problem on nodes 0 .. len(need) - 1, node u to
-        be covered need[u] times, edge k = (u, w, cap) joining u != w at
-        most cap times: for `half_integral` alone, as it holds no edge
-        of g."""
-        p = cls.__new__(cls)
-        p.need, p.edge_class = need, []
-        p.ends = ends = []
-        p.cap = cap = []
-        p.out = out = [[] for _ in need]
-        for u, w, c in edges:
-            if c:
-                out[u].append(len(ends))
-                out[w].append(len(ends) + 1)
-            ends += (u, w)
-            cap.append(c)
-        return p
+        # a blue one; parallel edges of one colour merge into one edge,
+        # numbered after the joins in the order first seen
+        pairs = [(4 * x + 3 * c, 4 * y + 3 * c) if x < y else
+                 (4 * y + 3 * c, 4 * x + 3 * c)
+                 for x, y, c in zip(g.eu, g.ev, g.bit)]
+        cap = Counter(pairs)
+        k = dict(zip(cap, count(len(joins))))
+        return cls(need, chain(joins, cap.items()),
+                   list(map(k.__getitem__, pairs)))
 
     def chosen(self, y: list[int]) -> list[int]:
         """The positions in g.edges of the edges b-matching y takes: the

@@ -38,9 +38,11 @@ where the lift needs only its copy off the cycle), and no blow-up is
 built.  Two cycles merge into a cycle; any other pair merges into a
 closed trail.
 Every walk, from the parts to the final witness, is a `_Cyc` on g's
-integer index, checked once when built by the graph's `closed_walk`;
-only the public entry and exit points read or write ids (`positions`
-and `ids`), and the final witness is not checked again.
+integer index, checked once, when built, by the graph's `walk`: a part
+through `verify_witness`'s trail check (`_check_trail`), which decodes
+its ids, and a merged walk on its positions.  Only the parts and the
+final witness are in ids (`ids` turns the last walk back), and the
+final witness is not checked again.
 
 The loop sorts the parts by (length, index of the lowest vertex) each
 round, merges the first pair in that order that merges, and skips pairs
@@ -71,6 +73,7 @@ from .core import (
     EdgeColouredMultigraph,
     GraphError,
     UnsupportedClass,
+    _check_trail,
 )
 
 
@@ -114,42 +117,42 @@ class _Cyc:
     mod n; vset is the set of vertices it visits."""
 
     def __init__(self, g: EdgeColouredMultigraph, x: int,
-                 edges: Sequence[int], cycle: bool, what: str,
-                 error: type[Exception] = MergeInternalError,
-                 names: Optional[Sequence] = None):
+                 edges: Sequence[int], cycle: bool, what: str):
         """The walk from vertex x along the edge positions `edges`;
-        raises `error`, naming `what` and the faulty edge by its entry
-        in `names` (by default its id), unless it is closed, alternates
-        all round and, for a cycle, visits no vertex twice
-        (`EdgeColouredMultigraph.closed_walk`).  An explicit check, so
-        python -O keeps it."""
+        raises MergeInternalError, naming `what` and the faulty edge by
+        its id, unless it is closed, alternates all round and, for a
+        cycle, visits no vertex twice (`EdgeColouredMultigraph.walk`).
+        An explicit check, so python -O keeps it."""
         try:
-            self.verts: list[int] = g.closed_walk(x, edges, cycle)
+            verts = g.walk(x, edges, True, cycle)
         except BadWalk as exc:
-            raise error(f"{what} fails verification: " + exc.reason(
-                g.ids(edges) if names is None else names)) from None
+            raise MergeInternalError(f"{what} fails verification: "
+                                     + exc.reason(g.ids(edges))) from None
+        self._hold(g, verts, list(edges), cycle)
+
+    def _hold(self, g: EdgeColouredMultigraph, verts: list[int],
+              edges: list[int], cycle: bool) -> None:
+        self.verts = verts
+        self.edges = edges
         self.cycle = cycle
-        self.edges: list[int] = list(edges)
-        self.cols: list[int] = [g.bit[k] for k in self.edges]
-        self.n = len(self.verts)
-        self.vset = frozenset(self.verts)
+        self.cols: list[int] = [g.bit[k] for k in edges]
+        self.n = len(verts)
+        self.vset = frozenset(verts)
 
     @classmethod
     def of(cls, g: EdgeColouredMultigraph, t: AlternatingTrail) -> "_Cyc":
-        """Closed trail or cycle t of g in integers.  Raises GraphError,
-        with the reason, unless t is a closed alternating trail of g (an
-        alternating cycle, for an AlternatingCycle)."""
-        what = f"part from {t.start!r}"
-        if not t.closed:
-            raise GraphError(f"{what} fails verification: part must be "
-                             "closed")
-        x = g.index.get(t.start)
-        if x is None:
-            raise GraphError(f"{what} fails verification: unknown start "
-                             f"vertex {t.start!r}")
-        return cls(g, x, g.positions(t.edge_ids),
-                   isinstance(t, AlternatingCycle), what, GraphError,
-                   t.edge_ids)
+        """Closed trail or cycle t of g in integers, from its one check
+        (`_check_trail`).  Raises GraphError, with the reason, unless t
+        is a closed alternating trail of g (an alternating cycle, for an
+        AlternatingCycle)."""
+        cycle = isinstance(t, AlternatingCycle)
+        r, verts, edges = _check_trail(g, t, cycle, "part")
+        if not r:
+            raise GraphError(f"part from {t.start!r} fails verification: "
+                             f"{r.reason}")
+        c = cls.__new__(cls)
+        c._hold(g, verts, edges, cycle)
+        return c
 
     def seg(self, p: int, q: int) -> list[int]:
         """Edge positions walking forward from position p to position q."""

@@ -170,6 +170,15 @@ class TestExitCodes:
         res = runner.invoke(main, ["fixture", "missing"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["supereulerian"], ["hamiltonian"],
+        ["oracle", "supereulerian"]], ids=lambda c: c[0])
+    def test_negative_max_n_is_usage_error(self, runner, command):
+        res = runner.invoke(main, [*command, "-", "--max-n", "-1"],
+                            input=fixture_json("efig"))
+        assert res.exit_code == 2
+        assert "Invalid value for '--max-n'" in res.output
+
 
 class TestDecisions:
     def test_supereulerian_witness(self, runner):

@@ -353,6 +353,10 @@ class TestWitnessVerification:
         for w, reason in (
                 (EulerianFactor(((ab, t_ab), (ab, t_ab))),
                  "factor parts overlap"),
+                # the declared sets are checked before the trail
+                (EulerianFactor(((ab, t_ab), (ab, AlternatingTrail(
+                    "a", ("e0", "e0"), closed=True)))),
+                 "factor parts overlap"),
                 (EulerianFactor(((ab, AlternatingTrail("a", ("e0", "e1"))),
                                  (cd, t_cd))),
                  "factor witness must be closed"),
@@ -597,39 +601,57 @@ def test_walk_agrees_with_the_string_walk():
     assert set(seen) == {None, "closed and valid", *kinds}, seen
 
 
-def test_walk_rejects_bad_positions():
-    g = build_graph(["a", "b", "c"], [("a", "b", RED), ("b", "c", BLUE),
-                                      ("a", "b", BLUE)])
-    assert g.walk(0, [0, 1]) == [0, 1, 2]
-    assert g.walk(0, [0, 2]) == [0, 1, 0]
-    assert g.walk(1, []) == [1]
-    assert g.closed_walk(0, [0, 2]) == [0, 1]
-    assert g.closed_walk(1, [2, 0], cycle=True) == [1, 0]
-    for ks, problem in (([0, 0], "edge repeated"),
-                        ([0, 3], "unknown edge id number 1"),
-                        ([0, -1], "unknown edge id number 1"),
-                        ([1], "edge number 0 does not continue the walk"),
-                        ([0, 2, 0], "edge repeated"),
-                        ([0, 2, 1], "edge number 2 does not continue")):
-        with pytest.raises(BadWalk, match=problem):
-            g.walk(0, ks)
-        with pytest.raises(BadWalk, match=problem):
-            g.closed_walk(0, ks)
-    with pytest.raises(BadWalk, match="colours do not alternate at edge "
-                                      "number 1"):
-        build_graph(["a", "b", "c"], [("a", "b", RED), ("b", "c", RED)]
-                    ).walk(0, [0, 1])
+# e0 a-b red, e1 b-c blue, e2 c-a red, e3 a-b blue, e4 a-c blue
+WALK_GRAPH = build_graph(["a", "b", "c"],
+                         [("a", "b", RED), ("b", "c", BLUE), ("c", "a", RED),
+                          ("a", "b", BLUE), ("a", "c", BLUE)])
+OPEN, CLOSED, CYCLE = (False, False), (True, False), (True, True)
+# faults of the edges themselves, on walks from a, with the message
+# that wins in every mode: where two coincide, the first named, and
+# before any fault of a closed walk ([3, 1] does not close either)
+EDGE_FAULTS = [
+    ([0, 0], "edge repeated"),
+    ([0, 3, 0], "edge repeated"),
+    ([5, 5], "edge repeated"),                  # repeated and unknown
+    ([0, 5], "unknown edge id number 1"),
+    ([0, -1], "unknown edge id number 1"),
+    ([1], "edge number 0 does not continue the walk"),
+    ([0, 3, 1], "edge number 2 does not continue the walk"),
+    ([1, 5], "edge number 0 does not continue the walk"),  # then unknown
+    ([3, 1], "colours do not alternate at edge number 1"),
+    ([3, 1, 5], "colours do not alternate at edge number 1"),
+]
 
 
-def test_closed_walk_verdicts():
-    # e0 a-b red, e1 b-c blue, e2 c-a red, e3 a-b blue, e4 a-c blue
-    g = build_graph(["a", "b", "c"],
-                    [("a", "b", RED), ("b", "c", BLUE), ("c", "a", RED),
-                     ("a", "b", BLUE), ("a", "c", BLUE)])
-    assert g.closed_walk(0, [0, 3, 2, 4]) == [0, 1, 0, 2]
-    for ks, problem in (([], "closed trail must have edges"),
-                        ([0, 1], "not closed"),
-                        ([0, 1, 2], "closed trail length must be even"),
-                        ([0, 3, 2, 4], "cycle revisits a vertex")):
-        with pytest.raises(BadWalk, match=problem):
-            g.closed_walk(0, ks, cycle=True)
+@pytest.mark.parametrize("ks, mode, out", [
+    # an open walk: x, then the vertex each edge reaches
+    ([0, 1], OPEN, [0, 1, 2]),
+    ([0, 3], OPEN, [0, 1, 0]),
+    ([], OPEN, [0]),
+    ([0, 1, 2], OPEN, [0, 1, 2, 0]),
+    # a cycle asks nothing of an open walk
+    ([0, 3, 2, 4], (False, True), [0, 1, 0, 2, 0]),
+    # a closed walk: the vertex each edge leaves
+    ([0, 3], CLOSED, [0, 1]),
+    ([0, 3], CYCLE, [0, 1]),                    # the digon is a cycle
+    ([0, 3, 2, 4], CLOSED, [0, 1, 0, 2]),
+    # a closed walk's faults, in the order checked
+    *[(ks, mode, out) for ks, out in (
+        ([], "closed trail must have edges"),
+        ([0, 1], "not closed"),
+        ([0, 3, 2], "not closed"),              # and revisits a
+        ([0, 1, 2], "closed trail length must be even and >= 2"))
+      for mode in (CLOSED, CYCLE)],
+    # then the cycle's revisit
+    ([0, 3, 2, 4], CYCLE, "cycle revisits a vertex"),
+    *[(ks, mode, out) for ks, out in EDGE_FAULTS
+      for mode in (OPEN, CLOSED, CYCLE)],
+])
+def test_walk(ks, mode, out):
+    closed, cycle = mode
+    if isinstance(out, list):
+        assert WALK_GRAPH.walk(0, ks, closed, cycle) == out
+        return
+    with pytest.raises(BadWalk) as exc:
+        WALK_GRAPH.walk(0, ks, closed, cycle)
+    assert str(exc.value) == out

@@ -35,9 +35,9 @@ def rand_graph(seed, n_max=7, m_max=14):
 
 def slot_gadget(g):
     """(h, external, match): the slot gadget of g with the zero
-    b-matching laid out on it; raises ColourDeficient as _BMatching
+    b-matching laid out on it; raises ColourDeficient as _BMatching.of
     does."""
-    p = _BMatching(g)
+    p = _BMatching.of(g)
     return p.laid_out(g, [0] * len(p.cap))
 
 
@@ -57,7 +57,7 @@ class TestGadget:
         g = build_graph(["a", "b"], [("a", "b", RED)])
         with pytest.raises(ColourDeficient,
                            match="vertex 'a' has no blue edge"):
-            _BMatching(g)
+            _BMatching.of(g)
         assert eulerian_factor(g) is None
 
     def test_digon_gadget(self):
@@ -212,7 +212,7 @@ def test_slot_gadget_answers_as_string_reference(g):
         ref = build_factor_gadget(g)
     except ColourDeficient as exc:
         with pytest.raises(ColourDeficient, match=str(exc)):
-            _BMatching(g)
+            _BMatching.of(g)
         return
     m = maximum_matching(ref.h)
     ref_perfect = 2 * len(m) == len(ref.h.vertices)
@@ -307,13 +307,13 @@ class TestBMatchingRoute:
 
     def test_short_flow_is_no(self):
         g = short_flow_graph()
-        assert _BMatching(g).half_integral() is None
+        assert _BMatching.of(g).half_integral() is None
         assert eulerian_factor(g) is None
         assert oracle_eulerian_factor(g) is None
 
     def test_odd_component_is_repaired(self):
         g = digon_triangle()
-        p = _BMatching(g)
+        p = _BMatching.of(g)
         y, short = p.rounded(p.half_integral())
         assert short
         # the gadget repair alone, from the rounded b-matching
@@ -329,7 +329,7 @@ class TestBMatchingRoute:
 
     def test_full_flow_then_failed_repair_is_no(self):
         g = two_triangles_at_z()
-        p = _BMatching(g)
+        p = _BMatching.of(g)
         twice = p.half_integral()
         assert twice is not None
         y, short = p.rounded(twice)
@@ -378,7 +378,7 @@ def test_laid_out_b_matching_leaves_one_slot_per_short_node(g):
     # the repair's start: a matching of the gadget, with the chosen
     # edges of g matched and exactly one slot of each short node exposed
     try:
-        p = _BMatching(g)
+        p = _BMatching.of(g)
     except ColourDeficient:
         return
     twice = p.half_integral()
@@ -406,8 +406,8 @@ def test_pairing_refuses_a_walk_beyond_capacity():
     names = "spabcdet"
     edges = ["sp", "ap", "ab", "cb", "cd", "bd", "ea", "et"]
     y = [0, 1, 0, 1, 0, 1, 1, 0]
-    p = _BMatching.problem([0] * len(names), [
-        (names.index(u), names.index(w), 1) for u, w in edges])
+    p = _BMatching([0] * len(names), [
+        ((names.index(u), names.index(w)), 1) for u, w in edges])
     p.need = coverage(p, y)
     p.need[names.index("s")] += 1
     p.need[names.index("t")] += 1
@@ -456,7 +456,7 @@ def test_b_matching_problem_answers_as_brute_force():
         u = rng.randrange(2 * n)
         if u < n:
             need[u] = abs(need[u] + rng.choice((-1, 1)))
-        p = _BMatching.problem(need, edges)
+        p = _BMatching(need, [((u, w), c) for u, w, c in edges])
         twice = p.half_integral()
         assert (twice is not None) == fractional_by_brute_force(need, edges)
         if twice is not None:
@@ -470,7 +470,7 @@ def test_b_matching_problem_answers_as_brute_force():
 @given(coloured_multigraphs())
 def test_b_matching_stages(g):
     try:
-        p = _BMatching(g)
+        p = _BMatching.of(g)
     except ColourDeficient:
         return
     twice = p.half_integral()
@@ -647,7 +647,7 @@ def test_a_failed_check_of_the_built_witness_raises(monkeypatch, build, g,
     if repair:
         monkeypatch.setattr(_BMatching, "paired",
                             lambda self, y, short: False)
-        p = _BMatching(g)
+        p = _BMatching.of(g)
         assert p.rounded(p.half_integral())[1]
     assert build(g) is not None
     monkeypatch.setattr(ecgraph.core, "verify_witness",

@@ -245,6 +245,29 @@ class TestInputFaults:
                 call()
             assert reason in str(exc.value)
 
+    @pytest.mark.parametrize("bad, reason", [
+        (AlternatingTrail("y", ("e0", "e1"), closed=True), "not closed"),
+        (AlternatingCycle("zz", ("e0", "e1")), "unknown start vertex 'zz'"),
+        (AlternatingCycle("y", ("e0", "zz")), "unknown edge id 'zz'"),
+        (AlternatingTrail("y", ("e0", "e0"), closed=True), "edge repeated"),
+        (AlternatingTrail("y", ("e0", "e2"), closed=True),
+         "edge 'e2' does not continue the walk"),
+        (AlternatingTrail("y", ("e0", "e1", "e2", "e8"), closed=True),
+         "colours do not alternate at edge 'e8'"),
+        (AlternatingTrail("y", ("e0", "e1", "e2"), closed=True),
+         "closed trail length must be even and >= 2"),
+        (AlternatingCycle("y", ("e0", "e1", "e2", "e3", "e4", "e5")),
+         "cycle revisits a vertex"),
+    ], ids=["not-closed", "unknown-start", "unknown-id", "repeated",
+            "not-continuing", "not-alternating", "odd", "revisit"])
+    def test_part_reason_is_verify_witness_reason(self, bad, reason):
+        g = self.BOWTIE
+        assert verify_witness(g, bad).reason == reason
+        with pytest.raises(GraphError) as exc:
+            _Cyc.of(g, bad)
+        assert str(exc.value) == (f"part from {bad.start!r} fails "
+                                  f"verification: {reason}")
+
     @pytest.mark.parametrize("kind", [AlternatingTrail, AlternatingCycle])
     def test_open_part_raises_graph_error(self, kind):
         # each part's edges close, but the part is marked open

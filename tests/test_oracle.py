@@ -178,19 +178,24 @@ class TestWitnessCheck:
     SPAN = build_graph(["a", "b", "c"], [("a", "b", RED), ("a", "b", BLUE),
                                          ("a", "c", RED), ("a", "c", BLUE)])
 
-    @pytest.mark.parametrize("name, call", [
-        ("_trail", oracle_supereulerian),
-        ("_path", oracle_ham_alternating),
+    # the span is verify_witness's: of a one-part eulerian factor for a
+    # spanning closed trail, of a cycle on its own for a cycle
+    @pytest.mark.parametrize("name, call, misses", [
+        ("_trail", oracle_supereulerian,
+         "factor witness does not span its vertex set"),
+        ("_path", oracle_ham_alternating, "cycle misses a vertex"),
     ], ids=["supereulerian", "hamiltonian"])
     @pytest.mark.parametrize("ks", [[0], [0, 1]],
                              ids=["not-closed", "misses-a-vertex"])
     def test_spanning_witness_fault_raises(self, monkeypatch, name, call,
-                                           ks):
+                                           misses, ks):
         monkeypatch.setattr(oracle_module, name,
                             lambda g, x, y, s, e, tick: ks)
-        with pytest.raises(GraphError,
-                           match="oracle witness fails verification"):
+        reason = "not closed" if len(ks) == 1 else misses
+        with pytest.raises(GraphError) as exc:
             call(self.SPAN)
+        assert str(exc.value) == ("internal error: oracle witness fails "
+                                  f"verification: {reason}")
 
 
 FIXTURES = ["efig", "halfm", "needall_g", "needall_h", "cmg_example"]

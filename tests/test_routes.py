@@ -452,9 +452,8 @@ def test_each_fact_once_on_m_closed_blow_up(monkeypatch):
     # 14 vertices over a smaller M-closed base: the path sweep runs on
     # the base, once, and never on g, as a base yes stands for g.  So g
     # is colour-connected, hence trail-colour-connected: no trail sweep.
-    # The partite classes are read on the base first; it is K5, complete
-    # multipartite, so g's are computed on g.  The base's flow rules out
-    # a cycle factor, so g's is never computed
+    # The partite classes are computed on g only.  The base's flow rules
+    # out a cycle factor, so g's is never computed
     g = generate("mclosed_blowup", seed=9, n=14)
     on_g, on_base, every, asked = _count_fact_calls(monkeypatch, g)
     assert len(Analysis.of(g).ext[0].vertices) < len(g.vertices)
@@ -463,8 +462,7 @@ def test_each_fact_once_on_m_closed_blow_up(monkeypatch):
                                          "is_trail_colour_connected",
                                          "alternating_cycle_factor"}
                            | {INDUCED})
-    assert on_base == Counter(("is_colour_connected", "is_m_closed",
-                               "complete_multipartite_classes"))
+    assert on_base == Counter(("is_colour_connected", "is_m_closed"))
     assert Analysis.of(g).cf is None
     assert every[TRAIL_QUERIES] == every["is_trail_colour_connected"] == 0
     assert Analysis.of(g).tcc.connected
@@ -629,10 +627,13 @@ def test_feasible_base_flow_leaves_a_parity_no_to_g(monkeypatch):
     assert a.cf is None and calls == [g]
 
 
-def test_base_without_classes_is_g_without_classes(monkeypatch):
-    # seed 10's base is not complete multipartite, so neither is g, and
-    # g's classes are never computed
-    g = generate("mclosed_blowup", seed=10, n=30)
+@pytest.mark.parametrize("seed, complete", [(9, True), (10, False)])
+def test_classes_run_once_on_g(monkeypatch, seed, complete):
+    # g's partite classes are computed once, on g, never on its smaller
+    # base, whether g is complete multipartite (seed 9) or not (seed 10)
+    g = generate("mclosed_blowup", seed=seed, n=30)
     calls = _spy_on(monkeypatch, "complete_multipartite_classes")
+    analyze_graph(g)
     a = Analysis.of(g)
-    assert a.classes is None and calls == [a.base]
+    assert len(a.base.vertices) < len(g.vertices)
+    assert (a.classes is not None) == complete and calls == [g]
