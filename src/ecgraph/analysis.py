@@ -31,8 +31,9 @@ of one vertex are joined through a neighbour.  A base no is not always
 g's: a walk of g may pass through two copies of one vertex.  So it
 stands only when its triple (u, v, c) fails in g too: at once where u
 has no edge of colour c in g, as then nothing leaves u in that colour,
-else as asked with one path or trail query on g; otherwise g is swept.
-Every other graph is swept directly.
+else as asked of g's path or trail query object, which builds no
+witness; otherwise g is swept with that same object.  Every other
+graph is swept directly.
 
 The cycle factor of an extension with a smaller base, of any size, is
 asked of the base first, where only a "no" is taken: a "yes" is still
@@ -68,12 +69,10 @@ from typing import Optional
 
 from .connect import (
     ConnectivityReport,
+    _PathQuery,
     _sweep,
     _TrailQuery,
-    alternating_path,
-    alternating_trail,
     complete_multipartite_classes,
-    is_colour_connected,
 )
 from .core import (
     Colour, CycleFactor, EdgeColouredMultigraph, EulerianFactor,
@@ -190,24 +189,26 @@ class Analysis:
             return base
         return self.g
 
-    def _connectivity(self, fact: str, query, sweep) -> ConnectivityReport:
+    def _connectivity(self, fact: str, make, start: tuple[int, int, int]
+                      ) -> ConnectivityReport:
         """g's report of `fact`, read off `swept`'s memo where that
         answers yes or its failing triple fails on g too (see above);
-        otherwise g's own `sweep()`."""
+        otherwise g's own sweep from `start` on one `make(g)` object,
+        and that sweep's failing triple becomes `_trail_start`."""
         g = self.g
+        q = None
         if self.swept is not g:
             rep = getattr(Analysis.of(self.swept), fact)
             if rep.connected:
                 return rep
-            u, _, c = rep.counterexample
-            if g.colour_degrees(g.index[u])[c.bit] == 0 \
-                    or query(g, *rep.counterexample) is None:
+            u, v, c = rep.counterexample
+            x = g.index[u]
+            if g.colour_degrees(x)[c.bit] == 0:
                 return rep
-        return sweep()
-
-    def _path_sweep(self) -> ConnectivityReport:
-        g = self.g
-        rep = is_colour_connected(g)
+            q = make(g)
+            if not q.reaches(x, g.index[v], c.bit):
+                return rep
+        rep = _sweep(q or make(g), start)
         if not rep.connected:
             u, v, c = rep.counterexample
             self._trail_start = (g.index[u], g.index[v], c.bit)
@@ -215,16 +216,14 @@ class Analysis:
 
     @cached_property
     def cc(self) -> ConnectivityReport:
-        return self._connectivity("cc", alternating_path, self._path_sweep)
+        return self._connectivity("cc", _PathQuery, (0, 0, 0))
 
     @cached_property
     def tcc(self) -> ConnectivityReport:
         """Derived from cc; see above."""
         if self.cc.connected:
             return self.cc
-        return self._connectivity(
-            "tcc", alternating_trail,
-            lambda: _sweep(self.g, _TrailQuery, self._trail_start))
+        return self._connectivity("tcc", _TrailQuery, self._trail_start)
 
     def decision(self, question: str) -> Optional[Decision]:
         """The characterized answer to `question` ("supereulerian" or

@@ -160,7 +160,7 @@ def fixture_cmd(name: str, fmt: str) -> None:
                                  "complete_multipartite", "cmg_family"]))
 @click.option("--seed", default=0)
 @click.option("--n", default=None, type=int)
-@click.option("--m", default=None, type=int,
+@click.option("--m", default=None, type=click.IntRange(min=0),
               help="random_2ec edges (default 2n); at most n(n-1), one "
                    "per vertex pair and colour, whatever is asked")
 @click.option("--n1", default=None, type=int)

@@ -29,16 +29,16 @@ of a sweep's yes; it survives python -O, costs each search one step
 per node it settles, and builds no witness.  A copy that is outer but
 whose node fails the check is an internal error, never a no.
 
-A single query (`positions`, which `alternating_path`,
-`alternating_trail` and the quotient route's confirming query ask)
-climbs the same tree with the same check (`_settle`), from its end node
-to the root on a fresh state, and collects each checked step's edge
-position on the way back down; a node that fails raises the sweeps'
-internal error.  `check_walk` then checks the positions on the graph's
-`walk`, the routine `verify_witness` runs too, for the end vertex, the
-end colours and, for a path, simplicity, as the path and trail oracles
-check theirs.  The two public queries turn the checked positions into
-an `AlternatingTrail` (`ids`) and do not check it again.
+A single query (`positions`, which `alternating_path` and
+`alternating_trail` ask) climbs the same tree with the same check
+(`_settle`), from its end node to the root on a fresh state, and
+collects each checked step's edge position on the way back down; a
+node that fails raises the sweeps' internal error.  `check_walk` then
+checks the positions on the graph's `walk`, the routine
+`verify_witness` runs too, for the end vertex, the end colours and, for
+a path, simplicity, as the path and trail oracles check theirs.  The
+two public queries turn the checked positions into an
+`AlternatingTrail` (`ids`) and do not check it again.
 
 A sweep asks the triples (u, v, start colour) in one order, u, then v,
 then red before blue, from a start triple on (the first, for the public
@@ -78,14 +78,14 @@ class _PathQuery:
     built once in integer form.
 
     Vertex i of g has a red copy 2i and a blue copy 2i+1, joined by an
-    internal edge; a colour-c edge at position k of g.edges joins the
-    two c-copies, and the split graph keeps k as its id.  The searches
-    from the current source's two copies are kept, with what their
-    trees' checks found, so a sweep searches once per (source, start
-    colour) and checks each tree node at most once.  A subclass changes
-    only the split graph and the steps of its search tree (`_settle`):
-    vertex i's first copy of colour bit c is `STRIDE * i + c`, and every
-    split vertex a is paired with a ^ 1.
+    internal edge; two vertices joined in colour c have their c-copies
+    joined once, by the edge that g's `first_edges` give for the pair.
+    The searches from the current source's two copies are kept, with
+    what their trees' checks found, so a sweep searches once per
+    (source, start colour) and checks each tree node at most once.  A
+    subclass changes only the split graph and the steps of its search
+    tree (`_settle`): vertex i's first copy of colour bit c is
+    `STRIDE * i + c`, and every split vertex a is paired with a ^ 1.
     """
 
     STRIDE = 2
@@ -98,11 +98,13 @@ class _PathQuery:
 
     @staticmethod
     def _split_graph(g: EdgeColouredMultigraph) -> IndexedGraph:
-        eu, ev, bit, n = g.eu, g.ev, g.bit, len(g.vertices)
-        edges = [(2 * i, 2 * i + 1, -1) for i in range(n)]
-        edges += [(2 * eu[k] + bit[k], 2 * ev[k] + bit[k], k)
-                  for k in range(len(bit))]
-        return IndexedGraph(2 * n, edges)
+        # copy a's partner a ^ 1, then the copies of its vertex's
+        # neighbours in a's colour, in the order of g's first_edges
+        adj = []
+        for i, (red, blue) in enumerate(g.first_edges()):
+            adj.append([2 * i + 1, *[2 * w for w in red]])
+            adj.append([2 * i, *[2 * w + 1 for w in blue]])
+        return IndexedGraph(adj)
 
     def _search(self, root: int) -> tuple[list[bool], list[int], list]:
         """outer and p of the search from split vertex root, and the
@@ -129,14 +131,16 @@ class _PathQuery:
         state, a's whole root path.
 
         A node is a split vertex whose partner is outer; node a's parent
-        is b ^ 1, b = p[a], over the split edge (a, b), whose id k is the
-        step's position in g.edges.  Climb from a to its first settled
-        node (-1 where the chain leaves the nodes or loops back), then
-        check each step down against g's arrays: edge k joins b's vertex
-        to a's in the colour bit of both, so colours alternate and the
-        first has the root's colour.  A path can take a's vertex twice
-        only through node a ^ 1 too, so where that is a node, a's vertex
-        must not be in the parent's bitmask, and goes into a's."""
+        is b ^ 1, b = p[a], over the split edge (a, b), and the step's
+        position k in g.edges is what g's `first_edges` give for b's
+        vertex, b's colour and a's vertex.  Climb from a to its first
+        settled node (-1 where the chain leaves the nodes or loops
+        back), then check each step down against g's arrays: edge k
+        joins b's vertex to a's in the colour bit of both, so colours
+        alternate and the first has the root's colour.  A path can take
+        a's vertex twice only through node a ^ 1 too, so where that is a
+        node, a's vertex must not be in the parent's bitmask, and goes
+        into a's."""
         chain = []
         while state[a] is None:
             # -1 until checked, so a chain that loops back stops here
@@ -149,17 +153,16 @@ class _PathQuery:
         s = state[a]
         if s < 0:
             return -1
-        edge_id = self._split.edge_id
         g = self.g
+        first = g.first_edges()
         eu, ev, bit = g.eu, g.ev, g.bit
         m = len(bit)
         for a in reversed(chain):
             b = p[a]
-            try:
-                k = edge_id(a, b)
-            except KeyError:
-                return -1
             v, w = b >> 1, a >> 1
+            k = first[v][b & 1].get(w)
+            if k is None:
+                return -1
             if not (0 <= k < m and bit[k] == a & 1 == b & 1 and (
                     eu[k] == v and ev[k] == w or eu[k] == w and ev[k] == v)):
                 return -1
@@ -242,8 +245,8 @@ class _TrailQuery(_PathQuery):
     @staticmethod
     def _split_graph(g: EdgeColouredMultigraph) -> IndexedGraph:
         eu, ev, bit, n = g.eu, g.ev, g.bit, len(g.vertices)
-        # each vertex's pair partner first, then in edge order; no two
-        # edges are parallel, so the lists are built directly
+        # each vertex's pair partner first, then in edge order; every
+        # edge has helpers of its own, so no two split edges are parallel
         adj = [[a ^ 1] for a in range(4 * n + 2 * len(bit))]
         for k in range(len(bit)):
             h = 4 * n + 2 * k
@@ -255,7 +258,7 @@ class _TrailQuery(_PathQuery):
             adj[h + 1] += (v, v + 2)
             adj[v].append(h + 1)
             adj[v + 2].append(h + 1)
-        return IndexedGraph.from_adjacency(adj)
+        return IndexedGraph(adj)
 
     def _settle(self, a: int, outer: list[bool], p: list[int],
                 state: list, ks: Optional[list[int]] = None) -> int:
@@ -354,13 +357,13 @@ def alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
     return _TrailQuery(g)(x, y, start, end)
 
 
-def _sweep(g: EdgeColouredMultigraph, make,
-           start: tuple[int, int, int] = (0, 0, 0)) -> ConnectivityReport:
-    n = len(g.vertices)
+def _sweep(q: _PathQuery, start: tuple[int, int, int] = (0, 0, 0)
+           ) -> ConnectivityReport:
+    names = q.g.vertices
+    n = len(names)
     if n < 2:
         raise UnsupportedClass("connectivity needs at least two vertices")
-    reaches = make(g).reaches
-    names = g.vertices
+    reaches = q.reaches
     for u in range(start[0], n):
         for v in range(n):
             if u == v:
@@ -373,12 +376,12 @@ def _sweep(g: EdgeColouredMultigraph, make,
 
 
 def is_colour_connected(g: EdgeColouredMultigraph) -> ConnectivityReport:
-    return _sweep(g, _PathQuery)
+    return _sweep(_PathQuery(g))
 
 
 def is_trail_colour_connected(g: EdgeColouredMultigraph
                               ) -> ConnectivityReport:
-    return _sweep(g, _TrailQuery)
+    return _sweep(_TrailQuery(g))
 
 
 def complete_multipartite_classes(g: EdgeColouredMultigraph

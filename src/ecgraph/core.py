@@ -12,7 +12,9 @@ A graph is its own integer index, built in one validating pass from
 `Edge` records or, by `parse_graph`, straight from the document: edges
 by position, with ids, ends as vertex indices, colour bits, incidence
 lists.  Lookups and algorithms read it, never g.edges (built on first
-read).  Its `walk` is the one check of an alternating trail given as
+read), and `first_edges`, built once, picks the first declared of
+parallel edges of one colour for the matching reductions and the merge.
+The graph's `walk` is the one check of an alternating trail given as
 edge positions, open or closed, and of an alternating cycle.
 `_check_trail` maps a trail's ids to positions and walks them, for
 `verify_witness` and for the parts the merge is given; the merge walks
@@ -129,7 +131,7 @@ class EdgeColouredMultigraph:
     """
 
     __slots__ = ("vertices", "index", "pos", "eid", "eu", "ev", "bit",
-                 "off", "inc", "far", "_edges", "_analysis")
+                 "off", "inc", "far", "_edges", "_first", "_analysis")
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[Edge]):
         """Raises GraphError on the first fault, in this order: a
@@ -186,7 +188,7 @@ class EdgeColouredMultigraph:
         self.inc = list(itertools.chain.from_iterable(incs))
         self.far = [ev[k] if eu[k] == i else eu[k]
                     for i, ks in enumerate(incs) for k in ks]
-        self._analysis = None
+        self._first = self._analysis = None
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -225,6 +227,18 @@ class EdgeColouredMultigraph:
         ks = self.star(i)[0]
         blue = sum(map(self.bit.__getitem__, ks))
         return len(ks) - blue, blue
+
+    def first_edges(self) -> list[tuple[dict[int, int], dict[int, int]]]:
+        """Per vertex index, its red and blue neighbours (by colour bit,
+        in incidence order), each mapped to the position of the first
+        edge to it in that colour, the edge that stands for the pair;
+        built on the first call and kept, for reading only."""
+        if self._first is None:
+            self._first = first = [({}, {}) for _ in self.vertices]
+            for k, (u, v, c) in enumerate(zip(self.eu, self.ev, self.bit)):
+                first[u][c].setdefault(v, k)
+                first[v][c].setdefault(u, k)
+        return self._first
 
     def walk(self, x: int, ks: Sequence[int], closed: bool = False,
              cycle: bool = False) -> list[int]:

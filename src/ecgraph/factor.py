@@ -548,7 +548,7 @@ class _BMatching:
                               zip(Bp[k:], [t for t in B if match[t] < 0])):
                 match[s] = t
                 match[t] = s
-        return IndexedGraph.from_adjacency(adj), external, match
+        return IndexedGraph(adj), external, match
 
     def repaired(self, g: EdgeColouredMultigraph, y: list[int]
                  ) -> Optional[list[int]]:
@@ -684,22 +684,24 @@ def alternating_cycle_factor(g: EdgeColouredMultigraph
                              ) -> Optional[CycleFactor]:
     """Vertex-disjoint alternating cycles covering V, or None.
 
-    Reduction: a red and a blue copy per vertex, each colour-c edge uv
-    joins the colour-c copies; a perfect matching picks exactly one red
-    and one blue edge per vertex, and that 2-regular colour-balanced
-    edge set splits into alternating cycles.  A digon (a red and a blue
-    edge between the same two vertices) counts as a cycle.  The factor
-    is checked before it is returned.
+    Reduction: a red and a blue copy per vertex, the colour-c copies of
+    two vertices joined in colour c joined once; a perfect matching
+    picks one red and one blue neighbour per vertex, and g's
+    `first_edges` give those pairs a 2-regular colour-balanced edge
+    set, which splits into alternating cycles.  A digon (a red and a
+    blue edge between the same two vertices) counts as a cycle.  The
+    factor is checked before it is returned.
     """
     if len(g.vertices) < 2:
         return None
-    # vertex i has a red copy 2i and a blue copy 2i+1; the split edges
-    # carry positions in g.edges
-    eu, ev, bit = g.eu, g.ev, g.bit
-    split = IndexedGraph(2 * len(g.vertices), (
-        (2 * eu[k] + bit[k], 2 * ev[k] + bit[k], k)
-        for k in range(len(bit))))
-    match = split.matching()
+    # vertex i has a red copy 2i and a blue copy 2i+1, joined to the
+    # copies of its neighbours in the order of g's first_edges
+    first = g.first_edges()
+    adj = []
+    for red, blue in first:
+        adj.append([2 * w for w in red])
+        adj.append([2 * w + 1 for w in blue])
+    match = IndexedGraph(adj).matching()
     if -1 in match:
         return None
     # from the red copy of i, each matched pair is one edge of the cycle
@@ -714,7 +716,7 @@ def alternating_cycle_factor(g: EdgeColouredMultigraph
         while True:
             done[a >> 1] = 1
             b = match[a]
-            seq.append(split.edge_id(a, b))
+            seq.append(first[a >> 1][a & 1][b >> 1])
             a = b ^ 1
             if a >> 1 == i:
                 break

@@ -7,14 +7,15 @@ and alternating path queries all reduce to (perfect) matching in an
 auxiliary plain graph that is not bipartite in general.
 
 There is one engine, a blossom search over the fixed integer adjacency
-list of an `IndexedGraph`: `matching` grows a greedy matching, or one
+lists of an `IndexedGraph`: `matching` grows a greedy matching, or one
 its caller supplies, with it, and `search` runs it once from a single
 root, for the connectivity sweeps.  Each root's search resets only the
 vertices of that root's alternating tree, and each blossom contraction
 touches only the blossom's vertices.
-Every matching reduction in the package builds an `IndexedGraph`.
-`maximum_matching` on a string-named `PlainGraph` is a thin wrapper
-that the package no longer uses; the tests keep it as a reference.
+Every matching reduction in the package builds those lists straight
+into integers, each pair joined once.  `maximum_matching` on a
+string-named `PlainGraph` is a thin wrapper that the package does not
+use; the tests keep it as a reference.
 
 Vertices and edges are scanned in declaration order throughout, so the
 result is deterministic for a fixed input.
@@ -66,41 +67,16 @@ class Matching:
 
 
 class IndexedGraph:
-    """A fixed plain graph on vertices 0..n-1, matched many times over.
-
-    Built from an edge list, the adjacency lists are deduplicated once:
-    parallel edges collapse to the first one declared, whose id
-    `edge_id` returns for a matched pair.  `from_adjacency` takes lists
-    built without parallel edges instead.  `matching` and `search` share
-    one blossom search routine; the graph itself never changes.
+    """A fixed plain graph on vertices 0..n-1, matched many times over,
+    given by its adjacency lists, which its builder makes without
+    parallel edges.  `matching` and `search` share one blossom search
+    routine; the graph itself never changes.
     """
 
-    __slots__ = ("adj", "_first")
+    __slots__ = ("adj",)
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int, object]]):
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        # key u * n + v with u < v -> first declared edge id
-        self._first: dict[int, object] = {}
-        for u, v, eid in edges:
-            key = u * n + v if u < v else v * n + u
-            if key not in self._first:
-                self._first[key] = eid
-                self.adj[u].append(v)
-                self.adj[v].append(u)
-
-    @classmethod
-    def from_adjacency(cls, adj: list[list[int]]) -> "IndexedGraph":
-        """The graph with these adjacency lists, taken as they are: the
-        caller builds them without parallel edges, and `edge_id` does
-        not apply."""
-        h = cls.__new__(cls)
-        h.adj = adj
-        h._first = {}
-        return h
-
-    def edge_id(self, u: int, v: int) -> object:
-        n = len(self.adj)
-        return self._first[u * n + v if u < v else v * n + u]
+    def __init__(self, adj: list[list[int]]):
+        self.adj = adj
 
     def matching(self, match: Optional[list[int]] = None) -> list[int]:
         """match[] over vertex indices, -1 where unmatched: a maximum
@@ -249,13 +225,20 @@ class IndexedGraph:
 
 
 def maximum_matching(g: PlainGraph) -> Matching:
+    """A maximum matching of g, each matched pair by the first edge
+    declared between its ends."""
     index = g._index
-    h = IndexedGraph(len(g.vertices),
-                     ((index[u], index[v], eid) for eid, u, v in g.edges))
+    adj: list[list[int]] = [[] for _ in g.vertices]
+    first: dict[tuple[int, int], str] = {}
+    for eid, u, v in g.edges:
+        i, j = sorted((index[u], index[v]))
+        if first.setdefault((i, j), eid) == eid:
+            adj[i].append(j)
+            adj[j].append(i)
     ids: list[str] = []
     pairs: list[tuple[str, str]] = []
-    for v, m in enumerate(h.matching()):
+    for v, m in enumerate(IndexedGraph(adj).matching()):
         if m > v:
-            ids.append(h.edge_id(v, m))
+            ids.append(first[v, m])
             pairs.append((g.vertices[v], g.vertices[m]))
     return Matching(frozenset(ids), tuple(pairs))

@@ -57,10 +57,9 @@ towards two dominated trails differ.
 from __future__ import annotations
 
 import copy
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 # alternating_hamiltonian_cycle: bound here for bench/tracer.py
 from .analysis import Analysis, alternating_hamiltonian_cycle  # noqa: F401
@@ -185,15 +184,15 @@ class _Cyc:
 
 
 def _edge_to(g: EdgeColouredMultigraph, u: int, v: int, c: int) -> int:
-    """The position of vertex u's first edge to vertex v in colour bit
-    c, in incidence order.  The moves ask only for edges that the
-    chord or domination test has shown, so a missing one is a
+    """The position of the edge that stands for the pair u, v in colour
+    bit c (`first_edges`).  The moves ask only for edges that the chord
+    or domination test has shown, so a missing one is a
     MergeInternalError."""
-    for k, w in zip(*g.star(u)):
-        if w == v and g.bit[k] == c:
-            return k
-    raise MergeInternalError(f"a move needs a {BIT_COLOUR[c].token} edge "
-                             f"{g.vertices[u]!r}-{g.vertices[v]!r}")
+    k = g.first_edges()[u][c].get(v)
+    if k is None:
+        raise MergeInternalError(f"a move needs a {BIT_COLOUR[c].token} edge "
+                                 f"{g.vertices[u]!r}-{g.vertices[v]!r}")
+    return k
 
 
 def _dominates(g: EdgeColouredMultigraph, dom: _Cyc, sub: _Cyc
@@ -223,12 +222,12 @@ def _dominates(g: EdgeColouredMultigraph, dom: _Cyc, sub: _Cyc
 
 
 def _exchange(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc,
-              joins: Callable[[int], set[tuple[int, int]]], rotate: bool
-              ) -> Optional[_Cyc]:
+              joins: list[tuple[dict[int, int], dict[int, int]]],
+              rotate: bool) -> Optional[_Cyc]:
     """a and b merged by trading an edge of each, of one colour c, for
-    two cross chords of colour c, else None; joins(v) holds (w, c) for
-    each edge v-w of colour bit c.  a less its edge at position i is a
-    path from s = a.verts[i+1] to t = a.verts[i] whose end edges are
+    two cross chords of colour c, else None; joins[v] is vertex v's
+    `first_edges`.  a less its edge at position i is a path from
+    s = a.verts[i+1] to t = a.verts[i] whose end edges are
     not of colour c; so is b less an edge y-y1 of colour c, and the
     chords t-y and y1-s close one walk.  With `rotate` the path is
     first rotated once (Posa): a chord s-p_k of colour c off a, where
@@ -256,11 +255,10 @@ def _exchange(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc,
             for i in range(ao.n):
                 c, t = ao.cols[i], ao.verts[i]
                 for s, head, q in paths(ao, i, c):
-                    jt, js = joins(t), joins(s)
+                    jt, js = joins[t], joins[s]
                     for j in range(bo.n):
                         y, y1 = bo.verts[j], bo.verts[(j + 1) % bo.n]
-                        if bo.cols[j] == c and (y, c) in jt \
-                                and (y1, c) in js:
+                        if bo.cols[j] == c and y in jt[c] and y1 in js[c]:
                             edges = (head + ao.seg(q, i)
                                      + [_edge_to(g, t, y, c)]
                                      + bo.seg(j + 1, j)[::-1]
@@ -279,11 +277,9 @@ def _pair(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc
     construction.  Raises UnsupportedClass where none of these holds
     and g is not an extension of an M-closed graph, MergeInternalError
     where it is."""
-    # (neighbour, colour bit) of each vertex's edges, read on demand
-    joins = functools.cache(
-        lambda v: {(w, g.bit[k]) for k, w in zip(*g.star(v))})
-    if not any(w in b.vset for x in a.vset for w, _ in joins(x)):
+    if not any(w in b.vset for x in a.vset for w in g.star(x)[1]):
         return NoEdgeBetween()
+    joins = g.first_edges()
     out = _exchange(g, a, b, joins, False)
     if out is not None:
         return out

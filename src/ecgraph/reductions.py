@@ -274,6 +274,8 @@ def generate(model: str, seed: int = 0,
         m = int(params.get("m", 2 * n))
         if n < 2:
             raise ValueError("need n >= 2")
+        if m < 0:
+            raise ValueError("need m >= 0")
         verts = [f"v{i}" for i in range(n)]
         triples: list[tuple[str, str, Colour]] = []
         used = set()

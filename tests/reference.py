@@ -30,6 +30,12 @@ test-only helpers.  Nothing in the package calls these.
   another that are similar within the union of the two; the tests
   check that the chord exchange merges every such pair.
 - `rand_multigraph` draws small multigraphs with parallel edges.
+- `RefIndexedGraph` is the edge-list constructor `IndexedGraph` had
+  before it took adjacency lists only: it collapses parallel edges to
+  the first declared, whose id `edge_id` gives for a matched pair.
+  `ref_path_split` and `ref_cycle_split` build the path query's and the
+  cycle factor's split graphs with it, as they were built before they
+  read g's `first_edges`.
 - `trail_to_path_complete_multipartite` shortens an open alternating
   trail of a complete multipartite graph into an alternating path with
   the same ends and start colour.
@@ -213,11 +219,9 @@ def merge_trails_transitive(g: EdgeColouredMultigraph,
 
 def exchange(g: EdgeColouredMultigraph, a: _Cyc, b: _Cyc, rotate: bool
              ) -> Optional[_Cyc]:
-    """`_exchange` on walks a and b of g, as `_pair` calls it: joins(v)
-    is the set of (neighbour, colour bit) of v's edges."""
-    return _exchange(g, a, b,
-                     lambda v: {(w, g.bit[k]) for k, w in zip(*g.star(v))},
-                     rotate)
+    """`_exchange` on walks a and b of g, as `_pair` calls it, with g's
+    `first_edges`."""
+    return _exchange(g, a, b, g.first_edges(), rotate)
 
 
 def similar_cross_pair(g: EdgeColouredMultigraph, T1: AlternatingTrail,
@@ -251,6 +255,50 @@ def rand_multigraph(rng) -> EdgeColouredMultigraph:
             triples.append((f"v{u}", f"v{v}",
                             rng.choice((Colour.RED, Colour.BLUE))))
     return build_graph([f"v{i}" for i in range(n)], triples)
+
+
+class RefIndexedGraph(IndexedGraph):
+    """The plain graph on vertices 0..n-1 with the edges (u, v, id), in
+    turn: an edge parallel to one before it is dropped, and `edge_id`
+    gives the first declared id of a pair."""
+
+    __slots__ = ("_first",)
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, object]]):
+        adj: list[list[int]] = [[] for _ in range(n)]
+        # key u * n + v with u < v -> first declared edge id
+        self._first: dict[int, object] = {}
+        for u, v, eid in edges:
+            key = u * n + v if u < v else v * n + u
+            if key not in self._first:
+                self._first[key] = eid
+                adj[u].append(v)
+                adj[v].append(u)
+        super().__init__(adj)
+
+    def edge_id(self, u: int, v: int) -> object:
+        n = len(self.adj)
+        return self._first[u * n + v if u < v else v * n + u]
+
+
+def ref_cycle_split(g: EdgeColouredMultigraph) -> RefIndexedGraph:
+    """g's cycle-factor split graph: red copy 2i and blue copy 2i + 1 of
+    vertex i, and edge k of colour bit c joining its ends' c-copies,
+    with id k."""
+    eu, ev, bit = g.eu, g.ev, g.bit
+    return RefIndexedGraph(2 * len(g.vertices), (
+        (2 * eu[k] + bit[k], 2 * ev[k] + bit[k], k)
+        for k in range(len(bit))))
+
+
+def ref_path_split(g: EdgeColouredMultigraph) -> RefIndexedGraph:
+    """g's path split graph: the cycle-factor split graph with each
+    vertex's two copies joined first, by an edge of id -1."""
+    eu, ev, bit, n = g.eu, g.ev, g.bit, len(g.vertices)
+    edges = [(2 * i, 2 * i + 1, -1) for i in range(n)]
+    edges += [(2 * eu[k] + bit[k], 2 * ev[k] + bit[k], k)
+              for k in range(len(bit))]
+    return RefIndexedGraph(2 * n, edges)
 
 
 def has_perfect_matching(g: PlainGraph) -> bool:
@@ -378,15 +426,15 @@ def ref_tour_factor(g: EdgeColouredMultigraph, edge_ids: Iterable[str]
     return EulerianFactor(tuple(parts))
 
 
-def ref_cycle_read_back(g: EdgeColouredMultigraph, split: IndexedGraph,
+def ref_cycle_read_back(g: EdgeColouredMultigraph, split: RefIndexedGraph,
                         match: list[int]) -> CycleFactor:
     """The cycle factor a perfect matching of g's cycle-factor split
-    graph (red copy 2i, blue copy 2i + 1) gives, read back through
-    g.edge and a (vertex, colour) -> edge id dict."""
+    graph (`ref_cycle_split`) gives, read back through g.edges, g.edge
+    and a (vertex, colour) -> edge id dict."""
     chosen: dict[tuple[str, Colour], str] = {}
     for i, j in enumerate(match):
         if i < j:
-            e = g.edge(split.edge_id(i, j))
+            e = g.edges[split.edge_id(i, j)]
             chosen[(e.u, e.colour)] = e.id
             chosen[(e.v, e.colour)] = e.id
     cycles = []
@@ -412,11 +460,13 @@ def ref_cycle_read_back(g: EdgeColouredMultigraph, split: IndexedGraph,
 def ref_path_read_back(q, a: int, stop: int, p: list[int]) -> list[int]:
     """The positions in g.edges of the split edges on path query q's
     search tree path from split vertex a back to `stop`, last edge
-    first: p crosses a split edge, ^ 1 a pair."""
+    first: p crosses a split edge, ^ 1 a pair, and the reference split
+    graph gives each split edge's position."""
+    split = ref_path_split(q.g)
     seq = []
     while a != stop:
         b = p[a]
-        seq.append(q._split.edge_id(a, b))
+        seq.append(split.edge_id(a, b))
         a = b ^ 1
     return seq
 

@@ -393,6 +393,12 @@ class TestGenerators:
                                    "--r", "1"])
         assert res.exit_code == 2
 
+    def test_negative_edge_count_is_usage_error(self, runner):
+        res = runner.invoke(main, ["random", "--model", "random_2ec",
+                                   "--n", "3", "--m", "-5"])
+        assert res.exit_code == 2
+        assert "Invalid value for '--m'" in res.output
+
 
 class TestOracleCommand:
     def test_positive_witness(self, runner):

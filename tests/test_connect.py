@@ -19,6 +19,7 @@ from ecgraph import (
     EdgeColouredMultigraph,
     GraphError,
     UnsupportedClass,
+    alternating_cycle_factor,
     alternating_path,
     alternating_trail,
     build_graph,
@@ -40,9 +41,13 @@ from ecgraph.structure import blow_up, similarity_partition
 from ecgraph.reductions import fixture, generate
 
 from reference import (
+    RefIndexedGraph,
     rand_multigraph,
     ref_check,
+    ref_cycle_read_back,
+    ref_cycle_split,
     ref_path_read_back,
+    ref_path_split,
     ref_trail_read_back,
     trail_to_path_complete_multipartite,
 )
@@ -189,22 +194,52 @@ def test_base_no_is_confirmed_on_the_graph(seed, n, mult):
         assert d.witness.vertex_set(g) == set(g.vertices)
 
 
+def query_spy(monkeypatch, make, g):
+    """The graphs that Analysis builds `make` query objects on, g
+    standing for itself and any other graph for None, in order."""
+    built = []
+
+    def spied(h):
+        built.append(h if h is g else None)
+        return make(h)
+
+    monkeypatch.setattr(ecgraph.analysis, make.__name__, spied)
+    return built
+
+
 def test_base_no_from_a_colourless_start_needs_no_query(monkeypatch):
     # the base's failing triple starts at v0.0 in red, and v0.0 has no
     # red edge in g either, so no path or trail of g leaves it in red:
-    # the base "no" stands without a query on g
-    def forced(*args):
-        raise AssertionError("queried g")
-
-    monkeypatch.setattr(ecgraph.analysis, "alternating_path", forced)
-    monkeypatch.setattr(ecgraph.analysis, "alternating_trail", forced)
+    # the base "no" stands without a query object built on g
     g = generate("mclosed_blowup", seed=23, n=69)
+    built = [query_spy(monkeypatch, make, g)
+             for make in (_PathQuery, _TrailQuery)]
     a = Analysis.of(g)
     assert a.swept is not g and g.degree("v0.0", RED) == 0
     for rep, sweep in ((a.cc, is_colour_connected),
                        (a.tcc, is_trail_colour_connected)):
         assert rep.counterexample == ("v0.0", "v1.0", RED)
         assert not rep.connected and not sweep(g).connected
+    # one query object each, on the base
+    assert built == [[None], [None]]
+
+
+def test_a_base_no_not_confirmed_builds_one_query_on_the_graph(
+        monkeypatch):
+    # seed 1312's blow-up is colour-connected over a base that is not:
+    # g's path query object answers the base's triple with `reaches`,
+    # and the sweep of g goes on with that same object; no witness is
+    # read back
+    def forced(*args):
+        raise AssertionError("witness read back")
+
+    monkeypatch.setattr(_PathQuery, "positions", forced)
+    g = blown_up_quotient(*BASE_NO_NOT_CONFIRMED[0])
+    built = query_spy(monkeypatch, _PathQuery, g)
+    a = Analysis.of(g)
+    assert len(g.vertices) == 14 and a.swept is not g
+    assert a.cc.connected and not Analysis.of(a.swept).cc.connected
+    assert built == [None, g]
 
 
 # Analysis.tcc on the quotient route, as computed by a full trail sweep
@@ -516,9 +551,10 @@ class TestQueryObjects:
             _, _, _, third = self.hand_tree(q, walk[:3])
             assert state[third] >= 0
 
-    # a-b red is edge 0 of g; the split graph of `other` gives it
-    # position 1, a-c red in g (its colour, other ends), or position 2,
-    # which g does not have
+    # a-b red is edge 0 of g; the first-edge tables of `other`, put in
+    # g's place, and the split graph of `other` give it position 1, a-c
+    # red in g (its colour, other ends), or position 2, which g does not
+    # have
     @pytest.mark.parametrize("other", [
         [("a", "c", RED), ("a", "b", RED)],
         [("a", "c", RED), ("a", "c", BLUE), ("a", "b", RED)]])
@@ -528,9 +564,11 @@ class TestQueryObjects:
     def test_tree_check_reads_g_not_the_split_graph(
             self, monkeypatch, sweep, make, other):
         g = build_graph(["a", "b", "c"], [("a", "b", RED), ("a", "c", RED)])
+        h = build_graph(["a", "b", "c"], other)
+        g._first = h.first_edges()
         split = make._split_graph
-        monkeypatch.setattr(make, "_split_graph", staticmethod(
-            lambda _: split(build_graph(["a", "b", "c"], other))))
+        monkeypatch.setattr(make, "_split_graph",
+                            staticmethod(lambda _: split(h)))
         with pytest.raises(GraphError,
                            match="'a'-'b' witness fails the search tree"):
             sweep(g)
@@ -578,11 +616,18 @@ class TestQueryObjects:
         g = build_graph(vs, [(vs[i], vs[(i + 1) % n], (RED, BLUE)[i % 2])
                              for i in range(n)])
         lookups = []
-        edge_id = IndexedGraph.edge_id
-        monkeypatch.setattr(IndexedGraph, "edge_id",
-                            lambda self, u, v: lookups.append(u)
-                            or edge_id(self, u, v))
+
+        class Counted(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        first_edges = EdgeColouredMultigraph.first_edges
+        monkeypatch.setattr(EdgeColouredMultigraph, "first_edges",
+                            lambda self: [tuple(map(Counted, t))
+                                          for t in first_edges(self)])
         assert is_colour_connected(g).connected
+        assert lookups
         assert len(lookups) <= 4 * n * n
 
 
@@ -828,6 +873,53 @@ def test_connectivity_invariant_under_blow_up(seed, extra):
                                      alternating_trail)
 
 
+def same_colour_parallel(g):
+    """Whether g has two edges of one colour between the same two
+    vertices."""
+    pairs = [(min(u, v), max(u, v), c) for u, v, c in zip(g.eu, g.ev, g.bit)]
+    return len(set(pairs)) < len(pairs)
+
+
+def test_split_graphs_match_the_edge_list_reference(monkeypatch):
+    # the path query's and the cycle factor's split graphs, built from
+    # g's first_edges, have the adjacency lists the edge-list
+    # constructor gave them, and the tables give each pair the edge
+    # position it kept: the first declared of its parallel edges
+    built = []
+    init = IndexedGraph.__init__
+    monkeypatch.setattr(IndexedGraph, "__init__",
+                        lambda self, adj: built.append(adj)
+                        or init(self, adj))
+    rng = random.Random(31)
+    graphs = [g for g in (rand_multigraph(rng) for _ in range(300))
+              if same_colour_parallel(g)]
+    graphs += [generate("mclosed_blowup", seed=s, n=4 + s % 20)
+               for s in range(40)]
+    graphs += [generate("random_2ec", seed=s, n=4 + s % 10,
+                        m=2 * (4 + s % 10) + s % 7) for s in range(40)]
+    factors = parallel = 0
+    for g in graphs:
+        path, cycle = ref_path_split(g), ref_cycle_split(g)
+        q = _PathQuery(g)
+        assert q._split.adj == path.adj
+        for a, nbrs in enumerate(path.adj):
+            # after the partner a ^ 1, the copies of a's neighbours
+            assert nbrs[0] == a ^ 1
+            for b in nbrs[1:]:
+                assert g.first_edges()[a >> 1][a & 1][b >> 1] \
+                    == path.edge_id(a, b)
+        built.clear()
+        cf = alternating_cycle_factor(g)
+        assert built == [cycle.adj]
+        if cf is not None:
+            ref = ref_cycle_read_back(g, cycle, cycle.matching())
+            assert [(c.start, c.edge_ids) for c in cf.cycles] \
+                == [(c.start, c.edge_ids) for c in ref.cycles]
+            factors += 1
+            parallel += same_colour_parallel(g)
+    assert len(graphs) > 300 and factors > 20 and parallel > 10
+
+
 class RefPathQuery:
     """Reference path query on the split graph; `find` gives the search
     tree's path unverified, for `RefTrailQuery` to project."""
@@ -840,7 +932,7 @@ class RefPathQuery:
             c = e.colour.bit
             edges.append((2 * self._index[e.u] + c,
                           2 * self._index[e.v] + c, e.id))
-        self._split = IndexedGraph(2 * len(g.vertices), edges)
+        self._split = RefIndexedGraph(2 * len(g.vertices), edges)
         self._searches = {}
 
     def __call__(self, x, y, start, end=None):

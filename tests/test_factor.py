@@ -20,10 +20,16 @@ from ecgraph import (
     verify_witness,
 )
 from ecgraph.factor import ColourDeficient, _BMatching, build_factor_gadget
-from ecgraph.matching import IndexedGraph, maximum_matching
+from ecgraph.matching import maximum_matching
 from ecgraph.reductions import fixture, generate
 
-from reference import ref_cycle_read_back, ref_tour_factor, visit_count
+from reference import (
+    RefIndexedGraph,
+    ref_cycle_read_back,
+    ref_cycle_split,
+    ref_tour_factor,
+    visit_count,
+)
 
 
 def rand_graph(seed, n_max=7, m_max=14):
@@ -224,7 +230,7 @@ def test_slot_gadget_answers_as_string_reference(g):
            for i, rp in enumerate(bl["Rp"])
            for j, bp in enumerate(bl["Bp"]) if i != j}
     h, external, _ = slot_gadget(g)
-    assert h.adj == IndexedGraph(len(index), (
+    assert h.adj == RefIndexedGraph(len(index), (
         (index[u], index[v], eid) for eid, u, v in ref.h.edges
         if frozenset((u, v)) not in off)).adj
     assert external == [(index[u], index[v]) for eid, u, v in ref.h.edges
@@ -621,10 +627,7 @@ def test_cycle_read_back_matches_id_route():
             if cf is None:
                 continue
             # the split graph and matching alternating_cycle_factor reads
-            split = IndexedGraph(2 * len(g.vertices), (
-                (2 * g.vertex_index(e.u) + (e.colour is BLUE),
-                 2 * g.vertex_index(e.v) + (e.colour is BLUE), e.id)
-                for e in g.edges))
+            split = ref_cycle_split(g)
             ref = ref_cycle_read_back(g, split, split.matching())
             assert [(c.start, c.edge_ids) for c in cf.cycles] \
                 == [(c.start, c.edge_ids) for c in ref.cycles]

