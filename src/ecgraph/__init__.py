@@ -61,7 +61,6 @@ from .merge import (
     NoEdgeBetween,
     merge_cycles,
 )
-from .supereuler import merge_trails_pair
 from .reductions import (
     BipartiteDigraph,
     ReductionMap,

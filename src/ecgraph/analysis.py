@@ -14,12 +14,14 @@ itself, so it lives exactly as long as that graph object and is never
 shared with another graph.
 
 The similarity partition is computed once, by `ext`, and M-closedness
-is read off it: M-closedness is hereditary and the quotient is an
-induced subgraph, so a graph with no M-closed base is not M-closed, and
-one that is its own M-closed base is.  Only a graph with similar
-vertices and an M-closed base is checked.  A base other than g gets a
-memo seeded with itself as its base, so it is never partitioned or
-checked again.
+is read off it: g is M-closed iff it has an M-closed base and no block
+of two or more similar vertices has an edge.  M-closedness is
+hereditary, so g with no M-closed base is not M-closed; an edge x-u at
+one of two similar vertices u, u' has a twin x-u' of its colour, and
+u-x-u' is a monochromatic 2-path between non-adjacent ends; and g whose
+larger blocks have no edge has just the base's 2-paths.  A base other
+than g gets a memo seeded with itself as its base, so it is never
+partitioned again.
 
 When g is an extension of an M-closed graph with more than
 `_QUOTIENT_THRESHOLD` vertices and its M-closed base is smaller (and
@@ -79,7 +81,7 @@ from .core import (
     UnsupportedClass, Witness,
 )
 from .factor import _BMatching, alternating_cycle_factor, eulerian_factor
-from .structure import is_extension_of_m_closed, is_m_closed
+from .structure import is_extension_of_m_closed
 
 # above this size an extension of an M-closed graph is swept on its
 # smaller M-closed base first; a base yes lifts to the graph, and a
@@ -136,10 +138,10 @@ class Analysis:
 
     @cached_property
     def m_closed(self) -> bool:
-        """Read off ext where that tells (see above)."""
-        if self.ext is None or self.ext[0] is self.g:
-            return self.ext is not None
-        return is_m_closed(self.g)[0]
+        """Read off ext (see above), at each block's first member."""
+        ext, g = self.ext, self.g
+        return ext is not None and all(
+            k == 1 or not g.star(g.index[v])[0] for v, k in ext[1].items())
 
     @property
     def base(self) -> Optional[EdgeColouredMultigraph]:

@@ -4,7 +4,8 @@ Subcommands compose through pipes: every generator and transform emits
 graph JSON that every decision subcommand accepts ("-" reads stdin).
 Exit codes: 0 positive decision, 2 usage or parse error, 3 negative
 decision with a certificate, 4 input outside the supported class,
-5 oracle budget exceeded.
+5 oracle budget exceeded.  The command group maps UnsupportedClass to
+4 and BudgetExceeded to 5 for every subcommand, and never GraphError.
 
 `decide` holds the one route ladder for the two decision questions:
 the characterized classes of `Analysis.decision`, then the oracle;
@@ -36,11 +37,6 @@ from .oracle import (
     oracle_supereulerian, oracle_trail_colour_connected,
 )
 
-EXIT_NEGATIVE = 3
-EXIT_UNSUPPORTED = 4
-EXIT_BUDGET = 5
-
-
 def _seconds() -> float:
     """The oracle time limit, ECGRAPH_BUDGET_SECS (default 30)."""
     raw = os.environ.get("ECGRAPH_BUDGET_SECS", "30")
@@ -62,7 +58,7 @@ def _budget(max_n: int) -> OracleBudget:
 def _answer(doc: dict, positive: bool) -> None:
     """Print doc and exit 0 after a positive answer, 3 after a negative."""
     emit(doc)
-    sys.exit(0 if positive else EXIT_NEGATIVE)
+    sys.exit(0 if positive else 3)
 
 
 def _ce(counterexample) -> Optional[list]:
@@ -77,7 +73,19 @@ def _witness_dict(g: EdgeColouredMultigraph, witness) -> Optional[dict]:
     return None if witness is None else witness_to_dict(g, witness)
 
 
-@click.group()
+class _Group(click.Group):
+    """Maps a refusal from any subcommand to its exit code (above)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except UnsupportedClass as exc:
+            fail(str(exc), 4)
+        except BudgetExceeded as exc:
+            fail(str(exc), 5)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Algorithms and oracles for 2-edge-coloured multigraphs."""
 
@@ -220,13 +228,8 @@ def _decision_command(question: str, summary: str) -> None:
                   type=click.Choice(["oracle"]))
     def command(file: str, max_n: int, witness_mode) -> None:
         g = read_graph(file)
-        try:
-            d = decide(question, g, max_n=max_n,
-                       oracle_witness=witness_mode == "oracle")
-        except UnsupportedClass as exc:
-            fail(str(exc), EXIT_UNSUPPORTED)
-        except BudgetExceeded as exc:
-            fail(str(exc), EXIT_BUDGET)
+        d = decide(question, g, max_n=max_n,
+                   oracle_witness=witness_mode == "oracle")
         if not d.answer and d.route == "oracle":
             doc = {"kind": d.reason, "method": "oracle"}
         elif not d.answer:
@@ -250,22 +253,15 @@ _decision_command("hamiltonian",
               type=click.Choice(["path", "trail", "both"]))
 def connectivity(file: str, kind: str) -> None:
     """Report colour-connectivity and trail-colour-connectivity."""
-    g = read_graph(file)
-    if len(g.vertices) < 2:
-        fail("connectivity needs at least two vertices", EXIT_UNSUPPORTED)
-    a = Analysis.of(g)
-    doc = {}
-    ok = True
-    if kind in ("path", "both"):
-        rep = a.cc
-        doc["colour_connected"] = rep.connected
-        doc["path_counterexample"] = _ce(rep.counterexample)
-        ok = ok and rep.connected
-    if kind in ("trail", "both"):
-        rep = a.tcc
-        doc["trail_colour_connected"] = rep.connected
-        doc["trail_counterexample"] = _ce(rep.counterexample)
-        ok = ok and rep.connected
+    a = Analysis.of(read_graph(file))
+    doc, ok = {}, True
+    for walk, key, fact in (("path", "colour_connected", "cc"),
+                            ("trail", "trail_colour_connected", "tcc")):
+        if kind in (walk, "both"):
+            rep = getattr(a, fact)
+            doc[key] = rep.connected
+            doc[f"{walk}_counterexample"] = _ce(rep.counterexample)
+            ok = ok and rep.connected
     _answer(doc, ok)
 
 
@@ -285,11 +281,8 @@ def factor(file: str, kind: str, forbid_digons: bool) -> None:
         w = Analysis.of(g).ef
     elif forbid_digons:
         # no polynomial route keeps digons out: search exhaustively
-        try:
-            w = oracle_cycle_factor(g, OracleBudget(seconds=_seconds()),
-                                    forbid_digons=True)
-        except BudgetExceeded as exc:
-            fail(str(exc), EXIT_BUDGET)
+        w = oracle_cycle_factor(g, OracleBudget(seconds=_seconds()),
+                                forbid_digons=True)
     else:
         w = Analysis.of(g).cf
     if w is None:
@@ -314,10 +307,7 @@ _ORACLES = {
 def oracle_cmd(question: str, file: str, max_n: int) -> None:
     """Answer a question by exhaustive search (small inputs only)."""
     g = read_graph(file)
-    try:
-        out = _ORACLES[question](g, _budget(max_n))
-    except BudgetExceeded as exc:
-        fail(str(exc), EXIT_BUDGET)
+    out = _ORACLES[question](g, _budget(max_n))
     if isinstance(out, bool):
         _answer({"question": question, "answer": out}, out)
     if out is None:

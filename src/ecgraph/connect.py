@@ -262,7 +262,12 @@ class _TrailQuery(_PathQuery):
 
     def _settle(self, a: int, outer: list[bool], p: list[int],
                 state: list, ks: Optional[list[int]] = None) -> int:
-        # only vertex copies are nodes here: copy a hangs from helper
+        # kept apart from _PathQuery._settle, as four shared climbs and
+        # checks (tuple steps, a per-step hook, a flat chain, parallel
+        # lists) each read sweep_dense wall_s 3-22% higher, median 7%,
+        # in 14 of 14 alternating pairs (--seconds 4, seed 11, on a
+        # shared 2-core host).
+        # Only vertex copies are nodes here: copy a hangs from helper
         # node h ^ 1 of edge k, h = p[a] outer, which hangs from copy
         # p[h ^ 1] ^ 1, so one step crosses the helper pair and edge k.
         # A trail can take edge k twice only through both helper nodes,

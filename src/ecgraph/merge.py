@@ -199,10 +199,13 @@ def _dominates(g: EdgeColouredMultigraph, dom: _Cyc, sub: _Cyc
                ) -> Optional[dict[int, int]]:
     """The labels (vertex index -> colour bit) of a certificate that
     `dom` c-dominates `sub`, if the structure holds: complete adjacency
-    between the walks, per-vertex monochromatic edges from dom to sub
-    alternating along dom, and same-label pairs inside dom joined only
-    in their own colour.  Each dominating vertex's colours come from
-    its slice of the incidence lists."""
+    between the walks, per-vertex monochromatic edges from dom to sub,
+    and same-label pairs inside dom joined only in their own colour,
+    read from the incidence lists.  The labels then alternate along
+    dom, a closed walk alternating in colour: "label = colour of the
+    next edge" keeps its value across a change of label, turns false
+    across a repeat of label c (the edge between has colour c, the next
+    one not) and never turns true, so no label repeats."""
     bit = g.bit
     label: dict[int, int] = {}
     for x in dom.vset:
@@ -211,9 +214,6 @@ def _dominates(g: EdgeColouredMultigraph, dom: _Cyc, sub: _Cyc
         if len(colours) != 1 or not sub.vset <= set(ws):
             return None
         label[x] = colours.pop()
-    for t, x in enumerate(dom.verts):
-        if label[x] == label[dom.verts[t - 1]]:
-            return None
     for x, c in label.items():
         for k, w in zip(*g.star(x)):
             if label.get(w) == c and bit[k] != c:

@@ -11,9 +11,10 @@ import ecgraph.analysis
 import ecgraph.cli
 from ecgraph.cli import analyze_graph, main
 from ecgraph.core import (
-    BLUE, RED, GraphError, VerifyResult, build_graph, parse_graph,
-    serialize_graph,
+    BLUE, RED, GraphError, UnsupportedClass, VerifyResult, build_graph,
+    parse_graph, serialize_graph,
 )
+from ecgraph.oracle import BudgetExceeded
 from ecgraph.reductions import fixture, generate
 
 
@@ -151,6 +152,20 @@ class TestExitCodes:
             input=serialize_graph(g),
             env={"ECGRAPH_BUDGET_SECS": "0.0"})
         assert res.exit_code == 5
+
+    @pytest.mark.parametrize("exc, code", [
+        (UnsupportedClass, 4), (BudgetExceeded, 5)])
+    def test_group_maps_refusals(self, runner, monkeypatch, exc, code):
+        # the command group maps a refusal from any subcommand, here one
+        # that raises none of its own
+        def refuse(g):
+            raise exc("x")
+
+        monkeypatch.setattr(ecgraph.analysis, "eulerian_factor", refuse)
+        res = runner.invoke(main, ["factor", "-", "--kind", "eulerian"],
+                            input=fixture_json("efig"))
+        assert res.exit_code == code
+        assert res.output == "error: x\n"
 
     @pytest.mark.parametrize("raw", ["abc", "nan", "-1"])
     def test_invalid_budget_is_usage_error(self, runner, raw):

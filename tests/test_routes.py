@@ -454,13 +454,14 @@ def test_each_fact_once_on_m_closed_blow_up(monkeypatch):
     # the base, once, and never on g, as a base yes stands for g.  So g
     # is colour-connected, hence trail-colour-connected: no trail sweep.
     # The partite classes are computed on g only.  The base's flow rules
-    # out a cycle factor, so g's is never computed
+    # out a cycle factor, so g's is never computed.  M-closedness is
+    # checked on the base only, and g's is read off the partition
     g = generate("mclosed_blowup", seed=9, n=14)
     on_g, on_base, every, asked = _count_fact_calls(monkeypatch, g)
     assert len(Analysis.of(g).ext[0].vertices) < len(g.vertices)
     assert max((on_g | on_base).values()) == 1
-    assert on_g == Counter(EVERY_FACT - {*QUERIES, "alternating_cycle_factor"}
-                           | {INDUCED})
+    assert on_g == Counter(EVERY_FACT - {*QUERIES, "alternating_cycle_factor",
+                                         "is_m_closed"} | {INDUCED})
     assert on_base == Counter(("_PathQuery", "is_m_closed"))
     assert Analysis.of(g).cf is None
     assert every["_TrailQuery"] == 0
@@ -501,7 +502,8 @@ def test_twin_free_graph_is_its_own_quotient(monkeypatch, make):
 def test_each_fact_once_over_a_base_above_the_threshold(monkeypatch):
     # an all-red K13 with one vertex doubled: the base has 13 vertices,
     # more than _QUOTIENT_THRESHOLD, and is swept through its own memo,
-    # which must not partition or check the base again
+    # which must not partition or check the base again; g's doubled v0
+    # has edges, so g is not M-closed, read off the partition unchecked
     vs = [f"v{i}" for i in range(13)]
     k13 = build_graph(vs, [(u, v, RED)
                            for u, v in itertools.combinations(vs, 2)])
@@ -510,10 +512,30 @@ def test_each_fact_once_over_a_base_above_the_threshold(monkeypatch):
     base = Analysis.of(g).ext[0]
     assert len(base.vertices) == 13 and Analysis.of(g).swept is base
     assert every["similarity_partition"] == 1
-    assert on_g["is_m_closed"] == on_base["is_m_closed"] == 1
-    assert every["is_m_closed"] == 2
+    assert on_g["is_m_closed"] == 0
+    assert every["is_m_closed"] == on_base["is_m_closed"] == 1
     assert Analysis.of(base).ext[0] is base and Analysis.of(base).m_closed
     assert not Analysis.of(g).m_closed
+
+
+# a triangle and an isolated z: doubling z gives a block of two similar
+# vertices with no edge, and g stays M-closed; doubling a gives a red
+# 2-path between a's copies through b, whose ends are not adjacent
+TRIANGLE_AND_Z = build_graph(["a", "b", "c", "z"], [
+    ("a", "b", RED), ("b", "c", BLUE), ("a", "c", RED)])
+
+
+@pytest.mark.parametrize("doubled, closed", [("z", True), ("a", False)])
+def test_m_closed_is_read_off_the_partition(monkeypatch, doubled, closed):
+    # M-closedness is checked on the base alone, never on g
+    g = blow_up(TRIANGLE_AND_Z,
+                {v: 1 + (v == doubled) for v in TRIANGLE_AND_Z.vertices})
+    on_g, on_base, every, _ = _count_fact_calls(monkeypatch, g)
+    assert len(Analysis.of(g).ext[0].vertices) == 4
+    assert on_g["is_m_closed"] == 0
+    assert every["is_m_closed"] == on_base["is_m_closed"] == 1
+    assert Analysis.of(g).m_closed is closed
+    assert is_m_closed(g)[0] is closed
 
 
 def test_quotient_transform_of_a_twin_free_graph(runner):
