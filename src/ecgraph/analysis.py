@@ -34,8 +34,14 @@ g's: a walk of g may pass through two copies of one vertex.  So it
 stands only when its triple (u, v, c) fails in g too: at once where u
 has no edge of colour c in g, as then nothing leaves u in that colour,
 else as asked of g's path or trail query object, which builds no
-witness; otherwise g is swept with that same object.  Every other
-graph is swept directly.
+witness; otherwise g is swept itself, as every other graph is.  A
+bipartite graph (`sides`, its 2-colouring) is swept by two searches of
+its digraph view (`connect._digraph_sweep`), which give what the path
+and trail sweeps would; any other graph by its path or trail query
+object, the one that asked the base's triple where there was one.  The
+quotient route comes first even for a bipartite g: the base's triple
+is reported where it fails on g, and g's own first triple can differ
+from it (at a twin of vertex 0).
 
 The cycle factor of an extension with a smaller base, of any size, is
 asked of the base first, where only a "no" is taken: a "yes" is still
@@ -56,6 +62,8 @@ once, on g: asking the base first did not pay for itself.
 Trail-colour-connectivity is derived from the path sweeps.  Every
 alternating path is an alternating trail, so `tcc` of a colour-connected
 g is yes with no trail sweep, resting on the path sweep's witnesses.
+On a bipartite g a triple has a trail exactly where it has a path (see
+`ecgraph.connect`), so `tcc` is `cc`, counterexample included.
 Otherwise each trail sweep starts at the triple, kept on the same
 graph's memo, where its path sweep failed: every triple before it has a
 path, so a trail, and both sweeps take the triples in one order, so it
@@ -71,9 +79,11 @@ from typing import Optional
 
 from .connect import (
     ConnectivityReport,
+    _digraph_sweep,
     _PathQuery,
     _sweep,
     _TrailQuery,
+    bipartite_sides,
     complete_multipartite_classes,
 )
 from .core import (
@@ -156,6 +166,12 @@ class Analysis:
         """Partite classes, or None (not complete multipartite)."""
         return complete_multipartite_classes(self.g)
 
+    @cached_property
+    def sides(self) -> Optional[list[int]]:
+        """Side bits of g's 2-colouring (`bipartite_sides`), or None (not
+        bipartite)."""
+        return bipartite_sides(self.g)
+
     @property
     def complete_bipartite(self) -> bool:
         return self.classes is not None and len(self.classes) == 2
@@ -195,8 +211,9 @@ class Analysis:
                       ) -> ConnectivityReport:
         """g's report of `fact`, read off `swept`'s memo where that
         answers yes or its failing triple fails on g too (see above);
-        otherwise g's own sweep from `start` on one `make(g)` object,
-        and that sweep's failing triple becomes `_trail_start`."""
+        otherwise g's own sweep: of its digraph view where g is
+        bipartite, else from `start` on one `make(g)` object, whose
+        failing triple becomes `_trail_start`."""
         g = self.g
         q = None
         if self.swept is not g:
@@ -210,6 +227,8 @@ class Analysis:
             q = make(g)
             if not q.reaches(x, g.index[v], c.bit):
                 return rep
+        if self.sides is not None:
+            return _digraph_sweep(g, self.sides)
         rep = _sweep(q or make(g), start)
         if not rep.connected:
             u, v, c = rep.counterexample
@@ -223,7 +242,7 @@ class Analysis:
     @cached_property
     def tcc(self) -> ConnectivityReport:
         """Derived from cc; see above."""
-        if self.cc.connected:
+        if self.cc.connected or self.sides is not None:
             return self.cc
         return self._connectivity("tcc", _TrailQuery, self._trail_start)
 

@@ -44,6 +44,34 @@ A sweep asks the triples (u, v, start colour) in one order, u, then v,
 then red before blue, from a start triple on (the first, for the public
 sweeps), and stops at the first that fails.
 
+On a bipartite graph both notions are plain digraph reachability.
+Orient each red edge from side X to side Y and each blue edge from Y to
+X: the digraph view that `reductions.bb_to_digraph` builds.  Take the
+sides of `bipartite_sides`, so vertex 0 is on X, and let c be a start
+colour bit.  Sides alternate along any walk, so a walk alternates in
+colour exactly where its edges are arcs all taken forwards or all
+backwards.  Where c is 0's side bit, an alternating (0, v)-walk of
+first colour c is thus a directed 0 -> v walk; otherwise it is a
+directed v -> 0 walk read backwards.  A directed walk contains a
+directed path with the same ends, and its first arc at 0 has the start
+colour again, so (0, v, c) has an alternating path iff it has an
+alternating trail iff v is reached from 0 in that direction; the same
+holds at every start vertex.  So g is colour-connected iff the digraph
+is strong, and its trail report is its path report, counterexample
+included.  If the digraph is not strong, vertex 0 itself misses some v
+in one direction, so the sweeps' first failing triple starts at vertex
+0: it is (0, v, c) for the smallest v that the search along the arcs
+(c = 0, red) or against them (c = 1, blue) misses, red first.
+`_digraph_sweep` reads it off those two searches from vertex 0.  Its
+yes rests on the two search trees: each tree arc is checked against
+g's arrays and the sides (it joins an earlier reached vertex to a new
+one on the other side, in the colour of its tail's side), which makes
+every tree path an alternating path with the tree's start colour.  The
+check survives python -O, and an arc that fails it is an internal
+error, never a no.  The full sweeps `is_colour_connected` and
+`is_trail_colour_connected` stay the reference the tests compare it
+with.
+
 Both sweeps always run on the graph they are given.  Sweeping a smaller
 graph in its place (the similarity quotient of an extension of an
 M-closed graph) is a decision about the graph class, so it is made in
@@ -377,6 +405,89 @@ def _sweep(q: _PathQuery, start: tuple[int, int, int] = (0, 0, 0)
                 if (u, v, c) >= start and not reaches(u, v, c):
                     return ConnectivityReport(
                         False, (names[u], names[v], BIT_COLOUR[c]))
+    return ConnectivityReport(True)
+
+
+def bipartite_sides(g: EdgeColouredMultigraph) -> Optional[list[int]]:
+    """Each vertex's side bit in a 2-colouring of g, the first vertex of
+    each component on side 0; None if g has an odd cycle."""
+    off, far = g.off, g.far
+    side = [-1] * len(g.vertices)
+    for r in range(len(side)):
+        if side[r] >= 0:
+            continue
+        side[r] = 0
+        stack = [r]
+        while stack:
+            a = stack.pop()
+            s = side[a] ^ 1
+            for j in range(off[a], off[a + 1]):
+                b = far[j]
+                if side[b] < 0:
+                    side[b] = s
+                    stack.append(b)
+                elif side[b] != s:
+                    return None
+    return side
+
+
+def _digraph_tree(g: EdgeColouredMultigraph, side: list[int], back: int
+                  ) -> tuple[list[Optional[int]], list[int]]:
+    """A search of g's digraph view from vertex 0, along its arcs, or
+    against them where `back`: per vertex, the position of the edge it
+    was reached by (-1 at vertex 0, None where not reached), and the
+    vertices in the order reached.  The arcs at vertex a that leave it
+    are its edges of colour bit side[a], those that enter it the rest."""
+    off, inc, far, bit = g.off, g.inc, g.far, g.bit
+    par: list[Optional[int]] = [None] * len(side)
+    par[0] = -1
+    order = [0]
+    for a in order:
+        c = side[a] ^ back
+        for j in range(off[a], off[a + 1]):
+            b = far[j]
+            if par[b] is None and bit[inc[j]] == c:
+                par[b] = inc[j]
+                order.append(b)
+    return par, order
+
+
+def _digraph_sweep(g: EdgeColouredMultigraph, side: list[int]
+                   ) -> ConnectivityReport:
+    """The report of either sweep on a bipartite g with sides `side`
+    (`bipartite_sides`), from one search along and one against the arcs
+    of its digraph view, each tree arc checked (see above)."""
+    names = g.vertices
+    n = len(names)
+    if n < 2:
+        raise UnsupportedClass("connectivity needs at least two vertices")
+    eu, ev, bit = g.eu, g.ev, g.bit
+    m = len(bit)
+    reached = []
+    for back in (0, 1):
+        par, order = _digraph_tree(g, side, back)
+        seen = [False] * n
+        seen[0] = True
+        for w in order[1:]:
+            # the arc joins a reached p to a new w on the other side, in
+            # the colour of its tail: p's side along the arcs, w's against
+            k = par[w]
+            p = -1 if k is None or not 0 <= k < m or seen[w] else \
+                ev[k] if eu[k] == w else eu[k] if ev[k] == w else -1
+            if p < 0 or not seen[p] or side[p] == side[w] \
+                    or bit[k] != side[p] ^ back:
+                raise GraphError(
+                    f"internal error: {names[w]!r} fails the digraph "
+                    f"view's {('out', 'in')[back]}-tree check")
+            seen[w] = True
+        reached.append(seen)
+    # start colour c at vertex 0 asks the search along the arcs where c
+    # is 0's side bit, else the one against them
+    for v in range(1, n):
+        for c in (0, 1):
+            if not reached[c ^ side[0]][v]:
+                return ConnectivityReport(
+                    False, (names[0], names[v], BIT_COLOUR[c]))
     return ConnectivityReport(True)
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
+from .connect import bipartite_sides
 from .core import (
     BLUE,
     Colour,
@@ -107,22 +107,12 @@ class BipartiteDigraph:
 
 
 def bb_to_digraph(g: EdgeColouredMultigraph) -> BipartiteDigraph:
-    """g's digraph view, the first vertex of each component on side X.
-    Raises GraphError unless g is bipartite."""
-    side = [-1] * len(g.vertices)
-    for v in range(len(side)):
-        if side[v] >= 0:
-            continue
-        side[v] = 0
-        stack = [v]
-        while stack:
-            a = stack.pop()
-            for b in g.star(a)[1]:
-                if side[b] < 0:
-                    side[b] = 1 - side[a]
-                    stack.append(b)
-                elif side[b] == side[a]:
-                    raise GraphError("graph is not bipartite")
+    """g's digraph view, on the sides of `bipartite_sides`: the first
+    vertex of each component on side X.  Raises GraphError unless g is
+    bipartite."""
+    side = bipartite_sides(g)
+    if side is None:
+        raise GraphError("graph is not bipartite")
     arcs = []
     for e, u, c in zip(g.edges, g.eu, g.bit):
         # a red edge from its X end, a blue edge from its Y end

@@ -118,6 +118,11 @@ class TestConnectivity:
         for sweep in (is_colour_connected, is_trail_colour_connected):
             with pytest.raises(UnsupportedClass):
                 sweep(g)
+        # a bipartite graph's digraph sweep refuses it as the sweeps do
+        for fact in ("cc", "tcc"):
+            with pytest.raises(UnsupportedClass,
+                               match="connectivity needs at least two"):
+                getattr(Analysis.of(g), fact)
 
     def test_counterexample_is_first_in_declaration_order(self):
         g = fixture("needall_g")
@@ -680,6 +685,73 @@ def test_positions_match_the_reference_read_back(make, read_back):
                             assert ks == read_back(q, last, root ^ 1, p)[::-1]
                             found += 1
     assert found and missing
+
+
+# an alternating 4-cycle a-b-c-d with both colours on each of its pairs:
+# bipartite, a and c on side X, and both searches of its digraph view
+# reach every vertex, each one a step or two from a
+C4_BOTH = build_graph(list("abcd"), [
+    (u, v, c) for u, v in ("ab", "bc", "cd", "da") for c in (RED, BLUE)])
+
+
+def _other_colour(g, par, order):
+    # the last vertex hangs from its parent by the pair's other edge
+    w = order[-1]
+    k = par[w]
+    p = g.ev[k] if g.eu[k] == w else g.eu[k]
+    par[w] = g.first_edges()[w][1 - g.bit[k]][p]
+
+
+def _edge_elsewhere(g, par, order):
+    w = order[-1]
+    par[w] = next(k for k in range(len(g.bit)) if w not in (g.eu[k], g.ev[k]))
+
+
+def _parent_not_yet_reached(g, par, order):
+    order.insert(1, order.pop())
+
+
+def _reached_twice(g, par, order):
+    order.append(order[1])
+
+
+@pytest.mark.parametrize("corrupt", [_other_colour, _edge_elsewhere,
+                                     _parent_not_yet_reached, _reached_twice])
+@pytest.mark.parametrize("back", [0, 1], ids=["out-tree", "in-tree"])
+def test_failed_digraph_tree_check_raises(monkeypatch, back, corrupt):
+    # a bipartite graph's yes rests on each tree arc's check, which is
+    # explicit, so it holds under python -O; an arc that fails it is an
+    # internal error, never a no
+    assert Analysis.of(C4_BOTH).cc.connected
+    tree = ecgraph.connect._digraph_tree
+
+    def corrupted(g, side, b):
+        par, order = tree(g, side, b)
+        if b == back:
+            corrupt(g, par, order)
+        return par, order
+
+    monkeypatch.setattr(ecgraph.connect, "_digraph_tree", corrupted)
+    g = build_graph(C4_BOTH.vertices, [(e.u, e.v, e.colour)
+                                       for e in C4_BOTH.edges])
+    for fact in ("cc", "tcc"):
+        with pytest.raises(GraphError, match=(
+                "internal error: '[bcd]' fails the digraph view's "
+                f"{('out', 'in')[back]}-tree check")):
+            getattr(Analysis.of(g), fact)
+
+
+def test_a_wrong_2_colouring_fails_the_digraph_tree_check(monkeypatch):
+    # with every vertex on side X, each red edge is an arc out of both
+    # ends, and a tree path would repeat red; the check compares the
+    # sides of each tree arc's ends
+    monkeypatch.setattr(ecgraph.analysis, "bipartite_sides",
+                        lambda g: [0] * len(g.vertices))
+    g = build_graph(C4_BOTH.vertices, [(e.u, e.v, e.colour)
+                                       for e in C4_BOTH.edges])
+    with pytest.raises(GraphError, match=(
+            "internal error: '[bd]' fails the digraph view's out-tree")):
+        Analysis.of(g).cc
 
 
 class CountedList(list):

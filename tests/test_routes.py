@@ -29,7 +29,7 @@ import ecgraph.merge
 from ecgraph import UnsupportedClass, supereulerian
 from ecgraph.analysis import Analysis
 from ecgraph.cli import analyze_graph, main
-from ecgraph.connect import complete_multipartite_classes
+from ecgraph.connect import ConnectivityReport, complete_multipartite_classes
 from ecgraph.core import (
     AlternatingCycle,
     AlternatingTrail,
@@ -379,11 +379,13 @@ def test_oracle_witness_that_finds_nothing_raises(runner, monkeypatch,
 # memo sweeps through no public function, as it confirms a base's "no"
 # with the query object it then sweeps with, and starts its trail sweep
 # where the path sweep failed, so connectivity counts by the QUERIES
-# objects built, and the quotient's copy of g by the calls to `induced`
+# objects built, or by the digraph sweeps of a bipartite graph, and the
+# quotient's copy of g by the calls to `induced`
 FACTS = {
     "structure": ("similarity_partition", "is_extension_of_m_closed",
                   "is_m_closed"),
-    "connect": ("complete_multipartite_classes",),
+    "connect": ("complete_multipartite_classes", "bipartite_sides",
+                "_digraph_sweep"),
     "factor": ("eulerian_factor", "alternating_cycle_factor"),
 }
 QUERIES = ("_PathQuery", "_TrailQuery")
@@ -455,14 +457,18 @@ def test_each_fact_once_on_m_closed_blow_up(monkeypatch):
     # is colour-connected, hence trail-colour-connected: no trail sweep.
     # The partite classes are computed on g only.  The base's flow rules
     # out a cycle factor, so g's is never computed.  M-closedness is
-    # checked on the base only, and g's is read off the partition
+    # checked on the base only, and g's is read off the partition.  The
+    # base has an odd cycle, so its sides are asked and it has no
+    # digraph sweep
     g = generate("mclosed_blowup", seed=9, n=14)
     on_g, on_base, every, asked = _count_fact_calls(monkeypatch, g)
     assert len(Analysis.of(g).ext[0].vertices) < len(g.vertices)
     assert max((on_g | on_base).values()) == 1
-    assert on_g == Counter(EVERY_FACT - {*QUERIES, "alternating_cycle_factor",
-                                         "is_m_closed"} | {INDUCED})
-    assert on_base == Counter(("_PathQuery", "is_m_closed"))
+    assert on_g == Counter(EVERY_FACT - {
+        *QUERIES, "alternating_cycle_factor", "is_m_closed",
+        "bipartite_sides", "_digraph_sweep"} | {INDUCED})
+    assert on_base == Counter(("_PathQuery", "is_m_closed",
+                               "bipartite_sides"))
     assert Analysis.of(g).cf is None
     assert every["_TrailQuery"] == 0
     assert Analysis.of(g).tcc.connected
@@ -471,15 +477,35 @@ def test_each_fact_once_on_m_closed_blow_up(monkeypatch):
 
 
 def test_each_fact_once_on_complete_bipartite(monkeypatch):
-    # colour-connected, so trail-colour-connected with no trail sweep
+    # bipartite, so both reports come from the two searches of its
+    # digraph view: no path or trail query object is built
     g = INPUTS["cb_pos"]()
     on_g, _, every, asked = _count_fact_calls(monkeypatch, g)
     assert max(on_g.values()) == 1
-    assert on_g == Counter(EVERY_FACT - {"_TrailQuery"})
-    assert every["_TrailQuery"] == 0
+    assert on_g == Counter(EVERY_FACT - set(QUERIES))
+    assert every["_PathQuery"] == every["_TrailQuery"] == 0
     assert Analysis.of(g).tcc.connected
     assert every["similarity_partition"] == 1
     assert asked == Counter(("supereulerian", "hamiltonian"))
+
+
+def test_bipartite_extension_above_the_threshold_reports_its_base(
+        monkeypatch):
+    # b-a red, b-c blue, blown up to 13 vertices.  The base answers
+    # through its own digraph view: b misses a on a blue start.  b.0 has
+    # blue edges, so g's path query confirms the triple on g, and g
+    # reports it for both notions, with no trail query; g's own first
+    # failing triple is another, at b.0's twin b.1
+    base = build_graph(["b", "a", "c"], [("b", "a", RED), ("b", "c", BLUE)])
+    g = blow_up(base, {"b": 5, "a": 4, "c": 4})
+    on_g, on_base, every, _ = _count_fact_calls(monkeypatch, g)
+    a = Analysis.of(g)
+    assert len(a.swept.vertices) == 3 < len(g.vertices)
+    assert on_base["_digraph_sweep"] == 1 and on_g["_digraph_sweep"] == 0
+    assert on_g["_PathQuery"] == 1 and every["_TrailQuery"] == 0
+    assert a.cc == a.tcc == ConnectivityReport(False, ("b.0", "a.0", BLUE))
+    assert ecgraph.connect.is_colour_connected(g).counterexample == (
+        "b.0", "b.1", RED)
 
 
 # no two vertices similar: the quotient is g itself, not a copy, and

@@ -765,6 +765,16 @@ class TestBipartiteDigraph:
         assert cols == [RED, BLUE, RED, BLUE]
         assert oracle_ham_alternating(g) is not None
 
+    def test_first_vertex_of_each_component_on_x(self):
+        # components {a, d} and {b, c}: a and b go on side X, each part
+        # in vertex order, and each edge becomes an arc out of its X end
+        # if red, out of its Y end if blue
+        g = build_graph(list("abcd"), [("b", "c", RED), ("a", "d", BLUE),
+                                       ("d", "a", RED)])
+        assert bb_to_digraph(g) == BipartiteDigraph(
+            ("a", "b"), ("c", "d"),
+            (("e0", "b", "c"), ("e1", "d", "a"), ("e2", "a", "d")))
+
     def test_non_bipartite_rejected(self):
         with pytest.raises(GraphError, match="not bipartite"):
             bb_to_digraph(fixture("needall_h"))
