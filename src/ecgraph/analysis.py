@@ -33,8 +33,10 @@ of one vertex are joined through a neighbour.  A base no is not always
 g's: a walk of g may pass through two copies of one vertex.  So it
 stands only when its triple (u, v, c) fails in g too: at once where u
 has no edge of colour c in g, as then nothing leaves u in that colour,
-else as asked of g's path or trail query object, which builds no
-witness; otherwise g is swept itself, as every other graph is.  A
+else, on a bipartite g, by one search of g's digraph view from u
+(`connect._digraph_tree`), and otherwise as asked of g's path or trail
+query object, which builds no witness; where the triple does not fail
+on g, g is swept itself, as every other graph is.  A
 bipartite graph (`sides`, its 2-colouring) is swept by two searches of
 its digraph view (`connect._digraph_sweep`), which give what the path
 and trail sweeps would; any other graph by its path or trail query
@@ -80,6 +82,7 @@ from typing import Optional
 from .connect import (
     ConnectivityReport,
     _digraph_sweep,
+    _digraph_tree,
     _PathQuery,
     _sweep,
     _TrailQuery,
@@ -221,12 +224,17 @@ class Analysis:
             if rep.connected:
                 return rep
             u, v, c = rep.counterexample
-            x = g.index[u]
+            x, y = g.index[u], g.index[v]
             if g.colour_degrees(x)[c.bit] == 0:
                 return rep
-            q = make(g)
-            if not q.reaches(x, g.index[v], c.bit):
-                return rep
+            side = self.sides
+            if side is not None:
+                if _digraph_tree(g, side, c.bit ^ side[x], x)[0][y] is None:
+                    return rep
+            else:
+                q = make(g)
+                if not q.reaches(x, y, c.bit):
+                    return rep
         if self.sides is not None:
             return _digraph_sweep(g, self.sides)
         rep = _sweep(q or make(g), start)

@@ -15,6 +15,15 @@ One blossom search per source and start colour then answers every
 target and end colour, because its outer vertices are exactly the
 copies whose deletion leaves a perfect matching (see
 `alternating_path`); a sweep keeps only the current source's two.
+A sweep only asks whether each target has an outer copy, so its
+searches stop as soon as every vertex has one among its first two
+copies (`IndexedGraph.search`'s stop rule): an outer label stays
+outer, and by Gallai-Edmonds the completed search's outer set does not
+depend on the order edges are examined, so a stopped search answers
+every target as the completed one would, and a search with a missing
+target runs to completion.  Its tree goes through the same check.
+Single queries (`positions`) read a completed search in edge order,
+never a sweep's, so their witnesses do not depend on the sweep.
 
 A search's paths form a tree: node a = b ^ 1 for each outer copy b,
 with parent p[a] ^ 1, rooted at the masked copy, and a target's path is
@@ -135,15 +144,17 @@ class _PathQuery:
         return IndexedGraph(adj)
 
     def _search(self, root: int) -> tuple[list[bool], list[int], list]:
-        """outer and p of the search from split vertex root, and the
-        state `_settle` keeps of its tree's nodes."""
+        """outer and p of the search from split vertex root, stopped as
+        soon as every vertex has an outer copy among its first two, and
+        the state `_settle` keeps of its tree's nodes."""
         search = self._searches.get(root)
         if search is None:
             # a new source drops the searches of the one before
             if root ^ 1 not in self._searches:
                 self._searches.clear()
-            outer, p, _ = self._split.search(root)
-            state = [None] * (self.STRIDE * len(self.g.vertices))
+            n = len(self.g.vertices)
+            outer, p, _ = self._split.search(root, n, self.STRIDE)
+            state = [None] * (self.STRIDE * n)
             # the root node's path holds nothing; root itself is no
             # node, as its partner is masked
             state[root ^ 1] = 0
@@ -230,7 +241,9 @@ class _PathQuery:
         bit `end` (either when -1), as `_settle` checks and collects
         them, checked again by `check_walk`; None if there is none."""
         root = self.STRIDE * x + start
-        outer, p, state = self._search(root)
+        # a completed search, never the sweeps' stopped one, so the
+        # witness does not depend on the queries asked before
+        outer, p, _ = self._split.search(root)
         # y's non-end copy must be outer; end -1 tries red first
         j = self.STRIDE * y
         if end >= 0:
@@ -240,7 +253,7 @@ class _PathQuery:
         if last < 0:
             return None
         # a fresh state, so that the climb checks every step to the root
-        state = [None] * len(state)
+        state = [None] * (self.STRIDE * len(self.g.vertices))
         state[root ^ 1] = 0
         ks = []
         if self._settle(last, outer, p, state, ks) < 0:
@@ -431,17 +444,19 @@ def bipartite_sides(g: EdgeColouredMultigraph) -> Optional[list[int]]:
     return side
 
 
-def _digraph_tree(g: EdgeColouredMultigraph, side: list[int], back: int
-                  ) -> tuple[list[Optional[int]], list[int]]:
-    """A search of g's digraph view from vertex 0, along its arcs, or
+def _digraph_tree(g: EdgeColouredMultigraph, side: list[int], back: int,
+                  x: int = 0) -> tuple[list[Optional[int]], list[int]]:
+    """A search of g's digraph view from vertex x, along its arcs, or
     against them where `back`: per vertex, the position of the edge it
-    was reached by (-1 at vertex 0, None where not reached), and the
-    vertices in the order reached.  The arcs at vertex a that leave it
-    are its edges of colour bit side[a], those that enter it the rest."""
+    was reached by (-1 at x, None where not reached), and the vertices
+    in the order reached.  The arcs at vertex a that leave it are its
+    edges of colour bit side[a], those that enter it the rest; so y is
+    reached exactly where g has an alternating (x, y)-path (trail) of
+    first colour bit side[x] ^ back (see above)."""
     off, inc, far, bit = g.off, g.inc, g.far, g.bit
     par: list[Optional[int]] = [None] * len(side)
-    par[0] = -1
-    order = [0]
+    par[x] = -1
+    order = [x]
     for a in order:
         c = side[a] ^ back
         for j in range(off[a], off[a + 1]):

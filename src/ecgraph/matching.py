@@ -9,7 +9,10 @@ auxiliary plain graph that is not bipartite in general.
 There is one engine, a blossom search over the fixed integer adjacency
 lists of an `IndexedGraph`: `matching` grows a greedy matching, or one
 its caller supplies, with it, and `search` runs it once from a single
-root, for the connectivity sweeps.  Each root's search resets only the
+root, for the connectivity sweeps, optionally stopped as soon as each
+of a set of target pairs has an outer vertex (blossoms put aside until
+the tree stops growing; see `search` for why the answers stay those of
+the completed search).  Each root's search resets only the
 vertices of that root's alternating tree, and each blossom contraction
 touches only the blossom's vertices.
 Every matching reduction in the package builds those lists straight
@@ -98,29 +101,44 @@ class IndexedGraph:
         self._search(match, [-1] * n, range(n))
         return match
 
-    def search(self, root: int
+    def search(self, root: int, pairs: int = 0, stride: int = 2
                ) -> tuple[list[bool], list[int], list[int]]:
-        """(outer, p, match) of one completed search from `root`, in a
-        graph that joins every i to i ^ 1, with root ^ 1 masked.
+        """(outer, p, match) of one search from `root`, in a graph that
+        joins every i to i ^ 1, with root ^ 1 masked.
 
         It starts from the perfect matching i <-> i ^ 1 less root's
         pair, so no augmenting path exists, and by the Gallai-Edmonds
         structure theorem outer[b] holds exactly when the graph without
         root ^ 1 and b has a perfect matching.  For an outer b the chain
         b, match[b], p[match[b]], ... is an even alternating path to root.
+
+        With `pairs`, the search stops as soon as each target pair
+        (stride * y, stride * y + 1), y < pairs, has an outer vertex
+        (stride a power of two), root's own pair from the start; until
+        then an edge between two outer vertices is put aside, and its
+        blossom contracted only when the tree stops growing.  A vertex
+        that turns outer stays outer, and the completed search's outer
+        set does not depend on the order edges are examined in, so the
+        stopped search has an outer vertex in every target pair exactly
+        when the completed one has; otherwise it runs to completion.
+        Either way outer is a subset of the completed search's, and the
+        chains above hold.  Without `pairs` the search runs to
+        completion in edge order, as `matching` does.
         """
         n = len(self.adj)
         match = [i ^ 1 for i in range(n)]
         match[root] = match[root ^ 1] = -1
         p = [-1] * n
         p[root ^ 1] = root ^ 1
-        return self._search(match, p, (root,)), p, match
+        return self._search(match, p, (root,), pairs, stride), p, match
 
     def _search(self, match: list[int], p: list[int],
-                roots: Iterable[int]) -> list[bool]:
+                roots: Iterable[int], pairs: int = 0, stride: int = 2
+                ) -> list[bool]:
         """Augment match in place from each root still exposed in turn;
         return the last search's outer labels.  No search labels a
-        vertex v with p[v] == v on entry."""
+        vertex v with p[v] == v on entry.  `pairs` and `stride` give the
+        stop rule of `search`."""
         adj = self.adj
         n = len(adj)
         base = list(range(n))
@@ -138,6 +156,7 @@ class IndexedGraph:
         on_path = [0] * n
         in_blossom = [0] * n
         stamp = 0
+        q: deque[int] = deque()
 
         def lca(a: int, b: int) -> int:
             while True:
@@ -162,8 +181,42 @@ class IndexedGraph:
                 child = match[v]
                 v = p[match[v]]
 
+        # the stop rule: a vertex below limit whose bits `mask` are
+        # clear is in a target pair; left counts the pairs not yet
+        # reached, and limit 0 leaves the rule off
+        limit = stride * pairs
+        mask = stride - 2
+        left = 0
+        # the ends of each outer-outer edge put aside while the rule is
+        # open, in the order found
+        aside: list[int] = []
+
+        def contract(v: int, to: int) -> None:
+            nonlocal stamp, left
+            stamp += 1
+            curbase = lca(v, to)
+            marked: list[int] = []
+            mark_path(v, curbase, to, marked)
+            mark_path(to, curbase, v, marked)
+            # the vertices whose base is in the blossom, sorted so they
+            # enter the queue in index order; curbase's own are already
+            # labelled and keep their base
+            inner: list[int] = []
+            for bb in marked:
+                if bb != curbase:
+                    inner.extend(members.pop(bb, (bb,)))
+            inner.sort()
+            for i in inner:
+                base[i] = curbase
+                if not used[i]:
+                    used[i] = True
+                    q.append(i)
+                    if i < limit and not i & mask and not used[i ^ 1]:
+                        left -= 1
+            members.setdefault(curbase, [curbase]).extend(inner)
+
         def find_augmenting(root: int) -> int:
-            nonlocal stamp
+            nonlocal left
             for i in tree:
                 p[i] = -1
                 base[i] = i
@@ -172,42 +225,50 @@ class IndexedGraph:
             members.clear()
             tree.append(root)
             used[root] = True
-            q = deque([root])
-            while q:
-                v = q.popleft()
-                for to in adj[v]:
-                    if base[v] == base[to] or match[v] == to:
-                        continue
-                    if to == root or (match[to] != -1 and p[match[to]] != -1):
-                        stamp += 1
-                        curbase = lca(v, to)
-                        marked: list[int] = []
-                        mark_path(v, curbase, to, marked)
-                        mark_path(to, curbase, v, marked)
-                        # the vertices whose base is in the blossom,
-                        # sorted so they enter the queue in index order;
-                        # curbase's own are already labelled and keep
-                        # their base
-                        inner: list[int] = []
-                        for bb in marked:
-                            if bb != curbase:
-                                inner.extend(members.pop(bb, (bb,)))
-                        inner.sort()
-                        for i in inner:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
-                        members.setdefault(curbase, [curbase]).extend(inner)
-                    elif p[to] == -1:
-                        p[to] = v
-                        tree.append(to)
-                        if match[to] == -1:
-                            return to
-                        used[match[to]] = True
-                        tree.append(match[to])
-                        q.append(match[to])
-            return -1
+            q.clear()
+            q.append(root)
+            aside.clear()
+            k = 0
+            left = pairs - 1
+            if not left:
+                return -1
+            while True:
+                while q:
+                    v = q.popleft()
+                    for to in adj[v]:
+                        if base[v] == base[to] or match[v] == to:
+                            continue
+                        if to == root or (
+                                match[to] != -1 and p[match[to]] != -1):
+                            if limit:
+                                aside.extend((v, to))
+                            else:
+                                contract(v, to)
+                        elif p[to] == -1:
+                            p[to] = v
+                            tree.append(to)
+                            if match[to] == -1:
+                                return to
+                            w = match[to]
+                            used[w] = True
+                            tree.append(w)
+                            q.append(w)
+                            if w < limit and not w & mask \
+                                    and not used[w ^ 1]:
+                                left -= 1
+                                if not left:
+                                    return -1
+                # the tree stopped growing: contract the first blossom
+                # put aside that is still one, then grow again
+                while k < len(aside) and not q:
+                    v, to = aside[k], aside[k + 1]
+                    k += 2
+                    if base[v] != base[to]:
+                        contract(v, to)
+                        if not left:
+                            return -1
+                if not q:
+                    return -1
 
         for v in roots:
             if match[v] == -1:

@@ -40,6 +40,7 @@ from ecgraph.core import BadWalk, serialize_graph
 from ecgraph.structure import blow_up, similarity_partition
 from ecgraph.reductions import fixture, generate
 
+from test_atlas import FAMILIES, _graphs
 from reference import (
     RefIndexedGraph,
     rand_multigraph,
@@ -338,12 +339,12 @@ class TestDerivedTrailConnectivity:
 
 
 def corrupt_searches(monkeypatch, corrupt):
-    """Make every single-source search return p as `corrupt(p, root)`
-    changes it in place."""
+    """Make every single-source search, stopped or completed, return p
+    as `corrupt(p, root)` changes it in place."""
     search = IndexedGraph.search
 
-    def corrupted(self, root):
-        outer, p, match = search(self, root)
+    def corrupted(self, root, *rule):
+        outer, p, match = search(self, root, *rule)
         corrupt(p, root)
         return outer, p, match
 
@@ -675,7 +676,9 @@ def test_positions_match_the_reference_read_back(make, read_back):
                     j = q.STRIDE * y
                     for end in (-1, 0, 1):
                         ks = q.positions(x, y, start, end)
-                        outer, p, _ = q._search(root)
+                        # the completed search positions reads, not the
+                        # sweeps' stopped one
+                        outer, p, _ = q._split.search(root)
                         ends = (j, j + 1) if end < 0 else (j + end,)
                         last = next((a for a in ends if outer[a ^ 1]), None)
                         if last is None:
@@ -1114,3 +1117,71 @@ def test_queries_match_the_string_auxiliary_graph_reference():
                                 or g.edge(w.edge_ids[-1]).colour is end
                             assert len(set(seq)) == len(seq) or not simple
     assert parallel > 30 and found and missing
+
+
+class TestStoppedSearch:
+    """The sweeps' searches stop once every vertex has an outer copy
+    among its first two (`IndexedGraph.search`'s stop rule)."""
+
+    @staticmethod
+    def agree(make, g):
+        q = make(g)
+        n = len(g.vertices)
+        for x in range(n):
+            for start in (0, 1):
+                root = q.STRIDE * x + start
+                full, _, _ = q._split.search(root)
+                outer, p, state = q._search(root)
+                for y in range(n):
+                    if y == x:
+                        continue
+                    j = q.STRIDE * y
+                    assert (outer[j] or outer[j + 1]) == \
+                        (full[j] or full[j + 1]), (x, start, y)
+                    # every yes has a node that passes the tree check
+                    last = j if outer[j + 1] else j + 1 if outer[j] else -1
+                    if last >= 0:
+                        assert q._settle(last, outer, p, state) >= 0
+                    assert q.reaches(x, y, start) == \
+                        (full[j] or full[j + 1])
+                # a stopped outer set is part of the completed one
+                assert all(f for o, f in zip(outer, full) if o)
+
+    @pytest.mark.parametrize("make", [_PathQuery, _TrailQuery])
+    def test_stopped_answers_are_the_completed_answers_on_the_atlas(
+            self, make):
+        for g in _graphs(*FAMILIES["4-vertices"]):
+            self.agree(make, g)
+
+    @pytest.mark.parametrize("make", [_PathQuery, _TrailQuery])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stopped_answers_are_the_completed_answers_on_seeded_graphs(
+            self, make, seed):
+        n = 5 + seed % 6
+        self.agree(make, generate("random_2ec", seed=seed, n=n,
+                                  m=n + 3 * (seed % 4)))
+        self.agree(make, generate("mclosed_blowup", seed=seed, n=n))
+
+    @pytest.mark.parametrize("make", [_PathQuery, _TrailQuery])
+    def test_sweep_reads_fewer_adjacency_entries(self, make):
+        # a positive sweep asks only whether each target has an outer
+        # copy, so its searches stop before they complete
+        g = generate("random_2ec", seed=2, n=30, m=120)
+        reads = [0]
+
+        class Counted(list):
+            def __iter__(self):
+                for a in list.__iter__(self):
+                    reads[0] += 1
+                    yield a
+
+        q = make(g)
+        q._split.adj = [Counted(row) for row in q._split.adj]
+        assert ecgraph.connect._sweep(q).connected
+        swept = reads[0]
+        reads[0] = 0
+        n = len(g.vertices)
+        for root in range(q.STRIDE * n):
+            if root % q.STRIDE < 2:
+                q._split.search(root)
+        assert 0 < swept < reads[0]

@@ -345,8 +345,8 @@ def test_failed_sweep_check_raises_through_hamiltonian(runner, monkeypatch):
     # root, and the sweep's tree check rejects the first node it asks
     search = IndexedGraph.search
 
-    def looped(self, root):
-        outer, p, match = search(self, root)
+    def looped(self, root, *rule):
+        outer, p, match = search(self, root, *rule)
         return outer, [a ^ 1 for a in range(len(p))], match
 
     monkeypatch.setattr(IndexedGraph, "search", looped)
@@ -493,16 +493,17 @@ def test_bipartite_extension_above_the_threshold_reports_its_base(
         monkeypatch):
     # b-a red, b-c blue, blown up to 13 vertices.  The base answers
     # through its own digraph view: b misses a on a blue start.  b.0 has
-    # blue edges, so g's path query confirms the triple on g, and g
-    # reports it for both notions, with no trail query; g's own first
-    # failing triple is another, at b.0's twin b.1
+    # blue edges, so one search of g's digraph view from b.0 confirms
+    # the triple on g, with no path or trail query, and g reports it for
+    # both notions; g's own first failing triple is another, at b.0's
+    # twin b.1
     base = build_graph(["b", "a", "c"], [("b", "a", RED), ("b", "c", BLUE)])
     g = blow_up(base, {"b": 5, "a": 4, "c": 4})
     on_g, on_base, every, _ = _count_fact_calls(monkeypatch, g)
     a = Analysis.of(g)
     assert len(a.swept.vertices) == 3 < len(g.vertices)
     assert on_base["_digraph_sweep"] == 1 and on_g["_digraph_sweep"] == 0
-    assert on_g["_PathQuery"] == 1 and every["_TrailQuery"] == 0
+    assert every["_PathQuery"] == every["_TrailQuery"] == 0
     assert a.cc == a.tcc == ConnectivityReport(False, ("b.0", "a.0", BLUE))
     assert ecgraph.connect.is_colour_connected(g).counterexample == (
         "b.0", "b.1", RED)
@@ -684,3 +685,26 @@ def test_classes_run_once_on_g(monkeypatch, seed, complete):
     a = Analysis.of(g)
     assert len(a.base.vertices) < len(g.vertices)
     assert (a.classes is not None) == complete and calls == [g]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_digraph_confirm_agrees_with_the_path_query(seed):
+    # a base triple is confirmed on a bipartite blow-up by one search of
+    # its digraph view from the triple's start vertex; it answers as the
+    # path and trail queries do, on every triple of the base
+    base = generate("complete_bipartite", seed=seed, n1=2 + seed % 3,
+                    n2=2 + seed % 2)
+    g = blow_up(base, {v: 1 + (i + seed) % 3
+                       for i, v in enumerate(base.vertices)})
+    side = ecgraph.connect.bipartite_sides(g)
+    assert side is not None
+    path, trail = ecgraph.connect._PathQuery(g), ecgraph.connect._TrailQuery(g)
+    for u in base.vertices:
+        for v in base.vertices:
+            if u == v:
+                continue
+            x, y = g.index[f"{u}.0"], g.index[f"{v}.0"]
+            for c in (0, 1):
+                par, _ = ecgraph.connect._digraph_tree(g, side, c ^ side[x], x)
+                assert (par[y] is not None) == path.reaches(x, y, c) \
+                    == trail.reaches(x, y, c), (u, v, c)
