@@ -30,13 +30,14 @@ with parent p[a] ^ 1, rooted at the masked copy, and a target's path is
 its node's root path.  So a sweep checks trees, not triples:
 the first time a triple asks a node, it climbs to the node's first
 checked ancestor and checks each step down once, against g's own
-arrays (the edge joins the two vertices in the colours of both copies,
-so colours alternate from the start colour), and keeps a path simple
-(a trail edge-distinct) with a bitmask of the vertices (edges) that a
-second node of the tree could take again.  That is the package's check
-of a sweep's yes; it survives python -O, costs each search one step
-per node it settles, and builds no witness.  A copy that is outer but
-whose node fails the check is an internal error, never a no.
+arrays, bound once per query object (the edge joins the two vertices
+in the colours of both copies, so colours alternate from the start
+colour), and keeps a path simple (a trail edge-distinct) with a
+bitmask of the vertices (edges) that a second node of the tree could
+take again.  That is the package's check of a sweep's yes; it survives
+python -O, costs each search one step per node it settles, and builds
+no witness.  A copy that is outer but whose node fails the check is an
+internal error, never a no.
 
 A single query (`positions`, which `alternating_path` and
 `alternating_trail` ask) climbs the same tree with the same check
@@ -51,7 +52,15 @@ two public queries turn the checked positions into an
 
 A sweep asks the triples (u, v, start colour) in one order, u, then v,
 then red before blue, from a start triple on (the first, for the public
-sweeps), and stops at the first that fails.
+sweeps), and stops at the first that fails.  It reads one source at a
+time: row u fetches its red search at its first red triple and its
+blue search at its first blue triple (through the memo, so a search
+already run for the same source is not run again), then reads each
+target's outer copies straight off the two searches and settles only
+end nodes not yet settled.  A row resumed at a blue start triple skips
+that target's red triple, so its blue search comes first.  `reaches`,
+one triple through the same memo and check, is left to the base
+confirm in `ecgraph.analysis`.
 
 On a bipartite graph both notions are plain digraph reachability.
 Orient each red edge from side X to side Y and each blue edge from Y to
@@ -120,9 +129,13 @@ class _PathQuery:
     The searches from the current source's two copies are kept, with
     what their trees' checks found, so a sweep searches once per
     (source, start colour) and checks each tree node at most once.  A
-    subclass changes only the split graph and the steps of its search
-    tree (`_settle`): vertex i's first copy of colour bit c is
-    `STRIDE * i + c`, and every split vertex a is paired with a ^ 1.
+    sweep reads one source's row at a time straight off those two
+    searches (`_search`); only the base confirm asks `reaches`.  g's
+    arrays that the tree check reads are bound once, when the object
+    is built (`_bind`).  A subclass changes only the split graph, those
+    arrays and the steps of its search tree (`_settle`): vertex i's
+    first copy of colour bit c is `STRIDE * i + c`, and every split
+    vertex a is paired with a ^ 1.
     """
 
     STRIDE = 2
@@ -132,6 +145,13 @@ class _PathQuery:
         self.g = g
         self._split = self._split_graph(g)
         self._searches: dict[int, tuple] = {}
+        self._arrays = self._bind(g)
+
+    @staticmethod
+    def _bind(g: EdgeColouredMultigraph) -> tuple:
+        """What `_settle` reads of g, bound once per query object: the
+        first-edge tables, then the edge arrays it checks steps on."""
+        return g.first_edges(), g.eu, g.ev, g.bit
 
     @staticmethod
     def _split_graph(g: EdgeColouredMultigraph) -> IndexedGraph:
@@ -192,9 +212,7 @@ class _PathQuery:
         s = state[a]
         if s < 0:
             return -1
-        g = self.g
-        first = g.first_edges()
-        eu, ev, bit = g.eu, g.ev, g.bit
+        first, eu, ev, bit = self._arrays
         m = len(bit)
         for a in reversed(chain):
             b = p[a]
@@ -220,7 +238,9 @@ class _PathQuery:
         to y != x, first colour bit `start`: y's non-end copy is outer in
         the search from x's start copy, red end first, and its end node
         is checked (`_settle`).  An outer copy whose end node fails the
-        check is an internal error, never a no."""
+        check is an internal error, never a no.  The sweeps read the
+        same off their rows; the base confirm asks it one triple at a
+        time."""
         root = self.STRIDE * x + start
         outer, p, state = self._searches.get(root) or self._search(root)
         j = self.STRIDE * y
@@ -301,6 +321,12 @@ class _TrailQuery(_PathQuery):
             adj[v + 2].append(h + 1)
         return IndexedGraph(adj)
 
+    @staticmethod
+    def _bind(g: EdgeColouredMultigraph) -> tuple:
+        # the first split vertex past the vertex copies, in place of
+        # the first-edge tables, which a trail's steps do not read
+        return 4 * len(g.vertices), g.eu, g.ev, g.bit
+
     def _settle(self, a: int, outer: list[bool], p: list[int],
                 state: list, ks: Optional[list[int]] = None) -> int:
         # kept apart from _PathQuery._settle, as four shared climbs and
@@ -313,7 +339,7 @@ class _TrailQuery(_PathQuery):
         # p[h ^ 1] ^ 1, so one step crosses the helper pair and edge k.
         # A trail can take edge k twice only through both helper nodes,
         # so where h is a node too, k goes into the bitmask
-        base = 4 * len(self.g.vertices)
+        base, eu, ev, bit = self._arrays
         chain = []
         while state[a] is None:
             state[a] = -1
@@ -326,8 +352,6 @@ class _TrailQuery(_PathQuery):
         s = state[a]
         if s < 0:
             return -1
-        g = self.g
-        eu, ev, bit = g.eu, g.ev, g.bit
         m = len(bit)
         for a in reversed(chain):
             h = p[a]
@@ -405,19 +429,42 @@ def alternating_trail(g: EdgeColouredMultigraph, x: str, y: str,
 
 def _sweep(q: _PathQuery, start: tuple[int, int, int] = (0, 0, 0)
            ) -> ConnectivityReport:
+    """q's report: its first triple from `start` on, in sweep order,
+    that has no alternating path (trail), or yes.  Each source's row
+    reads the outer copies of its two searches (`_search`), fetched at
+    the row's first triple of each start colour, and settles the end
+    nodes it meets that are not yet settled (see `reaches`)."""
     names = q.g.vertices
     n = len(names)
     if n < 2:
         raise UnsupportedClass("connectivity needs at least two vertices")
-    reaches = q.reaches
-    for u in range(start[0], n):
-        for v in range(n):
-            if u == v:
+    stride, search, settle = q.STRIDE, q._search, q._settle
+    u0, v0, c0 = start
+    for u in range(u0, n):
+        trees = [None, None]
+        # row u0 begins at v0, without (u0, v0, red) where c0 is blue;
+        # every later row at v = 0, red first
+        first, colours = (v0, (1,) if c0 else (0, 1)) if u == u0 \
+            else (0, (0, 1))
+        for v in range(first, n):
+            if v == u:
                 continue
-            for c in (0, 1):
-                if (u, v, c) >= start and not reaches(u, v, c):
+            j = stride * v
+            for c in colours:
+                tree = trees[c]
+                if tree is None:
+                    tree = trees[c] = search(stride * u + c)
+                outer, p, state = tree
+                last = j if outer[j + 1] else j + 1 if outer[j] else -1
+                if last < 0:
                     return ConnectivityReport(
                         False, (names[u], names[v], BIT_COLOUR[c]))
+                s = state[last]
+                if s is None:
+                    s = settle(last, outer, p, state)
+                if s < 0:
+                    raise q._tree_fault(u, v)
+            colours = (0, 1)
     return ConnectivityReport(True)
 
 

@@ -76,10 +76,13 @@ class IndexedGraph:
     routine; the graph itself never changes.
     """
 
-    __slots__ = ("adj",)
+    __slots__ = ("adj", "_pairs")
 
     def __init__(self, adj: list[list[int]]):
         self.adj = adj
+        # the matching i <-> i ^ 1 that every `search` starts from, made
+        # on the first search and copied by each
+        self._pairs: Optional[list[int]] = None
 
     def matching(self, match: Optional[list[int]] = None) -> list[int]:
         """match[] over vertex indices, -1 where unmatched: a maximum
@@ -126,7 +129,9 @@ class IndexedGraph:
         completion in edge order, as `matching` does.
         """
         n = len(self.adj)
-        match = [i ^ 1 for i in range(n)]
+        if self._pairs is None:
+            self._pairs = [i ^ 1 for i in range(n)]
+        match = self._pairs[:]
         match[root] = match[root ^ 1] = -1
         p = [-1] * n
         p[root ^ 1] = root ^ 1
@@ -238,8 +243,18 @@ class IndexedGraph:
                     for to in adj[v]:
                         if base[v] == base[to] or match[v] == to:
                             continue
-                        if to == root or (
-                                match[to] != -1 and p[match[to]] != -1):
+                        # to is outer.  used marks the root, the mate w
+                        # of each vertex labelled (its parent set in
+                        # the same step) and every vertex a contraction
+                        # makes outer, among them the mate of each
+                        # vertex mark_path gives a parent.  No other
+                        # step sets a parent (search's mask on root ^ 1
+                        # is no vertex's mate), the reset clears both
+                        # for the tree's vertices, and no exposed vertex
+                        # but the root is ever used.  So used[to] is
+                        # Edmonds' test, to == root or (match[to] != -1
+                        # and p[match[to]] != -1)
+                        if used[to]:
                             if limit:
                                 aside.extend((v, to))
                             else:

@@ -9,6 +9,9 @@ test-only helpers.  Nothing in the package calls these.
   single path and trail queries climbed their search trees with, with
   no check, before they collected their positions from the tree check
   the connectivity sweeps run.
+- `ref_sweep` is the connectivity sweep as it asked its query object
+  one triple at a time (`reaches`), before each source's row read its
+  two searches straight.
 - `ref_oracle_supereulerian` and `ref_oracle_ham_alternating` are the
   spanning oracles' own depth-first searches, before both became closed
   calls (y == x) of the oracles' trail and path searches.
@@ -61,7 +64,8 @@ from ecgraph import (
     complete_multipartite_classes,
     verify_witness,
 )
-from ecgraph.core import check_witness
+from ecgraph.connect import ConnectivityReport
+from ecgraph.core import BIT_COLOUR, UnsupportedClass, check_witness
 from ecgraph.matching import IndexedGraph, PlainGraph, maximum_matching
 from ecgraph.merge import MergeInternalError, _Cyc, _exchange
 from ecgraph.oracle import DEFAULT_BUDGET, OracleBudget
@@ -484,6 +488,26 @@ def ref_trail_read_back(q, a: int, stop: int, p: list[int]) -> list[int]:
             seq.append((h - base) >> 1)
         a = b ^ 1
     return seq
+
+
+def ref_sweep(q, start: tuple[int, int, int] = (0, 0, 0)
+              ) -> ConnectivityReport:
+    """The connectivity sweep on path or trail query q, one `reaches`
+    call per triple (u, v, start colour), in the order u, v, red before
+    blue, from the triple `start` on."""
+    names = q.g.vertices
+    n = len(names)
+    if n < 2:
+        raise UnsupportedClass("connectivity needs at least two vertices")
+    for u in range(start[0], n):
+        for v in range(n):
+            if u == v:
+                continue
+            for c in (0, 1):
+                if (u, v, c) >= start and not q.reaches(u, v, c):
+                    return ConnectivityReport(
+                        False, (names[u], names[v], BIT_COLOUR[c]))
+    return ConnectivityReport(True)
 
 
 def ref_oracle_supereulerian(g: EdgeColouredMultigraph,

@@ -49,6 +49,7 @@ from reference import (
     ref_cycle_split,
     ref_path_read_back,
     ref_path_split,
+    ref_sweep,
     ref_trail_read_back,
     trail_to_path_complete_multipartite,
 )
@@ -315,27 +316,32 @@ class TestDerivedTrailConnectivity:
         a = Analysis.of(generate("random_2ec", seed=2, n=30, m=120))
         assert a.tcc.connected and a.cc.connected
 
-    # random_2ec n=8 m=16: the path sweep fails at the first triple, or
-    # at a later one
+    # random_2ec n=8 m=16: the path sweep fails at the first triple, at
+    # a later one, or mid-row at a blue triple, so that the trail sweep
+    # resumes without that row's red triple and searches blue first
     @pytest.mark.parametrize("seed, path, trail", [
         (10, ("v0", "v1", RED), ("v7", "v0", RED)),
-        (17, ("v1", "v3", RED), ("v3", "v0", RED))])
+        (17, ("v1", "v3", RED), ("v3", "v0", RED)),
+        (20, ("v1", "v6", BLUE), ("v6", "v0", BLUE))])
     def test_trail_sweep_starts_at_the_path_counterexample(
             self, monkeypatch, seed, path, trail):
         asked = []
-        reaches = _TrailQuery.reaches
+        search = _TrailQuery._search
 
-        def spy(self, x, y, start):
-            asked.append((x, y, start))
-            return reaches(self, x, y, start)
+        def spy(self, root):
+            asked.append(root)
+            return search(self, root)
 
-        monkeypatch.setattr(_TrailQuery, "reaches", spy)
+        monkeypatch.setattr(_TrailQuery, "_search", spy)
         g = generate("random_2ec", seed=seed, n=8, m=16)
         a = Analysis.of(g)
         assert a.cc.counterexample == path
         assert a.tcc.counterexample == trail
-        u, v, c = path
-        assert asked[0] == (g.index[u], g.index[v], c.bit)
+        assert a.tcc == is_trail_colour_connected(g)
+        # the first trail search is from the path counterexample's
+        # source, in its start colour
+        u, _, c = path
+        assert asked[0] == _TrailQuery.STRIDE * g.index[u] + c.bit
 
 
 def corrupt_searches(monkeypatch, corrupt):
@@ -581,27 +587,32 @@ class TestQueryObjects:
 
     def test_sweep_checks_each_search_tree_once(self, monkeypatch):
         # each node of a search tree is checked once, against g's own
-        # colour bits: one read of g.bit per node settled, none from
-        # the split graph's build, and a full sweep checks 2·n trees
-        states = []
-        for make in (_PathQuery, _TrailQuery):
-            init, search = make.__init__, make._search
+        # colour bits, which the query binds when it is built: one read
+        # of them per node settled, none from the split graph's build,
+        # and a full sweep checks 2·n trees.  _TrailQuery inherits both
+        # methods spied on
+        states, queries = [], []
+        init, search = _PathQuery.__init__, _PathQuery._search
 
-            def counted(self, g, init=init):
-                init(self, g)
-                monkeypatch.setattr(g, "bit", CountedList(g.bit))
+        def counted(self, g):
+            init(self, g)
+            *arrays, bit = self._arrays
+            assert bit is g.bit
+            self._arrays = (*arrays, CountedList(bit))
+            queries.append(self)
 
-            def kept(self, root, search=search):
-                s = search(self, root)
-                states.append((self.g, s[2]))
-                return s
+        def kept(self, root):
+            s = search(self, root)
+            states.append((self.g, s[2]))
+            return s
 
-            monkeypatch.setattr(make, "__init__", counted)
-            monkeypatch.setattr(make, "_search", kept)
+        monkeypatch.setattr(_PathQuery, "__init__", counted)
+        monkeypatch.setattr(_PathQuery, "_search", kept)
         g = fixture("halfm")
         n = len(g.vertices)
         for sweep in (is_colour_connected, is_trail_colour_connected):
             states.clear()
+            queries.clear()
             assert sweep(g).connected
             assert all(graph is g for graph, _ in states)
             trees = {id(state): state for _, state in states}
@@ -609,8 +620,8 @@ class TestQueryObjects:
             # the root node of each tree is settled from the start
             settled = sum(len(state) - state.count(None) - 1
                           for state in trees.values())
-            assert g.bit.reads == settled
-            monkeypatch.setattr(g, "bit", list(g.bit))
+            [q] = queries
+            assert q._arrays[-1].reads == settled
 
     def test_sweep_reads_each_tree_edge_once_per_search(self, monkeypatch):
         # on an alternating cycle a triple's path has up to n - 1 edges,
@@ -1117,6 +1128,70 @@ def test_queries_match_the_string_auxiliary_graph_reference():
                                 or g.edge(w.edge_ids[-1]).colour is end
                             assert len(set(seq)) == len(seq) or not simple
     assert parallel > 30 and found and missing
+
+
+class TestRowSweep:
+    """`_sweep` reads each source's two searches in one loop over its
+    targets; the sweep that asked `reaches` one triple at a time
+    (`ref_sweep`) is its reference, for the report and for the roots
+    searched, in order."""
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """The roots of the searches run, in order."""
+        roots = []
+        search = IndexedGraph.search
+
+        def spy(self, root, *rule):
+            roots.append(root)
+            return search(self, root, *rule)
+
+        monkeypatch.setattr(IndexedGraph, "search", spy)
+        return roots
+
+    @staticmethod
+    def agree(searched, make, g, confirms=False):
+        """Both sweeps of one `make(g)` object from every start triple,
+        each on an empty memo, and with `confirms` from the first triple
+        after each triple's `reaches` too, as a base confirm asks it;
+        the reports seen."""
+        q = make(g)
+        n = len(g.vertices)
+        triples = [(u, v, c) for u in range(n) for v in range(n) if u != v
+                   for c in (0, 1)]
+        seen = set()
+        runs = [((0, 0, 0), None)] + [(t, None) for t in triples]
+        if confirms:
+            runs += [((0, 0, 0), t) for t in triples]
+        for start, confirm in runs:
+            runs = []
+            for sweep in (ecgraph.connect._sweep, ref_sweep):
+                q._searches.clear()
+                searched.clear()
+                if confirm is not None:
+                    q.reaches(*confirm)
+                runs.append((sweep(q, start), searched[:]))
+            assert runs[0] == runs[1], (start, confirm)
+            seen.add(runs[0][0].connected)
+        return seen
+
+    @pytest.mark.parametrize("make", [_PathQuery, _TrailQuery])
+    def test_matches_the_per_triple_sweep_on_the_atlas(self, searched,
+                                                       make):
+        seen = set()
+        for g in _graphs(*FAMILIES["4-vertices"]):
+            seen |= self.agree(searched, make, g)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("make", [_PathQuery, _TrailQuery])
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_matches_the_per_triple_sweep_on_seeded_graphs(
+            self, searched, make, n):
+        seen = set()
+        for m in (2 * n, 4 * n):
+            g = generate("random_2ec", seed=n, n=n, m=m)
+            seen |= self.agree(searched, make, g, confirms=True)
+        assert seen == {True, False}
 
 
 class TestStoppedSearch:
