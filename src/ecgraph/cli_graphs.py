@@ -110,7 +110,7 @@ def transform(kind: str, file: str, mult, times: int,
             g = bb_from_digraph(_digraph(json.loads(text)))
         except ValueError as exc:
             fail(f"bad digraph document: {exc}")
-        emit(graph_to_dict(g))
+        click.echo(serialize_graph(g), nl=False)
         return
 
     g = read_graph(file)
@@ -128,14 +128,16 @@ def transform(kind: str, file: str, mult, times: int,
                   "arcs": [{"id": i, "tail": t, "head": h}
                            for i, t, h in d.arcs]})
         elif kind == "blowup":
-            emit(graph_to_dict(blow_up(g, _parse_mult(mult, times, g))))
+            click.echo(serialize_graph(
+                blow_up(g, _parse_mult(mult, times, g))), nl=False)
         elif kind == "quotient":
             part = similarity_partition(g)
             doc = graph_to_dict(part.quotient)
             doc["blocks"] = [list(b) for b in part.blocks]
             emit(doc)
         else:
-            emit(graph_to_dict(m_closure(g, colour_policy, seed)))
+            click.echo(serialize_graph(m_closure(g, colour_policy, seed)),
+                       nl=False)
     except GraphError as exc:
         fail(str(exc))
 
@@ -182,4 +184,4 @@ def random_cmd(model: str, seed: int, n, m, n1, n2, sizes, r) -> None:
         g = generate(model, seed, **params)
     except ValueError as exc:
         fail(str(exc))
-    emit(graph_to_dict(g))
+    click.echo(serialize_graph(g), nl=False)

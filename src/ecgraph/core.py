@@ -9,11 +9,13 @@ is pure, with one exception: a graph's `_analysis` slot holds the
 mutable memo of facts derived from it (`ecgraph.analysis`).
 
 A graph is its own integer index, built in one validating pass from
-`Edge` records or, by `parse_graph`, straight from the document: edges
-by position, with ids, ends as vertex indices, colour bits, incidence
-lists.  Lookups and algorithms read it, never g.edges (built on first
-read), and `first_edges`, built once, picks the first declared of
-parallel edges of one colour for the matching reductions and the merge.
+`Edge` records or straight from (id, u, v, colour bit) items, as
+`parse_graph`, `build_graph` and the generators build it: edges by
+position, with ids, ends as vertex indices, colour bits, incidence
+lists.  Lookups, algorithms and the writers read it, never g.edges
+(built on first read), and `first_edges`, built once, picks the first
+declared of parallel edges of one colour for the matching reductions
+and the merge.
 The graph's `walk` is the one check of an alternating trail given as
 edge positions, open or closed, and of an alternating cycle.
 `_check_trail` maps a trail's ids to positions and walks them, for
@@ -68,7 +70,9 @@ BLUE = Colour.BLUE
 # colour bit -> colour
 BIT_COLOUR = (RED, BLUE)
 
-_COLOUR_BITS = {"red": 0, "blue": 1}
+# colour bit -> token in documents, and back
+_TOKENS = ("red", "blue")
+_COLOUR_BITS = {t: c for c, t in enumerate(_TOKENS)}
 
 
 class GraphError(ValueError):
@@ -488,19 +492,68 @@ def graph_to_dict(g: EdgeColouredMultigraph) -> dict:
     }
 
 
+# json.dumps(indent=2) text around the encoded names and ids: a vertex
+# item is _JSON_ITEM, name; an edge item is _JSON_ID, id, _JSON_U + u's
+# name, _JSON_V + v's name, _JSON_END[colour bit].  Each item starts
+# with the comma that separates it from the item before.
+_JSON_ITEM = ',\n    '
+_JSON_ID = _JSON_ITEM + '{\n      "id": '
+_JSON_U = ',\n      "u": '
+_JSON_V = ',\n      "v": '
+_JSON_END = tuple(f',\n      "colour": "{t}"\n    }}' for t in _TOKENS)
+
+
 def serialize_graph(g: EdgeColouredMultigraph, format: str = "json") -> str:
+    """g as a JSON graph document, or as DOT with format "dot", read
+    from g's index.
+
+    The JSON text is byte-identical to
+    ``json.dumps(graph_to_dict(g), indent=2) + "\n"``: pinned SHA-256s of
+    generated documents (the benchmark checks its ladder against them)
+    depend on every byte.  json.dumps with an indent runs json's
+    pure-Python encoder, so the text is assembled here instead, each
+    name and id encoded once by the string encoder json.dumps uses, and
+    joined once from pieces, with no string made per edge.
+    """
+    vs = g.vertices
     if format == "json":
-        return json.dumps(graph_to_dict(g), indent=2) + "\n"
+        enc = json.encoder.encode_basestring_ascii
+        try:
+            names = [enc(v) for v in vs]
+            ids = [enc(e) for e in g.eid]
+        except TypeError:
+            # a name or id that is not a string: json's encoder says how
+            return json.dumps(graph_to_dict(g), indent=2) + "\n"
+        us = [_JSON_U + n for n in names]
+        ws = [_JSON_V + n for n in names]
+        parts = ['{\n  "vertices": [']
+        for n in names:
+            parts += (_JSON_ITEM, n)
+        _end_list(parts, 1)
+        parts.append(',\n  "edges": [')
+        start = len(parts)
+        for e, u, v, c in zip(ids, g.eu, g.ev, g.bit):
+            parts += (_JSON_ID, e, us[u], ws[v], _JSON_END[c])
+        _end_list(parts, start)
+        parts.append("\n}\n")
+        return "".join(parts)
     if format == "dot":
-        lines = ["graph {"]
-        for v in g.vertices:
-            lines.append(f'  "{v}";')
-        for e in g.edges:
-            lines.append(f'  "{e.u}" -- "{e.v}" '
-                         f'[color={e.colour.token}, id="{e.id}"];')
-        lines.append("}")
+        lines = ["graph {", *(f'  "{v}";' for v in vs), *(
+            f'  "{vs[u]}" -- "{vs[v]}" [color={_TOKENS[c]}, id="{e}"];'
+            for e, u, v, c in zip(g.eid, g.eu, g.ev, g.bit)), "}"]
         return "\n".join(lines) + "\n"
     raise GraphError(f"unknown format {format!r}")
+
+
+def _end_list(parts: list[str], start: int) -> None:
+    """Close the top-level list whose items' pieces begin at
+    parts[start]: json.dumps(indent=2) puts no comma before the first
+    item, and prints an empty list as []."""
+    if len(parts) > start:
+        parts[start] = parts[start][1:]
+        parts.append("\n  ]")
+    else:
+        parts.append("]")
 
 
 def witness_to_dict(g: EdgeColouredMultigraph, w: Witness) -> dict:
@@ -645,6 +698,7 @@ def build_graph(vertices: Sequence[str],
                 edge_triples: Sequence[tuple[str, str, Colour]]
                 ) -> EdgeColouredMultigraph:
     """Convenience constructor assigning sequential edge ids e0, e1, ..."""
-    edges = [Edge(f"e{i}", u, v, c)
-             for i, (u, v, c) in enumerate(edge_triples)]
-    return EdgeColouredMultigraph(vertices, edges)
+    # c - 1 is Colour.bit, without a call per edge
+    return EdgeColouredMultigraph._of(
+        vertices, ((f"e{i}", u, v, c - 1)
+                   for i, (u, v, c) in enumerate(edge_triples)))

@@ -133,11 +133,11 @@ def bb_from_digraph(d: BipartiteDigraph) -> EdgeColouredMultigraph:
                 raise GraphError(f"arc {eid!r}: unknown vertex {v!r}")
         if {tail, head} <= x_set or {tail, head} <= y_set:
             raise GraphError(f"arc {eid!r} does not cross the bipartition")
-        if tail in x_set:
-            edges.append(Edge(eid, tail, head, Colour.RED))
-        else:
-            edges.append(Edge(eid, head, tail, Colour.BLUE))
-    return EdgeColouredMultigraph(tuple(d.x_part) + tuple(d.y_part), edges)
+        # red from X, blue from Y: (id, u, v, colour bit)
+        edges.append((eid, tail, head, 0) if tail in x_set
+                     else (eid, head, tail, 1))
+    return EdgeColouredMultigraph._of(tuple(d.x_part) + tuple(d.y_part),
+                                      edges)
 
 
 # ---------------------------------------------------------------------

@@ -27,7 +27,6 @@ from typing import Optional
 
 from .core import (
     Colour,
-    Edge,
     EdgeColouredMultigraph,
     GraphError,
 )
@@ -62,7 +61,9 @@ def m_closure(g: EdgeColouredMultigraph,
     if colour_policy not in ("always_red", "always_blue", "seeded_random"):
         raise ValueError(f"unknown colour policy {colour_policy!r}")
     rng = random.Random(seed)
-    edges = list(g.edges)
+    vs = g.vertices
+    items = [(e, vs[u], vs[v], c) for e, u, v, c
+             in zip(g.eid, g.eu, g.ev, g.bit)]
     cur = g
     k = 0
     while True:
@@ -76,9 +77,9 @@ def m_closure(g: EdgeColouredMultigraph,
             col = Colour.BLUE
         else:
             col = rng.choice((Colour.RED, Colour.BLUE))
-        edges.append(Edge(f"mc{k}", x, z, col))
+        items.append((f"mc{k}", x, z, col.bit))
         k += 1
-        cur = EdgeColouredMultigraph(g.vertices, edges)
+        cur = EdgeColouredMultigraph._of(vs, items)
 
 
 @dataclass(frozen=True)
@@ -122,15 +123,13 @@ def blow_up(g: EdgeColouredMultigraph,
         m = multiplicities.get(v)
         if not isinstance(m, int) or m < 1:
             raise GraphError(f"multiplicity for {v!r} must be a positive integer")
-    verts = [f"{v}.{i}" for v in g.vertices
-             for i in range(multiplicities[v])]
-    edges = []
-    for e in g.edges:
-        for i in range(multiplicities[e.u]):
-            for j in range(multiplicities[e.v]):
-                edges.append(Edge(f"{e.id}.{i}.{j}",
-                                  f"{e.u}.{i}", f"{e.v}.{j}", e.colour))
-    return EdgeColouredMultigraph(verts, edges)
+    copies = [[f"{v}.{i}" for i in range(multiplicities[v])]
+              for v in g.vertices]
+    return EdgeColouredMultigraph._of(
+        [x for xs in copies for x in xs],
+        ((f"{e}.{i}.{j}", a, b, c)
+         for e, u, v, c in zip(g.eid, g.eu, g.ev, g.bit)
+         for i, a in enumerate(copies[u]) for j, b in enumerate(copies[v])))
 
 
 def is_extension_of_m_closed(g: EdgeColouredMultigraph

@@ -42,10 +42,16 @@ test-only helpers.  Nothing in the package calls these.
 - `trail_to_path_complete_multipartite` shortens an open alternating
   trail of a complete multipartite graph into an alternating path with
   the same ends and start colour.
+- `ref_build_graph`, `ref_blow_up`, `ref_m_closure` and
+  `ref_bb_from_digraph` build their graphs from `Edge` records, as
+  `build_graph`, `blow_up`, `m_closure` and `bb_from_digraph` did before
+  they fed the graph's index (id, u, v, colour bit) items; `ref_dot` is
+  the DOT writer as it read `g.edges`.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -69,6 +75,7 @@ from ecgraph.core import BIT_COLOUR, UnsupportedClass, check_witness
 from ecgraph.matching import IndexedGraph, PlainGraph, maximum_matching
 from ecgraph.merge import MergeInternalError, _Cyc, _exchange
 from ecgraph.oracle import DEFAULT_BUDGET, OracleBudget
+from ecgraph.structure import is_m_closed
 
 
 class RefIndex:
@@ -768,3 +775,64 @@ def trail_to_path_complete_multipartite(g: EdgeColouredMultigraph,
             break
         else:
             raise GraphError("trail shortening found no valid bypass")
+
+
+def ref_build_graph(vertices, edge_triples) -> EdgeColouredMultigraph:
+    edges = [Edge(f"e{i}", u, v, c)
+             for i, (u, v, c) in enumerate(edge_triples)]
+    return EdgeColouredMultigraph(vertices, edges)
+
+
+def ref_blow_up(g: EdgeColouredMultigraph,
+                multiplicities: dict[str, int]) -> EdgeColouredMultigraph:
+    verts = [f"{v}.{i}" for v in g.vertices
+             for i in range(multiplicities[v])]
+    edges = []
+    for e in g.edges:
+        for i in range(multiplicities[e.u]):
+            for j in range(multiplicities[e.v]):
+                edges.append(Edge(f"{e.id}.{i}.{j}",
+                                  f"{e.u}.{i}", f"{e.v}.{j}", e.colour))
+    return EdgeColouredMultigraph(verts, edges)
+
+
+def ref_m_closure(g: EdgeColouredMultigraph, colour_policy: str = "always_red",
+                  seed: Optional[int] = None) -> EdgeColouredMultigraph:
+    rng = random.Random(seed)
+    edges = list(g.edges)
+    cur = g
+    k = 0
+    while True:
+        ok, triple = is_m_closed(cur)
+        if ok:
+            return cur
+        x, _, z = triple
+        if colour_policy == "always_red":
+            col = Colour.RED
+        elif colour_policy == "always_blue":
+            col = Colour.BLUE
+        else:
+            col = rng.choice((Colour.RED, Colour.BLUE))
+        edges.append(Edge(f"mc{k}", x, z, col))
+        k += 1
+        cur = EdgeColouredMultigraph(g.vertices, edges)
+
+
+def ref_bb_from_digraph(d) -> EdgeColouredMultigraph:
+    """For a digraph whose arcs all cross its bipartition."""
+    x_set = set(d.x_part)
+    edges = [Edge(eid, tail, head, Colour.RED) if tail in x_set
+             else Edge(eid, head, tail, Colour.BLUE)
+             for eid, tail, head in d.arcs]
+    return EdgeColouredMultigraph(tuple(d.x_part) + tuple(d.y_part), edges)
+
+
+def ref_dot(g: EdgeColouredMultigraph) -> str:
+    lines = ["graph {"]
+    for v in g.vertices:
+        lines.append(f'  "{v}";')
+    for e in g.edges:
+        lines.append(f'  "{e.u}" -- "{e.v}" '
+                     f'[color={e.colour.token}, id="{e.id}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

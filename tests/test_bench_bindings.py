@@ -1,17 +1,25 @@
-"""The package names the benchmark reads.
+"""The package names the benchmark reads, and the instances it pins.
 
 `bench/workloads.py` imports every module in its MODULES, and
 `bench/tracer.py` looks up each TARGETS name in its module with getattr,
 so renaming or moving one of them breaks every benchmark run.  Both
-files are loaded here as they are, without being changed.
+files are loaded here as they are, without being changed.  The
+benchmark's set-up refuses a ladder instance whose document no longer
+has its pinned SHA-256; the same check runs here on every instance,
+read from `bench/pinned.json` and never written.
 """
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
+
+from ecgraph.core import serialize_graph
+from ecgraph.reductions import generate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -42,3 +50,15 @@ def test_tracer_target_resolves(module, name):
     assert module in WORKLOADS.MODULES
     assert callable(getattr(importlib.import_module(f"ecgraph.{module}"),
                             name))
+
+
+def test_every_pinned_instance_is_generated_again():
+    pinned = json.loads(WORKLOADS.PINNED.read_text())
+    seen = set()
+    for _, _, (model, seed, params) in WORKLOADS.all_ladders():
+        key = WORKLOADS.instance_key(model, seed, params)
+        text = serialize_graph(generate(model, seed, **params))
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == pinned[key]["sha256"], key
+        seen.add(key)
+    assert seen == set(pinned)
