@@ -96,11 +96,6 @@ def test_writers_build_no_edge_records():
     assert g._edges is None
 
 
-def test_names_that_are_not_strings_fall_back_to_json():
-    g = EdgeColouredMultigraph([1, 2.5], [Edge(None, 1, 2.5, RED)])
-    assert serialize_graph(g) == dumps(g)
-
-
 names = st.lists(st.text(max_size=3), min_size=1, max_size=5, unique=True)
 
 
